@@ -351,20 +351,11 @@ class Surface:
     cutouts: tuple[tuple[float, float, float, float], ...] = ()
     reflective: bool = False
 
-    def as_plane(self, bounded: bool = True) -> ReflectorPlane:
+    def as_plane(self) -> ReflectorPlane:
+        """The unbounded plane; callers enforce the extent with contains_uv."""
         normal = np.zeros(3)
         normal[_AXIS_INDEX[self.axis]] = 1.0
-        if not bounded:
-            return ReflectorPlane(normal=normal, offset=self.coord)
-        ui, vi = _PLANE_AXES[self.axis]
-        corners = []
-        for u, v in ((self.u_lo, self.v_lo), (self.u_hi, self.v_lo),
-                     (self.u_hi, self.v_hi), (self.u_lo, self.v_hi)):
-            corner = np.zeros(3)
-            corner[_AXIS_INDEX[self.axis]] = self.coord
-            corner[ui], corner[vi] = u, v
-            corners.append(corner)
-        return ReflectorPlane(normal=normal, offset=self.coord, facet=np.array(corners))
+        return ReflectorPlane(normal=normal, offset=self.coord)
 
     def contains_uv(self, u: float, v: float) -> bool:
         if not (self.u_lo <= u <= self.u_hi and self.v_lo <= v <= self.v_hi):
@@ -379,8 +370,7 @@ class SceneGeometry:
     """Expanded scene: crossing surfaces, reflectors, and diffraction edges.
 
     Surface planes are packed into arrays so segment-crossing tests run
-    vectorized; per-frequency slab losses are cached via prepare_frequency
-    (call it before fanning enumeration out over workers).
+    vectorized; per-frequency slab losses are cached via prepare_frequency.
     """
 
     def __init__(self, surfaces: list[Surface], edges: list[WindowEdge],
@@ -559,11 +549,11 @@ def enumerate_mpcs(
     n_direct, loss_direct = geom.leg_crossings(anchor, rx_vec, f_hz)
     emit(["T"] * n_direct, euclidean_distance(anchor, rx_vec), loss_direct)
 
-    # Single specular reflections. Facet bounds (and window cutouts, where
+    # Single specular reflections. Surface bounds (and window cutouts, where
     # there is no material to reflect off) are enforced via contains_uv.
     if limits.max_reflections >= 1:
         reflectors: list[tuple[ReflectorPlane, SlabSpec, Surface | None]] = [
-            (surf.as_plane(bounded=False), surf.slab, surf)
+            (surf.as_plane(), surf.slab, surf)
             for surf in geom.surfaces if surf.reflective
         ]
         if geom.ground is not None:

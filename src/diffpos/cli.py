@@ -43,17 +43,24 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scene = load_scene(args.scene) if args.scene else build_default_scene()
     frequencies = tuple(sorted(args.frequencies)) if args.frequencies \
         else DEFAULT_FREQUENCY_LADDER_HZ
-    cfg = SweepConfig(
-        scene=scene,
-        frequencies_hz=frequencies,
-        t_fap_db=args.t_fap,
-        trials=args.trials,
-        seed=args.seed,
-        noiseless=args.noiseless,
-    )
+    try:
+        scene = load_scene(args.scene) if args.scene else build_default_scene()
+        cfg = SweepConfig(
+            scene=scene,
+            frequencies_hz=frequencies,
+            t_fap_db=args.t_fap,
+            trials=args.trials,
+            seed=args.seed,
+            noiseless=args.noiseless,
+        )
+    except KeyError as exc:
+        print(f"error: scene is missing the key {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report = run_sweep(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

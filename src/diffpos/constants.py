@@ -10,11 +10,6 @@ VACUUM_PERMITTIVITY = 8.854_187_8128e-12  # F/m
 VACUUM_PERMEABILITY = 1.256_637_062_12e-6  # H/m
 
 
-def db_to_linear(value_db: float) -> float:
-    """Convert a power ratio from dB to linear scale."""
-    return 10.0 ** (value_db / 10.0)
-
-
 def linear_to_db(value: float) -> float:
     """Convert a linear power ratio to dB. Zero maps to -inf."""
     if value == 0.0:

@@ -172,8 +172,13 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         freqs = tuple(float(f) for f in self.frequencies_hz)
-        if not freqs or list(freqs) != sorted(freqs):
-            raise ValueError("frequency ladder must be non-empty and sorted")
+        if not freqs or any(lo >= hi for lo, hi in zip(freqs, freqs[1:])):
+            raise ValueError("frequency ladder must be non-empty and strictly increasing")
+        for f_hz in freqs:
+            self.scene.radio.band_for(f_hz)  # raises for a frequency outside every band
+        if len(self.scene.anchors) < 4:
+            raise ValueError(
+                f"3D positioning needs at least 4 anchors, the scene has {len(self.scene.anchors)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         self.frequencies_hz = freqs
@@ -228,15 +233,16 @@ def _dnls_with_retries(meas: MeasurementSet, scene: SceneConfig):
     model).
     """
     lo, hi = scene.bounds
+    init = initial_guess(meas, scene.bounds)
     attempts = (
-        (initial_guess(meas, scene.bounds), {}),
-        (initial_guess(meas, scene.bounds), {"damping": 0.1, "max_iters": 400}),
+        (init, {}),
+        (init, {"damping": 0.1, "max_iters": 400}),
         (Point3.from_array(0.5 * (lo + hi)), {"damping": 1.0, "max_iters": 400}),
     )
-    for init, kwargs in attempts:
+    for start, kwargs in attempts:
         try:
-            est = dnls_solve(meas, init, **kwargs)
-        except (SingularGeometryError, SolverDivergedError, ValueError):
+            est = dnls_solve(meas, start, **kwargs)
+        except (SingularGeometryError, SolverDivergedError):
             continue
         if est.converged:
             return est
@@ -254,7 +260,6 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                          trials=cfg.trials, noiseless=cfg.noiseless)
 
     for fi, f_hz in enumerate(cfg.frequencies_hz):
-        geom.prepare_frequency(f_hz)
         band = scene.radio.band_for(f_hz)
         beta_sq = mean_squared_bandwidth(band)
         groups_by_anchor: dict[int, list[MpcGroup]] = {a: [] for a in range(n_anchors)}
@@ -329,7 +334,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                     est = lls_solve(meas)
                     lls_errors.append(float(np.linalg.norm(
                         est.alpha_hat.as_array() - rx_true)))
-                except (SingularGeometryError, ValueError):
+                except SingularGeometryError:
                     excl["lls_failed"] += 1
 
                 est = _dnls_with_retries(meas, scene)

@@ -1,4 +1,4 @@
-"""First-arriving-path selection and range measurement synthesis.
+"""First-arriving-path selection and the ranging error bound.
 
 The FAP rule: find the strongest MPC in the power delay profile (SNR
 s_max), set the eligibility threshold s_max - t_fap, and return the
@@ -7,8 +7,8 @@ weaker paths.
 
 Ranging accuracy for a resolvable path follows the delay-estimation bound
 std(tau) = 1 / sqrt(8 * pi^2 * beta^2 * snr), with beta^2 the mean squared
-bandwidth of the baseband spectrum (B^2/12 for a flat spectrum of width B).
-Noisy range measurements are drawn with sigma = c * std(tau).
+bandwidth of the baseband spectrum (B^2/12 for a flat spectrum of width B),
+and the range standard deviation is sigma = c * std(tau).
 """
 
 from __future__ import annotations
@@ -18,20 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Mpc, MpcGroup, Pdp
+from .channel import Mpc, Pdp
 from .constants import SPEED_OF_LIGHT
 from .materials import Band
 
 __all__ = [
     "NoDetectionError",
     "FapSelection",
-    "RangeMeasurement",
     "select_fap",
     "mean_squared_bandwidth",
     "mean_squared_bandwidth_discrete",
     "ranging_crlb_std_seconds",
     "range_sigma_m",
-    "synthesize_measurement",
 ]
 
 
@@ -47,21 +45,6 @@ class FapSelection:
     s_max_db: float
     threshold_db: float
     t_fap_db: float
-
-
-@dataclass(frozen=True)
-class RangeMeasurement:
-    """One noisy range estimate from one anchor."""
-
-    anchor_id: int
-    range_m: float
-    sigma_m: float
-    fap_group: MpcGroup
-    snr_db: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma_m > 0:
-            raise ValueError("sigma must be positive")
 
 
 def select_fap(pdp: Pdp, t_fap_db: float) -> FapSelection:
@@ -119,27 +102,3 @@ def ranging_crlb_std_seconds(beta_sq_hz2: float, snr_linear: float) -> float:
 def range_sigma_m(beta_sq_hz2: float, snr_linear: float) -> float:
     """Range standard deviation: the delay bound scaled by c."""
     return SPEED_OF_LIGHT * ranging_crlb_std_seconds(beta_sq_hz2, snr_linear)
-
-
-def synthesize_measurement(
-    fap: FapSelection,
-    beta_sq_hz2: float,
-    rng: int | np.random.Generator,
-    noiseless: bool = False,
-) -> RangeMeasurement:
-    """Noisy range for a selected FAP: true length + N(0, sigma^2).
-
-    Deterministic for a fixed seed or a caller-supplied generator.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    snr_linear = 10.0 ** (fap.chosen.snr_db / 10.0)
-    sigma = range_sigma_m(beta_sq_hz2, snr_linear)
-    noise = 0.0 if noiseless else sigma * rng.standard_normal()
-    return RangeMeasurement(
-        anchor_id=fap.chosen.anchor_id,
-        range_m=fap.chosen.path_length_m + noise,
-        sigma_m=sigma,
-        fap_group=fap.chosen.group,
-        snr_db=fap.chosen.snr_db,
-    )

@@ -30,9 +30,7 @@ __all__ = [
     "reflect_point",
     "reflection_path_length",
     "diffraction_point",
-    "exact_diffraction_path_length",
     "approx_diffraction_solution",
-    "approx_diffraction_path_length",
 ]
 
 # Relative tolerance below which the stationarity quadratic is treated as
@@ -103,10 +101,6 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def translation_only(cls, t) -> "RigidTransform":
-        return cls(np.eye(3), np.asarray(t, dtype=float))
-
     def to_local(self, p) -> np.ndarray:
         return self.rotation @ _vec(p) + self.translation
 
@@ -147,26 +141,16 @@ class WindowEdge:
 
 @dataclass(frozen=True)
 class ReflectorPlane:
-    """Plane {x : n.x = offset} with unit normal, optionally bounded by a facet.
-
-    ``facet`` is an (N, 3) polygon whose vertices lie in the plane; when
-    present, a specular point outside the polygon invalidates the reflection.
-    """
+    """Unbounded plane {x : n.x = offset} with unit normal."""
 
     normal: np.ndarray
     offset: float
-    facet: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = np.asarray(self.normal, dtype=float).reshape(3)
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise GeometryError("plane normal must be unit length")
         object.__setattr__(self, "normal", n)
-        if self.facet is not None:
-            f = np.asarray(self.facet, dtype=float)
-            if f.ndim != 2 or f.shape[1] != 3 or f.shape[0] < 3:
-                raise GeometryError("facet must be an (N>=3, 3) polygon")
-            object.__setattr__(self, "facet", f)
 
     def signed_distance(self, p) -> float:
         return float(self.normal @ _vec(p) - self.offset)
@@ -189,11 +173,10 @@ class DiffractionSolution:
 
 @dataclass(frozen=True)
 class ReflectionSolution:
-    """Unfolded reflection length, the specular point, and facet validity."""
+    """Unfolded reflection length and the specular point."""
 
     length: float
     specular_point: Point3
-    valid: bool
 
 
 def euclidean_distance(a, b) -> float:
@@ -207,40 +190,11 @@ def reflect_point(p, plane: ReflectorPlane) -> Point3:
     return Point3.from_array(v - 2.0 * plane.signed_distance(v) * plane.normal)
 
 
-def _point_in_polygon_2d(pt: np.ndarray, poly: np.ndarray) -> bool:
-    """Even-odd rule containment test in 2D; boundary points count as inside."""
-    x, y = pt
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        # On-edge check via collinearity within the segment's bounding box.
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        if abs(cross) < 1e-12 and min(x1, x2) - 1e-12 <= x <= max(x1, x2) + 1e-12 \
-                and min(y1, y2) - 1e-12 <= y <= max(y1, y2) + 1e-12:
-            return True
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x_cross > x:
-                inside = not inside
-    return inside
-
-
-def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hint = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(hint, normal)
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    return u, v
-
-
 def reflection_path_length(tx, rx, plane: ReflectorPlane) -> ReflectionSolution:
     """Specular reflection path length via the mirrored transmitter.
 
     Both endpoints must lie strictly on the same side of the plane. The
-    returned length equals |reflect(tx) - rx|; ``valid`` is False when the
-    plane carries a bounded facet and the specular point misses it.
+    returned length equals |reflect(tx) - rx|.
     """
     t = _vec(tx)
     r = _vec(rx)
@@ -256,13 +210,7 @@ def reflection_path_length(tx, rx, plane: ReflectorPlane) -> ReflectionSolution:
     # signed distances share a sign, so the denominator never vanishes.
     s = dt / (dt + dr)
     specular = image + s * direction
-
-    valid = True
-    if plane.facet is not None:
-        u, v = _plane_basis(plane.normal)
-        poly2 = np.column_stack((plane.facet @ u, plane.facet @ v))
-        valid = _point_in_polygon_2d(np.array([specular @ u, specular @ v]), poly2)
-    return ReflectionSolution(length, Point3.from_array(specular), valid)
+    return ReflectionSolution(length, Point3.from_array(specular))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +354,15 @@ def _solve_edge_lambda(
     return lam, True
 
 
+def _edge_solution(t: np.ndarray, r: np.ndarray, edge: WindowEdge, z_e: float) -> DiffractionSolution:
+    """Edge point and two-leg length for edge-local tx/rx, edge at height z_e."""
+    lam, endpoint = _solve_edge_lambda(t, r, edge.x1, edge.x2, z_e)
+    qx = edge.x2 + lam * (edge.x1 - edge.x2)
+    length = _two_leg_length(t, r, z_e, qx)
+    q_world = edge.frame.to_world([qx, 0.0, z_e])
+    return DiffractionSolution(lam, Point3.from_array(q_world), length, endpoint)
+
+
 def diffraction_point(tx, rx, edge: WindowEdge) -> DiffractionSolution:
     """Stationary diffraction point on the edge and the exact path length.
 
@@ -422,17 +379,7 @@ def diffraction_point(tx, rx, edge: WindowEdge) -> DiffractionSolution:
     )
     if on_edge_line:
         raise GeometryError("tx and rx both lie on the edge line; diffraction undefined")
-
-    lam, endpoint = _solve_edge_lambda(t, r, edge.x1, edge.x2, edge.z_e)
-    qx = edge.x2 + lam * (edge.x1 - edge.x2)
-    length = _two_leg_length(t, r, edge.z_e, qx)
-    q_world = edge.frame.to_world([qx, 0.0, edge.z_e])
-    return DiffractionSolution(lam, Point3.from_array(q_world), length, endpoint)
-
-
-def exact_diffraction_path_length(tx, rx, edge: WindowEdge) -> float:
-    """Exact two-leg diffraction path length through the solved edge point."""
-    return diffraction_point(tx, rx, edge).path_length
+    return _edge_solution(t, r, edge, edge.z_e)
 
 
 def approx_diffraction_solution(tx, rx, edge: WindowEdge, w: float | None = None) -> DiffractionSolution:
@@ -449,14 +396,4 @@ def approx_diffraction_solution(tx, rx, edge: WindowEdge, w: float | None = None
         raise GeometryError("window height must be non-negative")
     t = edge.frame.to_local(_vec(tx))
     r = edge.frame.to_local(_vec(rx))
-    z_e = r[2] + 0.5 * w
-    lam, endpoint = _solve_edge_lambda(t, r, edge.x1, edge.x2, z_e)
-    qx = edge.x2 + lam * (edge.x1 - edge.x2)
-    length = _two_leg_length(t, r, z_e, qx)
-    q_world = edge.frame.to_world([qx, 0.0, z_e])
-    return DiffractionSolution(lam, Point3.from_array(q_world), length, endpoint)
-
-
-def approx_diffraction_path_length(tx, rx, edge: WindowEdge, w: float | None = None) -> float:
-    """Path length of the window-height-approximation diffraction model."""
-    return approx_diffraction_solution(tx, rx, edge, w).path_length
+    return _edge_solution(t, r, edge, r[2] + 0.5 * w)

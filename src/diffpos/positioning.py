@@ -6,7 +6,8 @@ Two estimators operate on per-anchor range measurements:
   window-height approximation), alpha <- alpha + (J^T J)^-1 J^T (r - p(alpha)).
   The Jacobian uses the envelope property of the Fermat-stationary edge
   point: the stationary point's dependence on the receiver position
-  contributes nothing to first order, so only the explicit partials remain.
+  contributes nothing to first order, so only the explicit partials remain,
+  and one edge solve yields both p and J.
 
 * LLS: one-shot linear least squares on the Euclidean model, obtained by
   squaring the range equations and differencing against the first anchor to
@@ -34,8 +35,7 @@ __all__ = [
     "MeasurementSet",
     "PositionEstimate",
     "FimResult",
-    "diffraction_path_model",
-    "diffraction_jacobian",
+    "diffraction_model",
     "dnls_solve",
     "lls_solve",
     "peb",
@@ -95,21 +95,13 @@ class FimResult:
     singular: bool
 
 
-def diffraction_path_model(alpha, meas: MeasurementSet) -> np.ndarray:
-    """Model ranges p_j(alpha) for every anchor under the diffraction model."""
-    a = alpha.as_array() if isinstance(alpha, Point3) else np.asarray(alpha, dtype=float)
-    return np.array([
-        approx_diffraction_solution(meas.anchors[j], a, meas.edges[j]).path_length
-        for j in range(len(meas))
-    ])
+def diffraction_model(alpha, meas: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
+    """Model ranges p_j(alpha) (M,) and their partials J (3, M).
 
-
-def diffraction_jacobian(alpha, meas: MeasurementSet) -> np.ndarray:
-    """Partials of the diffraction path model: (3, M) matrix.
-
-    Row i holds dp_j/d{x, y, z} of the receiver position. In the edge-local
-    frame, with the stationary point q held fixed (envelope property; also
-    exact for endpoint-clamped points):
+    Each anchor's edge is solved once. Row i of J holds dp_j/d{x, y, z} of
+    the receiver position. In the edge-local frame, with the stationary
+    point q held fixed (envelope property; also exact for endpoint-clamped
+    points):
 
         dp/dx_n = (x_n - q) / l_rx
         dp/dy_n = y_n / l_rx
@@ -119,27 +111,26 @@ def diffraction_jacobian(alpha, meas: MeasurementSet) -> np.ndarray:
     gradient maps back to world axes through the frame rotation.
     """
     a = alpha.as_array() if isinstance(alpha, Point3) else np.asarray(alpha, dtype=float)
-    out = np.empty((3, len(meas)))
-    for j in range(len(meas)):
-        edge = meas.edges[j]
-        sol = approx_diffraction_solution(meas.anchors[j], a, edge)
-        t = edge.frame.to_local(meas.anchors[j])
+    p = np.empty(len(meas))
+    jac = np.empty((3, len(meas)))
+    for j, (anchor, edge) in enumerate(zip(meas.anchors, meas.edges)):
+        sol = approx_diffraction_solution(anchor, a, edge)
+        t = edge.frame.to_local(anchor)
         r = edge.frame.to_local(a)
         z_e = r[2] + 0.5 * edge.w
-        q_local = edge.frame.to_local(sol.q.as_array())
-        qx = q_local[0]
+        qx = edge.x2 + sol.lam * (edge.x1 - edge.x2)
         l_rx = math.sqrt((r[0] - qx) ** 2 + r[1] ** 2 + (z_e - r[2]) ** 2)
         l_tx = math.sqrt((t[0] - qx) ** 2 + t[1] ** 2 + (t[2] - z_e) ** 2)
         if l_rx < 1e-12 or l_tx < 1e-12:
             raise SingularGeometryError(
                 f"position coincides with the diffraction point of anchor {j}")
-        grad_local = np.array([
+        p[j] = sol.path_length
+        jac[:, j] = edge.frame.rotation.T @ np.array([
             (r[0] - qx) / l_rx,
             r[1] / l_rx,
             (z_e - t[2]) / l_tx,
         ])
-        out[:, j] = edge.frame.rotation.T @ grad_local
-    return out
+    return p, jac
 
 
 def _check_rank(matrix: np.ndarray, context: str) -> None:
@@ -153,15 +144,14 @@ def dnls_solve(
     init,
     max_iters: int = 50,
     tol_m: float = 1e-6,
-    weighted: bool = False,
     damping: float = 0.0,
 ) -> PositionEstimate:
     """Gauss-Newton on the diffraction path model.
 
     Iterates until the step norm drops below tol_m or max_iters is reached.
-    ``weighted`` scales residual rows by 1/sigma_j; ``damping`` adds Tikhonov
-    regularization (off by default). Rank-deficient normal equations raise
-    SingularGeometryError; a non-finite iterate raises SolverDivergedError.
+    ``damping`` adds Tikhonov regularization (off by default). Rank-deficient
+    normal equations raise SingularGeometryError; a non-finite iterate raises
+    SolverDivergedError.
     """
     if len(meas) < 4:
         raise ValueError("3D solve requires at least 4 anchors")
@@ -169,18 +159,17 @@ def dnls_solve(
     if not np.all(np.isfinite(alpha)):
         raise ValueError("initial guess must be finite")
 
-    weights = 1.0 / meas.sigmas if weighted else np.ones(len(meas))
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        residual = meas.ranges - diffraction_path_model(alpha, meas)
-        jac = diffraction_jacobian(alpha, meas).T * weights[:, None]  # (M, 3)
-        normal = jac.T @ jac
+        model, jac = diffraction_model(alpha, meas)
+        residual = meas.ranges - model
+        normal = jac @ jac.T
         if damping > 0.0:
             normal = normal + damping * np.eye(3)
         else:
             _check_rank(normal, "D-NLS normal equations")
-        step = np.linalg.solve(normal, jac.T @ (residual * weights))
+        step = np.linalg.solve(normal, jac @ residual)
         alpha = alpha + step
         if not np.all(np.isfinite(alpha)):
             raise SolverDivergedError(f"non-finite iterate at iteration {iterations}")
@@ -188,7 +177,7 @@ def dnls_solve(
             converged = True
             break
 
-    final_residual = meas.ranges - diffraction_path_model(alpha, meas)
+    final_residual = meas.ranges - diffraction_model(alpha, meas)[0]
     return PositionEstimate(
         alpha_hat=Point3.from_array(alpha),
         iterations=iterations,
@@ -248,7 +237,7 @@ def peb(
         sigmas=np.ones(len(snr)),
         edges=tuple(edges),
     )
-    jac = diffraction_jacobian(alpha_true, meas)  # (3, M)
+    jac = diffraction_model(alpha_true, meas)[1]
     inv_var = 8.0 * math.pi ** 2 * beta_sq_hz2 * snr / SPEED_OF_LIGHT ** 2  # 1/m^2
     fim = (jac * inv_var) @ jac.T
     fim = 0.5 * (fim + fim.T)

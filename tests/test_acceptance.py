@@ -31,9 +31,9 @@ from diffpos.experiments import (
     run_sweep,
 )
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m, ranging_crlb_std_seconds
-from diffpos.geometry import WindowEdge, approx_diffraction_path_length, diffraction_point
+from diffpos.geometry import WindowEdge, approx_diffraction_solution, diffraction_point
 from diffpos.materials import default_material_library, transmission_loss_db
-from diffpos.positioning import MeasurementSet, diffraction_jacobian, dnls_solve, lls_solve, peb
+from diffpos.positioning import MeasurementSet, diffraction_model, dnls_solve, lls_solve, peb
 
 BETA_SQ_400MHZ = mean_squared_bandwidth(400e6)
 
@@ -122,15 +122,15 @@ def test_criterion_2_jacobian_vs_finite_differences():
         for _ in range(1000):
             alpha, anchors, edges = random_positioning_instance(rng)
             meas = MeasurementSet(anchors, np.zeros(4), np.ones(4), edges)
-            analytic = diffraction_jacobian(alpha, meas)
+            analytic = diffraction_model(alpha, meas)[1]
             numeric = np.empty_like(analytic)
             for i in range(3):
                 up, dn = alpha.copy(), alpha.copy()
                 up[i] += h
                 dn[i] -= h
                 for j in range(4):
-                    p_up = approx_diffraction_path_length(anchors[j], up, edges[j])
-                    p_dn = approx_diffraction_path_length(anchors[j], dn, edges[j])
+                    p_up = approx_diffraction_solution(anchors[j], up, edges[j]).path_length
+                    p_dn = approx_diffraction_solution(anchors[j], dn, edges[j]).path_length
                     numeric[i, j] = (p_up - p_dn) / (2 * h)
             worst = max(worst, float(np.max(np.abs(analytic - numeric))))
         assert worst <= 1e-6, f"max deviation {worst:.2e}"
@@ -146,7 +146,7 @@ def test_criterion_3_estimator_consistency():
         for _ in range(100):
             alpha, anchors, edges = random_positioning_instance(rng)
             ranges = np.array([
-                approx_diffraction_path_length(anchors[j], alpha, edges[j])
+                approx_diffraction_solution(anchors[j], alpha, edges[j]).path_length
                 for j in range(4)])
             meas = MeasurementSet(anchors, ranges, np.full(4, 0.05), edges)
             offset = rng.uniform(-1.0, 1.0, 3)
@@ -179,7 +179,7 @@ def test_criterion_4_monte_carlo_rmse_vs_peb():
 
         bound = peb(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ_400MHZ)
         truth = np.array([
-            approx_diffraction_path_length(anchors[j], alpha, edges[j]) for j in range(4)])
+            approx_diffraction_solution(anchors[j], alpha, edges[j]).path_length for j in range(4)])
         sq_errors = np.empty(1000)
         for k in range(1000):
             noisy = truth + sigma * rng.standard_normal(4)

@@ -1,5 +1,6 @@
 """Sweep orchestration, export, and CLI tests (small scenes for speed)."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -195,6 +196,18 @@ def test_sweep_config_validation():
         SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=0)
 
 
+@pytest.mark.parametrize("n_anchors, frequencies_hz, message", [
+    (3, (28e9,), "at least 4 anchors"),
+    (4, (3.5e9, 3.5e9, 28e9), "strictly increasing"),
+    (4, (3.5e9, 80e9), "outside every configured band"),
+], ids=["three_anchors", "duplicate_frequency", "out_of_band_frequency"])
+def test_sweep_config_rejects(n_anchors, frequencies_hz, message):
+    scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
+    scene = dataclasses.replace(scene, anchors=scene.anchors[:n_anchors])
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(scene=scene, frequencies_hz=frequencies_hz)
+
+
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
@@ -295,6 +308,15 @@ def test_cli_scene_and_sweep_and_report(tmp_path, capsys):
     assert rc == 0
     for path in sorted(out_dir.glob("*.csv")):
         assert (redo_dir / path.name).read_bytes() == path.read_bytes()
+
+
+def test_cli_sweep_out_of_band_is_an_error_line(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc = cli_main(["sweep", "--out", str(out_dir), "--frequencies", "3.5e9", "80e9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "outside every configured band" in err
+    assert not out_dir.exists()
 
 
 def test_cli_ingest(tmp_path, capsys):

@@ -1,22 +1,17 @@
 """FAP selection and ranging-bound tests."""
 
-import math
-
 import numpy as np
 import pytest
 
 from diffpos.constants import SPEED_OF_LIGHT
-from diffpos.channel import Mpc, MpcGroup, Pdp, classify_mpc
+from diffpos.channel import Mpc, Pdp, classify_mpc
 from diffpos.fap import (
-    FapSelection,
     NoDetectionError,
-    RangeMeasurement,
     mean_squared_bandwidth,
     mean_squared_bandwidth_discrete,
     range_sigma_m,
     ranging_crlb_std_seconds,
     select_fap,
-    synthesize_measurement,
 )
 from diffpos.geometry import Point3
 from diffpos.materials import Band
@@ -163,44 +158,3 @@ def test_crlb_rejects_nonpositive():
     with pytest.raises(ValueError):
         ranging_crlb_std_seconds(1e16, 0.0)
 
-
-# ---------------------------------------------------------------------------
-# Measurement synthesis
-# ---------------------------------------------------------------------------
-
-def fap_of(length=30.0, snr=10.0) -> FapSelection:
-    pdp = mk_pdp([(length, snr)])
-    return select_fap(pdp, 20.0)
-
-
-def test_synthesize_noiseless_limit():
-    beta_sq = mean_squared_bandwidth(BAND)
-    m = synthesize_measurement(fap_of(), beta_sq, rng=0, noiseless=True)
-    assert m.range_m == 30.0
-    assert m.sigma_m > 0
-
-
-def test_synthesize_deterministic_under_seed():
-    beta_sq = mean_squared_bandwidth(BAND)
-    a = synthesize_measurement(fap_of(), beta_sq, rng=123)
-    b = synthesize_measurement(fap_of(), beta_sq, rng=123)
-    assert a == b
-    c = synthesize_measurement(fap_of(), beta_sq, rng=124)
-    assert c.range_m != a.range_m
-
-
-def test_synthesize_sample_std_matches_sigma():
-    beta_sq = mean_squared_bandwidth(BAND)
-    fap = fap_of(length=30.0, snr=10.0)
-    rng = np.random.default_rng(99)
-    draws = np.array([
-        synthesize_measurement(fap, beta_sq, rng).range_m for _ in range(100_000)
-    ])
-    sigma = range_sigma_m(beta_sq, 10.0)
-    assert np.std(draws - 30.0) == pytest.approx(sigma, rel=0.02)
-    assert np.mean(draws) == pytest.approx(30.0, abs=3 * sigma / math.sqrt(len(draws)))
-
-
-def test_range_measurement_requires_positive_sigma():
-    with pytest.raises(ValueError):
-        RangeMeasurement(0, 10.0, 0.0, MpcGroup.MPC1, 10.0)

@@ -14,15 +14,14 @@ import pytest
 from conftest import random_positioning_instance
 from diffpos.constants import SPEED_OF_LIGHT
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m
-from diffpos.geometry import Point3, WindowEdge, approx_diffraction_path_length
+from diffpos.geometry import Point3, WindowEdge, approx_diffraction_solution, diffraction_point
 from diffpos.positioning import (
     FimResult,
     MeasurementSet,
     PositionEstimate,
     SingularGeometryError,
     SolverDivergedError,
-    diffraction_jacobian,
-    diffraction_path_model,
+    diffraction_model,
     dnls_solve,
     initial_guess,
     lls_solve,
@@ -33,10 +32,15 @@ RNG = np.random.default_rng(1234)
 BETA_SQ = mean_squared_bandwidth(400e6)
 
 
+def model_ranges(alpha, anchors, edges) -> np.ndarray:
+    """Diffraction-model ranges, one edge solve per anchor (oracle input)."""
+    return np.array([approx_diffraction_solution(anchors[j], alpha, edges[j]).path_length
+                     for j in range(len(anchors))])
+
+
 def meas_from_instance(alpha, anchors, edges, sigma=0.05, ranges=None) -> MeasurementSet:
     if ranges is None:
-        ranges = [approx_diffraction_path_length(anchors[j], alpha, edges[j])
-                  for j in range(len(anchors))]
+        ranges = model_ranges(alpha, anchors, edges)
     return MeasurementSet(
         anchors=anchors,
         ranges=np.asarray(ranges, dtype=float),
@@ -53,7 +57,8 @@ def fd_jacobian(alpha, meas, h=1e-5) -> np.ndarray:
         dn = np.array(alpha, dtype=float)
         up[i] += h
         dn[i] -= h
-        out[i] = (diffraction_path_model(up, meas) - diffraction_path_model(dn, meas)) / (2 * h)
+        out[i] = (model_ranges(up, meas.anchors, meas.edges)
+                  - model_ranges(dn, meas.anchors, meas.edges)) / (2 * h)
     return out
 
 
@@ -66,7 +71,7 @@ def test_jacobian_symmetric_configuration_zero_x_partial():
     anchor = np.array([[0.0, 20.0, 4.0]])
     alpha = np.array([0.0, -6.0, 7.0])
     meas = meas_from_instance(alpha, anchor, (edge,))
-    jac = diffraction_jacobian(alpha, meas)
+    jac = diffraction_model(alpha, meas)[1]
     assert jac[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -75,7 +80,8 @@ def test_jacobian_matches_finite_differences_random():
     for _ in range(1000):
         alpha, anchors, edges = random_positioning_instance(RNG)
         meas = meas_from_instance(alpha, anchors, edges)
-        analytic = diffraction_jacobian(alpha, meas)
+        ranges, analytic = diffraction_model(alpha, meas)
+        assert np.array_equal(ranges, model_ranges(alpha, anchors, edges))
         numeric = fd_jacobian(alpha, meas)
         worst = max(worst, float(np.max(np.abs(analytic - numeric))))
     assert worst <= 1e-6
@@ -91,7 +97,7 @@ def test_jacobian_small_window_limit_matches_unfolded_chain():
         alpha, anchors, edges = random_positioning_instance(rng, n_anchors=1)
         tiny = tuple(WindowEdge(e.x1, e.x2, e.z_e, 1e-9, e.frame) for e in edges)
         meas = meas_from_instance(alpha, anchors, tiny)
-        jac = diffraction_jacobian(alpha, meas)[:, 0]
+        jac = diffraction_model(alpha, meas)[1][:, 0]
 
         edge = tiny[0]
         t = edge.frame.to_local(anchors[0])
@@ -119,7 +125,7 @@ def test_jacobian_endpoint_clamped_consistent_with_fd():
     anchor = np.array([[8.0, 12.0, 2.0]])
     alpha = np.array([9.0, -6.0, 4.0])
     meas = meas_from_instance(alpha, anchor, (edge,))
-    analytic = diffraction_jacobian(alpha, meas)
+    analytic = diffraction_model(alpha, meas)[1]
     numeric = fd_jacobian(alpha, meas)
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
@@ -132,7 +138,7 @@ def test_jacobian_singular_on_edge():
     alpha = np.array([0.0, 0.0, 4.0])
     meas = meas_from_instance(alpha, anchor, (edge,), ranges=[1.0])
     with pytest.raises(SingularGeometryError):
-        diffraction_jacobian(alpha, meas)
+        diffraction_model(alpha, meas)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +177,7 @@ def test_dnls_monte_carlo_rmse_tracks_peb():
     assert sigma <= 0.10
 
     bound = peb(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ)
-    truth_ranges = np.array([
-        approx_diffraction_path_length(anchors[j], alpha, edges[j]) for j in range(4)])
+    truth_ranges = model_ranges(alpha, anchors, edges)
     sq_errors = []
     for _ in range(1000):
         noisy = truth_ranges + sigma * rng.standard_normal(4)
@@ -239,8 +244,7 @@ def test_lls_exact_recovery_on_los_ranges():
 
 def test_lls_biased_on_diffraction_ranges():
     alpha, anchors, edges = random_positioning_instance(RNG)
-    diffraction_ranges = np.array([
-        approx_diffraction_path_length(anchors[j], alpha, edges[j]) for j in range(4)])
+    diffraction_ranges = model_ranges(alpha, anchors, edges)
     meas = MeasurementSet(anchors, diffraction_ranges, np.ones(4), edges)
     est = lls_solve(meas)
     err = np.linalg.norm(est.alpha_hat.as_array() - alpha)
@@ -322,8 +326,7 @@ def test_peb_matches_monte_carlo_covariance_trace():
     snr_lin = np.full(4, 10 ** (1.8))
     sigma = range_sigma_m(BETA_SQ, float(snr_lin[0]))
     bound = peb(alpha, anchors, edges, snr_lin, BETA_SQ)
-    truth = np.array([
-        approx_diffraction_path_length(anchors[j], alpha, edges[j]) for j in range(4)])
+    truth = model_ranges(alpha, anchors, edges)
     errs = []
     for _ in range(500):
         meas = MeasurementSet(anchors, truth + sigma * rng.standard_normal(4),
@@ -337,8 +340,7 @@ def test_peb_matches_monte_carlo_covariance_trace():
 def test_dnls_rmse_nonincreasing_in_snr():
     rng = np.random.default_rng(31)
     alpha, anchors, edges = random_positioning_instance(rng)
-    truth = np.array([
-        approx_diffraction_path_length(anchors[j], alpha, edges[j]) for j in range(4)])
+    truth = model_ranges(alpha, anchors, edges)
     rmses = []
     for snr_db in (10.0, 16.0, 22.0):
         sigma = range_sigma_m(BETA_SQ, 10 ** (snr_db / 10))
@@ -354,8 +356,6 @@ def test_dnls_rmse_nonincreasing_in_snr():
 
 def test_mismatch_direction_between_estimators():
     # All-diffraction measurement sets favor D-NLS; all-direct sets favor LLS.
-    from diffpos.geometry import exact_diffraction_path_length
-
     rng = np.random.default_rng(32)
     dnls_wins, lls_wins = 0, 0
     n = 40
@@ -364,7 +364,7 @@ def test_mismatch_direction_between_estimators():
         meas_kwargs = dict(anchors=anchors, sigmas=np.full(4, 0.05), edges=edges)
 
         diffraction_ranges = np.array([
-            exact_diffraction_path_length(anchors[j], alpha, edges[j]) for j in range(4)])
+            diffraction_point(anchors[j], alpha, edges[j]).path_length for j in range(4)])
         meas = MeasurementSet(ranges=diffraction_ranges, **meas_kwargs)
         err_dnls = np.linalg.norm(
             dnls_solve(meas, initial_guess(meas, ((-5, -30, 0), (35, 50, 21)))
