@@ -6,7 +6,9 @@ For each (anchor, receiver) pair the enumerator generates the direct segment
 with slab transmissions, single specular reflections off reflective surfaces
 plus trailing transmissions, and single diffraction at every window edge.
 Interaction events are ordered along the path, so classification into the
-four propagation groups falls out of the event sequence.
+four propagation groups falls out of the event sequence. Path geometry does
+not depend on frequency: path_table computes it once per pair into a
+columnar PathTable, and PathTable.pdp applies one frequency's losses.
 
 MPC records can also be ingested from a line-delimited JSON dataset (schema
 "mpc-dataset/1"), e.g. exports from an external ray tracer.
@@ -28,7 +30,7 @@ from .geometry import (
     ReflectorPlane,
     RigidTransform,
     WindowEdge,
-    diffraction_point,
+    _solve_edge_lambdas,
     euclidean_distance,
     reflection_path_length,
 )
@@ -53,6 +55,7 @@ __all__ = [
     "InteriorWall",
     "SceneConfig",
     "SceneGeometry",
+    "PathTable",
     "DatasetError",
     "IngestResult",
     "classify_mpc",
@@ -63,6 +66,7 @@ __all__ = [
     "truncate_top_k",
     "build_scene_geometry",
     "receiver_grid",
+    "path_table",
     "enumerate_mpcs",
     "export_dataset",
     "ingest_dataset",
@@ -308,6 +312,24 @@ class SceneConfig:
         for floor in self.receiver_floors:
             if not 1 <= floor <= self.floor_count:
                 raise ValueError(f"receiver floor {floor} outside 1..{self.floor_count}")
+        if not (self.receiver_floors
+                and _grid_axis(self.footprint_x, self.receiver_margin, self.receiver_spacing).size
+                and _grid_axis(self.footprint_y, self.receiver_margin, self.receiver_spacing).size):
+            raise ValueError(
+                f"receiver margin {self.receiver_margin:g} m and spacing "
+                f"{self.receiver_spacing:g} m leave an empty receiver grid")
+        for i, anchor in enumerate(self.anchors):
+            if len(anchor) != 3 or not all(math.isfinite(v) for v in anchor):
+                raise ValueError(f"anchor {i} {tuple(anchor)!r} is not three finite coordinates")
+        # Window cutouts and edges belong to the facade planes.
+        facade_coords = {"x": (0.0, self.footprint_x), "y": (0.0, self.footprint_y)}
+        facade_width = {"x": self.footprint_y, "y": self.footprint_x}
+        top = self.floor_count * self.floor_height
+        for i, w in enumerate(self.windows):
+            if w.coord not in facade_coords[w.axis]:
+                raise ValueError(f"window {i} at {w.axis} = {w.coord:g} is on no facade")
+            if w.u_lo < 0.0 or w.u_hi > facade_width[w.axis] or w.z_lo < 0.0 or w.z_hi > top:
+                raise ValueError(f"window {i} extends past its facade")
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -369,8 +391,13 @@ class Surface:
 class SceneGeometry:
     """Expanded scene: crossing surfaces, reflectors, and diffraction edges.
 
-    Surface planes are packed into arrays so segment-crossing tests run
-    vectorized; per-frequency slab losses are cached via prepare_frequency.
+    Everything the batched kernels need is packed into arrays once, here:
+    the surface planes and extents, one array of cutout boxes per surface
+    that has window cutouts, and the edge frames. ``crossings`` tests every
+    segment against every surface at once: a parametric plane hit strictly
+    inside the segment, then the surface extent, then, per facade, the
+    cutouts. ``diffractions`` solves the stationary point on every edge at
+    once. Per-frequency slab losses are cached via prepare_frequency.
     """
 
     def __init__(self, surfaces: list[Surface], edges: list[WindowEdge],
@@ -378,7 +405,6 @@ class SceneGeometry:
         self.surfaces = surfaces
         self.edges = edges
         self.ground = ground
-        n = len(surfaces)
         self._axis = np.array([_AXIS_INDEX[s.axis] for s in surfaces], dtype=int)
         self._ui = np.array([_PLANE_AXES[s.axis][0] for s in surfaces], dtype=int)
         self._vi = np.array([_PLANE_AXES[s.axis][1] for s in surfaces], dtype=int)
@@ -387,7 +413,13 @@ class SceneGeometry:
         self._u_hi = np.array([s.u_hi for s in surfaces])
         self._v_lo = np.array([s.v_lo for s in surfaces])
         self._v_hi = np.array([s.v_hi for s in surfaces])
-        self._has_cutouts = np.array([bool(s.cutouts) for s in surfaces])
+        # Surface index -> (K, 4) cutout boxes (u_lo, u_hi, v_lo, v_hi).
+        self._cutouts = {i: np.array(s.cutouts) for i, s in enumerate(surfaces) if s.cutouts}
+        self._edge_rotation = np.array([e.frame.rotation for e in edges]).reshape(-1, 3, 3)
+        self._edge_translation = np.array([e.frame.translation for e in edges]).reshape(-1, 3)
+        self._edge_x1 = np.array([e.x1 for e in edges], dtype=float)
+        self._edge_x2 = np.array([e.x2 for e in edges], dtype=float)
+        self._edge_z = np.array([e.z_e for e in edges], dtype=float)
         self._loss_cache: dict[float, np.ndarray] = {}
 
     def prepare_frequency(self, f_hz: float) -> np.ndarray:
@@ -398,34 +430,45 @@ class SceneGeometry:
             self._loss_cache[f_hz] = losses
         return losses
 
-    def leg_crossings(self, p0: np.ndarray, p1: np.ndarray, f_hz: float) -> tuple[int, float]:
-        """Transmission count and summed dB loss of the open segment (p0, p1)."""
+    def crossings(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+        """(L, S) mask of the surfaces each open segment (p0[l], p1[l]) crosses."""
         d = p1 - p0
-        denom = d[self._axis]
+        denom = d[:, self._axis]
         crossing = np.abs(denom) > 1e-15
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (self._coord - p0[self._axis]) / denom
+            t = (self._coord - p0[:, self._axis]) / denom
         t = np.where(crossing, t, -1.0)  # parallel segments never cross
         hit = crossing & (t > _SEGMENT_EPS) & (t < 1.0 - _SEGMENT_EPS)
-        if not hit.any():
-            return 0, 0.0
-        u = p0[self._ui] + t * d[self._ui]
-        v = p0[self._vi] + t * d[self._vi]
+        u = p0[:, self._ui] + t * d[:, self._ui]
+        v = p0[:, self._vi] + t * d[:, self._vi]
         hit &= (u >= self._u_lo) & (u <= self._u_hi) & (v >= self._v_lo) & (v <= self._v_hi)
-        if not hit.any():
-            return 0, 0.0
         # Window cutouts punch holes into the few surfaces that carry them.
-        for i in np.nonzero(hit & self._has_cutouts)[0]:
-            surf = self.surfaces[i]
-            for (cu_lo, cu_hi, cv_lo, cv_hi) in surf.cutouts:
-                if cu_lo <= u[i] <= cu_hi and cv_lo <= v[i] <= cv_hi:
-                    hit[i] = False
-                    break
-        count = int(np.count_nonzero(hit))
-        if count == 0:
-            return 0, 0.0
-        losses = self.prepare_frequency(f_hz)
-        return count, float(losses[hit].sum())
+        for i, box in self._cutouts.items():
+            legs = np.flatnonzero(hit[:, i])
+            hu = u[legs, i][:, None]
+            hv = v[legs, i][:, None]
+            in_cutout = ((box[:, 0] <= hu) & (hu <= box[:, 1])
+                         & (box[:, 2] <= hv) & (hv <= box[:, 3])).any(axis=1)
+            hit[legs[in_cutout], i] = False
+        return hit
+
+    def diffractions(self, tx: np.ndarray, rx: np.ndarray):
+        """Edge ids (D,), two-leg lengths (D,) and world diffraction points
+        (D, 3) at every edge where diffraction_point is defined, as it
+        computes them one edge at a time. It raises where both tx and rx lie
+        on the edge line; those edges are left out.
+        """
+        t = self._edge_rotation @ tx + self._edge_translation
+        r = self._edge_rotation @ rx + self._edge_translation
+        z_e = self._edge_z
+        ids = np.flatnonzero(~((np.abs(t[:, 1]) < 1e-12) & (np.abs(t[:, 2] - z_e) < 1e-12)
+                               & (np.abs(r[:, 1]) < 1e-12) & (np.abs(r[:, 2] - z_e) < 1e-12)))
+        x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], z_e[ids]
+        lam, _, length = _solve_edge_lambdas(t[ids], r[ids], x1, x2, z_e)
+        q_local = np.stack([x2 + lam * (x1 - x2), np.zeros_like(lam), z_e], axis=1)
+        q = np.einsum("eji,ej->ei", self._edge_rotation[ids],
+                      q_local - self._edge_translation[ids])
+        return ids, length, q
 
 
 def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
@@ -478,14 +521,14 @@ def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
     return SceneGeometry(surfaces=surfaces, edges=edges, ground=ground)
 
 
+def _grid_axis(extent: float, margin: float, spacing: float) -> np.ndarray:
+    return np.arange(margin, extent - margin + 1e-9, spacing)
+
+
 def receiver_grid(scene: SceneConfig) -> list[Point3]:
     """Deterministic receiver lattice on the configured floors."""
-    xs = np.arange(scene.receiver_margin,
-                   scene.footprint_x - scene.receiver_margin + 1e-9,
-                   scene.receiver_spacing)
-    ys = np.arange(scene.receiver_margin,
-                   scene.footprint_y - scene.receiver_margin + 1e-9,
-                   scene.receiver_spacing)
+    xs = _grid_axis(scene.footprint_x, scene.receiver_margin, scene.receiver_spacing)
+    ys = _grid_axis(scene.footprint_y, scene.receiver_margin, scene.receiver_spacing)
     out = []
     for floor in scene.receiver_floors:
         z = scene.floor_base(floor) + scene.receiver_height
@@ -499,55 +542,105 @@ def receiver_grid(scene: SceneConfig) -> list[Point3]:
 # Path enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_mpcs(
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """Frequency-independent candidate paths of one (anchor, receiver) pair.
+
+    One row per path, in emission order: the direct segment, single
+    specular reflections (reflective surfaces in surface order, then the
+    ground), then single diffractions in edge order. ``crossings[p, 0]`` and
+    ``crossings[p, 1]`` mark the surfaces crossed before and after the
+    path's reflection or diffraction point (the direct segment has only the
+    first). Geometry-only drops happen when the table is built; ``pdp``
+    applies the losses of one frequency.
+    """
+
+    scene: SceneConfig
+    geometry: SceneGeometry
+    anchor_id: int
+    rx: Point3
+    length_m: np.ndarray  # (P,)
+    crossings: np.ndarray  # (P, 2, S) bool
+    interactions: tuple[tuple[str, ...], ...]
+    groups: tuple[MpcGroup, ...]
+    edge_ids: tuple[int | None, ...]
+    reflection_slabs: tuple[SlabSpec | None, ...]
+    incidence_rad: np.ndarray  # (P,) clamped incidence angle; NaN off reflection rows
+
+    def pdp(self, f_hz: float) -> Pdp:
+        """The PDP at one frequency, sorted by time of flight.
+
+        A row's received power is the band gain minus the free-space loss of
+        its length, minus its reflection loss or excess diffraction loss,
+        minus the slab losses of the surfaces each leg crosses. The losses
+        accumulate as along the path: each leg's slab losses are summed in
+        surface order, the first leg's then the second's, which fixes the
+        floating-point rounding. Paths that reflect nothing (infinite
+        reflection loss) and paths below the detectability floor are dropped.
+        """
+        radio = self.scene.radio
+        band = radio.band_for(f_hz)
+        floor = noise_floor_dbm(band.bandwidth_hz, radio.noise_temperature_k)
+        gain = band.tx_power_dbm + band.rx_processing_gain_db
+        lengths = self.length_m.tolist()
+
+        base = np.zeros(len(lengths))
+        base[[i for i, e in enumerate(self.edge_ids) if e is not None]] = \
+            diffraction_loss_db(radio.diffraction_loss, f_hz)
+        for i, slab in enumerate(self.reflection_slabs):
+            if slab is not None:
+                base[i] = reflection_loss_db(slab, f_hz, float(self.incidence_rad[i]),
+                                             radio.polarization)
+        slab_db = self.geometry.prepare_frequency(f_hz)
+        legs_db = np.cumsum(np.where(self.crossings, slab_db, 0.0), axis=-1)[..., -1]
+        extra = base + legs_db[:, 0] + legs_db[:, 1]
+        fspl = np.array([free_space_path_loss_db(length, f_hz) for length in lengths])
+        power = gain - fspl - extra
+        snr = power - floor
+        keep = np.flatnonzero(~np.isinf(base) & (snr >= self.scene.limits.min_snr_db))
+
+        power, snr = power.tolist(), snr.tolist()
+        mpcs = [
+            Mpc(interactions=self.interactions[i],
+                path_length_m=lengths[i],
+                tof_s=lengths[i] / SPEED_OF_LIGHT,
+                rx_power_dbm=power[i],
+                snr_db=snr[i],
+                anchor_id=self.anchor_id,
+                group=self.groups[i],
+                edge_id=self.edge_ids[i])
+            for i in keep.tolist()
+        ]
+        mpcs.sort(key=lambda m: m.tof_s)
+        return Pdp(mpcs, self.rx, self.anchor_id)
+
+
+def path_table(
     scene: SceneConfig,
     anchor_index: int,
     rx,
-    f_hz: float,
     geometry: SceneGeometry | None = None,
-) -> Pdp:
-    """Synthesize the PDP of one (anchor, receiver) pair at one frequency.
+) -> PathTable:
+    """Enumerate the candidate paths of one (anchor, receiver) pair.
 
     Families generated: the direct segment with one transmission per slab
     crossing, single specular reflections off reflective surfaces (and the
     ground) with transmissions ordered along both legs, and single
-    diffraction at every window edge with trailing transmissions. Paths
-    beyond the transmission limit or below the detectability floor are
-    dropped; an empty PDP is a legitimate deep-indoor outcome.
+    diffraction at every window edge with trailing transmissions. Dropped
+    here, for every frequency at once: reflections with no valid specular
+    point on the surface (outside its extent or in a window cutout),
+    diffractions on an edge line holding both endpoints, paths beyond the
+    transmission limit, and zero-length paths.
     """
     geom = geometry if geometry is not None else build_scene_geometry(scene)
-    band = scene.radio.band_for(f_hz)
     anchor = np.asarray(scene.anchors[anchor_index], dtype=float)
     rx_vec = rx.as_array() if isinstance(rx, Point3) else np.asarray(rx, dtype=float)
     limits = scene.limits
-    floor = noise_floor_dbm(band.bandwidth_hz, scene.radio.noise_temperature_k)
-    gain = band.tx_power_dbm + band.rx_processing_gain_db
 
-    candidates: list[Mpc] = []
-
-    def emit(interactions, length, extra_loss_db, edge_id=None):
-        if length <= 0.0:
-            return
-        if sum(1 for s in interactions if s == "T") > limits.max_transmissions:
-            return
-        power = gain - free_space_path_loss_db(length, f_hz) - extra_loss_db
-        snr = power - floor
-        if snr < limits.min_snr_db:
-            return
-        candidates.append(Mpc(
-            interactions=tuple(interactions),
-            path_length_m=length,
-            tof_s=length / SPEED_OF_LIGHT,
-            rx_power_dbm=power,
-            snr_db=snr,
-            anchor_id=anchor_index,
-            group=classify_mpc(interactions),
-            edge_id=edge_id,
-        ))
-
-    # Direct segment.
-    n_direct, loss_direct = geom.leg_crossings(anchor, rx_vec, f_hz)
-    emit(["T"] * n_direct, euclidean_distance(anchor, rx_vec), loss_direct)
+    # One candidate per row: (interaction symbol, length, interaction point,
+    # reflection slab, incidence angle, edge id); the direct segment's
+    # interaction point is the receiver, so its second leg is empty.
+    rows = [(None, euclidean_distance(anchor, rx_vec), rx_vec, None, math.nan, None)]
 
     # Single specular reflections. Surface bounds (and window cutouts, where
     # there is no material to reflect off) are enforced via contains_uv.
@@ -574,31 +667,59 @@ def enumerate_mpcs(
                 continue
             cos_i = abs(float(plane.normal @ incident)) / norm
             angle = math.acos(min(1.0, cos_i))
-            refl_db = reflection_loss_db(slab, f_hz, min(angle, math.pi / 2 - 1e-12),
-                                         scene.radio.polarization)
-            if math.isinf(refl_db):
-                continue
-            n1, loss1 = geom.leg_crossings(anchor, spec, f_hz)
-            n2, loss2 = geom.leg_crossings(spec, rx_vec, f_hz)
-            emit(["T"] * n1 + ["R"] + ["T"] * n2, sol.length,
-                 refl_db + loss1 + loss2)
+            rows.append(("R", sol.length, spec, slab, min(angle, math.pi / 2 - 1e-12), None))
 
     # Single diffraction at each window edge.
-    if limits.max_diffractions >= 1:
-        excess = diffraction_loss_db(scene.radio.diffraction_loss, f_hz)
-        for edge_id, edge in enumerate(geom.edges):
-            try:
-                sol = diffraction_point(anchor, rx_vec, edge)
-            except GeometryError:
-                continue
-            q = sol.q.as_array()
-            n1, loss1 = geom.leg_crossings(anchor, q, f_hz)
-            n2, loss2 = geom.leg_crossings(q, rx_vec, f_hz)
-            emit(["T"] * n1 + ["D"] + ["T"] * n2, sol.path_length,
-                 excess + loss1 + loss2, edge_id=edge_id)
+    if limits.max_diffractions >= 1 and geom.edges:
+        ids, d_length, d_point = geom.diffractions(anchor, rx_vec)
+        rows += [("D", length, point, None, math.nan, e)
+                 for e, length, point in zip(ids.tolist(), d_length, d_point)]
 
-    candidates.sort(key=lambda m: m.tof_s)
-    return Pdp(candidates, Point3.from_array(rx_vec), anchor_index)
+    symbols, lengths, points, slabs, angles, edge_ids = zip(*rows)
+    pts = np.array(points)
+    hits = geom.crossings(np.concatenate([np.broadcast_to(anchor, pts.shape), pts]),
+                          np.concatenate([pts, np.broadcast_to(rx_vec, pts.shape)]))
+    crossings = hits.reshape(2, len(pts), -1).transpose(1, 0, 2)
+    counts = crossings.sum(axis=2).tolist()
+    keep = [p for p, (n1, n2) in enumerate(counts)
+            if lengths[p] > 0.0 and n1 + n2 <= limits.max_transmissions]
+
+    interactions = []
+    for p in keep:
+        n1, n2 = counts[p]
+        interactions.append(("T",) * n1 if symbols[p] is None
+                            else ("T",) * n1 + (symbols[p],) + ("T",) * n2)
+    group_of = {i: classify_mpc(i) for i in set(interactions)}
+    return PathTable(
+        scene=scene,
+        geometry=geom,
+        anchor_id=anchor_index,
+        rx=Point3.from_array(rx_vec),
+        length_m=np.array([lengths[p] for p in keep], dtype=float),
+        crossings=crossings[keep],
+        interactions=tuple(interactions),
+        groups=tuple(group_of[i] for i in interactions),
+        edge_ids=tuple(edge_ids[p] for p in keep),
+        reflection_slabs=tuple(slabs[p] for p in keep),
+        incidence_rad=np.array([angles[p] for p in keep], dtype=float),
+    )
+
+
+def enumerate_mpcs(
+    scene: SceneConfig,
+    anchor_index: int,
+    rx,
+    f_hz: float,
+    geometry: SceneGeometry | None = None,
+) -> Pdp:
+    """Synthesize the PDP of one (anchor, receiver) pair at one frequency.
+
+    Paths beyond the transmission limit or below the detectability floor
+    are dropped; an empty PDP is a legitimate deep-indoor outcome. To
+    evaluate one pair at several frequencies, build its path_table once and
+    call its pdp per frequency.
+    """
+    return path_table(scene, anchor_index, rx, geometry).pdp(f_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +26,14 @@ from .channel import (
     InteriorWall,
     MpcGroup,
     PathLimits,
+    PathTable,
     Pdp,
     RadioConfig,
     SceneConfig,
     SceneGeometry,
     WindowRect,
     build_scene_geometry,
-    enumerate_mpcs,
+    path_table,
     receiver_grid,
     truncate_top_k,
 )
@@ -179,8 +179,16 @@ class SweepConfig:
         if len(self.scene.anchors) < 4:
             raise ValueError(
                 f"3D positioning needs at least 4 anchors, the scene has {len(self.scene.anchors)}")
+        lo, hi = self.scene.bounds
+        for i, anchor in enumerate(self.scene.anchors):
+            if np.all((lo <= anchor) & (anchor <= hi)):
+                raise ValueError(f"anchor {i} at {tuple(anchor)!r} is inside the building")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        if not self.t_fap_db >= 0:
+            raise ValueError("t_fap_db must be >= 0 dB")
         self.frequencies_hz = freqs
 
 
@@ -249,113 +257,129 @@ def _dnls_with_retries(meas: MeasurementSet, scene: SceneConfig):
     return None
 
 
+class _FrequencyTally:
+    """Per-frequency accumulators of a sweep, filled receiver by receiver."""
+
+    def __init__(self, n_anchors: int):
+        self.groups_by_anchor: dict[int, list[MpcGroup]] = {a: [] for a in range(n_anchors)}
+        self.fap_snrs: list[float] = []
+        self.dnls_errors: list[float] = []
+        self.lls_errors: list[float] = []
+        self.peb_values: list[float] = []
+        self.excl = {"no_detection": 0, "dnls_failed": 0, "lls_failed": 0, "peb_singular": 0}
+
+
+def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTable],
+                    fi: int, ri: int, beta_sq: float, tally: _FrequencyTally) -> None:
+    """FAPs, bound and estimates of receiver ``ri`` at frequency ``fi``."""
+    scene = cfg.scene
+    n_anchors = len(tables)
+    anchors_arr = np.asarray(scene.anchors, dtype=float)
+    faps = []
+    pdps = []
+    for table in tables:
+        pdp = truncate_top_k(table.pdp(cfg.frequencies_hz[fi]), cfg.top_k)
+        try:
+            fap = select_fap(pdp, cfg.t_fap_db)
+        except NoDetectionError:
+            tally.excl["no_detection"] += 1
+            return
+        pdps.append(pdp)
+        faps.append(fap)
+
+    for a in range(n_anchors):
+        tally.groups_by_anchor[a].append(faps[a].chosen.group)
+        tally.fap_snrs.append(faps[a].chosen.snr_db)
+
+    edges = tuple(
+        _fap_edge_for(pdps[a], faps[a].chosen, geom, anchors_arr[a])
+        for a in range(n_anchors))
+    sigmas = np.array([
+        range_sigma_m(beta_sq, 10 ** (faps[a].chosen.snr_db / 10))
+        for a in range(n_anchors)])
+    true_ranges = np.array([
+        faps[a].chosen.path_length_m for a in range(n_anchors)])
+    rx_true = tables[0].rx.as_array()
+
+    # Bound at the true position, using the strongest isolation
+    # assumption: the earliest diffraction path of each anchor.
+    peb_anchor_idx = []
+    peb_edges = []
+    peb_snrs = []
+    for a in range(n_anchors):
+        mpc3 = next((m for m in pdps[a].mpcs
+                     if m.group is MpcGroup.MPC3 and m.edge_id is not None), None)
+        if mpc3 is not None:
+            peb_anchor_idx.append(a)
+            peb_edges.append(geom.edges[mpc3.edge_id])
+            peb_snrs.append(10 ** (mpc3.snr_db / 10))
+    if len(peb_anchor_idx) >= 3:
+        bound = peb(rx_true, anchors_arr[peb_anchor_idx], tuple(peb_edges),
+                    np.array(peb_snrs), beta_sq)
+        if bound.singular:
+            tally.excl["peb_singular"] += 1
+        else:
+            tally.peb_values.append(bound.peb_m)
+    else:
+        tally.excl["peb_singular"] += 1
+
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
+        noise = np.zeros(n_anchors) if cfg.noiseless \
+            else sigmas * rng.standard_normal(n_anchors)
+        meas = MeasurementSet(anchors_arr, true_ranges + noise, sigmas, edges)
+
+        try:
+            est = lls_solve(meas)
+            tally.lls_errors.append(float(np.linalg.norm(
+                est.alpha_hat.as_array() - rx_true)))
+        except SingularGeometryError:
+            tally.excl["lls_failed"] += 1
+
+        est = _dnls_with_retries(meas, scene)
+        if est is not None:
+            tally.dnls_errors.append(float(np.linalg.norm(
+                est.alpha_hat.as_array() - rx_true)))
+        else:
+            tally.excl["dnls_failed"] += 1
+
+
 def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Run the full pipeline over the frequency ladder; deterministic."""
+    """Run the full pipeline over the frequency ladder; deterministic.
+
+    Receivers run in the outer loop: each (anchor, receiver) path table is
+    built once and evaluated at every frequency. Noise is keyed by
+    (seed, frequency index, receiver index, trial) and every reported
+    statistic is order-free, so the report does not depend on loop order.
+    """
     scene = cfg.scene
     geom = build_scene_geometry(scene)
     receivers = receiver_grid(scene)
     n_anchors = len(scene.anchors)
-    anchors_arr = np.asarray(scene.anchors, dtype=float)
+    freqs = cfg.frequencies_hz
+    beta_sqs = [mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs]
+    tallies = [_FrequencyTally(n_anchors) for _ in freqs]
+
+    for ri, rx in enumerate(receivers):
+        tables = [path_table(scene, a, rx, geom) for a in range(n_anchors)]
+        for fi in range(len(freqs)):
+            _tally_receiver(cfg, geom, tables, fi, ri, beta_sqs[fi], tallies[fi])
+
     report = SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db,
                          trials=cfg.trials, noiseless=cfg.noiseless)
-
-    for fi, f_hz in enumerate(cfg.frequencies_hz):
-        band = scene.radio.band_for(f_hz)
-        beta_sq = mean_squared_bandwidth(band)
-        groups_by_anchor: dict[int, list[MpcGroup]] = {a: [] for a in range(n_anchors)}
-        fap_snrs: list[float] = []
-        dnls_errors: list[float] = []
-        lls_errors: list[float] = []
-        peb_values: list[float] = []
-        excl = {"no_detection": 0, "dnls_failed": 0, "lls_failed": 0, "peb_singular": 0}
-
-        for ri, rx in enumerate(receivers):
-            faps = []
-            pdps = []
-            detected = True
-            for a in range(n_anchors):
-                pdp = truncate_top_k(
-                    enumerate_mpcs(scene, a, rx, f_hz, geometry=geom), cfg.top_k)
-                try:
-                    fap = select_fap(pdp, cfg.t_fap_db)
-                except NoDetectionError:
-                    detected = False
-                    break
-                pdps.append(pdp)
-                faps.append(fap)
-            if not detected:
-                excl["no_detection"] += 1
-                continue
-
-            for a in range(n_anchors):
-                groups_by_anchor[a].append(faps[a].chosen.group)
-                fap_snrs.append(faps[a].chosen.snr_db)
-
-            edges = tuple(
-                _fap_edge_for(pdps[a], faps[a].chosen, geom, anchors_arr[a])
-                for a in range(n_anchors))
-            sigmas = np.array([
-                range_sigma_m(beta_sq, 10 ** (faps[a].chosen.snr_db / 10))
-                for a in range(n_anchors)])
-            true_ranges = np.array([
-                faps[a].chosen.path_length_m for a in range(n_anchors)])
-            rx_true = rx.as_array()
-
-            # Bound at the true position, using the strongest isolation
-            # assumption: the earliest diffraction path of each anchor.
-            peb_anchor_idx = []
-            peb_edges = []
-            peb_snrs = []
-            for a in range(n_anchors):
-                mpc3 = next((m for m in pdps[a].mpcs
-                             if m.group is MpcGroup.MPC3 and m.edge_id is not None), None)
-                if mpc3 is not None:
-                    peb_anchor_idx.append(a)
-                    peb_edges.append(geom.edges[mpc3.edge_id])
-                    peb_snrs.append(10 ** (mpc3.snr_db / 10))
-            if len(peb_anchor_idx) >= 3:
-                bound = peb(rx_true, anchors_arr[peb_anchor_idx], tuple(peb_edges),
-                            np.array(peb_snrs), beta_sq)
-                if bound.singular:
-                    excl["peb_singular"] += 1
-                else:
-                    peb_values.append(bound.peb_m)
-            else:
-                excl["peb_singular"] += 1
-
-            for trial in range(cfg.trials):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, fi, ri, trial]))
-                noise = np.zeros(n_anchors) if cfg.noiseless \
-                    else sigmas * rng.standard_normal(n_anchors)
-                meas = MeasurementSet(anchors_arr, true_ranges + noise, sigmas, edges)
-
-                try:
-                    est = lls_solve(meas)
-                    lls_errors.append(float(np.linalg.norm(
-                        est.alpha_hat.as_array() - rx_true)))
-                except SingularGeometryError:
-                    excl["lls_failed"] += 1
-
-                est = _dnls_with_retries(meas, scene)
-                if est is not None:
-                    dnls_errors.append(float(np.linalg.norm(
-                        est.alpha_hat.as_array() - rx_true)))
-                else:
-                    excl["dnls_failed"] += 1
-
+    for f_hz, tally in zip(freqs, tallies):
         quartiles = None
-        if fap_snrs:
-            q = np.percentile(fap_snrs, [25, 50, 75])
+        if tally.fap_snrs:
+            q = np.percentile(tally.fap_snrs, [25, 50, 75])
             quartiles = (float(q[0]), float(q[1]), float(q[2]))
         report.frequencies.append(FrequencyReport(
             frequency_hz=f_hz,
-            p_fap_pct=p_fap_stats(groups_by_anchor),
+            p_fap_pct=p_fap_stats(tally.groups_by_anchor),
             fap_snr_quartiles_db=quartiles,
-            dnls_errors_m=np.sort(np.asarray(dnls_errors)),
-            lls_errors_m=np.sort(np.asarray(lls_errors)),
-            peb_m=np.sort(np.asarray(peb_values)),
-            exclusions=excl,
+            dnls_errors_m=np.sort(np.asarray(tally.dnls_errors)),
+            lls_errors_m=np.sort(np.asarray(tally.lls_errors)),
+            peb_m=np.sort(np.asarray(tally.peb_values)),
+            exclusions=tally.excl,
             n_receivers=len(receivers),
             n_pairs=len(receivers) * n_anchors,
         ))
@@ -446,14 +470,31 @@ def _slab_to_dict(slab: SlabSpec) -> dict:
     }
 
 
-def _slab_from_dict(doc: dict) -> SlabSpec:
-    return SlabSpec(
-        name=doc["name"],
-        layers=tuple(
-            SlabLayer(material=Material(**l["material"]), thickness_m=l["thickness_m"])
-            for l in doc["layers"]
-        ),
-    )
+def _checked(cls, doc, where: str) -> dict:
+    """The JSON object ``doc`` of a ``cls`` record, after checking its keys.
+
+    An unknown or missing key raises ValueError naming the record and the key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected an object, got {type(doc).__name__}")
+    names = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{where}: unexpected key {key!r}")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where}: missing key {f.name!r}")
+    return doc
+
+
+def _slab_from_dict(doc: dict, where: str) -> SlabSpec:
+    layers = []
+    for j, layer in enumerate(doc["layers"]):
+        at = f"{where}.layers[{j}]"
+        layer = _checked(SlabLayer, layer, at)
+        material = Material(**_checked(Material, layer["material"], f"{at}.material"))
+        layers.append(SlabLayer(material=material, thickness_m=layer["thickness_m"]))
+    return SlabSpec(name=doc["name"], layers=tuple(layers))
 
 
 def scene_to_dict(scene: SceneConfig) -> dict:
@@ -493,23 +534,27 @@ def scene_from_dict(doc: dict) -> SceneConfig:
         footprint_y=doc["footprint_y"],
         floor_count=doc["floor_count"],
         floor_height=doc["floor_height"],
-        exterior_slab=_slab_from_dict(doc["exterior_slab"]),
-        interior_slab=_slab_from_dict(doc["interior_slab"]),
-        windows=tuple(WindowRect(**w) for w in doc["windows"]),
-        interior_walls=tuple(InteriorWall(**w) for w in doc["interior_walls"]),
+        exterior_slab=_slab_from_dict(doc["exterior_slab"], "exterior_slab"),
+        interior_slab=_slab_from_dict(doc["interior_slab"], "interior_slab"),
+        windows=tuple(WindowRect(**_checked(WindowRect, w, f"windows[{i}]"))
+                      for i, w in enumerate(doc["windows"])),
+        interior_walls=tuple(InteriorWall(**_checked(InteriorWall, w, f"interior_walls[{i}]"))
+                             for i, w in enumerate(doc["interior_walls"])),
         anchors=tuple(tuple(a) for a in doc["anchors"]),
         receiver_floors=tuple(doc["receiver_floors"]),
         receiver_spacing=doc["receiver_spacing"],
         receiver_margin=doc["receiver_margin"],
         receiver_height=doc["receiver_height"],
         radio=RadioConfig(
-            bands=tuple(BandPlan(**b) for b in radio["bands"]),
+            bands=tuple(BandPlan(**_checked(BandPlan, b, f"radio.bands[{i}]"))
+                        for i, b in enumerate(radio["bands"])),
             bandwidth_hz=radio["bandwidth_hz"],
             noise_temperature_k=radio["noise_temperature_k"],
             polarization=radio["polarization"],
-            diffraction_loss=DiffractionLossModel(**radio["diffraction_loss"]),
+            diffraction_loss=DiffractionLossModel(**_checked(
+                DiffractionLossModel, radio["diffraction_loss"], "radio.diffraction_loss")),
         ),
-        limits=PathLimits(**doc["limits"]),
+        limits=PathLimits(**_checked(PathLimits, doc["limits"], "limits")),
         include_ground=doc["include_ground"],
     )
 

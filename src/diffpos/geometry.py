@@ -354,6 +354,99 @@ def _solve_edge_lambda(
     return lam, True
 
 
+def _leg_lengths(t: np.ndarray, r: np.ndarray, z_e: np.ndarray,
+                 qx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise _two_leg_length, leg by leg: |t - q| and |q - r| for
+    q = (qx, 0, z_e), with rows of edge-local tx ``t`` and rx ``r``."""
+    leg_t = np.sqrt((t[:, 0] - qx) ** 2 + t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2)
+    leg_r = np.sqrt((r[:, 0] - qx) ** 2 + r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2)
+    return leg_t, leg_r
+
+
+def _solve_edge_lambdas(
+    t: np.ndarray, r: np.ndarray, x1: np.ndarray, x2: np.ndarray, z_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched _solve_edge_lambda: (lam, endpoint, two-leg length) per row.
+
+    Row i pairs edge-local tx ``t[i]`` and rx ``r[i]`` (shape (N, 3)) with
+    the edge from (x1[i], 0, z_e[i]) to (x2[i], 0, z_e[i]). The steps are
+    the scalar solver's, masked per row: stationarity quadratic, root
+    screening, endpoint choice and three Newton polish steps. Rows whose
+    quadratic is degenerate or whose discriminant is inconsistent go to the
+    scalar solver. NumPy squares by multiplication where float scalars call
+    pow, so a result can differ from the scalar one in the last bit.
+    """
+    def length_at(rows, lam):
+        leg_t, leg_r = _leg_lengths(t[rows], r[rows], z_e[rows], x2[rows] + lam * span[rows])
+        return leg_t + leg_r
+
+    xa, ya, za = t.T
+    xn, yn, zn = r.T
+    span = x1 - x2
+    at2 = (z_e - za) ** 2 + ya ** 2
+    rt2 = (z_e - zn) ** 2 + yn ** 2
+    a = span ** 2 * (rt2 - at2)
+    b = 2.0 * span * ((x2 - xa) * rt2 - (x2 - xn) * at2)
+    c = (x2 - xa) ** 2 * rt2 - (x2 - xn) ** 2 * at2
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    disc = b * b - 4.0 * a * c
+    disc_scale = np.maximum(b * b, np.abs(4.0 * a * c))
+    fallback = ((scale == 0.0) | (np.abs(a) < _DEGENERATE_QUADRATIC_RTOL * scale)
+                | ((disc < 0.0) & (np.abs(disc) > 1e-9 * disc_scale)))
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    qf = np.where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
+    between_slack = 1e-9 * np.maximum(1.0, (xa - xn) ** 2)
+
+    # Screen both roots: inside [0, 1] (with slack) and between tx and rx.
+    # Fallback rows may divide by zero here; they are masked out.
+    ok, clamped = [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for root in (np.where(qf != 0.0, qf / a, 0.0), np.where(qf != 0.0, c / qf, 0.0)):
+            q = x2 + root * span
+            ok.append((-_ROOT_INTERVAL_SLACK <= root) & (root <= 1.0 + _ROOT_INTERVAL_SLACK)
+                      & ((q - xa) * (q - xn) <= between_slack) & ~fallback)
+            clamped.append(np.minimum(np.maximum(root, 0.0), 1.0))
+    lam = np.where(ok[0], clamped[0], clamped[1])
+    both = np.flatnonzero(ok[0] & ok[1])
+    second = length_at(both, clamped[1][both]) < length_at(both, clamped[0][both])
+    lam[both[second]] = clamped[1][both[second]]
+
+    # No stationary point on the edge: the endpoint of smaller length.
+    endpoint = ~(ok[0] | ok[1] | fallback)
+    ends = np.flatnonzero(endpoint)
+    lam[ends] = np.where(length_at(ends, 1.0) < length_at(ends, 0.0), 1.0, 0.0)
+
+    polish = np.flatnonzero(ok[0] | ok[1])
+    lam[polish] = _newton_polish_rows(t[polish], r[polish], x1[polish], x2[polish],
+                                      z_e[polish], lam[polish])
+    for i in np.flatnonzero(fallback):
+        lam[i], endpoint[i] = _solve_edge_lambda(
+            t[i], r[i], float(x1[i]), float(x2[i]), float(z_e[i]))
+    return lam, endpoint, length_at(slice(None), lam)
+
+
+def _newton_polish_rows(t, r, x1, x2, z_e, lam) -> np.ndarray:
+    """Row-wise _newton_polish; each row stops where the scalar loop breaks."""
+    span = x1 - x2
+    q = x2 + lam * span
+    at2 = t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2
+    rt2 = r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2
+    active = np.arange(len(q))
+    for _ in range(3):
+        qa = q[active]
+        l1, l2 = _leg_lengths(t[active], r[active], z_e[active], qa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = (qa - t[active, 0]) / l1 + (qa - r[active, 0]) / l2
+            curv = at2[active] / l1 ** 3 + rt2[active] / l2 ** 3
+            step = grad / curv
+        move = (l1 != 0.0) & (l2 != 0.0) & ~(curv <= 0.0)
+        qa = qa - step
+        q[active[move]] = qa[move]
+        active = active[move & ~(np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(qa)))]
+    lam = (q - x2) / span
+    return np.minimum(np.maximum(lam, 0.0), 1.0)
+
+
 def _edge_solution(t: np.ndarray, r: np.ndarray, edge: WindowEdge, z_e: float) -> DiffractionSolution:
     """Edge point and two-leg length for edge-local tx/rx, edge at height z_e."""
     lam, endpoint = _solve_edge_lambda(t, r, edge.x1, edge.x2, z_e)

@@ -1,6 +1,8 @@
 """Multipath synthesis, classification, and dataset round-trip tests."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from diffpos.channel import (
     RadioConfig,
     SceneConfig,
     WindowRect,
+    build_scene_geometry,
     classify_mpc,
     enumerate_mpcs,
     export_dataset,
@@ -28,7 +31,8 @@ from diffpos.channel import (
     snr_db,
     truncate_top_k,
 )
-from diffpos.geometry import Point3, euclidean_distance
+from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, build_default_scene
+from diffpos.geometry import GeometryError, Point3, diffraction_point, euclidean_distance
 from diffpos.materials import Band, DiffractionLossModel, default_material_library
 
 RNG = np.random.default_rng(42)
@@ -289,6 +293,21 @@ def test_scene_invariants():
         WindowRect(axis="y", coord=0.0, u_lo=2.0, u_hi=1.0, z_lo=0.0, z_hi=1.0)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"windows": (WindowRect("y", 5.0, 4.0, 6.0, 1.0, 2.5),)}, "on no facade"),
+    ({"windows": (WindowRect("y", 0.0, 9.0, 11.0, 1.0, 2.5),)}, "extends past its facade"),
+    ({"windows": (WindowRect("x", 10.0, 4.0, 6.0, 5.0, 6.5),)}, "extends past its facade"),
+    ({"anchors": ((math.nan, -15.0, 1.8),)}, "not three finite coordinates"),
+    ({"anchors": ((5.0, -math.inf, 1.8),)}, "not three finite coordinates"),
+    ({"receiver_margin": 6.0}, "empty receiver grid"),
+    ({"receiver_floors": ()}, "empty receiver grid"),
+], ids=["window_off_facade", "window_past_facade_u", "window_past_facade_z",
+        "nan_anchor", "infinite_anchor", "margin_empties_grid", "no_receiver_floors"])
+def test_scene_config_rejects(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        make_scene(**overrides)
+
+
 def test_radio_band_lookup():
     radio = RadioConfig(bands=(
         BandPlan("FR1", 0.41e9, 7.125e9, 20.0, 0.0),
@@ -300,6 +319,124 @@ def test_radio_band_lookup():
     assert band.rx_processing_gain_db == 20.0
     with pytest.raises(ValueError):
         radio.band_for(10e9)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against their scalar oracles
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "enumeration_golden.json"
+_PLANE_UV = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
+
+
+def test_enumeration_matches_golden():
+    # Full, untruncated PDPs of the default scene recorded before enumeration
+    # was batched (tests/data/record_enumeration.py).
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert tuple(doc["frequencies_hz"]) == DEFAULT_FREQUENCY_LADDER_HZ
+    scene = build_default_scene()
+    geom = build_scene_geometry(scene)
+    checked = 0
+    for pair in doc["pairs"]:
+        rx = Point3(*pair["rx"])
+        for f_hz, rows in zip(doc["frequencies_hz"], pair["pdps"]):
+            got = enumerate_mpcs(scene, pair["anchor"], rx, f_hz, geometry=geom).mpcs
+            want = [pair["paths"][i] for i, _ in rows]
+            assert [[m.interaction_string(), m.group.name, m.edge_id] for m in got] \
+                == [path[:3] for path in want]
+            for m, path, (_, power) in zip(got, want, rows):
+                assert abs(m.path_length_m - path[3]) <= 1e-9 * path[3]
+                assert abs(m.rx_power_dbm - power) <= 1e-9
+            checked += len(got)
+    assert checked == sum(len(rows) for pair in doc["pairs"] for rows in pair["pdps"]) > 1000
+
+
+def brute_force_crossings(geom, p0, p1) -> np.ndarray:
+    """Segment-by-segment, surface-by-surface crossing test via contains_uv."""
+    out = np.zeros((len(p0), len(geom.surfaces)), dtype=bool)
+    for k, (a, b) in enumerate(zip(p0, p1)):
+        d = b - a
+        for j, surf in enumerate(geom.surfaces):
+            axis = "xyz".index(surf.axis)
+            if abs(d[axis]) <= 1e-15:
+                continue
+            t = (surf.coord - a[axis]) / d[axis]
+            if not 1e-9 < t < 1.0 - 1e-9:
+                continue
+            ui, vi = _PLANE_UV[surf.axis]
+            out[k, j] = surf.contains_uv(a[ui] + t * d[ui], a[vi] + t * d[vi])
+    return out
+
+
+def test_crossings_match_brute_force():
+    scene = build_default_scene()
+    geom = build_scene_geometry(scene)
+    rng = np.random.default_rng(7)
+    lo = np.array([-10.0, -10.0, -2.0])
+    hi = np.array([40.0, 30.0, 23.0])
+    n = 150
+    # Generic segments.
+    p0 = [rng.uniform(lo, hi, (n, 3))]
+    p1 = [rng.uniform(lo, hi, (n, 3))]
+    # Segments through window cutouts, from outside to inside.
+    windows = [scene.windows[i] for i in rng.integers(len(scene.windows), size=n)]
+    mid = np.array([[rng.uniform(w.u_lo, w.u_hi), w.coord, rng.uniform(w.z_lo, w.z_hi)]
+                    for w in windows])
+    step = rng.uniform([-3.0, 2.0, -1.0], [3.0, 8.0, 1.0], (n, 3))
+    step[:, 1] *= np.where(mid[:, 1] == 0.0, 1.0, -1.0)
+    p0.append(mid - step)
+    p1.append(mid + step)
+    # Segments parallel to the floor slabs, some lying in a slab plane.
+    flat = rng.uniform(lo, hi, (2 * n, 3))
+    flat[:n, 2] = rng.choice([3.0, 9.0, 4.5], size=n)
+    flat[n:, 2] = flat[:n, 2]
+    p0.append(flat[:n])
+    p1.append(flat[n:])
+    # Segments with an endpoint on a facade or a slab.
+    on = rng.uniform([0.0, 0.0, 0.0], [30.0, 20.0, 21.0], (n, 3))
+    on[: n // 2, 1] = 0.0
+    on[n // 2:, 2] = 6.0
+    p0.append(on)
+    p1.append(rng.uniform(lo, hi, (n, 3)))
+    p0, p1 = np.concatenate(p0), np.concatenate(p1)
+
+    got = geom.crossings(p0, p1)
+    expect = brute_force_crossings(geom, p0, p1)
+    assert got.dtype == bool and got.shape == (len(p0), len(geom.surfaces))
+    assert np.array_equal(got, expect)
+    # The window segments pass the facade through its cutout.
+    facade = [s.name for s in geom.surfaces].index("facade_y0")
+    through = np.flatnonzero(mid[:, 1] == 0.0) + n
+    assert through.size and not got[through, facade].any()
+    assert got.sum() > n
+
+
+def test_diffractions_match_diffraction_point():
+    scene = build_default_scene()
+    geom = build_scene_geometry(scene)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        tx = np.array([rng.uniform(-5, 35), rng.choice([-20.0, 40.0]), rng.uniform(1, 8)])
+        rx = rng.uniform([0.5, 0.5, 6.5], [29.5, 19.5, 11.5])
+        ids, length, q = geom.diffractions(tx, rx)
+        assert ids.tolist() == list(range(len(geom.edges)))
+        for e, edge in enumerate(geom.edges):
+            sol = diffraction_point(tx, rx, edge)
+            assert abs(length[e] - sol.path_length) <= 1e-9 * sol.path_length
+            assert np.allclose(q[e], sol.q.as_array(), rtol=0.0, atol=1e-9)
+    # Both points on the line of the first-floor bottom edges of facade y = 0.
+    tx, rx = np.array([-5.0, 0.0, 0.8]), np.array([3.0, 0.0, 0.8])
+    ids, length, q = geom.diffractions(tx, rx)
+    defined = []
+    for e, edge in enumerate(geom.edges):
+        try:
+            sol = diffraction_point(tx, rx, edge)
+        except GeometryError:
+            continue
+        defined.append(e)
+        k = len(defined) - 1
+        assert abs(length[k] - sol.path_length) <= 1e-9 * sol.path_length
+    assert ids.tolist() == defined and len(defined) == len(geom.edges) - 6
 
 
 # ---------------------------------------------------------------------------

@@ -196,16 +196,25 @@ def test_sweep_config_validation():
         SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=0)
 
 
-@pytest.mark.parametrize("n_anchors, frequencies_hz, message", [
-    (3, (28e9,), "at least 4 anchors"),
-    (4, (3.5e9, 3.5e9, 28e9), "strictly increasing"),
-    (4, (3.5e9, 80e9), "outside every configured band"),
-], ids=["three_anchors", "duplicate_frequency", "out_of_band_frequency"])
-def test_sweep_config_rejects(n_anchors, frequencies_hz, message):
+_ANCHORS = build_default_scene().anchors
+
+
+@pytest.mark.parametrize("scene_changes, sweep_changes, message", [
+    ({"anchors": _ANCHORS[:3]}, {}, "at least 4 anchors"),
+    ({}, {"frequencies_hz": (3.5e9, 3.5e9, 28e9)}, "strictly increasing"),
+    ({}, {"frequencies_hz": (3.5e9, 80e9)}, "outside every configured band"),
+    ({"anchors": ((15.0, 10.0, 4.0),) + _ANCHORS[1:]}, {}, "inside the building"),
+    ({"anchors": _ANCHORS[:3] + ((30.0, 20.0, 21.0),)}, {}, "inside the building"),
+    ({}, {"top_k": 0}, "top_k must be >= 1"),
+    ({}, {"t_fap_db": -1.0}, "t_fap_db must be >= 0"),
+], ids=["three_anchors", "duplicate_frequency", "out_of_band_frequency",
+        "anchor_inside_building", "anchor_on_building_corner", "top_k_zero",
+        "negative_t_fap"])
+def test_sweep_config_rejects(scene_changes, sweep_changes, message):
     scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
-    scene = dataclasses.replace(scene, anchors=scene.anchors[:n_anchors])
+    scene = dataclasses.replace(scene, **scene_changes)
     with pytest.raises(ValueError, match=message):
-        SweepConfig(scene=scene, frequencies_hz=frequencies_hz)
+        SweepConfig(scene=scene, **{"frequencies_hz": (28e9,), **sweep_changes})
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +325,40 @@ def test_cli_sweep_out_of_band_is_an_error_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "outside every configured band" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("record, key, message", [
+    ("windows", "colour", "windows[0]: unexpected key 'colour'"),
+    ("interior_walls", "colour", "interior_walls[0]: unexpected key 'colour'"),
+    ("bands", "colour", "radio.bands[0]: unexpected key 'colour'"),
+    ("layers", "colour", "exterior_slab.layers[0]: unexpected key 'colour'"),
+    ("limits", "max_bounces", "limits: unexpected key 'max_bounces'"),
+    ("diffraction_loss", "colour", "radio.diffraction_loss: unexpected key 'colour'"),
+    ("windows", None, "windows[0]: missing key 'z_hi'"),
+], ids=["window_extra_key", "wall_extra_key", "band_extra_key", "slab_layer_extra_key",
+        "limits_extra_key", "diffraction_loss_extra_key", "window_missing_key"])
+def test_cli_sweep_bad_scene_record_is_an_error_line(tmp_path, capsys, record, key, message):
+    doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
+    target = {
+        "windows": doc["windows"][0],
+        "interior_walls": doc["interior_walls"][0],
+        "bands": doc["radio"]["bands"][0],
+        "layers": doc["exterior_slab"]["layers"][0],
+        "limits": doc["limits"],
+        "diffraction_loss": doc["radio"]["diffraction_loss"],
+    }[record]
+    if key is None:
+        del target["z_hi"]
+    else:
+        target[key] = 1
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = cli_main(["sweep", "--scene", str(scene_path), "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
     assert not out_dir.exists()
 
 

@@ -10,6 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from diffpos import geometry
+from diffpos.channel import build_scene_geometry
+from diffpos.experiments import build_default_scene
 from diffpos.geometry import (
     DiffractionSolution,
     GeometryError,
@@ -22,6 +25,7 @@ from diffpos.geometry import (
     euclidean_distance,
     reflect_point,
     reflection_path_length,
+    _solve_edge_lambdas,
 )
 
 RNG = np.random.default_rng(20260808)
@@ -231,6 +235,84 @@ def test_diffraction_random_vs_golden_section_oracle():
         sol = diffraction_point(tx, rx, edge)
         expect = oracle_edge_length(tx, rx, edge)
         assert abs(sol.path_length - expect) <= 1e-9 * expect
+
+
+def edge_rows(edges, tx, rx):
+    """Edge-local tx/rx and edge arrays for _solve_edge_lambdas, one row per edge."""
+    t = np.array([e.frame.to_local(tx) for e in edges])
+    r = np.array([e.frame.to_local(rx) for e in edges])
+    x1, x2, z_e = (np.array([getattr(e, k) for e in edges]) for k in ("x1", "x2", "z_e"))
+    return t, r, x1, x2, z_e
+
+
+def test_solve_edge_lambdas_matches_scalar_on_default_edges():
+    # Random anchors outside and receivers inside the default building, over
+    # all of its window edges; most rows clamp to an endpoint.
+    edges = build_scene_geometry(build_default_scene()).edges
+    assert len(edges) == 168
+    rng = np.random.default_rng(5)
+    endpoints = interior = 0
+    for _ in range(12):
+        tx = np.array([rng.uniform(-10, 40), rng.choice([-25.0, 45.0]) + rng.uniform(-5, 5),
+                       rng.uniform(0.5, 15)])
+        rx = rng.uniform([0.5, 0.5, 0.5], [29.5, 19.5, 20.5])
+        lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))
+        for i, edge in enumerate(edges):
+            sol = diffraction_point(tx, rx, edge)
+            assert abs(lam[i] - sol.lam) <= 1e-12
+            assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
+            assert endpoint[i] == sol.endpoint
+        endpoints += int(endpoint.sum())
+        interior += int((~endpoint).sum())
+    assert endpoints > interior > 0
+
+
+def test_solve_edge_lambdas_degenerate_row_takes_scalar_fallback(monkeypatch):
+    # at2 == rt2 makes the quadratic's leading coefficient vanish.
+    shifted = RigidTransform(np.eye(3), np.array([0.0, 1.0, 0.0]))
+    edges = (WindowEdge(-4.0, 4.0, 1.0, 1.0), WindowEdge(-4.0, 4.0, 1.0, 1.0, shifted))
+    tx, rx = np.array([-1.0, -2.0, 1.0]), np.array([5.0, 2.0, 1.0])
+    calls = []
+    scalar = geometry._solve_edge_lambda
+
+    def spy(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(geometry, "_solve_edge_lambda", spy)
+    lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))
+    assert len(calls) == 1 and calls[0][1][1] == 2.0  # the unshifted edge only
+    calls.clear()
+    for i, edge in enumerate(edges):
+        sol = diffraction_point(tx, rx, edge)
+        assert abs(lam[i] - sol.lam) <= 1e-12
+        assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
+        assert endpoint[i] == sol.endpoint
+
+
+def test_solve_edge_lambdas_random_edges_and_frames():
+    # Every third row puts tx and rx at a common abscissa along the edge,
+    # where the stationary point is a double root of the quadratic and only
+    # the Newton polish restores full precision.
+    rows = []
+    for k in range(300):
+        edge = random_edge(RNG)
+        edge = WindowEdge(edge.x1, edge.x2, edge.z_e, edge.w,
+                          RigidTransform(random_rotation(RNG), RNG.uniform(-5, 5, 3)))
+        tx, rx = random_side_points(RNG)
+        if k % 3 == 0:
+            rx[0] = tx[0] = RNG.uniform(edge.x1, edge.x2)
+        rows.append((edge, edge.frame.to_world(tx), edge.frame.to_world(rx)))
+    t = np.array([e.frame.to_local(a) for e, a, _ in rows])
+    r = np.array([e.frame.to_local(b) for e, _, b in rows])
+    x1, x2, z_e = (np.array([getattr(e, k) for e, _, _ in rows]) for k in ("x1", "x2", "z_e"))
+    lam, endpoint, length = _solve_edge_lambdas(t, r, x1, x2, z_e)
+    for i, (edge, a, b) in enumerate(rows):
+        sol = diffraction_point(a, b, edge)
+        assert abs(lam[i] - sol.lam) <= 1e-12
+        assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
+        assert endpoint[i] == sol.endpoint
+    assert endpoint.any() and not endpoint.all()
 
 
 def test_diffraction_fermat_stationarity_interior():
