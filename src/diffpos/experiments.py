@@ -43,7 +43,7 @@ from .fap import (
     range_sigma_m,
     select_fap,
 )
-from .geometry import Point3, WindowEdge
+from .geometry import WindowEdge
 from .materials import (
     DiffractionLossModel,
     Material,
@@ -52,12 +52,12 @@ from .materials import (
     default_material_library,
 )
 from .positioning import (
+    LadderResult,
     MeasurementSet,
     SingularGeometryError,
-    SolverDivergedError,
-    dnls_solve,
-    initial_guess,
+    dnls_ladder,
     lls_solve,
+    lls_start,
     peb,
 )
 
@@ -203,6 +203,10 @@ class FrequencyReport:
     exclusions: dict[str, int]
     n_receivers: int
     n_pairs: int
+    # D-NLS counters: "dnls_rung" counts the problems solved on retry rung
+    # 0, 1 and 2, "dnls_iterations" the Gauss-Newton iterations of the rungs
+    # used. None for a report saved without them.
+    diagnostics: dict | None = None
 
 
 @dataclass
@@ -231,32 +235,6 @@ def _fap_edge_for(pdp: Pdp, fap_mpc, geom: SceneGeometry, anchor: np.ndarray) ->
     return geom.edges[nearest]
 
 
-def _dnls_with_retries(meas: MeasurementSet, scene: SceneConfig):
-    """D-NLS with a deterministic retry ladder for hard mismatch valleys.
-
-    Plain Gauss-Newton first; on failure, the damped variant from the same
-    init, then a strongly damped run from the bounds centroid. Receivers
-    failing all three are excluded and counted (plain Gauss-Newton can limit-
-    cycle when the first arriving path does not follow the diffraction
-    model).
-    """
-    lo, hi = scene.bounds
-    init = initial_guess(meas, scene.bounds)
-    attempts = (
-        (init, {}),
-        (init, {"damping": 0.1, "max_iters": 400}),
-        (Point3.from_array(0.5 * (lo + hi)), {"damping": 1.0, "max_iters": 400}),
-    )
-    for start, kwargs in attempts:
-        try:
-            est = dnls_solve(meas, start, **kwargs)
-        except (SingularGeometryError, SolverDivergedError):
-            continue
-        if est.converged:
-            return est
-    return None
-
-
 class _FrequencyTally:
     """Per-frequency accumulators of a sweep, filled receiver by receiver."""
 
@@ -267,11 +245,28 @@ class _FrequencyTally:
         self.lls_errors: list[float] = []
         self.peb_values: list[float] = []
         self.excl = {"no_detection": 0, "dnls_failed": 0, "lls_failed": 0, "peb_singular": 0}
+        self.dnls_rung = [0, 0, 0]
+        self.dnls_iterations = 0
+
+    def add_dnls(self, result: LadderResult, rx_true: np.ndarray) -> None:
+        self.dnls_iterations += result.iterations
+        if result.estimate is None:
+            self.excl["dnls_failed"] += 1
+            return
+        self.dnls_rung[result.rung] += 1
+        self.dnls_errors.append(float(np.linalg.norm(
+            result.estimate.alpha_hat.as_array() - rx_true)))
 
 
 def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTable],
-                    fi: int, ri: int, beta_sq: float, tally: _FrequencyTally) -> None:
-    """FAPs, bound and estimates of receiver ``ri`` at frequency ``fi``."""
+                    fi: int, ri: int, beta_sq: float, tally: _FrequencyTally,
+                    dnls_queue: list) -> None:
+    """FAPs, bound and LLS estimates of receiver ``ri`` at frequency ``fi``.
+
+    Each trial's D-NLS problem is appended to ``dnls_queue`` as
+    ``(fi, MeasurementSet, start, rx_true)``, with the start derived from
+    the trial's LLS estimate.
+    """
     scene = cfg.scene
     n_anchors = len(tables)
     anchors_arr = np.asarray(scene.anchors, dtype=float)
@@ -330,27 +325,40 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTabl
         meas = MeasurementSet(anchors_arr, true_ranges + noise, sigmas, edges)
 
         try:
-            est = lls_solve(meas)
-            tally.lls_errors.append(float(np.linalg.norm(
-                est.alpha_hat.as_array() - rx_true)))
+            lls = lls_solve(meas)
         except SingularGeometryError:
+            lls = None
             tally.excl["lls_failed"] += 1
-
-        est = _dnls_with_retries(meas, scene)
-        if est is not None:
-            tally.dnls_errors.append(float(np.linalg.norm(
-                est.alpha_hat.as_array() - rx_true)))
         else:
-            tally.excl["dnls_failed"] += 1
+            tally.lls_errors.append(float(np.linalg.norm(
+                lls.alpha_hat.as_array() - rx_true)))
+        dnls_queue.append((fi, meas, lls_start(lls, scene.bounds), rx_true))
+
+
+# D-NLS problems per dnls_ladder call in run_sweep. A problem's result does
+# not depend on the rest of its batch, so the batch size bounds the sweep's
+# memory without changing any output.
+_DNLS_BATCH = 1024
+
+
+def _solve_dnls_queue(dnls_queue: list, tallies: list[_FrequencyTally], bounds) -> None:
+    """Solve the queued D-NLS problems, tally them and empty the queue."""
+    results = dnls_ladder([q[1] for q in dnls_queue], [q[2] for q in dnls_queue], bounds)
+    for (fi, _, _, rx_true), result in zip(dnls_queue, results):
+        tallies[fi].add_dnls(result, rx_true)
+    dnls_queue.clear()
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run the full pipeline over the frequency ladder; deterministic.
 
     Receivers run in the outer loop: each (anchor, receiver) path table is
-    built once and evaluated at every frequency. Noise is keyed by
-    (seed, frequency index, receiver index, trial) and every reported
-    statistic is order-free, so the report does not depend on loop order.
+    built once and evaluated at every frequency. The D-NLS problems of every
+    frequency, receiver and trial are queued, and ``dnls_ladder`` solves the
+    queue, retry rungs side by side, whenever it holds ``_DNLS_BATCH``
+    problems and once more after the receiver loop. Noise is keyed by (seed,
+    frequency index, receiver index, trial) and every reported statistic is
+    order-free, so the report does not depend on loop, queue or batch order.
     """
     scene = cfg.scene
     geom = build_scene_geometry(scene)
@@ -359,11 +367,15 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     freqs = cfg.frequencies_hz
     beta_sqs = [mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs]
     tallies = [_FrequencyTally(n_anchors) for _ in freqs]
+    dnls_queue: list = []
 
     for ri, rx in enumerate(receivers):
         tables = [path_table(scene, a, rx, geom) for a in range(n_anchors)]
         for fi in range(len(freqs)):
-            _tally_receiver(cfg, geom, tables, fi, ri, beta_sqs[fi], tallies[fi])
+            _tally_receiver(cfg, geom, tables, fi, ri, beta_sqs[fi], tallies[fi], dnls_queue)
+            if len(dnls_queue) >= _DNLS_BATCH:
+                _solve_dnls_queue(dnls_queue, tallies, scene.bounds)
+    _solve_dnls_queue(dnls_queue, tallies, scene.bounds)
 
     report = SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db,
                          trials=cfg.trials, noiseless=cfg.noiseless)
@@ -382,6 +394,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             exclusions=tally.excl,
             n_receivers=len(receivers),
             n_pairs=len(receivers) * n_anchors,
+            diagnostics={"dnls_rung": list(tally.dnls_rung),
+                         "dnls_iterations": tally.dnls_iterations},
         ))
     return report
 
@@ -590,6 +604,7 @@ def report_to_dict(report: SweepReport) -> dict:
                 "exclusions": dict(fr.exclusions),
                 "n_receivers": fr.n_receivers,
                 "n_pairs": fr.n_pairs,
+                **({} if fr.diagnostics is None else {"diagnostics": dict(fr.diagnostics)}),
             }
             for fr in report.frequencies
         ],
@@ -597,21 +612,32 @@ def report_to_dict(report: SweepReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> SweepReport:
+    """Inverse of ``report_to_dict``.
+
+    A missing key raises KeyError; a wrong schema or a value of the wrong
+    JSON type raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a report is a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != "sweep-report/1":
         raise ValueError(f"unsupported report schema {doc.get('schema')!r}")
     report = SweepReport(seed=doc["seed"], t_fap_db=doc["t_fap_db"],
                          trials=doc["trials"], noiseless=doc["noiseless"])
-    for fr in doc["frequencies"]:
-        quartiles = fr["fap_snr_quartiles_db"]
-        report.frequencies.append(FrequencyReport(
-            frequency_hz=fr["frequency_hz"],
-            p_fap_pct={g: fr["p_fap_pct"][g.name] for g in _GROUP_ORDER},
-            fap_snr_quartiles_db=tuple(quartiles) if quartiles is not None else None,
-            dnls_errors_m=np.asarray(fr["dnls_errors_m"]),
-            lls_errors_m=np.asarray(fr["lls_errors_m"]),
-            peb_m=np.asarray(fr["peb_m"]),
-            exclusions=dict(fr["exclusions"]),
-            n_receivers=fr["n_receivers"],
-            n_pairs=fr["n_pairs"],
-        ))
+    try:
+        for fr in doc["frequencies"]:
+            quartiles = fr["fap_snr_quartiles_db"]
+            report.frequencies.append(FrequencyReport(
+                frequency_hz=fr["frequency_hz"],
+                p_fap_pct={g: fr["p_fap_pct"][g.name] for g in _GROUP_ORDER},
+                fap_snr_quartiles_db=tuple(quartiles) if quartiles is not None else None,
+                dnls_errors_m=np.asarray(fr["dnls_errors_m"]),
+                lls_errors_m=np.asarray(fr["lls_errors_m"]),
+                peb_m=np.asarray(fr["peb_m"]),
+                exclusions=dict(fr["exclusions"]),
+                n_receivers=fr["n_receivers"],
+                n_pairs=fr["n_pairs"],
+                diagnostics=fr.get("diagnostics"),
+            ))
+    except TypeError as exc:
+        raise ValueError(f"malformed report: {exc}") from exc
     return report

@@ -357,9 +357,10 @@ def _solve_edge_lambda(
 def _leg_lengths(t: np.ndarray, r: np.ndarray, z_e: np.ndarray,
                  qx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise _two_leg_length, leg by leg: |t - q| and |q - r| for
-    q = (qx, 0, z_e), with rows of edge-local tx ``t`` and rx ``r``."""
-    leg_t = np.sqrt((t[:, 0] - qx) ** 2 + t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2)
-    leg_r = np.sqrt((r[:, 0] - qx) ** 2 + r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2)
+    q = (qx, 0, z_e), with edge-local tx ``t`` and rx ``r`` of shape
+    (..., 3) and ``z_e``, ``qx`` of the leading shape."""
+    leg_t = np.sqrt((t[..., 0] - qx) ** 2 + t[..., 1] ** 2 + (t[..., 2] - z_e) ** 2)
+    leg_r = np.sqrt((r[..., 0] - qx) ** 2 + r[..., 1] ** 2 + (z_e - r[..., 2]) ** 2)
     return leg_t, leg_r
 
 
@@ -408,43 +409,45 @@ def _solve_edge_lambdas(
             clamped.append(np.minimum(np.maximum(root, 0.0), 1.0))
     lam = np.where(ok[0], clamped[0], clamped[1])
     both = np.flatnonzero(ok[0] & ok[1])
-    second = length_at(both, clamped[1][both]) < length_at(both, clamped[0][both])
-    lam[both[second]] = clamped[1][both[second]]
+    if both.size:
+        second = length_at(both, clamped[1][both]) < length_at(both, clamped[0][both])
+        lam[both[second]] = clamped[1][both[second]]
 
     # No stationary point on the edge: the endpoint of smaller length.
     endpoint = ~(ok[0] | ok[1] | fallback)
     ends = np.flatnonzero(endpoint)
-    lam[ends] = np.where(length_at(ends, 1.0) < length_at(ends, 0.0), 1.0, 0.0)
+    if ends.size:
+        lam[ends] = np.where(length_at(ends, 1.0) < length_at(ends, 0.0), 1.0, 0.0)
 
-    polish = np.flatnonzero(ok[0] | ok[1])
-    lam[polish] = _newton_polish_rows(t[polish], r[polish], x1[polish], x2[polish],
-                                      z_e[polish], lam[polish])
+    lam = _newton_polish_rows(t, r, x1, x2, z_e, lam, ok[0] | ok[1])
     for i in np.flatnonzero(fallback):
         lam[i], endpoint[i] = _solve_edge_lambda(
             t[i], r[i], float(x1[i]), float(x2[i]), float(z_e[i]))
     return lam, endpoint, length_at(slice(None), lam)
 
 
-def _newton_polish_rows(t, r, x1, x2, z_e, lam) -> np.ndarray:
-    """Row-wise _newton_polish; each row stops where the scalar loop breaks."""
+def _newton_polish_rows(t, r, x1, x2, z_e, lam, polish) -> np.ndarray:
+    """Row-wise _newton_polish of the rows where ``polish`` is set; each row
+    stops where the scalar loop breaks, and the other rows keep ``lam``."""
     span = x1 - x2
     q = x2 + lam * span
     at2 = t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2
     rt2 = r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2
-    active = np.arange(len(q))
-    for _ in range(3):
-        qa = q[active]
-        l1, l2 = _leg_lengths(t[active], r[active], z_e[active], qa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = (qa - t[active, 0]) / l1 + (qa - r[active, 0]) / l2
-            curv = at2[active] / l1 ** 3 + rt2[active] / l2 ** 3
+    active = polish
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(3):
+            if not active.any():
+                break
+            l1, l2 = _leg_lengths(t, r, z_e, q)
+            grad = (q - t[:, 0]) / l1 + (q - r[:, 0]) / l2
+            curv = at2 / l1 ** 3 + rt2 / l2 ** 3
             step = grad / curv
-        move = (l1 != 0.0) & (l2 != 0.0) & ~(curv <= 0.0)
-        qa = qa - step
-        q[active[move]] = qa[move]
-        active = active[move & ~(np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(qa)))]
-    lam = (q - x2) / span
-    return np.minimum(np.maximum(lam, 0.0), 1.0)
+            move = active & (l1 != 0.0) & (l2 != 0.0) & ~(curv <= 0.0)
+            moved = q - step
+            q = np.where(move, moved, q)
+            active = move & ~(np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(moved)))
+        polished = (q - x2) / span
+    return np.where(polish, np.minimum(np.maximum(polished, 0.0), 1.0), lam)
 
 
 def _edge_solution(t: np.ndarray, r: np.ndarray, edge: WindowEdge, z_e: float) -> DiffractionSolution:

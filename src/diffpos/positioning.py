@@ -7,7 +7,9 @@ Two estimators operate on per-anchor range measurements:
   The Jacobian uses the envelope property of the Fermat-stationary edge
   point: the stationary point's dependence on the receiver position
   contributes nothing to first order, so only the explicit partials remain,
-  and one edge solve yields both p and J.
+  and one edge solve yields both p and J. The model and the iteration run
+  over rows, so that many problems, and the rungs of the retry ladder, are
+  solved side by side.
 
 * LLS: one-shot linear least squares on the Euclidean model, obtained by
   squaring the range equations and differencing against the first anchor to
@@ -23,26 +25,45 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import Point3, WindowEdge, approx_diffraction_solution
+from .geometry import Point3, WindowEdge, _leg_lengths, _solve_edge_lambdas, _vec
 
 __all__ = [
     "SingularGeometryError",
     "SolverDivergedError",
     "MeasurementSet",
     "PositionEstimate",
+    "LadderResult",
     "FimResult",
     "diffraction_model",
     "dnls_solve",
+    "dnls_ladder",
     "lls_solve",
     "peb",
+    "lls_start",
     "initial_guess",
 ]
 
 _RANK_RTOL = 1e-12
+
+# D-NLS retry ladder, in order: (start at the bounds centroid, damping,
+# max_iters). Plain Gauss-Newton from the LLS start, then a damped run from
+# the same start, then a strongly damped run from the bounds centroid
+# (Levenberg-Marquardt damping, Moré 1978). Plain Gauss-Newton can
+# limit-cycle when the first arriving path does not follow the diffraction
+# model.
+_LADDER = ((False, 0.0, 50), (False, 0.1, 400), (True, 1.0, 400))
+
+# Gauss-Newton stops once a step is shorter than this (m).
+_TOL_M = 1e-6
+
+# Outcome of a Gauss-Newton row. _DROPPED marks a ladder rung that was not
+# needed because an earlier rung of its problem converged.
+_CONVERGED, _OUT_OF_ITERATIONS, _SINGULAR, _DIVERGED, _DROPPED = range(5)
 
 
 class SingularGeometryError(ValueError):
@@ -84,6 +105,20 @@ class PositionEstimate:
     residual_norm: float
 
 
+class LadderResult(NamedTuple):
+    """Outcome of one problem of ``dnls_ladder``.
+
+    ``estimate`` and ``rung`` come from the first rung, in ladder order, that
+    converged; both are None when every rung failed. ``iterations`` counts
+    the Gauss-Newton iterations of that rung and of every earlier one, which
+    is what running the rungs one after another costs.
+    """
+
+    estimate: PositionEstimate | None
+    rung: int | None
+    iterations: int
+
+
 @dataclass(frozen=True)
 class FimResult:
     """Fisher information, its inverse, and the scalar position error bound."""
@@ -95,55 +130,205 @@ class FimResult:
     singular: bool
 
 
-def diffraction_model(alpha, meas: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
-    """Model ranges p_j(alpha) (M,) and their partials J (3, M).
+class _Rows(NamedTuple):
+    """Measurement sets packed into arrays, one row per set, M anchors each."""
 
-    Each anchor's edge is solved once. Row i of J holds dp_j/d{x, y, z} of
-    the receiver position. In the edge-local frame, with the stationary
-    point q held fixed (envelope property; also exact for endpoint-clamped
-    points):
+    rotation: np.ndarray  # (R, M, 3, 3) world -> edge-local rotation
+    translation: np.ndarray  # (R, M, 3)
+    t: np.ndarray  # (R, M, 3) anchor position in the edge-local frame
+    x1: np.ndarray  # (R, M) edge endpoints along the local x axis
+    x2: np.ndarray
+    w: np.ndarray  # (R, M) window height
+    ranges: np.ndarray  # (R, M) measured ranges
+
+    def take(self, rows) -> "_Rows":
+        return _Rows(*(column[rows] for column in self))
+
+
+def _pack(sets) -> _Rows:
+    """Pack measurement sets with the same anchor count into one _Rows."""
+    counts = {len(meas) for meas in sets}
+    if len(counts) != 1:
+        raise ValueError("measurement sets of one batch must have the same anchor count")
+    shape = (len(sets), counts.pop())
+    edges = [edge for meas in sets for edge in meas.edges]
+    anchors = [anchor for meas in sets for anchor in meas.anchors]
+
+    def column(values, *tail):
+        return np.array(values, dtype=float).reshape(*shape, *tail)
+
+    return _Rows(
+        rotation=column([e.frame.rotation for e in edges], 3, 3),
+        translation=column([e.frame.translation for e in edges], 3),
+        t=column([e.frame.to_local(a) for a, e in zip(anchors, edges)], 3),
+        x1=column([e.x1 for e in edges]),
+        x2=column([e.x2 for e in edges]),
+        w=column([e.w for e in edges]),
+        ranges=column([meas.ranges for meas in sets]),
+    )
+
+
+def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Model ranges p (R, M), their partials J (R, 3, M) and a singular flag
+    (R, M) for receiver positions ``alpha`` (R, 3).
+
+    Each (row, anchor) edge is solved once, all rows in one call. In the
+    edge-local frame, with the stationary point q held fixed (envelope
+    property; also exact for endpoint-clamped points):
 
         dp/dx_n = (x_n - q) / l_rx
         dp/dy_n = y_n / l_rx
         dp/dz_n = (z_n + w/2 - z_a) / l_tx
 
-    where l_rx, l_tx are the receiver- and anchor-side legs. The local
-    gradient maps back to world axes through the frame rotation.
+    where l_rx, l_tx are the receiver- and anchor-side legs; a leg below
+    1e-12 m flags the entry singular. The local gradient maps back to world
+    axes through the frame rotation. Every entry depends on its own row only.
     """
-    a = alpha.as_array() if isinstance(alpha, Point3) else np.asarray(alpha, dtype=float)
-    p = np.empty(len(meas))
-    jac = np.empty((3, len(meas)))
-    for j, (anchor, edge) in enumerate(zip(meas.anchors, meas.edges)):
-        sol = approx_diffraction_solution(anchor, a, edge)
-        t = edge.frame.to_local(anchor)
-        r = edge.frame.to_local(a)
-        z_e = r[2] + 0.5 * edge.w
-        qx = edge.x2 + sol.lam * (edge.x1 - edge.x2)
-        l_rx = math.sqrt((r[0] - qx) ** 2 + r[1] ** 2 + (z_e - r[2]) ** 2)
-        l_tx = math.sqrt((t[0] - qx) ** 2 + t[1] ** 2 + (t[2] - z_e) ** 2)
-        if l_rx < 1e-12 or l_tx < 1e-12:
-            raise SingularGeometryError(
-                f"position coincides with the diffraction point of anchor {j}")
-        p[j] = sol.path_length
-        jac[:, j] = edge.frame.rotation.T @ np.array([
-            (r[0] - qx) / l_rx,
-            r[1] / l_rx,
-            (z_e - t[2]) / l_tx,
-        ])
-    return p, jac
+    rot = rows.rotation
+    a = alpha[:, None, None, :]
+    r = rot[..., 0] * a[..., 0] + rot[..., 1] * a[..., 1] + rot[..., 2] * a[..., 2] \
+        + rows.translation
+    z_e = r[..., 2] + 0.5 * rows.w
+    lam, _, length = _solve_edge_lambdas(
+        rows.t.reshape(-1, 3), r.reshape(-1, 3), rows.x1.ravel(), rows.x2.ravel(), z_e.ravel())
+    qx = rows.x2 + lam.reshape(z_e.shape) * (rows.x1 - rows.x2)
+    l_tx, l_rx = _leg_lengths(rows.t, r, z_e, qx)
+    singular = (l_rx < 1e-12) | (l_tx < 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        local = ((r[..., 0] - qx) / l_rx, r[..., 1] / l_rx, (z_e - rows.t[..., 2]) / l_tx)
+    grad = rot[..., 0, :] * local[0][..., None] + rot[..., 1, :] * local[1][..., None] \
+        + rot[..., 2, :] * local[2][..., None]
+    return length.reshape(z_e.shape), grad.transpose(0, 2, 1), singular
 
 
-def _check_rank(matrix: np.ndarray, context: str) -> None:
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[-1] <= _RANK_RTOL * s[0] or s[0] == 0.0:
-        raise SingularGeometryError(f"{context}: rank-deficient system")
+def diffraction_model(alpha, meas: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
+    """Model ranges p_j(alpha) (M,) and their partials J (3, M).
+
+    Row i of J holds dp_j/d{x, y, z} of the receiver position; this is the
+    one-row case of the batched model the solver iterates on.
+    """
+    p, jac, singular = _model_rows(_vec(alpha).reshape(1, 3), _pack([meas]))
+    if singular.any():
+        j = int(np.flatnonzero(singular[0])[0])
+        raise SingularGeometryError(
+            f"position coincides with the diffraction point of anchor {j}")
+    return p[0], jac[0]
+
+
+def _rank_deficient(matrices: np.ndarray) -> np.ndarray:
+    """Rank deficiency of a matrix, or of each matrix of a stack."""
+    s = np.linalg.svd(matrices, compute_uv=False)
+    return (s[..., -1] <= _RANK_RTOL * s[..., 0]) | (s[..., 0] == 0.0)
+
+
+class _GaussNewtonRows(NamedTuple):
+    alpha: np.ndarray  # (R, 3) final iterates
+    iterations: np.ndarray  # (R,)
+    status: np.ndarray  # (R,) _CONVERGED, _OUT_OF_ITERATIONS, _SINGULAR, ...
+    residual_norm: np.ndarray  # (R,) |r - p| at the final iterate, nan if none
+
+
+def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
+                  damping: np.ndarray, tol: float, problem: np.ndarray | None = None,
+                  ) -> _GaussNewtonRows:
+    """Gauss-Newton on the diffraction path model, all rows in one loop.
+
+    Row i starts at ``alpha0[i]`` and iterates until its step norm drops
+    below ``tol`` (converged) or it has run ``max_iters[i]`` iterations (out
+    of iterations); the model is then evaluated once more at the final
+    iterate for the residual norm. A leg of the model below 1e-12 m, or,
+    without damping, rank-deficient normal equations, makes the row
+    singular; a non-finite iterate or normal system makes it diverged.
+    ``damping[i] > 0`` adds Tikhonov regularization instead of the rank
+    check. A row leaves the active set when it finishes, and its result does
+    not depend on the other rows.
+
+    ``problem`` groups rows into retry ladders: rows with the same problem
+    number are its rungs, earlier rungs at lower row indices. Once a row
+    converges, the later rungs of its problem stop with status _DROPPED.
+    """
+    n_rows = len(alpha0)
+    alpha = np.array(alpha0, dtype=float).reshape(n_rows, 3)
+    max_iters = np.asarray(max_iters)
+    damping = np.asarray(damping, dtype=float)
+    iterations = np.zeros(n_rows, dtype=int)
+    status = np.full(n_rows, _OUT_OF_ITERATIONS)
+    residual_norm = np.full(n_rows, np.nan)
+    if problem is not None:
+        first_converged = np.full(int(problem.max(initial=-1)) + 1, n_rows)
+    eye = np.eye(3)
+
+    # State of the active rows: their row numbers, measurements, iterates,
+    # iteration counts, and whether their last step is taken (the model
+    # evaluation at the top of the loop is then their final one).
+    active = np.arange(n_rows)
+    cur = rows
+    a = alpha.copy()
+    its = iterations.copy()
+    final = max_iters <= 0
+    while active.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, jac, singular = _model_rows(a, cur)
+        singular = singular.any(axis=1)
+        residual = cur.ranges - p
+
+        stop = final | singular
+        if final.any():
+            done = active[final]
+            residual_norm[done] = np.sqrt(np.sum(residual[final] ** 2, axis=1))
+            status[done[singular[final]]] = _SINGULAR
+            if problem is not None:
+                for i in done[status[done] == _CONVERGED]:
+                    first_converged[problem[i]] = min(first_converged[problem[i]], i)
+                dropped = ~stop & (active > first_converged[problem[active]])
+                status[active[dropped]] = _DROPPED
+                stop |= dropped
+        status[active[singular & ~final]] = _SINGULAR
+        go = ~stop
+        its[go | (singular & ~final)] += 1
+
+        # One step of the rows that go on.
+        j, res, d = jac[go], residual[go], damping[active[go]]
+        normal = np.sum(j[:, :, None, :] * j[:, None, :, :], axis=-1)
+        rhs = np.sum(j * res[:, None, :], axis=-1)
+        damped = d > 0.0
+        if damped.any():
+            normal[damped] += d[damped, None, None] * eye
+        ok = np.isfinite(normal).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+        deficient = np.zeros_like(ok)
+        check = ok & ~damped
+        if check.any():
+            deficient[check] = _rank_deficient(normal[check])
+            ok &= ~deficient
+        step = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
+        moved = a[go][ok] + step
+        finite = np.isfinite(moved).all(axis=1)
+        ok[ok] = finite
+        moved = moved[finite]
+        converged = np.sqrt(np.sum(step[finite] ** 2, axis=1)) < tol
+
+        rows_ok = np.flatnonzero(go)[ok]
+        status[active[go][~ok]] = np.where(deficient[~ok], _SINGULAR, _DIVERGED)
+        a[rows_ok] = moved
+        status[active[rows_ok[converged]]] = _CONVERGED
+        final[rows_ok] = converged | (its[rows_ok] >= max_iters[active[rows_ok]])
+        stop[go] = ~ok
+
+        if stop.any():
+            left = active[stop]
+            alpha[left] = a[stop]
+            iterations[left] = its[stop]
+            keep = ~stop
+            active, cur, a = active[keep], cur.take(keep), a[keep]
+            its, final = its[keep], final[keep]
+    return _GaussNewtonRows(alpha, iterations, status, residual_norm)
 
 
 def dnls_solve(
     meas: MeasurementSet,
     init,
     max_iters: int = 50,
-    tol_m: float = 1e-6,
+    tol_m: float = _TOL_M,
     damping: float = 0.0,
 ) -> PositionEstimate:
     """Gauss-Newton on the diffraction path model.
@@ -155,35 +340,72 @@ def dnls_solve(
     """
     if len(meas) < 4:
         raise ValueError("3D solve requires at least 4 anchors")
-    alpha = init.as_array() if isinstance(init, Point3) else np.asarray(init, dtype=float).copy()
+    alpha = _vec(init)
     if not np.all(np.isfinite(alpha)):
         raise ValueError("initial guess must be finite")
+    out = _gauss_newton(_pack([meas]), alpha.reshape(1, 3), np.array([max_iters]),
+                        np.array([damping], dtype=float), tol_m)
+    est = _estimate(out, 0)
+    if out.status[0] == _SINGULAR:
+        raise SingularGeometryError(
+            f"D-NLS iteration {est.iterations}: rank-deficient normal equations "
+            "or a position at a diffraction point")
+    if out.status[0] == _DIVERGED:
+        raise SolverDivergedError(f"non-finite iterate at iteration {est.iterations}")
+    return est
 
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        model, jac = diffraction_model(alpha, meas)
-        residual = meas.ranges - model
-        normal = jac @ jac.T
-        if damping > 0.0:
-            normal = normal + damping * np.eye(3)
-        else:
-            _check_rank(normal, "D-NLS normal equations")
-        step = np.linalg.solve(normal, jac @ residual)
-        alpha = alpha + step
-        if not np.all(np.isfinite(alpha)):
-            raise SolverDivergedError(f"non-finite iterate at iteration {iterations}")
-        if np.linalg.norm(step) < tol_m:
-            converged = True
-            break
 
-    final_residual = meas.ranges - diffraction_model(alpha, meas)[0]
+def _estimate(out: _GaussNewtonRows, row: int) -> PositionEstimate:
     return PositionEstimate(
-        alpha_hat=Point3.from_array(alpha),
-        iterations=iterations,
-        converged=converged,
-        residual_norm=float(np.linalg.norm(final_residual)),
+        alpha_hat=Point3.from_array(out.alpha[row]),
+        iterations=int(out.iterations[row]),
+        converged=bool(out.status[row] == _CONVERGED),
+        residual_norm=float(out.residual_norm[row]),
     )
+
+
+def dnls_ladder(sets, inits, bounds) -> list[LadderResult]:
+    """D-NLS with the deterministic retry ladder, for many problems at once.
+
+    Problem i is measurement set ``sets[i]`` started at ``inits[i]``. Its
+    rungs are plain Gauss-Newton (50 iterations), damping 0.1 from the same
+    start (400), then damping 1.0 from the centroid of ``bounds`` (400). All
+    rungs of all problems run side by side in one Gauss-Newton loop; a
+    problem's result is its first converged rung in ladder order, exactly as
+    if the rungs ran one after another, and later rungs stop once it is
+    known.
+    """
+    n = len(sets)
+    if n == 0:
+        return []
+    if min(len(meas) for meas in sets) < 4:
+        raise ValueError("3D solve requires at least 4 anchors")
+    starts = np.array([_vec(p) for p in inits])
+    if not np.all(np.isfinite(starts)):
+        raise ValueError("initial guesses must be finite")
+    centroid = 0.5 * (np.asarray(bounds[0], dtype=float) + np.asarray(bounds[1], dtype=float))
+    k = len(_LADDER)
+    problem = np.tile(np.arange(n), k)  # rung-major: row = rung * n + problem
+    out = _gauss_newton(
+        _pack(sets).take(problem),
+        np.concatenate([np.broadcast_to(centroid, (n, 3)) if from_centroid else starts
+                        for from_centroid, _, _ in _LADDER]),
+        np.repeat([iters for _, _, iters in _LADDER], n),
+        np.repeat([damping for _, damping, _ in _LADDER], n),
+        _TOL_M, problem)
+
+    status = out.status.reshape(k, n)
+    iterations = out.iterations.reshape(k, n)
+    results = []
+    for i in range(n):
+        rungs = np.flatnonzero(status[:, i] == _CONVERGED)
+        if rungs.size == 0:
+            results.append(LadderResult(None, None, int(iterations[:, i].sum())))
+        else:
+            rung = int(rungs[0])
+            results.append(LadderResult(_estimate(out, rung * n + i), rung,
+                                        int(iterations[:rung + 1, i].sum())))
+    return results
 
 
 def lls_solve(meas: MeasurementSet) -> PositionEstimate:
@@ -202,7 +424,8 @@ def lls_solve(meas: MeasurementSet) -> PositionEstimate:
         r0 ** 2 - meas.ranges[1:] ** 2
         + np.sum(meas.anchors[1:] ** 2, axis=1) - float(x0 @ x0)
     )
-    _check_rank(a_mat, "LLS design matrix")
+    if _rank_deficient(a_mat):
+        raise SingularGeometryError("LLS design matrix: rank-deficient system")
     solution, _, _, _ = np.linalg.lstsq(a_mat, b, rcond=None)
     residual = meas.ranges - np.linalg.norm(meas.anchors - solution, axis=1)
     return PositionEstimate(
@@ -254,15 +477,26 @@ def peb(
                      condition=condition, singular=False)
 
 
+def lls_start(lls: PositionEstimate | None, bounds: tuple) -> Point3:
+    """D-NLS starting point from an LLS estimate, clamped into the bounds.
+
+    ``lls`` is None when LLS was singular; the start is then the bounds
+    centroid.
+    """
+    lo = np.asarray(bounds[0], dtype=float)
+    hi = np.asarray(bounds[1], dtype=float)
+    if lls is None:
+        return Point3.from_array(0.5 * (lo + hi))
+    return Point3.from_array(np.clip(lls.alpha_hat.as_array(), lo, hi))
+
+
 def initial_guess(meas: MeasurementSet, bounds: tuple) -> Point3:
     """Default D-NLS starting point: LLS clamped into the scene bounds.
 
     Falls back to the bounds centroid (mid-height) when LLS is singular.
     """
-    lo = np.asarray(bounds[0], dtype=float)
-    hi = np.asarray(bounds[1], dtype=float)
     try:
-        estimate = lls_solve(meas).alpha_hat.as_array()
-    except (SingularGeometryError, ValueError):
-        return Point3.from_array(0.5 * (lo + hi))
-    return Point3.from_array(np.clip(estimate, lo, hi))
+        lls = lls_solve(meas)
+    except SingularGeometryError:
+        lls = None
+    return lls_start(lls, bounds)

@@ -1,0 +1,95 @@
+"""Scalar reference D-NLS: the per-problem Gauss-Newton and retry ladder.
+
+This is the solver the batched ``positioning`` code replaced, kept as the
+test oracle. Each edge is solved with the scalar
+``approx_diffraction_solution``; one problem and one rung run at a time.
+Instead of raising, a solve reports how it ended and at which iteration.
+"""
+
+import math
+
+import numpy as np
+
+from diffpos.geometry import approx_diffraction_solution
+
+RANK_RTOL = 1e-12
+
+# (start at the bounds centroid, damping, max_iters), in ladder order.
+LADDER = ((False, 0.0, 50), (False, 0.1, 400), (True, 1.0, 400))
+
+
+class Singular(Exception):
+    pass
+
+
+def scalar_model(alpha, meas):
+    """Model ranges (M,) and Jacobian (3, M), one scalar edge solve per anchor."""
+    p = np.empty(len(meas))
+    jac = np.empty((3, len(meas)))
+    for j, (anchor, edge) in enumerate(zip(meas.anchors, meas.edges)):
+        sol = approx_diffraction_solution(anchor, alpha, edge)
+        t = edge.frame.to_local(anchor)
+        r = edge.frame.to_local(alpha)
+        z_e = r[2] + 0.5 * edge.w
+        qx = edge.x2 + sol.lam * (edge.x1 - edge.x2)
+        l_rx = math.sqrt((r[0] - qx) ** 2 + r[1] ** 2 + (z_e - r[2]) ** 2)
+        l_tx = math.sqrt((t[0] - qx) ** 2 + t[1] ** 2 + (t[2] - z_e) ** 2)
+        if l_rx < 1e-12 or l_tx < 1e-12:
+            raise Singular
+        p[j] = sol.path_length
+        jac[:, j] = edge.frame.rotation.T @ np.array([
+            (r[0] - qx) / l_rx,
+            r[1] / l_rx,
+            (z_e - t[2]) / l_tx,
+        ])
+    return p, jac
+
+
+def scalar_gauss_newton(meas, init, max_iters=50, tol_m=1e-6, damping=0.0):
+    """(outcome, iterations, alpha) of one Gauss-Newton run.
+
+    outcome is "converged", "out_of_iterations", "singular" or "diverged";
+    iterations is the iteration the run ended in.
+    """
+    alpha = np.array(init, dtype=float)
+    iterations = 0
+    try:
+        for iterations in range(1, max_iters + 1):
+            model, jac = scalar_model(alpha, meas)
+            residual = meas.ranges - model
+            normal = jac @ jac.T
+            if damping > 0.0:
+                normal = normal + damping * np.eye(3)
+            else:
+                s = np.linalg.svd(normal, compute_uv=False)
+                if s[-1] <= RANK_RTOL * s[0] or s[0] == 0.0:
+                    raise Singular
+            step = np.linalg.solve(normal, jac @ residual)
+            alpha = alpha + step
+            if not np.all(np.isfinite(alpha)):
+                return "diverged", iterations, alpha
+            if np.linalg.norm(step) < tol_m:
+                scalar_model(alpha, meas)
+                return "converged", iterations, alpha
+        scalar_model(alpha, meas)
+    except Singular:
+        return "singular", iterations, alpha
+    return "out_of_iterations", iterations, alpha
+
+
+def scalar_ladder(meas, init, bounds):
+    """(rung, iterations, alpha) of the sequential retry ladder.
+
+    rung and alpha are None when every rung fails; iterations sums the
+    iterations of every rung run.
+    """
+    centroid = 0.5 * (np.asarray(bounds[0], dtype=float) + np.asarray(bounds[1], dtype=float))
+    total = 0
+    for rung, (from_centroid, damping, max_iters) in enumerate(LADDER):
+        start = centroid if from_centroid else init
+        outcome, iterations, alpha = scalar_gauss_newton(
+            meas, start, max_iters=max_iters, damping=damping)
+        total += iterations
+        if outcome == "converged":
+            return rung, total, alpha
+    return None, total, None

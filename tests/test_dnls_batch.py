@@ -1,0 +1,212 @@
+"""Batched D-NLS against the scalar reference solver (``scalar_dnls``).
+
+The parity cases replay the D-NLS problems of real sweeps, captured where
+``run_sweep`` hands its queue to ``dnls_ladder``: the 28 GHz, two-trial
+sweep of the 6 m floor-3 grid (seeds 0-3) and the seven-frequency ladder of
+the 10 m floor-3 grid (seed 0). Every problem must end on the same rung
+after the same number of iterations, or fail as the scalar ladder does, and
+its estimate must agree within 1e-9 m.
+"""
+
+import numpy as np
+import pytest
+
+import diffpos.experiments as experiments
+import diffpos.positioning as positioning
+from conftest import random_positioning_instance
+from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, SweepConfig, build_default_scene
+from diffpos.geometry import WindowEdge, approx_diffraction_solution
+from diffpos.positioning import (
+    _CONVERGED,
+    _DIVERGED,
+    _SINGULAR,
+    MeasurementSet,
+    SingularGeometryError,
+    SolverDivergedError,
+    _gauss_newton,
+    _pack,
+    dnls_ladder,
+    dnls_solve,
+)
+from scalar_dnls import scalar_gauss_newton, scalar_ladder
+
+SWEEPS = {
+    "trials": dict(grid_spacing=6.0, frequencies_hz=(28e9,), trials=2),
+    "ladder": dict(grid_spacing=10.0, frequencies_hz=DEFAULT_FREQUENCY_LADDER_HZ, trials=1),
+}
+
+
+def captured_sweep(monkeypatch, size: str, seed: int):
+    """(report, sets, inits, bounds) of one sweep's D-NLS queue."""
+    params = SWEEPS[size]
+    scene = build_default_scene(grid_spacing=params["grid_spacing"], receiver_floors=(3,))
+    cfg = SweepConfig(scene=scene, frequencies_hz=params["frequencies_hz"], t_fap_db=20.0,
+                      trials=params["trials"], seed=seed, top_k=25)
+    calls = []
+
+    def capture(sets, inits, bounds):
+        calls.append((list(sets), list(inits), bounds))
+        return dnls_ladder(sets, inits, bounds)
+
+    monkeypatch.setattr(experiments, "dnls_ladder", capture)
+    report = experiments.run_sweep(cfg)
+    assert len(calls) == 1
+    return (report, *calls[0])
+
+
+@pytest.mark.parametrize("size, seed", [("trials", 0), ("trials", 1), ("trials", 2),
+                                        ("trials", 3), ("ladder", 0)])
+def test_ladder_matches_scalar_ladder_on_sweep_problems(monkeypatch, size, seed):
+    report, sets, inits, bounds = captured_sweep(monkeypatch, size, seed)
+    results = dnls_ladder(sets, inits, bounds)
+    rungs = [0, 0, 0]
+    total_iterations = 0
+    failed = 0
+    for meas, init, got in zip(sets, inits, results):
+        rung, iterations, alpha = scalar_ladder(meas, init.as_array(), bounds)
+        assert (got.rung, got.iterations) == (rung, iterations)
+        total_iterations += iterations
+        if rung is None:
+            assert got.estimate is None
+            failed += 1
+            continue
+        rungs[rung] += 1
+        assert got.estimate.converged
+        np.testing.assert_allclose(got.estimate.alpha_hat.as_array(), alpha, rtol=0, atol=1e-9)
+    # The report's counters are the same sums over its frequencies.
+    assert [sum(fr.diagnostics["dnls_rung"][k] for fr in report.frequencies)
+            for k in range(3)] == rungs
+    assert sum(fr.diagnostics["dnls_iterations"] for fr in report.frequencies) \
+        == total_iterations
+    assert sum(fr.exclusions["dnls_failed"] for fr in report.frequencies) == failed
+
+
+def test_ladder_result_does_not_depend_on_the_batch(monkeypatch):
+    _, sets, inits, bounds = captured_sweep(monkeypatch, "trials", 0)
+    batch = dnls_ladder(sets, inits, bounds)
+    reversed_batch = dnls_ladder(sets[::-1], inits[::-1], bounds)[::-1]
+    assert any(r.estimate is None for r in batch)  # the batch holds failures
+    assert len({r.rung for r in batch}) > 2  # and more than one rung
+    for i, (meas, init) in enumerate(zip(sets, inits)):
+        alone = dnls_ladder([meas], [init], bounds)[0]
+        assert alone == batch[i] == reversed_batch[i]
+
+
+def test_ladder_prefers_an_earlier_rung_that_converges_later(monkeypatch):
+    # Rung 1 starts at the noiseless solution (the bounds centroid) and
+    # converges at once; rung 0 starts off it and needs more iterations.
+    # The result is still rung 0's, and rung 2 never counts.
+    monkeypatch.setattr(positioning, "_LADDER",
+                        ((False, 0.0, 50), (True, 0.0, 50), (True, 1.0, 400)))
+    alpha, anchors, edges = random_positioning_instance(np.random.default_rng(12))
+    ranges = [approx_diffraction_solution(a, alpha, e).path_length
+              for a, e in zip(anchors, edges)]
+    meas = MeasurementSet(anchors, ranges, np.full(4, 0.05), edges)
+    start = alpha + np.array([0.6, -0.4, 0.3])
+    result = dnls_ladder([meas], [start], (alpha - 1.0, alpha + 1.0))[0]
+    outcome, iterations, estimate = scalar_gauss_newton(meas, start)
+    assert outcome == "converged" and iterations > 1
+    assert (result.rung, result.iterations) == (0, iterations)
+    assert result.estimate.iterations == iterations
+    np.testing.assert_allclose(result.estimate.alpha_hat.as_array(), estimate, rtol=0, atol=1e-9)
+
+
+def degenerate_vertical_problem():
+    """The singular geometry of test_dnls_rejects_degenerate_vertical_geometry."""
+    edges = tuple(WindowEdge(3.0, 7.0, 6.0, 2.0) for _ in range(4))
+    anchors = np.array([[5.0, y, z] for y, z in ((12.0, 2.0), (15.0, 3.0),
+                                                 (18.0, 4.0), (21.0, 5.0))])
+    alpha = np.array([5.0, -4.0, 5.0])
+    ranges = [approx_diffraction_solution(a, alpha, e).path_length
+              for a, e in zip(anchors, edges)]
+    meas = MeasurementSet(anchors, ranges, np.full(4, 0.05), edges)
+    return meas, alpha + np.array([0.0, 0.5, 0.5])
+
+
+def diverging_problem(rng):
+    """A range of inf makes the first step non-finite."""
+    alpha, anchors, edges = random_positioning_instance(rng)
+    ranges = [approx_diffraction_solution(a, alpha, e).path_length
+              for a, e in zip(anchors, edges)]
+    ranges[2] = np.inf
+    return MeasurementSet(anchors, ranges, np.full(4, 0.05), edges), alpha
+
+
+def good_problem(rng):
+    alpha, anchors, edges = random_positioning_instance(rng)
+    ranges = [approx_diffraction_solution(a, alpha, e).path_length + 0.03 * rng.standard_normal()
+              for a, e in zip(anchors, edges)]
+    return MeasurementSet(anchors, ranges, np.full(4, 0.05), edges), alpha + 0.5
+
+
+def solve_rows(problems, damping):
+    sets = [meas for meas, _ in problems]
+    starts = np.array([start for _, start in problems])
+    n = len(problems)
+    return _gauss_newton(_pack(sets), starts, np.full(n, 50), np.full(n, damping), 1e-6)
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.1])
+def test_singular_and_diverging_rows_fail_only_themselves(damping):
+    rng = np.random.default_rng(8)
+    good = [good_problem(rng) for _ in range(2)]
+    problems = [good[0], degenerate_vertical_problem(), diverging_problem(rng), good[1]]
+    if damping > 0.0:  # damping replaces the rank check: the geometry is not singular then
+        problems.pop(1)
+    out = solve_rows(problems, damping)
+
+    expect = [_CONVERGED, _SINGULAR, _DIVERGED, _CONVERGED] if damping == 0.0 \
+        else [_CONVERGED, _DIVERGED, _CONVERGED]
+    assert out.status.tolist() == expect
+    for row, problem in ((0, good[0]), (len(problems) - 1, good[1])):
+        alone = solve_rows([problem], damping)
+        assert out.status[row] == alone.status[0]
+        assert out.iterations[row] == alone.iterations[0]
+        assert np.array_equal(out.alpha[row], alone.alpha[0])
+        assert out.residual_norm[row] == alone.residual_norm[0]
+        outcome, iterations, alpha = scalar_gauss_newton(*problem, damping=damping)
+        assert outcome == "converged" and iterations == out.iterations[row]
+        np.testing.assert_allclose(out.alpha[row], alpha, rtol=0, atol=1e-9)
+    # The failures end where the scalar solver's do.
+    for row, problem in enumerate(problems):
+        if out.status[row] != _CONVERGED:
+            outcome, iterations, _ = scalar_gauss_newton(*problem, damping=damping)
+            assert outcome == {_SINGULAR: "singular", _DIVERGED: "diverged"}[out.status[row]]
+            assert iterations == out.iterations[row]
+
+
+def test_dnls_solve_raises_for_a_single_singular_or_diverging_problem():
+    with pytest.raises(SingularGeometryError):
+        dnls_solve(*degenerate_vertical_problem())
+    meas, start = diverging_problem(np.random.default_rng(9))
+    with pytest.raises(SolverDivergedError):
+        dnls_solve(meas, start)
+    with pytest.raises(SolverDivergedError):
+        dnls_solve(meas, start, damping=0.1)
+
+
+def test_final_evaluation_can_make_a_row_singular():
+    # With max_iters=0 the final model evaluation is the only one; at a
+    # position on the model edge's line it is singular.
+    edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
+    anchors = np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0], [0.0, 9.0, 4.0]])
+    meas = MeasurementSet(anchors, np.full(4, 20.0), np.ones(4), (edge,) * 4)
+    alpha = np.array([0.0, 0.0, 4.0])
+    assert scalar_gauss_newton(meas, alpha, max_iters=0)[:2] == ("singular", 0)
+    with pytest.raises(SingularGeometryError):
+        dnls_solve(meas, alpha, max_iters=0)
+    out = solve_rows([(meas, alpha), good_problem(np.random.default_rng(11))], 0.0)
+    assert out.status[0] == _SINGULAR and out.status[1] == _CONVERGED
+
+
+def test_ladder_rejects_mixed_anchor_counts_and_bad_starts():
+    rng = np.random.default_rng(10)
+    meas, start = good_problem(rng)
+    alpha, anchors, edges = random_positioning_instance(rng, n_anchors=5)
+    five = MeasurementSet(anchors, np.full(5, 30.0), np.ones(5), edges)
+    bounds = (np.zeros(3), np.full(3, 20.0))
+    with pytest.raises(ValueError, match="same anchor count"):
+        dnls_ladder([meas, five], [start, alpha], bounds)
+    with pytest.raises(ValueError, match="finite"):
+        dnls_ladder([meas], [np.array([np.nan, 0.0, 0.0])], bounds)
+    assert dnls_ladder([], [], bounds) == []

@@ -291,6 +291,49 @@ def test_report_json_round_trip(tiny_sweep):
     assert report_to_dict(back) == report_to_dict(report)
 
 
+def test_report_diagnostics_count_every_dnls_problem(tiny_sweep):
+    cfg, report = tiny_sweep
+    again = run_sweep(SweepConfig(scene=cfg.scene, frequencies_hz=cfg.frequencies_hz,
+                                  seed=cfg.seed))
+    for fr, fr_again in zip(report.frequencies, again.frequencies):
+        rungs = fr.diagnostics["dnls_rung"]
+        assert len(rungs) == 3 and sum(rungs) == len(fr.dnls_errors_m)
+        problems = len(fr.dnls_errors_m) + fr.exclusions["dnls_failed"]
+        assert fr.diagnostics["dnls_iterations"] >= problems
+        assert fr_again.diagnostics == fr.diagnostics
+
+
+def test_dnls_batch_size_does_not_change_the_report(tiny_sweep, monkeypatch):
+    import diffpos.experiments as experiments
+
+    cfg, report = tiny_sweep
+    calls = []
+    ladder = experiments.dnls_ladder
+    monkeypatch.setattr(experiments, "_DNLS_BATCH", 3)
+    monkeypatch.setattr(experiments, "dnls_ladder",
+                        lambda sets, *rest: calls.append(len(sets)) or ladder(sets, *rest))
+    chunked = run_sweep(cfg)
+    problems = sum(len(fr.dnls_errors_m) + fr.exclusions["dnls_failed"]
+                   for fr in report.frequencies)
+    assert sum(calls) == problems and len(calls) > 2 and max(calls) == 3
+    assert json.dumps(report_to_dict(chunked)) == json.dumps(report_to_dict(report))
+
+
+def test_report_json_round_trip_keeps_diagnostics_and_accepts_none(tiny_sweep):
+    _, report = tiny_sweep
+    doc = json.loads(json.dumps(report_to_dict(report)))
+    assert [fr["diagnostics"] for fr in doc["frequencies"]] \
+        == [fr.diagnostics for fr in report.frequencies]
+    assert [fr.diagnostics for fr in report_from_dict(doc).frequencies] \
+        == [fr.diagnostics for fr in report.frequencies]
+
+    for fr in doc["frequencies"]:
+        del fr["diagnostics"]
+    back = report_from_dict(doc)
+    assert all(fr.diagnostics is None for fr in back.frequencies)
+    assert report_to_dict(back) == doc
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -359,6 +402,25 @@ def test_cli_sweep_bad_scene_record_is_an_error_line(tmp_path, capsys, record, k
     assert rc == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"schema": "sweep-report/0"}', "error: unsupported report schema 'sweep-report/0'"),
+    ("not json", "error: Expecting value: line 1 column 1 (char 0)"),
+    ('{"schema": "sweep-report/1", "seed": 0}', "error: report is missing the key 't_fap_db'"),
+    ("[]", "error: a report is a JSON object, got list"),
+    ('{"schema": "sweep-report/1", "seed": 0, "t_fap_db": 6.0, "trials": 1,'
+     ' "noiseless": false, "frequencies": [1]}',
+     "error: malformed report: 'int' object is not subscriptable"),
+], ids=["wrong_schema", "not_json", "missing_key", "not_an_object", "frequency_not_an_object"])
+def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = cli_main(["report", "--report", str(path), "--out", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == message + "\n"
     assert not out_dir.exists()
 
 

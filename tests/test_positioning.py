@@ -412,3 +412,12 @@ def test_initial_guess_centroid_fallback():
     meas = MeasurementSet(anchors, np.full(4, 12.0), np.ones(4), dummy_edges(4))
     guess = initial_guess(meas, BOUNDS)
     np.testing.assert_allclose(guess.as_array(), [10.0, 10.0, 7.5])
+
+
+def test_initial_guess_rejects_three_anchors():
+    # Too few anchors is a caller error, not a singular geometry: it must not
+    # turn into the centroid start.
+    anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
+    meas = MeasurementSet(anchors, np.full(3, 12.0), np.ones(3), dummy_edges(3))
+    with pytest.raises(ValueError, match="at least 4 anchors"):
+        initial_guess(meas, BOUNDS)
