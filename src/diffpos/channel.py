@@ -20,6 +20,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .geometry import (
     ReflectorPlane,
     RigidTransform,
     WindowEdge,
+    _edge_points_world,
+    _on_edge_line,
     _solve_edge_lambdas,
     euclidean_distance,
     reflection_path_length,
@@ -388,6 +391,16 @@ class Surface:
         return True
 
 
+class EdgeDiffractions(NamedTuple):
+    """Single diffraction at D edges of a scene, one entry per edge."""
+
+    ids: np.ndarray  # (D,) edge indices into SceneGeometry.edges
+    lam: np.ndarray  # (D,) edge parameter, as DiffractionSolution.lam
+    endpoint: np.ndarray  # (D,) clamped to an edge endpoint
+    length: np.ndarray  # (D,) two-leg path length
+    point: np.ndarray  # (D, 3) world diffraction point
+
+
 class SceneGeometry:
     """Expanded scene: crossing surfaces, reflectors, and diffraction edges.
 
@@ -452,23 +465,19 @@ class SceneGeometry:
             hit[legs[in_cutout], i] = False
         return hit
 
-    def diffractions(self, tx: np.ndarray, rx: np.ndarray):
-        """Edge ids (D,), two-leg lengths (D,) and world diffraction points
-        (D, 3) at every edge where diffraction_point is defined, as it
-        computes them one edge at a time. It raises where both tx and rx lie
-        on the edge line; those edges are left out.
+    def diffractions(self, tx: np.ndarray, rx: np.ndarray) -> EdgeDiffractions:
+        """Diffraction at every edge where diffraction_point is defined, with
+        the numbers it gives one edge at a time. It raises where both tx and
+        rx lie on the edge line; those edges are left out.
         """
         t = self._edge_rotation @ tx + self._edge_translation
         r = self._edge_rotation @ rx + self._edge_translation
-        z_e = self._edge_z
-        ids = np.flatnonzero(~((np.abs(t[:, 1]) < 1e-12) & (np.abs(t[:, 2] - z_e) < 1e-12)
-                               & (np.abs(r[:, 1]) < 1e-12) & (np.abs(r[:, 2] - z_e) < 1e-12)))
-        x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], z_e[ids]
-        lam, _, length = _solve_edge_lambdas(t[ids], r[ids], x1, x2, z_e)
-        q_local = np.stack([x2 + lam * (x1 - x2), np.zeros_like(lam), z_e], axis=1)
-        q = np.einsum("eji,ej->ei", self._edge_rotation[ids],
-                      q_local - self._edge_translation[ids])
-        return ids, length, q
+        ids = np.flatnonzero(~_on_edge_line(t, r, self._edge_z))
+        x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], self._edge_z[ids]
+        lam, endpoint, length = _solve_edge_lambdas(t[ids], r[ids], x1, x2, z_e)
+        point = _edge_points_world(self._edge_rotation[ids], self._edge_translation[ids],
+                                   x1, x2, z_e, lam)
+        return EdgeDiffractions(ids, lam, endpoint, length, point)
 
 
 def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
@@ -671,9 +680,9 @@ def path_table(
 
     # Single diffraction at each window edge.
     if limits.max_diffractions >= 1 and geom.edges:
-        ids, d_length, d_point = geom.diffractions(anchor, rx_vec)
+        d = geom.diffractions(anchor, rx_vec)
         rows += [("D", length, point, None, math.nan, e)
-                 for e, length, point in zip(ids.tolist(), d_length, d_point)]
+                 for e, length, point in zip(d.ids.tolist(), d.length, d.point)]
 
     symbols, lengths, points, slabs, angles, edge_ids = zip(*rows)
     pts = np.array(points)
@@ -776,9 +785,10 @@ def export_dataset(pdps, path) -> int:
 def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> IngestResult:
     """Read a line-delimited MPC dataset and rebuild per-pair PDPs.
 
-    Structural problems (bad JSON, wrong schema, missing fields) raise
-    DatasetError with the line number. Physically inconsistent records
-    (negative lengths, unknown symbols, stored ToF disagreeing with the
+    Structural problems (bad JSON, wrong schema, missing or malformed
+    fields, a non-finite receiver position) raise DatasetError with the line
+    number. Physically inconsistent records (negative or non-finite lengths,
+    non-finite powers, unknown symbols, stored ToF disagreeing with the
     length beyond 1e-6 relative) are rejected individually with diagnostics.
     """
     buckets: dict[tuple[int, int], list[Mpc]] = {}
@@ -810,27 +820,32 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
                 interactions_s = rec["interactions"]
                 length = float(rec["path_length_m"])
                 power = float(rec["rx_power_dbm"])
+                stored = float(rec["tof_s"]) if "tof_s" in rec else None
+                edge_id = int(rec["edge_id"]) if "edge_id" in rec else None
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(line_no, f"missing or malformed field: {exc}") from None
 
             if len(rx_xyz) != 3:
                 raise DatasetError(line_no, "rx_xyz must have three components")
+            if not all(math.isfinite(v) for v in rx_xyz):
+                raise DatasetError(line_no, f"non-finite rx_xyz {rx_xyz}")
             try:
                 interactions = parse_interaction_string(interactions_s)
                 group = classify_mpc(interactions)
             except ValueError as exc:
                 rejected.append((line_no, str(exc)))
                 continue
+            if not (math.isfinite(length) and math.isfinite(power)):
+                rejected.append((line_no, f"non-finite path length {length} or power {power}"))
+                continue
             if length < 0:
                 rejected.append((line_no, f"negative path length {length}"))
                 continue
             tof = length / SPEED_OF_LIGHT
-            if "tof_s" in rec:
-                stored = float(rec["tof_s"])
-                if tof > 0 and abs(stored - tof) > 1e-6 * tof:
-                    rejected.append(
-                        (line_no, f"tof {stored} inconsistent with length {length}"))
-                    continue
+            # "not <=" also rejects a NaN stored ToF.
+            if stored is not None and tof > 0 and not abs(stored - tof) <= 1e-6 * tof:
+                rejected.append((line_no, f"tof {stored} inconsistent with length {length}"))
+                continue
 
             mpc = Mpc(
                 interactions=interactions,
@@ -840,7 +855,7 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
                 snr_db=snr_db(power, band, noise_temperature_k),
                 anchor_id=anchor_id,
                 group=group,
-                edge_id=int(rec["edge_id"]) if "edge_id" in rec else None,
+                edge_id=edge_id,
             )
             key = (anchor_id, rx_id)
             buckets.setdefault(key, []).append(mpc)

@@ -185,6 +185,8 @@ class SweepConfig:
                 raise ValueError(f"anchor {i} at {tuple(anchor)!r} is inside the building")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if not self.t_fap_db >= 0:

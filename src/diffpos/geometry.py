@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 # Relative tolerance below which the stationarity quadratic is treated as
-# degenerate and the 1D numerical fallback takes over.
+# degenerate and golden-section search takes over.
 _DEGENERATE_QUADRATIC_RTOL = 1e-12
 
 # Slack when testing whether a root lies in [0, 1]; absorbs roundoff for
@@ -217,33 +217,6 @@ def reflection_path_length(tx, rx, plane: ReflectorPlane) -> ReflectionSolution:
 # Edge diffraction
 # ---------------------------------------------------------------------------
 
-def _two_leg_length(t: np.ndarray, r: np.ndarray, z_e: float, qx: float) -> float:
-    """Sum of the two legs through (qx, 0, z_e), in edge-local coordinates."""
-    leg_t = math.sqrt((t[0] - qx) ** 2 + t[1] ** 2 + (t[2] - z_e) ** 2)
-    leg_r = math.sqrt((r[0] - qx) ** 2 + r[1] ** 2 + (z_e - r[2]) ** 2)
-    return leg_t + leg_r
-
-
-def _stationarity_quadratic(
-    t: np.ndarray, r: np.ndarray, x1: float, x2: float, z_e: float
-) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) of the quadratic in lam whose roots contain the
-    stationary point of the two-leg length along the edge.
-
-    Derived by squaring the balance condition between the two legs'
-    transverse distances; squaring may introduce one spurious root, which the
-    caller rejects by length comparison.
-    """
-    xa, ya, za = t
-    xn, yn, zn = r
-    at2 = (z_e - za) ** 2 + ya ** 2  # squared transverse distance, tx leg
-    rt2 = (z_e - zn) ** 2 + yn ** 2  # squared transverse distance, rx leg
-    a = (x1 - x2) ** 2 * (rt2 - at2)
-    b = 2.0 * (x1 - x2) * ((x2 - xa) * rt2 - (x2 - xn) * at2)
-    c = (x2 - xa) ** 2 * rt2 - (x2 - xn) ** 2 * at2
-    return a, b, c
-
-
 def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-13) -> float:
     """Golden-section minimizer for a unimodal function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -263,102 +236,11 @@ def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-13) -> float:
     return 0.5 * (a + b)
 
 
-def _newton_polish(
-    t: np.ndarray, r: np.ndarray, z_e: float, x1: float, x2: float, lam: float
-) -> float:
-    """Refine an interior stationary point with Newton steps on dp/dq.
-
-    The quadratic route resolves a near-double root only to ~sqrt(eps); the
-    two-leg length is convex in q with a simple root of its derivative, so a
-    few Newton steps recover full precision.
-    """
-    span = x1 - x2
-    q = x2 + lam * span
-    for _ in range(3):
-        l1 = math.sqrt((t[0] - q) ** 2 + t[1] ** 2 + (t[2] - z_e) ** 2)
-        l2 = math.sqrt((r[0] - q) ** 2 + r[1] ** 2 + (z_e - r[2]) ** 2)
-        if l1 == 0.0 or l2 == 0.0:
-            break
-        grad = (q - t[0]) / l1 + (q - r[0]) / l2
-        curv = (t[1] ** 2 + (t[2] - z_e) ** 2) / l1 ** 3 \
-            + (r[1] ** 2 + (z_e - r[2]) ** 2) / l2 ** 3
-        if curv <= 0.0:
-            break
-        step = grad / curv
-        q -= step
-        if abs(step) < 1e-14 * max(1.0, abs(q)):
-            break
-    lam = (q - x2) / span
-    return min(max(lam, 0.0), 1.0)
-
-
-def _solve_edge_lambda(
-    t: np.ndarray, r: np.ndarray, x1: float, x2: float, z_e: float
-) -> tuple[float, bool]:
-    """Minimizing lam in [0, 1] for the two-leg length, plus an endpoint flag.
-
-    Closed-form roots of the stationarity quadratic are preferred; degenerate
-    or numerically inconsistent quadratics fall back to golden-section search.
-    The two-leg length is convex in lam, so when no stationary point lies in
-    [0, 1] the constrained minimum sits at the endpoint of smaller length.
-    """
-
-    def length_at(lam: float) -> float:
-        return _two_leg_length(t, r, z_e, x2 + lam * (x1 - x2))
-
-    def fallback() -> tuple[float, bool]:
-        lam = _golden_section_min(length_at, 0.0, 1.0)
-        at_end = lam < 1e-9 or lam > 1.0 - 1e-9
-        if at_end:
-            return float(round(lam)), True
-        return _newton_polish(t, r, z_e, x1, x2, lam), False
-
-    a, b, c = _stationarity_quadratic(t, r, x1, x2, z_e)
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0 or abs(a) < _DEGENERATE_QUADRATIC_RTOL * scale:
-        return fallback()
-
-    disc = b * b - 4.0 * a * c
-    disc_scale = max(b * b, abs(4.0 * a * c))
-    if disc < 0.0:
-        if abs(disc) > 1e-9 * disc_scale:
-            return fallback()
-        # Roundoff-negative discriminant of an exact double root.
-        disc = 0.0
-
-    sq = math.sqrt(disc)
-    # Stable quadratic formula: avoids cancellation when b*b >> |4ac|.
-    if b >= 0.0:
-        qf = -0.5 * (b + sq)
-    else:
-        qf = -0.5 * (b - sq)
-    roots = (qf / a, c / qf) if qf != 0.0 else (0.0, 0.0)
-    # Squaring introduces a spurious root lying outside the horizontal
-    # interval spanned by tx and rx; a genuine stationary point of the
-    # two-leg length sits between them.
-    between_slack = 1e-9 * max(1.0, (t[0] - r[0]) ** 2)
-
-    def is_stationary(lam: float) -> bool:
-        q = x2 + lam * (x1 - x2)
-        return (q - t[0]) * (q - r[0]) <= between_slack
-
-    inside = [min(max(root, 0.0), 1.0) for root in roots
-              if -_ROOT_INTERVAL_SLACK <= root <= 1.0 + _ROOT_INTERVAL_SLACK
-              and is_stationary(root)]
-    if inside:
-        lam = min(inside, key=length_at)
-        return _newton_polish(t, r, z_e, x1, x2, lam), False
-    # No stationary point on the edge: corner diffraction at the endpoint of
-    # minimal length (the two-leg length is convex along the edge).
-    lam = min((0.0, 1.0), key=length_at)
-    return lam, True
-
-
 def _leg_lengths(t: np.ndarray, r: np.ndarray, z_e: np.ndarray,
                  qx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise _two_leg_length, leg by leg: |t - q| and |q - r| for
-    q = (qx, 0, z_e), with edge-local tx ``t`` and rx ``r`` of shape
-    (..., 3) and ``z_e``, ``qx`` of the leading shape."""
+    """Two-leg length, leg by leg: |t - q| and |q - r| for q = (qx, 0, z_e),
+    with edge-local tx ``t`` and rx ``r`` of shape (..., 3) and ``z_e``,
+    ``qx`` of the leading shape."""
     leg_t = np.sqrt((t[..., 0] - qx) ** 2 + t[..., 1] ** 2 + (t[..., 2] - z_e) ** 2)
     leg_r = np.sqrt((r[..., 0] - qx) ** 2 + r[..., 1] ** 2 + (z_e - r[..., 2]) ** 2)
     return leg_t, leg_r
@@ -367,15 +249,19 @@ def _leg_lengths(t: np.ndarray, r: np.ndarray, z_e: np.ndarray,
 def _solve_edge_lambdas(
     t: np.ndarray, r: np.ndarray, x1: np.ndarray, x2: np.ndarray, z_e: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched _solve_edge_lambda: (lam, endpoint, two-leg length) per row.
+    """Minimizing lam in [0, 1] of the two-leg length, an endpoint flag and
+    the two-leg length, per row.
 
     Row i pairs edge-local tx ``t[i]`` and rx ``r[i]`` (shape (N, 3)) with
-    the edge from (x1[i], 0, z_e[i]) to (x2[i], 0, z_e[i]). The steps are
-    the scalar solver's, masked per row: stationarity quadratic, root
-    screening, endpoint choice and three Newton polish steps. Rows whose
-    quadratic is degenerate or whose discriminant is inconsistent go to the
-    scalar solver. NumPy squares by multiplication where float scalars call
-    pow, so a result can differ from the scalar one in the last bit.
+    the edge from (x1[i], 0, z_e[i]) to (x2[i], 0, z_e[i]). The stationary
+    point solves a quadratic in lam, derived by squaring the balance between
+    the two legs' transverse distances; squaring may add a spurious root,
+    which the screening below rejects. The two-leg length is convex in lam,
+    so when no stationary point lies in [0, 1] the constrained minimum sits
+    at the endpoint of smaller length. Rows whose quadratic is degenerate or
+    whose discriminant is inconsistent take golden-section search instead.
+    Interior points get three Newton polish steps. Each row's result depends
+    on that row only.
     """
     def length_at(rows, lam):
         leg_t, leg_r = _leg_lengths(t[rows], r[rows], z_e[rows], x2[rows] + lam * span[rows])
@@ -384,22 +270,26 @@ def _solve_edge_lambdas(
     xa, ya, za = t.T
     xn, yn, zn = r.T
     span = x1 - x2
-    at2 = (z_e - za) ** 2 + ya ** 2
-    rt2 = (z_e - zn) ** 2 + yn ** 2
+    at2 = (z_e - za) ** 2 + ya ** 2  # squared transverse distance, tx leg
+    rt2 = (z_e - zn) ** 2 + yn ** 2  # squared transverse distance, rx leg
     a = span ** 2 * (rt2 - at2)
     b = 2.0 * span * ((x2 - xa) * rt2 - (x2 - xn) * at2)
     c = (x2 - xa) ** 2 * rt2 - (x2 - xn) ** 2 * at2
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
     disc = b * b - 4.0 * a * c
     disc_scale = np.maximum(b * b, np.abs(4.0 * a * c))
+    # A discriminant negative beyond roundoff is inconsistent; a
+    # roundoff-negative one is an exact double root.
     fallback = ((scale == 0.0) | (np.abs(a) < _DEGENERATE_QUADRATIC_RTOL * scale)
                 | ((disc < 0.0) & (np.abs(disc) > 1e-9 * disc_scale)))
     sq = np.sqrt(np.maximum(disc, 0.0))
+    # Stable quadratic formula: avoids cancellation when b*b >> |4ac|.
     qf = np.where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
     between_slack = 1e-9 * np.maximum(1.0, (xa - xn) ** 2)
 
-    # Screen both roots: inside [0, 1] (with slack) and between tx and rx.
-    # Fallback rows may divide by zero here; they are masked out.
+    # Screen both roots: inside [0, 1] (with slack) and between tx and rx,
+    # where a genuine stationary point of the two-leg length sits. Fallback
+    # rows may divide by zero here; they are masked out.
     ok, clamped = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for root in (np.where(qf != 0.0, qf / a, 0.0), np.where(qf != 0.0, c / qf, 0.0)):
@@ -419,16 +309,28 @@ def _solve_edge_lambdas(
     if ends.size:
         lam[ends] = np.where(length_at(ends, 1.0) < length_at(ends, 0.0), 1.0, 0.0)
 
-    lam = _newton_polish_rows(t, r, x1, x2, z_e, lam, ok[0] | ok[1])
+    # Golden-section rows keep an endpoint they land on and are polished
+    # otherwise.
+    polish = ok[0] | ok[1]
     for i in np.flatnonzero(fallback):
-        lam[i], endpoint[i] = _solve_edge_lambda(
-            t[i], r[i], float(x1[i]), float(x2[i]), float(z_e[i]))
+        lam[i] = _golden_section_min(lambda x, i=i: length_at(i, x), 0.0, 1.0)
+        if lam[i] < 1e-9 or lam[i] > 1.0 - 1e-9:
+            lam[i], endpoint[i] = round(lam[i]), True
+        else:
+            polish[i] = True
+    lam = _newton_polish_rows(t, r, x1, x2, z_e, lam, polish)
     return lam, endpoint, length_at(slice(None), lam)
 
 
 def _newton_polish_rows(t, r, x1, x2, z_e, lam, polish) -> np.ndarray:
-    """Row-wise _newton_polish of the rows where ``polish`` is set; each row
-    stops where the scalar loop breaks, and the other rows keep ``lam``."""
+    """Refine the interior stationary points of the rows where ``polish`` is
+    set with up to three Newton steps on dp/dq; the other rows keep ``lam``.
+
+    The quadratic route resolves a near-double root only to ~sqrt(eps); the
+    two-leg length is convex in q with a simple root of its derivative, so a
+    few Newton steps recover full precision. A row stops early at a zero
+    leg, a non-positive curvature or a step below 1e-14 relative.
+    """
     span = x1 - x2
     q = x2 + lam * span
     at2 = t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2
@@ -450,13 +352,30 @@ def _newton_polish_rows(t, r, x1, x2, z_e, lam, polish) -> np.ndarray:
     return np.where(polish, np.minimum(np.maximum(polished, 0.0), 1.0), lam)
 
 
+def _on_edge_line(t: np.ndarray, r: np.ndarray, z_e) -> np.ndarray:
+    """Whether edge-local tx and rx, shape (..., 3), both lie on the edge
+    line {y = 0, z = z_e}, where diffraction is undefined."""
+    return ((np.abs(t[..., 1]) < 1e-12) & (np.abs(t[..., 2] - z_e) < 1e-12)
+            & (np.abs(r[..., 1]) < 1e-12) & (np.abs(r[..., 2] - z_e) < 1e-12))
+
+
+def _edge_points_world(rotation: np.ndarray, translation: np.ndarray, x1: np.ndarray,
+                       x2: np.ndarray, z_e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """World points (N, 3) at ``lam`` on N edges, each given by its frame's
+    rotation (N, 3, 3) and translation (N, 3) and its x1, x2, z_e (N,)."""
+    q_local = np.stack([x2 + lam * (x1 - x2), np.zeros_like(lam), z_e], axis=1)
+    return np.einsum("eji,ej->ei", rotation, q_local - translation)
+
+
 def _edge_solution(t: np.ndarray, r: np.ndarray, edge: WindowEdge, z_e: float) -> DiffractionSolution:
-    """Edge point and two-leg length for edge-local tx/rx, edge at height z_e."""
-    lam, endpoint = _solve_edge_lambda(t, r, edge.x1, edge.x2, z_e)
-    qx = edge.x2 + lam * (edge.x1 - edge.x2)
-    length = _two_leg_length(t, r, z_e, qx)
-    q_world = edge.frame.to_world([qx, 0.0, z_e])
-    return DiffractionSolution(lam, Point3.from_array(q_world), length, endpoint)
+    """One-row _solve_edge_lambdas: edge point and two-leg length for
+    edge-local tx/rx, with the edge at height z_e."""
+    x1, x2, z = (np.array([v], dtype=float) for v in (edge.x1, edge.x2, z_e))
+    lam, endpoint, length = _solve_edge_lambdas(t[None], r[None], x1, x2, z)
+    q = _edge_points_world(edge.frame.rotation[None], edge.frame.translation[None],
+                           x1, x2, z, lam)
+    return DiffractionSolution(float(lam[0]), Point3.from_array(q[0]), float(length[0]),
+                               bool(endpoint[0]))
 
 
 def diffraction_point(tx, rx, edge: WindowEdge) -> DiffractionSolution:
@@ -465,15 +384,13 @@ def diffraction_point(tx, rx, edge: WindowEdge) -> DiffractionSolution:
     Inputs are transformed into the edge-local frame, the stationarity
     quadratic is solved for lam, the in-[0,1] root of minimal two-leg length
     is kept, and out-of-range stationary points are clamped to the nearer
-    endpoint (flagged via ``endpoint``).
+    endpoint (flagged via ``endpoint``). This is the one-row case of the
+    batched edge solver; ``channel.SceneGeometry.diffractions`` solves many
+    edges at once.
     """
     t = edge.frame.to_local(_vec(tx))
     r = edge.frame.to_local(_vec(rx))
-    on_edge_line = (
-        abs(t[1]) < 1e-12 and abs(t[2] - edge.z_e) < 1e-12
-        and abs(r[1]) < 1e-12 and abs(r[2] - edge.z_e) < 1e-12
-    )
-    if on_edge_line:
+    if _on_edge_line(t, r, edge.z_e):
         raise GeometryError("tx and rx both lie on the edge line; diffraction undefined")
     return _edge_solution(t, r, edge, edge.z_e)
 

@@ -45,7 +45,6 @@ __all__ = [
     "lls_solve",
     "peb",
     "lls_start",
-    "initial_guess",
 ]
 
 _RANK_RTOL = 1e-12
@@ -488,15 +487,3 @@ def lls_start(lls: PositionEstimate | None, bounds: tuple) -> Point3:
     if lls is None:
         return Point3.from_array(0.5 * (lo + hi))
     return Point3.from_array(np.clip(lls.alpha_hat.as_array(), lo, hi))
-
-
-def initial_guess(meas: MeasurementSet, bounds: tuple) -> Point3:
-    """Default D-NLS starting point: LLS clamped into the scene bounds.
-
-    Falls back to the bounds centroid (mid-height) when LLS is singular.
-    """
-    try:
-        lls = lls_solve(meas)
-    except SingularGeometryError:
-        lls = None
-    return lls_start(lls, bounds)

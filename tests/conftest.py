@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from diffpos.geometry import RigidTransform, WindowEdge, approx_diffraction_solution
+from diffpos.geometry import RigidTransform, WindowEdge
+from scalar_edge import approx_diffraction_solution
 
 
 def random_positioning_instance(rng, n_anchors=4, interior_margin=1e-3):

@@ -2,7 +2,8 @@
 
 This is the solver the batched ``positioning`` code replaced, kept as the
 test oracle. Each edge is solved with the scalar
-``approx_diffraction_solution``; one problem and one rung run at a time.
+``approx_diffraction_solution`` of ``scalar_edge``; one problem and one rung
+run at a time.
 Instead of raising, a solve reports how it ended and at which iteration.
 """
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from diffpos.geometry import approx_diffraction_solution
+from scalar_edge import approx_diffraction_solution
 
 RANK_RTOL = 1e-12
 

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import scalar_edge
 from conftest import random_positioning_instance
 from diffpos.channel import (
     MpcGroup,
@@ -129,9 +130,9 @@ def test_criterion_2_jacobian_vs_finite_differences():
                 up[i] += h
                 dn[i] -= h
                 for j in range(4):
-                    p_up = approx_diffraction_solution(anchors[j], up, edges[j]).path_length
-                    p_dn = approx_diffraction_solution(anchors[j], dn, edges[j]).path_length
-                    numeric[i, j] = (p_up - p_dn) / (2 * h)
+                    p_up = scalar_edge.approx_diffraction_solution(anchors[j], up, edges[j])
+                    p_dn = scalar_edge.approx_diffraction_solution(anchors[j], dn, edges[j])
+                    numeric[i, j] = (p_up.path_length - p_dn.path_length) / (2 * h)
             worst = max(worst, float(np.max(np.abs(analytic - numeric))))
         assert worst <= 1e-6, f"max deviation {worst:.2e}"
 

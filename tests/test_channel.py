@@ -412,21 +412,27 @@ def test_crossings_match_brute_force():
 
 
 def test_diffractions_match_diffraction_point():
+    # Both run the same edge-solver body, so they agree exactly.
     scene = build_default_scene()
     geom = build_scene_geometry(scene)
     rng = np.random.default_rng(11)
+
+    def assert_same(d, k, sol):
+        assert d.length[k] == sol.path_length
+        assert d.lam[k] == sol.lam
+        assert d.endpoint[k] == sol.endpoint
+        assert np.array_equal(d.point[k], sol.q.as_array())
+
     for _ in range(4):
         tx = np.array([rng.uniform(-5, 35), rng.choice([-20.0, 40.0]), rng.uniform(1, 8)])
         rx = rng.uniform([0.5, 0.5, 6.5], [29.5, 19.5, 11.5])
-        ids, length, q = geom.diffractions(tx, rx)
-        assert ids.tolist() == list(range(len(geom.edges)))
+        d = geom.diffractions(tx, rx)
+        assert d.ids.tolist() == list(range(len(geom.edges)))
         for e, edge in enumerate(geom.edges):
-            sol = diffraction_point(tx, rx, edge)
-            assert abs(length[e] - sol.path_length) <= 1e-9 * sol.path_length
-            assert np.allclose(q[e], sol.q.as_array(), rtol=0.0, atol=1e-9)
+            assert_same(d, e, diffraction_point(tx, rx, edge))
     # Both points on the line of the first-floor bottom edges of facade y = 0.
     tx, rx = np.array([-5.0, 0.0, 0.8]), np.array([3.0, 0.0, 0.8])
-    ids, length, q = geom.diffractions(tx, rx)
+    d = geom.diffractions(tx, rx)
     defined = []
     for e, edge in enumerate(geom.edges):
         try:
@@ -434,9 +440,8 @@ def test_diffractions_match_diffraction_point():
         except GeometryError:
             continue
         defined.append(e)
-        k = len(defined) - 1
-        assert abs(length[k] - sol.path_length) <= 1e-9 * sol.path_length
-    assert ids.tolist() == defined and len(defined) == len(geom.edges) - 6
+        assert_same(d, len(defined) - 1, sol)
+    assert d.ids.tolist() == defined and len(defined) == len(geom.edges) - 6
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +504,36 @@ def test_ingest_malformed_line_reports_number(tmp_path):
     with pytest.raises(DatasetError) as err:
         ingest_dataset(path, BAND)
     assert err.value.line_no == 3
+
+
+_RECORD = {"anchor_id": 0, "rx_id": 0, "rx_xyz": [0.0, 0.0, 0.0], "interactions": "Tx-Rx",
+           "path_length_m": 10.0, "rx_power_dbm": -50.0}
+
+
+@pytest.mark.parametrize("changes, outcome", [
+    ({"edge_id": "x"}, "malformed field"),
+    ({"tof_s": "x"}, "malformed field"),
+    ({"tof_s": None}, "malformed field"),
+    ({"rx_xyz": [0.0, float("nan"), 0.0]}, "non-finite rx_xyz"),
+    ({"path_length_m": float("nan")}, "rejected"),
+    ({"rx_power_dbm": float("inf")}, "rejected"),
+    ({"tof_s": float("nan")}, "rejected"),
+], ids=["edge_id_not_int", "tof_not_a_number", "tof_null", "rx_xyz_nan", "length_nan",
+        "power_inf", "tof_nan"])
+def test_ingest_bad_field_values(tmp_path, changes, outcome):
+    # A malformed field raises DatasetError with its line number; a
+    # non-finite length, power or ToF rejects only its own record.
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"schema": "mpc-dataset/1"}\n' + json.dumps(_RECORD) + "\n"
+                    + json.dumps({**_RECORD, **changes}) + "\n")
+    if outcome == "rejected":
+        result = ingest_dataset(path, BAND)
+        assert result.mpc_count == 1
+        assert [line_no for line_no, _ in result.rejected] == [3]
+    else:
+        with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as err:
+            ingest_dataset(path, BAND)
+        assert err.value.line_no == 3
 
 
 def test_ingest_bad_schema(tmp_path):

@@ -207,9 +207,10 @@ _ANCHORS = build_default_scene().anchors
     ({"anchors": _ANCHORS[:3] + ((30.0, 20.0, 21.0),)}, {}, "inside the building"),
     ({}, {"top_k": 0}, "top_k must be >= 1"),
     ({}, {"t_fap_db": -1.0}, "t_fap_db must be >= 0"),
+    ({}, {"seed": -1}, "seed must be >= 0"),
 ], ids=["three_anchors", "duplicate_frequency", "out_of_band_frequency",
         "anchor_inside_building", "anchor_on_building_corner", "top_k_zero",
-        "negative_t_fap"])
+        "negative_t_fap", "negative_seed"])
 def test_sweep_config_rejects(scene_changes, sweep_changes, message):
     scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
     scene = dataclasses.replace(scene, **scene_changes)
@@ -368,6 +369,14 @@ def test_cli_sweep_out_of_band_is_an_error_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "outside every configured band" in err
+    assert not out_dir.exists()
+
+
+def test_cli_sweep_negative_seed_is_an_error_line(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc = cli_main(["sweep", "--out", str(out_dir), "--seed", "-3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
     assert not out_dir.exists()
 
 

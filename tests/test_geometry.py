@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_edge
 from diffpos import geometry
 from diffpos.channel import build_scene_geometry
 from diffpos.experiments import build_default_scene
@@ -258,7 +259,7 @@ def test_solve_edge_lambdas_matches_scalar_on_default_edges():
         rx = rng.uniform([0.5, 0.5, 0.5], [29.5, 19.5, 20.5])
         lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))
         for i, edge in enumerate(edges):
-            sol = diffraction_point(tx, rx, edge)
+            sol = scalar_edge.diffraction_point(tx, rx, edge)
             assert abs(lam[i] - sol.lam) <= 1e-12
             assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
             assert endpoint[i] == sol.endpoint
@@ -273,21 +274,30 @@ def test_solve_edge_lambdas_degenerate_row_takes_scalar_fallback(monkeypatch):
     edges = (WindowEdge(-4.0, 4.0, 1.0, 1.0), WindowEdge(-4.0, 4.0, 1.0, 1.0, shifted))
     tx, rx = np.array([-1.0, -2.0, 1.0]), np.array([5.0, 2.0, 1.0])
     calls = []
-    scalar = geometry._solve_edge_lambda
+    golden = geometry._golden_section_min
 
-    def spy(*args):
-        calls.append(args)
-        return scalar(*args)
+    def spy(f, lo, hi):
+        calls.append(f)
+        return golden(f, lo, hi)
 
-    monkeypatch.setattr(geometry, "_solve_edge_lambda", spy)
+    monkeypatch.setattr(geometry, "_golden_section_min", spy)
     lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))
-    assert len(calls) == 1 and calls[0][1][1] == 2.0  # the unshifted edge only
-    calls.clear()
+    # The unshifted edge only: its legs at lam = 0 run to (4, 0, 1).
+    assert len(calls) == 1
+    assert calls[0](0.0) == pytest.approx(math.sqrt(29.0) + math.sqrt(5.0), rel=1e-15)
     for i, edge in enumerate(edges):
-        sol = diffraction_point(tx, rx, edge)
+        sol = scalar_edge.diffraction_point(tx, rx, edge)
         assert abs(lam[i] - sol.lam) <= 1e-12
         assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
         assert endpoint[i] == sol.endpoint
+    # A degenerate row whose minimum lies beyond the edge: the search lands
+    # within 1e-9 of lam = 0, which is rounded to the endpoint and flagged.
+    tx, rx = np.array([6.0, -2.0, 1.0]), np.array([8.0, 2.0, 1.0])
+    lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges[:1], tx, rx))
+    sol = scalar_edge.diffraction_point(tx, rx, edges[0])
+    assert len(calls) == 2
+    assert lam[0] == sol.lam == 0.0 and endpoint[0] and sol.endpoint
+    assert abs(length[0] - sol.path_length) <= 1e-9 * sol.path_length
 
 
 def test_solve_edge_lambdas_random_edges_and_frames():
@@ -308,7 +318,7 @@ def test_solve_edge_lambdas_random_edges_and_frames():
     x1, x2, z_e = (np.array([getattr(e, k) for e, _, _ in rows]) for k in ("x1", "x2", "z_e"))
     lam, endpoint, length = _solve_edge_lambdas(t, r, x1, x2, z_e)
     for i, (edge, a, b) in enumerate(rows):
-        sol = diffraction_point(a, b, edge)
+        sol = scalar_edge.diffraction_point(a, b, edge)
         assert abs(lam[i] - sol.lam) <= 1e-12
         assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
         assert endpoint[i] == sol.endpoint

@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
+import scalar_edge
 from conftest import random_positioning_instance
 from diffpos.constants import SPEED_OF_LIGHT
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m
-from diffpos.geometry import Point3, WindowEdge, approx_diffraction_solution, diffraction_point
+from diffpos.geometry import Point3, WindowEdge, diffraction_point
 from diffpos.positioning import (
     FimResult,
     MeasurementSet,
@@ -23,8 +24,8 @@ from diffpos.positioning import (
     SolverDivergedError,
     diffraction_model,
     dnls_solve,
-    initial_guess,
     lls_solve,
+    lls_start,
     peb,
 )
 
@@ -33,8 +34,8 @@ BETA_SQ = mean_squared_bandwidth(400e6)
 
 
 def model_ranges(alpha, anchors, edges) -> np.ndarray:
-    """Diffraction-model ranges, one edge solve per anchor (oracle input)."""
-    return np.array([approx_diffraction_solution(anchors[j], alpha, edges[j]).path_length
+    """Diffraction-model ranges, one scalar edge solve per anchor (oracle)."""
+    return np.array([scalar_edge.approx_diffraction_solution(anchors[j], alpha, edges[j]).path_length
                      for j in range(len(anchors))])
 
 
@@ -367,7 +368,7 @@ def test_mismatch_direction_between_estimators():
             diffraction_point(anchors[j], alpha, edges[j]).path_length for j in range(4)])
         meas = MeasurementSet(ranges=diffraction_ranges, **meas_kwargs)
         err_dnls = np.linalg.norm(
-            dnls_solve(meas, initial_guess(meas, ((-5, -30, 0), (35, 50, 21)))
+            dnls_solve(meas, lls_start(lls_solve(meas), ((-5, -30, 0), (35, 50, 21)))
                        ).alpha_hat.as_array() - alpha)
         err_lls = np.linalg.norm(lls_solve(meas).alpha_hat.as_array() - alpha)
         dnls_wins += err_dnls < err_lls
@@ -375,7 +376,7 @@ def test_mismatch_direction_between_estimators():
         euclid_ranges = np.linalg.norm(anchors - alpha, axis=1)
         meas = MeasurementSet(ranges=euclid_ranges, **meas_kwargs)
         err_dnls = np.linalg.norm(
-            dnls_solve(meas, initial_guess(meas, ((-5, -30, 0), (35, 50, 21)))
+            dnls_solve(meas, lls_start(lls_solve(meas), ((-5, -30, 0), (35, 50, 21)))
                        ).alpha_hat.as_array() - alpha)
         err_lls = np.linalg.norm(lls_solve(meas).alpha_hat.as_array() - alpha)
         lls_wins += err_lls < err_dnls
@@ -385,7 +386,7 @@ def test_mismatch_direction_between_estimators():
 
 
 # ---------------------------------------------------------------------------
-# Initial guess
+# D-NLS start
 # ---------------------------------------------------------------------------
 
 BOUNDS = (np.array([0.0, 0.0, 0.0]), np.array([20.0, 20.0, 15.0]))
@@ -396,21 +397,24 @@ def test_initial_guess_uses_clamped_lls():
     truth = np.array([3.0, 4.0, 5.0])
     ranges = np.linalg.norm(anchors - truth, axis=1)
     meas = MeasurementSet(anchors, ranges, np.ones(4), dummy_edges(4))
-    guess = initial_guess(meas, BOUNDS)
+    guess = lls_start(lls_solve(meas), BOUNDS)
     np.testing.assert_allclose(guess.as_array(), truth, atol=1e-9)
 
     # A solution outside the bounds gets clamped onto the box.
     truth_out = np.array([25.0, 4.0, 5.0])
     ranges = np.linalg.norm(anchors - truth_out, axis=1)
     meas = MeasurementSet(anchors, ranges, np.ones(4), dummy_edges(4))
-    guess = initial_guess(meas, BOUNDS)
+    guess = lls_start(lls_solve(meas), BOUNDS)
     assert guess.x == 20.0
 
 
 def test_initial_guess_centroid_fallback():
+    # Coplanar anchors make LLS singular; the start is then the centroid.
     anchors = np.array([[0.0, 0.0, 2.0], [10.0, 0.0, 2.0], [0.0, 10.0, 2.0], [10.0, 10.0, 2.0]])
     meas = MeasurementSet(anchors, np.full(4, 12.0), np.ones(4), dummy_edges(4))
-    guess = initial_guess(meas, BOUNDS)
+    with pytest.raises(SingularGeometryError):
+        lls_solve(meas)
+    guess = lls_start(None, BOUNDS)
     np.testing.assert_allclose(guess.as_array(), [10.0, 10.0, 7.5])
 
 
@@ -419,5 +423,6 @@ def test_initial_guess_rejects_three_anchors():
     # turn into the centroid start.
     anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
     meas = MeasurementSet(anchors, np.full(3, 12.0), np.ones(3), dummy_edges(3))
-    with pytest.raises(ValueError, match="at least 4 anchors"):
-        initial_guess(meas, BOUNDS)
+    with pytest.raises(ValueError, match="at least 4 anchors") as err:
+        lls_solve(meas)
+    assert not isinstance(err.value, SingularGeometryError)
