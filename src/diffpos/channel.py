@@ -26,16 +26,14 @@ import numpy as np
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT, linear_to_db
 from .geometry import (
-    GeometryError,
     Point3,
-    ReflectorPlane,
     RigidTransform,
     WindowEdge,
     _edge_points_world,
     _on_edge_line,
+    _reflect_rows,
     _solve_edge_lambdas,
     euclidean_distance,
-    reflection_path_length,
 )
 from .materials import (
     Band,
@@ -169,6 +167,8 @@ def noise_floor_dbm(bandwidth_hz: float, noise_temperature_k: float = 290.0) -> 
     """Thermal noise floor 10*log10(k*T*B / 1 mW) in dBm."""
     if not bandwidth_hz > 0:
         raise ValueError("bandwidth must be positive")
+    if not noise_temperature_k > 0:
+        raise ValueError(f"noise temperature must be positive, got {noise_temperature_k:g} K")
     return linear_to_db(BOLTZMANN * noise_temperature_k * bandwidth_hz / 1e-3)
 
 
@@ -178,15 +178,28 @@ def snr_db(mpc_or_power, band: Band, noise_temperature_k: float = 290.0) -> floa
     return power - noise_floor_dbm(band.bandwidth_hz, noise_temperature_k)
 
 
+def _top_k_rows(tof: np.ndarray, snr: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k highest-SNR rows of a PDP, in PDP order.
+
+    The rows come sorted by time of flight. SNR ties go to the earlier row;
+    the kept rows are re-sorted by time of flight, with ties in descending
+    SNR and then in PDP order.
+    """
+    if len(snr) <= k:
+        return np.arange(len(snr))
+    top = np.argsort(-snr, kind="stable")[:k]
+    return top[np.argsort(tof[top], kind="stable")]
+
+
 def truncate_top_k(pdp: Pdp, k: int = 25) -> Pdp:
     """Keep the k highest-SNR MPCs, re-sorted by time of flight."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(pdp.mpcs) <= k:
         return pdp
-    keep = sorted(pdp.mpcs, key=lambda m: m.snr_db, reverse=True)[:k]
-    keep.sort(key=lambda m: m.tof_s)
-    return Pdp(keep, pdp.rx, pdp.anchor_id, pdp.rx_id)
+    rows = _top_k_rows(np.array([m.tof_s for m in pdp.mpcs]),
+                       np.array([m.snr_db for m in pdp.mpcs]), k)
+    return Pdp([pdp.mpcs[i] for i in rows.tolist()], pdp.rx, pdp.anchor_id, pdp.rx_id)
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +389,6 @@ class Surface:
     cutouts: tuple[tuple[float, float, float, float], ...] = ()
     reflective: bool = False
 
-    def as_plane(self) -> ReflectorPlane:
-        """The unbounded plane; callers enforce the extent with contains_uv."""
-        normal = np.zeros(3)
-        normal[_AXIS_INDEX[self.axis]] = 1.0
-        return ReflectorPlane(normal=normal, offset=self.coord)
-
-    def contains_uv(self, u: float, v: float) -> bool:
-        if not (self.u_lo <= u <= self.u_hi and self.v_lo <= v <= self.v_hi):
-            return False
-        for (cu_lo, cu_hi, cv_lo, cv_hi) in self.cutouts:
-            if cu_lo <= u <= cu_hi and cv_lo <= v <= cv_hi:
-                return False
-        return True
-
 
 class EdgeDiffractions(NamedTuple):
     """Single diffraction at D edges of a scene, one entry per edge."""
@@ -401,33 +400,71 @@ class EdgeDiffractions(NamedTuple):
     point: np.ndarray  # (D, 3) world diffraction point
 
 
+class Reflections(NamedTuple):
+    """Single specular reflections off R reflectors of a scene."""
+
+    ids: np.ndarray  # (R,) reflector indices into SceneGeometry.reflector_slabs
+    length: np.ndarray  # (R,) image-source path length
+    point: np.ndarray  # (R, 3) world specular point
+    incidence: np.ndarray  # (R,) incidence angle from the normal, below pi/2
+
+
+class _SurfacePack(NamedTuple):
+    """Axis-aligned surfaces packed into arrays, one entry per surface."""
+
+    axis: np.ndarray  # (N,) normal axis index
+    uv: np.ndarray  # (N, 2) in-plane (u, v) axis indices
+    coord: np.ndarray  # (N,) plane coordinate along the normal axis
+    extent: np.ndarray  # (4, N) u_lo, u_hi, v_lo, v_hi
+    has_cutouts: np.ndarray  # (N,)
+    cutouts: np.ndarray  # (4, N, C) likewise, padded with boxes that hold no point
+
+
+def _pack_surfaces(surfaces: list[Surface]) -> _SurfacePack:
+    width = max((len(s.cutouts) for s in surfaces), default=0)
+    cutouts = np.tile(np.array([math.inf, -math.inf, math.inf, -math.inf])[:, None, None],
+                      (1, len(surfaces), width))
+    for k, s in enumerate(surfaces):
+        cutouts[:, k, :len(s.cutouts)] = np.array(s.cutouts).T.reshape(4, -1)
+    return _SurfacePack(
+        axis=np.array([_AXIS_INDEX[s.axis] for s in surfaces], dtype=int),
+        uv=np.array([_PLANE_AXES[s.axis] for s in surfaces], dtype=int).reshape(-1, 2),
+        coord=np.array([s.coord for s in surfaces], dtype=float),
+        extent=np.array([[s.u_lo, s.u_hi, s.v_lo, s.v_hi] for s in surfaces],
+                        dtype=float).reshape(-1, 4).T.copy(),
+        has_cutouts=np.array([bool(s.cutouts) for s in surfaces], dtype=bool),
+        cutouts=cutouts,
+    )
+
+
 class SceneGeometry:
     """Expanded scene: crossing surfaces, reflectors, and diffraction edges.
 
     Everything the batched kernels need is packed into arrays once, here:
-    the surface planes and extents, one array of cutout boxes per surface
-    that has window cutouts, and the edge frames. ``crossings`` tests every
-    segment against every surface at once: a parametric plane hit strictly
-    inside the segment, then the surface extent, then, per facade, the
-    cutouts. ``diffractions`` solves the stationary point on every edge at
-    once. Per-frequency slab losses are cached via prepare_frequency.
+    the crossing surfaces and the reflectors (the reflective surfaces in
+    surface order, then the ground when ``ground_slab`` is given), each with
+    its plane, extent and window cutouts, and the edge frames.
+    ``crossings`` tests every segment against every surface at once: a
+    parametric plane hit strictly inside the segment, then the surface
+    extent, then, per facade, the cutouts. ``reflections`` reflects off every
+    reflector at once and ``diffractions`` solves the stationary point on
+    every edge at once. Per-frequency slab losses are cached via
+    prepare_frequency.
     """
 
     def __init__(self, surfaces: list[Surface], edges: list[WindowEdge],
-                 ground: ReflectorPlane | None):
+                 ground_slab: SlabSpec | None):
         self.surfaces = surfaces
         self.edges = edges
-        self.ground = ground
-        self._axis = np.array([_AXIS_INDEX[s.axis] for s in surfaces], dtype=int)
-        self._ui = np.array([_PLANE_AXES[s.axis][0] for s in surfaces], dtype=int)
-        self._vi = np.array([_PLANE_AXES[s.axis][1] for s in surfaces], dtype=int)
-        self._coord = np.array([s.coord for s in surfaces])
-        self._u_lo = np.array([s.u_lo for s in surfaces])
-        self._u_hi = np.array([s.u_hi for s in surfaces])
-        self._v_lo = np.array([s.v_lo for s in surfaces])
-        self._v_hi = np.array([s.v_hi for s in surfaces])
-        # Surface index -> (K, 4) cutout boxes (u_lo, u_hi, v_lo, v_hi).
-        self._cutouts = {i: np.array(s.cutouts) for i, s in enumerate(surfaces) if s.cutouts}
+        self._walls = _pack_surfaces(surfaces)
+        # Reflectors; the ground is the unbounded plane z = 0.
+        mirrors = [s for s in surfaces if s.reflective]
+        if ground_slab is not None:
+            mirrors.append(Surface("ground", "z", 0.0, -math.inf, math.inf,
+                                   -math.inf, math.inf, ground_slab))
+        self.reflector_slabs = tuple(s.slab for s in mirrors)
+        self._mirrors = _pack_surfaces(mirrors)
+        self._mirror_normal = np.eye(3)[self._mirrors.axis].reshape(-1, 3)
         self._edge_rotation = np.array([e.frame.rotation for e in edges]).reshape(-1, 3, 3)
         self._edge_translation = np.array([e.frame.translation for e in edges]).reshape(-1, 3)
         self._edge_x1 = np.array([e.x1 for e in edges], dtype=float)
@@ -445,25 +482,52 @@ class SceneGeometry:
 
     def crossings(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
         """(L, S) mask of the surfaces each open segment (p0[l], p1[l]) crosses."""
+        walls = self._walls
         d = p1 - p0
-        denom = d[:, self._axis]
+        denom = d[:, walls.axis]
         crossing = np.abs(denom) > 1e-15
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (self._coord - p0[:, self._axis]) / denom
+            t = (walls.coord - p0[:, walls.axis]) / denom
         t = np.where(crossing, t, -1.0)  # parallel segments never cross
         hit = crossing & (t > _SEGMENT_EPS) & (t < 1.0 - _SEGMENT_EPS)
-        u = p0[:, self._ui] + t * d[:, self._ui]
-        v = p0[:, self._vi] + t * d[:, self._vi]
-        hit &= (u >= self._u_lo) & (u <= self._u_hi) & (v >= self._v_lo) & (v <= self._v_hi)
+        ui, vi = walls.uv.T
+        u = p0[:, ui] + t * d[:, ui]
+        v = p0[:, vi] + t * d[:, vi]
+        u_lo, u_hi, v_lo, v_hi = walls.extent
+        hit &= (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= v_hi)
         # Window cutouts punch holes into the few surfaces that carry them.
-        for i, box in self._cutouts.items():
+        for i in np.flatnonzero(walls.has_cutouts).tolist():
             legs = np.flatnonzero(hit[:, i])
-            hu = u[legs, i][:, None]
-            hv = v[legs, i][:, None]
-            in_cutout = ((box[:, 0] <= hu) & (hu <= box[:, 1])
-                         & (box[:, 2] <= hv) & (hv <= box[:, 3])).any(axis=1)
+            box, hu, hv = walls.cutouts[:, i], u[legs, i][:, None], v[legs, i][:, None]
+            in_cutout = ((box[0] <= hu) & (hu <= box[1])
+                         & (box[2] <= hv) & (hv <= box[3])).any(axis=1)
             hit[legs[in_cutout], i] = False
         return hit
+
+    def reflections(self, tx: np.ndarray, rx: np.ndarray) -> Reflections:
+        """Specular reflection off every reflector with a valid specular point.
+
+        A reflector is left out when tx and rx are not strictly on the same
+        side of its plane, when the specular point falls outside its extent
+        or into a window cutout (there is no material to reflect off), or
+        when the incident leg has zero length. The incidence angle is
+        clamped just below pi/2.
+        """
+        mirrors = self._mirrors
+        length, point, ok = _reflect_rows(tx, rx, self._mirror_normal, mirrors.coord)
+        rows = np.arange(len(point))
+        u, v = point[rows, mirrors.uv[:, 0]], point[rows, mirrors.uv[:, 1]]
+        u_lo, u_hi, v_lo, v_hi = mirrors.extent
+        ok &= (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= v_hi)
+        cut = np.flatnonzero(ok & mirrors.has_cutouts)
+        box, hu, hv = mirrors.cutouts[:, cut], u[cut, None], v[cut, None]
+        ok[cut] = ~((box[0] <= hu) & (hu <= box[1]) & (box[2] <= hv) & (hv <= box[3])).any(axis=1)
+        incident = point - tx
+        norm = np.sqrt((incident * incident).sum(axis=1))
+        ids = np.flatnonzero(ok & (norm != 0.0))
+        cos_i = np.abs(incident[ids, mirrors.axis[ids]]) / norm[ids]
+        angle = np.minimum(np.arccos(np.minimum(1.0, cos_i)), math.pi / 2 - 1e-12)
+        return Reflections(ids, length[ids], point[ids], angle)
 
     def diffractions(self, tx: np.ndarray, rx: np.ndarray) -> EdgeDiffractions:
         """Diffraction at every edge where diffraction_point is defined, with
@@ -524,10 +588,8 @@ def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
     for window in scene.windows:
         edges.extend(window.edges())
 
-    ground = None
-    if scene.include_ground:
-        ground = ReflectorPlane(normal=np.array([0.0, 0.0, 1.0]), offset=0.0)
-    return SceneGeometry(surfaces=surfaces, edges=edges, ground=ground)
+    ground_slab = scene.exterior_slab if scene.include_ground else None
+    return SceneGeometry(surfaces=surfaces, edges=edges, ground_slab=ground_slab)
 
 
 def _grid_axis(extent: float, margin: float, spacing: float) -> np.ndarray:
@@ -551,17 +613,54 @@ def receiver_grid(scene: SceneConfig) -> list[Point3]:
 # Path enumeration
 # ---------------------------------------------------------------------------
 
+# Row kinds of a PathTable.
+_DIRECT, _REFLECTION, _DIFFRACTION = 0, 1, 2
+_KIND_SYMBOL = (None, "R", "D")
+# Group of each row kind when no transmission precedes the interaction;
+# the direct segment is MPC1 whatever it crosses.
+_KIND_GROUP = np.array([MpcGroup.MPC1.value, MpcGroup.MPC2.value, MpcGroup.MPC3.value])
+_GROUP_OF_CODE = (None, MpcGroup.MPC1, MpcGroup.MPC2, MpcGroup.MPC3, MpcGroup.MPC4)
+
+
+# Memo of _interactions; its values are immutable and there are at most
+# 3 * (max_transmissions + 1) ** 2 of them.
+_INTERACTIONS: dict[tuple[int, int, int], tuple[str, ...]] = {}
+
+
+def _interactions(kind: int, n1: int, n2: int) -> tuple[str, ...]:
+    """Interaction tuple of a row: n1 transmissions, the row's reflection
+    or diffraction, then n2 transmissions (the direct segment has only n1)."""
+    found = _INTERACTIONS.get((kind, n1, n2))
+    if found is None:
+        found = ("T",) * n1 if kind == _DIRECT \
+            else ("T",) * n1 + (_KIND_SYMBOL[kind],) + ("T",) * n2
+        _INTERACTIONS[kind, n1, n2] = found
+    return found
+
+
+class PathLosses(NamedTuple):
+    """Losses of a PathTable's rows at F frequencies."""
+
+    power_dbm: np.ndarray  # (F, P) received power
+    snr_db: np.ndarray  # (F, P)
+    detected: np.ndarray  # (F, P) reflects something and clears the floor
+
+
 @dataclass(frozen=True, eq=False)
 class PathTable:
     """Frequency-independent candidate paths of one (anchor, receiver) pair.
 
     One row per path, in emission order: the direct segment, single
     specular reflections (reflective surfaces in surface order, then the
-    ground), then single diffractions in edge order. ``crossings[p, 0]`` and
-    ``crossings[p, 1]`` mark the surfaces crossed before and after the
-    path's reflection or diffraction point (the direct segment has only the
-    first). Geometry-only drops happen when the table is built; ``pdp``
-    applies the losses of one frequency.
+    ground), then single diffractions in edge order. Every attribute is a
+    column. ``crossings[p, 0]`` and ``crossings[p, 1]`` mark the surfaces
+    crossed before and after the path's reflection or diffraction point
+    (the direct segment has only the first), and ``n_crossings`` counts
+    them. ``group`` holds the MpcGroup value: MPC1 for the direct segment,
+    MPC4 for a reflection or diffraction after a transmission, otherwise
+    MPC2 for a reflection and MPC3 for a diffraction. Geometry-only drops
+    happen when the table is built; ``losses`` applies the losses of any
+    number of frequencies and ``pdp`` builds the PDP of one.
     """
 
     scene: SceneConfig
@@ -569,15 +668,18 @@ class PathTable:
     anchor_id: int
     rx: Point3
     length_m: np.ndarray  # (P,)
+    tof_s: np.ndarray  # (P,)
     crossings: np.ndarray  # (P, 2, S) bool
-    interactions: tuple[tuple[str, ...], ...]
-    groups: tuple[MpcGroup, ...]
-    edge_ids: tuple[int | None, ...]
-    reflection_slabs: tuple[SlabSpec | None, ...]
+    kind: np.ndarray  # (P,) _DIRECT, _REFLECTION or _DIFFRACTION
+    n_crossings: np.ndarray  # (P, 2) surfaces crossed per leg
+    group: np.ndarray  # (P,) MpcGroup value
+    edge_id: np.ndarray  # (P,) index into geometry.edges; -1 off diffraction rows
+    reflector: np.ndarray  # (P,) index into geometry.reflector_slabs; -1 off reflection rows
     incidence_rad: np.ndarray  # (P,) clamped incidence angle; NaN off reflection rows
 
-    def pdp(self, f_hz: float) -> Pdp:
-        """The PDP at one frequency, sorted by time of flight.
+    def losses(self, freqs_hz) -> PathLosses:
+        """Received power and SNR of every row at each of F frequencies
+        (``freqs_hz`` is one frequency or a sequence of them).
 
         A row's received power is the band gain minus the free-space loss of
         its length, minus its reflection loss or excess diffraction loss,
@@ -585,43 +687,61 @@ class PathTable:
         accumulate as along the path: each leg's slab losses are summed in
         surface order, the first leg's then the second's, which fixes the
         floating-point rounding. Paths that reflect nothing (infinite
-        reflection loss) and paths below the detectability floor are dropped.
+        reflection loss) and paths below the detectability floor are not
+        detected.
         """
         radio = self.scene.radio
-        band = radio.band_for(f_hz)
-        floor = noise_floor_dbm(band.bandwidth_hz, radio.noise_temperature_k)
-        gain = band.tx_power_dbm + band.rx_processing_gain_db
-        lengths = self.length_m.tolist()
+        freqs = [float(f_hz) for f_hz in np.ravel(freqs_hz)]
+        bands = [radio.band_for(f_hz) for f_hz in freqs]
+        gain = np.array([[b.tx_power_dbm + b.rx_processing_gain_db] for b in bands])
+        floor = np.array([[noise_floor_dbm(b.bandwidth_hz, radio.noise_temperature_k)]
+                          for b in bands])
 
-        base = np.zeros(len(lengths))
-        base[[i for i, e in enumerate(self.edge_ids) if e is not None]] = \
-            diffraction_loss_db(radio.diffraction_loss, f_hz)
-        for i, slab in enumerate(self.reflection_slabs):
-            if slab is not None:
-                base[i] = reflection_loss_db(slab, f_hz, float(self.incidence_rad[i]),
-                                             radio.polarization)
-        slab_db = self.geometry.prepare_frequency(f_hz)
-        legs_db = np.cumsum(np.where(self.crossings, slab_db, 0.0), axis=-1)[..., -1]
-        extra = base + legs_db[:, 0] + legs_db[:, 1]
-        fspl = np.array([free_space_path_loss_db(length, f_hz) for length in lengths])
-        power = gain - fspl - extra
+        base = np.zeros((len(freqs), len(self.length_m)))
+        base[:, self.kind == _DIFFRACTION] = [
+            [diffraction_loss_db(radio.diffraction_loss, f_hz)] for f_hz in freqs]
+        rows = np.flatnonzero(self.kind == _REFLECTION)
+        for i, k, angle in zip(rows.tolist(), self.reflector[rows].tolist(),
+                               self.incidence_rad[rows].tolist()):
+            slab = self.geometry.reflector_slabs[k]
+            base[:, i] = [reflection_loss_db(slab, f_hz, angle, radio.polarization)
+                          for f_hz in freqs]
+        # Slab losses per leg, summed in surface order: cumsum runs down the
+        # surfaces of an (S, F, 2P) stack.
+        slab_db = np.array([self.geometry.prepare_frequency(f_hz) for f_hz in freqs])
+        crossed = self.crossings.reshape(-1, slab_db.shape[1]).T[:, None, :]
+        legs_db = np.cumsum(np.where(crossed, slab_db.T[:, :, None], 0.0), axis=0)[-1]
+        legs_db = legs_db.reshape(len(freqs), -1, 2)
+        extra = base + legs_db[..., 0] + legs_db[..., 1]
+        power = gain - free_space_path_loss_db(self.length_m, np.array(freqs)[:, None]) - extra
         snr = power - floor
-        keep = np.flatnonzero(~np.isinf(base) & (snr >= self.scene.limits.min_snr_db))
+        detected = ~np.isinf(base) & (snr >= self.scene.limits.min_snr_db)
+        return PathLosses(power, snr, detected)
 
-        power, snr = power.tolist(), snr.tolist()
-        mpcs = [
-            Mpc(interactions=self.interactions[i],
-                path_length_m=lengths[i],
-                tof_s=lengths[i] / SPEED_OF_LIGHT,
-                rx_power_dbm=power[i],
-                snr_db=snr[i],
-                anchor_id=self.anchor_id,
-                group=self.groups[i],
-                edge_id=self.edge_ids[i])
-            for i in keep.tolist()
+    def detected_rows(self, detected: np.ndarray) -> np.ndarray:
+        """The rows of one frequency's ``detected`` mask in PDP order: by
+        time of flight, ties in table order."""
+        rows = np.flatnonzero(detected)
+        return rows[np.argsort(self.tof_s[rows], kind="stable")]
+
+    def build_mpcs(self, rows: np.ndarray, power_dbm: np.ndarray, snr_db: np.ndarray) -> list[Mpc]:
+        """Mpc objects of the given rows, with their received power and SNR."""
+        n1, n2 = self.n_crossings[rows].T.tolist()
+        return [
+            Mpc(_interactions(kind, a, b), length, tof, power, snr, self.anchor_id,
+                _GROUP_OF_CODE[group], None if edge < 0 else edge)
+            for kind, a, b, length, tof, power, snr, group, edge in zip(
+                self.kind[rows].tolist(), n1, n2, self.length_m[rows].tolist(),
+                self.tof_s[rows].tolist(), power_dbm.tolist(), snr_db.tolist(),
+                self.group[rows].tolist(), self.edge_id[rows].tolist())
         ]
-        mpcs.sort(key=lambda m: m.tof_s)
-        return Pdp(mpcs, self.rx, self.anchor_id)
+
+    def pdp(self, f_hz: float) -> Pdp:
+        """The PDP at one frequency, sorted by time of flight; Mpc objects
+        are built for the detected rows only."""
+        power, snr, detected = self.losses(f_hz)
+        rows = self.detected_rows(detected[0])
+        return Pdp(self.build_mpcs(rows, power[0, rows], snr[0, rows]), self.rx, self.anchor_id)
 
 
 def path_table(
@@ -646,71 +766,46 @@ def path_table(
     rx_vec = rx.as_array() if isinstance(rx, Point3) else np.asarray(rx, dtype=float)
     limits = scene.limits
 
-    # One candidate per row: (interaction symbol, length, interaction point,
-    # reflection slab, incidence angle, edge id); the direct segment's
-    # interaction point is the receiver, so its second leg is empty.
-    rows = [(None, euclidean_distance(anchor, rx_vec), rx_vec, None, math.nan, None)]
+    refl = geom.reflections(anchor, rx_vec)
+    if limits.max_reflections < 1:
+        refl = Reflections(*(column[:0] for column in refl))
+    diff = geom.diffractions(anchor, rx_vec)
+    if limits.max_diffractions < 1:
+        diff = EdgeDiffractions(*(column[:0] for column in diff))
+    n_refl, n_diff = len(refl.ids), len(diff.ids)
 
-    # Single specular reflections. Surface bounds (and window cutouts, where
-    # there is no material to reflect off) are enforced via contains_uv.
-    if limits.max_reflections >= 1:
-        reflectors: list[tuple[ReflectorPlane, SlabSpec, Surface | None]] = [
-            (surf.as_plane(), surf.slab, surf)
-            for surf in geom.surfaces if surf.reflective
-        ]
-        if geom.ground is not None:
-            reflectors.append((geom.ground, scene.exterior_slab, None))
-        for plane, slab, surf in reflectors:
-            try:
-                sol = reflection_path_length(anchor, rx_vec, plane)
-            except GeometryError:
-                continue
-            spec = sol.specular_point.as_array()
-            if surf is not None:
-                ui, vi = _PLANE_AXES[surf.axis]
-                if not surf.contains_uv(spec[ui], spec[vi]):
-                    continue
-            incident = spec - anchor
-            norm = np.linalg.norm(incident)
-            if norm == 0.0:
-                continue
-            cos_i = abs(float(plane.normal @ incident)) / norm
-            angle = math.acos(min(1.0, cos_i))
-            rows.append(("R", sol.length, spec, slab, min(angle, math.pi / 2 - 1e-12), None))
+    # The direct segment's interaction point is the receiver, so its second
+    # leg is empty.
+    length = np.concatenate([[euclidean_distance(anchor, rx_vec)], refl.length, diff.length])
+    pts = np.concatenate([rx_vec[None], refl.point, diff.point])
+    kind = np.repeat([_DIRECT, _REFLECTION, _DIFFRACTION], [1, n_refl, n_diff])
+    edge_id = np.concatenate([np.full(1 + n_refl, -1), diff.ids])
+    reflector = np.concatenate([[-1], refl.ids, np.full(n_diff, -1)])
+    incidence = np.concatenate([[math.nan], refl.incidence, np.full(n_diff, math.nan)])
 
-    # Single diffraction at each window edge.
-    if limits.max_diffractions >= 1 and geom.edges:
-        d = geom.diffractions(anchor, rx_vec)
-        rows += [("D", length, point, None, math.nan, e)
-                 for e, length, point in zip(d.ids.tolist(), d.length, d.point)]
-
-    symbols, lengths, points, slabs, angles, edge_ids = zip(*rows)
-    pts = np.array(points)
     hits = geom.crossings(np.concatenate([np.broadcast_to(anchor, pts.shape), pts]),
                           np.concatenate([pts, np.broadcast_to(rx_vec, pts.shape)]))
     crossings = hits.reshape(2, len(pts), -1).transpose(1, 0, 2)
-    counts = crossings.sum(axis=2).tolist()
-    keep = [p for p, (n1, n2) in enumerate(counts)
-            if lengths[p] > 0.0 and n1 + n2 <= limits.max_transmissions]
+    n_crossings = crossings.sum(axis=2)
+    keep = np.flatnonzero((length > 0.0) & (n_crossings.sum(axis=1) <= limits.max_transmissions))
 
-    interactions = []
-    for p in keep:
-        n1, n2 = counts[p]
-        interactions.append(("T",) * n1 if symbols[p] is None
-                            else ("T",) * n1 + (symbols[p],) + ("T",) * n2)
-    group_of = {i: classify_mpc(i) for i in set(interactions)}
+    kind, n_crossings = kind[keep], n_crossings[keep]
+    group = np.where((kind != _DIRECT) & (n_crossings[:, 0] > 0), MpcGroup.MPC4.value,
+                     _KIND_GROUP[kind])
     return PathTable(
         scene=scene,
         geometry=geom,
         anchor_id=anchor_index,
         rx=Point3.from_array(rx_vec),
-        length_m=np.array([lengths[p] for p in keep], dtype=float),
+        length_m=length[keep],
+        tof_s=length[keep] / SPEED_OF_LIGHT,
         crossings=crossings[keep],
-        interactions=tuple(interactions),
-        groups=tuple(group_of[i] for i in interactions),
-        edge_ids=tuple(edge_ids[p] for p in keep),
-        reflection_slabs=tuple(slabs[p] for p in keep),
-        incidence_rad=np.array([angles[p] for p in keep], dtype=float),
+        kind=kind,
+        n_crossings=n_crossings,
+        group=group,
+        edge_id=edge_id[keep],
+        reflector=reflector[keep],
+        incidence_rad=incidence[keep],
     )
 
 
@@ -782,15 +877,28 @@ def export_dataset(pdps, path) -> int:
     return count
 
 
+def _integer_field(rec: dict, key: str) -> int:
+    """An id field that must be a JSON integer; a boolean or a non-integral
+    number raises ValueError."""
+    value = rec[key]
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> IngestResult:
     """Read a line-delimited MPC dataset and rebuild per-pair PDPs.
 
     Structural problems (bad JSON, wrong schema, missing or malformed
-    fields, a non-finite receiver position) raise DatasetError with the line
-    number. Physically inconsistent records (negative or non-finite lengths,
-    non-finite powers, unknown symbols, stored ToF disagreeing with the
+    fields, an id that is not an integer, a non-finite receiver position)
+    raise DatasetError with the line number. Physically inconsistent records
+    (negative or non-finite lengths, non-finite powers, unknown symbols, an
+    edge_id on a path without a diffraction, stored ToF disagreeing with the
     length beyond 1e-6 relative) are rejected individually with diagnostics.
+    A non-positive bandwidth or noise temperature raises ValueError.
     """
+    floor = noise_floor_dbm(band.bandwidth_hz, noise_temperature_k)
     buckets: dict[tuple[int, int], list[Mpc]] = {}
     rx_positions: dict[tuple[int, int], Point3] = {}
     rejected: list[tuple[int, str]] = []
@@ -814,14 +922,14 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
             except json.JSONDecodeError as exc:
                 raise DatasetError(line_no, f"invalid JSON: {exc}") from None
             try:
-                anchor_id = int(rec["anchor_id"])
-                rx_id = int(rec["rx_id"])
+                anchor_id = _integer_field(rec, "anchor_id")
+                rx_id = _integer_field(rec, "rx_id")
                 rx_xyz = [float(v) for v in rec["rx_xyz"]]
                 interactions_s = rec["interactions"]
                 length = float(rec["path_length_m"])
                 power = float(rec["rx_power_dbm"])
                 stored = float(rec["tof_s"]) if "tof_s" in rec else None
-                edge_id = int(rec["edge_id"]) if "edge_id" in rec else None
+                edge_id = _integer_field(rec, "edge_id") if "edge_id" in rec else None
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(line_no, f"missing or malformed field: {exc}") from None
 
@@ -834,6 +942,11 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
                 group = classify_mpc(interactions)
             except ValueError as exc:
                 rejected.append((line_no, str(exc)))
+                continue
+            # Diffraction paths after a transmission (MPC4) keep their edge.
+            if edge_id is not None and "D" not in interactions:
+                rejected.append((line_no, f"edge_id {edge_id} on {interactions_s}, "
+                                          "which diffracts nowhere"))
                 continue
             if not (math.isfinite(length) and math.isfinite(power)):
                 rejected.append((line_no, f"non-finite path length {length} or power {power}"))
@@ -852,7 +965,7 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
                 path_length_m=length,
                 tof_s=tof,
                 rx_power_dbm=power,
-                snr_db=snr_db(power, band, noise_temperature_k),
+                snr_db=power - floor,
                 anchor_id=anchor_id,
                 group=group,
                 edge_id=edge_id,

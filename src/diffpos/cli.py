@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import DatasetError, MpcGroup, ingest_dataset
+from .channel import MpcGroup, ingest_dataset
 from .experiments import (
     DEFAULT_FREQUENCY_LADDER_HZ,
     SweepConfig,
@@ -30,13 +30,17 @@ from .materials import Band, load_material_library
 
 
 def _cmd_scene(args) -> int:
-    materials = load_material_library(args.materials) if args.materials else None
-    scene = build_default_scene(
-        grid_spacing=args.grid_spacing,
-        receiver_floors=tuple(args.floors),
-        full_scale=args.full_scale,
-        materials=materials,
-    )
+    try:
+        materials = load_material_library(args.materials) if args.materials else None
+        scene = build_default_scene(
+            grid_spacing=args.grid_spacing,
+            receiver_floors=tuple(args.floors),
+            full_scale=args.full_scale,
+            materials=materials,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     save_scene(scene, args.out)
     print(f"wrote scene config to {args.out}")
     return 0
@@ -76,15 +80,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    band = Band(
-        label="ingest",
-        center_frequency_hz=args.center_frequency,
-        bandwidth_hz=args.bandwidth,
-        tx_power_dbm=0.0,
-    )
     try:
+        band = Band(
+            label="ingest",
+            center_frequency_hz=args.center_frequency,
+            bandwidth_hz=args.bandwidth,
+            tx_power_dbm=0.0,
+        )
         result = ingest_dataset(args.dataset, band, args.noise_temperature)
-    except (DatasetError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DatasetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     counts = {g: 0 for g in MpcGroup}

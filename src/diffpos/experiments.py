@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .channel import (
     InteriorWall,
     MpcGroup,
     PathLimits,
+    PathLosses,
     PathTable,
-    Pdp,
     RadioConfig,
     SceneConfig,
     SceneGeometry,
@@ -35,15 +37,8 @@ from .channel import (
     build_scene_geometry,
     path_table,
     receiver_grid,
-    truncate_top_k,
 )
-from .fap import (
-    NoDetectionError,
-    mean_squared_bandwidth,
-    range_sigma_m,
-    select_fap,
-)
-from .geometry import WindowEdge
+from .fap import fap_rows, mean_squared_bandwidth, range_sigma_m
 from .materials import (
     DiffractionLossModel,
     Material,
@@ -220,21 +215,48 @@ class SweepReport:
     frequencies: list[FrequencyReport] = field(default_factory=list)
 
 
-def _fap_edge_for(pdp: Pdp, fap_mpc, geom: SceneGeometry, anchor: np.ndarray) -> WindowEdge:
-    """Window edge the diffraction model uses for this anchor's measurement.
+class _Fap(NamedTuple):
+    """What a sweep keeps of one (anchor, receiver, frequency) cell."""
 
-    Preference order: the FAP's own edge when it is a diffraction path, then
-    the earliest diffraction component in the PDP, then the geometrically
-    nearest edge to the anchor (pure mismatch case).
+    group: MpcGroup
+    snr_db: float
+    length_m: float
+    model_edge_id: int  # the edge of the anchor's diffraction model
+    mpc3_edge_id: int  # edge of the earliest kept MPC3 row, or -1
+    mpc3_snr_db: float  # its SNR; NaN without one
+
+
+def _cell_fap(table: PathTable, losses: PathLosses, fi: int, cfg: SweepConfig,
+              nearest_edge: int) -> _Fap | None:
+    """Top-k truncation and FAP of ``table`` at frequency ``fi``, on the
+    table's columns; None when nothing is detected.
+
+    The diffraction model's edge is the FAP's own edge when it is a
+    diffraction path, then that of the earliest diffraction component in
+    the PDP, then ``nearest_edge`` (pure mismatch case). The MPC3 rows of a
+    path table always have an edge.
     """
-    if fap_mpc.group is MpcGroup.MPC3 and fap_mpc.edge_id is not None:
-        return geom.edges[fap_mpc.edge_id]
-    for m in pdp.mpcs:
-        if m.group is MpcGroup.MPC3 and m.edge_id is not None:
-            return geom.edges[m.edge_id]
+    rows = table.detected_rows(losses.detected[fi])
+    if rows.size == 0:
+        return None
+    snr = losses.snr_db[fi, rows]
+    sel = fap_rows(table.tof_s[rows], snr, table.group[rows] == MpcGroup.MPC3.value,
+                   cfg.top_k, cfg.t_fap_db)
+    fap = rows[sel.fap]
+    group = MpcGroup(int(table.group[fap]))
+    mpc3_edge, mpc3_snr = (-1, math.nan) if sel.mpc3 < 0 else (
+        int(table.edge_id[rows[sel.mpc3]]), float(snr[sel.mpc3]))
+    model_edge = int(table.edge_id[fap]) if group is MpcGroup.MPC3 \
+        else mpc3_edge if mpc3_edge >= 0 else nearest_edge
+    return _Fap(group, float(snr[sel.fap]), float(table.length_m[fap]), model_edge,
+                mpc3_edge, mpc3_snr)
+
+
+def _nearest_edges(geom: SceneGeometry, anchors: np.ndarray) -> list[int]:
+    """Per anchor, the edge whose midpoint is nearest."""
     midpoints = [0.5 * (e.endpoints_world()[0] + e.endpoints_world()[1]) for e in geom.edges]
-    nearest = int(np.argmin([np.linalg.norm(mid - anchor) for mid in midpoints]))
-    return geom.edges[nearest]
+    return [int(np.argmin([np.linalg.norm(mid - anchor) for mid in midpoints]))
+            for anchor in anchors]
 
 
 class _FrequencyTally:
@@ -261,8 +283,8 @@ class _FrequencyTally:
 
 
 def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTable],
-                    fi: int, ri: int, beta_sq: float, tally: _FrequencyTally,
-                    dnls_queue: list) -> None:
+                    losses: list[PathLosses], nearest_edges: list[int], fi: int, ri: int,
+                    beta_sq: float, tally: _FrequencyTally, dnls_queue: list) -> None:
     """FAPs, bound and LLS estimates of receiver ``ri`` at frequency ``fi``.
 
     Each trial's D-NLS problem is appended to ``dnls_queue`` as
@@ -273,46 +295,32 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTabl
     n_anchors = len(tables)
     anchors_arr = np.asarray(scene.anchors, dtype=float)
     faps = []
-    pdps = []
-    for table in tables:
-        pdp = truncate_top_k(table.pdp(cfg.frequencies_hz[fi]), cfg.top_k)
-        try:
-            fap = select_fap(pdp, cfg.t_fap_db)
-        except NoDetectionError:
+    for table, table_losses, nearest_edge in zip(tables, losses, nearest_edges):
+        fap = _cell_fap(table, table_losses, fi, cfg, nearest_edge)
+        if fap is None:
             tally.excl["no_detection"] += 1
             return
-        pdps.append(pdp)
         faps.append(fap)
 
     for a in range(n_anchors):
-        tally.groups_by_anchor[a].append(faps[a].chosen.group)
-        tally.fap_snrs.append(faps[a].chosen.snr_db)
+        tally.groups_by_anchor[a].append(faps[a].group)
+        tally.fap_snrs.append(faps[a].snr_db)
 
-    edges = tuple(
-        _fap_edge_for(pdps[a], faps[a].chosen, geom, anchors_arr[a])
-        for a in range(n_anchors))
+    edges = tuple(geom.edges[faps[a].model_edge_id] for a in range(n_anchors))
     sigmas = np.array([
-        range_sigma_m(beta_sq, 10 ** (faps[a].chosen.snr_db / 10))
+        range_sigma_m(beta_sq, 10 ** (faps[a].snr_db / 10))
         for a in range(n_anchors)])
-    true_ranges = np.array([
-        faps[a].chosen.path_length_m for a in range(n_anchors)])
+    true_ranges = np.array([faps[a].length_m for a in range(n_anchors)])
     rx_true = tables[0].rx.as_array()
 
     # Bound at the true position, using the strongest isolation
     # assumption: the earliest diffraction path of each anchor.
-    peb_anchor_idx = []
-    peb_edges = []
-    peb_snrs = []
-    for a in range(n_anchors):
-        mpc3 = next((m for m in pdps[a].mpcs
-                     if m.group is MpcGroup.MPC3 and m.edge_id is not None), None)
-        if mpc3 is not None:
-            peb_anchor_idx.append(a)
-            peb_edges.append(geom.edges[mpc3.edge_id])
-            peb_snrs.append(10 ** (mpc3.snr_db / 10))
+    peb_anchor_idx = [a for a in range(n_anchors) if faps[a].mpc3_edge_id >= 0]
     if len(peb_anchor_idx) >= 3:
-        bound = peb(rx_true, anchors_arr[peb_anchor_idx], tuple(peb_edges),
-                    np.array(peb_snrs), beta_sq)
+        bound = peb(rx_true, anchors_arr[peb_anchor_idx],
+                    tuple(geom.edges[faps[a].mpc3_edge_id] for a in peb_anchor_idx),
+                    np.array([10 ** (faps[a].mpc3_snr_db / 10) for a in peb_anchor_idx]),
+                    beta_sq)
         if bound.singular:
             tally.excl["peb_singular"] += 1
         else:
@@ -355,7 +363,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run the full pipeline over the frequency ladder; deterministic.
 
     Receivers run in the outer loop: each (anchor, receiver) path table is
-    built once and evaluated at every frequency. The D-NLS problems of every
+    built once and its losses are evaluated at every frequency in one pass;
+    top-k truncation and the FAP run on the table's columns, so no Mpc
+    object is built. The D-NLS problems of every
     frequency, receiver and trial are queued, and ``dnls_ladder`` solves the
     queue, retry rungs side by side, whenever it holds ``_DNLS_BATCH``
     problems and once more after the receiver loop. Noise is keyed by (seed,
@@ -371,10 +381,14 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     tallies = [_FrequencyTally(n_anchors) for _ in freqs]
     dnls_queue: list = []
 
+    nearest_edges = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
+
     for ri, rx in enumerate(receivers):
         tables = [path_table(scene, a, rx, geom) for a in range(n_anchors)]
+        losses = [table.losses(freqs) for table in tables]
         for fi in range(len(freqs)):
-            _tally_receiver(cfg, geom, tables, fi, ri, beta_sqs[fi], tallies[fi], dnls_queue)
+            _tally_receiver(cfg, geom, tables, losses, nearest_edges, fi, ri, beta_sqs[fi],
+                            tallies[fi], dnls_queue)
             if len(dnls_queue) >= _DNLS_BATCH:
                 _solve_dnls_queue(dnls_queue, tallies, scene.bounds)
     _solve_dnls_queue(dnls_queue, tallies, scene.bounds)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Mpc, Pdp
+from .channel import Mpc, Pdp, _top_k_rows
 from .constants import SPEED_OF_LIGHT
 from .materials import Band
 
@@ -26,6 +27,8 @@ __all__ = [
     "NoDetectionError",
     "FapSelection",
     "select_fap",
+    "FapRows",
+    "fap_rows",
     "mean_squared_bandwidth",
     "mean_squared_bandwidth_discrete",
     "ranging_crlb_std_seconds",
@@ -47,6 +50,21 @@ class FapSelection:
     t_fap_db: float
 
 
+def _fap_row(tof: np.ndarray, snr: np.ndarray, t_fap_db: float) -> tuple[int, float, float]:
+    """The FAP's position among non-empty PDP rows, the strongest SNR and
+    the threshold.
+
+    The rows come sorted by time of flight. The FAP is the earliest row at
+    or above the threshold; ties in time of flight go to the higher SNR,
+    then to the earlier row.
+    """
+    s_max = float(snr.max())
+    threshold = s_max - t_fap_db
+    eligible = snr >= threshold
+    tied = np.flatnonzero(eligible & (tof == tof[np.argmax(eligible)]))
+    return int(tied[np.argmax(snr[tied])]), s_max, threshold
+
+
 def select_fap(pdp: Pdp, t_fap_db: float) -> FapSelection:
     """Earliest MPC within t_fap dB of the strongest one.
 
@@ -55,12 +73,30 @@ def select_fap(pdp: Pdp, t_fap_db: float) -> FapSelection:
     if len(pdp) == 0:
         raise NoDetectionError(
             f"empty PDP for anchor {pdp.anchor_id} at {pdp.rx}")
-    s_max = max(m.snr_db for m in pdp.mpcs)
-    threshold = s_max - t_fap_db
-    eligible = [m for m in pdp.mpcs if m.snr_db >= threshold]
-    chosen = min(eligible, key=lambda m: (m.tof_s, -m.snr_db))
-    return FapSelection(chosen=chosen, s_max_db=s_max,
+    row, s_max, threshold = _fap_row(np.array([m.tof_s for m in pdp.mpcs]),
+                                     np.array([m.snr_db for m in pdp.mpcs]), t_fap_db)
+    return FapSelection(chosen=pdp.mpcs[row], s_max_db=s_max,
                         threshold_db=threshold, t_fap_db=t_fap_db)
+
+
+class FapRows(NamedTuple):
+    """Top-k truncation and FAP of one PDP given as columns."""
+
+    kept: np.ndarray  # input positions of the k strongest rows, in PDP order
+    fap: int  # input position of the FAP
+    mpc3: int  # input position of the earliest kept MPC3 row, or -1
+
+
+def fap_rows(tof: np.ndarray, snr: np.ndarray, mpc3: np.ndarray, k: int,
+             t_fap_db: float) -> FapRows:
+    """truncate_top_k, then select_fap, then the earliest MPC3 row, on the
+    columns of a non-empty PDP: time of flight (sorted), SNR and an MPC3
+    mask. Rows are input positions, so no Mpc object is needed.
+    """
+    kept = _top_k_rows(tof, snr, k)
+    row, _, _ = _fap_row(tof[kept], snr[kept], t_fap_db)
+    first_mpc3 = np.flatnonzero(mpc3[kept])
+    return FapRows(kept, int(kept[row]), int(kept[first_mpc3[0]]) if first_mpc3.size else -1)
 
 
 def mean_squared_bandwidth(band: Band | float) -> float:

@@ -190,27 +190,45 @@ def reflect_point(p, plane: ReflectorPlane) -> Point3:
     return Point3.from_array(v - 2.0 * plane.signed_distance(v) * plane.normal)
 
 
+def _reflect_rows(t: np.ndarray, r: np.ndarray, normals: np.ndarray,
+                  offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Specular reflection of tx ``t`` and rx ``r``, shape (3,), off K planes
+    at once.
+
+    Plane k is {x : normals[k].x = offsets[k]} with a unit normal. Returns
+    the image-source length |reflect(t) - r| (K,), the specular point
+    (K, 3) and whether both endpoints lie strictly on the same side of the
+    plane (K,). Rows on opposite sides or on the plane carry meaningless
+    length and point. With an axis-aligned unit normal, n.t - offset is the
+    coordinate minus the offset, bit for bit.
+    """
+    dt = normals @ t - offsets
+    dr = normals @ r - offsets
+    same_side = np.sign(dt) * np.sign(dr) > 0.0
+    image = t - (2.0 * dt)[:, None] * normals
+    direction = r - image
+    length = np.sqrt((direction * direction).sum(axis=1))
+    # The segment image->rx crosses the plane at parameter dt/(dt+dr); on a
+    # same-side row both signed distances share a sign, so the denominator
+    # does not vanish there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        point = image + (dt / (dt + dr))[:, None] * direction
+    return length, point, same_side
+
+
 def reflection_path_length(tx, rx, plane: ReflectorPlane) -> ReflectionSolution:
     """Specular reflection path length via the mirrored transmitter.
 
     Both endpoints must lie strictly on the same side of the plane. The
-    returned length equals |reflect(tx) - rx|.
+    returned length equals |reflect(tx) - rx|. This is the one-row case of
+    the reflection kernel; ``channel.SceneGeometry.reflections`` reflects
+    off all of a scene's planes at once.
     """
-    t = _vec(tx)
-    r = _vec(rx)
-    dt = plane.signed_distance(t)
-    dr = plane.signed_distance(r)
-    if dt == 0.0 or dr == 0.0 or (dt > 0) != (dr > 0):
+    length, point, same_side = _reflect_rows(_vec(tx), _vec(rx), plane.normal[None],
+                                             np.array([plane.offset]))
+    if not same_side[0]:
         raise GeometryError("tx and rx must lie strictly on the same side of the plane")
-
-    image = _vec(reflect_point(t, plane))
-    direction = r - image
-    length = float(np.linalg.norm(direction))
-    # The segment image->rx crosses the plane at parameter dt/(dt+dr); both
-    # signed distances share a sign, so the denominator never vanishes.
-    s = dt / (dt + dr)
-    specular = image + s * direction
-    return ReflectionSolution(length, Point3.from_array(specular))
+    return ReflectionSolution(float(length[0]), Point3.from_array(point[0]))
 
 
 # ---------------------------------------------------------------------------

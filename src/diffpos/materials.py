@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .constants import (
     SPEED_OF_LIGHT,
     VACUUM_PERMEABILITY,
@@ -164,13 +166,21 @@ def transmission_loss_db(slab: SlabSpec, f_hz: float) -> float:
     )
 
 
-def free_space_path_loss_db(distance_m: float, f_hz: float) -> float:
-    """Friis free-space loss 20*log10(4*pi*d*f/c) in dB."""
-    if not distance_m > 0:
+def free_space_path_loss_db(distance_m, f_hz):
+    """Friis free-space loss 20*log10(4*pi*d*f/c) in dB.
+
+    Scalars give a float. Arrays broadcast against each other, so a (P,)
+    distance and an (F, 1) frequency give the (F, P) losses of P paths at F
+    frequencies.
+    """
+    d = np.asarray(distance_m, dtype=float)
+    f = np.asarray(f_hz, dtype=float)
+    if not (d > 0).all():
         raise ValueError("distance must be positive")
-    if not f_hz > 0:
+    if not (f > 0).all():
         raise ValueError("frequency must be positive")
-    return 20.0 * math.log10(4.0 * math.pi * distance_m * f_hz / SPEED_OF_LIGHT)
+    loss = 20.0 * np.log10(4.0 * math.pi * d * f / SPEED_OF_LIGHT)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def reflection_loss_db(

@@ -31,6 +31,7 @@ from diffpos.channel import (
     snr_db,
     truncate_top_k,
 )
+from diffpos.cli import main as cli_main
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, build_default_scene
 from diffpos.geometry import GeometryError, Point3, diffraction_point, euclidean_distance
 from diffpos.materials import Band, DiffractionLossModel, default_material_library
@@ -114,6 +115,12 @@ def test_interaction_string_round_trip():
 # ---------------------------------------------------------------------------
 # SNR
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("temperature", [0.0, -5.0, float("nan")])
+def test_noise_floor_rejects_non_positive_temperature(temperature):
+    with pytest.raises(ValueError, match="noise temperature must be positive"):
+        noise_floor_dbm(400e6, temperature)
+
 
 def test_noise_floor_and_snr():
     # Oracle: 10*log10(k*290*400e6/1mW) = -87.9546 dBm.
@@ -351,8 +358,17 @@ def test_enumeration_matches_golden():
     assert checked == sum(len(rows) for pair in doc["pairs"] for rows in pair["pdps"]) > 1000
 
 
+def surface_contains(surf, u: float, v: float) -> bool:
+    """Whether (u, v) lies on the surface: inside its extent, outside every
+    cutout (bounds inclusive)."""
+    if not (surf.u_lo <= u <= surf.u_hi and surf.v_lo <= v <= surf.v_hi):
+        return False
+    return not any(cu_lo <= u <= cu_hi and cv_lo <= v <= cv_hi
+                   for cu_lo, cu_hi, cv_lo, cv_hi in surf.cutouts)
+
+
 def brute_force_crossings(geom, p0, p1) -> np.ndarray:
-    """Segment-by-segment, surface-by-surface crossing test via contains_uv."""
+    """Segment-by-segment, surface-by-surface crossing test."""
     out = np.zeros((len(p0), len(geom.surfaces)), dtype=bool)
     for k, (a, b) in enumerate(zip(p0, p1)):
         d = b - a
@@ -364,7 +380,7 @@ def brute_force_crossings(geom, p0, p1) -> np.ndarray:
             if not 1e-9 < t < 1.0 - 1e-9:
                 continue
             ui, vi = _PLANE_UV[surf.axis]
-            out[k, j] = surf.contains_uv(a[ui] + t * d[ui], a[vi] + t * d[vi])
+            out[k, j] = surface_contains(surf, a[ui] + t * d[ui], a[vi] + t * d[vi])
     return out
 
 
@@ -534,6 +550,43 @@ def test_ingest_bad_field_values(tmp_path, changes, outcome):
         with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as err:
             ingest_dataset(path, BAND)
         assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("changes, outcome", [
+    ({"anchor_id": 0.7}, "anchor_id must be an integer"),
+    ({"rx_id": True}, "rx_id must be an integer"),
+    ({"anchor_id": "1"}, "anchor_id must be an integer"),
+    ({"edge_id": 2.9, "interactions": "Tx-D-Rx"}, "edge_id must be an integer"),
+    ({"edge_id": 2}, "rejected"),
+    ({"anchor_id": 2.0, "edge_id": 4, "interactions": "Tx-T-D-Rx"}, "accepted"),
+], ids=["anchor_fraction", "rx_bool", "anchor_string", "edge_fraction",
+        "edge_without_diffraction", "integral_float_and_mpc4_edge"])
+def test_ingest_ids(tmp_path, capsys, changes, outcome):
+    # Ids must be integers (a DatasetError with the line number); an edge id
+    # on a path without a diffraction rejects its record. The CLI prints the
+    # error as one line and the rejection in its summary.
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"schema": "mpc-dataset/1"}\n' + json.dumps(_RECORD) + "\n"
+                    + json.dumps({**_RECORD, **changes}) + "\n")
+    rc = cli_main(["ingest", "--dataset", str(path)])
+    out, err = capsys.readouterr()
+    if outcome == "accepted":
+        result = ingest_dataset(path, BAND)
+        assert not result.rejected
+        (mpc,) = result.pdps[(2, 0)].mpcs
+        assert (mpc.group, mpc.edge_id) == (MpcGroup.MPC4, 4)
+        assert rc == 0 and "2 MPCs" in out
+    elif outcome == "rejected":
+        result = ingest_dataset(path, BAND)
+        assert result.mpc_count == 1
+        assert [line_no for line_no, _ in result.rejected] == [3]
+        assert "diffracts nowhere" in result.rejected[0][1]
+        assert rc == 0 and "1 rejected records" in out
+    else:
+        with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as exc:
+            ingest_dataset(path, BAND)
+        assert exc.value.line_no == 3
+        assert rc == 1 and err == f"error: {exc.value}\n"
 
 
 def test_ingest_bad_schema(tmp_path):

@@ -433,6 +433,23 @@ def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scene", "--grid-spacing", "0"], "error: receiver spacing must be positive\n"),
+    (["ingest", "--bandwidth", "0"], "error: bandwidth must be positive\n"),
+    (["ingest", "--noise-temperature", "-5"],
+     "error: noise temperature must be positive, got -5 K\n"),
+], ids=["scene_zero_spacing", "ingest_zero_bandwidth", "ingest_negative_temperature"])
+def test_cli_bad_number_is_an_error_line(tmp_path, capsys, argv, message):
+    dataset = tmp_path / "mpcs.jsonl"
+    dataset.write_text('{"schema": "mpc-dataset/1"}\n', encoding="utf-8")
+    out = tmp_path / "scene.json"
+    where = ["--out", str(out)] if argv[0] == "scene" else ["--dataset", str(dataset)]
+    rc = cli_main([argv[0], *where, *argv[1:]])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_cli_ingest(tmp_path, capsys):
     from diffpos.channel import enumerate_mpcs, export_dataset
 

@@ -1,0 +1,228 @@
+"""Columnar path evaluation against the scalar oracle in ``scalar_paths``.
+
+The reflection kernel, the (F, P) loss pass, the group codes and the array
+top-k and FAP bodies are each checked against the one-plane, one-row,
+one-object code they replaced.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import scalar_paths
+from diffpos import channel
+from diffpos.channel import (
+    Mpc,
+    MpcGroup,
+    Pdp,
+    build_scene_geometry,
+    classify_mpc,
+    path_table,
+    truncate_top_k,
+)
+from diffpos.constants import SPEED_OF_LIGHT
+from diffpos.experiments import (
+    DEFAULT_FREQUENCY_LADDER_HZ,
+    SweepConfig,
+    build_default_scene,
+    run_sweep,
+)
+from diffpos.fap import fap_rows, select_fap
+from diffpos.geometry import GeometryError, Point3, ReflectorPlane, _reflect_rows
+
+SCENE = build_default_scene()
+GEOM = build_scene_geometry(SCENE)
+
+
+def random_pairs(rng, n):
+    """(anchor index, receiver) pairs on the default scene's grid floors."""
+    pairs = []
+    for _ in range(n):
+        floor = int(rng.choice([3, 4]))
+        rx = Point3(rng.uniform(0.5, 29.5), rng.uniform(0.5, 19.5),
+                    SCENE.floor_base(floor) + rng.uniform(1.0, 2.0))
+        pairs.append((int(rng.integers(len(SCENE.anchors))), rx))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# Reflection kernel
+# ---------------------------------------------------------------------------
+
+def test_reflect_rows_match_scalar_on_random_planes():
+    rng = np.random.default_rng(3)
+    normals = rng.standard_normal((40, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = rng.uniform(-3.0, 3.0, 40)
+    for trial in range(30):
+        tx, rx = rng.uniform(-10.0, 10.0, (2, 3))
+        if trial % 5 == 0:  # tx on the first plane
+            tx = tx - (normals[0] @ tx - offsets[0]) * normals[0]
+        length, point, same_side = _reflect_rows(tx, rx, normals, offsets)
+        for k in range(len(normals)):
+            plane = ReflectorPlane(normals[k], offsets[k])
+            try:
+                sol = scalar_paths.reflection_path_length(tx, rx, plane)
+            except GeometryError:
+                assert not same_side[k]
+                continue
+            assert same_side[k]
+            assert abs(length[k] - sol.length) <= 1e-12 * sol.length
+            np.testing.assert_allclose(point[k], sol.specular_point.as_array(),
+                                       rtol=0, atol=1e-12 * max(1.0, sol.length))
+    assert same_side.any() and not same_side.all()
+
+
+def reflection_cases(rng):
+    """tx/rx pairs for the default scene's reflectors: anchors to receivers,
+    random pairs, pairs on opposite sides of a facade, endpoints on a slab
+    plane, and specular points in a window cutout or on the wall beside it."""
+    cases = [(np.asarray(SCENE.anchors[a], dtype=float), rx.as_array())
+             for a, rx in random_pairs(rng, 25)]
+    lo, hi = np.array([-10.0, -25.0, -1.0]), np.array([40.0, 45.0, 22.0])
+    cases += [tuple(rng.uniform(lo, hi, (2, 3))) for _ in range(25)]
+    cases += [
+        (np.array([7.5, -20.0, 3.2]), np.array([7.5, 5.0, 8.0])),  # across facade y = 0
+        (np.array([4.0, 5.0, 6.0]), np.array([9.0, 12.0, 7.5])),  # tx on slab z = 6
+        (np.array([2.5, -5.0, 1.8]), np.array([2.5, -3.0, 1.8])),  # specular in a window
+        (np.array([2.5, 4.0, 7.8]), np.array([2.5, 2.0, 7.8])),  # same, from inside
+        (np.array([5.0, -5.0, 1.8]), np.array([5.0, -3.0, 1.8])),  # wall between windows
+    ]
+    return cases
+
+
+def test_reflections_match_scalar_on_default_scene():
+    assert len(scalar_paths.reflectors(SCENE, GEOM)) == len(GEOM.reflector_slabs) == 13
+    dropped = 0
+    for tx, rx in reflection_cases(np.random.default_rng(5)):
+        got = GEOM.reflections(tx, rx)
+        want = scalar_paths.reflections(SCENE, GEOM, tx, rx)
+        assert got.ids.tolist() == [k for k, *_ in want]
+        for j, (_, length, spec, angle) in enumerate(want):
+            assert abs(got.length[j] - length) <= 1e-12 * length
+            np.testing.assert_allclose(got.point[j], spec, rtol=0, atol=1e-12 * length)
+            assert abs(got.incidence[j] - angle) <= 1e-12
+        dropped += 13 - len(want)
+    assert dropped > 0
+
+
+def test_reflections_clamp_grazing_incidence():
+    # 1e-15 m above the ground over 100 m: the angle rounds to pi/2, which
+    # the reflection loss rejects, so it is clamped just below.
+    tx, rx = np.array([-5.0, -10.0, 1e-15]), np.array([95.0, -10.0, 1e-15])
+    got = GEOM.reflections(tx, rx)
+    want = scalar_paths.reflections(SCENE, GEOM, tx, rx)
+    ground = len(GEOM.reflector_slabs) - 1
+    assert got.ids.tolist() == [k for k, *_ in want] and ground in got.ids.tolist()
+    assert got.incidence[got.ids.tolist().index(ground)] == math.pi / 2 - 1e-12
+    assert np.array_equal(got.incidence, [angle for *_, angle in want])
+    table = path_table(replace(SCENE, anchors=(tuple(tx),)), 0, rx, GEOM)
+    assert np.isfinite(table.losses(DEFAULT_FREQUENCY_LADDER_HZ).snr_db).all()
+
+
+def test_reflections_drop_window_cutouts():
+    # The specular point of the pair in front of a window lands in its
+    # cutout; beside it, on the wall.
+    facade = [s.name for s in GEOM.surfaces if s.reflective].index("facade_y0")
+    window = GEOM.reflections(np.array([2.5, -5.0, 1.8]), np.array([2.5, -3.0, 1.8]))
+    wall = GEOM.reflections(np.array([5.0, -5.0, 1.8]), np.array([5.0, -3.0, 1.8]))
+    assert facade not in window.ids.tolist()
+    assert facade in wall.ids.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Path table columns and the (F, P) loss pass
+# ---------------------------------------------------------------------------
+
+def test_group_codes_match_classify():
+    groups = set()
+    for a, rx in random_pairs(np.random.default_rng(8), 20):
+        table = path_table(SCENE, a, rx, GEOM)
+        for i in range(len(table.length_m)):
+            interactions = scalar_paths.row_interactions(table, i)
+            assert MpcGroup(int(table.group[i])) is classify_mpc(interactions)
+            groups.add(int(table.group[i]))
+        rows = np.arange(len(table.length_m))
+        mpcs = table.build_mpcs(rows, np.zeros(len(rows)), np.zeros(len(rows)))
+        assert [m.interactions for m in mpcs] == [
+            scalar_paths.row_interactions(table, i) for i in rows]
+    assert groups == {1, 2, 3, 4}
+
+
+def test_losses_match_per_row_pdp_at_every_ladder_frequency():
+    checked = 0
+    for a, rx in random_pairs(np.random.default_rng(13), 12):
+        table = path_table(SCENE, a, rx, GEOM)
+        losses = table.losses(DEFAULT_FREQUENCY_LADDER_HZ)
+        assert losses.snr_db.shape == (len(DEFAULT_FREQUENCY_LADDER_HZ), len(table.length_m))
+        for fi, f_hz in enumerate(DEFAULT_FREQUENCY_LADDER_HZ):
+            want = scalar_paths.pdp(table, f_hz).mpcs
+            rows = table.detected_rows(losses.detected[fi])
+            assert table.length_m[rows].tolist() == [m.path_length_m for m in want]
+            assert np.all(np.abs(losses.snr_db[fi, rows] - [m.snr_db for m in want]) <= 1e-9)
+            got = table.pdp(f_hz).mpcs
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.interactions, g.path_length_m, g.tof_s, g.anchor_id, g.group,
+                        g.edge_id) == (w.interactions, w.path_length_m, w.tof_s,
+                                       w.anchor_id, w.group, w.edge_id)
+                assert abs(g.snr_db - w.snr_db) <= 1e-9
+                assert abs(g.rx_power_dbm - w.rx_power_dbm) <= 1e-9
+            checked += len(got)
+    assert checked > 1000
+
+
+# ---------------------------------------------------------------------------
+# Top-k and FAP
+# ---------------------------------------------------------------------------
+
+def tied_pdp(rng, n):
+    """A PDP whose ToFs and SNRs are drawn from a few values, so both tie."""
+    lengths = rng.choice([10.0, 12.0, 15.0, 20.0], size=n)
+    snrs = rng.choice([-5.0, 3.0, 10.0, 18.0, 30.0], size=n)
+    mpcs = []
+    for length, snr in zip(lengths.tolist(), snrs.tolist()):
+        interactions = (("D",), ("T",), ("R", "T"), ("T", "D"))[int(rng.integers(4))]
+        mpcs.append(Mpc(interactions, length, length / SPEED_OF_LIGHT, snr - 90.0, snr, 0,
+                        classify_mpc(interactions), 7 if interactions == ("D",) else None))
+    mpcs.sort(key=lambda m: m.tof_s)
+    return Pdp(mpcs, Point3(0.0, 0.0, 0.0), anchor_id=0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 25])
+def test_top_k_and_fap_match_object_bodies_with_ties(k):
+    rng = np.random.default_rng(k)
+    for _ in range(200):
+        pdp = tied_pdp(rng, int(rng.integers(1, 40)))
+        t_fap = float(rng.choice([0.0, 10.0, 20.0]))
+        want = scalar_paths.truncate_top_k(pdp, k)
+        got = truncate_top_k(pdp, k)
+        assert len(got.mpcs) == len(want.mpcs)
+        assert all(g is w for g, w in zip(got.mpcs, want.mpcs))
+        want_fap = scalar_paths.select_fap(want, t_fap)
+        got_fap = select_fap(got, t_fap)
+        assert got_fap.chosen is want_fap.chosen
+        assert (got_fap.s_max_db, got_fap.threshold_db) == (want_fap.s_max_db,
+                                                            want_fap.threshold_db)
+
+        tof = np.array([m.tof_s for m in pdp.mpcs])
+        snr = np.array([m.snr_db for m in pdp.mpcs])
+        mpc3 = np.array([m.group is MpcGroup.MPC3 for m in pdp.mpcs])
+        rows = fap_rows(tof, snr, mpc3, k, t_fap)
+        assert len(rows.kept) == len(want.mpcs)
+        assert all(pdp.mpcs[i] is w for i, w in zip(rows.kept.tolist(), want.mpcs))
+        assert pdp.mpcs[rows.fap] is want_fap.chosen
+        first_mpc3 = next((m for m in want.mpcs if m.group is MpcGroup.MPC3), None)
+        assert (pdp.mpcs[rows.mpc3] if rows.mpc3 >= 0 else None) is first_mpc3
+
+
+def test_run_sweep_builds_no_mpc(monkeypatch):
+    def no_mpc(*args, **kwargs):
+        raise AssertionError("run_sweep built an Mpc")
+
+    monkeypatch.setattr(channel.Mpc, "__init__", no_mpc)
+    scene = build_default_scene(grid_spacing=10.0, receiver_floors=(3,))
+    report = run_sweep(SweepConfig(scene=scene, frequencies_hz=(3.5e9, 28e9), seed=0))
+    assert sum(report.frequencies[0].p_fap_pct.values()) == pytest.approx(100.0)
