@@ -62,7 +62,6 @@ __all__ = [
     "classify_mpc",
     "parse_interaction_string",
     "format_interaction_string",
-    "snr_db",
     "noise_floor_dbm",
     "truncate_top_k",
     "build_scene_geometry",
@@ -170,12 +169,6 @@ def noise_floor_dbm(bandwidth_hz: float, noise_temperature_k: float = 290.0) -> 
     if not noise_temperature_k > 0:
         raise ValueError(f"noise temperature must be positive, got {noise_temperature_k:g} K")
     return linear_to_db(BOLTZMANN * noise_temperature_k * bandwidth_hz / 1e-3)
-
-
-def snr_db(mpc_or_power, band: Band, noise_temperature_k: float = 290.0) -> float:
-    """SNR of an MPC (or raw received power in dBm) against the noise floor."""
-    power = mpc_or_power.rx_power_dbm if isinstance(mpc_or_power, Mpc) else float(mpc_or_power)
-    return power - noise_floor_dbm(band.bandwidth_hz, noise_temperature_k)
 
 
 def _top_k_rows(tof: np.ndarray, snr: np.ndarray, k: int) -> np.ndarray:

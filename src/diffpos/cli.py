@@ -59,9 +59,6 @@ def _cmd_sweep(args) -> int:
             seed=args.seed,
             noiseless=args.noiseless,
         )
-    except KeyError as exc:
-        print(f"error: scene is missing the key {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

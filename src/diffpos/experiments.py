@@ -17,20 +17,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
 from .channel import (
-    BandPlan,
     InteriorWall,
     MpcGroup,
-    PathLimits,
     PathLosses,
     PathTable,
-    RadioConfig,
     SceneConfig,
     SceneGeometry,
     WindowRect,
@@ -39,13 +36,7 @@ from .channel import (
     receiver_grid,
 )
 from .fap import fap_rows, mean_squared_bandwidth, range_sigma_m
-from .materials import (
-    DiffractionLossModel,
-    Material,
-    SlabLayer,
-    SlabSpec,
-    default_material_library,
-)
+from .materials import default_material_library
 from .positioning import (
     LadderResult,
     MeasurementSet,
@@ -488,16 +479,26 @@ def export_report(report: SweepReport, out_dir) -> list[Path]:
 # Scene / report (de)serialization
 # ---------------------------------------------------------------------------
 
-def _slab_to_dict(slab: SlabSpec) -> dict:
-    return {
-        "name": slab.name,
-        "layers": [
-            {"material": {"name": l.material.name, "a": l.material.a, "b": l.material.b,
-                          "c": l.material.c, "d": l.material.d},
-             "thickness_m": l.thickness_m}
-            for l in slab.layers
-        ],
-    }
+# A scene/1 file is the SceneConfig record tree with each record's fields in
+# declaration order, so the config dataclasses are its only schema. These are
+# the JSON types a leaf of each annotated type accepts (a JSON boolean is a
+# Python int, so numeric leaves reject it separately).
+_LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               str: (str, "a string"), bool: (bool, "a boolean")}
+
+# {field name: (type hint, required)} per record class, filled on first use;
+# not functools.cache, whose __wrapped__ reads as a leftover tracer wrapper.
+_RECORDS: dict[type, dict] = {}
+
+
+def _record(cls) -> dict:
+    rec = _RECORDS.get(cls)
+    if rec is None:
+        hints = get_type_hints(cls)
+        rec = _RECORDS[cls] = {
+            f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+    return rec
 
 
 def _checked(cls, doc, where: str) -> dict:
@@ -507,86 +508,65 @@ def _checked(cls, doc, where: str) -> dict:
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {type(doc).__name__}")
-    names = {f.name for f in fields(cls)}
+    rec = _record(cls)
     for key in doc:
-        if key not in names:
+        if key not in rec:
             raise ValueError(f"{where}: unexpected key {key!r}")
-    for f in fields(cls):
-        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{where}: missing key {f.name!r}")
+    for name, (_, required) in rec.items():
+        if required and name not in doc:
+            raise ValueError(f"{where}: missing key {name!r}")
     return doc
 
 
-def _slab_from_dict(doc: dict, where: str) -> SlabSpec:
-    layers = []
-    for j, layer in enumerate(doc["layers"]):
-        at = f"{where}.layers[{j}]"
-        layer = _checked(SlabLayer, layer, at)
-        material = Material(**_checked(Material, layer["material"], f"{at}.material"))
-        layers.append(SlabLayer(material=material, thickness_m=layer["thickness_m"]))
-    return SlabSpec(name=doc["name"], layers=tuple(layers))
+def _encode(value):
+    """The JSON value of a leaf, a tuple or a record."""
+    if isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return {name: _encode(getattr(value, name)) for name in _record(type(value))}
+
+
+def _decode(hint, doc, where: str):
+    """The value of type ``hint`` that the JSON value ``doc`` at path
+    ``where`` holds: a checked record, a tuple from a list (of the tuple's
+    length when it is fixed) or a leaf of the right JSON type, unchanged.
+    Anything else raises ValueError naming the path."""
+    if type(doc) is hint:  # a leaf of its own type, the common case
+        return doc
+    if hint in _LEAF_TYPES:
+        types, expected = _LEAF_TYPES[hint]
+        if not isinstance(doc, types) or (isinstance(doc, bool) and hint is not bool):
+            raise ValueError(f"{where}: expected {expected}, got {type(doc).__name__}")
+        return doc
+    if is_dataclass(hint):
+        doc = _checked(hint, doc, where or "scene")
+        prefix = f"{where}." if where else ""
+        return hint(**{name: _decode(h, doc[name], prefix + name)
+                       for name, (h, _) in _record(hint).items() if name in doc})
+    if not isinstance(doc, list):
+        raise ValueError(f"{where}: expected a list, got {type(doc).__name__}")
+    item_hints = get_args(hint)
+    if item_hints[-1] is Ellipsis:
+        item_hints = item_hints[:1] * len(doc)
+    elif len(doc) != len(item_hints):
+        raise ValueError(f"{where}: expected {len(item_hints)} items, got {len(doc)}")
+    return tuple(_decode(h, v, f"{where}[{i}]")
+                 for i, (h, v) in enumerate(zip(item_hints, doc)))
 
 
 def scene_to_dict(scene: SceneConfig) -> dict:
-    return {
-        "schema": "scene/1",
-        "footprint_x": scene.footprint_x,
-        "footprint_y": scene.footprint_y,
-        "floor_count": scene.floor_count,
-        "floor_height": scene.floor_height,
-        "exterior_slab": _slab_to_dict(scene.exterior_slab),
-        "interior_slab": _slab_to_dict(scene.interior_slab),
-        "windows": [vars(w).copy() for w in scene.windows],
-        "interior_walls": [vars(w).copy() for w in scene.interior_walls],
-        "anchors": [list(a) for a in scene.anchors],
-        "receiver_floors": list(scene.receiver_floors),
-        "receiver_spacing": scene.receiver_spacing,
-        "receiver_margin": scene.receiver_margin,
-        "receiver_height": scene.receiver_height,
-        "radio": {
-            "bands": [vars(b).copy() for b in scene.radio.bands],
-            "bandwidth_hz": scene.radio.bandwidth_hz,
-            "noise_temperature_k": scene.radio.noise_temperature_k,
-            "polarization": scene.radio.polarization,
-            "diffraction_loss": vars(scene.radio.diffraction_loss).copy(),
-        },
-        "limits": vars(scene.limits).copy(),
-        "include_ground": scene.include_ground,
-    }
+    return {"schema": "scene/1", **_encode(scene)}
 
 
-def scene_from_dict(doc: dict) -> SceneConfig:
+def scene_from_dict(doc) -> SceneConfig:
+    """Inverse of ``scene_to_dict``; a malformed scene raises ValueError
+    naming the path of the offending value."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"scene: expected an object, got {type(doc).__name__}")
     if doc.get("schema") != "scene/1":
         raise ValueError(f"unsupported scene schema {doc.get('schema')!r}")
-    radio = doc["radio"]
-    return SceneConfig(
-        footprint_x=doc["footprint_x"],
-        footprint_y=doc["footprint_y"],
-        floor_count=doc["floor_count"],
-        floor_height=doc["floor_height"],
-        exterior_slab=_slab_from_dict(doc["exterior_slab"], "exterior_slab"),
-        interior_slab=_slab_from_dict(doc["interior_slab"], "interior_slab"),
-        windows=tuple(WindowRect(**_checked(WindowRect, w, f"windows[{i}]"))
-                      for i, w in enumerate(doc["windows"])),
-        interior_walls=tuple(InteriorWall(**_checked(InteriorWall, w, f"interior_walls[{i}]"))
-                             for i, w in enumerate(doc["interior_walls"])),
-        anchors=tuple(tuple(a) for a in doc["anchors"]),
-        receiver_floors=tuple(doc["receiver_floors"]),
-        receiver_spacing=doc["receiver_spacing"],
-        receiver_margin=doc["receiver_margin"],
-        receiver_height=doc["receiver_height"],
-        radio=RadioConfig(
-            bands=tuple(BandPlan(**_checked(BandPlan, b, f"radio.bands[{i}]"))
-                        for i, b in enumerate(radio["bands"])),
-            bandwidth_hz=radio["bandwidth_hz"],
-            noise_temperature_k=radio["noise_temperature_k"],
-            polarization=radio["polarization"],
-            diffraction_loss=DiffractionLossModel(**_checked(
-                DiffractionLossModel, radio["diffraction_loss"], "radio.diffraction_loss")),
-        ),
-        limits=PathLimits(**_checked(PathLimits, doc["limits"], "limits")),
-        include_ground=doc["include_ground"],
-    )
+    return _decode(SceneConfig, {k: v for k, v in doc.items() if k != "schema"}, "")
 
 
 def save_scene(scene: SceneConfig, path) -> None:

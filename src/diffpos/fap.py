@@ -30,7 +30,6 @@ __all__ = [
     "FapRows",
     "fap_rows",
     "mean_squared_bandwidth",
-    "mean_squared_bandwidth_discrete",
     "ranging_crlb_std_seconds",
     "range_sigma_m",
 ]
@@ -103,27 +102,12 @@ def mean_squared_bandwidth(band: Band | float) -> float:
     """Mean squared bandwidth beta^2 of a flat baseband spectrum, in Hz^2.
 
     Accepts a Band or a raw bandwidth; a flat spectrum over [-B/2, B/2]
-    yields B^2 / 12. Non-flat spectra go through
-    mean_squared_bandwidth_discrete.
+    yields B^2 / 12.
     """
     bandwidth = band.bandwidth_hz if isinstance(band, Band) else float(band)
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     return bandwidth ** 2 / 12.0
-
-
-def mean_squared_bandwidth_discrete(freqs_hz, weights) -> float:
-    """beta^2 of a sampled or discrete spectrum: sum(w f^2) / sum(w).
-
-    Amplitude scaling of the weights cancels in the ratio.
-    """
-    f = np.asarray(freqs_hz, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if f.shape != w.shape or f.size == 0:
-        raise ValueError("frequencies and weights must be same-length, non-empty")
-    if np.any(w < 0) or not np.sum(w) > 0:
-        raise ValueError("weights must be non-negative with positive total")
-    return float(np.sum(w * f ** 2) / np.sum(w))
 
 
 def ranging_crlb_std_seconds(beta_sq_hz2: float, snr_linear: float) -> float:

@@ -23,12 +23,8 @@ __all__ = [
     "Point3",
     "RigidTransform",
     "WindowEdge",
-    "ReflectorPlane",
     "DiffractionSolution",
-    "ReflectionSolution",
     "euclidean_distance",
-    "reflect_point",
-    "reflection_path_length",
     "diffraction_point",
     "approx_diffraction_solution",
 ]
@@ -133,28 +129,6 @@ class WindowEdge:
         p2 = self.frame.to_world([self.x2, 0.0, self.z_e])
         return p1, p2
 
-    def point_at(self, lam: float) -> np.ndarray:
-        """World point of the convex combination lam*X1 + (1-lam)*X2."""
-        qx = self.x2 + lam * (self.x1 - self.x2)
-        return self.frame.to_world([qx, 0.0, self.z_e])
-
-
-@dataclass(frozen=True)
-class ReflectorPlane:
-    """Unbounded plane {x : n.x = offset} with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self) -> None:
-        n = np.asarray(self.normal, dtype=float).reshape(3)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise GeometryError("plane normal must be unit length")
-        object.__setattr__(self, "normal", n)
-
-    def signed_distance(self, p) -> float:
-        return float(self.normal @ _vec(p) - self.offset)
-
 
 @dataclass(frozen=True)
 class DiffractionSolution:
@@ -171,23 +145,9 @@ class DiffractionSolution:
     endpoint: bool = False
 
 
-@dataclass(frozen=True)
-class ReflectionSolution:
-    """Unfolded reflection length and the specular point."""
-
-    length: float
-    specular_point: Point3
-
-
 def euclidean_distance(a, b) -> float:
     """Straight-line distance |a - b| in meters."""
     return float(np.linalg.norm(_vec(a) - _vec(b)))
-
-
-def reflect_point(p, plane: ReflectorPlane) -> Point3:
-    """Mirror image of p across the plane (the virtual-source construction)."""
-    v = _vec(p)
-    return Point3.from_array(v - 2.0 * plane.signed_distance(v) * plane.normal)
 
 
 def _reflect_rows(t: np.ndarray, r: np.ndarray, normals: np.ndarray,
@@ -214,21 +174,6 @@ def _reflect_rows(t: np.ndarray, r: np.ndarray, normals: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         point = image + (dt / (dt + dr))[:, None] * direction
     return length, point, same_side
-
-
-def reflection_path_length(tx, rx, plane: ReflectorPlane) -> ReflectionSolution:
-    """Specular reflection path length via the mirrored transmitter.
-
-    Both endpoints must lie strictly on the same side of the plane. The
-    returned length equals |reflect(tx) - rx|. This is the one-row case of
-    the reflection kernel; ``channel.SceneGeometry.reflections`` reflects
-    off all of a scene's planes at once.
-    """
-    length, point, same_side = _reflect_rows(_vec(tx), _vec(rx), plane.normal[None],
-                                             np.array([plane.offset]))
-    if not same_side[0]:
-        raise GeometryError("tx and rx must lie strictly on the same side of the plane")
-    return ReflectionSolution(float(length[0]), Point3.from_array(point[0]))
 
 
 # ---------------------------------------------------------------------------

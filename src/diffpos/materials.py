@@ -227,42 +227,43 @@ def diffraction_loss_db(model: DiffractionLossModel, f_hz: float) -> float:
 # ---------------------------------------------------------------------------
 
 class MaterialLibrary:
-    """Materials and named slab stacks loaded from a JSON config file."""
+    """Materials and named slab stacks loaded from a JSON config file.
+
+    A lookup of a name the library lacks raises ValueError.
+    """
 
     def __init__(self, materials: dict[str, Material], slabs: dict[str, SlabSpec]):
         self.materials = dict(materials)
         self.slabs = dict(slabs)
 
     def material(self, name: str) -> Material:
-        try:
-            return self.materials[name]
-        except KeyError:
-            raise KeyError(f"unknown material {name!r}; have {sorted(self.materials)}") from None
+        if name not in self.materials:
+            raise ValueError(f"unknown material {name!r}; have {sorted(self.materials)}")
+        return self.materials[name]
 
     def slab(self, name: str) -> SlabSpec:
-        try:
-            return self.slabs[name]
-        except KeyError:
-            raise KeyError(f"unknown slab {name!r}; have {sorted(self.slabs)}") from None
+        if name not in self.slabs:
+            raise ValueError(f"unknown slab {name!r}; have {sorted(self.slabs)}")
+        return self.slabs[name]
 
 
 def _library_from_dict(doc: dict) -> MaterialLibrary:
     if doc.get("schema") != "materials/1":
         raise ValueError(f"unsupported materials schema: {doc.get('schema')!r}")
-    materials = {
-        name: Material(name=name, a=entry["a"], b=entry["b"], c=entry["c"], d=entry["d"])
-        for name, entry in doc["materials"].items()
-    }
-    slabs = {}
+    library = MaterialLibrary({}, {})
+    for name, entry in doc["materials"].items():
+        for key in "abcd":
+            if key not in entry:
+                raise ValueError(f"material {name!r} is missing the coefficient {key!r}")
+        library.materials[name] = Material(name, **{key: entry[key] for key in "abcd"})
     for name, layers in doc.get("slabs", {}).items():
-        slabs[name] = SlabSpec(
-            name=name,
-            layers=tuple(
-                SlabLayer(material=materials[mat_name], thickness_m=float(thickness))
-                for mat_name, thickness in layers
-            ),
-        )
-    return MaterialLibrary(materials, slabs)
+        try:
+            library.slabs[name] = SlabSpec(name=name, layers=tuple(
+                SlabLayer(material=library.material(mat_name), thickness_m=float(thickness))
+                for mat_name, thickness in layers))
+        except ValueError as exc:
+            raise ValueError(f"slab {name!r}: {exc}") from None
+    return library
 
 
 def load_material_library(path) -> MaterialLibrary:

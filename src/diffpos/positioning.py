@@ -228,8 +228,7 @@ class _GaussNewtonRows(NamedTuple):
 
 
 def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
-                  damping: np.ndarray, tol: float, problem: np.ndarray | None = None,
-                  ) -> _GaussNewtonRows:
+                  damping: np.ndarray, tol: float, problem: np.ndarray) -> _GaussNewtonRows:
     """Gauss-Newton on the diffraction path model, all rows in one loop.
 
     Row i starts at ``alpha0[i]`` and iterates until its step norm drops
@@ -253,8 +252,7 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     iterations = np.zeros(n_rows, dtype=int)
     status = np.full(n_rows, _OUT_OF_ITERATIONS)
     residual_norm = np.full(n_rows, np.nan)
-    if problem is not None:
-        first_converged = np.full(int(problem.max(initial=-1)) + 1, n_rows)
+    first_converged = np.full(int(problem.max(initial=-1)) + 1, n_rows)
     eye = np.eye(3)
 
     # State of the active rows: their row numbers, measurements, iterates,
@@ -276,12 +274,11 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
             done = active[final]
             residual_norm[done] = np.sqrt(np.sum(residual[final] ** 2, axis=1))
             status[done[singular[final]]] = _SINGULAR
-            if problem is not None:
-                for i in done[status[done] == _CONVERGED]:
-                    first_converged[problem[i]] = min(first_converged[problem[i]], i)
-                dropped = ~stop & (active > first_converged[problem[active]])
-                status[active[dropped]] = _DROPPED
-                stop |= dropped
+            for i in done[status[done] == _CONVERGED]:
+                first_converged[problem[i]] = min(first_converged[problem[i]], i)
+            dropped = ~stop & (active > first_converged[problem[active]])
+            status[active[dropped]] = _DROPPED
+            stop |= dropped
         status[active[singular & ~final]] = _SINGULAR
         go = ~stop
         its[go | (singular & ~final)] += 1
@@ -343,7 +340,7 @@ def dnls_solve(
     if not np.all(np.isfinite(alpha)):
         raise ValueError("initial guess must be finite")
     out = _gauss_newton(_pack([meas]), alpha.reshape(1, 3), np.array([max_iters]),
-                        np.array([damping], dtype=float), tol_m)
+                        np.array([damping], dtype=float), tol_m, np.zeros(1, dtype=int))
     est = _estimate(out, 0)
     if out.status[0] == _SINGULAR:
         raise SingularGeometryError(

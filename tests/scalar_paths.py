@@ -8,16 +8,31 @@ scalar free-space loss and one ``Mpc`` per row, and the object bodies of
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from diffpos.channel import Mpc, Pdp, classify_mpc, noise_floor_dbm
 from diffpos.constants import SPEED_OF_LIGHT
 from diffpos.fap import FapSelection, NoDetectionError
-from diffpos.geometry import GeometryError, Point3, ReflectionSolution, ReflectorPlane
+from diffpos.geometry import GeometryError, Point3
 from diffpos.materials import diffraction_loss_db, reflection_loss_db
 
 _PLANE_UV = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
+
+
+class Plane(NamedTuple):
+    """Unbounded plane {x : normal.x = offset} with a unit normal."""
+
+    normal: np.ndarray
+    offset: float
+
+
+class ReflectionSolution(NamedTuple):
+    """Unfolded reflection length and the specular point."""
+
+    length: float
+    specular_point: Point3
 
 
 def signed_distance(plane, p):
@@ -63,9 +78,9 @@ def reflectors(scene, geom):
         if surf.reflective:
             normal = np.zeros(3)
             normal["xyz".index(surf.axis)] = 1.0
-            out.append((ReflectorPlane(normal, surf.coord), surf.slab, surf))
+            out.append((Plane(normal, surf.coord), surf.slab, surf))
     if scene.include_ground:
-        out.append((ReflectorPlane(np.array([0.0, 0.0, 1.0]), 0.0), scene.exterior_slab, None))
+        out.append((Plane(np.array([0.0, 0.0, 1.0]), 0.0), scene.exterior_slab, None))
     return out
 
 

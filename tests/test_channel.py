@@ -28,7 +28,6 @@ from diffpos.channel import (
     noise_floor_dbm,
     parse_interaction_string,
     receiver_grid,
-    snr_db,
     truncate_top_k,
 )
 from diffpos.cli import main as cli_main
@@ -128,17 +127,23 @@ def test_noise_floor_and_snr():
     expect = 10 * math.log10(BOLTZMANN * 290.0 * 400e6 / 1e-3)
     assert floor == pytest.approx(expect, rel=1e-15)
     assert floor == pytest.approx(-87.95458728094849, abs=1e-9)
-    assert snr_db(-60.0, BAND) == pytest.approx(27.954587280948488, abs=1e-9)
+    assert -60.0 - floor == pytest.approx(27.954587280948488, abs=1e-9)
 
 
 def test_snr_zero_at_noise_floor():
-    floor = noise_floor_dbm(BAND.bandwidth_hz, 290.0)
-    assert snr_db(floor, BAND) == pytest.approx(0.0, abs=1e-12)
+    # Every MPC's SNR is its power over the noise floor of the scene's band,
+    # so an MPC received at the floor has 0 dB.
+    scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
+    radio = scene.radio
+    floor = noise_floor_dbm(radio.band_for(3.5e9).bandwidth_hz, radio.noise_temperature_k)
+    pdp = enumerate_mpcs(scene, 0, receiver_grid(scene)[0], 3.5e9)
+    assert len(pdp) > 0
+    for m in pdp.mpcs:
+        assert m.snr_db == pytest.approx(m.rx_power_dbm - floor, abs=1e-12)
 
 
 def test_snr_quadrupled_bandwidth():
-    wide = Band("FR1", 3.5e9, 4 * 400e6, 20.0)
-    delta = snr_db(-60.0, BAND) - snr_db(-60.0, wide)
+    delta = noise_floor_dbm(4 * 400e6) - noise_floor_dbm(400e6)
     assert delta == pytest.approx(10 * math.log10(4.0), rel=1e-12)
 
 

@@ -143,7 +143,8 @@ def solve_rows(problems, damping):
     sets = [meas for meas, _ in problems]
     starts = np.array([start for _, start in problems])
     n = len(problems)
-    return _gauss_newton(_pack(sets), starts, np.full(n, 50), np.full(n, damping), 1e-6)
+    return _gauss_newton(_pack(sets), starts, np.full(n, 50), np.full(n, damping), 1e-6,
+                         np.arange(n))
 
 
 @pytest.mark.parametrize("damping", [0.0, 0.1])

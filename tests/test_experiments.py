@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from diffpos.channel import (
     MpcGroup,
     PathLimits,
+    RadioConfig,
     SceneConfig,
     WindowRect,
     receiver_grid,
@@ -30,7 +32,7 @@ from diffpos.experiments import (
     scene_from_dict,
     scene_to_dict,
 )
-from diffpos.materials import default_material_library
+from diffpos.materials import DiffractionLossModel, default_material_library
 
 RNG = np.random.default_rng(3)
 
@@ -280,9 +282,51 @@ def test_scene_json_round_trip(tmp_path):
     assert loaded.exterior_slab.layers[0].material.a == 5.31
 
 
+def test_scene_round_trip_keeps_every_field_off_its_default(tmp_path):
+    base = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
+    scene = dataclasses.replace(
+        base,
+        receiver_margin=1.5,
+        receiver_height=1.2,
+        radio=RadioConfig(
+            bands=tuple(dataclasses.replace(b, rx_processing_gain_db=3.0 + i)
+                        for i, b in enumerate(base.radio.bands)),
+            bandwidth_hz=200e6,
+            noise_temperature_k=300.0,
+            polarization="TM",
+            diffraction_loss=DiffractionLossModel(l0_db=12.0, gamma=0.5, f0_hz=2e9),
+        ),
+        limits=PathLimits(max_transmissions=4, max_reflections=3, max_diffractions=0,
+                          min_snr_db=-5.0),
+        include_ground=False,
+    )
+    records = [scene, scene.radio, scene.radio.diffraction_loss, scene.limits,
+               *scene.radio.bands]
+    for record in records:
+        for f in dataclasses.fields(record):
+            default = f.default_factory() if f.default_factory is not dataclasses.MISSING \
+                else f.default
+            assert default is dataclasses.MISSING or getattr(record, f.name) != default, f.name
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    assert load_scene(path) == scene
+
+
+def test_scene_keys_with_defaults_may_be_omitted():
+    scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
+    doc = scene_to_dict(scene)
+    for key in ("receiver_margin", "receiver_height", "limits", "include_ground"):
+        del doc[key]
+    del doc["radio"]["polarization"]
+    del doc["radio"]["bands"][0]["rx_processing_gain_db"]
+    assert scene_from_dict(doc) == scene
+
+
 def test_scene_schema_rejected():
     with pytest.raises(ValueError):
         scene_from_dict({"schema": "nope/0"})
+    with pytest.raises(ValueError, match="scene: expected an object, got list"):
+        scene_from_dict([])
 
 
 def test_report_json_round_trip(tiny_sweep):
@@ -412,6 +456,65 @@ def test_cli_sweep_bad_scene_record_is_an_error_line(tmp_path, capsys, record, k
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+def _set(path, value):
+    """A change to a scene document: set the value at ``path``, a list of
+    keys and indices."""
+    def change(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_set(["windows"], 5), "windows: expected a list, got int"),
+    (_set(["radio"], []), "radio: expected an object, got list"),
+    (_set(["anchors"], [5]), "anchors[0]: expected a list, got int"),
+    (_set(["anchors", 1], [7.5, -20.0]), "anchors[1]: expected 3 items, got 2"),
+    (_set(["colour"], "grey"), "scene: unexpected key 'colour'"),
+    (_set(["radio", "colour"], "grey"), "radio: unexpected key 'colour'"),
+    (_set(["footprint_x"], "30"), "footprint_x: expected a number, got str"),
+    (_set(["floor_count"], 7.0), "floor_count: expected an integer, got float"),
+    (_set(["include_ground"], 1), "include_ground: expected a boolean, got int"),
+    (_set(["windows", 3, "u_lo"], True), "windows[3].u_lo: expected a number, got bool"),
+], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
+        "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
+        "floor_count_float", "include_ground_int", "window_bound_bool"])
+def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
+    doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
+    change(doc)
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = cli_main(["sweep", "--scene", str(scene_path), "--out", str(out_dir),
+                   "--frequencies", "28e9"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["materials"]["concrete"].pop("d"),
+     "material 'concrete' is missing the coefficient 'd'"),
+    (lambda doc: doc["slabs"]["interior_drywall"][1].__setitem__(0, "nope"),
+     "slab 'interior_drywall': unknown material 'nope'; have ['air', 'brick', 'concrete',"
+     " 'glass', 'metal', 'plasterboard', 'wood']"),
+    (lambda doc: doc["slabs"].pop("exterior_concrete"),
+     "unknown slab 'exterior_concrete'; have ['interior_drywall']"),
+], ids=["missing_coefficient", "unknown_material", "no_exterior_slab"])
+def test_cli_scene_bad_material_file_is_an_error_line(tmp_path, capsys, change, message):
+    doc = json.loads(resources.files("diffpos").joinpath("data/materials.json")
+                     .read_text(encoding="utf-8"))
+    change(doc)
+    materials = tmp_path / "materials.json"
+    materials.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "scene.json"
+    rc = cli_main(["scene", "--materials", str(materials), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [

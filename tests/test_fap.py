@@ -8,7 +8,6 @@ from diffpos.channel import Mpc, Pdp, classify_mpc
 from diffpos.fap import (
     NoDetectionError,
     mean_squared_bandwidth,
-    mean_squared_bandwidth_discrete,
     range_sigma_m,
     ranging_crlb_std_seconds,
     select_fap,
@@ -106,20 +105,6 @@ def test_msb_flat_400mhz():
     # Oracle: closed-form second moment of a flat spectrum, B^2/12.
     assert mean_squared_bandwidth(BAND) == pytest.approx(1.3333333333333334e16, rel=1e-12)
     assert mean_squared_bandwidth(400e6) == mean_squared_bandwidth(BAND)
-
-
-def test_msb_discrete_amplitude_invariance():
-    f = np.linspace(-2e8, 2e8, 101)
-    w = np.exp(-((f / 1e8) ** 2))
-    a = mean_squared_bandwidth_discrete(f, w)
-    b = mean_squared_bandwidth_discrete(f, 7.3 * w)
-    assert a == pytest.approx(b, rel=1e-15)
-
-
-def test_msb_two_impulse_spectrum():
-    b = 400e6
-    got = mean_squared_bandwidth_discrete([-b / 2, b / 2], [1.0, 1.0])
-    assert got == pytest.approx(b ** 2 / 4.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

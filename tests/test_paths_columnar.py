@@ -30,7 +30,7 @@ from diffpos.experiments import (
     run_sweep,
 )
 from diffpos.fap import fap_rows, select_fap
-from diffpos.geometry import GeometryError, Point3, ReflectorPlane, _reflect_rows
+from diffpos.geometry import GeometryError, Point3, _reflect_rows
 
 SCENE = build_default_scene()
 GEOM = build_scene_geometry(SCENE)
@@ -62,7 +62,7 @@ def test_reflect_rows_match_scalar_on_random_planes():
             tx = tx - (normals[0] @ tx - offsets[0]) * normals[0]
         length, point, same_side = _reflect_rows(tx, rx, normals, offsets)
         for k in range(len(normals)):
-            plane = ReflectorPlane(normals[k], offsets[k])
+            plane = scalar_paths.Plane(normals[k], offsets[k])
             try:
                 sol = scalar_paths.reflection_path_length(tx, rx, plane)
             except GeometryError:
