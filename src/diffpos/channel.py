@@ -531,10 +531,10 @@ class SceneGeometry:
         r = self._edge_rotation @ rx + self._edge_translation
         ids = np.flatnonzero(~_on_edge_line(t, r, self._edge_z))
         x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], self._edge_z[ids]
-        lam, endpoint, length = _solve_edge_lambdas(t[ids], r[ids], x1, x2, z_e)
+        sol = _solve_edge_lambdas(t[ids], r[ids], x1, x2, z_e)
         point = _edge_points_world(self._edge_rotation[ids], self._edge_translation[ids],
-                                   x1, x2, z_e, lam)
-        return EdgeDiffractions(ids, lam, endpoint, length, point)
+                                   x1, x2, z_e, sol.lam)
+        return EdgeDiffractions(ids, sol.lam, sol.endpoint, sol.length, point)
 
 
 def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:

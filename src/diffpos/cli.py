@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # e.g. a missing file, or a directory given as a file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,7 @@ from .positioning import (
     dnls_ladder,
     lls_solve,
     lls_start,
-    peb,
+    peb_batch,
 )
 
 __all__ = [
@@ -273,14 +273,22 @@ class _FrequencyTally:
             result.estimate.alpha_hat.as_array() - rx_true)))
 
 
+class _Queue(NamedTuple):
+    """Problems of a sweep waiting for their batched solve."""
+
+    dnls: list  # (fi, MeasurementSet, start, rx_true) per trial
+    bound: list  # (fi, the argument tuple of peb) per receiver and frequency
+
+
 def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTable],
                     losses: list[PathLosses], nearest_edges: list[int], fi: int, ri: int,
-                    beta_sq: float, tally: _FrequencyTally, dnls_queue: list) -> None:
-    """FAPs, bound and LLS estimates of receiver ``ri`` at frequency ``fi``.
+                    beta_sq: float, tally: _FrequencyTally, queue: _Queue) -> None:
+    """FAPs and LLS estimates of receiver ``ri`` at frequency ``fi``, with
+    its bound and D-NLS problems queued.
 
-    Each trial's D-NLS problem is appended to ``dnls_queue`` as
-    ``(fi, MeasurementSet, start, rx_true)``, with the start derived from
-    the trial's LLS estimate.
+    Each trial's D-NLS problem is appended to ``queue.dnls``, with the start
+    derived from the trial's LLS estimate; the bound problem, when there is
+    one, to ``queue.bound``.
     """
     scene = cfg.scene
     n_anchors = len(tables)
@@ -308,14 +316,11 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTabl
     # assumption: the earliest diffraction path of each anchor.
     peb_anchor_idx = [a for a in range(n_anchors) if faps[a].mpc3_edge_id >= 0]
     if len(peb_anchor_idx) >= 3:
-        bound = peb(rx_true, anchors_arr[peb_anchor_idx],
-                    tuple(geom.edges[faps[a].mpc3_edge_id] for a in peb_anchor_idx),
-                    np.array([10 ** (faps[a].mpc3_snr_db / 10) for a in peb_anchor_idx]),
-                    beta_sq)
-        if bound.singular:
-            tally.excl["peb_singular"] += 1
-        else:
-            tally.peb_values.append(bound.peb_m)
+        queue.bound.append((fi, (
+            rx_true, anchors_arr[peb_anchor_idx],
+            tuple(geom.edges[faps[a].mpc3_edge_id] for a in peb_anchor_idx),
+            np.array([10 ** (faps[a].mpc3_snr_db / 10) for a in peb_anchor_idx]),
+            beta_sq)))
     else:
         tally.excl["peb_singular"] += 1
 
@@ -333,21 +338,29 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTabl
         else:
             tally.lls_errors.append(float(np.linalg.norm(
                 lls.alpha_hat.as_array() - rx_true)))
-        dnls_queue.append((fi, meas, lls_start(lls, scene.bounds), rx_true))
+        queue.dnls.append((fi, meas, lls_start(lls, scene.bounds), rx_true))
 
 
-# D-NLS problems per dnls_ladder call in run_sweep. A problem's result does
-# not depend on the rest of its batch, so the batch size bounds the sweep's
-# memory without changing any output.
+# D-NLS problems per dnls_ladder call in run_sweep; the bound problems queued
+# beside them are never more. A problem's result does not depend on the rest
+# of its batch, so the batch size bounds the sweep's memory without changing
+# any output.
 _DNLS_BATCH = 1024
 
 
-def _solve_dnls_queue(dnls_queue: list, tallies: list[_FrequencyTally], bounds) -> None:
-    """Solve the queued D-NLS problems, tally them and empty the queue."""
-    results = dnls_ladder([q[1] for q in dnls_queue], [q[2] for q in dnls_queue], bounds)
-    for (fi, _, _, rx_true), result in zip(dnls_queue, results):
+def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], bounds) -> None:
+    """Solve the queued D-NLS and bound problems, tally them and empty the
+    queue."""
+    results = dnls_ladder([q[1] for q in queue.dnls], [q[2] for q in queue.dnls], bounds)
+    for (fi, _, _, rx_true), result in zip(queue.dnls, results):
         tallies[fi].add_dnls(result, rx_true)
-    dnls_queue.clear()
+    for (fi, _), bound in zip(queue.bound, peb_batch([q[1] for q in queue.bound])):
+        if bound.singular:
+            tallies[fi].excl["peb_singular"] += 1
+        else:
+            tallies[fi].peb_values.append(bound.peb_m)
+    queue.dnls.clear()
+    queue.bound.clear()
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -356,12 +369,13 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     Receivers run in the outer loop: each (anchor, receiver) path table is
     built once and its losses are evaluated at every frequency in one pass;
     top-k truncation and the FAP run on the table's columns, so no Mpc
-    object is built. The D-NLS problems of every
-    frequency, receiver and trial are queued, and ``dnls_ladder`` solves the
-    queue, retry rungs side by side, whenever it holds ``_DNLS_BATCH``
-    problems and once more after the receiver loop. Noise is keyed by (seed,
-    frequency index, receiver index, trial) and every reported statistic is
-    order-free, so the report does not depend on loop, queue or batch order.
+    object is built. The D-NLS problems of every frequency, receiver and
+    trial are queued with the bound problems, and ``dnls_ladder`` (retry
+    rungs side by side) and ``peb_batch`` solve the queue whenever it holds
+    ``_DNLS_BATCH`` D-NLS problems and once more after the receiver loop.
+    Noise is keyed by (seed, frequency index, receiver index, trial) and
+    every reported statistic is order-free, so the report does not depend on
+    loop, queue or batch order.
     """
     scene = cfg.scene
     geom = build_scene_geometry(scene)
@@ -370,7 +384,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     freqs = cfg.frequencies_hz
     beta_sqs = [mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs]
     tallies = [_FrequencyTally(n_anchors) for _ in freqs]
-    dnls_queue: list = []
+    queue = _Queue([], [])
 
     nearest_edges = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
 
@@ -379,10 +393,10 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         losses = [table.losses(freqs) for table in tables]
         for fi in range(len(freqs)):
             _tally_receiver(cfg, geom, tables, losses, nearest_edges, fi, ri, beta_sqs[fi],
-                            tallies[fi], dnls_queue)
-            if len(dnls_queue) >= _DNLS_BATCH:
-                _solve_dnls_queue(dnls_queue, tallies, scene.bounds)
-    _solve_dnls_queue(dnls_queue, tallies, scene.bounds)
+                            tallies[fi], queue)
+            if len(queue.dnls) >= _DNLS_BATCH:
+                _solve_queue(queue, tallies, scene.bounds)
+    _solve_queue(queue, tallies, scene.bounds)
 
     report = SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db,
                          trials=cfg.trials, noiseless=cfg.noiseless)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,21 +200,23 @@ def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-13) -> float:
     return 0.5 * (a + b)
 
 
-def _leg_lengths(t: np.ndarray, r: np.ndarray, z_e: np.ndarray,
-                 qx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-leg length, leg by leg: |t - q| and |q - r| for q = (qx, 0, z_e),
-    with edge-local tx ``t`` and rx ``r`` of shape (..., 3) and ``z_e``,
-    ``qx`` of the leading shape."""
-    leg_t = np.sqrt((t[..., 0] - qx) ** 2 + t[..., 1] ** 2 + (t[..., 2] - z_e) ** 2)
-    leg_r = np.sqrt((r[..., 0] - qx) ** 2 + r[..., 1] ** 2 + (z_e - r[..., 2]) ** 2)
-    return leg_t, leg_r
+class _EdgeRows(NamedTuple):
+    """Per-row result of ``_solve_edge_lambdas``."""
+
+    lam: np.ndarray  # minimizing lam in [0, 1]
+    endpoint: np.ndarray  # True where clamped to an edge endpoint
+    length: np.ndarray  # two-leg length, leg_t + leg_r
+    qx: np.ndarray  # edge-local x of the edge point, x2 + lam * (x1 - x2)
+    leg_t: np.ndarray  # tx-side leg |t - q|
+    leg_r: np.ndarray  # rx-side leg |q - r|
 
 
 def _solve_edge_lambdas(
     t: np.ndarray, r: np.ndarray, x1: np.ndarray, x2: np.ndarray, z_e: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimizing lam in [0, 1] of the two-leg length, an endpoint flag and
-    the two-leg length, per row.
+) -> _EdgeRows:
+    """Minimizing lam in [0, 1] of the two-leg length, an endpoint flag, the
+    two-leg length, and the edge point's x and the legs it was taken from,
+    per row.
 
     Row i pairs edge-local tx ``t[i]`` and rx ``r[i]`` (shape (N, 3)) with
     the edge from (x1[i], 0, z_e[i]) to (x2[i], 0, z_e[i]). The stationary
@@ -223,96 +226,99 @@ def _solve_edge_lambdas(
     so when no stationary point lies in [0, 1] the constrained minimum sits
     at the endpoint of smaller length. Rows whose quadratic is degenerate or
     whose discriminant is inconsistent take golden-section search instead.
-    Interior points get three Newton polish steps. Each row's result depends
-    on that row only.
+    Interior points get up to three Newton polish steps. Each row's result
+    depends on that row only.
     """
-    def length_at(rows, lam):
-        leg_t, leg_r = _leg_lengths(t[rows], r[rows], z_e[rows], x2[rows] + lam * span[rows])
-        return leg_t + leg_r
-
     xa, ya, za = t.T
     xn, yn, zn = r.T
     span = x1 - x2
-    at2 = (z_e - za) ** 2 + ya ** 2  # squared transverse distance, tx leg
-    rt2 = (z_e - zn) ** 2 + yn ** 2  # squared transverse distance, rx leg
+    # A leg through the edge point (qx, 0, z_e) is sqrt((x - qx)^2 + y^2 +
+    # (z - z_e)^2), summed in that order; only its first term moves with qx.
+    ty2, tz2 = ya ** 2, (z_e - za) ** 2
+    ry2, rz2 = yn ** 2, (z_e - zn) ** 2
+
+    def legs(rows, qx):
+        return (np.sqrt((xa[rows] - qx) ** 2 + ty2[rows] + tz2[rows]),
+                np.sqrt((xn[rows] - qx) ** 2 + ry2[rows] + rz2[rows]))
+
+    def length_at(rows, lam):
+        leg_t, leg_r = legs(rows, x2[rows] + lam * span[rows])
+        return leg_t + leg_r
+
+    at2 = tz2 + ty2  # squared transverse distance, tx leg
+    rt2 = rz2 + ry2  # squared transverse distance, rx leg
+    dxa, dxn = x2 - xa, x2 - xn
     a = span ** 2 * (rt2 - at2)
-    b = 2.0 * span * ((x2 - xa) * rt2 - (x2 - xn) * at2)
-    c = (x2 - xa) ** 2 * rt2 - (x2 - xn) ** 2 * at2
+    b = 2.0 * span * (dxa * rt2 - dxn * at2)
+    c = dxa ** 2 * rt2 - dxn ** 2 * at2
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-    disc = b * b - 4.0 * a * c
-    disc_scale = np.maximum(b * b, np.abs(4.0 * a * c))
+    bb, ac4 = b * b, 4.0 * a * c
+    disc = bb - ac4
     # A discriminant negative beyond roundoff is inconsistent; a
     # roundoff-negative one is an exact double root.
     fallback = ((scale == 0.0) | (np.abs(a) < _DEGENERATE_QUADRATIC_RTOL * scale)
-                | ((disc < 0.0) & (np.abs(disc) > 1e-9 * disc_scale)))
+                | ((disc < 0.0) & (np.abs(disc) > 1e-9 * np.maximum(bb, np.abs(ac4)))))
     sq = np.sqrt(np.maximum(disc, 0.0))
     # Stable quadratic formula: avoids cancellation when b*b >> |4ac|.
     qf = np.where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
     between_slack = 1e-9 * np.maximum(1.0, (xa - xn) ** 2)
 
-    # Screen both roots: inside [0, 1] (with slack) and between tx and rx,
-    # where a genuine stationary point of the two-leg length sits. Fallback
-    # rows may divide by zero here; they are masked out.
-    ok, clamped = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for root in (np.where(qf != 0.0, qf / a, 0.0), np.where(qf != 0.0, c / qf, 0.0)):
-            q = x2 + root * span
-            ok.append((-_ROOT_INTERVAL_SLACK <= root) & (root <= 1.0 + _ROOT_INTERVAL_SLACK)
-                      & ((q - xa) * (q - xn) <= between_slack) & ~fallback)
-            clamped.append(np.minimum(np.maximum(root, 0.0), 1.0))
-    lam = np.where(ok[0], clamped[0], clamped[1])
-    both = np.flatnonzero(ok[0] & ok[1])
-    if both.size:
-        second = length_at(both, clamped[1][both]) < length_at(both, clamped[0][both])
-        lam[both[second]] = clamped[1][both[second]]
+        # Screen both roots, stacked (2, N): inside [0, 1] (with slack) and
+        # between tx and rx, where a genuine stationary point of the two-leg
+        # length sits. Fallback rows may divide by zero here; they are
+        # masked out.
+        root = np.where(qf != 0.0, np.array((qf, c)) / np.array((a, qf)), 0.0)
+        q = x2 + root * span
+        ok = ((-_ROOT_INTERVAL_SLACK <= root) & (root <= 1.0 + _ROOT_INTERVAL_SLACK)
+              & ((q - xa) * (q - xn) <= between_slack) & ~fallback)
+        clamped = np.minimum(np.maximum(root, 0.0), 1.0)
+        lam = np.where(ok[0], clamped[0], clamped[1])
+        both = (ok[0] & ok[1]).nonzero()[0]
+        if both.size:
+            length = length_at(both, clamped[:, both])
+            second = both[length[1] < length[0]]
+            lam[second] = clamped[1, second]
 
-    # No stationary point on the edge: the endpoint of smaller length.
-    endpoint = ~(ok[0] | ok[1] | fallback)
-    ends = np.flatnonzero(endpoint)
-    if ends.size:
-        lam[ends] = np.where(length_at(ends, 1.0) < length_at(ends, 0.0), 1.0, 0.0)
+        # No stationary point on the edge: the endpoint of smaller length.
+        polish = ok[0] | ok[1]
+        endpoint = ~(polish | fallback)
+        ends = endpoint.nonzero()[0]
+        if ends.size:
+            length = length_at(ends, np.array([[1.0], [0.0]]))
+            lam[ends] = np.where(length[0] < length[1], 1.0, 0.0)
 
-    # Golden-section rows keep an endpoint they land on and are polished
-    # otherwise.
-    polish = ok[0] | ok[1]
-    for i in np.flatnonzero(fallback):
-        lam[i] = _golden_section_min(lambda x, i=i: length_at(i, x), 0.0, 1.0)
-        if lam[i] < 1e-9 or lam[i] > 1.0 - 1e-9:
-            lam[i], endpoint[i] = round(lam[i]), True
-        else:
-            polish[i] = True
-    lam = _newton_polish_rows(t, r, x1, x2, z_e, lam, polish)
-    return lam, endpoint, length_at(slice(None), lam)
+        # Golden-section rows keep an endpoint they land on and are polished
+        # otherwise.
+        for i in fallback.nonzero()[0]:
+            lam[i] = _golden_section_min(lambda x, i=i: length_at(i, x), 0.0, 1.0)
+            if lam[i] < 1e-9 or lam[i] > 1.0 - 1e-9:
+                lam[i], endpoint[i] = round(lam[i]), True
+            else:
+                polish[i] = True
 
-
-def _newton_polish_rows(t, r, x1, x2, z_e, lam, polish) -> np.ndarray:
-    """Refine the interior stationary points of the rows where ``polish`` is
-    set with up to three Newton steps on dp/dq; the other rows keep ``lam``.
-
-    The quadratic route resolves a near-double root only to ~sqrt(eps); the
-    two-leg length is convex in q with a simple root of its derivative, so a
-    few Newton steps recover full precision. A row stops early at a zero
-    leg, a non-positive curvature or a step below 1e-14 relative.
-    """
-    span = x1 - x2
-    q = x2 + lam * span
-    at2 = t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2
-    rt2 = r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2
-    active = polish
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The quadratic route resolves a near-double root only to
+        # ~sqrt(eps); the two-leg length is convex in q with a simple root of
+        # its derivative, so Newton steps on dp/dq recover full precision. A
+        # row stops early at a zero leg, a non-positive curvature or a step
+        # below 1e-14 relative.
+        q = x2 + lam * span
+        active = polish
         for _ in range(3):
             if not active.any():
                 break
-            l1, l2 = _leg_lengths(t, r, z_e, q)
-            grad = (q - t[:, 0]) / l1 + (q - r[:, 0]) / l2
+            l1, l2 = legs(slice(None), q)
+            grad = (q - xa) / l1 + (q - xn) / l2
             curv = at2 / l1 ** 3 + rt2 / l2 ** 3
             step = grad / curv
             move = active & (l1 != 0.0) & (l2 != 0.0) & ~(curv <= 0.0)
             moved = q - step
             q = np.where(move, moved, q)
             active = move & ~(np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(moved)))
-        polished = (q - x2) / span
-    return np.where(polish, np.minimum(np.maximum(polished, 0.0), 1.0), lam)
+        lam = np.where(polish, np.minimum(np.maximum((q - x2) / span, 0.0), 1.0), lam)
+    qx = x2 + lam * span
+    leg_t, leg_r = legs(slice(None), qx)
+    return _EdgeRows(lam, endpoint, leg_t + leg_r, qx, leg_t, leg_r)
 
 
 def _on_edge_line(t: np.ndarray, r: np.ndarray, z_e) -> np.ndarray:
@@ -334,11 +340,11 @@ def _edge_solution(t: np.ndarray, r: np.ndarray, edge: WindowEdge, z_e: float) -
     """One-row _solve_edge_lambdas: edge point and two-leg length for
     edge-local tx/rx, with the edge at height z_e."""
     x1, x2, z = (np.array([v], dtype=float) for v in (edge.x1, edge.x2, z_e))
-    lam, endpoint, length = _solve_edge_lambdas(t[None], r[None], x1, x2, z)
+    sol = _solve_edge_lambdas(t[None], r[None], x1, x2, z)
     q = _edge_points_world(edge.frame.rotation[None], edge.frame.translation[None],
-                           x1, x2, z, lam)
-    return DiffractionSolution(float(lam[0]), Point3.from_array(q[0]), float(length[0]),
-                               bool(endpoint[0]))
+                           x1, x2, z, sol.lam)
+    return DiffractionSolution(float(sol.lam[0]), Point3.from_array(q[0]),
+                               float(sol.length[0]), bool(sol.endpoint[0]))
 
 
 def diffraction_point(tx, rx, edge: WindowEdge) -> DiffractionSolution:

@@ -247,16 +247,39 @@ class MaterialLibrary:
         return self.slabs[name]
 
 
-def _library_from_dict(doc: dict) -> MaterialLibrary:
+def _expect(value, types, expected: str, where: str):
+    """``value`` when it has one of the JSON ``types``, else ValueError naming
+    ``where``. No value of a materials file is a boolean, and a JSON boolean
+    is no number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
+def _library_from_dict(doc) -> MaterialLibrary:
+    """The library of a materials/1 document. A wrong JSON shape or leaf type,
+    a missing coefficient or an unknown material raises ValueError naming the
+    material or slab."""
+    _expect(doc, dict, "an object", "materials file")
     if doc.get("schema") != "materials/1":
         raise ValueError(f"unsupported materials schema: {doc.get('schema')!r}")
+    if "materials" not in doc:
+        raise ValueError("materials file: missing key 'materials'")
     library = MaterialLibrary({}, {})
-    for name, entry in doc["materials"].items():
+    for name, entry in _expect(doc["materials"], dict, "an object", "materials").items():
+        _expect(entry, dict, "an object", f"material {name!r}")
         for key in "abcd":
             if key not in entry:
                 raise ValueError(f"material {name!r} is missing the coefficient {key!r}")
+            _expect(entry[key], (int, float), "a number", f"material {name!r}: coefficient {key!r}")
         library.materials[name] = Material(name, **{key: entry[key] for key in "abcd"})
-    for name, layers in doc.get("slabs", {}).items():
+    for name, layers in _expect(doc.get("slabs", {}), dict, "an object", "slabs").items():
+        _expect(layers, list, "a list of [material, thickness] pairs", f"slab {name!r}")
+        for i, layer in enumerate(layers):
+            if not (isinstance(layer, list) and len(layer) == 2):
+                raise ValueError(f"slab {name!r}: layer {i} is not a [material, thickness] pair")
+            _expect(layer[0], str, "a string", f"slab {name!r}: layer {i} material")
+            _expect(layer[1], (int, float), "a number", f"slab {name!r}: layer {i} thickness")
         try:
             library.slabs[name] = SlabSpec(name=name, layers=tuple(
                 SlabLayer(material=library.material(mat_name), thickness_m=float(thickness))

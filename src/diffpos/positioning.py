@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import Point3, WindowEdge, _leg_lengths, _solve_edge_lambdas, _vec
+from .geometry import Point3, WindowEdge, _solve_edge_lambdas, _vec
 
 __all__ = [
     "SingularGeometryError",
@@ -44,6 +44,7 @@ __all__ = [
     "dnls_ladder",
     "lls_solve",
     "peb",
+    "peb_batch",
     "lls_start",
 ]
 
@@ -185,19 +186,19 @@ def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray,
     """
     rot = rows.rotation
     a = alpha[:, None, None, :]
-    r = rot[..., 0] * a[..., 0] + rot[..., 1] * a[..., 1] + rot[..., 2] * a[..., 2] \
-        + rows.translation
-    z_e = r[..., 2] + 0.5 * rows.w
-    lam, _, length = _solve_edge_lambdas(
-        rows.t.reshape(-1, 3), r.reshape(-1, 3), rows.x1.ravel(), rows.x2.ravel(), z_e.ravel())
-    qx = rows.x2 + lam.reshape(z_e.shape) * (rows.x1 - rows.x2)
-    l_tx, l_rx = _leg_lengths(rows.t, r, z_e, qx)
-    singular = (l_rx < 1e-12) | (l_tx < 1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = rot[..., 0] * a[..., 0] + rot[..., 1] * a[..., 1] + rot[..., 2] * a[..., 2] \
+            + rows.translation
+        z_e = r[..., 2] + 0.5 * rows.w
+        sol = _solve_edge_lambdas(rows.t.reshape(-1, 3), r.reshape(-1, 3), rows.x1.ravel(),
+                                  rows.x2.ravel(), z_e.ravel())
+        length, qx, l_tx, l_rx = (v.reshape(z_e.shape)
+                                  for v in (sol.length, sol.qx, sol.leg_t, sol.leg_r))
+        singular = (l_rx < 1e-12) | (l_tx < 1e-12)
         local = ((r[..., 0] - qx) / l_rx, r[..., 1] / l_rx, (z_e - rows.t[..., 2]) / l_tx)
-    grad = rot[..., 0, :] * local[0][..., None] + rot[..., 1, :] * local[1][..., None] \
-        + rot[..., 2, :] * local[2][..., None]
-    return length.reshape(z_e.shape), grad.transpose(0, 2, 1), singular
+        grad = rot[..., 0, :] * local[0][..., None] + rot[..., 1, :] * local[1][..., None] \
+            + rot[..., 2, :] * local[2][..., None]
+    return length, grad.transpose(0, 2, 1), singular
 
 
 def diffraction_model(alpha, meas: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +248,6 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     """
     n_rows = len(alpha0)
     alpha = np.array(alpha0, dtype=float).reshape(n_rows, 3)
-    max_iters = np.asarray(max_iters)
-    damping = np.asarray(damping, dtype=float)
     iterations = np.zeros(n_rows, dtype=int)
     status = np.full(n_rows, _OUT_OF_ITERATIONS)
     residual_norm = np.full(n_rows, np.nan)
@@ -256,16 +255,18 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     eye = np.eye(3)
 
     # State of the active rows: their row numbers, measurements, iterates,
-    # iteration counts, and whether their last step is taken (the model
-    # evaluation at the top of the loop is then their final one).
+    # iteration limits, damping, iteration counts, and whether their last
+    # step is taken (the model evaluation at the top of the loop is then
+    # their final one). Rows that stop leave it at the end of the iteration.
     active = np.arange(n_rows)
     cur = rows
     a = alpha.copy()
+    limit = np.asarray(max_iters)
+    damp = np.asarray(damping, dtype=float)
     its = iterations.copy()
-    final = max_iters <= 0
+    final = limit <= 0
     while active.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            p, jac, singular = _model_rows(a, cur)
+        p, jac, singular = _model_rows(a, cur)
         singular = singular.any(axis=1)
         residual = cur.ranges - p
 
@@ -279,36 +280,42 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
             dropped = ~stop & (active > first_converged[problem[active]])
             status[active[dropped]] = _DROPPED
             stop |= dropped
-        status[active[singular & ~final]] = _SINGULAR
-        go = ~stop
-        its[go | (singular & ~final)] += 1
+        if singular.any():
+            status[active[singular & ~final]] = _SINGULAR
+            its[singular & ~final] += 1
 
-        # One step of the rows that go on.
-        j, res, d = jac[go], residual[go], damping[active[go]]
-        normal = np.sum(j[:, :, None, :] * j[:, None, :, :], axis=-1)
-        rhs = np.sum(j * res[:, None, :], axis=-1)
+        # One step of the rows that go on: every active row unless some stop.
+        go = np.flatnonzero(~stop) if stop.any() else slice(None)
+        its[go] += 1
+        j, res, d, start = jac[go], residual[go], damp[go], a[go]
+        normal = (j[:, :, None, :] * j[:, None, :, :]).sum(axis=-1)
+        rhs = (j * res[:, None, :]).sum(axis=-1)
         damped = d > 0.0
-        if damped.any():
+        if damped.all():
+            normal += d[:, None, None] * eye
+        elif damped.any():
             normal[damped] += d[damped, None, None] * eye
         ok = np.isfinite(normal).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-        deficient = np.zeros_like(ok)
+        deficient = np.zeros(ok.shape, dtype=bool)
         check = ok & ~damped
         if check.any():
             deficient[check] = _rank_deficient(normal[check])
             ok &= ~deficient
-        step = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
-        moved = a[go][ok] + step
-        finite = np.isfinite(moved).all(axis=1)
-        ok[ok] = finite
-        moved = moved[finite]
-        converged = np.sqrt(np.sum(step[finite] ** 2, axis=1)) < tol
-
-        rows_ok = np.flatnonzero(go)[ok]
-        status[active[go][~ok]] = np.where(deficient[~ok], _SINGULAR, _DIVERGED)
-        a[rows_ok] = moved
-        status[active[rows_ok[converged]]] = _CONVERGED
-        final[rows_ok] = converged | (its[rows_ok] >= max_iters[active[rows_ok]])
-        stop[go] = ~ok
+        if not ok.all():  # rows that fail here take a zero step
+            normal[~ok], rhs[~ok] = eye, 0.0
+        step = np.linalg.solve(normal, rhs[..., None])[..., 0]
+        moved = start + step
+        ok &= np.isfinite(moved).all(axis=1)
+        converged = ok & (np.sqrt((step ** 2).sum(axis=1)) < tol)
+        if not ok.all():
+            failed = ~ok
+            status[active[go][failed]] = np.where(deficient[failed], _SINGULAR, _DIVERGED)
+            moved[failed] = start[failed]
+            stop[go] = failed
+        a[go] = moved
+        if converged.any():
+            status[active[go][converged]] = _CONVERGED
+        final[go] = converged | (its[go] >= limit[go])
 
         if stop.any():
             left = active[stop]
@@ -316,7 +323,7 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
             iterations[left] = its[stop]
             keep = ~stop
             active, cur, a = active[keep], cur.take(keep), a[keep]
-            its, final = its[keep], final[keep]
+            its, final, limit, damp = its[keep], final[keep], limit[keep], damp[keep]
     return _GaussNewtonRows(alpha, iterations, status, residual_norm)
 
 
@@ -443,34 +450,62 @@ def peb(
 
     Range variances follow the delay bound: sigma_j^2 = c^2 / (8 pi^2 beta^2
     snr_j). A singular FIM is reported as such (peb_m = inf) instead of
-    fabricating a number.
+    fabricating a number. This is the one-problem case of ``peb_batch``.
     """
-    snr = np.asarray(snr_linear, dtype=float).reshape(-1)
-    if np.any(snr <= 0):
-        raise ValueError("linear SNRs must be positive")
-    if not beta_sq_hz2 > 0:
-        raise ValueError("beta^2 must be positive")
-    meas = MeasurementSet(
-        anchors=np.asarray(anchors, dtype=float).reshape(-1, 3),
-        ranges=np.zeros(len(snr)),
-        sigmas=np.ones(len(snr)),
-        edges=tuple(edges),
-    )
-    jac = diffraction_model(alpha_true, meas)[1]
-    inv_var = 8.0 * math.pi ** 2 * beta_sq_hz2 * snr / SPEED_OF_LIGHT ** 2  # 1/m^2
-    fim = (jac * inv_var) @ jac.T
-    fim = 0.5 * (fim + fim.T)
+    return peb_batch([(alpha_true, anchors, edges, snr_linear, beta_sq_hz2)])[0]
 
-    s = np.linalg.svd(fim, compute_uv=False)
-    singular = s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]
-    condition = math.inf if singular else float(s[0] / s[-1])
-    if singular:
-        return FimResult(fim=fim, fim_inv=None, peb_m=math.inf,
-                         condition=condition, singular=True)
-    fim_inv = np.linalg.inv(fim)
-    return FimResult(fim=fim, fim_inv=fim_inv,
-                     peb_m=float(np.sqrt(np.trace(fim_inv))),
-                     condition=condition, singular=False)
+
+def peb_batch(problems) -> list[FimResult]:
+    """Position error bounds of many problems at once, one ``FimResult`` each.
+
+    Each problem is the argument tuple of ``peb``: (alpha_true, anchors,
+    edges, snr_linear, beta_sq_hz2). Problems with the same anchor count
+    share one evaluation of the model's partials; their Fisher matrices,
+    singular tests and inverses are computed stacked. A problem's result
+    does not depend on the rest of the batch.
+    """
+    alphas, sets, snrs, beta_sqs, by_count = [], [], [], [], {}
+    for i, (alpha_true, anchors, edges, snr_linear, beta_sq_hz2) in enumerate(problems):
+        snr = np.asarray(snr_linear, dtype=float).reshape(-1)
+        if np.any(snr <= 0):
+            raise ValueError("linear SNRs must be positive")
+        if not beta_sq_hz2 > 0:
+            raise ValueError("beta^2 must be positive")
+        alphas.append(_vec(alpha_true))
+        sets.append(MeasurementSet(anchors=np.asarray(anchors, dtype=float).reshape(-1, 3),
+                                   ranges=np.zeros(len(snr)), sigmas=np.ones(len(snr)),
+                                   edges=tuple(edges)))
+        snrs.append(snr)
+        beta_sqs.append(beta_sq_hz2)
+        by_count.setdefault(len(snr), []).append(i)
+
+    results = [None] * len(sets)
+    for group in by_count.values():
+        _, jac, singular = _model_rows(np.array([alphas[i] for i in group]),
+                                       _pack([sets[i] for i in group]))
+        if singular.any():
+            k, j = np.argwhere(singular)[0]
+            raise SingularGeometryError(f"bound problem {group[k]}: position coincides "
+                                        f"with the diffraction point of anchor {j}")
+        beta_sq = np.array([beta_sqs[i] for i in group], dtype=float)[:, None]
+        inv_var = 8.0 * math.pi ** 2 * beta_sq * np.array([snrs[i] for i in group]) \
+            / SPEED_OF_LIGHT ** 2  # 1/m^2
+        fim = (jac * inv_var[:, None, :]) @ jac.transpose(0, 2, 1)
+        fim = 0.5 * (fim + fim.transpose(0, 2, 1))
+
+        s = np.linalg.svd(fim, compute_uv=False)
+        singular = (s[:, 0] == 0.0) | (s[:, -1] <= _RANK_RTOL * s[:, 0])
+        fim_inv = np.full_like(fim, np.nan)
+        fim_inv[~singular] = np.linalg.inv(fim[~singular])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            condition = s[:, 0] / s[:, -1]
+        bound = np.sqrt(np.trace(fim_inv, axis1=1, axis2=2))
+        for k, i in enumerate(group):
+            results[i] = FimResult(fim=fim[k], fim_inv=None, peb_m=math.inf,
+                                   condition=math.inf, singular=True) if singular[k] \
+                else FimResult(fim=fim[k], fim_inv=fim_inv[k], peb_m=float(bound[k]),
+                               condition=float(condition[k]), singular=False)
+    return results
 
 
 def lls_start(lls: PositionEstimate | None, bounds: tuple) -> Point3:

@@ -1,0 +1,41 @@
+"""Scalar reference position error bound: one problem at a time.
+
+This is the body the batched ``positioning.peb_batch`` replaced, kept as the
+test oracle. It takes the model's partials from the one-row
+``diffraction_model`` and forms, tests and inverts one Fisher matrix per
+call.
+"""
+
+import math
+
+import numpy as np
+
+from diffpos.constants import SPEED_OF_LIGHT
+from diffpos.positioning import FimResult, MeasurementSet, diffraction_model
+
+RANK_RTOL = 1e-12
+
+
+def scalar_peb(alpha_true, anchors, edges, snr_linear, beta_sq_hz2):
+    """The FimResult of one bound problem, with ``peb``'s arguments."""
+    snr = np.asarray(snr_linear, dtype=float).reshape(-1)
+    meas = MeasurementSet(
+        anchors=np.asarray(anchors, dtype=float).reshape(-1, 3),
+        ranges=np.zeros(len(snr)),
+        sigmas=np.ones(len(snr)),
+        edges=tuple(edges),
+    )
+    jac = diffraction_model(alpha_true, meas)[1]
+    inv_var = 8.0 * math.pi ** 2 * beta_sq_hz2 * snr / SPEED_OF_LIGHT ** 2  # 1/m^2
+    fim = (jac * inv_var) @ jac.T
+    fim = 0.5 * (fim + fim.T)
+
+    s = np.linalg.svd(fim, compute_uv=False)
+    singular = s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]
+    if singular:
+        return FimResult(fim=fim, fim_inv=None, peb_m=math.inf,
+                         condition=math.inf, singular=True)
+    fim_inv = np.linalg.inv(fim)
+    return FimResult(fim=fim, fim_inv=fim_inv,
+                     peb_m=float(np.sqrt(np.trace(fim_inv))),
+                     condition=float(s[0] / s[-1]), singular=False)

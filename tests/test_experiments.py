@@ -503,7 +503,13 @@ def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, me
      " 'glass', 'metal', 'plasterboard', 'wood']"),
     (lambda doc: doc["slabs"].pop("exterior_concrete"),
      "unknown slab 'exterior_concrete'; have ['interior_drywall']"),
-], ids=["missing_coefficient", "unknown_material", "no_exterior_slab"])
+    (lambda doc: doc.__setitem__("materials", []), "materials: expected an object, got list"),
+    (lambda doc: doc["materials"]["concrete"].__setitem__("a", "5"),
+     "material 'concrete': coefficient 'a': expected a number, got str"),
+    (lambda doc: doc["slabs"]["interior_drywall"][1].append(1.0),
+     "slab 'interior_drywall': layer 1 is not a [material, thickness] pair"),
+], ids=["missing_coefficient", "unknown_material", "no_exterior_slab", "materials_not_an_object",
+        "string_coefficient", "layer_not_a_pair"])
 def test_cli_scene_bad_material_file_is_an_error_line(tmp_path, capsys, change, message):
     doc = json.loads(resources.files("diffpos").joinpath("data/materials.json")
                      .read_text(encoding="utf-8"))
@@ -514,6 +520,17 @@ def test_cli_scene_bad_material_file_is_an_error_line(tmp_path, capsys, change, 
     rc = cli_main(["scene", "--materials", str(materials), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--scene"], ["scene", "--materials"]],
+                         ids=["sweep_scene", "scene_materials"])
+def test_cli_directory_as_input_file_is_an_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = cli_main([*argv, str(tmp_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -272,7 +272,7 @@ def test_solve_edge_lambdas_matches_scalar_on_default_edges():
         tx = np.array([rng.uniform(-10, 40), rng.choice([-25.0, 45.0]) + rng.uniform(-5, 5),
                        rng.uniform(0.5, 15)])
         rx = rng.uniform([0.5, 0.5, 0.5], [29.5, 19.5, 20.5])
-        lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))
+        lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))[:3]
         for i, edge in enumerate(edges):
             sol = scalar_edge.diffraction_point(tx, rx, edge)
             assert abs(lam[i] - sol.lam) <= 1e-12
@@ -296,7 +296,7 @@ def test_solve_edge_lambdas_degenerate_row_takes_scalar_fallback(monkeypatch):
         return golden(f, lo, hi)
 
     monkeypatch.setattr(geometry, "_golden_section_min", spy)
-    lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))
+    lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))[:3]
     # The unshifted edge only: its legs at lam = 0 run to (4, 0, 1).
     assert len(calls) == 1
     assert calls[0](0.0) == pytest.approx(math.sqrt(29.0) + math.sqrt(5.0), rel=1e-15)
@@ -308,7 +308,7 @@ def test_solve_edge_lambdas_degenerate_row_takes_scalar_fallback(monkeypatch):
     # A degenerate row whose minimum lies beyond the edge: the search lands
     # within 1e-9 of lam = 0, which is rounded to the endpoint and flagged.
     tx, rx = np.array([6.0, -2.0, 1.0]), np.array([8.0, 2.0, 1.0])
-    lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges[:1], tx, rx))
+    lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges[:1], tx, rx))[:3]
     sol = scalar_edge.diffraction_point(tx, rx, edges[0])
     assert len(calls) == 2
     assert lam[0] == sol.lam == 0.0 and endpoint[0] and sol.endpoint
@@ -331,13 +331,40 @@ def test_solve_edge_lambdas_random_edges_and_frames():
     t = np.array([e.frame.to_local(a) for e, a, _ in rows])
     r = np.array([e.frame.to_local(b) for e, _, b in rows])
     x1, x2, z_e = (np.array([getattr(e, k) for e, _, _ in rows]) for k in ("x1", "x2", "z_e"))
-    lam, endpoint, length = _solve_edge_lambdas(t, r, x1, x2, z_e)
+    lam, endpoint, length = _solve_edge_lambdas(t, r, x1, x2, z_e)[:3]
     for i, (edge, a, b) in enumerate(rows):
         sol = scalar_edge.diffraction_point(a, b, edge)
         assert abs(lam[i] - sol.lam) <= 1e-12
         assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
         assert endpoint[i] == sol.endpoint
     assert endpoint.any() and not endpoint.all()
+
+
+def test_solve_edge_lambdas_returns_the_legs_at_its_lam(monkeypatch):
+    # Random rows, most clamped to an endpoint. Every fifth row puts tx and
+    # rx at a common abscissa, where both roots of the quadratic pass the
+    # screen; every seventh gives both legs the same transverse distance,
+    # which makes the quadratic degenerate and takes golden-section search.
+    # The edge point and the legs returned are those at the returned lam, bit
+    # for bit, as the D-NLS model takes them.
+    rng = np.random.default_rng(21)
+    n = 600
+    t, r = rng.uniform(-20, 20, (n, 3)), rng.uniform(-20, 20, (n, 3))
+    x1, x2, z_e = rng.uniform(-5, 0, n), rng.uniform(0.1, 5, n), rng.uniform(-3, 3, n)
+    r[::5, 0] = t[::5, 0]
+    r[::7, 1:] = t[::7, 1:] * [-1.0, 1.0]
+    calls = []
+    golden = geometry._golden_section_min
+    monkeypatch.setattr(geometry, "_golden_section_min",
+                        lambda f, lo, hi: calls.append(f) or golden(f, lo, hi))
+    sol = _solve_edge_lambdas(t, r, x1, x2, z_e)
+    qx = x2 + sol.lam * (x1 - x2)
+    leg_t = np.sqrt((t[:, 0] - qx) ** 2 + t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2)
+    leg_r = np.sqrt((r[:, 0] - qx) ** 2 + r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2)
+    assert np.array_equal(sol.qx, qx)
+    assert np.array_equal(sol.leg_t, leg_t) and np.array_equal(sol.leg_r, leg_r)
+    assert np.array_equal(sol.length, leg_t + leg_r)
+    assert len(calls) > 0 and sol.endpoint.any() and not sol.endpoint.all()
 
 
 def test_diffraction_fermat_stationarity_interior():
