@@ -218,6 +218,11 @@ class RadioConfig:
     polarization: str = "TE"
     diffraction_loss: DiffractionLossModel = field(default_factory=DiffractionLossModel)
 
+    def __post_init__(self) -> None:
+        noise_floor_dbm(self.bandwidth_hz, self.noise_temperature_k)  # both must be positive
+        if self.polarization not in ("TE", "TM"):
+            raise ValueError(f"polarization must be 'TE' or 'TM', got {self.polarization!r}")
+
     def band_for(self, f_hz: float) -> Band:
         for plan in self.bands:
             if plan.f_lo_hz <= f_hz <= plan.f_hi_hz:
@@ -387,7 +392,7 @@ class EdgeDiffractions(NamedTuple):
     """Single diffraction at D edges of a scene, one entry per edge."""
 
     ids: np.ndarray  # (D,) edge indices into SceneGeometry.edges
-    lam: np.ndarray  # (D,) edge parameter, as DiffractionSolution.lam
+    lam: np.ndarray  # (D,) q = lam*X1 + (1-lam)*X2 in the edge-local frame
     endpoint: np.ndarray  # (D,) clamped to an edge endpoint
     length: np.ndarray  # (D,) two-leg path length
     point: np.ndarray  # (D, 3) world diffraction point
@@ -523,9 +528,10 @@ class SceneGeometry:
         return Reflections(ids, length[ids], point[ids], angle)
 
     def diffractions(self, tx: np.ndarray, rx: np.ndarray) -> EdgeDiffractions:
-        """Diffraction at every edge where diffraction_point is defined, with
-        the numbers it gives one edge at a time. It raises where both tx and
-        rx lie on the edge line; those edges are left out.
+        """Diffraction at every edge, at the edge point that minimizes the
+        two-leg length: the stationary point, or else the endpoint of smaller
+        length, flagged. Edges whose line holds both tx and rx, where
+        diffraction is undefined, are left out.
         """
         t = self._edge_rotation @ tx + self._edge_translation
         r = self._edge_rotation @ rx + self._edge_translation
@@ -904,6 +910,8 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise DatasetError(1, f"invalid JSON header: {exc}") from None
+        if not isinstance(header, dict):
+            raise DatasetError(1, f"header: expected an object, got {type(header).__name__}")
         if header.get("schema") != _DATASET_SCHEMA:
             raise DatasetError(1, f"unsupported schema {header.get('schema')!r}")
 
@@ -919,6 +927,8 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
                 rx_id = _integer_field(rec, "rx_id")
                 rx_xyz = [float(v) for v in rec["rx_xyz"]]
                 interactions_s = rec["interactions"]
+                if not isinstance(interactions_s, str):
+                    raise TypeError(f"interactions must be a string, got {interactions_s!r}")
                 length = float(rec["path_length_m"])
                 power = float(rec["rx_power_dbm"])
                 stored = float(rec["tof_s"]) if "tof_s" in rec else None

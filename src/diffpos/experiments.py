@@ -277,7 +277,7 @@ class _Queue(NamedTuple):
     """Problems of a sweep waiting for their batched solve."""
 
     dnls: list  # (fi, MeasurementSet, start, rx_true) per trial
-    bound: list  # (fi, the argument tuple of peb) per receiver and frequency
+    bound: list  # (fi, a peb_batch problem) per receiver and frequency
 
 
 def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTable],

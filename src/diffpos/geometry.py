@@ -24,10 +24,7 @@ __all__ = [
     "Point3",
     "RigidTransform",
     "WindowEdge",
-    "DiffractionSolution",
     "euclidean_distance",
-    "diffraction_point",
-    "approx_diffraction_solution",
 ]
 
 # Relative tolerance below which the stationarity quadratic is treated as
@@ -129,21 +126,6 @@ class WindowEdge:
         p1 = self.frame.to_world([self.x1, 0.0, self.z_e])
         p2 = self.frame.to_world([self.x2, 0.0, self.z_e])
         return p1, p2
-
-
-@dataclass(frozen=True)
-class DiffractionSolution:
-    """Stationary point on an edge and the resulting two-leg path length.
-
-    ``lam`` parameterizes q = lam*X1 + (1-lam)*X2 in the edge-local frame;
-    ``endpoint`` is True when the stationary point fell outside the edge and
-    was clamped to the nearer endpoint (corner diffraction).
-    """
-
-    lam: float
-    q: Point3
-    path_length: float
-    endpoint: bool = False
 
 
 def euclidean_distance(a, b) -> float:
@@ -334,48 +316,3 @@ def _edge_points_world(rotation: np.ndarray, translation: np.ndarray, x1: np.nda
     rotation (N, 3, 3) and translation (N, 3) and its x1, x2, z_e (N,)."""
     q_local = np.stack([x2 + lam * (x1 - x2), np.zeros_like(lam), z_e], axis=1)
     return np.einsum("eji,ej->ei", rotation, q_local - translation)
-
-
-def _edge_solution(t: np.ndarray, r: np.ndarray, edge: WindowEdge, z_e: float) -> DiffractionSolution:
-    """One-row _solve_edge_lambdas: edge point and two-leg length for
-    edge-local tx/rx, with the edge at height z_e."""
-    x1, x2, z = (np.array([v], dtype=float) for v in (edge.x1, edge.x2, z_e))
-    sol = _solve_edge_lambdas(t[None], r[None], x1, x2, z)
-    q = _edge_points_world(edge.frame.rotation[None], edge.frame.translation[None],
-                           x1, x2, z, sol.lam)
-    return DiffractionSolution(float(sol.lam[0]), Point3.from_array(q[0]),
-                               float(sol.length[0]), bool(sol.endpoint[0]))
-
-
-def diffraction_point(tx, rx, edge: WindowEdge) -> DiffractionSolution:
-    """Stationary diffraction point on the edge and the exact path length.
-
-    Inputs are transformed into the edge-local frame, the stationarity
-    quadratic is solved for lam, the in-[0,1] root of minimal two-leg length
-    is kept, and out-of-range stationary points are clamped to the nearer
-    endpoint (flagged via ``endpoint``). This is the one-row case of the
-    batched edge solver; ``channel.SceneGeometry.diffractions`` solves many
-    edges at once.
-    """
-    t = edge.frame.to_local(_vec(tx))
-    r = edge.frame.to_local(_vec(rx))
-    if _on_edge_line(t, r, edge.z_e):
-        raise GeometryError("tx and rx both lie on the edge line; diffraction undefined")
-    return _edge_solution(t, r, edge, edge.z_e)
-
-
-def approx_diffraction_solution(tx, rx, edge: WindowEdge, w: float | None = None) -> DiffractionSolution:
-    """Diffraction solution under the window-height approximation.
-
-    The edge height is replaced by z_n + w/2, where z_n is the receiver
-    height in the edge-local frame: the receiver is assumed half a window
-    height below the active edge. The stored ``edge.z_e`` is ignored. This is
-    the measurement model p_j(alpha) used by the position estimators.
-    """
-    if w is None:
-        w = edge.w
-    if w < 0:
-        raise GeometryError("window height must be non-negative")
-    t = edge.frame.to_local(_vec(tx))
-    r = edge.frame.to_local(_vec(rx))
-    return _edge_solution(t, r, edge, r[2] + 0.5 * w)

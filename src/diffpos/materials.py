@@ -119,6 +119,10 @@ class DiffractionLossModel:
     gamma: float = 0.0
     f0_hz: float = 1e9
 
+    def __post_init__(self) -> None:
+        if not self.f0_hz > 0:
+            raise ValueError(f"diffraction loss f0_hz must be positive, got {self.f0_hz:g} Hz")
+
 
 def permittivity(material: Material, f_hz: float) -> float:
     """Real relative permittivity eps_r' = a * f_GHz^b."""
@@ -263,11 +267,17 @@ def _library_from_dict(doc) -> MaterialLibrary:
     _expect(doc, dict, "an object", "materials file")
     if doc.get("schema") != "materials/1":
         raise ValueError(f"unsupported materials schema: {doc.get('schema')!r}")
+    for key in doc:
+        if key not in ("schema", "materials", "slabs"):
+            raise ValueError(f"materials file: unexpected key {key!r}")
     if "materials" not in doc:
         raise ValueError("materials file: missing key 'materials'")
     library = MaterialLibrary({}, {})
     for name, entry in _expect(doc["materials"], dict, "an object", "materials").items():
         _expect(entry, dict, "an object", f"material {name!r}")
+        for key in entry:
+            if key not in ("a", "b", "c", "d"):
+                raise ValueError(f"material {name!r}: unexpected key {key!r}")
         for key in "abcd":
             if key not in entry:
                 raise ValueError(f"material {name!r} is missing the coefficient {key!r}")

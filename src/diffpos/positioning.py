@@ -34,16 +34,12 @@ from .geometry import Point3, WindowEdge, _solve_edge_lambdas, _vec
 
 __all__ = [
     "SingularGeometryError",
-    "SolverDivergedError",
     "MeasurementSet",
     "PositionEstimate",
     "LadderResult",
     "FimResult",
-    "diffraction_model",
-    "dnls_solve",
     "dnls_ladder",
     "lls_solve",
-    "peb",
     "peb_batch",
     "lls_start",
 ]
@@ -68,10 +64,6 @@ _CONVERGED, _OUT_OF_ITERATIONS, _SINGULAR, _DIVERGED, _DROPPED = range(5)
 
 class SingularGeometryError(ValueError):
     """Anchor/edge geometry leaves the position unobservable."""
-
-
-class SolverDivergedError(RuntimeError):
-    """Iteration produced a non-finite position estimate."""
 
 
 @dataclass
@@ -201,20 +193,6 @@ def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray,
     return length, grad.transpose(0, 2, 1), singular
 
 
-def diffraction_model(alpha, meas: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
-    """Model ranges p_j(alpha) (M,) and their partials J (3, M).
-
-    Row i of J holds dp_j/d{x, y, z} of the receiver position; this is the
-    one-row case of the batched model the solver iterates on.
-    """
-    p, jac, singular = _model_rows(_vec(alpha).reshape(1, 3), _pack([meas]))
-    if singular.any():
-        j = int(np.flatnonzero(singular[0])[0])
-        raise SingularGeometryError(
-            f"position coincides with the diffraction point of anchor {j}")
-    return p[0], jac[0]
-
-
 def _rank_deficient(matrices: np.ndarray) -> np.ndarray:
     """Rank deficiency of a matrix, or of each matrix of a stack."""
     s = np.linalg.svd(matrices, compute_uv=False)
@@ -327,37 +305,6 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     return _GaussNewtonRows(alpha, iterations, status, residual_norm)
 
 
-def dnls_solve(
-    meas: MeasurementSet,
-    init,
-    max_iters: int = 50,
-    tol_m: float = _TOL_M,
-    damping: float = 0.0,
-) -> PositionEstimate:
-    """Gauss-Newton on the diffraction path model.
-
-    Iterates until the step norm drops below tol_m or max_iters is reached.
-    ``damping`` adds Tikhonov regularization (off by default). Rank-deficient
-    normal equations raise SingularGeometryError; a non-finite iterate raises
-    SolverDivergedError.
-    """
-    if len(meas) < 4:
-        raise ValueError("3D solve requires at least 4 anchors")
-    alpha = _vec(init)
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("initial guess must be finite")
-    out = _gauss_newton(_pack([meas]), alpha.reshape(1, 3), np.array([max_iters]),
-                        np.array([damping], dtype=float), tol_m, np.zeros(1, dtype=int))
-    est = _estimate(out, 0)
-    if out.status[0] == _SINGULAR:
-        raise SingularGeometryError(
-            f"D-NLS iteration {est.iterations}: rank-deficient normal equations "
-            "or a position at a diffraction point")
-    if out.status[0] == _DIVERGED:
-        raise SolverDivergedError(f"non-finite iterate at iteration {est.iterations}")
-    return est
-
-
 def _estimate(out: _GaussNewtonRows, row: int) -> PositionEstimate:
     return PositionEstimate(
         alpha_hat=Point3.from_array(out.alpha[row]),
@@ -439,27 +386,12 @@ def lls_solve(meas: MeasurementSet) -> PositionEstimate:
     )
 
 
-def peb(
-    alpha_true,
-    anchors,
-    edges: tuple[WindowEdge, ...],
-    snr_linear,
-    beta_sq_hz2: float,
-) -> FimResult:
-    """Position error bound from the diffraction-model Fisher information.
-
-    Range variances follow the delay bound: sigma_j^2 = c^2 / (8 pi^2 beta^2
-    snr_j). A singular FIM is reported as such (peb_m = inf) instead of
-    fabricating a number. This is the one-problem case of ``peb_batch``.
-    """
-    return peb_batch([(alpha_true, anchors, edges, snr_linear, beta_sq_hz2)])[0]
-
-
 def peb_batch(problems) -> list[FimResult]:
     """Position error bounds of many problems at once, one ``FimResult`` each.
 
-    Each problem is the argument tuple of ``peb``: (alpha_true, anchors,
-    edges, snr_linear, beta_sq_hz2). Problems with the same anchor count
+    Each problem is a tuple (alpha_true, anchors, edges, snr_linear,
+    beta_sq_hz2). A singular FIM is reported as such (peb_m = inf) instead
+    of fabricating a number. Problems with the same anchor count
     share one evaluation of the model's partials; their Fisher matrices,
     singular tests and inverses are computed stacked. A problem's result
     does not depend on the rest of the batch.
@@ -493,12 +425,10 @@ def peb_batch(problems) -> list[FimResult]:
         fim = (jac * inv_var[:, None, :]) @ jac.transpose(0, 2, 1)
         fim = 0.5 * (fim + fim.transpose(0, 2, 1))
 
-        s = np.linalg.svd(fim, compute_uv=False)
-        singular = (s[:, 0] == 0.0) | (s[:, -1] <= _RANK_RTOL * s[:, 0])
+        singular = _rank_deficient(fim)
         fim_inv = np.full_like(fim, np.nan)
         fim_inv[~singular] = np.linalg.inv(fim[~singular])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            condition = s[:, 0] / s[:, -1]
+        condition = np.linalg.cond(fim)
         bound = np.sqrt(np.trace(fim_inv, axis1=1, axis2=2))
         for k, i in enumerate(group):
             results[i] = FimResult(fim=fim[k], fim_inv=None, peb_m=math.inf,

@@ -1,9 +1,9 @@
 """Scalar reference position error bound: one problem at a time.
 
 This is the body the batched ``positioning.peb_batch`` replaced, kept as the
-test oracle. It takes the model's partials from the one-row
-``diffraction_model`` and forms, tests and inverts one Fisher matrix per
-call.
+test oracle. It takes the model's partials from a one-row call of the
+measurement model ``positioning._model_rows`` and forms, tests and inverts
+one Fisher matrix per call.
 """
 
 import math
@@ -11,13 +11,13 @@ import math
 import numpy as np
 
 from diffpos.constants import SPEED_OF_LIGHT
-from diffpos.positioning import FimResult, MeasurementSet, diffraction_model
+from diffpos.positioning import FimResult, MeasurementSet, _model_rows, _pack
 
 RANK_RTOL = 1e-12
 
 
 def scalar_peb(alpha_true, anchors, edges, snr_linear, beta_sq_hz2):
-    """The FimResult of one bound problem, with ``peb``'s arguments."""
+    """The FimResult of one bound problem, given as ``peb_batch`` takes it."""
     snr = np.asarray(snr_linear, dtype=float).reshape(-1)
     meas = MeasurementSet(
         anchors=np.asarray(anchors, dtype=float).reshape(-1, 3),
@@ -25,7 +25,7 @@ def scalar_peb(alpha_true, anchors, edges, snr_linear, beta_sq_hz2):
         sigmas=np.ones(len(snr)),
         edges=tuple(edges),
     )
-    jac = diffraction_model(alpha_true, meas)[1]
+    jac = _model_rows(np.asarray(alpha_true, dtype=float)[None], _pack([meas]))[1][0]
     inv_var = 8.0 * math.pi ** 2 * beta_sq_hz2 * snr / SPEED_OF_LIGHT ** 2  # 1/m^2
     fim = (jac * inv_var) @ jac.T
     fim = 0.5 * (fim + fim.T)

@@ -2,14 +2,16 @@
 
 This is the closed-form solver the batched ``geometry._solve_edge_lambdas``
 replaced, kept as the test oracle. It solves one (tx, rx, edge) at a time
-in scalar arithmetic. ``diffraction_point`` and
-``approx_diffraction_solution`` mirror the library functions of the same
-names and return the same ``DiffractionSolution``.
+in scalar arithmetic. ``diffraction_point`` puts the edge at its own height
+``z_e``, as ``channel.SceneGeometry.diffractions`` does;
+``approx_diffraction_solution`` puts it half a window height above the
+receiver, as the D-NLS measurement model ``positioning._model_rows`` does.
 """
 
 import math
+from typing import NamedTuple
 
-from diffpos.geometry import DiffractionSolution, Point3, _golden_section_min
+from diffpos.geometry import Point3, _golden_section_min
 
 # Relative tolerance below which the stationarity quadratic is treated as
 # degenerate and golden-section search takes over.
@@ -17,6 +19,17 @@ DEGENERATE_QUADRATIC_RTOL = 1e-12
 
 # Slack when testing whether a root lies in [0, 1].
 ROOT_INTERVAL_SLACK = 1e-9
+
+
+class EdgeSolution(NamedTuple):
+    """Edge parameter (q = lam*X1 + (1-lam)*X2 in the edge-local frame), the
+    world edge point, the two-leg length, and whether lam was clamped to an
+    endpoint."""
+
+    lam: float
+    q: Point3
+    path_length: float
+    endpoint: bool
 
 
 def two_leg_length(t, r, z_e, qx):
@@ -117,23 +130,24 @@ def solve_edge_lambda(t, r, x1, x2, z_e):
 
 
 def edge_solution(t, r, edge, z_e):
-    """DiffractionSolution for edge-local tx/rx, with the edge at height z_e."""
+    """EdgeSolution for edge-local tx/rx, with the edge at height z_e."""
     lam, endpoint = solve_edge_lambda(t, r, edge.x1, edge.x2, z_e)
     qx = edge.x2 + lam * (edge.x1 - edge.x2)
     length = two_leg_length(t, r, z_e, qx)
     q_world = edge.frame.to_world([qx, 0.0, z_e])
-    return DiffractionSolution(lam, Point3.from_array(q_world), length, endpoint)
+    return EdgeSolution(lam, Point3.from_array(q_world), length, endpoint)
 
 
 def diffraction_point(tx, rx, edge):
-    """Scalar diffraction_point (inputs off the edge line)."""
+    """Diffraction at the edge's own height (inputs off the edge line)."""
     t = edge.frame.to_local(tx)
     r = edge.frame.to_local(rx)
     return edge_solution(t, r, edge, edge.z_e)
 
 
-def approx_diffraction_solution(tx, rx, edge, w=None):
-    """Scalar approx_diffraction_solution: the edge at z_n + w/2."""
+def approx_diffraction_solution(tx, rx, edge):
+    """Diffraction under the window-height approximation: the edge at
+    z_n + w/2, with z_n the receiver height in the edge-local frame."""
     t = edge.frame.to_local(tx)
     r = edge.frame.to_local(rx)
-    return edge_solution(t, r, edge, r[2] + 0.5 * (edge.w if w is None else w))
+    return edge_solution(t, r, edge, r[2] + 0.5 * edge.w)

@@ -18,6 +18,7 @@ import scalar_edge
 from conftest import random_positioning_instance
 from diffpos.channel import (
     MpcGroup,
+    SceneGeometry,
     enumerate_mpcs,
     export_dataset,
     ingest_dataset,
@@ -32,11 +33,21 @@ from diffpos.experiments import (
     run_sweep,
 )
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m, ranging_crlb_std_seconds
-from diffpos.geometry import WindowEdge, approx_diffraction_solution, diffraction_point
+from diffpos.geometry import WindowEdge
 from diffpos.materials import default_material_library, transmission_loss_db
-from diffpos.positioning import MeasurementSet, diffraction_model, dnls_solve, lls_solve, peb
+from diffpos.positioning import (
+    MeasurementSet,
+    _model_rows,
+    _pack,
+    dnls_ladder,
+    lls_solve,
+    peb_batch,
+)
 
 BETA_SQ_400MHZ = mean_squared_bandwidth(400e6)
+# Box of the D-NLS retry ladder's last rung; it holds every receiver of
+# random_positioning_instance.
+LADDER_BOUNDS = (np.zeros(3), np.full(3, 20.0))
 
 
 @contextmanager
@@ -102,7 +113,8 @@ def test_criterion_1_diffraction_point_vs_oracle():
             cases.append((tx, rx, edge))
 
         start = time.perf_counter()
-        lengths = [diffraction_point(tx, rx, edge).path_length for tx, rx, edge in cases]
+        lengths = [SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
+                   for tx, rx, edge in cases]
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"solver took {elapsed:.2f} s"
 
@@ -123,7 +135,7 @@ def test_criterion_2_jacobian_vs_finite_differences():
         for _ in range(1000):
             alpha, anchors, edges = random_positioning_instance(rng)
             meas = MeasurementSet(anchors, np.zeros(4), np.ones(4), edges)
-            analytic = diffraction_model(alpha, meas)[1]
+            analytic = _model_rows(alpha[None], _pack([meas]))[1][0]
             numeric = np.empty_like(analytic)
             for i in range(3):
                 up, dn = alpha.copy(), alpha.copy()
@@ -144,17 +156,20 @@ def test_criterion_2_jacobian_vs_finite_differences():
 def test_criterion_3_estimator_consistency():
     with criterion(3, "noiseless D-NLS 100/100 to 1e-6 m; noiseless LLS to 1e-9 m"):
         rng = np.random.default_rng(303)
+        truths, sets, starts = [], [], []
         for _ in range(100):
             alpha, anchors, edges = random_positioning_instance(rng)
-            ranges = np.array([
-                approx_diffraction_solution(anchors[j], alpha, edges[j]).path_length
-                for j in range(4)])
-            meas = MeasurementSet(anchors, ranges, np.full(4, 0.05), edges)
+            meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
+            meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0]
             offset = rng.uniform(-1.0, 1.0, 3)
             offset *= rng.uniform(0.0, 2.0) / max(np.linalg.norm(offset), 1e-9)
-            est = dnls_solve(meas, alpha + offset)
-            assert est.converged
-            assert np.linalg.norm(est.alpha_hat.as_array() - alpha) <= 1e-6
+            truths.append(alpha)
+            sets.append(meas)
+            starts.append(alpha + offset)
+        # Plain Gauss-Newton, the retry ladder's first rung, converges on all.
+        for alpha, result in zip(truths, dnls_ladder(sets, starts, LADDER_BOUNDS)):
+            assert result.rung == 0
+            assert np.linalg.norm(result.estimate.alpha_hat.as_array() - alpha) <= 1e-6
 
         dummy = tuple(WindowEdge(-1.0, 1.0, 0.0, 1.0) for _ in range(4))
         anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0],
@@ -178,15 +193,15 @@ def test_criterion_4_monte_carlo_rmse_vs_peb():
         sigma = range_sigma_m(BETA_SQ_400MHZ, snr_lin)
         assert sigma <= 0.10
 
-        bound = peb(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ_400MHZ)
-        truth = np.array([
-            approx_diffraction_solution(anchors[j], alpha, edges[j]).path_length for j in range(4)])
-        sq_errors = np.empty(1000)
-        for k in range(1000):
-            noisy = truth + sigma * rng.standard_normal(4)
-            est = dnls_solve(MeasurementSet(anchors, noisy, np.full(4, sigma), edges), alpha)
-            assert est.converged
-            sq_errors[k] = np.sum((est.alpha_hat.as_array() - alpha) ** 2)
+        bound = peb_batch([(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ_400MHZ)])[0]
+        meas = MeasurementSet(anchors, np.zeros(4), np.full(4, sigma), edges)
+        truth = _model_rows(alpha[None], _pack([meas]))[0][0]
+        sets = [MeasurementSet(anchors, truth + sigma * rng.standard_normal(4), np.full(4, sigma),
+                               edges) for _ in range(1000)]
+        results = dnls_ladder(sets, [alpha] * len(sets), LADDER_BOUNDS)
+        assert all(r.rung == 0 for r in results)
+        sq_errors = np.array([np.sum((r.estimate.alpha_hat.as_array() - alpha) ** 2)
+                              for r in results])
         rmse = math.sqrt(float(np.mean(sq_errors)))
         assert abs(rmse - bound.peb_m) <= 0.15 * bound.peb_m, \
             f"rmse {rmse:.4f} vs peb {bound.peb_m:.4f}"

@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalar_edge
 from diffpos.constants import BOLTZMANN, SPEED_OF_LIGHT
 from diffpos.channel import (
     BandPlan,
@@ -32,7 +34,7 @@ from diffpos.channel import (
 )
 from diffpos.cli import main as cli_main
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, build_default_scene
-from diffpos.geometry import GeometryError, Point3, diffraction_point, euclidean_distance
+from diffpos.geometry import Point3, euclidean_distance, _on_edge_line
 from diffpos.materials import Band, DiffractionLossModel, default_material_library
 
 RNG = np.random.default_rng(42)
@@ -433,16 +435,16 @@ def test_crossings_match_brute_force():
 
 
 def test_diffractions_match_diffraction_point():
-    # Both run the same edge-solver body, so they agree exactly.
+    # Against the scalar solver, at the bounds of the edge-solver oracle tests.
     scene = build_default_scene()
     geom = build_scene_geometry(scene)
     rng = np.random.default_rng(11)
 
-    def assert_same(d, k, sol):
-        assert d.length[k] == sol.path_length
-        assert d.lam[k] == sol.lam
+    def assert_close(d, k, sol):
+        assert abs(d.length[k] - sol.path_length) <= 1e-9 * sol.path_length
+        assert abs(d.lam[k] - sol.lam) <= 1e-12
         assert d.endpoint[k] == sol.endpoint
-        assert np.array_equal(d.point[k], sol.q.as_array())
+        np.testing.assert_allclose(d.point[k], sol.q.as_array(), rtol=0, atol=1e-9)
 
     for _ in range(4):
         tx = np.array([rng.uniform(-5, 35), rng.choice([-20.0, 40.0]), rng.uniform(1, 8)])
@@ -450,19 +452,16 @@ def test_diffractions_match_diffraction_point():
         d = geom.diffractions(tx, rx)
         assert d.ids.tolist() == list(range(len(geom.edges)))
         for e, edge in enumerate(geom.edges):
-            assert_same(d, e, diffraction_point(tx, rx, edge))
-    # Both points on the line of the first-floor bottom edges of facade y = 0.
+            assert_close(d, e, scalar_edge.diffraction_point(tx, rx, edge))
+    # Both points on the line of the first-floor bottom edges of facade y = 0,
+    # where diffraction is undefined: those edges are left out.
     tx, rx = np.array([-5.0, 0.0, 0.8]), np.array([3.0, 0.0, 0.8])
     d = geom.diffractions(tx, rx)
-    defined = []
-    for e, edge in enumerate(geom.edges):
-        try:
-            sol = diffraction_point(tx, rx, edge)
-        except GeometryError:
-            continue
-        defined.append(e)
-        assert_same(d, len(defined) - 1, sol)
+    defined = [e for e, edge in enumerate(geom.edges) if not _on_edge_line(
+        edge.frame.to_local(tx), edge.frame.to_local(rx), edge.z_e)]
     assert d.ids.tolist() == defined and len(defined) == len(geom.edges) - 6
+    for k, e in enumerate(defined):
+        assert_close(d, k, scalar_edge.diffraction_point(tx, rx, geom.edges[e]))
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +538,9 @@ _RECORD = {"anchor_id": 0, "rx_id": 0, "rx_xyz": [0.0, 0.0, 0.0], "interactions"
     ({"path_length_m": float("nan")}, "rejected"),
     ({"rx_power_dbm": float("inf")}, "rejected"),
     ({"tof_s": float("nan")}, "rejected"),
+    ({"interactions": 5}, "malformed field: interactions must be a string"),
 ], ids=["edge_id_not_int", "tof_not_a_number", "tof_null", "rx_xyz_nan", "length_nan",
-        "power_inf", "tof_nan"])
+        "power_inf", "tof_nan", "interactions_not_a_string"])
 def test_ingest_bad_field_values(tmp_path, changes, outcome):
     # A malformed field raises DatasetError with its line number; a
     # non-finite length, power or ToF rejects only its own record.
@@ -596,9 +596,11 @@ def test_ingest_ids(tmp_path, capsys, changes, outcome):
 
 def test_ingest_bad_schema(tmp_path):
     path = tmp_path / "data.jsonl"
-    path.write_text('{"schema": "other/9"}\n')
-    with pytest.raises(DatasetError):
-        ingest_dataset(path, BAND)
+    for header, message in (('{"schema": "other/9"}', "unsupported schema 'other/9'"),
+                            ("[]", "header: expected an object, got list")):
+        path.write_text(header + "\n")
+        with pytest.raises(DatasetError, match=f"^line 1: {re.escape(message)}$"):
+            ingest_dataset(path, BAND)
 
 
 def test_dataset_round_trip_bitwise(tmp_path):

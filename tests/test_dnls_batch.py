@@ -15,18 +15,16 @@ import diffpos.experiments as experiments
 import diffpos.positioning as positioning
 from conftest import random_positioning_instance
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, SweepConfig, build_default_scene
-from diffpos.geometry import WindowEdge, approx_diffraction_solution
+from diffpos.geometry import WindowEdge
 from diffpos.positioning import (
     _CONVERGED,
     _DIVERGED,
     _SINGULAR,
     MeasurementSet,
-    SingularGeometryError,
-    SolverDivergedError,
     _gauss_newton,
+    _model_rows,
     _pack,
     dnls_ladder,
-    dnls_solve,
 )
 from scalar_dnls import scalar_gauss_newton, scalar_ladder
 
@@ -99,9 +97,8 @@ def test_ladder_prefers_an_earlier_rung_that_converges_later(monkeypatch):
     monkeypatch.setattr(positioning, "_LADDER",
                         ((False, 0.0, 50), (True, 0.0, 50), (True, 1.0, 400)))
     alpha, anchors, edges = random_positioning_instance(np.random.default_rng(12))
-    ranges = [approx_diffraction_solution(a, alpha, e).path_length
-              for a, e in zip(anchors, edges)]
-    meas = MeasurementSet(anchors, ranges, np.full(4, 0.05), edges)
+    meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
+    meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0]
     start = alpha + np.array([0.6, -0.4, 0.3])
     result = dnls_ladder([meas], [start], (alpha - 1.0, alpha + 1.0))[0]
     outcome, iterations, estimate = scalar_gauss_newton(meas, start)
@@ -117,26 +114,25 @@ def degenerate_vertical_problem():
     anchors = np.array([[5.0, y, z] for y, z in ((12.0, 2.0), (15.0, 3.0),
                                                  (18.0, 4.0), (21.0, 5.0))])
     alpha = np.array([5.0, -4.0, 5.0])
-    ranges = [approx_diffraction_solution(a, alpha, e).path_length
-              for a, e in zip(anchors, edges)]
-    meas = MeasurementSet(anchors, ranges, np.full(4, 0.05), edges)
+    meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
+    meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0]
     return meas, alpha + np.array([0.0, 0.5, 0.5])
 
 
 def diverging_problem(rng):
     """A range of inf makes the first step non-finite."""
     alpha, anchors, edges = random_positioning_instance(rng)
-    ranges = [approx_diffraction_solution(a, alpha, e).path_length
-              for a, e in zip(anchors, edges)]
-    ranges[2] = np.inf
-    return MeasurementSet(anchors, ranges, np.full(4, 0.05), edges), alpha
+    meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
+    meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0]
+    meas.ranges[2] = np.inf
+    return meas, alpha
 
 
 def good_problem(rng):
     alpha, anchors, edges = random_positioning_instance(rng)
-    ranges = [approx_diffraction_solution(a, alpha, e).path_length + 0.03 * rng.standard_normal()
-              for a, e in zip(anchors, edges)]
-    return MeasurementSet(anchors, ranges, np.full(4, 0.05), edges), alpha + 0.5
+    meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
+    meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0] + 0.03 * rng.standard_normal(4)
+    return meas, alpha + 0.5
 
 
 def solve_rows(problems, damping):
@@ -176,16 +172,6 @@ def test_singular_and_diverging_rows_fail_only_themselves(damping):
             assert iterations == out.iterations[row]
 
 
-def test_dnls_solve_raises_for_a_single_singular_or_diverging_problem():
-    with pytest.raises(SingularGeometryError):
-        dnls_solve(*degenerate_vertical_problem())
-    meas, start = diverging_problem(np.random.default_rng(9))
-    with pytest.raises(SolverDivergedError):
-        dnls_solve(meas, start)
-    with pytest.raises(SolverDivergedError):
-        dnls_solve(meas, start, damping=0.1)
-
-
 def test_final_evaluation_can_make_a_row_singular():
     # With max_iters=0 the final model evaluation is the only one; at a
     # position on the model edge's line it is singular.
@@ -194,8 +180,9 @@ def test_final_evaluation_can_make_a_row_singular():
     meas = MeasurementSet(anchors, np.full(4, 20.0), np.ones(4), (edge,) * 4)
     alpha = np.array([0.0, 0.0, 4.0])
     assert scalar_gauss_newton(meas, alpha, max_iters=0)[:2] == ("singular", 0)
-    with pytest.raises(SingularGeometryError):
-        dnls_solve(meas, alpha, max_iters=0)
+    out = _gauss_newton(_pack([meas]), alpha[None], np.zeros(1, dtype=int), np.zeros(1), 1e-6,
+                        np.zeros(1, dtype=int))
+    assert (out.status[0], out.iterations[0]) == (_SINGULAR, 0)
     out = solve_rows([(meas, alpha), good_problem(np.random.default_rng(11))], 0.0)
     assert out.status[0] == _SINGULAR and out.status[1] == _CONVERGED
 

@@ -479,9 +479,14 @@ def _set(path, value):
     (_set(["floor_count"], 7.0), "floor_count: expected an integer, got float"),
     (_set(["include_ground"], 1), "include_ground: expected a boolean, got int"),
     (_set(["windows", 3, "u_lo"], True), "windows[3].u_lo: expected a number, got bool"),
+    (_set(["radio", "polarization"], "XY"), "polarization must be 'TE' or 'TM', got 'XY'"),
+    (_set(["radio", "noise_temperature_k"], -5), "noise temperature must be positive, got -5 K"),
+    (_set(["radio", "diffraction_loss", "f0_hz"], 0),
+     "diffraction loss f0_hz must be positive, got 0 Hz"),
 ], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
         "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
-        "floor_count_float", "include_ground_int", "window_bound_bool"])
+        "floor_count_float", "include_ground_int", "window_bound_bool", "polarization_xy",
+        "negative_noise_temperature", "zero_f0"])
 def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
     doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
     change(doc)
@@ -508,8 +513,11 @@ def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, me
      "material 'concrete': coefficient 'a': expected a number, got str"),
     (lambda doc: doc["slabs"]["interior_drywall"][1].append(1.0),
      "slab 'interior_drywall': layer 1 is not a [material, thickness] pair"),
+    (lambda doc: doc["materials"]["concrete"].__setitem__("colour", "grey"),
+     "material 'concrete': unexpected key 'colour'"),
+    (lambda doc: doc.__setitem__("slabz", {}), "materials file: unexpected key 'slabz'"),
 ], ids=["missing_coefficient", "unknown_material", "no_exterior_slab", "materials_not_an_object",
-        "string_coefficient", "layer_not_a_pair"])
+        "string_coefficient", "layer_not_a_pair", "material_extra_key", "file_extra_key"])
 def test_cli_scene_bad_material_file_is_an_error_line(tmp_path, capsys, change, message):
     doc = json.loads(resources.files("diffpos").joinpath("data/materials.json")
                      .read_text(encoding="utf-8"))

@@ -13,20 +13,18 @@ import pytest
 import scalar_edge
 import scalar_paths
 from diffpos import geometry
-from diffpos.channel import build_scene_geometry
+from diffpos.channel import SceneGeometry, build_scene_geometry
 from diffpos.experiments import build_default_scene
 from diffpos.geometry import (
-    DiffractionSolution,
     GeometryError,
     Point3,
     RigidTransform,
     WindowEdge,
-    approx_diffraction_solution,
-    diffraction_point,
     euclidean_distance,
     _reflect_rows,
     _solve_edge_lambdas,
 )
+from diffpos.positioning import MeasurementSet, _model_rows, _pack
 
 RNG = np.random.default_rng(20260808)
 
@@ -225,32 +223,35 @@ def test_reflection_is_fermat_minimum_over_plane_points():
 
 def test_diffraction_mirror_symmetric_case():
     edge = WindowEdge(x1=-5.0, x2=5.0, z_e=10.0, w=1.0)
-    sol = diffraction_point((0, 20, 10), (0, -4, 10), edge)
-    assert sol.q.x == pytest.approx(0.0, abs=1e-9)
-    assert sol.path_length == pytest.approx(24.0, rel=1e-12)
-    assert not sol.endpoint
+    d = SceneGeometry([], [edge], None).diffractions((0, 20, 10), (0, -4, 10))
+    assert d.point[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert d.length[0] == pytest.approx(24.0, rel=1e-12)
+    assert not d.endpoint[0]
 
 
 def test_diffraction_common_abscissa_is_stationary():
     edge = WindowEdge(x1=-5.0, x2=5.0, z_e=3.0, w=1.0)
+    geom = SceneGeometry([], [edge], None)
     for qstar in (-3.0, 0.7, 4.2):
-        sol = diffraction_point((qstar, 8.0, 3.0), (qstar, -2.0, 3.0), edge)
-        assert sol.q.x == pytest.approx(qstar, abs=1e-9)
+        d = geom.diffractions((qstar, 8.0, 3.0), (qstar, -2.0, 3.0))
+        assert d.point[0, 0] == pytest.approx(qstar, abs=1e-9)
 
 
 def test_diffraction_rejects_both_points_on_edge_line():
+    # Diffraction is undefined there, so the edge is left out.
     edge = WindowEdge(x1=-5.0, x2=5.0, z_e=2.0, w=1.0)
-    with pytest.raises(GeometryError):
-        diffraction_point((-1.0, 0.0, 2.0), (3.0, 0.0, 2.0), edge)
+    geom = SceneGeometry([], [edge], None)
+    assert geom.diffractions((-1.0, 0.0, 2.0), (3.0, 0.0, 2.0)).ids.size == 0
+    assert geom.diffractions((-1.0, 0.0, 2.0), (3.0, 0.0, 2.5)).ids.tolist() == [0]
 
 
 def test_diffraction_random_vs_golden_section_oracle():
     for _ in range(1000):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        sol = diffraction_point(tx, rx, edge)
+        length = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
         expect = oracle_edge_length(tx, rx, edge)
-        assert abs(sol.path_length - expect) <= 1e-9 * expect
+        assert abs(length - expect) <= 1e-9 * expect
 
 
 def edge_rows(edges, tx, rx):
@@ -374,17 +375,18 @@ def test_diffraction_fermat_stationarity_interior():
     for _ in range(400):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        sol = diffraction_point(tx, rx, edge)
-        if sol.endpoint or not 1e-4 < sol.lam < 1 - 1e-4:
+        d = SceneGeometry([], [edge], None).diffractions(tx, rx)
+        lam = d.lam[0]
+        if d.endpoint[0] or not 1e-4 < lam < 1 - 1e-4:
             continue
         h = 1e-6
 
         def length(lam):
             return oracle_two_leg(tx, rx, edge_point(edge, lam))
 
-        deriv = (length(sol.lam + h) - length(sol.lam - h)) / (2 * h)
+        deriv = (length(lam + h) - length(lam - h)) / (2 * h)
         # Normalize by the edge span so the tolerance is scale-free.
-        assert abs(deriv) / abs(edge.x1 - edge.x2) < 1e-8 * max(1.0, sol.path_length)
+        assert abs(deriv) / abs(edge.x1 - edge.x2) < 1e-8 * max(1.0, d.length[0])
         checked += 1
     assert checked > 100
 
@@ -393,24 +395,24 @@ def test_diffraction_minimality_against_sampled_lambdas():
     for _ in range(300):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        sol = diffraction_point(tx, rx, edge)
+        length = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
         lams = np.linspace(0.0, 1.0, 199)
         sampled = min(oracle_two_leg(tx, rx, edge_point(edge, l)) for l in lams)
-        assert sol.path_length <= sampled + 1e-9
+        assert length <= sampled + 1e-9
 
 
 def test_diffraction_lower_bound_euclidean():
     for _ in range(300):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        p = diffraction_point(tx, rx, edge).path_length
+        p = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
         assert p >= euclidean_distance(tx, rx) - 1e-12
 
 
 def test_diffraction_tx_equals_rx():
     edge = WindowEdge(x1=-5.0, x2=5.0, z_e=4.0, w=1.0)
     p = np.array([1.0, 3.0, 1.0])
-    got = diffraction_point(p, p, edge).path_length
+    got = SceneGeometry([], [edge], None).diffractions(p, p).length[0]
     # Legs coincide: twice the distance to the nearest edge point.
     nearest = 2.0 * math.sqrt(3.0 ** 2 + 3.0 ** 2)
     assert got == pytest.approx(nearest, rel=1e-12)
@@ -419,11 +421,11 @@ def test_diffraction_tx_equals_rx():
 def test_diffraction_endpoint_clamping():
     # Both stationary points beyond x2: clamp and flag.
     edge = WindowEdge(x1=-1.0, x2=1.0, z_e=0.0, w=1.0)
-    sol = diffraction_point((8.0, 1.0, 0.0), (8.0, -1.0, 0.0), edge)
-    assert sol.endpoint
-    assert sol.lam in (0.0, 1.0)
-    assert sol.q.x == pytest.approx(1.0)
-    assert sol.path_length == pytest.approx(oracle_edge_length((8, 1, 0), (8, -1, 0), edge), rel=1e-12)
+    d = SceneGeometry([], [edge], None).diffractions((8.0, 1.0, 0.0), (8.0, -1.0, 0.0))
+    assert d.endpoint[0]
+    assert d.lam[0] in (0.0, 1.0)
+    assert d.point[0, 0] == pytest.approx(1.0)
+    assert d.length[0] == pytest.approx(oracle_edge_length((8, 1, 0), (8, -1, 0), edge), rel=1e-12)
 
 
 def test_diffraction_spurious_root_rejected():
@@ -433,18 +435,18 @@ def test_diffraction_spurious_root_rejected():
     edge = WindowEdge(x1=2.0, x2=1.2, z_e=0.0, w=1.0)
     tx = np.array([0.0, 3.0, 0.0])
     rx = np.array([1.0, -1.0, 0.0])
-    sol = diffraction_point(tx, rx, edge)
+    d = SceneGeometry([], [edge], None).diffractions(tx, rx)
     expect = oracle_edge_length(tx, rx, edge)
-    assert sol.endpoint
-    assert sol.path_length == pytest.approx(expect, rel=1e-12)
-    assert sol.q.x == pytest.approx(1.2, abs=1e-12)
+    assert d.endpoint[0]
+    assert d.length[0] == pytest.approx(expect, rel=1e-12)
+    assert d.point[0, 0] == pytest.approx(1.2, abs=1e-12)
 
 
 def test_diffraction_frame_invariance():
     for _ in range(100):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        base = diffraction_point(tx, rx, edge).path_length
+        base = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
 
         rot = random_rotation(RNG)
         shift = RNG.uniform(-30, 30, 3)
@@ -453,7 +455,8 @@ def test_diffraction_frame_invariance():
         frame = RigidTransform(edge.frame.rotation @ rot.T,
                                edge.frame.translation - edge.frame.rotation @ rot.T @ shift)
         moved_edge = WindowEdge(edge.x1, edge.x2, edge.z_e, edge.w, frame)
-        moved = diffraction_point(rot @ tx + shift, rot @ rx + shift, moved_edge).path_length
+        moved = SceneGeometry([], [moved_edge], None).diffractions(
+            rot @ tx + shift, rot @ rx + shift).length[0]
         assert abs(moved - base) <= 1e-9 * base
 
 
@@ -467,18 +470,21 @@ def test_approx_equals_exact_when_offset_matches():
         tx, _ = random_side_points(RNG)
         # Choose a receiver whose local height satisfies z_e - z_n = w/2.
         rx = np.array([RNG.uniform(-8, 8), RNG.uniform(-20, -1), edge.z_e - edge.w / 2.0])
-        exact = diffraction_point(tx, rx, edge).path_length
-        approx = approx_diffraction_solution(tx, rx, edge).path_length
+        exact = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
+        meas = MeasurementSet([tx], [0.0], [1.0], (edge,))
+        approx = _model_rows(rx[None], _pack([meas]))[0][0, 0]
         assert approx == pytest.approx(exact, rel=1e-12)
 
 
 def test_approx_w_zero_limit_in_edge_plane():
-    edge = WindowEdge(x1=-5.0, x2=5.0, z_e=7.0, w=2.0)
+    # A vanishing window height puts the model edge at the receiver height,
+    # where the exact edge lies.
+    edge = WindowEdge(x1=-5.0, x2=5.0, z_e=7.0, w=1e-12)
     tx = np.array([2.0, 10.0, 12.0])
     rx = np.array([-1.0, -6.0, 7.0])  # receiver at edge height
-    got = approx_diffraction_solution(tx, rx, edge, w=0.0).path_length
-    flat_edge = WindowEdge(x1=-5.0, x2=5.0, z_e=7.0, w=1.0)
-    expect = diffraction_point(tx, rx, flat_edge).path_length
+    meas = MeasurementSet([tx], [0.0], [1.0], (edge,))
+    got = _model_rows(rx[None], _pack([meas]))[0][0, 0]
+    expect = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -487,10 +493,12 @@ def test_approx_discrepancy_bounded_by_height_mismatch():
     # sensitivity to the edge height stays below one.
     edge = WindowEdge(x1=-4.0, x2=4.0, z_e=10.0, w=2.0)
     tx = np.array([1.0, 25.0, 16.0])
+    geom = SceneGeometry([], [edge], None)
+    meas = MeasurementSet([tx], [0.0], [1.0], (edge,))
     for z_n in np.linspace(6.0, 10.0, 21):
         rx = np.array([-2.0, -5.0, z_n])
-        exact = diffraction_point(tx, rx, edge).path_length
-        approx = approx_diffraction_solution(tx, rx, edge).path_length
+        exact = geom.diffractions(tx, rx).length[0]
+        approx = _model_rows(rx[None], _pack([meas]))[0][0, 0]
         mismatch = abs((edge.z_e - z_n) - edge.w / 2.0)
         assert abs(approx - exact) <= mismatch + 1e-12
 

@@ -15,7 +15,7 @@ import pytest
 import diffpos.experiments as experiments
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, SweepConfig, build_default_scene
 from diffpos.geometry import WindowEdge
-from diffpos.positioning import SingularGeometryError, peb, peb_batch
+from diffpos.positioning import SingularGeometryError, peb_batch
 from scalar_bound import scalar_peb
 
 SWEEPS = {
@@ -25,7 +25,7 @@ SWEEPS = {
 
 
 def captured_bound_problems(monkeypatch, size: str, seed: int) -> list:
-    """The bound problems of one sweep, as ``peb`` argument tuples."""
+    """The bound problems of one sweep, as ``peb_batch`` takes them."""
     params = SWEEPS[size]
     scene = build_default_scene(grid_spacing=params["grid_spacing"], receiver_floors=(3,))
     cfg = SweepConfig(scene=scene, frequencies_hz=params["frequencies_hz"], t_fap_db=20.0,
@@ -76,7 +76,7 @@ def test_peb_batch_matches_scalar_bound_on_sweep_problems(monkeypatch, size):
     assert singular.count((3, False)) > 0 and singular.count((4, False)) > 0
     # A problem solved alone equals itself in the batch.
     for i in range(0, len(mixed), 7):
-        assert same(peb(*mixed[i]), batch[i])
+        assert same(peb_batch([mixed[i]])[0], batch[i])
 
 
 def test_peb_batch_errors_name_the_problem():

@@ -14,23 +14,31 @@ import pytest
 import scalar_edge
 from conftest import random_positioning_instance
 from diffpos.constants import SPEED_OF_LIGHT
+from diffpos.channel import SceneGeometry
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m
-from diffpos.geometry import Point3, WindowEdge, diffraction_point
+from diffpos.geometry import Point3, WindowEdge
 from diffpos.positioning import (
+    _CONVERGED,
+    _DIVERGED,
+    _OUT_OF_ITERATIONS,
+    _SINGULAR,
     FimResult,
     MeasurementSet,
     PositionEstimate,
     SingularGeometryError,
-    SolverDivergedError,
-    diffraction_model,
-    dnls_solve,
+    _gauss_newton,
+    _model_rows,
+    _pack,
+    dnls_ladder,
     lls_solve,
     lls_start,
-    peb,
+    peb_batch,
 )
 
 RNG = np.random.default_rng(1234)
 BETA_SQ = mean_squared_bandwidth(400e6)
+# Box of the retry ladder's last rung; every instance's receiver lies inside.
+BOUNDS = (np.array([0.0, 0.0, 0.0]), np.array([20.0, 20.0, 15.0]))
 
 
 def model_ranges(alpha, anchors, edges) -> np.ndarray:
@@ -72,7 +80,7 @@ def test_jacobian_symmetric_configuration_zero_x_partial():
     anchor = np.array([[0.0, 20.0, 4.0]])
     alpha = np.array([0.0, -6.0, 7.0])
     meas = meas_from_instance(alpha, anchor, (edge,))
-    jac = diffraction_model(alpha, meas)[1]
+    jac = _model_rows(alpha[None], _pack([meas]))[1][0]
     assert jac[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -81,10 +89,11 @@ def test_jacobian_matches_finite_differences_random():
     for _ in range(1000):
         alpha, anchors, edges = random_positioning_instance(RNG)
         meas = meas_from_instance(alpha, anchors, edges)
-        ranges, analytic = diffraction_model(alpha, meas)
-        assert np.array_equal(ranges, model_ranges(alpha, anchors, edges))
+        ranges, analytic, singular = _model_rows(alpha[None], _pack([meas]))
+        assert not singular.any()
+        assert np.array_equal(ranges[0], model_ranges(alpha, anchors, edges))
         numeric = fd_jacobian(alpha, meas)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric))))
+        worst = max(worst, float(np.max(np.abs(analytic[0] - numeric))))
     assert worst <= 1e-6
 
 
@@ -98,7 +107,7 @@ def test_jacobian_small_window_limit_matches_unfolded_chain():
         alpha, anchors, edges = random_positioning_instance(rng, n_anchors=1)
         tiny = tuple(WindowEdge(e.x1, e.x2, e.z_e, 1e-9, e.frame) for e in edges)
         meas = meas_from_instance(alpha, anchors, tiny)
-        jac = diffraction_model(alpha, meas)[1][:, 0]
+        jac = _model_rows(alpha[None], _pack([meas]))[1][0, :, 0]
 
         edge = tiny[0]
         t = edge.frame.to_local(anchors[0])
@@ -126,7 +135,7 @@ def test_jacobian_endpoint_clamped_consistent_with_fd():
     anchor = np.array([[8.0, 12.0, 2.0]])
     alpha = np.array([9.0, -6.0, 4.0])
     meas = meas_from_instance(alpha, anchor, (edge,))
-    analytic = diffraction_model(alpha, meas)[1]
+    analytic = _model_rows(alpha[None], _pack([meas]))[1][0]
     numeric = fd_jacobian(alpha, meas)
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
@@ -138,8 +147,7 @@ def test_jacobian_singular_on_edge():
     anchor = np.array([[0.0, 10.0, 2.0]])
     alpha = np.array([0.0, 0.0, 4.0])
     meas = meas_from_instance(alpha, anchor, (edge,), ranges=[1.0])
-    with pytest.raises(SingularGeometryError):
-        diffraction_model(alpha, meas)
+    assert _model_rows(alpha[None], _pack([meas]))[2].tolist() == [[True]]
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +155,26 @@ def test_jacobian_singular_on_edge():
 # ---------------------------------------------------------------------------
 
 def test_dnls_noiseless_recovery_100_instances():
-    failures = 0
+    truths, sets, starts = [], [], []
     for _ in range(100):
         alpha, anchors, edges = random_positioning_instance(RNG)
-        meas = meas_from_instance(alpha, anchors, edges)
+        sets.append(meas_from_instance(alpha, anchors, edges))
         offset = RNG.uniform(-1.0, 1.0, 3)
         offset *= RNG.uniform(0.0, 2.0) / max(np.linalg.norm(offset), 1e-9)
-        est = dnls_solve(meas, alpha + offset)
-        err = np.linalg.norm(est.alpha_hat.as_array() - alpha)
-        if not (est.converged and err <= 1e-6):
-            failures += 1
-    assert failures == 0
+        truths.append(alpha)
+        starts.append(alpha + offset)
+    # Plain Gauss-Newton, the ladder's first rung, recovers every instance.
+    for alpha, result in zip(truths, dnls_ladder(sets, starts, BOUNDS)):
+        assert result.rung == 0
+        assert np.linalg.norm(result.estimate.alpha_hat.as_array() - alpha) <= 1e-6
 
 
 def test_dnls_fixed_point_zero_step():
     alpha, anchors, edges = random_positioning_instance(RNG)
     meas = meas_from_instance(alpha, anchors, edges)
-    est = dnls_solve(meas, alpha)
-    assert est.converged and est.iterations == 1
+    result = dnls_ladder([meas], [alpha], BOUNDS)[0]
+    est = result.estimate
+    assert result.rung == 0 and est.converged and est.iterations == 1
     assert np.linalg.norm(est.alpha_hat.as_array() - alpha) < 1e-12
     assert est.residual_norm < 1e-12
 
@@ -177,16 +187,14 @@ def test_dnls_monte_carlo_rmse_tracks_peb():
     sigma = range_sigma_m(BETA_SQ, snr_lin)
     assert sigma <= 0.10
 
-    bound = peb(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ)
+    bound = peb_batch([(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ)])[0]
     truth_ranges = model_ranges(alpha, anchors, edges)
-    sq_errors = []
-    for _ in range(1000):
-        noisy = truth_ranges + sigma * rng.standard_normal(4)
-        meas = MeasurementSet(anchors, noisy, np.full(4, sigma), edges)
-        est = dnls_solve(meas, alpha)
-        assert est.converged
-        sq_errors.append(np.sum((est.alpha_hat.as_array() - alpha) ** 2))
-    sq_errors = np.array(sq_errors)
+    sets = [MeasurementSet(anchors, truth_ranges + sigma * rng.standard_normal(4),
+                           np.full(4, sigma), edges) for _ in range(1000)]
+    results = dnls_ladder(sets, [alpha] * len(sets), BOUNDS)
+    assert all(r.rung == 0 for r in results)
+    sq_errors = np.array([np.sum((r.estimate.alpha_hat.as_array() - alpha) ** 2)
+                          for r in results])
     rmse = math.sqrt(float(np.mean(sq_errors)))
     assert abs(rmse - bound.peb_m) <= 0.15 * bound.peb_m
     # Never statistically below the bound.
@@ -201,29 +209,30 @@ def test_dnls_rejects_degenerate_vertical_geometry():
     anchors = np.array([[5.0, y, z] for y, z in ((12.0, 2.0), (15.0, 3.0), (18.0, 4.0), (21.0, 5.0))])
     alpha = np.array([5.0, -4.0, 5.0])
     meas = meas_from_instance(alpha, anchors, edges)
-    with pytest.raises(SingularGeometryError):
-        dnls_solve(meas, alpha + np.array([0.0, 0.5, 0.5]))
+    start = alpha + np.array([0.0, 0.5, 0.5])
+    out = _gauss_newton(_pack([meas]), start[None], np.array([50]), np.zeros(1), 1e-6,
+                        np.zeros(1, dtype=int))
+    assert out.status[0] == _SINGULAR
 
 
 def test_dnls_requires_four_anchors():
     alpha, anchors, edges = random_positioning_instance(RNG)
     meas = MeasurementSet(anchors[:3], np.ones(3) * 30, np.ones(3), edges[:3])
-    with pytest.raises(ValueError):
-        dnls_solve(meas, alpha)
+    with pytest.raises(ValueError, match="at least 4 anchors"):
+        dnls_ladder([meas], [alpha], BOUNDS)
 
 
 def test_dnls_far_init_is_reported_not_silent():
     alpha, anchors, edges = random_positioning_instance(RNG)
     meas = meas_from_instance(alpha, anchors, edges)
-    try:
-        est = dnls_solve(meas, alpha + np.array([4000.0, -3000.0, 2000.0]), max_iters=20)
-    except (SolverDivergedError, SingularGeometryError):
-        return  # divergence surfaced as an exception
-    if est.converged:
+    start = alpha + np.array([4000.0, -3000.0, 2000.0])
+    out = _gauss_newton(_pack([meas]), start[None], np.array([20]), np.zeros(1), 1e-6,
+                        np.zeros(1, dtype=int))
+    if out.status[0] == _CONVERGED:
         # If it converged it must have converged to the right place.
-        assert np.linalg.norm(est.alpha_hat.as_array() - alpha) <= 1e-5
+        assert np.linalg.norm(out.alpha[0] - alpha) <= 1e-5
     else:
-        assert not est.converged
+        assert out.status[0] in (_OUT_OF_ITERATIONS, _SINGULAR, _DIVERGED)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +282,14 @@ def test_lls_rejects_duplicate_anchors():
 def test_peb_snr_scaling():
     alpha, anchors, edges = random_positioning_instance(RNG)
     snr = np.array([10.0, 20.0, 15.0, 12.0])
-    base = peb(alpha, anchors, edges, snr, BETA_SQ)
-    doubled = peb(alpha, anchors, edges, 2 * snr, BETA_SQ)
+    base, doubled = peb_batch([(alpha, anchors, edges, snr, BETA_SQ),
+                               (alpha, anchors, edges, 2 * snr, BETA_SQ)])
     assert doubled.peb_m == pytest.approx(base.peb_m / math.sqrt(2), rel=1e-12)
 
 
 def test_peb_single_anchor_singular():
     alpha, anchors, edges = random_positioning_instance(RNG)
-    result = peb(alpha, anchors[:1], edges[:1], np.array([10.0]), BETA_SQ)
+    result = peb_batch([(alpha, anchors[:1], edges[:1], np.array([10.0]), BETA_SQ)])[0]
     assert result.singular
     assert result.peb_m == math.inf
     assert result.fim_inv is None
@@ -289,9 +298,10 @@ def test_peb_single_anchor_singular():
 def test_peb_anchor_relabeling_invariance():
     alpha, anchors, edges = random_positioning_instance(RNG)
     snr = np.array([10.0, 20.0, 15.0, 12.0])
-    base = peb(alpha, anchors, edges, snr, BETA_SQ)
     perm = [2, 0, 3, 1]
-    permuted = peb(alpha, anchors[perm], tuple(edges[i] for i in perm), snr[perm], BETA_SQ)
+    base, permuted = peb_batch([
+        (alpha, anchors, edges, snr, BETA_SQ),
+        (alpha, anchors[perm], tuple(edges[i] for i in perm), snr[perm], BETA_SQ)])
     np.testing.assert_allclose(permuted.fim, base.fim, rtol=1e-12)
     assert permuted.peb_m == pytest.approx(base.peb_m, rel=1e-12)
 
@@ -301,7 +311,7 @@ def test_peb_rigid_rotation_invariance():
 
     alpha, anchors, edges = random_positioning_instance(RNG)
     snr = np.array([10.0, 20.0, 15.0, 12.0])
-    base = peb(alpha, anchors, edges, snr, BETA_SQ)
+    base = peb_batch([(alpha, anchors, edges, snr, BETA_SQ)])[0]
 
     theta = 0.7
     rot = np.array([
@@ -315,7 +325,8 @@ def test_peb_rigid_rotation_invariance():
                    RigidTransform(e.frame.rotation @ rot.T,
                                   e.frame.translation - e.frame.rotation @ rot.T @ shift))
         for e in edges)
-    moved = peb(rot @ alpha + shift, (anchors @ rot.T) + shift, moved_edges, snr, BETA_SQ)
+    moved = peb_batch([(rot @ alpha + shift, (anchors @ rot.T) + shift, moved_edges, snr,
+                        BETA_SQ)])[0]
     assert moved.peb_m == pytest.approx(base.peb_m, rel=1e-9)
 
 
@@ -326,14 +337,13 @@ def test_peb_matches_monte_carlo_covariance_trace():
     alpha, anchors, edges = random_positioning_instance(rng)
     snr_lin = np.full(4, 10 ** (1.8))
     sigma = range_sigma_m(BETA_SQ, float(snr_lin[0]))
-    bound = peb(alpha, anchors, edges, snr_lin, BETA_SQ)
+    bound = peb_batch([(alpha, anchors, edges, snr_lin, BETA_SQ)])[0]
     truth = model_ranges(alpha, anchors, edges)
-    errs = []
-    for _ in range(500):
-        meas = MeasurementSet(anchors, truth + sigma * rng.standard_normal(4),
-                              np.full(4, sigma), edges)
-        est = dnls_solve(meas, alpha)
-        errs.append(np.sum((est.alpha_hat.as_array() - alpha) ** 2))
+    sets = [MeasurementSet(anchors, truth + sigma * rng.standard_normal(4),
+                           np.full(4, sigma), edges) for _ in range(500)]
+    results = dnls_ladder(sets, [alpha] * len(sets), BOUNDS)
+    assert all(r.rung == 0 for r in results)
+    errs = [np.sum((r.estimate.alpha_hat.as_array() - alpha) ** 2) for r in results]
     rmse = math.sqrt(float(np.mean(errs)))
     assert abs(rmse - bound.peb_m) <= 0.15 * bound.peb_m
 
@@ -345,12 +355,14 @@ def test_dnls_rmse_nonincreasing_in_snr():
     rmses = []
     for snr_db in (10.0, 16.0, 22.0):
         sigma = range_sigma_m(BETA_SQ, 10 ** (snr_db / 10))
-        errs = []
-        for _ in range(300):
-            meas = MeasurementSet(anchors, truth + sigma * rng.standard_normal(4),
-                                  np.full(4, sigma), edges)
-            est = dnls_solve(meas, alpha)
-            errs.append(np.sum((est.alpha_hat.as_array() - alpha) ** 2))
+        sets = [MeasurementSet(anchors, truth + sigma * rng.standard_normal(4),
+                               np.full(4, sigma), edges) for _ in range(300)]
+        # Plain Gauss-Newton, converged or not: at 10 dB a third of the sets
+        # leave the ladder's first rung, and a few every rung.
+        out = _gauss_newton(_pack(sets), np.tile(alpha, (300, 1)), np.full(300, 50),
+                            np.zeros(300), 1e-6, np.arange(300))
+        assert not np.isin(out.status, (_SINGULAR, _DIVERGED)).any()
+        errs = np.sum((out.alpha - alpha) ** 2, axis=1)
         rmses.append(math.sqrt(float(np.mean(errs))))
     assert rmses[0] > rmses[1] > rmses[2]
 
@@ -358,28 +370,29 @@ def test_dnls_rmse_nonincreasing_in_snr():
 def test_mismatch_direction_between_estimators():
     # All-diffraction measurement sets favor D-NLS; all-direct sets favor LLS.
     rng = np.random.default_rng(32)
-    dnls_wins, lls_wins = 0, 0
+    bounds = ((-5, -30, 0), (35, 50, 21))
     n = 40
+    truths, diffraction_sets, euclid_sets = [], [], []
     for _ in range(n):
         alpha, anchors, edges = random_positioning_instance(rng)
-        meas_kwargs = dict(anchors=anchors, sigmas=np.full(4, 0.05), edges=edges)
-
-        diffraction_ranges = np.array([
-            diffraction_point(anchors[j], alpha, edges[j]).path_length for j in range(4)])
-        meas = MeasurementSet(ranges=diffraction_ranges, **meas_kwargs)
-        err_dnls = np.linalg.norm(
-            dnls_solve(meas, lls_start(lls_solve(meas), ((-5, -30, 0), (35, 50, 21)))
-                       ).alpha_hat.as_array() - alpha)
-        err_lls = np.linalg.norm(lls_solve(meas).alpha_hat.as_array() - alpha)
-        dnls_wins += err_dnls < err_lls
-
+        diffraction_ranges = [SceneGeometry([], [edge], None).diffractions(anchor, alpha).length[0]
+                              for anchor, edge in zip(anchors, edges)]
         euclid_ranges = np.linalg.norm(anchors - alpha, axis=1)
-        meas = MeasurementSet(ranges=euclid_ranges, **meas_kwargs)
-        err_dnls = np.linalg.norm(
-            dnls_solve(meas, lls_start(lls_solve(meas), ((-5, -30, 0), (35, 50, 21)))
-                       ).alpha_hat.as_array() - alpha)
-        err_lls = np.linalg.norm(lls_solve(meas).alpha_hat.as_array() - alpha)
-        lls_wins += err_lls < err_dnls
+        truths.append(alpha)
+        for sets, ranges in ((diffraction_sets, diffraction_ranges), (euclid_sets, euclid_ranges)):
+            sets.append(MeasurementSet(anchors, ranges, np.full(4, 0.05), edges))
+
+    def errors(sets):
+        """(D-NLS, LLS) position error per set. D-NLS starts at the clamped
+        LLS estimate and takes the retry ladder's estimate, as a sweep does."""
+        lls = [lls_solve(meas) for meas in sets]
+        dnls = dnls_ladder(sets, [lls_start(est, bounds) for est in lls], bounds)
+        return [(np.linalg.norm(r.estimate.alpha_hat.as_array() - alpha),
+                 np.linalg.norm(est.alpha_hat.as_array() - alpha))
+                for r, est, alpha in zip(dnls, lls, truths)]
+
+    dnls_wins = sum(err_dnls < err_lls for err_dnls, err_lls in errors(diffraction_sets))
+    lls_wins = sum(err_lls < err_dnls for err_dnls, err_lls in errors(euclid_sets))
     # Medians over instances: each model wins on its own measurement family.
     assert dnls_wins > n // 2
     assert lls_wins > n // 2
@@ -388,9 +401,6 @@ def test_mismatch_direction_between_estimators():
 # ---------------------------------------------------------------------------
 # D-NLS start
 # ---------------------------------------------------------------------------
-
-BOUNDS = (np.array([0.0, 0.0, 0.0]), np.array([20.0, 20.0, 15.0]))
-
 
 def test_initial_guess_uses_clamped_lls():
     anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
