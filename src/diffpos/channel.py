@@ -248,6 +248,28 @@ class PathLimits:
             raise ValueError("path limits must be non-negative")
 
 
+# Memo of _facade_frame: every window of a facade shares its frame, and
+# building and validating a RigidTransform per window would dominate
+# scene expansion. A scene has a handful of facades. The frames are shared
+# by every scene, so their arrays are read-only.
+_FACADE_FRAMES: dict[tuple[str, float], RigidTransform] = {}
+
+
+def _facade_frame(axis: str, coord: float) -> RigidTransform:
+    """World -> edge-local frame of the facade with normal ``axis`` at ``coord``:
+    local x runs along the facade, local y across it, local z up."""
+    frame = _FACADE_FRAMES.get((axis, coord))
+    if frame is None:
+        if axis == "y":
+            frame = RigidTransform(np.eye(3), np.array([0.0, -coord, 0.0]))
+        else:
+            rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+            frame = RigidTransform(rot, np.array([0.0, coord, 0.0]))
+        frame.rotation.flags.writeable = frame.translation.flags.writeable = False
+        _FACADE_FRAMES[axis, coord] = frame
+    return frame
+
+
 @dataclass(frozen=True)
 class WindowRect:
     """Rectangular opening in a facade; its horizontal rims diffract.
@@ -275,11 +297,7 @@ class WindowRect:
 
     def edges(self) -> tuple[WindowEdge, WindowEdge]:
         """Bottom and top horizontal diffracting edges in world frames."""
-        if self.axis == "y":
-            frame = RigidTransform(np.eye(3), np.array([0.0, -self.coord, 0.0]))
-        else:
-            rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-            frame = RigidTransform(rot, np.array([0.0, self.coord, 0.0]))
+        frame = _facade_frame(self.axis, self.coord)
         bottom = WindowEdge(self.u_lo, self.u_hi, self.z_lo, self.height, frame)
         top = WindowEdge(self.u_lo, self.u_hi, self.z_hi, self.height, frame)
         return bottom, top
@@ -527,11 +545,16 @@ class SceneGeometry:
         angle = np.minimum(np.arccos(np.minimum(1.0, cos_i)), math.pi / 2 - 1e-12)
         return Reflections(ids, length[ids], point[ids], angle)
 
+    def edge_midpoints(self) -> np.ndarray:
+        """World midpoints (E, 3) of the edges."""
+        return _edge_points_world(self._edge_rotation, self._edge_translation, self._edge_x1,
+                                  self._edge_x2, self._edge_z, np.full(len(self.edges), 0.5))
+
     def diffractions(self, tx: np.ndarray, rx: np.ndarray) -> EdgeDiffractions:
         """Diffraction at every edge, at the edge point that minimizes the
-        two-leg length: the stationary point, or else the endpoint of smaller
-        length, flagged. Edges whose line holds both tx and rx, where
-        diffraction is undefined, are left out.
+        two-leg length: Keller's equal-angle point, clipped to the edge where
+        it lies off it (flagged as an endpoint). Edges whose line holds both
+        tx and rx, where diffraction is undefined, are left out.
         """
         t = self._edge_rotation @ tx + self._edge_translation
         r = self._edge_rotation @ rx + self._edge_translation
@@ -886,15 +909,25 @@ def _integer_field(rec: dict, key: str) -> int:
     return int(value)
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a boolean, a string or any other JSON type
+    raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> IngestResult:
     """Read a line-delimited MPC dataset and rebuild per-pair PDPs.
 
     Structural problems (bad JSON, wrong schema, missing or malformed
-    fields, an id that is not an integer, a non-finite receiver position)
-    raise DatasetError with the line number. Physically inconsistent records
-    (negative or non-finite lengths, non-finite powers, unknown symbols, an
-    edge_id on a path without a diffraction, stored ToF disagreeing with the
-    length beyond 1e-6 relative) are rejected individually with diagnostics.
+    fields, an id that is not an integer, an rx_xyz that is not a list of
+    three finite JSON numbers, a length, power or ToF that is not a JSON
+    number) raise DatasetError with the line number. Physically
+    inconsistent records (negative or non-finite lengths, non-finite powers,
+    unknown symbols, an edge_id on a path without a diffraction, stored ToF
+    disagreeing with the length beyond 1e-6 relative) are rejected
+    individually with diagnostics.
     A non-positive bandwidth or noise temperature raises ValueError.
     """
     floor = noise_floor_dbm(band.bandwidth_hz, noise_temperature_k)
@@ -925,19 +958,20 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
             try:
                 anchor_id = _integer_field(rec, "anchor_id")
                 rx_id = _integer_field(rec, "rx_id")
-                rx_xyz = [float(v) for v in rec["rx_xyz"]]
+                xyz = rec["rx_xyz"]
+                if not (isinstance(xyz, list) and len(xyz) == 3):
+                    raise ValueError(f"rx_xyz must be a list of three numbers, got {xyz!r}")
+                rx_xyz = [_number(v, "rx_xyz") for v in xyz]
                 interactions_s = rec["interactions"]
                 if not isinstance(interactions_s, str):
                     raise TypeError(f"interactions must be a string, got {interactions_s!r}")
-                length = float(rec["path_length_m"])
-                power = float(rec["rx_power_dbm"])
-                stored = float(rec["tof_s"]) if "tof_s" in rec else None
+                length = _number(rec["path_length_m"], "path_length_m")
+                power = _number(rec["rx_power_dbm"], "rx_power_dbm")
+                stored = _number(rec["tof_s"], "tof_s") if "tof_s" in rec else None
                 edge_id = _integer_field(rec, "edge_id") if "edge_id" in rec else None
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(line_no, f"missing or malformed field: {exc}") from None
 
-            if len(rx_xyz) != 3:
-                raise DatasetError(line_no, "rx_xyz must have three components")
             if not all(math.isfinite(v) for v in rx_xyz):
                 raise DatasetError(line_no, f"non-finite rx_xyz {rx_xyz}")
             try:

@@ -244,10 +244,9 @@ def _cell_fap(table: PathTable, losses: PathLosses, fi: int, cfg: SweepConfig,
 
 
 def _nearest_edges(geom: SceneGeometry, anchors: np.ndarray) -> list[int]:
-    """Per anchor, the edge whose midpoint is nearest."""
-    midpoints = [0.5 * (e.endpoints_world()[0] + e.endpoints_world()[1]) for e in geom.edges]
-    return [int(np.argmin([np.linalg.norm(mid - anchor) for mid in midpoints]))
-            for anchor in anchors]
+    """Per anchor (A, 3), the edge whose midpoint is nearest."""
+    offset = geom.edge_midpoints()[None] - anchors[:, None]
+    return np.argmin((offset * offset).sum(axis=2), axis=1).tolist()
 
 
 class _FrequencyTally:
@@ -545,8 +544,11 @@ def _decode(hint, doc, where: str):
     """The value of type ``hint`` that the JSON value ``doc`` at path
     ``where`` holds: a checked record, a tuple from a list (of the tuple's
     length when it is fixed) or a leaf of the right JSON type, unchanged.
-    Anything else raises ValueError naming the path."""
+    Anything else, and a non-finite number, raises ValueError naming the
+    path."""
     if type(doc) is hint:  # a leaf of its own type, the common case
+        if hint is float and not math.isfinite(doc):
+            raise ValueError(f"{where}: expected a finite number, got {doc}")
         return doc
     if hint in _LEAF_TYPES:
         types, expected = _LEAF_TYPES[hint]

@@ -3,8 +3,9 @@
 Three deterministic mechanisms are covered: straight transmission segments
 (Euclidean distance), single specular reflections via the virtual-source
 construction, and single diffraction at a finite horizontal edge where the
-stationary point on the edge is solved in closed form from the quadratic
-that encodes Fermat's principle.
+stationary point on the edge is solved in closed form from Keller's law of
+edge diffraction (the diffracted ray makes the same angle with the edge as
+the incident ray), then clipped to the edge.
 
 All edge formulas operate in the edge-local frame in which the edge lies on
 the line {y = 0, z = z_e}; a rigid transform adapter generalizes them to
@@ -26,14 +27,6 @@ __all__ = [
     "WindowEdge",
     "euclidean_distance",
 ]
-
-# Relative tolerance below which the stationarity quadratic is treated as
-# degenerate and golden-section search takes over.
-_DEGENERATE_QUADRATIC_RTOL = 1e-12
-
-# Slack when testing whether a root lies in [0, 1]; absorbs roundoff for
-# stationary points essentially at an edge endpoint.
-_ROOT_INTERVAL_SLACK = 1e-9
 
 
 class GeometryError(ValueError):
@@ -163,30 +156,11 @@ def _reflect_rows(t: np.ndarray, r: np.ndarray, normals: np.ndarray,
 # Edge diffraction
 # ---------------------------------------------------------------------------
 
-def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Golden-section minimizer for a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 class _EdgeRows(NamedTuple):
     """Per-row result of ``_solve_edge_lambdas``."""
 
     lam: np.ndarray  # minimizing lam in [0, 1]
-    endpoint: np.ndarray  # True where clamped to an edge endpoint
+    endpoint: np.ndarray  # True where the stationary point lies off the edge, lam clipped
     length: np.ndarray  # two-leg length, leg_t + leg_r
     qx: np.ndarray  # edge-local x of the edge point, x2 + lam * (x1 - x2)
     leg_t: np.ndarray  # tx-side leg |t - q|
@@ -201,15 +175,16 @@ def _solve_edge_lambdas(
     per row.
 
     Row i pairs edge-local tx ``t[i]`` and rx ``r[i]`` (shape (N, 3)) with
-    the edge from (x1[i], 0, z_e[i]) to (x2[i], 0, z_e[i]). The stationary
-    point solves a quadratic in lam, derived by squaring the balance between
-    the two legs' transverse distances; squaring may add a spurious root,
-    which the screening below rejects. The two-leg length is convex in lam,
-    so when no stationary point lies in [0, 1] the constrained minimum sits
-    at the endpoint of smaller length. Rows whose quadratic is degenerate or
-    whose discriminant is inconsistent take golden-section search instead.
-    Interior points get up to three Newton polish steps. Each row's result
-    depends on that row only.
+    the edge from (x1[i], 0, z_e[i]) to (x2[i], 0, z_e[i]). By Keller's law
+    of edge diffraction the diffracted ray leaves the edge at the angle the
+    incident ray meets it: unfolding rx's half-plane about the edge line
+    makes the shortest path straight, so the stationary point divides
+    [x_t, x_r] in the ratio of the two transverse distances rho_t, rho_r.
+    The two-leg length is convex along the edge, so clipping that point to
+    the edge gives the constrained minimum; ``endpoint`` flags the rows the
+    clip moved. Besides the span, which is never zero, the only division is
+    by rho_t + rho_r, which vanishes only when tx and rx both lie on the
+    edge line. Each row's result depends on that row only.
     """
     xa, ya, za = t.T
     xn, yn, zn = r.T
@@ -218,89 +193,13 @@ def _solve_edge_lambdas(
     # (z - z_e)^2), summed in that order; only its first term moves with qx.
     ty2, tz2 = ya ** 2, (z_e - za) ** 2
     ry2, rz2 = yn ** 2, (z_e - zn) ** 2
-
-    def legs(rows, qx):
-        return (np.sqrt((xa[rows] - qx) ** 2 + ty2[rows] + tz2[rows]),
-                np.sqrt((xn[rows] - qx) ** 2 + ry2[rows] + rz2[rows]))
-
-    def length_at(rows, lam):
-        leg_t, leg_r = legs(rows, x2[rows] + lam * span[rows])
-        return leg_t + leg_r
-
-    at2 = tz2 + ty2  # squared transverse distance, tx leg
-    rt2 = rz2 + ry2  # squared transverse distance, rx leg
-    dxa, dxn = x2 - xa, x2 - xn
-    a = span ** 2 * (rt2 - at2)
-    b = 2.0 * span * (dxa * rt2 - dxn * at2)
-    c = dxa ** 2 * rt2 - dxn ** 2 * at2
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-    bb, ac4 = b * b, 4.0 * a * c
-    disc = bb - ac4
-    # A discriminant negative beyond roundoff is inconsistent; a
-    # roundoff-negative one is an exact double root.
-    fallback = ((scale == 0.0) | (np.abs(a) < _DEGENERATE_QUADRATIC_RTOL * scale)
-                | ((disc < 0.0) & (np.abs(disc) > 1e-9 * np.maximum(bb, np.abs(ac4)))))
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    # Stable quadratic formula: avoids cancellation when b*b >> |4ac|.
-    qf = np.where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
-    between_slack = 1e-9 * np.maximum(1.0, (xa - xn) ** 2)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Screen both roots, stacked (2, N): inside [0, 1] (with slack) and
-        # between tx and rx, where a genuine stationary point of the two-leg
-        # length sits. Fallback rows may divide by zero here; they are
-        # masked out.
-        root = np.where(qf != 0.0, np.array((qf, c)) / np.array((a, qf)), 0.0)
-        q = x2 + root * span
-        ok = ((-_ROOT_INTERVAL_SLACK <= root) & (root <= 1.0 + _ROOT_INTERVAL_SLACK)
-              & ((q - xa) * (q - xn) <= between_slack) & ~fallback)
-        clamped = np.minimum(np.maximum(root, 0.0), 1.0)
-        lam = np.where(ok[0], clamped[0], clamped[1])
-        both = (ok[0] & ok[1]).nonzero()[0]
-        if both.size:
-            length = length_at(both, clamped[:, both])
-            second = both[length[1] < length[0]]
-            lam[second] = clamped[1, second]
-
-        # No stationary point on the edge: the endpoint of smaller length.
-        polish = ok[0] | ok[1]
-        endpoint = ~(polish | fallback)
-        ends = endpoint.nonzero()[0]
-        if ends.size:
-            length = length_at(ends, np.array([[1.0], [0.0]]))
-            lam[ends] = np.where(length[0] < length[1], 1.0, 0.0)
-
-        # Golden-section rows keep an endpoint they land on and are polished
-        # otherwise.
-        for i in fallback.nonzero()[0]:
-            lam[i] = _golden_section_min(lambda x, i=i: length_at(i, x), 0.0, 1.0)
-            if lam[i] < 1e-9 or lam[i] > 1.0 - 1e-9:
-                lam[i], endpoint[i] = round(lam[i]), True
-            else:
-                polish[i] = True
-
-        # The quadratic route resolves a near-double root only to
-        # ~sqrt(eps); the two-leg length is convex in q with a simple root of
-        # its derivative, so Newton steps on dp/dq recover full precision. A
-        # row stops early at a zero leg, a non-positive curvature or a step
-        # below 1e-14 relative.
-        q = x2 + lam * span
-        active = polish
-        for _ in range(3):
-            if not active.any():
-                break
-            l1, l2 = legs(slice(None), q)
-            grad = (q - xa) / l1 + (q - xn) / l2
-            curv = at2 / l1 ** 3 + rt2 / l2 ** 3
-            step = grad / curv
-            move = active & (l1 != 0.0) & (l2 != 0.0) & ~(curv <= 0.0)
-            moved = q - step
-            q = np.where(move, moved, q)
-            active = move & ~(np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(moved)))
-        lam = np.where(polish, np.minimum(np.maximum((q - x2) / span, 0.0), 1.0), lam)
+    rho_t, rho_r = np.sqrt(tz2 + ty2), np.sqrt(rz2 + ry2)
+    free = (xa + (xn - xa) * rho_t / (rho_t + rho_r) - x2) / span
+    lam = np.minimum(np.maximum(free, 0.0), 1.0)
     qx = x2 + lam * span
-    leg_t, leg_r = legs(slice(None), qx)
-    return _EdgeRows(lam, endpoint, leg_t + leg_r, qx, leg_t, leg_r)
+    leg_t = np.sqrt((xa - qx) ** 2 + ty2 + tz2)
+    leg_r = np.sqrt((xn - qx) ** 2 + ry2 + rz2)
+    return _EdgeRows(lam, lam != free, leg_t + leg_r, qx, leg_t, leg_r)
 
 
 def _on_edge_line(t: np.ndarray, r: np.ndarray, z_e) -> np.ndarray:

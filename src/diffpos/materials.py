@@ -254,9 +254,11 @@ class MaterialLibrary:
 def _expect(value, types, expected: str, where: str):
     """``value`` when it has one of the JSON ``types``, else ValueError naming
     ``where``. No value of a materials file is a boolean, and a JSON boolean
-    is no number."""
+    is no number; a number must be finite."""
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value}")
     return value
 
 

@@ -1,8 +1,11 @@
 """Scalar reference edge solver: the Fermat stationary point on one edge.
 
-This is the closed-form solver the batched ``geometry._solve_edge_lambdas``
-replaced, kept as the test oracle. It solves one (tx, rx, edge) at a time
-in scalar arithmetic. ``diffraction_point`` puts the edge at its own height
+This is the quadratic solver the batched ``geometry._solve_edge_lambdas``
+replaced, kept as an independent test oracle: it squares the stationarity
+condition into a quadratic in lam, screens its roots, and falls back to
+golden-section search with a Newton polish, where the kernel applies
+Keller's closed form. It solves one (tx, rx, edge) at a time in scalar
+arithmetic. ``diffraction_point`` puts the edge at its own height
 ``z_e``, as ``channel.SceneGeometry.diffractions`` does;
 ``approx_diffraction_solution`` puts it half a window height above the
 receiver, as the D-NLS measurement model ``positioning._model_rows`` does.
@@ -11,7 +14,7 @@ receiver, as the D-NLS measurement model ``positioning._model_rows`` does.
 import math
 from typing import NamedTuple
 
-from diffpos.geometry import Point3, _golden_section_min
+from diffpos.geometry import Point3
 
 # Relative tolerance below which the stationarity quadratic is treated as
 # degenerate and golden-section search takes over.
@@ -19,6 +22,25 @@ DEGENERATE_QUADRATIC_RTOL = 1e-12
 
 # Slack when testing whether a root lies in [0, 1].
 ROOT_INTERVAL_SLACK = 1e-9
+
+
+def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-13) -> float:
+    """Golden-section minimizer for a unimodal function on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 class EdgeSolution(NamedTuple):

@@ -539,8 +539,19 @@ _RECORD = {"anchor_id": 0, "rx_id": 0, "rx_xyz": [0.0, 0.0, 0.0], "interactions"
     ({"rx_power_dbm": float("inf")}, "rejected"),
     ({"tof_s": float("nan")}, "rejected"),
     ({"interactions": 5}, "malformed field: interactions must be a string"),
+    ({"rx_xyz": "123"}, "malformed field: rx_xyz must be a list of three numbers"),
+    ({"rx_xyz": [0.0, 0.0]}, "malformed field: rx_xyz must be a list of three numbers"),
+    ({"rx_xyz": [0.0, "1", 0.0]}, "malformed field: rx_xyz must be a number"),
+    ({"path_length_m": "10.0"}, "malformed field: path_length_m must be a number"),
+    ({"rx_power_dbm": True}, "malformed field: rx_power_dbm must be a number"),
+    ({"tof_s": False}, "malformed field: tof_s must be a number"),
+    # Through float() this record read as (1, 2, 3), a 10 m path and 1 dBm.
+    ({"rx_xyz": "123", "path_length_m": "10.0", "rx_power_dbm": True},
+     "malformed field: rx_xyz must be a list of three numbers"),
 ], ids=["edge_id_not_int", "tof_not_a_number", "tof_null", "rx_xyz_nan", "length_nan",
-        "power_inf", "tof_nan", "interactions_not_a_string"])
+        "power_inf", "tof_nan", "interactions_not_a_string", "rx_xyz_string", "rx_xyz_of_two",
+        "rx_xyz_string_component", "length_string", "power_bool", "tof_bool",
+        "string_position_length_and_bool_power"])
 def test_ingest_bad_field_values(tmp_path, changes, outcome):
     # A malformed field raises DatasetError with its line number; a
     # non-finite length, power or ToF rejects only its own record.

@@ -15,6 +15,7 @@ from diffpos.channel import (
     RadioConfig,
     SceneConfig,
     WindowRect,
+    build_scene_geometry,
     receiver_grid,
 )
 from diffpos.cli import main as cli_main
@@ -31,6 +32,7 @@ from diffpos.experiments import (
     save_scene,
     scene_from_dict,
     scene_to_dict,
+    _nearest_edges,
 )
 from diffpos.materials import DiffractionLossModel, default_material_library
 
@@ -74,6 +76,25 @@ def test_full_scale_receiver_count_order_1e4():
     assert 5_000 <= count <= 50_000
     assert scene.receiver_floors == (3, 4, 5, 6, 7)
     assert scene.receiver_spacing == 0.5
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"full_scale": True}, {"grid_spacing": 6.0, "receiver_floors": (3,)},
+    {"grid_spacing": 10.0, "receiver_floors": (3,)},
+], ids=["default", "full_scale", "trials_sweep_size", "ladder_sweep_size"])
+def test_nearest_edges_match_a_loop_over_edges(kwargs):
+    # Oracle: the nearest midpoint, each from the edge's two world endpoints
+    # and each distance a norm. Besides the scene's anchors, whole-metre
+    # points hit exact distance ties, where the first edge must win.
+    scene = build_default_scene(**kwargs)
+    geom = build_scene_geometry(scene)
+    rng = np.random.default_rng(8)
+    points = np.concatenate([np.asarray(scene.anchors, dtype=float),
+                             np.round(rng.uniform(-30, 60, (60, 3))),
+                             rng.uniform(-30, 60, (60, 3))])
+    midpoints = [0.5 * (p1 + p2) for p1, p2 in (e.endpoints_world() for e in geom.edges)]
+    expect = [int(np.argmin([np.linalg.norm(mid - p) for mid in midpoints])) for p in points]
+    assert _nearest_edges(geom, points) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +504,16 @@ def _set(path, value):
     (_set(["radio", "noise_temperature_k"], -5), "noise temperature must be positive, got -5 K"),
     (_set(["radio", "diffraction_loss", "f0_hz"], 0),
      "diffraction loss f0_hz must be positive, got 0 Hz"),
+    (_set(["radio", "diffraction_loss", "l0_db"], math.nan),
+     "radio.diffraction_loss.l0_db: expected a finite number, got nan"),
+    (_set(["anchors", 2, 1], math.inf), "anchors[2][1]: expected a finite number, got inf"),
+    (_set(["windows", 3, "z_lo"], -math.inf),
+     "windows[3].z_lo: expected a finite number, got -inf"),
 ], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
         "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
         "floor_count_float", "include_ground_int", "window_bound_bool", "polarization_xy",
-        "negative_noise_temperature", "zero_f0"])
+        "negative_noise_temperature", "zero_f0", "l0_nan", "anchor_infinity",
+        "window_bound_minus_infinity"])
 def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
     doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
     change(doc)
@@ -516,8 +543,13 @@ def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, me
     (lambda doc: doc["materials"]["concrete"].__setitem__("colour", "grey"),
      "material 'concrete': unexpected key 'colour'"),
     (lambda doc: doc.__setitem__("slabz", {}), "materials file: unexpected key 'slabz'"),
+    (lambda doc: doc["materials"]["concrete"].__setitem__("b", math.nan),
+     "material 'concrete': coefficient 'b': expected a finite number, got nan"),
+    (lambda doc: doc["slabs"]["interior_drywall"][1].__setitem__(1, math.inf),
+     "slab 'interior_drywall': layer 1 thickness: expected a finite number, got inf"),
 ], ids=["missing_coefficient", "unknown_material", "no_exterior_slab", "materials_not_an_object",
-        "string_coefficient", "layer_not_a_pair", "material_extra_key", "file_extra_key"])
+        "string_coefficient", "layer_not_a_pair", "material_extra_key", "file_extra_key",
+        "nan_coefficient", "infinite_thickness"])
 def test_cli_scene_bad_material_file_is_an_error_line(tmp_path, capsys, change, message):
     doc = json.loads(resources.files("diffpos").joinpath("data/materials.json")
                      .read_text(encoding="utf-8"))

@@ -12,7 +12,6 @@ import pytest
 
 import scalar_edge
 import scalar_paths
-from diffpos import geometry
 from diffpos.channel import SceneGeometry, build_scene_geometry
 from diffpos.experiments import build_default_scene
 from diffpos.geometry import (
@@ -284,34 +283,23 @@ def test_solve_edge_lambdas_matches_scalar_on_default_edges():
     assert endpoints > interior > 0
 
 
-def test_solve_edge_lambdas_degenerate_row_takes_scalar_fallback(monkeypatch):
-    # at2 == rt2 makes the quadratic's leading coefficient vanish.
+def test_solve_edge_lambdas_degenerate_quadratic_rows_match_scalar():
+    # at2 == rt2 makes the oracle's quadratic degenerate, so it takes
+    # golden-section search; the closed form needs no special case there.
     shifted = RigidTransform(np.eye(3), np.array([0.0, 1.0, 0.0]))
     edges = (WindowEdge(-4.0, 4.0, 1.0, 1.0), WindowEdge(-4.0, 4.0, 1.0, 1.0, shifted))
     tx, rx = np.array([-1.0, -2.0, 1.0]), np.array([5.0, 2.0, 1.0])
-    calls = []
-    golden = geometry._golden_section_min
-
-    def spy(f, lo, hi):
-        calls.append(f)
-        return golden(f, lo, hi)
-
-    monkeypatch.setattr(geometry, "_golden_section_min", spy)
     lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))[:3]
-    # The unshifted edge only: its legs at lam = 0 run to (4, 0, 1).
-    assert len(calls) == 1
-    assert calls[0](0.0) == pytest.approx(math.sqrt(29.0) + math.sqrt(5.0), rel=1e-15)
     for i, edge in enumerate(edges):
         sol = scalar_edge.diffraction_point(tx, rx, edge)
         assert abs(lam[i] - sol.lam) <= 1e-12
         assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
         assert endpoint[i] == sol.endpoint
-    # A degenerate row whose minimum lies beyond the edge: the search lands
-    # within 1e-9 of lam = 0, which is rounded to the endpoint and flagged.
+    # A degenerate row whose minimum lies beyond the edge: lam = 0 exactly,
+    # flagged as an endpoint.
     tx, rx = np.array([6.0, -2.0, 1.0]), np.array([8.0, 2.0, 1.0])
     lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges[:1], tx, rx))[:3]
     sol = scalar_edge.diffraction_point(tx, rx, edges[0])
-    assert len(calls) == 2
     assert lam[0] == sol.lam == 0.0 and endpoint[0] and sol.endpoint
     assert abs(length[0] - sol.path_length) <= 1e-9 * sol.path_length
 
@@ -341,23 +329,58 @@ def test_solve_edge_lambdas_random_edges_and_frames():
     assert endpoint.any() and not endpoint.all()
 
 
-def test_solve_edge_lambdas_returns_the_legs_at_its_lam(monkeypatch):
+def test_solve_edge_lambdas_matches_oracle_and_dense_grid():
+    # Keller's closed form against the scalar quadratic oracle and a dense
+    # brute-force lam grid, on random rows and on the rows the oracle treats
+    # specially: equal transverse distances (a degenerate quadratic), tx on
+    # the edge line, a common abscissa (a double root), and both abscissas on
+    # the edge (an interior point), with spans from 1 cm to 10 m and
+    # coordinates up to 100 m.
+    rng = np.random.default_rng(1962)
+    n = 1000
+    t, r = rng.uniform(-100, 100, (n, 3)), rng.uniform(-100, 100, (n, 3))
+    x2, z_e = rng.uniform(-100, 100, n), rng.uniform(-100, 100, n)
+    x1 = x2 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-2, 1, n)
+    kind = np.arange(n) % 5
+    r[kind == 1, 1:] = t[kind == 1, 1:] * [-1.0, 1.0]
+    t[kind == 2, 1], t[kind == 2, 2] = 0.0, z_e[kind == 2]
+    on_edge = (kind == 0) | (kind == 3)
+    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
+    t[on_edge, 0] = rng.uniform(lo[on_edge], hi[on_edge])
+    r[kind == 0, 0] = rng.uniform(lo[kind == 0], hi[kind == 0])
+    r[kind == 3, 0] = t[kind == 3, 0]
+    sol = _solve_edge_lambdas(t, r, x1, x2, z_e)
+
+    size = 1.0 + np.abs(np.concatenate([t, r], axis=1)).max(axis=1)
+    for i in range(n):
+        lam, endpoint = scalar_edge.solve_edge_lambda(t[i], r[i], x1[i], x2[i], z_e[i])
+        q = x2[i] + lam * (x1[i] - x2[i])
+        length = scalar_edge.two_leg_length(t[i], r[i], z_e[i], q)
+        assert abs(sol.qx[i] - q) <= 1e-12 * size[i]
+        assert abs(sol.length[i] - length) <= 1e-13 * length
+        assert sol.endpoint[i] == endpoint
+    assert not sol.endpoint[on_edge].any() and sol.endpoint.any()
+
+    grid = np.linspace(0.0, 1.0, 2001)
+    qx = x2[:, None] + grid * (x1 - x2)[:, None]
+    sampled = (np.sqrt((t[:, :1] - qx) ** 2 + t[:, 1:2] ** 2 + (t[:, 2:] - z_e[:, None]) ** 2)
+               + np.sqrt((r[:, :1] - qx) ** 2 + r[:, 1:2] ** 2 + (r[:, 2:] - z_e[:, None]) ** 2))
+    assert np.all(sol.length <= sampled.min(axis=1) * (1.0 + 1e-13))
+
+
+def test_solve_edge_lambdas_returns_the_legs_at_its_lam():
     # Random rows, most clamped to an endpoint. Every fifth row puts tx and
-    # rx at a common abscissa, where both roots of the quadratic pass the
-    # screen; every seventh gives both legs the same transverse distance,
-    # which makes the quadratic degenerate and takes golden-section search.
-    # The edge point and the legs returned are those at the returned lam, bit
-    # for bit, as the D-NLS model takes them.
+    # rx at a common abscissa, where both roots of the oracle's quadratic
+    # pass its screen; every seventh gives both legs the same transverse
+    # distance, which makes that quadratic degenerate. The edge point and the
+    # legs returned are those at the returned lam, bit for bit, as the D-NLS
+    # model takes them.
     rng = np.random.default_rng(21)
     n = 600
     t, r = rng.uniform(-20, 20, (n, 3)), rng.uniform(-20, 20, (n, 3))
     x1, x2, z_e = rng.uniform(-5, 0, n), rng.uniform(0.1, 5, n), rng.uniform(-3, 3, n)
     r[::5, 0] = t[::5, 0]
     r[::7, 1:] = t[::7, 1:] * [-1.0, 1.0]
-    calls = []
-    golden = geometry._golden_section_min
-    monkeypatch.setattr(geometry, "_golden_section_min",
-                        lambda f, lo, hi: calls.append(f) or golden(f, lo, hi))
     sol = _solve_edge_lambdas(t, r, x1, x2, z_e)
     qx = x2 + sol.lam * (x1 - x2)
     leg_t = np.sqrt((t[:, 0] - qx) ** 2 + t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2)
@@ -365,7 +388,7 @@ def test_solve_edge_lambdas_returns_the_legs_at_its_lam(monkeypatch):
     assert np.array_equal(sol.qx, qx)
     assert np.array_equal(sol.leg_t, leg_t) and np.array_equal(sol.leg_r, leg_r)
     assert np.array_equal(sol.length, leg_t + leg_r)
-    assert len(calls) > 0 and sol.endpoint.any() and not sol.endpoint.all()
+    assert sol.endpoint.any() and not sol.endpoint.all()
 
 
 def test_diffraction_fermat_stationarity_interior():

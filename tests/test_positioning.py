@@ -91,7 +91,10 @@ def test_jacobian_matches_finite_differences_random():
         meas = meas_from_instance(alpha, anchors, edges)
         ranges, analytic, singular = _model_rows(alpha[None], _pack([meas]))
         assert not singular.any()
-        assert np.array_equal(ranges[0], model_ranges(alpha, anchors, edges))
+        # The scalar oracle solves the edge by another algorithm, so the
+        # ranges agree to roundoff rather than bit for bit.
+        expect = model_ranges(alpha, anchors, edges)
+        assert np.all(np.abs(ranges[0] - expect) <= 1e-15 * expect)
         numeric = fd_jacobian(alpha, meas)
         worst = max(worst, float(np.max(np.abs(analytic[0] - numeric))))
     assert worst <= 1e-6
