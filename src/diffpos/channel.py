@@ -560,7 +560,8 @@ class SceneGeometry:
         r = self._edge_rotation @ rx + self._edge_translation
         ids = np.flatnonzero(~_on_edge_line(t, r, self._edge_z))
         x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], self._edge_z[ids]
-        sol = _solve_edge_lambdas(t[ids], r[ids], x1, x2, z_e)
+        t, r = t[ids].T, r[ids].T
+        sol = _solve_edge_lambdas(t[0], t[1] ** 2, t[2], r[0], r[1] ** 2, r[2], x2, x1 - x2, z_e)
         point = _edge_points_world(self._edge_rotation[ids], self._edge_translation[ids],
                                    x1, x2, z_e, sol.lam)
         return EdgeDiffractions(ids, sol.lam, sol.endpoint, sol.length, point)

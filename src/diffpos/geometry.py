@@ -64,11 +64,13 @@ class Point3:
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rigid map from world to local coordinates: local = R @ world + t.
 
     The rotation must be orthonormal with determinant +1 (within 1e-12).
+    Transforms compare and hash by identity, so edges that share one
+    compare and hash by value.
     """
 
     rotation: np.ndarray
@@ -91,9 +93,6 @@ class RigidTransform:
     def to_local(self, p) -> np.ndarray:
         return self.rotation @ _vec(p) + self.translation
 
-    def to_world(self, p) -> np.ndarray:
-        return self.rotation.T @ (_vec(p) - self.translation)
-
 
 @dataclass(frozen=True)
 class WindowEdge:
@@ -114,11 +113,6 @@ class WindowEdge:
             raise GeometryError("edge endpoints coincide (x1 == x2)")
         if not self.w > 0:
             raise GeometryError("window height w must be positive")
-
-    def endpoints_world(self) -> tuple[np.ndarray, np.ndarray]:
-        p1 = self.frame.to_world([self.x1, 0.0, self.z_e])
-        p2 = self.frame.to_world([self.x2, 0.0, self.z_e])
-        return p1, p2
 
 
 def euclidean_distance(a, b) -> float:
@@ -157,48 +151,46 @@ def _reflect_rows(t: np.ndarray, r: np.ndarray, normals: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class _EdgeRows(NamedTuple):
-    """Per-row result of ``_solve_edge_lambdas``."""
+    """Per-entry result of ``_solve_edge_lambdas``, in the shape of its inputs."""
 
     lam: np.ndarray  # minimizing lam in [0, 1]
     endpoint: np.ndarray  # True where the stationary point lies off the edge, lam clipped
     length: np.ndarray  # two-leg length, leg_t + leg_r
-    qx: np.ndarray  # edge-local x of the edge point, x2 + lam * (x1 - x2)
+    qx: np.ndarray  # edge-local x of the edge point, x2 + lam * span
     leg_t: np.ndarray  # tx-side leg |t - q|
     leg_r: np.ndarray  # rx-side leg |q - r|
 
 
 def _solve_edge_lambdas(
-    t: np.ndarray, r: np.ndarray, x1: np.ndarray, x2: np.ndarray, z_e: np.ndarray
+    tx: np.ndarray, ty2: np.ndarray, tz: np.ndarray, rx: np.ndarray, ry2: np.ndarray,
+    rz: np.ndarray, x2: np.ndarray, span: np.ndarray, z_e: np.ndarray,
 ) -> _EdgeRows:
     """Minimizing lam in [0, 1] of the two-leg length, an endpoint flag, the
     two-leg length, and the edge point's x and the legs it was taken from,
-    per row.
+    per entry.
 
-    Row i pairs edge-local tx ``t[i]`` and rx ``r[i]`` (shape (N, 3)) with
-    the edge from (x1[i], 0, z_e[i]) to (x2[i], 0, z_e[i]). By Keller's law
-    of edge diffraction the diffracted ray leaves the edge at the angle the
-    incident ray meets it: unfolding rx's half-plane about the edge line
-    makes the shortest path straight, so the stationary point divides
-    [x_t, x_r] in the ratio of the two transverse distances rho_t, rho_r.
-    The two-leg length is convex along the edge, so clipping that point to
-    the edge gives the constrained minimum; ``endpoint`` flags the rows the
-    clip moved. Besides the span, which is never zero, the only division is
-    by rho_t + rho_r, which vanishes only when tx and rx both lie on the
-    edge line. Each row's result depends on that row only.
+    Every argument is an array of one common shape, one entry per (tx, rx,
+    edge) triple: the edge-local x, y squared and z of tx and of rx, and the
+    edge from (x2 + span, 0, z_e) to (x2, 0, z_e), where span = x1 - x2. By
+    Keller's law of edge diffraction the diffracted ray leaves the edge at
+    the angle the incident ray meets it: unfolding rx's half-plane about the
+    edge line makes the shortest path straight, so the stationary point
+    divides [x_t, x_r] in the ratio of the two transverse distances rho_t,
+    rho_r. The two-leg length is convex along the edge, so clipping that
+    point to the edge gives the constrained minimum; ``endpoint`` flags the
+    entries the clip moved. Besides the span, which is never zero, the only
+    division is by rho_t + rho_r, which vanishes only when tx and rx both
+    lie on the edge line. Each entry's result depends on that entry only.
     """
-    xa, ya, za = t.T
-    xn, yn, zn = r.T
-    span = x1 - x2
     # A leg through the edge point (qx, 0, z_e) is sqrt((x - qx)^2 + y^2 +
     # (z - z_e)^2), summed in that order; only its first term moves with qx.
-    ty2, tz2 = ya ** 2, (z_e - za) ** 2
-    ry2, rz2 = yn ** 2, (z_e - zn) ** 2
+    tz2, rz2 = (z_e - tz) ** 2, (z_e - rz) ** 2
     rho_t, rho_r = np.sqrt(tz2 + ty2), np.sqrt(rz2 + ry2)
-    free = (xa + (xn - xa) * rho_t / (rho_t + rho_r) - x2) / span
+    free = (tx + (rx - tx) * rho_t / (rho_t + rho_r) - x2) / span
     lam = np.minimum(np.maximum(free, 0.0), 1.0)
     qx = x2 + lam * span
-    leg_t = np.sqrt((xa - qx) ** 2 + ty2 + tz2)
-    leg_r = np.sqrt((xn - qx) ** 2 + ry2 + rz2)
+    leg_t = np.sqrt((tx - qx) ** 2 + ty2 + tz2)
+    leg_r = np.sqrt((rx - qx) ** 2 + ry2 + rz2)
     return _EdgeRows(lam, lam != free, leg_t + leg_r, qx, leg_t, leg_r)
 
 

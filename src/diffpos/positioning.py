@@ -118,23 +118,35 @@ class FimResult:
     fim: np.ndarray  # (3, 3), 1/m^2
     fim_inv: np.ndarray | None
     peb_m: float  # inf when the FIM is singular
-    condition: float
     singular: bool
 
 
 class _Rows(NamedTuple):
-    """Measurement sets packed into arrays, one row per set, M anchors each."""
+    """Measurement sets packed into arrays, one row per set, M anchors each.
 
-    rotation: np.ndarray  # (R, M, 3, 3) world -> edge-local rotation
-    translation: np.ndarray  # (R, M, 3)
-    t: np.ndarray  # (R, M, 3) anchor position in the edge-local frame
-    x1: np.ndarray  # (R, M) edge endpoints along the local x axis
-    x2: np.ndarray
-    w: np.ndarray  # (R, M) window height
-    ranges: np.ndarray  # (R, M) measured ranges
+    Everything the measurement model needs that does not move with the
+    receiver position is computed here once, not on every evaluation. The
+    row index is the last axis of every array, so that the model's per-(row,
+    anchor) arrays are contiguous (M, R) blocks.
+    """
 
-    def take(self, rows) -> "_Rows":
-        return _Rows(*(column[rows] for column in self))
+    # The world -> edge-local rotation R and translation: local[i] =
+    # sum_k to_local[k, i] * world[k] + translation[i], and a local
+    # gradient maps back to world axes as sum_k to_world[k, :, i] * local[k].
+    to_local: np.ndarray  # (3, 3, M, R) [k, i] = R[i, k]
+    translation: np.ndarray  # (3, M, R)
+    to_world: np.ndarray  # (3, M, 3, R) [k, :, i] = R[k, i]
+    tx: np.ndarray  # (M, R) anchor x in the edge-local frame
+    ty2: np.ndarray  # (M, R) anchor y squared
+    tz: np.ndarray  # (M, R) anchor z
+    x2: np.ndarray  # (M, R) edge endpoint x2 along the local x axis
+    span: np.ndarray  # (M, R) x1 - x2
+    half_w: np.ndarray  # (M, R) half the window height
+    ranges: np.ndarray  # (M, R) measured ranges
+
+    def take(self, rows: np.ndarray) -> "_Rows":
+        """The rows with indices ``rows``, in contiguous arrays."""
+        return _Rows(*(column.take(rows, axis=-1) for column in self))
 
 
 def _pack(sets) -> _Rows:
@@ -146,16 +158,23 @@ def _pack(sets) -> _Rows:
     edges = [edge for meas in sets for edge in meas.edges]
     anchors = [anchor for meas in sets for anchor in meas.anchors]
 
-    def column(values, *tail):
-        return np.array(values, dtype=float).reshape(*shape, *tail)
+    def column(values, *tail):  # (*tail, M, R)
+        values = np.array(values, dtype=float).reshape(*shape, *tail)
+        return np.ascontiguousarray(np.moveaxis(values, (0, 1), (-1, -2)))
 
+    rotation = column([e.frame.rotation for e in edges], 3, 3)  # [i, k] = R[i, k]
+    t = column([e.frame.to_local(a) for a, e in zip(anchors, edges)], 3)
+    x1, x2 = column([e.x1 for e in edges]), column([e.x2 for e in edges])
     return _Rows(
-        rotation=column([e.frame.rotation for e in edges], 3, 3),
+        to_local=np.ascontiguousarray(rotation.transpose(1, 0, 2, 3)),
         translation=column([e.frame.translation for e in edges], 3),
-        t=column([e.frame.to_local(a) for a, e in zip(anchors, edges)], 3),
-        x1=column([e.x1 for e in edges]),
-        x2=column([e.x2 for e in edges]),
-        w=column([e.w for e in edges]),
+        to_world=np.ascontiguousarray(rotation.transpose(0, 2, 1, 3)),
+        tx=t[0],
+        ty2=t[1] ** 2,
+        tz=t[2],
+        x2=x2,
+        span=x1 - x2,
+        half_w=0.5 * column([e.w for e in edges]),
         ranges=column([meas.ranges for meas in sets]),
     )
 
@@ -175,28 +194,33 @@ def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray,
     where l_rx, l_tx are the receiver- and anchor-side legs; a leg below
     1e-12 m flags the entry singular. The local gradient maps back to world
     axes through the frame rotation. Every entry depends on its own row only.
+    The outputs are views of row-last arrays, (M, R) and (M, 3, R). The
+    caller sets the floating-point error state: a singular entry divides by
+    zero.
     """
-    rot = rows.rotation
-    a = alpha[:, None, None, :]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = rot[..., 0] * a[..., 0] + rot[..., 1] * a[..., 1] + rot[..., 2] * a[..., 2] \
-            + rows.translation
-        z_e = r[..., 2] + 0.5 * rows.w
-        sol = _solve_edge_lambdas(rows.t.reshape(-1, 3), r.reshape(-1, 3), rows.x1.ravel(),
-                                  rows.x2.ravel(), z_e.ravel())
-        length, qx, l_tx, l_rx = (v.reshape(z_e.shape)
-                                  for v in (sol.length, sol.qx, sol.leg_t, sol.leg_r))
-        singular = (l_rx < 1e-12) | (l_tx < 1e-12)
-        local = ((r[..., 0] - qx) / l_rx, r[..., 1] / l_rx, (z_e - rows.t[..., 2]) / l_tx)
-        grad = rot[..., 0, :] * local[0][..., None] + rot[..., 1, :] * local[1][..., None] \
-            + rot[..., 2, :] * local[2][..., None]
-    return length, grad.transpose(0, 2, 1), singular
+    r = np.add.reduce(rows.to_local * alpha.T[:, None, None, :], axis=0) + rows.translation
+    rx, ry, rz = r
+    z_e = rz + rows.half_w
+    sol = _solve_edge_lambdas(rows.tx, rows.ty2, rows.tz, rx, ry ** 2, rz, rows.x2, rows.span,
+                              z_e)
+    l_tx, l_rx = sol.leg_t, sol.leg_r
+    # Equal to (l_rx < 1e-12) | (l_tx < 1e-12): fmin passes over a NaN leg.
+    singular = np.fmin(l_rx, l_tx) < 1e-12
+    rot = rows.to_world
+    grad = rot[0] * ((rx - sol.qx) / l_rx)[:, None] + rot[1] * (ry / l_rx)[:, None] \
+        + rot[2] * ((z_e - rows.tz) / l_tx)[:, None]
+    return sol.length.T, grad.T, singular.T
 
 
 def _rank_deficient(matrices: np.ndarray) -> np.ndarray:
     """Rank deficiency of a matrix, or of each matrix of a stack."""
     s = np.linalg.svd(matrices, compute_uv=False)
     return (s[..., -1] <= _RANK_RTOL * s[..., 0]) | (s[..., 0] == 0.0)
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
 
 
 class _GaussNewtonRows(NamedTuple):
@@ -231,77 +255,107 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     residual_norm = np.full(n_rows, np.nan)
     first_converged = np.full(int(problem.max(initial=-1)) + 1, n_rows)
     eye = np.eye(3)
+    damping = np.asarray(damping, dtype=float)
 
     # State of the active rows: their row numbers, measurements, iterates,
-    # iteration limits, damping, iteration counts, and whether their last
-    # step is taken (the model evaluation at the top of the loop is then
-    # their final one). Rows that stop leave it at the end of the iteration.
+    # iteration limits, whether they are damped and their damping term,
+    # iteration counts, and whether their last step is taken (the model
+    # evaluation at the top of the loop is then their final one). Rows that
+    # stop leave it at the end of the iteration. A trip counts the rows that
+    # stop, are singular, undamped or fail, and skips the bookkeeping for
+    # each kind that has none.
     active = np.arange(n_rows)
     cur = rows
     a = alpha.copy()
     limit = np.asarray(max_iters)
-    damp = np.asarray(damping, dtype=float)
+    damped = damping > 0.0
+    damp_eye = damping * eye[:, :, None]  # (3, 3, R)
     its = iterations.copy()
     final = limit <= 0
-    while active.size:
-        p, jac, singular = _model_rows(a, cur)
-        singular = singular.any(axis=1)
-        residual = cur.ranges - p
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while active.size:
+            # The model's arrays in their row-last layout: (M, R), (M, 3, R).
+            p, jac, singular = (x.T for x in _model_rows(a, cur))
+            residual = cur.ranges - p
 
-        stop = final | singular
-        if final.any():
-            done = active[final]
-            residual_norm[done] = np.sqrt(np.sum(residual[final] ** 2, axis=1))
-            status[done[singular[final]]] = _SINGULAR
-            for i in done[status[done] == _CONVERGED]:
-                first_converged[problem[i]] = min(first_converged[problem[i]], i)
-            dropped = ~stop & (active > first_converged[problem[active]])
-            status[active[dropped]] = _DROPPED
-            stop |= dropped
-        if singular.any():
-            status[active[singular & ~final]] = _SINGULAR
-            its[singular & ~final] += 1
+            stop = final.copy()
+            if np.count_nonzero(singular):
+                singular = singular.any(axis=0)
+                status[active[singular]] = _SINGULAR
+                its[singular & ~final] += 1
+                stop |= singular
+            if np.count_nonzero(final):
+                done = active[final]
+                # A C-ordered (rows, M) copy: numpy sums a contiguous last axis
+                # pairwise from 8 entries on, and each norm keeps that order.
+                last = np.ascontiguousarray(residual[:, final].T)
+                residual_norm[done] = np.sqrt(np.sum(last ** 2, axis=1))
+                for i in done[status[done] == _CONVERGED]:
+                    first_converged[problem[i]] = min(first_converged[problem[i]], i)
+                dropped = ~stop & (active > first_converged[problem[active]])
+                status[active[dropped]] = _DROPPED
+                stop |= dropped
 
-        # One step of the rows that go on: every active row unless some stop.
-        go = np.flatnonzero(~stop) if stop.any() else slice(None)
-        its[go] += 1
-        j, res, d, start = jac[go], residual[go], damp[go], a[go]
-        normal = (j[:, :, None, :] * j[:, None, :, :]).sum(axis=-1)
-        rhs = (j * res[:, None, :]).sum(axis=-1)
-        damped = d > 0.0
-        if damped.all():
-            normal += d[:, None, None] * eye
-        elif damped.any():
-            normal[damped] += d[damped, None, None] * eye
-        ok = np.isfinite(normal).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-        deficient = np.zeros(ok.shape, dtype=bool)
-        check = ok & ~damped
-        if check.any():
-            deficient[check] = _rank_deficient(normal[check])
-            ok &= ~deficient
-        if not ok.all():  # rows that fail here take a zero step
-            normal[~ok], rhs[~ok] = eye, 0.0
-        step = np.linalg.solve(normal, rhs[..., None])[..., 0]
-        moved = start + step
-        ok &= np.isfinite(moved).all(axis=1)
-        converged = ok & (np.sqrt((step ** 2).sum(axis=1)) < tol)
-        if not ok.all():
-            failed = ~ok
-            status[active[go][failed]] = np.where(deficient[failed], _SINGULAR, _DIVERGED)
-            moved[failed] = start[failed]
-            stop[go] = failed
-        a[go] = moved
-        if converged.any():
-            status[active[go][converged]] = _CONVERGED
-        final[go] = converged | (its[go] >= limit[go])
+            # One step of the rows that go on: every active row unless some stop.
+            n_stop = np.count_nonzero(stop)
+            if n_stop < len(stop):
+                if n_stop:
+                    go = (~stop).nonzero()[0]
+                    j, res, d_eye = (x.take(go, axis=-1) for x in (jac, residual, damp_eye))
+                else:
+                    go, j, res, d_eye = slice(None), jac, residual, damp_eye
+                its[go] += 1
+                start, d = a[go], damped[go]
+                # The normal equations (3, 3, G) and (3, G), summed over the
+                # leading anchor axis, so in anchor order.
+                normal = np.add.reduce(j[:, :, None] * j[:, None], axis=0)
+                rhs = np.add.reduce(j * res[:, None], axis=0)
+                n_damped = np.count_nonzero(d)
+                if n_damped:
+                    np.add(normal, d_eye, out=normal, where=d)
+                # Rows with a non-finite or, undamped, a rank-deficient system
+                # take a zero step and fail, as do rows whose iterate is not
+                # finite. ``ok`` marks the rows that do not; it stays None
+                # while no row can fail, which is the common case.
+                ok = None
+                if not (_all_finite(normal) and _all_finite(rhs)):
+                    ok = np.isfinite(normal).all(axis=(0, 1)) & np.isfinite(rhs).all(axis=0)
+                deficient = None
+                if n_damped < len(d):
+                    check = ~d if ok is None else ok & ~d
+                    if np.count_nonzero(check):
+                        deficient = np.zeros(len(d), dtype=bool)
+                        deficient[check] = _rank_deficient(normal[..., check].transpose(2, 0, 1))
+                        ok = ~deficient if ok is None else ok & ~deficient
+                if ok is not None:
+                    normal[..., ~ok], rhs[:, ~ok] = eye[:, :, None], 0.0
+                step = np.linalg.solve(normal.transpose(2, 0, 1), rhs.T[..., None])[..., 0]
+                moved = start + step
+                if not _all_finite(moved):
+                    finite = np.isfinite(moved).all(axis=1)
+                    ok = finite if ok is None else ok & finite
+                converged = np.sqrt(np.add.reduce(step ** 2, axis=1)) < tol
+                if ok is not None and np.count_nonzero(ok) < len(ok):
+                    converged &= ok
+                    failed = ~ok
+                    status[active[go][failed]] = _DIVERGED if deficient is None \
+                        else np.where(deficient[failed], _SINGULAR, _DIVERGED)
+                    moved[failed] = start[failed]
+                    stop[go] = failed
+                    n_stop = np.count_nonzero(stop)
+                a[go] = moved
+                if np.count_nonzero(converged):
+                    status[active[go][converged]] = _CONVERGED
+                final[go] = converged | (its[go] >= limit[go])
 
-        if stop.any():
-            left = active[stop]
-            alpha[left] = a[stop]
-            iterations[left] = its[stop]
-            keep = ~stop
-            active, cur, a = active[keep], cur.take(keep), a[keep]
-            its, final, limit, damp = its[keep], final[keep], limit[keep], damp[keep]
+            if n_stop:
+                left = active[stop]
+                alpha[left] = a[stop]
+                iterations[left] = its[stop]
+                keep = (~stop).nonzero()[0]
+                active, cur, a, its = active[keep], cur.take(keep), a[keep], its[keep]
+                final, limit, damped = final[keep], limit[keep], damped[keep]
+                damp_eye = damp_eye.take(keep, axis=-1)
     return _GaussNewtonRows(alpha, iterations, status, residual_norm)
 
 
@@ -413,8 +467,9 @@ def peb_batch(problems) -> list[FimResult]:
 
     results = [None] * len(sets)
     for group in by_count.values():
-        _, jac, singular = _model_rows(np.array([alphas[i] for i in group]),
-                                       _pack([sets[i] for i in group]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _, jac, singular = _model_rows(np.array([alphas[i] for i in group]),
+                                           _pack([sets[i] for i in group]))
         if singular.any():
             k, j = np.argwhere(singular)[0]
             raise SingularGeometryError(f"bound problem {group[k]}: position coincides "
@@ -422,19 +477,20 @@ def peb_batch(problems) -> list[FimResult]:
         beta_sq = np.array([beta_sqs[i] for i in group], dtype=float)[:, None]
         inv_var = 8.0 * math.pi ** 2 * beta_sq * np.array([snrs[i] for i in group]) \
             / SPEED_OF_LIGHT ** 2  # 1/m^2
-        fim = (jac * inv_var[:, None, :]) @ jac.transpose(0, 2, 1)
+        # The product takes a contiguous (G, M, 3) stack of partials and its
+        # transpose: operand layouts pick the BLAS path, and so the FIM's bits.
+        grad = np.ascontiguousarray(jac.transpose(0, 2, 1))
+        fim = (grad.transpose(0, 2, 1) * inv_var[:, None, :]) @ grad
         fim = 0.5 * (fim + fim.transpose(0, 2, 1))
 
         singular = _rank_deficient(fim)
         fim_inv = np.full_like(fim, np.nan)
         fim_inv[~singular] = np.linalg.inv(fim[~singular])
-        condition = np.linalg.cond(fim)
         bound = np.sqrt(np.trace(fim_inv, axis1=1, axis2=2))
         for k, i in enumerate(group):
-            results[i] = FimResult(fim=fim[k], fim_inv=None, peb_m=math.inf,
-                                   condition=math.inf, singular=True) if singular[k] \
-                else FimResult(fim=fim[k], fim_inv=fim_inv[k], peb_m=float(bound[k]),
-                               condition=float(condition[k]), singular=False)
+            results[i] = FimResult(fim=fim[k], fim_inv=None, peb_m=math.inf, singular=True) \
+                if singular[k] else FimResult(fim=fim[k], fim_inv=fim_inv[k],
+                                              peb_m=float(bound[k]), singular=False)
     return results
 
 

@@ -33,9 +33,7 @@ def scalar_peb(alpha_true, anchors, edges, snr_linear, beta_sq_hz2):
     s = np.linalg.svd(fim, compute_uv=False)
     singular = s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]
     if singular:
-        return FimResult(fim=fim, fim_inv=None, peb_m=math.inf,
-                         condition=math.inf, singular=True)
+        return FimResult(fim=fim, fim_inv=None, peb_m=math.inf, singular=True)
     fim_inv = np.linalg.inv(fim)
     return FimResult(fim=fim, fim_inv=fim_inv,
-                     peb_m=float(np.sqrt(np.trace(fim_inv))),
-                     condition=float(s[0] / s[-1]), singular=False)
+                     peb_m=float(np.sqrt(np.trace(fim_inv))), singular=False)

@@ -5,6 +5,10 @@ test oracle. Each edge is solved with the scalar
 ``approx_diffraction_solution`` of ``scalar_edge``; one problem and one rung
 run at a time.
 Instead of raising, a solve reports how it ended and at which iteration.
+
+``reference_model_rows`` is the batched measurement model as it was first
+written, with every term recomputed on each call, kept as the bit-exact
+reference for ``positioning._model_rows``.
 """
 
 import math
@@ -44,6 +48,49 @@ def scalar_model(alpha, meas):
             (z_e - t[2]) / l_tx,
         ])
     return p, jac
+
+
+def reference_model_rows(alpha, sets):
+    """Model ranges (R, M), partials (R, 3, M) and singular flags (R, M) of
+    the measurement sets ``sets`` at receiver positions ``alpha`` (R, 3).
+
+    Every floating-point expression, and its operand order, is that of
+    ``positioning._model_rows``, Keller's edge point of
+    ``geometry._solve_edge_lambdas`` included, so the results must agree bit
+    for bit.
+    """
+    shape = (len(sets), len(sets[0]))
+    edges = [edge for meas in sets for edge in meas.edges]
+    anchors = [anchor for meas in sets for anchor in meas.anchors]
+
+    def column(values, *tail):
+        return np.array(values, dtype=float).reshape(*shape, *tail)
+
+    rot = column([e.frame.rotation for e in edges], 3, 3)
+    t = column([e.frame.to_local(a) for a, e in zip(anchors, edges)], 3)
+    x1, x2 = column([e.x1 for e in edges]), column([e.x2 for e in edges])
+    w = column([e.w for e in edges])
+    a = np.asarray(alpha, dtype=float)[:, None, None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = rot[..., 0] * a[..., 0] + rot[..., 1] * a[..., 1] + rot[..., 2] * a[..., 2] \
+            + column([e.frame.translation for e in edges], 3)
+        z_e = r[..., 2] + 0.5 * w
+        xa, ya, za = t[..., 0], t[..., 1], t[..., 2]
+        xn, yn, zn = r[..., 0], r[..., 1], r[..., 2]
+        span = x1 - x2
+        ty2, tz2 = ya ** 2, (z_e - za) ** 2
+        ry2, rz2 = yn ** 2, (z_e - zn) ** 2
+        rho_t, rho_r = np.sqrt(tz2 + ty2), np.sqrt(rz2 + ry2)
+        free = (xa + (xn - xa) * rho_t / (rho_t + rho_r) - x2) / span
+        lam = np.minimum(np.maximum(free, 0.0), 1.0)
+        qx = x2 + lam * span
+        l_tx = np.sqrt((xa - qx) ** 2 + ty2 + tz2)
+        l_rx = np.sqrt((xn - qx) ** 2 + ry2 + rz2)
+        singular = (l_rx < 1e-12) | (l_tx < 1e-12)
+        local = ((r[..., 0] - qx) / l_rx, r[..., 1] / l_rx, (z_e - t[..., 2]) / l_tx)
+        grad = rot[..., 0, :] * local[0][..., None] + rot[..., 1, :] * local[1][..., None] \
+            + rot[..., 2, :] * local[2][..., None]
+    return l_tx + l_rx, grad.transpose(0, 2, 1), singular
 
 
 def scalar_gauss_newton(meas, init, max_iters=50, tol_m=1e-6, damping=0.0):

@@ -14,6 +14,8 @@ receiver, as the D-NLS measurement model ``positioning._model_rows`` does.
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from diffpos.geometry import Point3
 
 # Relative tolerance below which the stationarity quadratic is treated as
@@ -22,6 +24,12 @@ DEGENERATE_QUADRATIC_RTOL = 1e-12
 
 # Slack when testing whether a root lies in [0, 1].
 ROOT_INTERVAL_SLACK = 1e-9
+
+
+def to_world(frame, p) -> np.ndarray:
+    """World coordinates of the point ``p`` of ``frame``'s local coordinates,
+    the inverse of ``frame.to_local``."""
+    return frame.rotation.T @ (np.asarray(p, dtype=float) - frame.translation)
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-13) -> float:
@@ -156,7 +164,7 @@ def edge_solution(t, r, edge, z_e):
     lam, endpoint = solve_edge_lambda(t, r, edge.x1, edge.x2, z_e)
     qx = edge.x2 + lam * (edge.x1 - edge.x2)
     length = two_leg_length(t, r, z_e, qx)
-    q_world = edge.frame.to_world([qx, 0.0, z_e])
+    q_world = to_world(edge.frame, [qx, 0.0, z_e])
     return EdgeSolution(lam, Point3.from_array(q_world), length, endpoint)
 
 

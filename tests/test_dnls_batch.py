@@ -15,7 +15,7 @@ import diffpos.experiments as experiments
 import diffpos.positioning as positioning
 from conftest import random_positioning_instance
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, SweepConfig, build_default_scene
-from diffpos.geometry import WindowEdge
+from diffpos.geometry import RigidTransform, WindowEdge
 from diffpos.positioning import (
     _CONVERGED,
     _DIVERGED,
@@ -26,7 +26,7 @@ from diffpos.positioning import (
     _pack,
     dnls_ladder,
 )
-from scalar_dnls import scalar_gauss_newton, scalar_ladder
+from scalar_dnls import reference_model_rows, scalar_gauss_newton, scalar_ladder
 
 SWEEPS = {
     "trials": dict(grid_spacing=6.0, frequencies_hz=(28e9,), trials=2),
@@ -79,15 +79,66 @@ def test_ladder_matches_scalar_ladder_on_sweep_problems(monkeypatch, size, seed)
     assert sum(fr.exclusions["dnls_failed"] for fr in report.frequencies) == failed
 
 
-def test_ladder_result_does_not_depend_on_the_batch(monkeypatch):
-    _, sets, inits, bounds = captured_sweep(monkeypatch, "trials", 0)
+@pytest.mark.parametrize("size, rungs", [("trials", {0, 1, None}), ("ladder", {0, 1})],
+                         ids=["trials", "ladder"])
+def test_ladder_result_does_not_depend_on_the_batch(monkeypatch, size, rungs):
+    _, sets, inits, bounds = captured_sweep(monkeypatch, size, 0)
     batch = dnls_ladder(sets, inits, bounds)
     reversed_batch = dnls_ladder(sets[::-1], inits[::-1], bounds)[::-1]
-    assert any(r.estimate is None for r in batch)  # the batch holds failures
-    assert len({r.rung for r in batch}) > 2  # and more than one rung
+    assert {r.rung for r in batch} == rungs  # the outcomes the queue holds, failures (None) too
     for i, (meas, init) in enumerate(zip(sets, inits)):
         alone = dnls_ladder([meas], [init], bounds)[0]
         assert alone == batch[i] == reversed_batch[i]
+
+
+def in_random_frames(meas, rng):
+    """The measurement set with each edge moved into a random rigid frame."""
+    edges = []
+    for e in meas.edges:
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q = q * np.sign(np.diag(r))
+        q[:, 0] *= np.sign(np.linalg.det(q))
+        edges.append(WindowEdge(e.x1, e.x2, e.z_e, e.w, RigidTransform(q, rng.uniform(-5, 5, 3))))
+    return MeasurementSet(meas.anchors, meas.ranges, meas.sigmas, tuple(edges))
+
+
+@pytest.mark.parametrize("size", ["trials", "ladder"])
+def test_model_rows_equal_the_reference_model_bit_for_bit(monkeypatch, size):
+    # The rows of a captured queue at their starts, at their estimates and
+    # at 1,000 random positions inside the bounds; the queue's sets with
+    # their edges in random frames, whose rotations, unlike a facade's, mix
+    # every axis; then one batch that also holds a row with NaN legs and a
+    # row whose receiver leg is below 1e-12 m. Ranges, partials and
+    # singular flags must equal the reference bit for bit, NaN where it has
+    # NaN.
+    _, sets, inits, bounds = captured_sweep(monkeypatch, size, 0)
+    results = dnls_ladder(sets, inits, bounds)
+    solved = [i for i, r in enumerate(results) if r.estimate is not None]
+    rng = np.random.default_rng(11)
+    pick = rng.integers(len(sets), size=1000)
+    edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
+    on_edge = MeasurementSet(np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0],
+                                       [0.0, 9.0, 4.0]]), np.full(4, 20.0), np.ones(4), (edge,) * 4)
+    cases = [
+        (sets, np.array([p.as_array() for p in inits])),
+        ([sets[i] for i in solved], np.array([results[i].estimate.alpha_hat.as_array()
+                                              for i in solved])),
+        ([sets[i] for i in pick], rng.uniform(bounds[0], bounds[1], (1000, 3))),
+        ([in_random_frames(sets[i], rng) for i in pick[:200]],
+         rng.uniform(bounds[0], bounds[1], (200, 3))),
+        ([sets[0], on_edge, sets[1], sets[2]],
+         np.array([inits[0].as_array(), [0.0, 0.0, 4.0], [np.nan, 1.0, 1.0],
+                   inits[2].as_array()])),
+    ]
+    for case_sets, alpha in cases:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got = _model_rows(alpha, _pack(case_sets))
+        expect = reference_model_rows(alpha, case_sets)
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape and np.array_equal(g, e, equal_nan=True)
+    singular = got[2]
+    assert singular[1].tolist() == [True] * 4 and not singular[2].any()  # a NaN leg does not flag
+    assert np.isnan(got[0][2]).all() and not singular[[0, 3]].any()
 
 
 def test_ladder_prefers_an_earlier_rung_that_converges_later(monkeypatch):

@@ -35,6 +35,7 @@ from diffpos.experiments import (
     _nearest_edges,
 )
 from diffpos.materials import DiffractionLossModel, default_material_library
+from scalar_edge import to_world
 
 RNG = np.random.default_rng(3)
 
@@ -92,7 +93,8 @@ def test_nearest_edges_match_a_loop_over_edges(kwargs):
     points = np.concatenate([np.asarray(scene.anchors, dtype=float),
                              np.round(rng.uniform(-30, 60, (60, 3))),
                              rng.uniform(-30, 60, (60, 3))])
-    midpoints = [0.5 * (p1 + p2) for p1, p2 in (e.endpoints_world() for e in geom.edges)]
+    midpoints = [0.5 * (to_world(e.frame, [e.x1, 0.0, e.z_e])
+                        + to_world(e.frame, [e.x2, 0.0, e.z_e])) for e in geom.edges]
     expect = [int(np.argmin([np.linalg.norm(mid - p) for mid in midpoints])) for p in points]
     assert _nearest_edges(geom, points) == expect
 

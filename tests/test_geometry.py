@@ -44,7 +44,7 @@ def oracle_two_leg(tx, rx, point) -> float:
 
 def edge_point(edge: WindowEdge, lam: float) -> np.ndarray:
     """World point of the convex combination lam*X1 + (1-lam)*X2 on the edge."""
-    return edge.frame.to_world([edge.x2 + lam * (edge.x1 - edge.x2), 0.0, edge.z_e])
+    return scalar_edge.to_world(edge.frame, [edge.x2 + lam * (edge.x1 - edge.x2), 0.0, edge.z_e])
 
 
 def oracle_edge_length(tx, rx, edge: WindowEdge, z_e=None, n_golden=200) -> float:
@@ -253,8 +253,15 @@ def test_diffraction_random_vs_golden_section_oracle():
         assert abs(length - expect) <= 1e-9 * expect
 
 
+def solve_edges(t, r, x1, x2, z_e):
+    """_solve_edge_lambdas on edge-local tx and rx rows (N, 3) and the edges
+    from (x1, 0, z_e) to (x2, 0, z_e)."""
+    return _solve_edge_lambdas(t[:, 0], t[:, 1] ** 2, t[:, 2], r[:, 0], r[:, 1] ** 2, r[:, 2],
+                               x2, x1 - x2, z_e)
+
+
 def edge_rows(edges, tx, rx):
-    """Edge-local tx/rx and edge arrays for _solve_edge_lambdas, one row per edge."""
+    """Edge-local tx/rx and edge arrays for solve_edges, one row per edge."""
     t = np.array([e.frame.to_local(tx) for e in edges])
     r = np.array([e.frame.to_local(rx) for e in edges])
     x1, x2, z_e = (np.array([getattr(e, k) for e in edges]) for k in ("x1", "x2", "z_e"))
@@ -272,7 +279,7 @@ def test_solve_edge_lambdas_matches_scalar_on_default_edges():
         tx = np.array([rng.uniform(-10, 40), rng.choice([-25.0, 45.0]) + rng.uniform(-5, 5),
                        rng.uniform(0.5, 15)])
         rx = rng.uniform([0.5, 0.5, 0.5], [29.5, 19.5, 20.5])
-        lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))[:3]
+        lam, endpoint, length = solve_edges(*edge_rows(edges, tx, rx))[:3]
         for i, edge in enumerate(edges):
             sol = scalar_edge.diffraction_point(tx, rx, edge)
             assert abs(lam[i] - sol.lam) <= 1e-12
@@ -289,7 +296,7 @@ def test_solve_edge_lambdas_degenerate_quadratic_rows_match_scalar():
     shifted = RigidTransform(np.eye(3), np.array([0.0, 1.0, 0.0]))
     edges = (WindowEdge(-4.0, 4.0, 1.0, 1.0), WindowEdge(-4.0, 4.0, 1.0, 1.0, shifted))
     tx, rx = np.array([-1.0, -2.0, 1.0]), np.array([5.0, 2.0, 1.0])
-    lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges, tx, rx))[:3]
+    lam, endpoint, length = solve_edges(*edge_rows(edges, tx, rx))[:3]
     for i, edge in enumerate(edges):
         sol = scalar_edge.diffraction_point(tx, rx, edge)
         assert abs(lam[i] - sol.lam) <= 1e-12
@@ -298,7 +305,7 @@ def test_solve_edge_lambdas_degenerate_quadratic_rows_match_scalar():
     # A degenerate row whose minimum lies beyond the edge: lam = 0 exactly,
     # flagged as an endpoint.
     tx, rx = np.array([6.0, -2.0, 1.0]), np.array([8.0, 2.0, 1.0])
-    lam, endpoint, length = _solve_edge_lambdas(*edge_rows(edges[:1], tx, rx))[:3]
+    lam, endpoint, length = solve_edges(*edge_rows(edges[:1], tx, rx))[:3]
     sol = scalar_edge.diffraction_point(tx, rx, edges[0])
     assert lam[0] == sol.lam == 0.0 and endpoint[0] and sol.endpoint
     assert abs(length[0] - sol.path_length) <= 1e-9 * sol.path_length
@@ -316,11 +323,12 @@ def test_solve_edge_lambdas_random_edges_and_frames():
         tx, rx = random_side_points(RNG)
         if k % 3 == 0:
             rx[0] = tx[0] = RNG.uniform(edge.x1, edge.x2)
-        rows.append((edge, edge.frame.to_world(tx), edge.frame.to_world(rx)))
+        rows.append((edge, scalar_edge.to_world(edge.frame, tx),
+                     scalar_edge.to_world(edge.frame, rx)))
     t = np.array([e.frame.to_local(a) for e, a, _ in rows])
     r = np.array([e.frame.to_local(b) for e, _, b in rows])
     x1, x2, z_e = (np.array([getattr(e, k) for e, _, _ in rows]) for k in ("x1", "x2", "z_e"))
-    lam, endpoint, length = _solve_edge_lambdas(t, r, x1, x2, z_e)[:3]
+    lam, endpoint, length = solve_edges(t, r, x1, x2, z_e)[:3]
     for i, (edge, a, b) in enumerate(rows):
         sol = scalar_edge.diffraction_point(a, b, edge)
         assert abs(lam[i] - sol.lam) <= 1e-12
@@ -349,7 +357,7 @@ def test_solve_edge_lambdas_matches_oracle_and_dense_grid():
     t[on_edge, 0] = rng.uniform(lo[on_edge], hi[on_edge])
     r[kind == 0, 0] = rng.uniform(lo[kind == 0], hi[kind == 0])
     r[kind == 3, 0] = t[kind == 3, 0]
-    sol = _solve_edge_lambdas(t, r, x1, x2, z_e)
+    sol = solve_edges(t, r, x1, x2, z_e)
 
     size = 1.0 + np.abs(np.concatenate([t, r], axis=1)).max(axis=1)
     for i in range(n):
@@ -381,7 +389,7 @@ def test_solve_edge_lambdas_returns_the_legs_at_its_lam():
     x1, x2, z_e = rng.uniform(-5, 0, n), rng.uniform(0.1, 5, n), rng.uniform(-3, 3, n)
     r[::5, 0] = t[::5, 0]
     r[::7, 1:] = t[::7, 1:] * [-1.0, 1.0]
-    sol = _solve_edge_lambdas(t, r, x1, x2, z_e)
+    sol = solve_edges(t, r, x1, x2, z_e)
     qx = x2 + sol.lam * (x1 - x2)
     leg_t = np.sqrt((t[:, 0] - qx) ** 2 + t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2)
     leg_r = np.sqrt((r[:, 0] - qx) ** 2 + r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2)
@@ -531,3 +539,32 @@ def test_window_edge_invariants():
         WindowEdge(x1=1.0, x2=1.0, z_e=0.0, w=1.0)
     with pytest.raises(GeometryError):
         WindowEdge(x1=0.0, x2=1.0, z_e=0.0, w=0.0)
+
+
+def test_window_edges_compare_and_hash():
+    # Frames compare by identity; the windows of one facade share theirs, so
+    # a scene's edges compare by value along a facade and can go into a set.
+    frame = RigidTransform.identity()
+    assert WindowEdge(0.0, 1.0, 2.0, 1.0, frame) == WindowEdge(0.0, 1.0, 2.0, 1.0, frame)
+    assert WindowEdge(0.0, 1.0, 2.0, 1.0) != WindowEdge(0.0, 1.0, 2.0, 1.0)
+    assert hash(WindowEdge(0.0, 1.0, 2.0, 1.0, frame)) == hash(WindowEdge(0.0, 1.0, 2.0, 1.0, frame))
+    assert frame == frame and frame != RigidTransform.identity()
+    scene = build_default_scene()
+    edges = build_scene_geometry(scene).edges
+    assert len(set(edges)) == len(edges)
+    assert set(edges) == set(build_scene_geometry(scene).edges)
+    window = scene.windows[0]
+    assert window.edges() == window.edges() and window.edges()[0] in set(edges)
+
+
+def test_solve_edge_lambdas_is_elementwise_in_any_shape():
+    # The same entries as a flat vector and as (rows, anchors) blocks give the
+    # same results, bit for bit.
+    rng = np.random.default_rng(4)
+    t, r = rng.uniform(-20, 20, (60, 3)), rng.uniform(-20, 20, (60, 3))
+    x1, x2, z_e = rng.uniform(-5, 0, 60), rng.uniform(0.1, 5, 60), rng.uniform(-3, 3, 60)
+    flat = solve_edges(t, r, x1, x2, z_e)
+    args = [t[:, 0], t[:, 1] ** 2, t[:, 2], r[:, 0], r[:, 1] ** 2, r[:, 2], x2, x1 - x2, z_e]
+    block = _solve_edge_lambdas(*(np.ascontiguousarray(v.reshape(4, 15).T) for v in args))
+    for got, expect in zip(block, flat):
+        assert got.shape == (15, 4) and np.array_equal(got, expect.reshape(4, 15).T)
