@@ -206,41 +206,66 @@ class SweepReport:
     frequencies: list[FrequencyReport] = field(default_factory=list)
 
 
-class _Fap(NamedTuple):
-    """What a sweep keeps of one (anchor, receiver, frequency) cell."""
+class _ReceiverFaps(NamedTuple):
+    """What a sweep keeps of one receiver: (F, A) arrays over its
+    frequencies and anchors, valid where ``detected``."""
 
-    group: MpcGroup
-    snr_db: float
-    length_m: float
-    model_edge_id: int  # the edge of the anchor's diffraction model
-    mpc3_edge_id: int  # edge of the earliest kept MPC3 row, or -1
-    mpc3_snr_db: float  # its SNR; NaN without one
+    detected: np.ndarray  # (F,) every anchor has a FAP
+    group: np.ndarray  # MpcGroup value of the FAP
+    snr_db: np.ndarray
+    length_m: np.ndarray
+    model_edge: np.ndarray  # the edge of the anchor's diffraction model
+    mpc3_edge: np.ndarray  # edge of the earliest kept MPC3 row, or -1
+    mpc3_snr_db: np.ndarray  # its SNR; NaN without one
 
 
-def _cell_fap(table: PathTable, losses: PathLosses, fi: int, cfg: SweepConfig,
-              nearest_edge: int) -> _Fap | None:
-    """Top-k truncation and FAP of ``table`` at frequency ``fi``, on the
-    table's columns; None when nothing is detected.
+def _receiver_faps(tables: list[PathTable], losses: list[PathLosses], cfg: SweepConfig,
+                   nearest_edges: list[int]) -> _ReceiverFaps:
+    """Top-k truncation and FAP of a receiver's tables at every frequency, in
+    one ``fap_rows`` call.
 
-    The diffraction model's edge is the FAP's own edge when it is a
-    diffraction path, then that of the earliest diffraction component in
-    the PDP, then ``nearest_edge`` (pure mismatch case). The MPC3 rows of a
-    path table always have an edge.
+    The A tables' columns are stacked in PDP order (by time of flight, ties
+    in table order) to (A, P) and their losses to (F, A, P), the shorter
+    tables padded with an undetected row. The diffraction model's edge is
+    the FAP's own edge when it is a diffraction path, then that of the
+    earliest kept diffraction component, then the anchor's ``nearest_edges``
+    entry (pure mismatch case). The MPC3 rows of a path table always have an
+    edge.
     """
-    rows = table.detected_rows(losses.detected[fi])
-    if rows.size == 0:
-        return None
-    snr = losses.snr_db[fi, rows]
-    sel = fap_rows(table.tof_s[rows], snr, table.group[rows] == MpcGroup.MPC3.value,
-                   cfg.top_k, cfg.t_fap_db)
-    fap = rows[sel.fap]
-    group = MpcGroup(int(table.group[fap]))
-    mpc3_edge, mpc3_snr = (-1, math.nan) if sel.mpc3 < 0 else (
-        int(table.edge_id[rows[sel.mpc3]]), float(snr[sel.mpc3]))
-    model_edge = int(table.edge_id[fap]) if group is MpcGroup.MPC3 \
-        else mpc3_edge if mpc3_edge >= 0 else nearest_edge
-    return _Fap(group, float(snr[sel.fap]), float(table.length_m[fap]), model_edge,
-                mpc3_edge, mpc3_snr)
+    orders = [np.argsort(table.tof_s, kind="stable") for table in tables]
+    # (A, P) positions in the concatenated rows; padding reads one row past
+    # them, and there is at least one position when every table is empty.
+    index = np.full((len(tables), max(1, *(len(order) for order in orders))),
+                    sum(len(order) for order in orders))
+    start = 0
+    for a, order in enumerate(orders):
+        index[a, :len(order)] = start + order
+        start += len(order)
+
+    def stacked(columns, fill):
+        pad = np.full((*columns[0].shape[:-1], 1), fill)
+        return np.concatenate([*columns, pad], axis=-1)[..., index]
+
+    snr = stacked([table_losses.snr_db for table_losses in losses], -np.inf)
+    group = stacked([table.group for table in tables], 0)
+    edge = stacked([table.edge_id for table in tables], -1)
+    sel = fap_rows(stacked([table.tof_s for table in tables], np.inf), snr,
+                   stacked([table_losses.detected for table_losses in losses], False),
+                   group == MpcGroup.MPC3.value, cfg.top_k, cfg.t_fap_db)
+    freq, anchor = np.arange(snr.shape[0])[:, None], np.arange(len(tables))
+    fap_group = group[anchor, sel.fap]
+    mpc3_edge = np.where(sel.mpc3 >= 0, edge[anchor, sel.mpc3], -1)
+    model_edge = np.where(fap_group == MpcGroup.MPC3.value, edge[anchor, sel.fap],
+                          np.where(mpc3_edge >= 0, mpc3_edge, nearest_edges))
+    return _ReceiverFaps(
+        detected=~sel.no_detection.any(axis=1),
+        group=fap_group,
+        snr_db=snr[freq, anchor, sel.fap],
+        length_m=stacked([table.length_m for table in tables], np.nan)[anchor, sel.fap],
+        model_edge=model_edge,
+        mpc3_edge=mpc3_edge,
+        mpc3_snr_db=np.where(sel.mpc3 >= 0, snr[freq, anchor, sel.mpc3], np.nan),
+    )
 
 
 def _nearest_edges(geom: SceneGeometry, anchors: np.ndarray) -> list[int]:
@@ -279,86 +304,92 @@ class _Queue(NamedTuple):
     bound: list  # (fi, a peb_batch problem) per receiver and frequency
 
 
-def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, tables: list[PathTable],
-                    losses: list[PathLosses], nearest_edges: list[int], fi: int, ri: int,
-                    beta_sq: float, tally: _FrequencyTally, queue: _Queue) -> None:
-    """FAPs and LLS estimates of receiver ``ri`` at frequency ``fi``, with
-    its bound and D-NLS problems queued.
+def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, ri: int,
+                    rx_true: np.ndarray, beta_sqs: list[float],
+                    tallies: list[_FrequencyTally], queue: _Queue) -> None:
+    """Tally receiver ``ri`` at every frequency, with its LLS estimates, and
+    queue its bound and D-NLS problems.
 
-    Each trial's D-NLS problem is appended to ``queue.dnls``, with the start
-    derived from the trial's LLS estimate; the bound problem, when there is
-    one, to ``queue.bound``.
+    A frequency at which some anchor detects nothing counts one
+    no-detection exclusion. At the others, every trial draws its noise and
+    its D-NLS start is the trial's LLS estimate; all of the receiver's LLS
+    problems are solved in one ``lls_solve`` call.
     """
     scene = cfg.scene
-    n_anchors = len(tables)
-    anchors_arr = np.asarray(scene.anchors, dtype=float)
-    faps = []
-    for table, table_losses, nearest_edge in zip(tables, losses, nearest_edges):
-        fap = _cell_fap(table, table_losses, fi, cfg, nearest_edge)
-        if fap is None:
+    anchors = np.asarray(scene.anchors, dtype=float)
+    n_anchors = len(anchors)
+    groups, snrs, lengths, model_edges, mpc3_edges, mpc3_snrs = (
+        x.tolist() for x in (faps.group, faps.snr_db, faps.length_m, faps.model_edge,
+                             faps.mpc3_edge, faps.mpc3_snr_db))
+    problems = []  # (fi, ranges, sigmas, edges) per trial
+    for fi, tally in enumerate(tallies):
+        if not faps.detected[fi]:
             tally.excl["no_detection"] += 1
-            return
-        faps.append(fap)
+            continue
+        for a in range(n_anchors):
+            tally.groups_by_anchor[a].append(MpcGroup(groups[fi][a]))
+        tally.fap_snrs.extend(snrs[fi])
 
-    for a in range(n_anchors):
-        tally.groups_by_anchor[a].append(faps[a].group)
-        tally.fap_snrs.append(faps[a].snr_db)
+        edges = tuple(geom.edges[e] for e in model_edges[fi])
+        sigmas = np.array([range_sigma_m(beta_sqs[fi], 10 ** (snr / 10)) for snr in snrs[fi]])
 
-    edges = tuple(geom.edges[faps[a].model_edge_id] for a in range(n_anchors))
-    sigmas = np.array([
-        range_sigma_m(beta_sq, 10 ** (faps[a].snr_db / 10))
-        for a in range(n_anchors)])
-    true_ranges = np.array([faps[a].length_m for a in range(n_anchors)])
-    rx_true = tables[0].rx.as_array()
-
-    # Bound at the true position, using the strongest isolation
-    # assumption: the earliest diffraction path of each anchor.
-    peb_anchor_idx = [a for a in range(n_anchors) if faps[a].mpc3_edge_id >= 0]
-    if len(peb_anchor_idx) >= 3:
-        queue.bound.append((fi, (
-            rx_true, anchors_arr[peb_anchor_idx],
-            tuple(geom.edges[faps[a].mpc3_edge_id] for a in peb_anchor_idx),
-            np.array([10 ** (faps[a].mpc3_snr_db / 10) for a in peb_anchor_idx]),
-            beta_sq)))
-    else:
-        tally.excl["peb_singular"] += 1
-
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
-        noise = np.zeros(n_anchors) if cfg.noiseless \
-            else sigmas * rng.standard_normal(n_anchors)
-        meas = MeasurementSet(anchors_arr, true_ranges + noise, sigmas, edges)
-
-        try:
-            lls = lls_solve(meas)
-        except SingularGeometryError:
-            lls = None
-            tally.excl["lls_failed"] += 1
+        # Bound at the true position, using the strongest isolation
+        # assumption: the earliest diffraction path of each anchor.
+        peb_anchor_idx = [a for a in range(n_anchors) if mpc3_edges[fi][a] >= 0]
+        if len(peb_anchor_idx) >= 3:
+            queue.bound.append((fi, (
+                rx_true, anchors[peb_anchor_idx],
+                tuple(geom.edges[mpc3_edges[fi][a]] for a in peb_anchor_idx),
+                np.array([10 ** (mpc3_snrs[fi][a] / 10) for a in peb_anchor_idx]),
+                beta_sqs[fi])))
         else:
-            tally.lls_errors.append(float(np.linalg.norm(
-                lls.alpha_hat.as_array() - rx_true)))
-        queue.dnls.append((fi, meas, lls_start(lls, scene.bounds), rx_true))
+            tally.excl["peb_singular"] += 1
+
+        true_ranges = np.array(lengths[fi])
+        for trial in range(cfg.trials):
+            if cfg.noiseless:
+                noise = np.zeros(n_anchors)
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
+                noise = sigmas * rng.standard_normal(n_anchors)
+            problems.append((fi, true_ranges + noise, sigmas, edges))
+    if not problems:
+        return
+
+    try:
+        estimates = lls_solve(anchors, np.array([ranges for _, ranges, _, _ in problems]))
+    except SingularGeometryError:
+        estimates = None
+        for fi, _, _, _ in problems:
+            tallies[fi].excl["lls_failed"] += 1
+    else:
+        for (fi, _, _, _), estimate in zip(problems, estimates):
+            tallies[fi].lls_errors.append(float(np.linalg.norm(estimate - rx_true)))
+    starts = np.broadcast_to(lls_start(estimates, scene.bounds), (len(problems), 3))
+    for (fi, ranges, sigmas, edges), start in zip(problems, starts):
+        queue.dnls.append((fi, MeasurementSet(anchors, ranges, sigmas, edges), start, rx_true))
 
 
-# D-NLS problems per dnls_ladder call in run_sweep; the bound problems queued
-# beside them are never more. A problem's result does not depend on the rest
-# of its batch, so the batch size bounds the sweep's memory without changing
-# any output.
+# D-NLS problems per dnls_ladder call in run_sweep; each call also solves the
+# bound problems queued since the last one. A problem's result does not
+# depend on the rest of its batch, so the batch size bounds the sweep's
+# memory without changing any output.
 _DNLS_BATCH = 1024
 
 
-def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], bounds) -> None:
-    """Solve the queued D-NLS and bound problems, tally them and empty the
-    queue."""
-    results = dnls_ladder([q[1] for q in queue.dnls], [q[2] for q in queue.dnls], bounds)
-    for (fi, _, _, rx_true), result in zip(queue.dnls, results):
+def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], bounds, n: int) -> None:
+    """Solve the first ``n`` queued D-NLS problems and every queued bound
+    problem, tally them and take them off the queue."""
+    dnls = queue.dnls[:n]
+    results = dnls_ladder([q[1] for q in dnls], [q[2] for q in dnls], bounds)
+    for (fi, _, _, rx_true), result in zip(dnls, results):
         tallies[fi].add_dnls(result, rx_true)
     for (fi, _), bound in zip(queue.bound, peb_batch([q[1] for q in queue.bound])):
         if bound.singular:
             tallies[fi].excl["peb_singular"] += 1
         else:
             tallies[fi].peb_values.append(bound.peb_m)
-    queue.dnls.clear()
+    del queue.dnls[:n]
     queue.bound.clear()
 
 
@@ -366,12 +397,14 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run the full pipeline over the frequency ladder; deterministic.
 
     Receivers run in the outer loop: each (anchor, receiver) path table is
-    built once and its losses are evaluated at every frequency in one pass;
-    top-k truncation and the FAP run on the table's columns, so no Mpc
-    object is built. The D-NLS problems of every frequency, receiver and
-    trial are queued with the bound problems, and ``dnls_ladder`` (retry
-    rungs side by side) and ``peb_batch`` solve the queue whenever it holds
-    ``_DNLS_BATCH`` D-NLS problems and once more after the receiver loop.
+    built once and its losses are evaluated at every frequency in one pass.
+    Top-k truncation and the FAP of all of a receiver's anchors and
+    frequencies run in one ``fap_rows`` call on the stacked table columns,
+    so no Mpc object is built, and its LLS problems in one ``lls_solve``
+    call. The D-NLS problems of every frequency, receiver and trial are
+    queued with the bound problems, and ``dnls_ladder`` (retry rungs side by
+    side) and ``peb_batch`` solve it in batches of ``_DNLS_BATCH`` D-NLS
+    problems and once more after the receiver loop.
     Noise is keyed by (seed, frequency index, receiver index, trial) and
     every reported statistic is order-free, so the report does not depend on
     loop, queue or batch order.
@@ -389,24 +422,25 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     for ri, rx in enumerate(receivers):
         tables = [path_table(scene, a, rx, geom) for a in range(n_anchors)]
-        losses = [table.losses(freqs) for table in tables]
-        for fi in range(len(freqs)):
-            _tally_receiver(cfg, geom, tables, losses, nearest_edges, fi, ri, beta_sqs[fi],
-                            tallies[fi], queue)
-            if len(queue.dnls) >= _DNLS_BATCH:
-                _solve_queue(queue, tallies, scene.bounds)
-    _solve_queue(queue, tallies, scene.bounds)
+        faps = _receiver_faps(tables, [table.losses(freqs) for table in tables], cfg,
+                              nearest_edges)
+        _tally_receiver(cfg, geom, faps, ri, rx.as_array(), beta_sqs, tallies, queue)
+        while len(queue.dnls) >= _DNLS_BATCH:
+            _solve_queue(queue, tallies, scene.bounds, _DNLS_BATCH)
+    _solve_queue(queue, tallies, scene.bounds, len(queue.dnls))
 
     report = SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db,
                          trials=cfg.trials, noiseless=cfg.noiseless)
     for f_hz, tally in zip(freqs, tallies):
-        quartiles = None
+        # A frequency at which no receiver detects every anchor has no FAP.
+        p_fap, quartiles = {g: 0.0 for g in _GROUP_ORDER}, None
         if tally.fap_snrs:
+            p_fap = p_fap_stats(tally.groups_by_anchor)
             q = np.percentile(tally.fap_snrs, [25, 50, 75])
             quartiles = (float(q[0]), float(q[1]), float(q[2]))
         report.frequencies.append(FrequencyReport(
             frequency_hz=f_hz,
-            p_fap_pct=p_fap_stats(tally.groups_by_anchor),
+            p_fap_pct=p_fap,
             fap_snr_quartiles_db=quartiles,
             dnls_errors_m=np.sort(np.asarray(tally.dnls_errors)),
             lls_errors_m=np.sort(np.asarray(tally.lls_errors)),

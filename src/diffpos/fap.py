@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Mpc, Pdp, _top_k_rows
+from .channel import Mpc, Pdp
 from .constants import SPEED_OF_LIGHT
 from .materials import Band
 
@@ -79,23 +79,62 @@ def select_fap(pdp: Pdp, t_fap_db: float) -> FapSelection:
 
 
 class FapRows(NamedTuple):
-    """Top-k truncation and FAP of one PDP given as columns."""
+    """Top-k truncation and FAP of a stack of PDPs given as columns, one
+    entry per PDP."""
 
-    kept: np.ndarray  # input positions of the k strongest rows, in PDP order
-    fap: int  # input position of the FAP
-    mpc3: int  # input position of the earliest kept MPC3 row, or -1
+    fap: np.ndarray  # position of the FAP; -1 without a detection
+    mpc3: np.ndarray  # position of the earliest kept MPC3 row, or -1
+    no_detection: np.ndarray  # True where the PDP is empty
 
 
-def fap_rows(tof: np.ndarray, snr: np.ndarray, mpc3: np.ndarray, k: int,
-             t_fap_db: float) -> FapRows:
-    """truncate_top_k, then select_fap, then the earliest MPC3 row, on the
-    columns of a non-empty PDP: time of flight (sorted), SNR and an MPC3
-    mask. Rows are input positions, so no Mpc object is needed.
+def _first_of_highest(candidate: np.ndarray, tof: np.ndarray, snr: np.ndarray) -> np.ndarray:
+    """Along the last axis: the first candidate of the highest SNR among the
+    candidates of the earliest time of flight."""
+    candidate = candidate & (tof == np.where(candidate, tof, np.inf).min(axis=-1, keepdims=True))
+    best = np.where(candidate, snr, -np.inf).max(axis=-1, keepdims=True)
+    return np.argmax(candidate & (snr == best), axis=-1)
+
+
+def fap_rows(tof: np.ndarray, snr: np.ndarray, detected: np.ndarray, mpc3: np.ndarray,
+             k: int, t_fap_db: float) -> FapRows:
+    """truncate_top_k, then select_fap, then the earliest kept MPC3 row, of
+    every PDP of a stack, on the columns of the paths it is drawn from.
+
+    Positions run along the last axis, sorted by time of flight ``tof``. A
+    PDP is a row of ``detected`` (..., P) with its ``snr``: the detected
+    positions, ties in time of flight in position order. ``tof`` and the
+    MPC3 mask ``mpc3`` broadcast against them, so the (A, P) columns of A
+    path tables serve their (F, A, P) losses at F frequencies; padding
+    positions are never detected. The results are positions, so no Mpc
+    object is needed.
+
+    The rules are those of the object bodies. Top-k keeps the k highest
+    SNRs, ties to the earlier position. The FAP is the earliest kept row at
+    or above the strongest SNR minus ``t_fap_db``, ties in time of flight to
+    the higher SNR, then to the earlier position. The MPC3 row is the first
+    kept MPC3 row in the order of the truncated PDP: by position when no
+    more than k rows are detected, else by time of flight with ties in
+    descending SNR, then by position.
     """
-    kept = _top_k_rows(tof, snr, k)
-    row, _, _ = _fap_row(tof[kept], snr[kept], t_fap_db)
-    first_mpc3 = np.flatnonzero(mpc3[kept])
-    return FapRows(kept, int(kept[row]), int(kept[first_mpc3[0]]) if first_mpc3.size else -1)
+    kept = np.asarray(detected, dtype=bool)
+    n_detected = np.count_nonzero(kept, axis=-1)
+    truncated = n_detected > k
+    any_truncated = truncated.any()
+    if any_truncated:
+        top = np.argsort(np.where(kept, -snr, np.inf), axis=-1, kind="stable")[..., :k]
+        in_top = np.zeros(kept.shape, dtype=bool)
+        np.put_along_axis(in_top, top, True, axis=-1)
+        kept = kept & in_top
+
+    threshold = np.where(kept, snr, -np.inf).max(axis=-1, keepdims=True) - t_fap_db
+    fap = _first_of_highest(kept & (snr >= threshold), tof, snr)
+    kept_mpc3 = kept & mpc3
+    first_mpc3 = np.argmax(kept_mpc3, axis=-1)
+    if any_truncated:
+        first_mpc3 = np.where(truncated, _first_of_highest(kept_mpc3, tof, snr), first_mpc3)
+    no_detection = n_detected == 0
+    return FapRows(np.where(no_detection, -1, fap),
+                   np.where(kept_mpc3.any(axis=-1), first_mpc3, -1), no_detection)
 
 
 def mean_squared_bandwidth(band: Band | float) -> float:

@@ -218,6 +218,26 @@ def _rank_deficient(matrices: np.ndarray) -> np.ndarray:
     return (s[..., -1] <= _RANK_RTOL * s[..., 0]) | (s[..., 0] == 0.0)
 
 
+# An undamped normal matrix N with |det N| > _FULL_RANK_DET * ||N||_F^3 is
+# full rank for _rank_deficient, because s_min / s_max >= |det N| / ||N||_F^3
+# for a 3 x 3 matrix. The margin over _RANK_RTOL covers the rounding of det.
+_FULL_RANK_DET = 1e-9
+
+
+def _normal_rank_deficient(n: np.ndarray) -> np.ndarray:
+    """``_rank_deficient`` of each matrix of a row-last (3, 3, C) stack ``n``
+    of finite normal matrices, with an SVD only for the matrices that the
+    determinant bound does not prove full rank."""
+    det = n[0, 0] * (n[1, 1] * n[2, 2] - n[1, 2] * n[2, 1]) \
+        + n[0, 1] * (n[1, 2] * n[2, 0] - n[1, 0] * n[2, 2]) \
+        + n[0, 2] * (n[1, 0] * n[2, 1] - n[1, 1] * n[2, 0])
+    fro_sq = np.add.reduce((n * n).reshape(9, -1), axis=0)
+    deficient = ~(np.abs(det) > _FULL_RANK_DET * fro_sq * np.sqrt(fro_sq))
+    if np.count_nonzero(deficient):
+        deficient[deficient] = _rank_deficient(n[..., deficient].transpose(2, 0, 1))
+    return deficient
+
+
 def _all_finite(x: np.ndarray) -> bool:
     """Whether every entry of ``x`` is finite."""
     return np.count_nonzero(np.isfinite(x)) == x.size
@@ -325,7 +345,7 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
                     check = ~d if ok is None else ok & ~d
                     if np.count_nonzero(check):
                         deficient = np.zeros(len(d), dtype=bool)
-                        deficient[check] = _rank_deficient(normal[..., check].transpose(2, 0, 1))
+                        deficient[check] = _normal_rank_deficient(normal[..., check])
                         ok = ~deficient if ok is None else ok & ~deficient
                 if ok is not None:
                     normal[..., ~ok], rhs[:, ~ok] = eye[:, :, None], 0.0
@@ -412,32 +432,36 @@ def dnls_ladder(sets, inits, bounds) -> list[LadderResult]:
     return results
 
 
-def lls_solve(meas: MeasurementSet) -> PositionEstimate:
-    """One-shot linear least squares on the Euclidean range model.
+def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """One-shot linear least squares on the Euclidean range model, for K
+    range vectors measured from the same M anchors at once.
 
-    Squared range equations are differenced against the first anchor, which
-    cancels |alpha|^2 and leaves a linear system; coplanar (or duplicated)
-    anchors make it rank-deficient.
+    ``ranges`` (..., M) gives estimates (..., 3). Squared range equations are
+    differenced against the first anchor, which cancels |alpha|^2 and leaves
+    a linear system; coplanar (or duplicated) anchors make it rank-deficient.
+    The design matrix, its rank test and the anchor terms are built once,
+    and the right-hand sides of all problems together; each problem is then
+    its own ``lstsq`` call, which a multi-right-hand-side call does not
+    match bit for bit at every anchor count.
     """
-    if len(meas) < 4:
+    anchors = np.asarray(anchors, dtype=float).reshape(-1, 3)
+    ranges = np.asarray(ranges, dtype=float)
+    m = len(anchors)
+    if m < 4:
         raise ValueError("3D solve requires at least 4 anchors")
-    x0 = meas.anchors[0]
-    r0 = meas.ranges[0]
-    a_mat = 2.0 * (meas.anchors[1:] - x0)
-    b = (
-        r0 ** 2 - meas.ranges[1:] ** 2
-        + np.sum(meas.anchors[1:] ** 2, axis=1) - float(x0 @ x0)
-    )
+    if ranges.shape[-1:] != (m,):
+        raise ValueError(f"ranges of shape {ranges.shape} do not match {m} anchors")
+    x0 = anchors[0]
+    a_mat = 2.0 * (anchors[1:] - x0)
     if _rank_deficient(a_mat):
         raise SingularGeometryError("LLS design matrix: rank-deficient system")
-    solution, _, _, _ = np.linalg.lstsq(a_mat, b, rcond=None)
-    residual = meas.ranges - np.linalg.norm(meas.anchors - solution, axis=1)
-    return PositionEstimate(
-        alpha_hat=Point3.from_array(solution),
-        iterations=0,
-        converged=True,
-        residual_norm=float(np.linalg.norm(residual)),
-    )
+    flat = ranges.reshape(-1, m)
+    # The first range is squared by the scalar power of each problem: numpy's
+    # array square can differ from it in the last bit.
+    r0_sq = np.array([r0 ** 2 for r0 in flat[:, 0].tolist()])
+    b = r0_sq[:, None] - flat[:, 1:] ** 2 + np.sum(anchors[1:] ** 2, axis=1) - float(x0 @ x0)
+    solutions = np.array([np.linalg.lstsq(a_mat, rhs, rcond=None)[0] for rhs in b])
+    return solutions.reshape(*ranges.shape[:-1], 3)
 
 
 def peb_batch(problems) -> list[FimResult]:
@@ -494,14 +518,15 @@ def peb_batch(problems) -> list[FimResult]:
     return results
 
 
-def lls_start(lls: PositionEstimate | None, bounds: tuple) -> Point3:
-    """D-NLS starting point from an LLS estimate, clamped into the bounds.
+def lls_start(estimates: np.ndarray | None, bounds: tuple) -> np.ndarray:
+    """D-NLS starting points from LLS estimates (..., 3), clamped into the
+    bounds.
 
-    ``lls`` is None when LLS was singular; the start is then the bounds
-    centroid.
+    ``estimates`` is None when LLS was singular; the start is then the
+    bounds centroid (3,).
     """
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
-    if lls is None:
-        return Point3.from_array(0.5 * (lo + hi))
-    return Point3.from_array(np.clip(lls.alpha_hat.as_array(), lo, hi))
+    if estimates is None:
+        return 0.5 * (lo + hi)
+    return np.clip(estimates, lo, hi)

@@ -171,14 +171,13 @@ def test_criterion_3_estimator_consistency():
             assert result.rung == 0
             assert np.linalg.norm(result.estimate.alpha_hat.as_array() - alpha) <= 1e-6
 
-        dummy = tuple(WindowEdge(-1.0, 1.0, 0.0, 1.0) for _ in range(4))
         anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0],
                             [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
         for _ in range(20):
             truth = rng.uniform(1.0, 9.0, 3)
             ranges = np.linalg.norm(anchors - truth, axis=1)
-            est = lls_solve(MeasurementSet(anchors, ranges, np.ones(4), dummy))
-            assert np.linalg.norm(est.alpha_hat.as_array() - truth) <= 1e-9
+            est = lls_solve(anchors, ranges)
+            assert np.linalg.norm(est - truth) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

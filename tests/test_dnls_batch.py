@@ -61,7 +61,7 @@ def test_ladder_matches_scalar_ladder_on_sweep_problems(monkeypatch, size, seed)
     total_iterations = 0
     failed = 0
     for meas, init, got in zip(sets, inits, results):
-        rung, iterations, alpha = scalar_ladder(meas, init.as_array(), bounds)
+        rung, iterations, alpha = scalar_ladder(meas, init, bounds)
         assert (got.rung, got.iterations) == (rung, iterations)
         total_iterations += iterations
         if rung is None:
@@ -120,15 +120,14 @@ def test_model_rows_equal_the_reference_model_bit_for_bit(monkeypatch, size):
     on_edge = MeasurementSet(np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0],
                                        [0.0, 9.0, 4.0]]), np.full(4, 20.0), np.ones(4), (edge,) * 4)
     cases = [
-        (sets, np.array([p.as_array() for p in inits])),
+        (sets, np.array(inits)),
         ([sets[i] for i in solved], np.array([results[i].estimate.alpha_hat.as_array()
                                               for i in solved])),
         ([sets[i] for i in pick], rng.uniform(bounds[0], bounds[1], (1000, 3))),
         ([in_random_frames(sets[i], rng) for i in pick[:200]],
          rng.uniform(bounds[0], bounds[1], (200, 3))),
         ([sets[0], on_edge, sets[1], sets[2]],
-         np.array([inits[0].as_array(), [0.0, 0.0, 4.0], [np.nan, 1.0, 1.0],
-                   inits[2].as_array()])),
+         np.array([inits[0], [0.0, 0.0, 4.0], [np.nan, 1.0, 1.0], inits[2]])),
     ]
     for case_sets, alpha in cases:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -249,3 +248,48 @@ def test_ladder_rejects_mixed_anchor_counts_and_bad_starts():
     with pytest.raises(ValueError, match="finite"):
         dnls_ladder([meas], [np.array([np.nan, 0.0, 0.0])], bounds)
     assert dnls_ladder([], [], bounds) == []
+
+
+@pytest.mark.parametrize("size", ["trials", "ladder"])
+def test_rank_screen_decides_as_the_svd_on_sweep_queues(monkeypatch, size):
+    # Every stack of undamped normal matrices whose rank the Gauss-Newton
+    # loop tests while it solves a captured queue: the determinant screen
+    # decides as the SVD test does, and spares the SVD most matrices.
+    _, sets, inits, bounds = captured_sweep(monkeypatch, size, 0)
+    svd_test, screen = positioning._rank_deficient, positioning._normal_rank_deficient
+    tested, sent_to_svd = [], []
+
+    def counted_svd_test(matrices):
+        sent_to_svd.append(len(matrices))
+        return svd_test(matrices)
+
+    def checked_screen(normal):
+        got = screen(normal)
+        assert np.array_equal(got, svd_test(normal.transpose(2, 0, 1)))
+        tested.append(normal.shape[-1])
+        return got
+
+    monkeypatch.setattr(positioning, "_rank_deficient", counted_svd_test)
+    monkeypatch.setattr(positioning, "_normal_rank_deficient", checked_screen)
+    dnls_ladder(sets, inits, bounds)
+    assert sum(tested) > 500
+    assert sum(sent_to_svd) < 0.1 * sum(tested)
+
+
+def test_rank_screen_decides_as_the_svd_near_the_threshold():
+    # Symmetric positive semi-definite 3 x 3 matrices, as normal matrices
+    # are, with s_min / s_max from 1e-14 to 1e-8 around the SVD test's 1e-12,
+    # at scales from 1e-6 to 1e6; then the zero matrix and exactly singular
+    # ones.
+    rng = np.random.default_rng(12)
+    matrices = []
+    for ratio in np.logspace(-14, -8, 601):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = np.array([1.0, rng.uniform(ratio, 1.0), ratio]) * 10 ** rng.uniform(-6, 6)
+        matrices.append((q * s) @ q.T)
+    matrices += [np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0]), np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])]
+    matrices = np.array(matrices)
+    want = positioning._rank_deficient(matrices)
+    assert 100 < np.count_nonzero(want) < 500
+    got = positioning._normal_rank_deficient(np.ascontiguousarray(matrices.transpose(1, 2, 0)))
+    assert np.array_equal(got, want)

@@ -211,6 +211,69 @@ def test_sweep_bound_below_estimator_error(tiny_sweep):
     assert float(np.mean(fr.peb_m)) <= float(np.mean(fr.dnls_errors_m))
 
 
+@pytest.mark.parametrize("limits", [
+    PathLimits(min_snr_db=500.0),
+    PathLimits(max_transmissions=0, max_reflections=0, max_diffractions=0),
+], ids=["floor_above_every_path", "empty_path_tables"])
+def test_sweep_reports_a_frequency_without_detections(tmp_path, limits):
+    # A detectability floor that no path clears, as deep indoors, or limits
+    # that leave every path table empty: every receiver is excluded at every
+    # frequency, and the report, its CSVs and its JSON round trip say so.
+    scene = dataclasses.replace(build_default_scene(grid_spacing=10.0, receiver_floors=(3,)),
+                                limits=limits)
+    report = run_sweep(SweepConfig(scene=scene, frequencies_hz=(3.5e9, 28e9), trials=2))
+    for fr in report.frequencies:
+        assert (fr.n_receivers, fr.n_pairs) == (6, 24)
+        assert fr.exclusions == {"no_detection": 6, "dnls_failed": 0, "lls_failed": 0,
+                                 "peb_singular": 0}
+        assert fr.p_fap_pct == {g: 0.0 for g in MpcGroup}
+        assert fr.fap_snr_quartiles_db is None
+        assert [len(s) for s in (fr.dnls_errors_m, fr.lls_errors_m, fr.peb_m)] == [0, 0, 0]
+        assert fr.diagnostics == {"dnls_rung": [0, 0, 0], "dnls_iterations": 0}
+
+    files = export_report(report, tmp_path)
+    text = {path.name: path.read_text() for path in files}
+    assert text["p_fap.csv"].splitlines()[1:] == ["3500000000.0,0.0,0.0,0.0,0.0",
+                                                  "28000000000.0,0.0,0.0,0.0,0.0"]
+    assert text["exclusions.csv"].splitlines()[1:] == ["3500000000.0,6,24,6,0,0,0",
+                                                       "28000000000.0,6,24,6,0,0,0"]
+    assert len(text["fap_snr_quartiles.csv"].splitlines()) == 1
+    assert all(len(body.splitlines()) == 1 for name, body in text.items()
+               if name.startswith("cdf_"))
+
+    doc = json.loads(json.dumps(report_to_dict(report)))
+    assert report_to_dict(report_from_dict(doc)) == doc
+    assert doc["frequencies"][0]["p_fap_pct"] == {"MPC1": 0.0, "MPC2": 0.0, "MPC3": 0.0,
+                                                  "MPC4": 0.0}
+
+
+SWEEP_GOLDEN = Path(__file__).resolve().parent / "data" / "sweep_golden.json"
+
+
+@pytest.mark.parametrize("name", ["noisy", "noiseless"])
+def test_sweep_matches_golden(name):
+    # Reports recorded before the sweep's FAP and LLS passes were batched
+    # (tests/data/record_sweep.py): counts exact, noiseless D-NLS counters
+    # exact, error samples within 1e-9 m noiseless and 1e-6 m noisy.
+    want = json.loads(SWEEP_GOLDEN.read_text(encoding="utf-8"))["reports"][name]
+    scene = build_default_scene(grid_spacing=10.0, receiver_floors=(3,))
+    got = report_to_dict(run_sweep(SweepConfig(
+        scene=scene, frequencies_hz=DEFAULT_FREQUENCY_LADDER_HZ, trials=2, seed=0,
+        noiseless=name == "noiseless")))
+    tol = 1e-9 if name == "noiseless" else 1e-6
+    assert len(got["frequencies"]) == len(want["frequencies"]) == 7
+    for fr, ref in zip(got["frequencies"], want["frequencies"]):
+        for key in ("frequency_hz", "p_fap_pct", "exclusions", "n_receivers", "n_pairs"):
+            assert fr[key] == ref[key], key
+        if name == "noiseless":
+            assert fr["diagnostics"] == ref["diagnostics"]
+        np.testing.assert_allclose(fr["fap_snr_quartiles_db"], ref["fap_snr_quartiles_db"],
+                                   rtol=0, atol=1e-9)
+        for key in ("dnls_errors_m", "lls_errors_m", "peb_m"):
+            assert len(fr[key]) == len(ref[key]) > 0, key
+            np.testing.assert_allclose(fr[key], ref[key], rtol=0, atol=tol, err_msg=key)
+
+
 def test_sweep_config_validation():
     scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
     with pytest.raises(ValueError):

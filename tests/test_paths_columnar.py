@@ -20,12 +20,15 @@ from diffpos.channel import (
     build_scene_geometry,
     classify_mpc,
     path_table,
+    receiver_grid,
     truncate_top_k,
 )
 from diffpos.constants import SPEED_OF_LIGHT
 from diffpos.experiments import (
     DEFAULT_FREQUENCY_LADDER_HZ,
     SweepConfig,
+    _nearest_edges,
+    _receiver_faps,
     build_default_scene,
     run_sweep,
 )
@@ -191,9 +194,32 @@ def tied_pdp(rng, n):
     return Pdp(mpcs, Point3(0.0, 0.0, 0.0), anchor_id=0)
 
 
+def object_rows(pdp, k, t_fap):
+    """The FAP and the first kept MPC3 component (or None) of the object
+    bodies."""
+    kept = scalar_paths.truncate_top_k(pdp, k)
+    fap = scalar_paths.select_fap(kept, t_fap).chosen
+    return fap, next((m for m in kept.mpcs if m.group is MpcGroup.MPC3), None)
+
+
+def stacked_columns(pdps):
+    """(N, P) columns of N PDPs, the shorter ones padded with undetected rows."""
+    shape = (len(pdps), max(len(pdp.mpcs) for pdp in pdps))
+    tof, snr = np.full(shape, np.inf), np.full(shape, -np.inf)
+    detected, mpc3 = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    for i, pdp in enumerate(pdps):
+        n = len(pdp.mpcs)
+        tof[i, :n] = [m.tof_s for m in pdp.mpcs]
+        snr[i, :n] = [m.snr_db for m in pdp.mpcs]
+        detected[i, :n] = True
+        mpc3[i, :n] = [m.group is MpcGroup.MPC3 for m in pdp.mpcs]
+    return tof, snr, detected, mpc3
+
+
 @pytest.mark.parametrize("k", [1, 3, 8, 25])
 def test_top_k_and_fap_match_object_bodies_with_ties(k):
     rng = np.random.default_rng(k)
+    by_t_fap = {0.0: [], 10.0: [], 20.0: []}
     for _ in range(200):
         pdp = tied_pdp(rng, int(rng.integers(1, 40)))
         t_fap = float(rng.choice([0.0, 10.0, 20.0]))
@@ -206,16 +232,82 @@ def test_top_k_and_fap_match_object_bodies_with_ties(k):
         assert got_fap.chosen is want_fap.chosen
         assert (got_fap.s_max_db, got_fap.threshold_db) == (want_fap.s_max_db,
                                                             want_fap.threshold_db)
+        by_t_fap[t_fap].append(pdp)
 
-        tof = np.array([m.tof_s for m in pdp.mpcs])
-        snr = np.array([m.snr_db for m in pdp.mpcs])
-        mpc3 = np.array([m.group is MpcGroup.MPC3 for m in pdp.mpcs])
-        rows = fap_rows(tof, snr, mpc3, k, t_fap)
-        assert len(rows.kept) == len(want.mpcs)
-        assert all(pdp.mpcs[i] is w for i, w in zip(rows.kept.tolist(), want.mpcs))
-        assert pdp.mpcs[rows.fap] is want_fap.chosen
-        first_mpc3 = next((m for m in want.mpcs if m.group is MpcGroup.MPC3), None)
-        assert (pdp.mpcs[rows.mpc3] if rows.mpc3 >= 0 else None) is first_mpc3
+    # The array kernel on the PDPs of each threshold stacked.
+    for t_fap, pdps in by_t_fap.items():
+        rows = fap_rows(*stacked_columns(pdps), k, t_fap)
+        assert not rows.no_detection.any()
+        for pdp, fap, mpc3 in zip(pdps, rows.fap.tolist(), rows.mpc3.tolist()):
+            want_fap, want_mpc3 = object_rows(pdp, k, t_fap)
+            assert pdp.mpcs[fap] is want_fap
+            assert (pdp.mpcs[mpc3] if mpc3 >= 0 else None) is want_mpc3
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 25])
+def test_fap_rows_match_object_bodies_at_each_frequency_of_a_tied_table(k):
+    # One table of paths whose ToFs and SNRs tie, at six frequencies with
+    # their own SNRs and detections: one detects nothing and one at most k
+    # rows. A fifth of the tables have no MPC3 row.
+    rng = np.random.default_rng(100 + k)
+    for _ in range(150):
+        n = int(rng.integers(1, 40))
+        tof = np.sort(rng.choice([10.0, 12.0, 15.0, 20.0], size=n)) / SPEED_OF_LIGHT
+        kinds = (("D",), ("T",), ("R", "T"), ("T", "D"))[:3 if rng.random() < 0.2 else 4]
+        interactions = [kinds[int(i)] for i in rng.integers(len(kinds), size=n)]
+        snr = rng.choice([-5.0, 3.0, 10.0, 18.0, 30.0], size=(6, n))
+        detected = rng.random((6, n)) < rng.uniform(0.3, 1.0, (6, 1))
+        detected[0] = False
+        detected[1, np.flatnonzero(detected[1])[k:]] = False
+        mpc3 = np.array([classify_mpc(i) is MpcGroup.MPC3 for i in interactions])
+        t_fap = float(rng.choice([0.0, 10.0, 20.0]))
+        rows = fap_rows(tof, snr, detected, mpc3, k, t_fap)
+        for f in range(6):
+            positions = np.flatnonzero(detected[f]).tolist()
+            if not positions:
+                assert rows.no_detection[f] and rows.fap[f] == rows.mpc3[f] == -1
+                continue
+            mpcs = [Mpc(interactions[i], tof[i] * SPEED_OF_LIGHT, tof[i], snr[f, i] - 90.0,
+                        snr[f, i], 0, classify_mpc(interactions[i]), 7 if mpc3[i] else None)
+                    for i in positions]
+            want_fap, want_mpc3 = object_rows(Pdp(mpcs, Point3(0.0, 0.0, 0.0), 0), k, t_fap)
+            assert not rows.no_detection[f]
+            assert mpcs[positions.index(rows.fap[f])] is want_fap
+            assert (mpcs[positions.index(rows.mpc3[f])] if rows.mpc3[f] >= 0 else None) \
+                is want_mpc3
+
+
+def test_receiver_faps_match_object_bodies_on_every_ladder_cell():
+    # Every (anchor, receiver, frequency) cell of the 6 m grid's ladder
+    # sweep: the PDP the sweep's losses give, through the object bodies.
+    scene = build_default_scene(grid_spacing=6.0, receiver_floors=(3,))
+    cfg = SweepConfig(scene=scene, frequencies_hz=DEFAULT_FREQUENCY_LADDER_HZ)
+    geom = build_scene_geometry(scene)
+    nearest = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
+    cells = 0
+    for rx in receiver_grid(scene):
+        tables = [path_table(scene, a, rx, geom) for a in range(len(scene.anchors))]
+        losses = [table.losses(cfg.frequencies_hz) for table in tables]
+        faps = _receiver_faps(tables, losses, cfg, nearest)
+        for a, (table, (power, snr, detected)) in enumerate(zip(tables, losses)):
+            for fi in range(len(cfg.frequencies_hz)):
+                rows = table.detected_rows(detected[fi])
+                assert rows.size
+                pdp = Pdp(table.build_mpcs(rows, power[fi, rows], snr[fi, rows]), rx, a)
+                fap, mpc3 = object_rows(pdp, cfg.top_k, cfg.t_fap_db)
+                assert (faps.group[fi, a], faps.snr_db[fi, a], faps.length_m[fi, a]) \
+                    == (fap.group.value, fap.snr_db, fap.path_length_m)
+                if mpc3 is None:
+                    assert faps.mpc3_edge[fi, a] == -1 and math.isnan(faps.mpc3_snr_db[fi, a])
+                else:
+                    assert (faps.mpc3_edge[fi, a], faps.mpc3_snr_db[fi, a]) \
+                        == (mpc3.edge_id, mpc3.snr_db)
+                model_edge = fap.edge_id if fap.group is MpcGroup.MPC3 \
+                    else mpc3.edge_id if mpc3 is not None else nearest[a]
+                assert faps.model_edge[fi, a] == model_edge
+                cells += 1
+        assert faps.detected.all()
+    assert cells == 20 * 4 * 7
 
 
 def test_run_sweep_builds_no_mpc(monkeypatch):

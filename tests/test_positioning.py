@@ -242,40 +242,56 @@ def test_dnls_far_init_is_reported_not_silent():
 # LLS
 # ---------------------------------------------------------------------------
 
-def dummy_edges(n):
-    return tuple(WindowEdge(-1.0, 1.0, 0.0, 1.0) for _ in range(n))
-
-
 def test_lls_exact_recovery_on_los_ranges():
     anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
     truth = np.array([3.0, 4.0, 5.0])
     ranges = np.linalg.norm(anchors - truth, axis=1)
-    meas = MeasurementSet(anchors, ranges, np.ones(4), dummy_edges(4))
-    est = lls_solve(meas)
-    assert np.linalg.norm(est.alpha_hat.as_array() - truth) <= 1e-9
+    est = lls_solve(anchors, ranges)
+    assert np.linalg.norm(est - truth) <= 1e-9
 
 
 def test_lls_biased_on_diffraction_ranges():
     alpha, anchors, edges = random_positioning_instance(RNG)
     diffraction_ranges = model_ranges(alpha, anchors, edges)
-    meas = MeasurementSet(anchors, diffraction_ranges, np.ones(4), edges)
-    est = lls_solve(meas)
-    err = np.linalg.norm(est.alpha_hat.as_array() - alpha)
+    err = np.linalg.norm(lls_solve(anchors, diffraction_ranges) - alpha)
     assert err > 0.01  # model mismatch leaves a strictly positive error
 
 
 def test_lls_rejects_coplanar_anchors():
     anchors = np.array([[0.0, 0.0, 2.0], [10.0, 0.0, 2.0], [0.0, 10.0, 2.0], [10.0, 10.0, 2.0]])
-    meas = MeasurementSet(anchors, np.full(4, 12.0), np.ones(4), dummy_edges(4))
     with pytest.raises(SingularGeometryError):
-        lls_solve(meas)
+        lls_solve(anchors, np.full(4, 12.0))
 
 
 def test_lls_rejects_duplicate_anchors():
     anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
-    meas = MeasurementSet(anchors, np.full(4, 12.0), np.ones(4), dummy_edges(4))
     with pytest.raises(SingularGeometryError):
-        lls_solve(meas)
+        lls_solve(anchors, np.full(4, 12.0))
+
+
+def per_problem_lls(anchors, ranges):
+    """The one-problem LLS body: squared ranges differenced against the
+    first anchor, then one lstsq call."""
+    x0, r0 = anchors[0], ranges[0]
+    b = r0 ** 2 - ranges[1:] ** 2 + np.sum(anchors[1:] ** 2, axis=1) - float(x0 @ x0)
+    return np.linalg.lstsq(2.0 * (anchors[1:] - x0), b, rcond=None)[0]
+
+
+@pytest.mark.parametrize("m", [4, 5, 8, 12])
+def test_lls_solve_equals_per_problem_lstsq_bit_for_bit(m):
+    # Anchors around a building, receivers inside it, ranges with metre-level
+    # errors: K problems in one call give each problem's own solution.
+    rng = np.random.default_rng(m)
+    anchors = rng.uniform([-10.0, -40.0, 0.0], [40.0, 60.0, 25.0], (m, 3))
+    truths = rng.uniform([0.0, 0.0, 0.0], [30.0, 20.0, 21.0], (200, 3))
+    ranges = np.linalg.norm(anchors - truths[:, None], axis=2) + rng.normal(0.0, 1.0, (200, m))
+    got = lls_solve(anchors, ranges)
+    assert got.shape == (200, 3)
+    assert np.array_equal(got, np.array([per_problem_lls(anchors, r) for r in ranges]))
+    assert np.array_equal(lls_solve(anchors, ranges[7]), got[7])
+    assert lls_solve(anchors, ranges.reshape(20, 10, m)).shape == (20, 10, 3)
+    with pytest.raises(ValueError, match="do not match"):
+        lls_solve(anchors, ranges[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +404,10 @@ def test_mismatch_direction_between_estimators():
     def errors(sets):
         """(D-NLS, LLS) position error per set. D-NLS starts at the clamped
         LLS estimate and takes the retry ladder's estimate, as a sweep does."""
-        lls = [lls_solve(meas) for meas in sets]
-        dnls = dnls_ladder(sets, [lls_start(est, bounds) for est in lls], bounds)
+        lls = [lls_solve(meas.anchors, meas.ranges) for meas in sets]
+        dnls = dnls_ladder(sets, lls_start(np.array(lls), bounds), bounds)
         return [(np.linalg.norm(r.estimate.alpha_hat.as_array() - alpha),
-                 np.linalg.norm(est.alpha_hat.as_array() - alpha))
+                 np.linalg.norm(est - alpha))
                 for r, est, alpha in zip(dnls, lls, truths)]
 
     dnls_wins = sum(err_dnls < err_lls for err_dnls, err_lls in errors(diffraction_sets))
@@ -409,33 +425,29 @@ def test_initial_guess_uses_clamped_lls():
     anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
     truth = np.array([3.0, 4.0, 5.0])
     ranges = np.linalg.norm(anchors - truth, axis=1)
-    meas = MeasurementSet(anchors, ranges, np.ones(4), dummy_edges(4))
-    guess = lls_start(lls_solve(meas), BOUNDS)
-    np.testing.assert_allclose(guess.as_array(), truth, atol=1e-9)
+    guess = lls_start(lls_solve(anchors, ranges), BOUNDS)
+    np.testing.assert_allclose(guess, truth, atol=1e-9)
 
     # A solution outside the bounds gets clamped onto the box.
     truth_out = np.array([25.0, 4.0, 5.0])
     ranges = np.linalg.norm(anchors - truth_out, axis=1)
-    meas = MeasurementSet(anchors, ranges, np.ones(4), dummy_edges(4))
-    guess = lls_start(lls_solve(meas), BOUNDS)
-    assert guess.x == 20.0
+    guess = lls_start(lls_solve(anchors, ranges), BOUNDS)
+    assert guess[0] == 20.0
 
 
 def test_initial_guess_centroid_fallback():
     # Coplanar anchors make LLS singular; the start is then the centroid.
     anchors = np.array([[0.0, 0.0, 2.0], [10.0, 0.0, 2.0], [0.0, 10.0, 2.0], [10.0, 10.0, 2.0]])
-    meas = MeasurementSet(anchors, np.full(4, 12.0), np.ones(4), dummy_edges(4))
     with pytest.raises(SingularGeometryError):
-        lls_solve(meas)
+        lls_solve(anchors, np.full(4, 12.0))
     guess = lls_start(None, BOUNDS)
-    np.testing.assert_allclose(guess.as_array(), [10.0, 10.0, 7.5])
+    np.testing.assert_allclose(guess, [10.0, 10.0, 7.5])
 
 
 def test_initial_guess_rejects_three_anchors():
     # Too few anchors is a caller error, not a singular geometry: it must not
     # turn into the centroid start.
     anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
-    meas = MeasurementSet(anchors, np.full(3, 12.0), np.ones(3), dummy_edges(3))
     with pytest.raises(ValueError, match="at least 4 anchors") as err:
-        lls_solve(meas)
+        lls_solve(anchors, np.full(3, 12.0))
     assert not isinstance(err.value, SingularGeometryError)
