@@ -7,8 +7,10 @@ with slab transmissions, single specular reflections off reflective surfaces
 plus trailing transmissions, and single diffraction at every window edge.
 Interaction events are ordered along the path, so classification into the
 four propagation groups falls out of the event sequence. Path geometry does
-not depend on frequency: path_table computes it once per pair into a
-columnar PathTable, and PathTable.pdp applies one frequency's losses.
+not depend on frequency: path_table computes it once per receiver, for any
+set of anchors, into one columnar PathTable (the pairs' rows anchor by
+anchor); PathTable.losses applies the losses of any number of frequencies
+to all rows at once, and PathTable.pdp builds the PDP of a one-anchor table.
 
 MPC records can also be ingested from a line-delimited JSON dataset (schema
 "mpc-dataset/1"), e.g. exports from an external ray tracer.
@@ -341,9 +343,11 @@ class SceneConfig:
             raise ValueError("receiver spacing must be positive")
         if self.floor_count < 1 or self.floor_height <= 0:
             raise ValueError("invalid floor layout")
-        for floor in self.receiver_floors:
+        for i, floor in enumerate(self.receiver_floors):
             if not 1 <= floor <= self.floor_count:
                 raise ValueError(f"receiver floor {floor} outside 1..{self.floor_count}")
+            if floor in self.receiver_floors[:i]:
+                raise ValueError(f"receiver floor {floor} is listed twice")
         if not (self.receiver_floors
                 and _grid_axis(self.footprint_x, self.receiver_margin, self.receiver_spacing).size
                 and _grid_axis(self.footprint_y, self.receiver_margin, self.receiver_spacing).size):
@@ -407,8 +411,9 @@ class Surface:
 
 
 class EdgeDiffractions(NamedTuple):
-    """Single diffraction at D edges of a scene, one entry per edge."""
+    """Single diffractions of a scene, one entry per (anchor, edge) row."""
 
+    anchor: np.ndarray  # (D,) anchor position in the tx rows
     ids: np.ndarray  # (D,) edge indices into SceneGeometry.edges
     lam: np.ndarray  # (D,) q = lam*X1 + (1-lam)*X2 in the edge-local frame
     endpoint: np.ndarray  # (D,) clamped to an edge endpoint
@@ -417,8 +422,10 @@ class EdgeDiffractions(NamedTuple):
 
 
 class Reflections(NamedTuple):
-    """Single specular reflections off R reflectors of a scene."""
+    """Single specular reflections of a scene, one entry per (anchor,
+    reflector) row."""
 
+    anchor: np.ndarray  # (R,) anchor position in the tx rows
     ids: np.ndarray  # (R,) reflector indices into SceneGeometry.reflector_slabs
     length: np.ndarray  # (R,) image-source path length
     point: np.ndarray  # (R, 3) world specular point
@@ -520,8 +527,10 @@ class SceneGeometry:
             hit[legs[in_cutout], i] = False
         return hit
 
-    def reflections(self, tx: np.ndarray, rx: np.ndarray) -> Reflections:
-        """Specular reflection off every reflector with a valid specular point.
+    def reflections(self, tx, rx) -> Reflections:
+        """Specular reflection of every anchor of ``tx`` (A, 3), or of one
+        (3,) point, to ``rx`` off every reflector with a valid specular
+        point; rows anchor by anchor, each in reflector order.
 
         A reflector is left out when tx and rx are not strictly on the same
         side of its plane, when the specular point falls outside its extent
@@ -530,41 +539,48 @@ class SceneGeometry:
         clamped just below pi/2.
         """
         mirrors = self._mirrors
-        length, point, ok = _reflect_rows(tx, rx, self._mirror_normal, mirrors.coord)
-        rows = np.arange(len(point))
-        u, v = point[rows, mirrors.uv[:, 0]], point[rows, mirrors.uv[:, 1]]
+        tx = np.asarray(tx, dtype=float).reshape(-1, 3)
+        length, point, ok = _reflect_rows(tx, np.asarray(rx, dtype=float),
+                                          self._mirror_normal, mirrors.coord)
+        k = np.arange(point.shape[1])
+        u, v = point[:, k, mirrors.uv[:, 0]], point[:, k, mirrors.uv[:, 1]]
         u_lo, u_hi, v_lo, v_hi = mirrors.extent
         ok &= (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= v_hi)
-        cut = np.flatnonzero(ok & mirrors.has_cutouts)
-        box, hu, hv = mirrors.cutouts[:, cut], u[cut, None], v[cut, None]
-        ok[cut] = ~((box[0] <= hu) & (hu <= box[1]) & (box[2] <= hv) & (hv <= box[3])).any(axis=1)
-        incident = point - tx
-        norm = np.sqrt((incident * incident).sum(axis=1))
-        ids = np.flatnonzero(ok & (norm != 0.0))
-        cos_i = np.abs(incident[ids, mirrors.axis[ids]]) / norm[ids]
+        a_cut, cut = (ok & mirrors.has_cutouts).nonzero()
+        box, hu, hv = mirrors.cutouts[:, cut], u[a_cut, cut, None], v[a_cut, cut, None]
+        ok[a_cut, cut] = ~((box[0] <= hu) & (hu <= box[1])
+                           & (box[2] <= hv) & (hv <= box[3])).any(axis=1)
+        incident = point - tx[:, None]
+        norm = np.sqrt((incident * incident).sum(axis=-1))
+        anchor, ids = (ok & (norm != 0.0)).nonzero()
+        cos_i = np.abs(incident[anchor, ids, mirrors.axis[ids]]) / norm[anchor, ids]
         angle = np.minimum(np.arccos(np.minimum(1.0, cos_i)), math.pi / 2 - 1e-12)
-        return Reflections(ids, length[ids], point[ids], angle)
+        return Reflections(anchor, ids, length[anchor, ids], point[anchor, ids], angle)
 
     def edge_midpoints(self) -> np.ndarray:
         """World midpoints (E, 3) of the edges."""
         return _edge_points_world(self._edge_rotation, self._edge_translation, self._edge_x1,
                                   self._edge_x2, self._edge_z, np.full(len(self.edges), 0.5))
 
-    def diffractions(self, tx: np.ndarray, rx: np.ndarray) -> EdgeDiffractions:
-        """Diffraction at every edge, at the edge point that minimizes the
+    def diffractions(self, tx, rx) -> EdgeDiffractions:
+        """Diffraction of every anchor of ``tx`` (A, 3), or of one (3,)
+        point, to ``rx`` at every edge, at the edge point that minimizes the
         two-leg length: Keller's equal-angle point, clipped to the edge where
-        it lies off it (flagged as an endpoint). Edges whose line holds both
-        tx and rx, where diffraction is undefined, are left out.
+        it lies off it (flagged as an endpoint). Rows run anchor by anchor,
+        each in edge order. Edges whose line holds both tx and rx, where
+        diffraction is undefined, are left out. Each anchor is moved into the
+        edge frames by its own matrix-vector products.
         """
-        t = self._edge_rotation @ tx + self._edge_translation
-        r = self._edge_rotation @ rx + self._edge_translation
-        ids = np.flatnonzero(~_on_edge_line(t, r, self._edge_z))
+        rotation, translation = self._edge_rotation, self._edge_translation
+        tx = np.asarray(tx, dtype=float).reshape(-1, 3)
+        t = np.array([rotation @ t_a + translation for t_a in tx])
+        r = rotation @ np.asarray(rx, dtype=float) + translation
+        anchor, ids = (~_on_edge_line(t, r, self._edge_z)).nonzero()
         x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], self._edge_z[ids]
-        t, r = t[ids].T, r[ids].T
+        t, r = t[anchor, ids].T, r[ids].T
         sol = _solve_edge_lambdas(t[0], t[1] ** 2, t[2], r[0], r[1] ** 2, r[2], x2, x1 - x2, z_e)
-        point = _edge_points_world(self._edge_rotation[ids], self._edge_translation[ids],
-                                   x1, x2, z_e, sol.lam)
-        return EdgeDiffractions(ids, sol.lam, sol.endpoint, sol.length, point)
+        point = _edge_points_world(rotation[ids], translation[ids], x1, x2, z_e, sol.lam)
+        return EdgeDiffractions(anchor, ids, sol.lam, sol.endpoint, sol.length, point)
 
 
 def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
@@ -638,6 +654,7 @@ def receiver_grid(scene: SceneConfig) -> list[Point3]:
 
 # Row kinds of a PathTable.
 _DIRECT, _REFLECTION, _DIFFRACTION = 0, 1, 2
+_KINDS = np.array([_DIRECT, _REFLECTION, _DIFFRACTION])
 _KIND_SYMBOL = (None, "R", "D")
 # Group of each row kind when no transmission precedes the interaction;
 # the direct segment is MPC1 whatever it crosses.
@@ -671,25 +688,31 @@ class PathLosses(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PathTable:
-    """Frequency-independent candidate paths of one (anchor, receiver) pair.
+    """Frequency-independent candidate paths from the anchors ``anchor_ids``
+    to one receiver.
 
-    One row per path, in emission order: the direct segment, single
-    specular reflections (reflective surfaces in surface order, then the
-    ground), then single diffractions in edge order. Every attribute is a
-    column. ``crossings[p, 0]`` and ``crossings[p, 1]`` mark the surfaces
-    crossed before and after the path's reflection or diffraction point
-    (the direct segment has only the first), and ``n_crossings`` counts
-    them. ``group`` holds the MpcGroup value: MPC1 for the direct segment,
-    MPC4 for a reflection or diffraction after a transmission, otherwise
-    MPC2 for a reflection and MPC3 for a diffraction. Geometry-only drops
-    happen when the table is built; ``losses`` applies the losses of any
-    number of frequencies and ``pdp`` builds the PDP of one.
+    One row per path, anchor by anchor in ``anchor_ids`` order, and each
+    anchor's rows in emission order: the direct segment, single specular
+    reflections (reflective surfaces in surface order, then the ground),
+    then single diffractions in edge order. So the table of several anchors
+    is, column by column, their one-anchor tables concatenated. Every
+    attribute but the first four is a column; ``anchor`` holds each row's
+    scene anchor index. ``crossings[p, 0]`` and ``crossings[p, 1]`` mark the
+    surfaces crossed before and after the path's reflection or diffraction
+    point (the direct segment has only the first), and ``n_crossings``
+    counts them. ``group`` holds the MpcGroup value: MPC1 for the direct
+    segment, MPC4 for a reflection or diffraction after a transmission,
+    otherwise MPC2 for a reflection and MPC3 for a diffraction.
+    Geometry-only drops happen when the table is built; ``losses`` applies
+    the losses of any number of frequencies and ``pdp`` builds the PDP of a
+    one-anchor table at one frequency.
     """
 
     scene: SceneConfig
     geometry: SceneGeometry
-    anchor_id: int
+    anchor_ids: tuple[int, ...]
     rx: Point3
+    anchor: np.ndarray  # (P,) scene anchor index
     length_m: np.ndarray  # (P,)
     tof_s: np.ndarray  # (P,)
     crossings: np.ndarray  # (P, 2, S) bool
@@ -751,29 +774,34 @@ class PathTable:
         """Mpc objects of the given rows, with their received power and SNR."""
         n1, n2 = self.n_crossings[rows].T.tolist()
         return [
-            Mpc(_interactions(kind, a, b), length, tof, power, snr, self.anchor_id,
+            Mpc(_interactions(kind, a, b), length, tof, power, snr, anchor,
                 _GROUP_OF_CODE[group], None if edge < 0 else edge)
-            for kind, a, b, length, tof, power, snr, group, edge in zip(
+            for kind, a, b, length, tof, power, snr, anchor, group, edge in zip(
                 self.kind[rows].tolist(), n1, n2, self.length_m[rows].tolist(),
                 self.tof_s[rows].tolist(), power_dbm.tolist(), snr_db.tolist(),
-                self.group[rows].tolist(), self.edge_id[rows].tolist())
+                self.anchor[rows].tolist(), self.group[rows].tolist(),
+                self.edge_id[rows].tolist())
         ]
 
     def pdp(self, f_hz: float) -> Pdp:
-        """The PDP at one frequency, sorted by time of flight; Mpc objects
-        are built for the detected rows only."""
+        """The PDP of a one-anchor table at one frequency, sorted by time of
+        flight; Mpc objects are built for the detected rows only."""
+        if len(self.anchor_ids) != 1:
+            raise ValueError(f"a PDP has one anchor, the table has {len(self.anchor_ids)}")
         power, snr, detected = self.losses(f_hz)
         rows = self.detected_rows(detected[0])
-        return Pdp(self.build_mpcs(rows, power[0, rows], snr[0, rows]), self.rx, self.anchor_id)
+        return Pdp(self.build_mpcs(rows, power[0, rows], snr[0, rows]), self.rx,
+                   self.anchor_ids[0])
 
 
 def path_table(
     scene: SceneConfig,
-    anchor_index: int,
+    anchor_ids,
     rx,
     geometry: SceneGeometry | None = None,
 ) -> PathTable:
-    """Enumerate the candidate paths of one (anchor, receiver) pair.
+    """Enumerate the candidate paths from each anchor of ``anchor_ids`` (scene
+    anchor indices) to one receiver, in one table.
 
     Families generated: the direct segment with one transmission per slab
     crossing, single specular reflections off reflective surfaces (and the
@@ -783,52 +811,71 @@ def path_table(
     point on the surface (outside its extent or in a window cutout),
     diffractions on an edge line holding both endpoints, paths beyond the
     transmission limit, and zero-length paths.
+
+    The reflections and the edge solves of all anchors are one call each;
+    the crossing test is one call per anchor, which was measured faster
+    than one call over all legs. Every row is computed as in a one-anchor
+    table, so the columns equal the one-anchor tables' concatenated, bit
+    for bit.
     """
     geom = geometry if geometry is not None else build_scene_geometry(scene)
-    anchor = np.asarray(scene.anchors[anchor_index], dtype=float)
+    anchor_ids = tuple(anchor_ids)
+    anchors = np.array([scene.anchors[a] for a in anchor_ids], dtype=float)
     rx_vec = rx.as_array() if isinstance(rx, Point3) else np.asarray(rx, dtype=float)
     limits = scene.limits
+    n_anchors = len(anchors)
 
-    refl = geom.reflections(anchor, rx_vec)
+    refl = geom.reflections(anchors, rx_vec)
     if limits.max_reflections < 1:
         refl = Reflections(*(column[:0] for column in refl))
-    diff = geom.diffractions(anchor, rx_vec)
+    diff = geom.diffractions(anchors, rx_vec)
     if limits.max_diffractions < 1:
         diff = EdgeDiffractions(*(column[:0] for column in diff))
     n_refl, n_diff = len(refl.ids), len(diff.ids)
 
-    # The direct segment's interaction point is the receiver, so its second
-    # leg is empty.
-    length = np.concatenate([[euclidean_distance(anchor, rx_vec)], refl.length, diff.length])
-    pts = np.concatenate([rx_vec[None], refl.point, diff.point])
-    kind = np.repeat([_DIRECT, _REFLECTION, _DIFFRACTION], [1, n_refl, n_diff])
-    edge_id = np.concatenate([np.full(1 + n_refl, -1), diff.ids])
-    reflector = np.concatenate([[-1], refl.ids, np.full(n_diff, -1)])
-    incidence = np.concatenate([[math.nan], refl.incidence, np.full(n_diff, math.nan)])
+    # Rows kind by kind (direct, reflections, diffractions), each anchor by
+    # anchor; a stable sort by anchor puts every anchor's rows in emission
+    # order. The direct segment's interaction point is the receiver, so its
+    # second leg is empty.
+    anchor = np.concatenate([np.arange(n_anchors), refl.anchor, diff.anchor])
+    order = anchor.argsort(kind="stable")
+    anchor = anchor[order]
+    length = np.concatenate([[euclidean_distance(tx, rx_vec) for tx in anchors],
+                             refl.length, diff.length])[order]
+    pts = np.concatenate([rx_vec[None].repeat(n_anchors, axis=0), refl.point, diff.point])[order]
 
-    hits = geom.crossings(np.concatenate([np.broadcast_to(anchor, pts.shape), pts]),
-                          np.concatenate([pts, np.broadcast_to(rx_vec, pts.shape)]))
-    crossings = hits.reshape(2, len(pts), -1).transpose(1, 0, 2)
+    legs, start = [], 0
+    for tx, end in zip(anchors, np.bincount(anchor, minlength=n_anchors).cumsum().tolist()):
+        p = pts[start:end]
+        hits = geom.crossings(np.concatenate([tx[None].repeat(len(p), axis=0), p]),
+                              np.concatenate([p, rx_vec[None].repeat(len(p), axis=0)]))
+        legs.append(hits.reshape(2, len(p), -1).transpose(1, 0, 2))
+        start = end
+    crossings = np.concatenate(legs)
     n_crossings = crossings.sum(axis=2)
     keep = np.flatnonzero((length > 0.0) & (n_crossings.sum(axis=1) <= limits.max_transmissions))
+    rows = order[keep]
 
-    kind, n_crossings = kind[keep], n_crossings[keep]
+    kind = _KINDS.repeat([n_anchors, n_refl, n_diff])[rows]
+    n_crossings = n_crossings[keep]
     group = np.where((kind != _DIRECT) & (n_crossings[:, 0] > 0), MpcGroup.MPC4.value,
                      _KIND_GROUP[kind])
     return PathTable(
         scene=scene,
         geometry=geom,
-        anchor_id=anchor_index,
+        anchor_ids=anchor_ids,
         rx=Point3.from_array(rx_vec),
+        anchor=np.array(anchor_ids)[anchor[keep]],
         length_m=length[keep],
         tof_s=length[keep] / SPEED_OF_LIGHT,
         crossings=crossings[keep],
         kind=kind,
         n_crossings=n_crossings,
         group=group,
-        edge_id=edge_id[keep],
-        reflector=reflector[keep],
-        incidence_rad=incidence[keep],
+        edge_id=np.concatenate([np.full(n_anchors + n_refl, -1), diff.ids])[rows],
+        reflector=np.concatenate([np.full(n_anchors, -1), refl.ids, np.full(n_diff, -1)])[rows],
+        incidence_rad=np.concatenate([np.full(n_anchors, math.nan), refl.incidence,
+                                      np.full(n_diff, math.nan)])[rows],
     )
 
 
@@ -843,10 +890,10 @@ def enumerate_mpcs(
 
     Paths beyond the transmission limit or below the detectability floor
     are dropped; an empty PDP is a legitimate deep-indoor outcome. To
-    evaluate one pair at several frequencies, build its path_table once and
-    call its pdp per frequency.
+    evaluate one pair at several frequencies, build its one-anchor
+    path_table once and call its pdp per frequency.
     """
-    return path_table(scene, anchor_index, rx, geometry).pdp(f_hz)
+    return path_table(scene, (anchor_index,), rx, geometry).pdp(f_hz)
 
 
 # ---------------------------------------------------------------------------

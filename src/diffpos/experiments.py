@@ -162,6 +162,7 @@ class SweepConfig:
             raise ValueError("frequency ladder must be non-empty and strictly increasing")
         for f_hz in freqs:
             self.scene.radio.band_for(f_hz)  # raises for a frequency outside every band
+        _check_labels(freqs)
         if len(self.scene.anchors) < 4:
             raise ValueError(
                 f"3D positioning needs at least 4 anchors, the scene has {len(self.scene.anchors)}")
@@ -219,40 +220,38 @@ class _ReceiverFaps(NamedTuple):
     mpc3_snr_db: np.ndarray  # its SNR; NaN without one
 
 
-def _receiver_faps(tables: list[PathTable], losses: list[PathLosses], cfg: SweepConfig,
+def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
                    nearest_edges: list[int]) -> _ReceiverFaps:
-    """Top-k truncation and FAP of a receiver's tables at every frequency, in
-    one ``fap_rows`` call.
+    """Top-k truncation and FAP of a receiver's path table at every frequency
+    and anchor, in one ``fap_rows`` call.
 
-    The A tables' columns are stacked in PDP order (by time of flight, ties
-    in table order) to (A, P) and their losses to (F, A, P), the shorter
-    tables padded with an undetected row. The diffraction model's edge is
-    the FAP's own edge when it is a diffraction path, then that of the
-    earliest kept diffraction component, then the anchor's ``nearest_edges``
-    entry (pure mismatch case). The MPC3 rows of a path table always have an
-    edge.
+    The table covers the scene's anchors 0..A-1. One lexsort by (anchor,
+    time of flight), ties in table order, gives each anchor's PDP order: an
+    (A, P) index into the rows, padded past the last row, so that the
+    columns read as (A, P) and the losses as (F, A, P), the padding
+    undetected. The diffraction model's edge is the FAP's own edge when it
+    is a diffraction path, then that of the earliest kept diffraction
+    component, then the anchor's ``nearest_edges`` entry (pure mismatch
+    case). The MPC3 rows of a path table always have an edge.
     """
-    orders = [np.argsort(table.tof_s, kind="stable") for table in tables]
-    # (A, P) positions in the concatenated rows; padding reads one row past
-    # them, and there is at least one position when every table is empty.
-    index = np.full((len(tables), max(1, *(len(order) for order in orders))),
-                    sum(len(order) for order in orders))
-    start = 0
-    for a, order in enumerate(orders):
-        index[a, :len(order)] = start + order
-        start += len(order)
+    n_anchors = len(table.anchor_ids)
+    counts = np.bincount(table.anchor, minlength=n_anchors)
+    # The lexsort lists anchor 0's PDP, then anchor 1's, and so on; row a of
+    # the index takes the next counts[a] of its positions. There is at
+    # least one position when the table is empty.
+    index = np.full((n_anchors, max(1, counts.max())), len(table.tof_s))
+    index[np.arange(index.shape[1]) < counts[:, None]] = np.lexsort((table.tof_s, table.anchor))
 
-    def stacked(columns, fill):
-        pad = np.full((*columns[0].shape[:-1], 1), fill)
-        return np.concatenate([*columns, pad], axis=-1)[..., index]
+    def stacked(column, fill):
+        pad = np.full((*column.shape[:-1], 1), fill)
+        return np.concatenate([column, pad], axis=-1)[..., index]
 
-    snr = stacked([table_losses.snr_db for table_losses in losses], -np.inf)
-    group = stacked([table.group for table in tables], 0)
-    edge = stacked([table.edge_id for table in tables], -1)
-    sel = fap_rows(stacked([table.tof_s for table in tables], np.inf), snr,
-                   stacked([table_losses.detected for table_losses in losses], False),
+    snr = stacked(losses.snr_db, -np.inf)
+    group = stacked(table.group, 0)
+    edge = stacked(table.edge_id, -1)
+    sel = fap_rows(stacked(table.tof_s, np.inf), snr, stacked(losses.detected, False),
                    group == MpcGroup.MPC3.value, cfg.top_k, cfg.t_fap_db)
-    freq, anchor = np.arange(snr.shape[0])[:, None], np.arange(len(tables))
+    freq, anchor = np.arange(snr.shape[0])[:, None], np.arange(n_anchors)
     fap_group = group[anchor, sel.fap]
     mpc3_edge = np.where(sel.mpc3 >= 0, edge[anchor, sel.mpc3], -1)
     model_edge = np.where(fap_group == MpcGroup.MPC3.value, edge[anchor, sel.fap],
@@ -261,7 +260,7 @@ def _receiver_faps(tables: list[PathTable], losses: list[PathLosses], cfg: Sweep
         detected=~sel.no_detection.any(axis=1),
         group=fap_group,
         snr_db=snr[freq, anchor, sel.fap],
-        length_m=stacked([table.length_m for table in tables], np.nan)[anchor, sel.fap],
+        length_m=stacked(table.length_m, np.nan)[anchor, sel.fap],
         model_edge=model_edge,
         mpc3_edge=mpc3_edge,
         mpc3_snr_db=np.where(sel.mpc3 >= 0, snr[freq, anchor, sel.mpc3], np.nan),
@@ -421,9 +420,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     nearest_edges = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
 
     for ri, rx in enumerate(receivers):
-        tables = [path_table(scene, a, rx, geom) for a in range(n_anchors)]
-        faps = _receiver_faps(tables, [table.losses(freqs) for table in tables], cfg,
-                              nearest_edges)
+        table = path_table(scene, range(n_anchors), rx, geom)
+        faps = _receiver_faps(table, table.losses(freqs), cfg, nearest_edges)
         _tally_receiver(cfg, geom, faps, ri, rx.as_array(), beta_sqs, tallies, queue)
         while len(queue.dnls) >= _DNLS_BATCH:
             _solve_queue(queue, tallies, scene.bounds, _DNLS_BATCH)
@@ -466,13 +464,27 @@ def _freq_label(f_hz: float) -> str:
     return f"{f_hz / 1e9:g}GHz"
 
 
+def _check_labels(freqs) -> None:
+    """Raise ValueError when two frequencies share a CSV file label, whose
+    files would overwrite each other."""
+    seen: dict[str, float] = {}
+    for f_hz in freqs:
+        label = _freq_label(f_hz)
+        if label in seen:
+            raise ValueError(f"frequencies {seen[label]!r} and {f_hz!r} Hz share the "
+                             f"CSV label {label}")
+        seen[label] = f_hz
+
+
 def export_report(report: SweepReport, out_dir) -> list[Path]:
     """Write plot-ready CSVs; returns the created file paths.
 
     Per ladder: p_fap.csv, fap_snr_quartiles.csv, exclusions.csv. Per
     frequency and estimator: cdf_<estimator>_<label>.csv with one sorted
-    error sample per row and empirical probability k/n.
+    error sample per row and empirical probability k/n. Frequencies whose
+    labels collide raise ValueError before anything is written.
     """
+    _check_labels([fr.frequency_hz for fr in report.frequencies])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -122,27 +122,29 @@ def euclidean_distance(a, b) -> float:
 
 def _reflect_rows(t: np.ndarray, r: np.ndarray, normals: np.ndarray,
                   offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Specular reflection of tx ``t`` and rx ``r``, shape (3,), off K planes
-    at once.
+    """Specular reflection of A transmitters ``t`` (A, 3) and one receiver
+    ``r`` (3,) off K planes at once.
 
     Plane k is {x : normals[k].x = offsets[k]} with a unit normal. Returns
-    the image-source length |reflect(t) - r| (K,), the specular point
-    (K, 3) and whether both endpoints lie strictly on the same side of the
-    plane (K,). Rows on opposite sides or on the plane carry meaningless
-    length and point. With an axis-aligned unit normal, n.t - offset is the
-    coordinate minus the offset, bit for bit.
+    the image-source length |reflect(t) - r| (A, K), the specular point
+    (A, K, 3) and whether both endpoints lie strictly on the same side of
+    the plane (A, K). Rows on opposite sides or on the plane carry
+    meaningless length and point. With an axis-aligned unit normal, n.t -
+    offset is the coordinate minus the offset, bit for bit. Each
+    transmitter's n.t is its own matrix-vector product, so a transmitter's
+    rows do not depend on the others.
     """
-    dt = normals @ t - offsets
+    dt = np.array([normals @ t_a for t_a in t]) - offsets
     dr = normals @ r - offsets
     same_side = np.sign(dt) * np.sign(dr) > 0.0
-    image = t - (2.0 * dt)[:, None] * normals
+    image = t[:, None] - (2.0 * dt)[..., None] * normals
     direction = r - image
-    length = np.sqrt((direction * direction).sum(axis=1))
+    length = np.sqrt((direction * direction).sum(axis=-1))
     # The segment image->rx crosses the plane at parameter dt/(dt+dr); on a
     # same-side row both signed distances share a sign, so the denominator
     # does not vanish there.
     with np.errstate(divide="ignore", invalid="ignore"):
-        point = image + (dt / (dt + dr))[:, None] * direction
+        point = image + (dt / (dt + dr))[..., None] * direction
     return length, point, same_side
 
 

@@ -151,10 +151,10 @@ def pdp(table, f_hz):
         interactions = row_interactions(table, i)
         edge = int(table.edge_id[i])
         mpcs.append(Mpc(interactions, length, length / SPEED_OF_LIGHT, power, snr,
-                        table.anchor_id, classify_mpc(interactions),
+                        int(table.anchor[i]), classify_mpc(interactions),
                         None if edge < 0 else edge))
     mpcs.sort(key=lambda m: m.tof_s)
-    return Pdp(mpcs, table.rx, table.anchor_id)
+    return Pdp(mpcs, table.rx, table.anchor_ids[0])
 
 
 def truncate_top_k(pdp, k=25):

@@ -296,9 +296,11 @@ _ANCHORS = build_default_scene().anchors
     ({}, {"top_k": 0}, "top_k must be >= 1"),
     ({}, {"t_fap_db": -1.0}, "t_fap_db must be >= 0"),
     ({}, {"seed": -1}, "seed must be >= 0"),
+    ({}, {"frequencies_hz": (28e9, 28.0000004e9)},
+     "frequencies 28000000000.0 and 28000000400.0 Hz share the CSV label 28GHz"),
 ], ids=["three_anchors", "duplicate_frequency", "out_of_band_frequency",
         "anchor_inside_building", "anchor_on_building_corner", "top_k_zero",
-        "negative_t_fap", "negative_seed"])
+        "negative_t_fap", "negative_seed", "colliding_csv_labels"])
 def test_sweep_config_rejects(scene_changes, sweep_changes, message):
     scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
     scene = dataclasses.replace(scene, **scene_changes)
@@ -318,6 +320,21 @@ def test_export_empty_report_headers_only(tmp_path):
     for path in files:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1  # header only
+
+
+def test_scene_rejects_a_repeated_receiver_floor():
+    with pytest.raises(ValueError, match="^receiver floor 3 is listed twice$"):
+        build_default_scene(grid_spacing=8.0, receiver_floors=(3, 4, 3))
+
+
+def test_export_rejects_colliding_labels_before_writing(tmp_path, tiny_sweep):
+    _, report = tiny_sweep
+    clash = dataclasses.replace(report.frequencies[1], frequency_hz=3.5000001e9)
+    report = dataclasses.replace(report, frequencies=[report.frequencies[0], clash])
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="share the CSV label 3.5GHz"):
+        export_report(report, out_dir)
+    assert not out_dir.exists()
 
 
 def test_export_cdf_rows_and_probabilities(tmp_path, tiny_sweep):
@@ -434,6 +451,26 @@ def test_report_diagnostics_count_every_dnls_problem(tiny_sweep):
         assert fr_again.diagnostics == fr.diagnostics
 
 
+@pytest.mark.parametrize("permutation", [(3, 1, 0, 2), (1, 2, 3, 0)])
+def test_noiseless_sweep_does_not_depend_on_anchor_order(permutation):
+    # The per-receiver path table stacks the anchors in scene order and the
+    # sweep reads it back per anchor; permuting the anchors must only permute
+    # the rows, so the report is the same up to the rounding of the solvers.
+    scene = build_default_scene(grid_spacing=6.0, receiver_floors=(3,))
+    permuted = dataclasses.replace(scene, anchors=tuple(scene.anchors[a] for a in permutation))
+    reports = [run_sweep(SweepConfig(scene=s, frequencies_hz=(0.7e9, 28e9), noiseless=True))
+               for s in (scene, permuted)]
+    for fr, fp in zip(*(r.frequencies for r in reports)):
+        assert fr.p_fap_pct == fp.p_fap_pct
+        assert fr.exclusions == fp.exclusions
+        assert fr.diagnostics == fp.diagnostics
+        assert fr.fap_snr_quartiles_db == fp.fap_snr_quartiles_db
+        for want, got in ((fr.dnls_errors_m, fp.dnls_errors_m),
+                          (fr.lls_errors_m, fp.lls_errors_m), (fr.peb_m, fp.peb_m)):
+            assert want.shape == got.shape and want.size
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 def test_dnls_batch_size_does_not_change_the_report(tiny_sweep, monkeypatch):
     import diffpos.experiments as experiments
 
@@ -500,6 +537,36 @@ def test_cli_sweep_out_of_band_is_an_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "outside every configured band" in err
     assert not out_dir.exists()
+
+
+def test_cli_sweep_colliding_labels_is_an_error_line(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc = cli_main(["sweep", "--out", str(out_dir), "--frequencies", "28e9", "28.0000004e9"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: frequencies 28000000000.0 and 28000000400.0 Hz"
+                                       " share the CSV label 28GHz\n")
+    assert not out_dir.exists()
+
+
+def test_cli_report_colliding_labels_is_an_error_line(tmp_path, capsys, tiny_sweep):
+    doc = report_to_dict(tiny_sweep[1])
+    doc["frequencies"][1]["frequency_hz"] = 3.5000001e9
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = cli_main(["report", "--report", str(path), "--out", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: frequencies 3500000000.0 and 3500000100.0 Hz"
+                                       " share the CSV label 3.5GHz\n")
+    assert not out_dir.exists()
+
+
+def test_cli_scene_repeated_floor_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "scene.json"
+    rc = cli_main(["scene", "--out", str(out), "--floors", "3", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: receiver floor 3 is listed twice\n"
+    assert not out.exists()
 
 
 def test_cli_sweep_negative_seed_is_an_error_line(tmp_path, capsys):
@@ -574,11 +641,12 @@ def _set(path, value):
     (_set(["anchors", 2, 1], math.inf), "anchors[2][1]: expected a finite number, got inf"),
     (_set(["windows", 3, "z_lo"], -math.inf),
      "windows[3].z_lo: expected a finite number, got -inf"),
+    (_set(["receiver_floors"], [3, 3]), "receiver floor 3 is listed twice"),
 ], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
         "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
         "floor_count_float", "include_ground_int", "window_bound_bool", "polarization_xy",
         "negative_noise_temperature", "zero_f0", "l0_nan", "anchor_infinity",
-        "window_bound_minus_infinity"])
+        "window_bound_minus_infinity", "repeated_receiver_floor"])
 def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
     doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
     change(doc)

@@ -135,10 +135,10 @@ PLANE_Y0 = scalar_paths.Plane(normal=Y_AXIS, offset=0.0)
 
 def reflect_once(tx, rx, normal=Y_AXIS, offset=0.0):
     """_reflect_rows off one plane: (length, specular point, same side)."""
-    length, point, same_side = _reflect_rows(np.asarray(tx, dtype=float),
+    length, point, same_side = _reflect_rows(np.asarray(tx, dtype=float)[None],
                                              np.asarray(rx, dtype=float),
                                              np.asarray(normal)[None], np.array([offset]))
-    return float(length[0]), point[0], bool(same_side[0])
+    return float(length[0, 0]), point[0, 0], bool(same_side[0, 0])
 
 
 def test_reflect_axis_aligned_mirror():

@@ -2,7 +2,8 @@
 
 The reflection kernel, the (F, P) loss pass, the group codes and the array
 top-k and FAP bodies are each checked against the one-plane, one-row,
-one-object code they replaced.
+one-object code they replaced, and a receiver's table of all anchors
+against its one-anchor tables.
 """
 
 import math
@@ -63,7 +64,8 @@ def test_reflect_rows_match_scalar_on_random_planes():
         tx, rx = rng.uniform(-10.0, 10.0, (2, 3))
         if trial % 5 == 0:  # tx on the first plane
             tx = tx - (normals[0] @ tx - offsets[0]) * normals[0]
-        length, point, same_side = _reflect_rows(tx, rx, normals, offsets)
+        length, point, same_side = _reflect_rows(tx[None], rx, normals, offsets)
+        length, point, same_side = length[0], point[0], same_side[0]
         for k in range(len(normals)):
             plane = scalar_paths.Plane(normals[k], offsets[k])
             try:
@@ -121,7 +123,7 @@ def test_reflections_clamp_grazing_incidence():
     assert got.ids.tolist() == [k for k, *_ in want] and ground in got.ids.tolist()
     assert got.incidence[got.ids.tolist().index(ground)] == math.pi / 2 - 1e-12
     assert np.array_equal(got.incidence, [angle for *_, angle in want])
-    table = path_table(replace(SCENE, anchors=(tuple(tx),)), 0, rx, GEOM)
+    table = path_table(replace(SCENE, anchors=(tuple(tx),)), (0,), rx, GEOM)
     assert np.isfinite(table.losses(DEFAULT_FREQUENCY_LADDER_HZ).snr_db).all()
 
 
@@ -142,7 +144,7 @@ def test_reflections_drop_window_cutouts():
 def test_group_codes_match_classify():
     groups = set()
     for a, rx in random_pairs(np.random.default_rng(8), 20):
-        table = path_table(SCENE, a, rx, GEOM)
+        table = path_table(SCENE, (a,), rx, GEOM)
         for i in range(len(table.length_m)):
             interactions = scalar_paths.row_interactions(table, i)
             assert MpcGroup(int(table.group[i])) is classify_mpc(interactions)
@@ -157,7 +159,7 @@ def test_group_codes_match_classify():
 def test_losses_match_per_row_pdp_at_every_ladder_frequency():
     checked = 0
     for a, rx in random_pairs(np.random.default_rng(13), 12):
-        table = path_table(SCENE, a, rx, GEOM)
+        table = path_table(SCENE, (a,), rx, GEOM)
         losses = table.losses(DEFAULT_FREQUENCY_LADDER_HZ)
         assert losses.snr_db.shape == (len(DEFAULT_FREQUENCY_LADDER_HZ), len(table.length_m))
         for fi, f_hz in enumerate(DEFAULT_FREQUENCY_LADDER_HZ):
@@ -174,6 +176,66 @@ def test_losses_match_per_row_pdp_at_every_ladder_frequency():
                 assert abs(g.snr_db - w.snr_db) <= 1e-9
                 assert abs(g.rx_power_dbm - w.rx_power_dbm) <= 1e-9
             checked += len(got)
+    assert checked > 1000
+
+
+_TABLE_COLUMNS = ("anchor", "length_m", "tof_s", "crossings", "kind", "n_crossings", "group",
+                  "edge_id", "reflector", "incidence_rad")
+
+
+@pytest.mark.parametrize("grid_spacing, freqs", [
+    (6.0, (28e9,)), (10.0, DEFAULT_FREQUENCY_LADDER_HZ)], ids=["trials_grid", "ladder_grid"])
+def test_receiver_table_equals_the_one_anchor_tables_concatenated(grid_spacing, freqs):
+    # The oracle of the per-receiver table: every column, and the losses of
+    # every row, bit for bit equal to the one-anchor tables' concatenated.
+    scene = build_default_scene(grid_spacing=grid_spacing, receiver_floors=(3,))
+    geom = build_scene_geometry(scene)
+    anchors = range(len(scene.anchors))
+    for rx in receiver_grid(scene):
+        table = path_table(scene, anchors, rx, geom)
+        pairs = [path_table(scene, (a,), rx, geom) for a in anchors]
+        assert table.anchor_ids == tuple(anchors)
+        for name in _TABLE_COLUMNS:
+            got = getattr(table, name)
+            want = np.concatenate([getattr(pair, name) for pair in pairs])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        for got, want in zip(table.losses(freqs),
+                             zip(*(pair.losses(freqs) for pair in pairs))):
+            assert got.tobytes() == np.concatenate(want, axis=1).tobytes()
+
+
+def test_pdp_needs_a_one_anchor_table():
+    rx = Point3(9.0, 5.0, 7.5)
+    with pytest.raises(ValueError, match="^a PDP has one anchor, the table has 4$"):
+        path_table(SCENE, range(4), rx, GEOM).pdp(28e9)
+    assert path_table(SCENE, (2,), rx, GEOM).pdp(28e9).anchor_id == 2
+
+
+def test_swapping_tx_and_rx_keeps_lengths_and_swaps_the_legs():
+    # Reciprocity: the table from rx to tx has the same rows as the one from
+    # tx to rx, with lengths within 1e-12 relative and the crossing sets of
+    # the two legs swapped (the direct segment has one leg either way). The
+    # transmitters are drawn at random in front of either facade: a leg
+    # through the boundary line of a surface may cross it one way and not
+    # the other. Anchor 0 of the default scene has such legs, to the floor-5
+    # top edges of the far facade, which pass where slab z = 9 meets facade
+    # y = 0.
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _, rx in random_pairs(rng, 30):
+        tx = rng.uniform([-5.0, -25.0, 1.0], [35.0, -5.0, 8.0])
+        if rng.random() < 0.5:
+            tx[1] += 70.0
+        forward = path_table(replace(SCENE, anchors=(tuple(tx),)), (0,), rx, GEOM)
+        back = path_table(replace(SCENE, anchors=(tuple(rx.as_array()),)), (0,), tx, GEOM)
+        for name in ("kind", "edge_id", "reflector"):
+            assert np.array_equal(getattr(back, name), getattr(forward, name))
+        np.testing.assert_allclose(back.length_m, forward.length_m, rtol=1e-12, atol=0)
+        direct = forward.kind == 0
+        assert np.array_equal(back.crossings[direct], forward.crossings[direct])
+        assert np.array_equal(back.crossings[~direct], forward.crossings[~direct][:, ::-1])
+        checked += int((~direct).sum())
     assert checked > 1000
 
 
@@ -286,14 +348,15 @@ def test_receiver_faps_match_object_bodies_on_every_ladder_cell():
     nearest = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
     cells = 0
     for rx in receiver_grid(scene):
-        tables = [path_table(scene, a, rx, geom) for a in range(len(scene.anchors))]
-        losses = [table.losses(cfg.frequencies_hz) for table in tables]
-        faps = _receiver_faps(tables, losses, cfg, nearest)
-        for a, (table, (power, snr, detected)) in enumerate(zip(tables, losses)):
+        table = path_table(scene, range(len(scene.anchors)), rx, geom)
+        faps = _receiver_faps(table, table.losses(cfg.frequencies_hz), cfg, nearest)
+        for a in range(len(scene.anchors)):
+            pair = path_table(scene, (a,), rx, geom)
+            power, snr, detected = pair.losses(cfg.frequencies_hz)
             for fi in range(len(cfg.frequencies_hz)):
-                rows = table.detected_rows(detected[fi])
+                rows = pair.detected_rows(detected[fi])
                 assert rows.size
-                pdp = Pdp(table.build_mpcs(rows, power[fi, rows], snr[fi, rows]), rx, a)
+                pdp = Pdp(pair.build_mpcs(rows, power[fi, rows], snr[fi, rows]), rx, a)
                 fap, mpc3 = object_rows(pdp, cfg.top_k, cfg.t_fap_db)
                 assert (faps.group[fi, a], faps.snr_db[fi, a], faps.length_m[fi, a]) \
                     == (fap.group.value, fap.snr_db, fap.path_length_m)
