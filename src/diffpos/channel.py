@@ -504,7 +504,16 @@ class SceneGeometry:
         return losses
 
     def crossings(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-        """(L, S) mask of the surfaces each open segment (p0[l], p1[l]) crosses."""
+        """(L, S) mask of the surfaces each open segment (p0[l], p1[l]) crosses.
+
+        A segment through a surface's boundary line, such as the line where
+        a slab meets a facade, hits the surface on the edge of its extent,
+        so whether it crosses depends on the last bit of the computed hit
+        point: the same leg can count differently in its two directions.
+        ``path_table`` therefore always tests a path's legs as they
+        propagate, from the anchor to the interaction point and on to the
+        receiver.
+        """
         walls = self._walls
         d = p1 - p0
         denom = d[:, walls.axis]
@@ -577,8 +586,11 @@ class SceneGeometry:
         r = rotation @ np.asarray(rx, dtype=float) + translation
         anchor, ids = (~_on_edge_line(t, r, self._edge_z)).nonzero()
         x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], self._edge_z[ids]
-        t, r = t[anchor, ids].T, r[ids].T
-        sol = _solve_edge_lambdas(t[0], t[1] ** 2, t[2], r[0], r[1] ** 2, r[2], x2, x1 - x2, z_e)
+        # The ends stacked (3, 2, D) in C order, for the kernel's fast loops.
+        ends = np.empty((3, 2, len(ids)))
+        ends[:, 0], ends[:, 1] = t[anchor, ids].T, r[ids].T
+        x, y, z = ends
+        sol = _solve_edge_lambdas(x, y ** 2, z, x2, x1 - x2, z_e)
         point = _edge_points_world(rotation[ids], translation[ids], x1, x2, z_e, sol.lam)
         return EdgeDiffractions(anchor, ids, sol.lam, sol.endpoint, sol.length, point)
 
@@ -678,6 +690,30 @@ def _interactions(kind: int, n1: int, n2: int) -> tuple[str, ...]:
     return found
 
 
+def _leg_slab_db(crossed: np.ndarray, counts: np.ndarray, slab_db: np.ndarray) -> np.ndarray:
+    """Slab loss (F, L) of each of L legs at F frequencies: the losses
+    ``slab_db`` (F, S) of the surfaces that its row of ``crossed`` (L, S)
+    marks, added in surface order. ``counts`` (L,) holds each row's number
+    of marks.
+
+    The flat nonzero of ``crossed`` lists each leg's surfaces in ascending
+    order. Column j of a zero-padded (W, F, L) stack, W the largest count,
+    takes every leg's j-th surface, and the columns are added one after
+    another. A leg's sum thus adds only its own surfaces, in order, and
+    adding the padding's zeros leaves it unchanged.
+    """
+    n_surfaces = crossed.shape[1]
+    flat = crossed.ravel().nonzero()[0]
+    leg = flat // n_surfaces
+    stack = np.zeros((max(1, counts.max(initial=0)), len(slab_db), len(counts)))
+    stack[np.arange(len(flat)) - (counts.cumsum() - counts)[leg], :, leg] = \
+        slab_db.T[flat - leg * n_surfaces]
+    total = stack[0]
+    for column in stack[1:]:
+        total += column
+    return total
+
+
 class PathLosses(NamedTuple):
     """Losses of a PathTable's rows at F frequencies."""
 
@@ -752,12 +788,9 @@ class PathTable:
             slab = self.geometry.reflector_slabs[k]
             base[:, i] = [reflection_loss_db(slab, f_hz, angle, radio.polarization)
                           for f_hz in freqs]
-        # Slab losses per leg, summed in surface order: cumsum runs down the
-        # surfaces of an (S, F, 2P) stack.
         slab_db = np.array([self.geometry.prepare_frequency(f_hz) for f_hz in freqs])
-        crossed = self.crossings.reshape(-1, slab_db.shape[1]).T[:, None, :]
-        legs_db = np.cumsum(np.where(crossed, slab_db.T[:, :, None], 0.0), axis=0)[-1]
-        legs_db = legs_db.reshape(len(freqs), -1, 2)
+        legs_db = _leg_slab_db(self.crossings.reshape(-1, slab_db.shape[1]),
+                               self.n_crossings.ravel(), slab_db).reshape(len(freqs), -1, 2)
         extra = base + legs_db[..., 0] + legs_db[..., 1]
         power = gain - free_space_path_loss_db(self.length_m, np.array(freqs)[:, None]) - extra
         snr = power - floor

@@ -299,6 +299,7 @@ class _FrequencyTally:
 class _Queue(NamedTuple):
     """Problems of a sweep waiting for their batched solve."""
 
+    lls: list  # (fi, ranges, sigmas, edges, rx_true) per trial
     dnls: list  # (fi, MeasurementSet, start, rx_true) per trial
     bound: list  # (fi, a peb_batch problem) per receiver and frequency
 
@@ -306,13 +307,12 @@ class _Queue(NamedTuple):
 def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, ri: int,
                     rx_true: np.ndarray, beta_sqs: list[float],
                     tallies: list[_FrequencyTally], queue: _Queue) -> None:
-    """Tally receiver ``ri`` at every frequency, with its LLS estimates, and
-    queue its bound and D-NLS problems.
+    """Tally receiver ``ri`` at every frequency and queue its LLS, bound and
+    D-NLS problems.
 
     A frequency at which some anchor detects nothing counts one
     no-detection exclusion. At the others, every trial draws its noise and
-    its D-NLS start is the trial's LLS estimate; all of the receiver's LLS
-    problems are solved in one ``lls_solve`` call.
+    queues an LLS problem, whose estimate is the trial's D-NLS start.
     """
     scene = cfg.scene
     anchors = np.asarray(scene.anchors, dtype=float)
@@ -320,7 +320,6 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, 
     groups, snrs, lengths, model_edges, mpc3_edges, mpc3_snrs = (
         x.tolist() for x in (faps.group, faps.snr_db, faps.length_m, faps.model_edge,
                              faps.mpc3_edge, faps.mpc3_snr_db))
-    problems = []  # (fi, ranges, sigmas, edges) per trial
     for fi, tally in enumerate(tallies):
         if not faps.detected[fi]:
             tally.excl["no_detection"] += 1
@@ -351,22 +350,7 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, 
             else:
                 rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
                 noise = sigmas * rng.standard_normal(n_anchors)
-            problems.append((fi, true_ranges + noise, sigmas, edges))
-    if not problems:
-        return
-
-    try:
-        estimates = lls_solve(anchors, np.array([ranges for _, ranges, _, _ in problems]))
-    except SingularGeometryError:
-        estimates = None
-        for fi, _, _, _ in problems:
-            tallies[fi].excl["lls_failed"] += 1
-    else:
-        for (fi, _, _, _), estimate in zip(problems, estimates):
-            tallies[fi].lls_errors.append(float(np.linalg.norm(estimate - rx_true)))
-    starts = np.broadcast_to(lls_start(estimates, scene.bounds), (len(problems), 3))
-    for (fi, ranges, sigmas, edges), start in zip(problems, starts):
-        queue.dnls.append((fi, MeasurementSet(anchors, ranges, sigmas, edges), start, rx_true))
+            queue.lls.append((fi, true_ranges + noise, sigmas, edges, rx_true))
 
 
 # D-NLS problems per dnls_ladder call in run_sweep; each call also solves the
@@ -376,9 +360,27 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, 
 _DNLS_BATCH = 1024
 
 
-def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], bounds, n: int) -> None:
-    """Solve the first ``n`` queued D-NLS problems and every queued bound
-    problem, tally them and take them off the queue."""
+def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], anchors: np.ndarray, bounds,
+                 n: int) -> None:
+    """Solve every queued LLS problem in one ``lls_solve`` call and queue
+    each one's D-NLS problem, started at its estimate; then solve the first
+    ``n`` queued D-NLS problems and every queued bound problem. Tally them
+    all and take them off the queue."""
+    if queue.lls:
+        try:
+            estimates = lls_solve(anchors, np.array([q[1] for q in queue.lls]))
+        except SingularGeometryError:
+            estimates = None
+            for fi, _, _, _, _ in queue.lls:
+                tallies[fi].excl["lls_failed"] += 1
+        else:
+            for (fi, _, _, _, rx_true), estimate in zip(queue.lls, estimates):
+                tallies[fi].lls_errors.append(float(np.linalg.norm(estimate - rx_true)))
+        starts = np.broadcast_to(lls_start(estimates, bounds), (len(queue.lls), 3))
+        for (fi, ranges, sigmas, edges, rx_true), start in zip(queue.lls, starts):
+            queue.dnls.append((fi, MeasurementSet(anchors, ranges, sigmas, edges), start,
+                               rx_true))
+        queue.lls.clear()
     dnls = queue.dnls[:n]
     results = dnls_ladder([q[1] for q in dnls], [q[2] for q in dnls], bounds)
     for (fi, _, _, rx_true), result in zip(dnls, results):
@@ -399,11 +401,12 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     built once and its losses are evaluated at every frequency in one pass.
     Top-k truncation and the FAP of all of a receiver's anchors and
     frequencies run in one ``fap_rows`` call on the stacked table columns,
-    so no Mpc object is built, and its LLS problems in one ``lls_solve``
-    call. The D-NLS problems of every frequency, receiver and trial are
-    queued with the bound problems, and ``dnls_ladder`` (retry rungs side by
-    side) and ``peb_batch`` solve it in batches of ``_DNLS_BATCH`` D-NLS
-    problems and once more after the receiver loop.
+    so no Mpc object is built. The LLS problems of every frequency, receiver
+    and trial are queued with the bound problems. Each flush of the queue
+    solves its LLS problems in one ``lls_solve`` call, whose estimates start
+    their D-NLS problems, and ``dnls_ladder`` (retry rungs side by side) and
+    ``peb_batch`` solve it in batches of ``_DNLS_BATCH`` D-NLS problems and
+    once more after the receiver loop.
     Noise is keyed by (seed, frequency index, receiver index, trial) and
     every reported statistic is order-free, so the report does not depend on
     loop, queue or batch order.
@@ -415,17 +418,17 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     freqs = cfg.frequencies_hz
     beta_sqs = [mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs]
     tallies = [_FrequencyTally(n_anchors) for _ in freqs]
-    queue = _Queue([], [])
-
-    nearest_edges = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
+    queue = _Queue([], [], [])
+    anchors = np.asarray(scene.anchors, dtype=float)
+    nearest_edges = _nearest_edges(geom, anchors)
 
     for ri, rx in enumerate(receivers):
         table = path_table(scene, range(n_anchors), rx, geom)
         faps = _receiver_faps(table, table.losses(freqs), cfg, nearest_edges)
         _tally_receiver(cfg, geom, faps, ri, rx.as_array(), beta_sqs, tallies, queue)
-        while len(queue.dnls) >= _DNLS_BATCH:
-            _solve_queue(queue, tallies, scene.bounds, _DNLS_BATCH)
-    _solve_queue(queue, tallies, scene.bounds, len(queue.dnls))
+        while len(queue.lls) + len(queue.dnls) >= _DNLS_BATCH:
+            _solve_queue(queue, tallies, anchors, scene.bounds, _DNLS_BATCH)
+    _solve_queue(queue, tallies, anchors, scene.bounds, len(queue.lls) + len(queue.dnls))
 
     report = SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db,
                          trials=cfg.trials, noiseless=cfg.noiseless)

@@ -153,47 +153,52 @@ def _reflect_rows(t: np.ndarray, r: np.ndarray, normals: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class _EdgeRows(NamedTuple):
-    """Per-entry result of ``_solve_edge_lambdas``, in the shape of its inputs."""
+    """Per-entry result of ``_solve_edge_lambdas``: ``lam``, ``endpoint``,
+    ``length`` and ``qx`` have the entry shape, and ``legs``, ``dx`` and
+    ``dz`` stack the anchor-side leg ([0]) on the receiver-side leg ([1])."""
 
     lam: np.ndarray  # minimizing lam in [0, 1]
     endpoint: np.ndarray  # True where the stationary point lies off the edge, lam clipped
-    length: np.ndarray  # two-leg length, leg_t + leg_r
+    length: np.ndarray  # two-leg length, legs[0] + legs[1]
     qx: np.ndarray  # edge-local x of the edge point, x2 + lam * span
-    leg_t: np.ndarray  # tx-side leg |t - q|
-    leg_r: np.ndarray  # rx-side leg |q - r|
+    legs: np.ndarray  # (2, ...) leg lengths |t - q| and |r - q|
+    dx: np.ndarray  # (2, ...) x - qx of each leg's end point
+    dz: np.ndarray  # (2, ...) z_e - z of each leg's end point
 
 
-def _solve_edge_lambdas(
-    tx: np.ndarray, ty2: np.ndarray, tz: np.ndarray, rx: np.ndarray, ry2: np.ndarray,
-    rz: np.ndarray, x2: np.ndarray, span: np.ndarray, z_e: np.ndarray,
-) -> _EdgeRows:
+def _solve_edge_lambdas(x: np.ndarray, y2: np.ndarray, z: np.ndarray, x2: np.ndarray,
+                        span: np.ndarray, z_e: np.ndarray) -> _EdgeRows:
     """Minimizing lam in [0, 1] of the two-leg length, an endpoint flag, the
     two-leg length, and the edge point's x and the legs it was taken from,
     per entry.
 
-    Every argument is an array of one common shape, one entry per (tx, rx,
-    edge) triple: the edge-local x, y squared and z of tx and of rx, and the
-    edge from (x2 + span, 0, z_e) to (x2, 0, z_e), where span = x1 - x2. By
-    Keller's law of edge diffraction the diffracted ray leaves the edge at
-    the angle the incident ray meets it: unfolding rx's half-plane about the
-    edge line makes the shortest path straight, so the stationary point
-    divides [x_t, x_r] in the ratio of the two transverse distances rho_t,
-    rho_r. The two-leg length is convex along the edge, so clipping that
-    point to the edge gives the constrained minimum; ``endpoint`` flags the
-    entries the clip moved. Besides the span, which is never zero, the only
-    division is by rho_t + rho_r, which vanishes only when tx and rx both
-    lie on the edge line. Each entry's result depends on that entry only.
+    One entry per (tx, rx, edge) triple. The end points' edge-local x, y
+    squared and z come stacked, shape (2, ...): tx's at [0], rx's at [1].
+    The edge arrays, of the entry shape, give the edge from (x2 + span, 0,
+    z_e) to (x2, 0, z_e), where span = x1 - x2. By Keller's law of edge
+    diffraction the diffracted ray leaves the edge at the angle the incident
+    ray meets it: unfolding rx's half-plane about the edge line makes the
+    shortest path straight, so the stationary point divides [x_t, x_r] in
+    the ratio of the two transverse distances rho_t, rho_r. The two-leg
+    length is convex along the edge, so clipping that point to the edge
+    gives the constrained minimum; ``endpoint`` flags the entries the clip
+    moved. Besides the span, which is never zero, the only division is by
+    rho_t + rho_r, which vanishes only when tx and rx both lie on the edge
+    line. Both legs are evaluated as one stacked array; each entry's result
+    depends on that entry only.
     """
     # A leg through the edge point (qx, 0, z_e) is sqrt((x - qx)^2 + y^2 +
     # (z - z_e)^2), summed in that order; only its first term moves with qx.
-    tz2, rz2 = (z_e - tz) ** 2, (z_e - rz) ** 2
-    rho_t, rho_r = np.sqrt(tz2 + ty2), np.sqrt(rz2 + ry2)
-    free = (tx + (rx - tx) * rho_t / (rho_t + rho_r) - x2) / span
+    dz = z_e - z
+    z2 = dz ** 2
+    rho = np.sqrt(z2 + y2)
+    rho_t, rho_r, x_t, x_r = rho[0], rho[1], x[0], x[1]
+    free = (x_t + (x_r - x_t) * rho_t / (rho_t + rho_r) - x2) / span
     lam = np.minimum(np.maximum(free, 0.0), 1.0)
     qx = x2 + lam * span
-    leg_t = np.sqrt((tx - qx) ** 2 + ty2 + tz2)
-    leg_r = np.sqrt((rx - qx) ** 2 + ry2 + rz2)
-    return _EdgeRows(lam, lam != free, leg_t + leg_r, qx, leg_t, leg_r)
+    dx = x - qx
+    legs = np.sqrt(dx ** 2 + y2 + z2)
+    return _EdgeRows(lam, lam != free, legs[0] + legs[1], qx, legs, dx, dz)
 
 
 def _on_edge_line(t: np.ndarray, r: np.ndarray, z_e) -> np.ndarray:

@@ -136,9 +136,7 @@ class _Rows(NamedTuple):
     to_local: np.ndarray  # (3, 3, M, R) [k, i] = R[i, k]
     translation: np.ndarray  # (3, M, R)
     to_world: np.ndarray  # (3, M, 3, R) [k, :, i] = R[k, i]
-    tx: np.ndarray  # (M, R) anchor x in the edge-local frame
-    ty2: np.ndarray  # (M, R) anchor y squared
-    tz: np.ndarray  # (M, R) anchor z
+    anchor: np.ndarray  # (3, 1, M, R) anchor x, y, z in the edge-local frame
     x2: np.ndarray  # (M, R) edge endpoint x2 along the local x axis
     span: np.ndarray  # (M, R) x1 - x2
     half_w: np.ndarray  # (M, R) half the window height
@@ -169,14 +167,16 @@ def _pack(sets) -> _Rows:
         to_local=np.ascontiguousarray(rotation.transpose(1, 0, 2, 3)),
         translation=column([e.frame.translation for e in edges], 3),
         to_world=np.ascontiguousarray(rotation.transpose(0, 2, 1, 3)),
-        tx=t[0],
-        ty2=t[1] ** 2,
-        tz=t[2],
+        anchor=t[:, None],
         x2=x2,
         span=x1 - x2,
         half_w=0.5 * column([e.w for e in edges]),
         ranges=column([meas.ranges for meas in sets]),
     )
+
+
+# The leg that divides each local partial of _model_rows: rx, rx, tx.
+_PARTIAL_LEGS = np.array([1, 1, 0])
 
 
 def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,23 +192,25 @@ def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray,
         dp/dz_n = (z_n + w/2 - z_a) / l_tx
 
     where l_rx, l_tx are the receiver- and anchor-side legs; a leg below
-    1e-12 m flags the entry singular. The local gradient maps back to world
-    axes through the frame rotation. Every entry depends on its own row only.
-    The outputs are views of row-last arrays, (M, R) and (M, 3, R). The
-    caller sets the floating-point error state: a singular entry divides by
-    zero.
+    1e-12 m flags the entry singular. The anchor and the receiver are the two
+    ends of one stacked (2, M, R) edge solve, and the three local partials
+    are one stacked division; one product with the frame rotation, summed
+    over the local axis in axis order, maps them back to world axes. Every
+    entry depends on its own row only. The outputs are views of row-last
+    arrays, (M, R) and (M, 3, R). The caller sets the floating-point error
+    state: a singular entry divides by zero.
     """
     r = np.add.reduce(rows.to_local * alpha.T[:, None, None, :], axis=0) + rows.translation
-    rx, ry, rz = r
-    z_e = rz + rows.half_w
-    sol = _solve_edge_lambdas(rows.tx, rows.ty2, rows.tz, rx, ry ** 2, rz, rows.x2, rows.span,
-                              z_e)
-    l_tx, l_rx = sol.leg_t, sol.leg_r
+    ends = np.concatenate((rows.anchor, r[:, None]), axis=1)  # (3, 2, M, R): anchor, receiver
+    y = ends[1]
+    z_e = ends[2, 1] + rows.half_w
+    sol = _solve_edge_lambdas(ends[0], y ** 2, ends[2], rows.x2, rows.span, z_e)
+    legs = sol.legs
     # Equal to (l_rx < 1e-12) | (l_tx < 1e-12): fmin passes over a NaN leg.
-    singular = np.fmin(l_rx, l_tx) < 1e-12
-    rot = rows.to_world
-    grad = rot[0] * ((rx - sol.qx) / l_rx)[:, None] + rot[1] * (ry / l_rx)[:, None] \
-        + rot[2] * ((z_e - rows.tz) / l_tx)[:, None]
+    singular = np.fmin(legs[1], legs[0]) < 1e-12
+    # (x_n - q, y_n, z_e - z_a) over (l_rx, l_rx, l_tx).
+    local = np.concatenate((sol.dx[1:], y[1:], sol.dz[:1])) / legs.take(_PARTIAL_LEGS, axis=0)
+    grad = np.add.reduce(rows.to_world * local[:, :, None], axis=0)
     return sol.length.T, grad.T, singular.T
 
 
@@ -278,33 +280,42 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     damping = np.asarray(damping, dtype=float)
 
     # State of the active rows: their row numbers, measurements, iterates,
-    # iteration limits, whether they are damped and their damping term,
-    # iteration counts, and whether their last step is taken (the model
-    # evaluation at the top of the loop is then their final one). Rows that
-    # stop leave it at the end of the iteration. A trip counts the rows that
-    # stop, are singular, undamped or fail, and skips the bookkeeping for
-    # each kind that has none.
+    # iteration limits, whether they are damped and their damping term.
+    # Every active row that goes on steps once per trip, so a row that stops
+    # on trip k has run k iterations, or k + 1 when the trip counts for it:
+    # it went singular while not final, or failed in its step. ``final``
+    # marks the rows whose last step is taken (the model evaluation at the
+    # top of the loop is then their final one); it is None while no row is,
+    # and ``stop`` is None on trips where no row stops, which is most of
+    # them: the stop, drop and limit bookkeeping runs only on the trips
+    # where some row is final, singular or failed, or runs out of
+    # iterations.
     active = np.arange(n_rows)
     cur = rows
     a = alpha.copy()
     limit = np.asarray(max_iters)
+    limit_trips = set((limit - 1).tolist())  # trips after which some row is out of iterations
     damped = damping > 0.0
+    n_damped = np.count_nonzero(damped)
     damp_eye = damping * eye[:, :, None]  # (3, 3, R)
-    its = iterations.copy()
     final = limit <= 0
+    final = final if np.count_nonzero(final) else None
+    trip = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while active.size:
             # The model's arrays in their row-last layout: (M, R), (M, 3, R).
             p, jac, singular = (x.T for x in _model_rows(a, cur))
             residual = cur.ranges - p
 
-            stop = final.copy()
+            stop = counted = None
             if np.count_nonzero(singular):
                 singular = singular.any(axis=0)
                 status[active[singular]] = _SINGULAR
-                its[singular & ~final] += 1
-                stop |= singular
-            if np.count_nonzero(final):
+                stop, counted = (singular.copy(), singular) if final is None \
+                    else (singular | final, singular & ~final)
+            if final is not None:
+                if stop is None:
+                    stop, counted = final.copy(), np.zeros(len(final), dtype=bool)
                 done = active[final]
                 # A C-ordered (rows, M) copy: numpy sums a contiguous last axis
                 # pairwise from 8 entries on, and each norm keeps that order.
@@ -317,21 +328,22 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
                 stop |= dropped
 
             # One step of the rows that go on: every active row unless some stop.
-            n_stop = np.count_nonzero(stop)
-            if n_stop < len(stop):
+            n_stop = 0 if stop is None else np.count_nonzero(stop)
+            final = None
+            if n_stop < len(active):
                 if n_stop:
                     go = (~stop).nonzero()[0]
                     j, res, d_eye = (x.take(go, axis=-1) for x in (jac, residual, damp_eye))
+                    start, d = a[go], damped[go]
+                    n_d = np.count_nonzero(d)
                 else:
-                    go, j, res, d_eye = slice(None), jac, residual, damp_eye
-                its[go] += 1
-                start, d = a[go], damped[go]
+                    go, j, res, d_eye, start, d, n_d = \
+                        slice(None), jac, residual, damp_eye, a, damped, n_damped
                 # The normal equations (3, 3, G) and (3, G), summed over the
                 # leading anchor axis, so in anchor order.
                 normal = np.add.reduce(j[:, :, None] * j[:, None], axis=0)
                 rhs = np.add.reduce(j * res[:, None], axis=0)
-                n_damped = np.count_nonzero(d)
-                if n_damped:
+                if n_d:
                     np.add(normal, d_eye, out=normal, where=d)
                 # Rows with a non-finite or, undamped, a rank-deficient system
                 # take a zero step and fail, as do rows whose iterate is not
@@ -341,7 +353,7 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
                 if not (_all_finite(normal) and _all_finite(rhs)):
                     ok = np.isfinite(normal).all(axis=(0, 1)) & np.isfinite(rhs).all(axis=0)
                 deficient = None
-                if n_damped < len(d):
+                if n_d < len(d):
                     check = ~d if ok is None else ok & ~d
                     if np.count_nonzero(check):
                         deficient = np.zeros(len(d), dtype=bool)
@@ -361,21 +373,31 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
                     status[active[go][failed]] = _DIVERGED if deficient is None \
                         else np.where(deficient[failed], _SINGULAR, _DIVERGED)
                     moved[failed] = start[failed]
-                    stop[go] = failed
+                    if stop is None:
+                        stop, counted = np.zeros((2, len(active)), dtype=bool)
+                    stop[go] = counted[go] = failed
                     n_stop = np.count_nonzero(stop)
                 a[go] = moved
-                if np.count_nonzero(converged):
+                n_converged = np.count_nonzero(converged)
+                if n_converged:
                     status[active[go][converged]] = _CONVERGED
-                final[go] = converged | (its[go] >= limit[go])
+                if n_converged or trip in limit_trips:
+                    final = np.zeros(len(active), dtype=bool)
+                    final[go] = converged | (trip + 1 >= limit[go])
 
             if n_stop:
                 left = active[stop]
                 alpha[left] = a[stop]
-                iterations[left] = its[stop]
+                iterations[left] = trip + counted[stop]
                 keep = (~stop).nonzero()[0]
-                active, cur, a, its = active[keep], cur.take(keep), a[keep], its[keep]
-                final, limit, damped = final[keep], limit[keep], damped[keep]
+                active, cur, a = active[keep], cur.take(keep), a[keep]
+                limit, damped = limit[keep], damped[keep]
+                n_damped = np.count_nonzero(damped)
                 damp_eye = damp_eye.take(keep, axis=-1)
+                if final is not None:
+                    final = final[keep]
+                    final = final if np.count_nonzero(final) else None
+            trip += 1
     return _GaussNewtonRows(alpha, iterations, status, residual_norm)
 
 

@@ -3,8 +3,9 @@
 These are the bodies the columnar ``channel`` and ``fap`` code replaced,
 kept as the test oracle: the image-source reflection off one plane, the
 per-reflector specular test that ``path_table`` ran, the per-row PDP with
-scalar free-space loss and one ``Mpc`` per row, and the object bodies of
-``truncate_top_k`` and ``select_fap``.
+scalar free-space loss and one ``Mpc`` per row, the where/cumsum slab sum of
+``PathTable.losses``, and the object bodies of ``truncate_top_k`` and
+``select_fap``.
 """
 
 import math
@@ -155,6 +156,15 @@ def pdp(table, f_hz):
                         None if edge < 0 else edge))
     mpcs.sort(key=lambda m: m.tof_s)
     return Pdp(mpcs, table.rx, table.anchor_ids[0])
+
+
+def leg_slab_db(crossed, slab_db):
+    """Slab loss (F, L) of each leg: the losses ``slab_db`` (F, S) of the
+    surfaces its row of ``crossed`` (L, S) marks, summed in surface order.
+    cumsum runs down the surfaces of an (S, F, L) stack that holds zero
+    where a leg does not cross."""
+    stack = np.where(crossed.T[:, None, :], slab_db.T[:, :, None], 0.0)
+    return np.cumsum(stack, axis=0)[-1]
 
 
 def truncate_top_k(pdp, k=25):

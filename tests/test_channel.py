@@ -29,6 +29,7 @@ from diffpos.channel import (
     ingest_dataset,
     noise_floor_dbm,
     parse_interaction_string,
+    path_table,
     receiver_grid,
     truncate_top_k,
 )
@@ -432,6 +433,40 @@ def test_crossings_match_brute_force():
     through = np.flatnonzero(mid[:, 1] == 0.0) + n
     assert through.size and not got[through, facade].any()
     assert got.sum() > n
+
+
+def test_path_table_tests_legs_from_the_anchor_at_a_boundary_line():
+    # Anchor 0 of the default scene, (7.5, -20, 3.2), sees the top edges of
+    # the floor-5 windows of facade y = 20 (z = 14.8) along lines through
+    # (x, 0, 9), where slab z = 9 meets facade y = 0. Whether such a leg
+    # crosses the slab depends on the last bit of its hit point, and so on
+    # its direction: from the anchor it does not, towards the anchor it
+    # does. The table holds the crossings of the legs as they propagate; at
+    # this receiver it keeps five of the six edges, the sixth is beyond the
+    # transmission limit.
+    scene = build_default_scene()
+    geom = build_scene_geometry(scene)
+    anchor = np.array(scene.anchors[0])
+    slab = [s.name for s in geom.surfaces].index("slab_z9")
+    top = [i for i, e in enumerate(geom.edge_midpoints().tolist()) if e[1:] == [20.0, 14.8]]
+    assert len(top) == 6
+    rx = Point3(13.0, 15.0, 13.5)
+    table = path_table(scene, (0,), rx, geom)
+    diff = geom.diffractions(anchor, rx.as_array())
+    seen = kept = 0
+    for edge, point in zip(diff.ids.tolist(), diff.point):
+        if edge not in top:
+            continue
+        seen += 1
+        forward = geom.crossings(anchor[None], point[None])[0]
+        backward = geom.crossings(point[None], anchor[None])[0]
+        assert np.array_equal(np.flatnonzero(forward != backward), [slab])
+        assert backward[slab]
+        row = np.flatnonzero(table.edge_id == edge)
+        if row.size:
+            assert np.array_equal(table.crossings[row[0], 0], forward)
+            kept += 1
+    assert (seen, kept) == (6, 5)
 
 
 def test_diffractions_match_diffraction_point():

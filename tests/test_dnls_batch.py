@@ -19,7 +19,11 @@ from diffpos.geometry import RigidTransform, WindowEdge
 from diffpos.positioning import (
     _CONVERGED,
     _DIVERGED,
+    _DROPPED,
+    _LADDER,
+    _OUT_OF_ITERATIONS,
     _SINGULAR,
+    _TOL_M,
     MeasurementSet,
     _gauss_newton,
     _model_rows,
@@ -235,6 +239,86 @@ def test_final_evaluation_can_make_a_row_singular():
     assert (out.status[0], out.iterations[0]) == (_SINGULAR, 0)
     out = solve_rows([(meas, alpha), good_problem(np.random.default_rng(11))], 0.0)
     assert out.status[0] == _SINGULAR and out.status[1] == _CONVERGED
+
+
+def final_singular_problem():
+    """The geometry of test_final_evaluation_can_make_a_row_singular and a
+    position at which its model is singular."""
+    edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
+    anchors = np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0], [0.0, 9.0, 4.0]])
+    return MeasurementSet(anchors, np.full(4, 20.0), np.ones(4), (edge,) * 4), \
+        np.array([0.0, 0.0, 4.0])
+
+
+def run_rows(problems):
+    """_gauss_newton over ``problems``, problem by problem; a problem is a
+    list of (meas, start, max_iters, damping) rows, its rungs in order."""
+    rows = [(row, i) for i, problem in enumerate(problems) for row in problem]
+    return _gauss_newton(
+        _pack([meas for (meas, _, _, _), _ in rows]),
+        np.array([start for (_, start, _, _), _ in rows]),
+        np.array([max_iters for (_, _, max_iters, _), _ in rows]),
+        np.array([damping for (_, _, _, damping), _ in rows], dtype=float),
+        _TOL_M, np.array([i for _, i in rows]))
+
+
+def test_rows_stop_as_in_their_own_runs(monkeypatch):
+    # Iteration counts come from the trip number, and the stop, limit and
+    # drop bookkeeping runs only on the trips where some row stops. One
+    # batch mixes every way a row stops; each problem's rows must end as in
+    # a run of that problem alone, bit for bit. The ladders are problems of
+    # the ladder sweep at seed 5: rung 0 rank-deficient at iteration 4 with
+    # rung 2 dropped at 82; rung 1 converging at its 400th iteration as rung
+    # 2 runs out; every rung out of iterations (damped rows at 400);
+    # converged at rung 0 with rungs 1 and 2 dropped.
+    _, sets, inits, bounds = captured_sweep(monkeypatch, "ladder", 5)
+    centroid = 0.5 * (bounds[0] + bounds[1])
+    ladders = [[(sets[i], centroid if from_centroid else inits[i], iters, damping)
+                for from_centroid, damping, iters in _LADDER] for i in (36, 37, 19, 0)]
+    rng = np.random.default_rng(17)
+    singular_meas, singular_at = final_singular_problem()
+    mid, last = good_problem(rng), good_problem(rng)
+    singles = [
+        [(*diverging_problem(rng), 50, 0.0)],  # non-finite normal system
+        [(*diverging_problem(rng), 400, 0.1)],
+        [(*degenerate_vertical_problem(), 50, 0.0)],  # rank-deficient at once
+        [(singular_meas, singular_at, 0, 0.0)],  # singular at its only, final evaluation
+        [(singular_meas, singular_at, 50, 0.0)],  # singular while not final
+        [(*mid, 50, 0.0)],
+        [(*last, 50, 0.0)],
+    ]
+    # The model goes singular at ``mid``'s third iterate, mid-loop, and at
+    # ``last``'s final iterate, which it reaches converged.
+    third = run_rows([[(*mid, 3, 0.0)]]).alpha[0]
+    final = run_rows([singles[-1]])
+    assert final.status[0] == _CONVERGED and final.iterations[0] > 3
+    real_model = positioning._model_rows
+
+    def model(alpha, rows):
+        p, jac, singular = real_model(alpha, rows)
+        hit = (alpha == third).all(axis=1) | (alpha == final.alpha[0]).all(axis=1)
+        return p, jac, singular | hit[:, None]
+
+    monkeypatch.setattr(positioning, "_model_rows", model)
+    problems = singles + ladders
+    out = run_rows(problems)
+    start = 0
+    for problem in problems:
+        alone = run_rows([problem])
+        end = start + len(problem)
+        for got, want in zip(out, alone):
+            assert np.array_equal(got[start:end], want, equal_nan=True)
+        start = end
+
+    status, iterations = out.status.tolist(), out.iterations.tolist()
+    assert list(zip(status[:7], iterations[:7])) == [
+        (_DIVERGED, 1), (_DIVERGED, 1), (_SINGULAR, 1), (_SINGULAR, 0), (_SINGULAR, 1),
+        (_SINGULAR, 4), (_SINGULAR, final.iterations[0])]
+    assert list(zip(status[7:], iterations[7:])) == [
+        (_SINGULAR, 4), (_CONVERGED, 82), (_DROPPED, 82),
+        (_OUT_OF_ITERATIONS, 50), (_CONVERGED, 400), (_OUT_OF_ITERATIONS, 400),
+        (_OUT_OF_ITERATIONS, 50), (_OUT_OF_ITERATIONS, 400), (_OUT_OF_ITERATIONS, 400),
+        (_CONVERGED, iterations[16]), (_DROPPED, iterations[16]), (_DROPPED, iterations[16])]
 
 
 def test_ladder_rejects_mixed_anchor_counts_and_bad_starts():

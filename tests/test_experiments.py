@@ -471,6 +471,40 @@ def test_noiseless_sweep_does_not_depend_on_anchor_order(permutation):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+def fap_counts(fr, n_anchors):
+    """FAP count per group of a frequency report, from its shares."""
+    total = (fr.n_receivers - fr.exclusions["no_detection"]) * n_anchors
+    counts = {g: pct * total / 100.0 for g, pct in fr.p_fap_pct.items()}
+    assert all(abs(c - round(c)) < 1e-9 for c in counts.values())
+    return {g: round(c) for g, c in counts.items()}
+
+
+def test_noiseless_sweep_over_floors_merges_the_sweeps_of_each_floor():
+    # A receiver's results do not depend on the other receivers of its
+    # sweep, nor on where its problems sit in the LLS, D-NLS and bound
+    # queues: the sweep over floors 3 and 4 is the two one-floor sweeps
+    # merged, error samples bit for bit.
+    reports = [run_sweep(SweepConfig(
+        scene=build_default_scene(grid_spacing=10.0, receiver_floors=floors),
+        frequencies_hz=(3.5e9, 28e9), noiseless=True)) for floors in ((3, 4), (3,), (4,))]
+    n_anchors = len(build_default_scene().anchors)
+    for both, *single in zip(*(r.frequencies for r in reports)):
+        for name in ("dnls_errors_m", "lls_errors_m", "peb_m"):
+            merged = np.sort(np.concatenate([getattr(fr, name) for fr in single]))
+            assert np.array_equal(getattr(both, name), merged), name
+        assert both.dnls_errors_m.size and both.peb_m.size
+        for key in both.exclusions:
+            assert both.exclusions[key] == sum(fr.exclusions[key] for fr in single)
+        assert both.n_receivers == sum(fr.n_receivers for fr in single)
+        assert both.n_pairs == sum(fr.n_pairs for fr in single)
+        assert both.diagnostics["dnls_rung"] == [
+            sum(fr.diagnostics["dnls_rung"][k] for fr in single) for k in range(3)]
+        assert both.diagnostics["dnls_iterations"] == sum(
+            fr.diagnostics["dnls_iterations"] for fr in single)
+        counts = [fap_counts(fr, n_anchors) for fr in (both, *single)]
+        assert counts[0] == {g: counts[1][g] + counts[2][g] for g in counts[0]}
+
+
 def test_dnls_batch_size_does_not_change_the_report(tiny_sweep, monkeypatch):
     import diffpos.experiments as experiments
 

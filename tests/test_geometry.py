@@ -256,8 +256,8 @@ def test_diffraction_random_vs_golden_section_oracle():
 def solve_edges(t, r, x1, x2, z_e):
     """_solve_edge_lambdas on edge-local tx and rx rows (N, 3) and the edges
     from (x1, 0, z_e) to (x2, 0, z_e)."""
-    return _solve_edge_lambdas(t[:, 0], t[:, 1] ** 2, t[:, 2], r[:, 0], r[:, 1] ** 2, r[:, 2],
-                               x2, x1 - x2, z_e)
+    x, y, z = np.stack((t.T, r.T), axis=1)
+    return _solve_edge_lambdas(x, y ** 2, z, x2, x1 - x2, z_e)
 
 
 def edge_rows(edges, tx, rx):
@@ -394,7 +394,9 @@ def test_solve_edge_lambdas_returns_the_legs_at_its_lam():
     leg_t = np.sqrt((t[:, 0] - qx) ** 2 + t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2)
     leg_r = np.sqrt((r[:, 0] - qx) ** 2 + r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2)
     assert np.array_equal(sol.qx, qx)
-    assert np.array_equal(sol.leg_t, leg_t) and np.array_equal(sol.leg_r, leg_r)
+    assert np.array_equal(sol.legs, [leg_t, leg_r])
+    assert np.array_equal(sol.dx, [t[:, 0] - qx, r[:, 0] - qx])
+    assert np.array_equal(sol.dz, [z_e - t[:, 2], z_e - r[:, 2]])
     assert np.array_equal(sol.length, leg_t + leg_r)
     assert sol.endpoint.any() and not sol.endpoint.all()
 
@@ -564,7 +566,12 @@ def test_solve_edge_lambdas_is_elementwise_in_any_shape():
     t, r = rng.uniform(-20, 20, (60, 3)), rng.uniform(-20, 20, (60, 3))
     x1, x2, z_e = rng.uniform(-5, 0, 60), rng.uniform(0.1, 5, 60), rng.uniform(-3, 3, 60)
     flat = solve_edges(t, r, x1, x2, z_e)
-    args = [t[:, 0], t[:, 1] ** 2, t[:, 2], r[:, 0], r[:, 1] ** 2, r[:, 2], x2, x1 - x2, z_e]
-    block = _solve_edge_lambdas(*(np.ascontiguousarray(v.reshape(4, 15).T) for v in args))
-    for got, expect in zip(block, flat):
-        assert got.shape == (15, 4) and np.array_equal(got, expect.reshape(4, 15).T)
+
+    def block(v):  # (..., 60) -> contiguous (..., 15, 4)
+        return np.ascontiguousarray(np.swapaxes(v.reshape(*v.shape[:-1], 4, 15), -1, -2))
+
+    x, y, z = np.stack((t.T, r.T), axis=1)
+    got = _solve_edge_lambdas(*(block(v) for v in (x, y ** 2, z, x2, x1 - x2, z_e)))
+    for column, expect in zip(got, flat):
+        assert column.shape == expect.shape[:-1] + (15, 4)
+        assert np.array_equal(column, block(expect))

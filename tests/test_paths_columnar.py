@@ -179,6 +179,42 @@ def test_losses_match_per_row_pdp_at_every_ladder_frequency():
     assert checked > 1000
 
 
+@pytest.mark.parametrize("freqs", [(28e9,), DEFAULT_FREQUENCY_LADDER_HZ], ids=["F1", "F7"])
+def test_leg_slab_sums_equal_the_where_cumsum_oracle(freqs):
+    # Each leg's slab loss, bit for bit, on every receiver of the trials and
+    # ladder grids (4 anchors), on random one-anchor point queries, and on
+    # synthetic masks with distinct losses: a leg that crosses nothing, legs
+    # that cross 6 surfaces, a table that crosses nothing and an empty one.
+    tables = []
+    for spacing in (10.0, 6.0):
+        scene = build_default_scene(grid_spacing=spacing, receiver_floors=(3,))
+        geom = build_scene_geometry(scene)
+        tables += [path_table(scene, range(4), rx, geom) for rx in receiver_grid(scene)]
+    tables += [path_table(SCENE, (a,), rx, GEOM)
+               for a, rx in random_pairs(np.random.default_rng(8), 40)]
+    deepest = 0
+    for table in tables:
+        slab_db = np.array([table.geometry.prepare_frequency(f_hz) for f_hz in freqs])
+        crossed = table.crossings.reshape(-1, slab_db.shape[1])
+        got = channel._leg_slab_db(crossed, table.n_crossings.ravel(), slab_db)
+        assert np.array_equal(got, scalar_paths.leg_slab_db(crossed, slab_db))
+        deepest = max(deepest, int(table.n_crossings.max()))
+    assert deepest == SCENE.limits.max_transmissions
+
+    rng = np.random.default_rng(9)
+    n_surfaces = len(GEOM.surfaces)
+    slab_db = rng.uniform(0.5, 40.0, (len(freqs), n_surfaces))
+    crossed = np.zeros((12, n_surfaces), dtype=bool)
+    for leg in range(1, 12):
+        crossed[leg, rng.choice(n_surfaces, 6 if leg % 2 else leg % 5, replace=False)] = True
+    for mask in (crossed, np.zeros((5, n_surfaces), dtype=bool),
+                 np.zeros((0, n_surfaces), dtype=bool)):
+        got = channel._leg_slab_db(mask, mask.sum(axis=1), slab_db)
+        assert got.shape == (len(freqs), len(mask))
+        assert np.array_equal(got, scalar_paths.leg_slab_db(mask, slab_db))
+    assert not channel._leg_slab_db(crossed, crossed.sum(axis=1), slab_db)[:, 0].any()
+
+
 _TABLE_COLUMNS = ("anchor", "length_m", "tof_s", "crossings", "kind", "n_crossings", "group",
                   "edge_id", "reflector", "incidence_rad")
 
