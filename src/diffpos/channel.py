@@ -7,10 +7,11 @@ with slab transmissions, single specular reflections off reflective surfaces
 plus trailing transmissions, and single diffraction at every window edge.
 Interaction events are ordered along the path, so classification into the
 four propagation groups falls out of the event sequence. Path geometry does
-not depend on frequency: path_table computes it once per receiver, for any
-set of anchors, into one columnar PathTable (the pairs' rows anchor by
-anchor); PathTable.losses applies the losses of any number of frequencies
-to all rows at once, and PathTable.pdp builds the PDP of a one-anchor table.
+not depend on frequency: path_table computes it once for a block of
+receivers and any set of anchors, into one columnar PathTable (rows
+receiver by receiver, each anchor by anchor); PathTable.losses applies the
+losses of any number of frequencies to all rows at once, and PathTable.pdp
+builds the PDP of a one-receiver, one-anchor table.
 
 MPC records can also be ingested from a line-delimited JSON dataset (schema
 "mpc-dataset/1"), e.g. exports from an external ray tracer.
@@ -19,9 +20,11 @@ MPC records can also be ingested from a line-delimited JSON dataset (schema
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +35,10 @@ from .geometry import (
     RigidTransform,
     WindowEdge,
     _edge_points_world,
+    _mirror_images,
     _on_edge_line,
     _reflect_rows,
+    _signed_distances,
     _solve_edge_lambdas,
     euclidean_distance,
 )
@@ -411,9 +416,10 @@ class Surface:
 
 
 class EdgeDiffractions(NamedTuple):
-    """Single diffractions of a scene, one entry per (anchor, edge) row."""
+    """Single diffractions of a scene, one entry per (receiver, anchor,
+    edge) row."""
 
-    anchor: np.ndarray  # (D,) anchor position in the tx rows
+    pair: np.ndarray  # (D,) receiver * A + anchor, positions in the rx and tx rows
     ids: np.ndarray  # (D,) edge indices into SceneGeometry.edges
     lam: np.ndarray  # (D,) q = lam*X1 + (1-lam)*X2 in the edge-local frame
     endpoint: np.ndarray  # (D,) clamped to an edge endpoint
@@ -422,14 +428,37 @@ class EdgeDiffractions(NamedTuple):
 
 
 class Reflections(NamedTuple):
-    """Single specular reflections of a scene, one entry per (anchor,
-    reflector) row."""
+    """Single specular reflections of a scene, one entry per (receiver,
+    anchor, reflector) row."""
 
-    anchor: np.ndarray  # (R,) anchor position in the tx rows
+    pair: np.ndarray  # (R,) receiver * A + anchor, positions in the rx and tx rows
     ids: np.ndarray  # (R,) reflector indices into SceneGeometry.reflector_slabs
     length: np.ndarray  # (R,) image-source path length
     point: np.ndarray  # (R, 3) world specular point
     incidence: np.ndarray  # (R,) incidence angle from the normal, below pi/2
+
+
+class _AnchorTerms(NamedTuple):
+    """What the reflections and diffractions of a set of anchors need of
+    the anchors alone, whatever the receivers."""
+
+    tx: np.ndarray  # (A, 3)
+    plane_distance: np.ndarray  # (A, K) signed distance to every reflector plane
+    image: np.ndarray  # (A, K, 3) image in every reflector plane
+    edge_local: np.ndarray  # (A, E, 3) position in every edge frame
+    on_edge_line: np.ndarray  # (A, E) lies on the edge line
+
+
+# Edge rows per chunk of SceneGeometry.diffractions. Chunks bound the edge
+# kernel's temporaries: solving a four-receiver sweep block unchunked raised
+# the sweep's traced peak from 0.68 to 1.2 MB, and 768 was the largest chunk
+# measured to keep it at 0.68 MB. A point query's rows (about 170) fit in
+# one chunk.
+_EDGE_ROWS = 768
+
+# Anchor sets whose terms a SceneGeometry keeps; a sweep uses one and point
+# queries one per anchor, so the memo is emptied when it reaches this size.
+_ANCHOR_SETS = 64
 
 
 class _SurfacePack(NamedTuple):
@@ -480,6 +509,7 @@ class SceneGeometry:
         self.surfaces = surfaces
         self.edges = edges
         self._walls = _pack_surfaces(surfaces)
+        self._cut_surfaces = np.flatnonzero(self._walls.has_cutouts)
         # Reflectors; the ground is the unbounded plane z = 0.
         mirrors = [s for s in surfaces if s.reflective]
         if ground_slab is not None:
@@ -494,6 +524,7 @@ class SceneGeometry:
         self._edge_x2 = np.array([e.x2 for e in edges], dtype=float)
         self._edge_z = np.array([e.z_e for e in edges], dtype=float)
         self._loss_cache: dict[float, np.ndarray] = {}
+        self._anchor_cache: dict[bytes, _AnchorTerms] = {}
 
     def prepare_frequency(self, f_hz: float) -> np.ndarray:
         losses = self._loss_cache.get(f_hz)
@@ -502,6 +533,23 @@ class SceneGeometry:
                 transmission_loss_db(s.slab, f_hz) for s in self.surfaces])
             self._loss_cache[f_hz] = losses
         return losses
+
+    def _anchor_terms(self, tx) -> _AnchorTerms:
+        """The terms of the anchors ``tx`` (A, 3), or of one (3,) point,
+        kept per anchor set (bit pattern)."""
+        tx = np.array(tx, dtype=float).reshape(-1, 3)  # a copy, kept with the terms
+        key = tx.tobytes()
+        terms = self._anchor_cache.get(key)
+        if terms is None:
+            if len(self._anchor_cache) >= _ANCHOR_SETS:
+                self._anchor_cache.clear()
+            normals = self._mirror_normal
+            dt = _signed_distances(tx, normals, self._mirrors.coord)
+            t = np.array([self._edge_rotation @ t_a + self._edge_translation
+                          for t_a in tx]).reshape(len(tx), -1, 3)
+            terms = self._anchor_cache[key] = _AnchorTerms(
+                tx, dt, _mirror_images(dt, tx, normals), t, _on_edge_line(t, self._edge_z))
+        return terms
 
     def crossings(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
         """(L, S) mask of the surfaces each open segment (p0[l], p1[l]) crosses.
@@ -512,34 +560,46 @@ class SceneGeometry:
         point: the same leg can count differently in its two directions.
         ``path_table`` therefore always tests a path's legs as they
         propagate, from the anchor to the interaction point and on to the
-        receiver.
+        receiver. The mask is the transpose of a surface-major (S, L) array.
         """
         walls = self._walls
-        d = p1 - p0
-        denom = d[:, walls.axis]
-        crossing = np.abs(denom) > 1e-15
+        p0 = p0.T.copy()
+        d = p1.T - p0
+        denom = d[walls.axis]
+        t = walls.coord[:, None] - p0[walls.axis]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (walls.coord - p0[:, walls.axis]) / denom
-        t = np.where(crossing, t, -1.0)  # parallel segments never cross
-        hit = crossing & (t > _SEGMENT_EPS) & (t < 1.0 - _SEGMENT_EPS)
-        ui, vi = walls.uv.T
-        u = p0[:, ui] + t * d[:, ui]
-        v = p0[:, vi] + t * d[:, vi]
-        u_lo, u_hi, v_lo, v_hi = walls.extent
-        hit &= (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= v_hi)
+            t /= denom
+        t[np.abs(denom) <= 1e-15] = -1.0  # parallel segments never cross
+        del denom
+        hit = t > _SEGMENT_EPS
+        hit &= t < 1.0 - _SEGMENT_EPS
+        # The in-plane hit point p0 + t * d, formed in place as t * d + p0;
+        # only the rows of the surfaces with cutouts are kept.
+        cut = self._cut_surfaces
+        hit_point = []
+        for axes, lo, hi in zip(walls.uv.T, walls.extent[0::2, :, None],
+                                walls.extent[1::2, :, None]):
+            w = d[axes]
+            w *= t
+            w += p0[axes]
+            hit &= w >= lo
+            hit &= w <= hi
+            hit_point.append(w[cut])
         # Window cutouts punch holes into the few surfaces that carry them.
-        for i in np.flatnonzero(walls.has_cutouts).tolist():
-            legs = np.flatnonzero(hit[:, i])
-            box, hu, hv = walls.cutouts[:, i], u[legs, i][:, None], v[legs, i][:, None]
+        u, v = hit_point
+        for k, i in enumerate(cut.tolist()):
+            legs = np.flatnonzero(hit[i])
+            box, hu, hv = walls.cutouts[:, i], u[k, legs][:, None], v[k, legs][:, None]
             in_cutout = ((box[0] <= hu) & (hu <= box[1])
                          & (box[2] <= hv) & (hv <= box[3])).any(axis=1)
-            hit[legs[in_cutout], i] = False
-        return hit
+            hit[i, legs[in_cutout]] = False
+        return hit.T
 
     def reflections(self, tx, rx) -> Reflections:
         """Specular reflection of every anchor of ``tx`` (A, 3), or of one
-        (3,) point, to ``rx`` off every reflector with a valid specular
-        point; rows anchor by anchor, each in reflector order.
+        (3,) point, to every receiver of ``rx`` (N, 3), or to one (3,)
+        point, off every reflector with a valid specular point; rows
+        receiver by receiver, each anchor by anchor in reflector order.
 
         A reflector is left out when tx and rx are not strictly on the same
         side of its plane, when the specular point falls outside its extent
@@ -548,23 +608,27 @@ class SceneGeometry:
         clamped just below pi/2.
         """
         mirrors = self._mirrors
-        tx = np.asarray(tx, dtype=float).reshape(-1, 3)
-        length, point, ok = _reflect_rows(tx, np.asarray(rx, dtype=float),
+        terms = self._anchor_terms(tx)
+        length, point, ok = _reflect_rows(terms.plane_distance, terms.image,
+                                          np.asarray(rx, dtype=float).reshape(-1, 3),
                                           self._mirror_normal, mirrors.coord)
-        k = np.arange(point.shape[1])
+        incident = point - terms.tx[:, None]
+        # (receiver, anchor) pairs on one axis, receiver-major.
+        n_pairs, k = ok.shape[0] * ok.shape[1], np.arange(ok.shape[2])
+        length, ok = length.reshape(n_pairs, len(k)), ok.reshape(n_pairs, len(k))
+        point, incident = point.reshape(n_pairs, len(k), 3), incident.reshape(n_pairs, len(k), 3)
         u, v = point[:, k, mirrors.uv[:, 0]], point[:, k, mirrors.uv[:, 1]]
         u_lo, u_hi, v_lo, v_hi = mirrors.extent
         ok &= (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= v_hi)
-        a_cut, cut = (ok & mirrors.has_cutouts).nonzero()
-        box, hu, hv = mirrors.cutouts[:, cut], u[a_cut, cut, None], v[a_cut, cut, None]
-        ok[a_cut, cut] = ~((box[0] <= hu) & (hu <= box[1])
+        p_cut, cut = (ok & mirrors.has_cutouts).nonzero()
+        box, hu, hv = mirrors.cutouts[:, cut], u[p_cut, cut, None], v[p_cut, cut, None]
+        ok[p_cut, cut] = ~((box[0] <= hu) & (hu <= box[1])
                            & (box[2] <= hv) & (hv <= box[3])).any(axis=1)
-        incident = point - tx[:, None]
         norm = np.sqrt((incident * incident).sum(axis=-1))
-        anchor, ids = (ok & (norm != 0.0)).nonzero()
-        cos_i = np.abs(incident[anchor, ids, mirrors.axis[ids]]) / norm[anchor, ids]
+        pair, ids = (ok & (norm != 0.0)).nonzero()
+        cos_i = np.abs(incident[pair, ids, mirrors.axis[ids]]) / norm[pair, ids]
         angle = np.minimum(np.arccos(np.minimum(1.0, cos_i)), math.pi / 2 - 1e-12)
-        return Reflections(anchor, ids, length[anchor, ids], point[anchor, ids], angle)
+        return Reflections(pair, ids, length[pair, ids], point[pair, ids], angle)
 
     def edge_midpoints(self) -> np.ndarray:
         """World midpoints (E, 3) of the edges."""
@@ -573,26 +637,43 @@ class SceneGeometry:
 
     def diffractions(self, tx, rx) -> EdgeDiffractions:
         """Diffraction of every anchor of ``tx`` (A, 3), or of one (3,)
-        point, to ``rx`` at every edge, at the edge point that minimizes the
-        two-leg length: Keller's equal-angle point, clipped to the edge where
-        it lies off it (flagged as an endpoint). Rows run anchor by anchor,
-        each in edge order. Edges whose line holds both tx and rx, where
-        diffraction is undefined, are left out. Each anchor is moved into the
-        edge frames by its own matrix-vector products.
+        point, to every receiver of ``rx`` (N, 3), or to one (3,) point, at
+        every edge, at the edge point that minimizes the two-leg length:
+        Keller's equal-angle point, clipped to the edge where it lies off it
+        (flagged as an endpoint). Rows run receiver by receiver, each anchor
+        by anchor in edge order. Edges whose line holds both tx and rx,
+        where diffraction is undefined, are left out. Each point is moved
+        into the edge frames by its own matrix-vector products.
         """
         rotation, translation = self._edge_rotation, self._edge_translation
-        tx = np.asarray(tx, dtype=float).reshape(-1, 3)
-        t = np.array([rotation @ t_a + translation for t_a in tx])
-        r = rotation @ np.asarray(rx, dtype=float) + translation
-        anchor, ids = (~_on_edge_line(t, r, self._edge_z)).nonzero()
+        terms = self._anchor_terms(tx)
+        r = np.array([rotation @ r_n + translation
+                      for r_n in np.asarray(rx, dtype=float).reshape(-1, 3)])
+        receiver, anchor, ids = (~(terms.on_edge_line & _on_edge_line(r, self._edge_z)[:, None])
+                                 ).nonzero()
+        pair = receiver * len(terms.tx) + anchor
+        # The rows in chunks, which bounds the kernel's temporaries; every
+        # row depends on its own ends only.
+        lam, length, point = np.empty(len(ids)), np.empty(len(ids)), np.empty((len(ids), 3))
+        endpoint = np.empty(len(ids), dtype=bool)
+        for chunk in range(0, len(ids), _EDGE_ROWS):
+            rows = slice(chunk, chunk + _EDGE_ROWS)
+            lam[rows], endpoint[rows], length[rows], point[rows] = self._edge_rows(
+                terms.edge_local, r, receiver[rows], anchor[rows], ids[rows])
+        return EdgeDiffractions(pair, ids, lam, endpoint, length, point)
+
+    def _edge_rows(self, t, r, receiver, anchor, ids) -> tuple[np.ndarray, ...]:
+        """lam, endpoint, length and world point of the diffraction rows of
+        anchors ``t`` (A, E, 3) and receivers ``r`` (N, E, 3), in the edge
+        frames, at the edges ``ids``."""
         x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], self._edge_z[ids]
         # The ends stacked (3, 2, D) in C order, for the kernel's fast loops.
         ends = np.empty((3, 2, len(ids)))
-        ends[:, 0], ends[:, 1] = t[anchor, ids].T, r[ids].T
+        ends[:, 0], ends[:, 1] = t[anchor, ids].T, r[receiver, ids].T
         x, y, z = ends
         sol = _solve_edge_lambdas(x, y ** 2, z, x2, x1 - x2, z_e)
-        point = _edge_points_world(rotation[ids], translation[ids], x1, x2, z_e, sol.lam)
-        return EdgeDiffractions(anchor, ids, sol.lam, sol.endpoint, sol.length, point)
+        return sol.lam, sol.endpoint, sol.length, _edge_points_world(
+            self._edge_rotation[ids], self._edge_translation[ids], x1, x2, z_e, sol.lam)
 
 
 def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
@@ -690,27 +771,21 @@ def _interactions(kind: int, n1: int, n2: int) -> tuple[str, ...]:
     return found
 
 
-def _leg_slab_db(crossed: np.ndarray, counts: np.ndarray, slab_db: np.ndarray) -> np.ndarray:
+def _leg_slab_db(crossed: np.ndarray, slab_db: np.ndarray) -> np.ndarray:
     """Slab loss (F, L) of each of L legs at F frequencies: the losses
     ``slab_db`` (F, S) of the surfaces that its row of ``crossed`` (L, S)
-    marks, added in surface order. ``counts`` (L,) holds each row's number
-    of marks.
+    marks, added in surface order.
 
     The flat nonzero of ``crossed`` lists each leg's surfaces in ascending
-    order. Column j of a zero-padded (W, F, L) stack, W the largest count,
-    takes every leg's j-th surface, and the columns are added one after
-    another. A leg's sum thus adds only its own surfaces, in order, and
-    adding the padding's zeros leaves it unchanged.
+    order, and ``np.add.at`` adds unbuffered in index order, so each leg's
+    sum starts from zero and adds its own surfaces one after another.
     """
     n_surfaces = crossed.shape[1]
     flat = crossed.ravel().nonzero()[0]
     leg = flat // n_surfaces
-    stack = np.zeros((max(1, counts.max(initial=0)), len(slab_db), len(counts)))
-    stack[np.arange(len(flat)) - (counts.cumsum() - counts)[leg], :, leg] = \
-        slab_db.T[flat - leg * n_surfaces]
-    total = stack[0]
-    for column in stack[1:]:
-        total += column
+    total = np.zeros((len(slab_db), len(crossed)))
+    for row, losses in zip(total, slab_db[:, flat - leg * n_surfaces]):
+        np.add.at(row, leg, losses)
     return total
 
 
@@ -725,29 +800,24 @@ class PathLosses(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class PathTable:
     """Frequency-independent candidate paths from the anchors ``anchor_ids``
-    to one receiver.
+    to the receivers ``receivers`` (N, 3), one row per path.
 
-    One row per path, anchor by anchor in ``anchor_ids`` order, and each
-    anchor's rows in emission order: the direct segment, single specular
-    reflections (reflective surfaces in surface order, then the ground),
-    then single diffractions in edge order. So the table of several anchors
-    is, column by column, their one-anchor tables concatenated. Every
-    attribute but the first four is a column; ``anchor`` holds each row's
-    scene anchor index. ``crossings[p, 0]`` and ``crossings[p, 1]`` mark the
-    surfaces crossed before and after the path's reflection or diffraction
-    point (the direct segment has only the first), and ``n_crossings``
-    counts them. ``group`` holds the MpcGroup value: MPC1 for the direct
-    segment, MPC4 for a reflection or diffraction after a transmission,
-    otherwise MPC2 for a reflection and MPC3 for a diffraction.
-    Geometry-only drops happen when the table is built; ``losses`` applies
-    the losses of any number of frequencies and ``pdp`` builds the PDP of a
-    one-anchor table at one frequency.
+    Rows run receiver by receiver, each anchor by anchor in ``anchor_ids``
+    order, each pair in emission order: the direct segment, single specular
+    reflections (reflective surfaces, then the ground), then single
+    diffractions in edge order. So the columns (every attribute but the
+    first four) are the one-receiver, one-anchor tables concatenated.
+    ``crossings[p, 0]`` and ``[p, 1]`` mark the surfaces crossed before and
+    after the reflection or diffraction point (the direct segment has only
+    the first). ``group`` is MPC1 for the direct segment, MPC4 for a
+    reflection or diffraction after a transmission, else MPC2 or MPC3.
     """
 
     scene: SceneConfig
     geometry: SceneGeometry
     anchor_ids: tuple[int, ...]
-    rx: Point3
+    receivers: np.ndarray  # (N, 3)
+    receiver: np.ndarray  # (P,) position in receivers
     anchor: np.ndarray  # (P,) scene anchor index
     length_m: np.ndarray  # (P,)
     tof_s: np.ndarray  # (P,)
@@ -768,7 +838,8 @@ class PathTable:
         minus the slab losses of the surfaces each leg crosses. The losses
         accumulate as along the path: each leg's slab losses are summed in
         surface order, the first leg's then the second's, which fixes the
-        floating-point rounding. Paths that reflect nothing (infinite
+        floating-point rounding. Reflection losses take one call per
+        (reflector, frequency). Paths that reflect nothing (infinite
         reflection loss) and paths below the detectability floor are not
         detected.
         """
@@ -782,15 +853,20 @@ class PathTable:
         base = np.zeros((len(freqs), len(self.length_m)))
         base[:, self.kind == _DIFFRACTION] = [
             [diffraction_loss_db(radio.diffraction_loss, f_hz)] for f_hz in freqs]
+        # The reflection rows reflector by reflector, each in table order.
         rows = np.flatnonzero(self.kind == _REFLECTION)
-        for i, k, angle in zip(rows.tolist(), self.reflector[rows].tolist(),
-                               self.incidence_rad[rows].tolist()):
-            slab = self.geometry.reflector_slabs[k]
-            base[:, i] = [reflection_loss_db(slab, f_hz, angle, radio.polarization)
-                          for f_hz in freqs]
+        rows = rows[self.reflector[rows].argsort(kind="stable")]
+        reflection_db = [[] for _ in freqs]
+        for k, run in itertools.groupby(zip(self.reflector[rows].tolist(),
+                                            self.incidence_rad[rows].tolist()), itemgetter(0)):
+            angles = [angle for _, angle in run]
+            for f_hz, row in zip(freqs, reflection_db):
+                row += reflection_loss_db(self.geometry.reflector_slabs[k], f_hz, angles,
+                                          radio.polarization)
+        base[:, rows] = reflection_db
         slab_db = np.array([self.geometry.prepare_frequency(f_hz) for f_hz in freqs])
         legs_db = _leg_slab_db(self.crossings.reshape(-1, slab_db.shape[1]),
-                               self.n_crossings.ravel(), slab_db).reshape(len(freqs), -1, 2)
+                               slab_db).reshape(len(freqs), -1, 2)
         extra = base + legs_db[..., 0] + legs_db[..., 1]
         power = gain - free_space_path_loss_db(self.length_m, np.array(freqs)[:, None]) - extra
         snr = power - floor
@@ -817,14 +893,52 @@ class PathTable:
         ]
 
     def pdp(self, f_hz: float) -> Pdp:
-        """The PDP of a one-anchor table at one frequency, sorted by time of
-        flight; Mpc objects are built for the detected rows only."""
+        """The PDP of a one-receiver, one-anchor table at one frequency,
+        sorted by time of flight; Mpc objects are built for the detected
+        rows only."""
         if len(self.anchor_ids) != 1:
             raise ValueError(f"a PDP has one anchor, the table has {len(self.anchor_ids)}")
+        if len(self.receivers) != 1:
+            raise ValueError(f"a PDP has one receiver, the table has {len(self.receivers)}")
         power, snr, detected = self.losses(f_hz)
         rows = self.detected_rows(detected[0])
-        return Pdp(self.build_mpcs(rows, power[0, rows], snr[0, rows]), self.rx,
-                   self.anchor_ids[0])
+        return Pdp(self.build_mpcs(rows, power[0, rows], snr[0, rows]),
+                   Point3(*self.receivers[0].tolist()), self.anchor_ids[0])
+
+
+def _anchor_indices(scene: SceneConfig, anchor_ids, name: str) -> tuple[int, ...]:
+    """The scene anchor indices ``anchor_ids`` as a non-empty tuple of ints;
+    ValueError naming the argument ``name`` for an empty one or an entry
+    that is not an index of a scene anchor (a negative one included)."""
+    ids = tuple(anchor_ids)
+    if not ids:
+        raise ValueError(f"{name} is empty")
+    n_anchors = len(scene.anchors)
+    for a in ids:
+        if not (type(a) is int or isinstance(a, np.integer)) or not 0 <= a < n_anchors:
+            raise ValueError(f"{name}: {a!r} is not an anchor index in 0..{n_anchors - 1}")
+    return tuple(map(int, ids))
+
+
+def _receiver_block(rx) -> np.ndarray:
+    """The receivers (N, 3) of a Point3, a (3,) point or an (N, 3) block;
+    ValueError naming ``rx`` for any other shape, an empty block or a
+    non-finite coordinate."""
+    if isinstance(rx, Point3):
+        return rx.as_array()[None]
+    expected = "rx must be a Point3, a point of shape (3,) or a block of shape (N, 3) with N >= 1"
+    try:
+        block = np.asarray(rx, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{expected}, got a {type(rx).__name__} that is no array of "
+                         "numbers") from None
+    if block.ndim == 1:
+        block = block[None]
+    if block.ndim != 2 or block.shape[1] != 3 or not len(block):
+        raise ValueError(f"{expected}, got shape {np.shape(rx)}")
+    if not np.isfinite(block).all():
+        raise ValueError("rx has a non-finite coordinate")
+    return block
 
 
 def path_table(
@@ -834,81 +948,104 @@ def path_table(
     geometry: SceneGeometry | None = None,
 ) -> PathTable:
     """Enumerate the candidate paths from each anchor of ``anchor_ids`` (scene
-    anchor indices) to one receiver, in one table.
+    anchor indices) to each receiver of ``rx`` (a Point3, a (3,) point or an
+    (N, 3) block), in one table; a point query is a block of one.
 
-    Families generated: the direct segment with one transmission per slab
-    crossing, single specular reflections off reflective surfaces (and the
-    ground) with transmissions ordered along both legs, and single
-    diffraction at every window edge with trailing transmissions. Dropped
-    here, for every frequency at once: reflections with no valid specular
-    point on the surface (outside its extent or in a window cutout),
-    diffractions on an edge line holding both endpoints, paths beyond the
-    transmission limit, and zero-length paths.
+    Families: the direct segment, single specular reflections off the
+    reflective surfaces and the ground, and single diffraction at every
+    window edge, each with one transmission per slab crossing along its
+    legs. Dropped here, for every frequency at once: reflections without a
+    valid specular point, diffractions on an edge line holding both ends,
+    paths beyond the transmission limit, and zero-length paths.
 
-    The reflections and the edge solves of all anchors are one call each;
-    the crossing test is one call per anchor, which was measured faster
-    than one call over all legs. Every row is computed as in a one-anchor
-    table, so the columns equal the one-anchor tables' concatenated, bit
-    for bit.
+    The reflections and edge solves of all pairs are one call each; the
+    crossing test is one call per (receiver, anchor) pair, which was
+    measured faster than batching it. Every row is computed as in a
+    one-receiver, one-anchor table, bit for bit. Bad ``anchor_ids`` and a
+    malformed ``rx`` raise ValueError.
     """
+    return _path_table(scene, _anchor_indices(scene, anchor_ids, "anchor_ids"),
+                       _receiver_block(rx), geometry)
+
+
+def _path_table(scene: SceneConfig, anchor_ids: tuple[int, ...], receivers: np.ndarray,
+                geometry: SceneGeometry | None) -> PathTable:
+    """The path_table of checked ``anchor_ids`` and an (N, 3) block of
+    ``receivers``."""
     geom = geometry if geometry is not None else build_scene_geometry(scene)
-    anchor_ids = tuple(anchor_ids)
     anchors = np.array([scene.anchors[a] for a in anchor_ids], dtype=float)
-    rx_vec = rx.as_array() if isinstance(rx, Point3) else np.asarray(rx, dtype=float)
     limits = scene.limits
     n_anchors = len(anchors)
+    n_pairs = len(receivers) * n_anchors
 
-    refl = geom.reflections(anchors, rx_vec)
-    if limits.max_reflections < 1:
-        refl = Reflections(*(column[:0] for column in refl))
-    diff = geom.diffractions(anchors, rx_vec)
-    if limits.max_diffractions < 1:
-        diff = EdgeDiffractions(*(column[:0] for column in diff))
-    n_refl, n_diff = len(refl.ids), len(diff.ids)
+    pair, kind, length, pts, edge_id, reflector, incidence = _candidates(
+        geom, anchors, receivers, limits)
 
-    # Rows kind by kind (direct, reflections, diffractions), each anchor by
-    # anchor; a stable sort by anchor puts every anchor's rows in emission
-    # order. The direct segment's interaction point is the receiver, so its
-    # second leg is empty.
-    anchor = np.concatenate([np.arange(n_anchors), refl.anchor, diff.anchor])
-    order = anchor.argsort(kind="stable")
-    anchor = anchor[order]
-    length = np.concatenate([[euclidean_distance(tx, rx_vec) for tx in anchors],
-                             refl.length, diff.length])[order]
-    pts = np.concatenate([rx_vec[None].repeat(n_anchors, axis=0), refl.point, diff.point])[order]
-
-    legs, start = [], 0
-    for tx, end in zip(anchors, np.bincount(anchor, minlength=n_anchors).cumsum().tolist()):
+    crossed = np.empty((len(pair), 2, len(geom.surfaces)), dtype=bool)
+    start = 0
+    ends = np.bincount(pair, minlength=n_pairs).cumsum().tolist()
+    for (r, tx), end in zip(((r, tx) for r in receivers for tx in anchors), ends):
         p = pts[start:end]
-        hits = geom.crossings(np.concatenate([tx[None].repeat(len(p), axis=0), p]),
-                              np.concatenate([p, rx_vec[None].repeat(len(p), axis=0)]))
-        legs.append(hits.reshape(2, len(p), -1).transpose(1, 0, 2))
+        n = end - start
+        crossed[start:end] = geom.crossings(
+            np.concatenate([tx[None].repeat(n, axis=0), p]),
+            np.concatenate([p, r[None].repeat(n, axis=0)])).reshape(2, n, -1).transpose(1, 0, 2)
         start = end
-    crossings = np.concatenate(legs)
-    n_crossings = crossings.sum(axis=2)
+    n_crossings = crossed.sum(axis=2)
     keep = np.flatnonzero((length > 0.0) & (n_crossings.sum(axis=1) <= limits.max_transmissions))
-    rows = order[keep]
-
-    kind = _KINDS.repeat([n_anchors, n_refl, n_diff])[rows]
-    n_crossings = n_crossings[keep]
+    kind, n_crossings, pair, length = kind[keep], n_crossings[keep], pair[keep], length[keep]
     group = np.where((kind != _DIRECT) & (n_crossings[:, 0] > 0), MpcGroup.MPC4.value,
                      _KIND_GROUP[kind])
     return PathTable(
         scene=scene,
         geometry=geom,
         anchor_ids=anchor_ids,
-        rx=Point3.from_array(rx_vec),
-        anchor=np.array(anchor_ids)[anchor[keep]],
-        length_m=length[keep],
-        tof_s=length[keep] / SPEED_OF_LIGHT,
-        crossings=crossings[keep],
+        receivers=receivers,
+        receiver=pair // n_anchors,
+        anchor=np.array(anchor_ids)[pair % n_anchors],
+        length_m=length,
+        tof_s=length / SPEED_OF_LIGHT,
+        crossings=crossed[keep],
         kind=kind,
         n_crossings=n_crossings,
         group=group,
-        edge_id=np.concatenate([np.full(n_anchors + n_refl, -1), diff.ids])[rows],
-        reflector=np.concatenate([np.full(n_anchors, -1), refl.ids, np.full(n_diff, -1)])[rows],
-        incidence_rad=np.concatenate([np.full(n_anchors, math.nan), refl.incidence,
-                                      np.full(n_diff, math.nan)])[rows],
+        edge_id=edge_id[keep],
+        reflector=reflector[keep],
+        incidence_rad=incidence[keep],
+    )
+
+
+def _candidates(geom: SceneGeometry, anchors: np.ndarray, receivers: np.ndarray,
+                limits: PathLimits) -> tuple[np.ndarray, ...]:
+    """Pair index, kind, length, interaction point, edge, reflector and
+    incidence of every candidate row, pair by pair in emission order: the
+    rows come kind by kind, each pair by pair, and a stable sort by pair
+    orders them. A direct segment's interaction point is the receiver.
+    The kernels' outputs are released when this returns, before a block's
+    crossing tests run.
+    """
+    n_anchors = len(anchors)
+    n_pairs = len(receivers) * n_anchors
+    refl = geom.reflections(anchors, receivers)
+    if limits.max_reflections < 1:
+        refl = Reflections(*(column[:0] for column in refl))
+    diff = geom.diffractions(anchors, receivers)
+    if limits.max_diffractions < 1:
+        diff = EdgeDiffractions(*(column[:0] for column in diff))
+    n_refl, n_diff = len(refl.ids), len(diff.ids)
+
+    pair = np.concatenate([np.arange(n_pairs), refl.pair, diff.pair])
+    order = pair.argsort(kind="stable")
+    return (
+        pair[order],
+        _KINDS.repeat([n_pairs, n_refl, n_diff])[order],
+        np.concatenate([[euclidean_distance(tx, r) for r in receivers for tx in anchors],
+                        refl.length, diff.length])[order],
+        np.concatenate([receivers.repeat(n_anchors, axis=0), refl.point, diff.point])[order],
+        np.concatenate([np.full(n_pairs + n_refl, -1), diff.ids])[order],
+        np.concatenate([np.full(n_pairs, -1), refl.ids, np.full(n_diff, -1)])[order],
+        np.concatenate([np.full(n_pairs, math.nan), refl.incidence,
+                        np.full(n_diff, math.nan)])[order],
     )
 
 
@@ -924,9 +1061,12 @@ def enumerate_mpcs(
     Paths beyond the transmission limit or below the detectability floor
     are dropped; an empty PDP is a legitimate deep-indoor outcome. To
     evaluate one pair at several frequencies, build its one-anchor
-    path_table once and call its pdp per frequency.
+    path_table once and call its pdp per frequency. An ``anchor_index``
+    that is not a scene anchor index, negative ones included, raises
+    ValueError.
     """
-    return path_table(scene, (anchor_index,), rx, geometry).pdp(f_hz)
+    return _path_table(scene, _anchor_indices(scene, (anchor_index,), "anchor_index"),
+                       _receiver_block(rx), geometry).pdp(f_hz)
 
 
 # ---------------------------------------------------------------------------

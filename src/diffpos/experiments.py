@@ -208,10 +208,10 @@ class SweepReport:
 
 
 class _ReceiverFaps(NamedTuple):
-    """What a sweep keeps of one receiver: (F, A) arrays over its
-    frequencies and anchors, valid where ``detected``."""
+    """What a sweep keeps of a block of N receivers: (N, F, A) arrays over
+    its receivers, frequencies and anchors, valid where ``detected``."""
 
-    detected: np.ndarray  # (F,) every anchor has a FAP
+    detected: np.ndarray  # (N, F) every anchor has a FAP
     group: np.ndarray  # MpcGroup value of the FAP
     snr_db: np.ndarray
     length_m: np.ndarray
@@ -222,25 +222,28 @@ class _ReceiverFaps(NamedTuple):
 
 def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
                    nearest_edges: list[int]) -> _ReceiverFaps:
-    """Top-k truncation and FAP of a receiver's path table at every frequency
-    and anchor, in one ``fap_rows`` call.
+    """Top-k truncation and FAP of a block table at every receiver,
+    frequency and anchor, in one ``fap_rows`` call.
 
-    The table covers the scene's anchors 0..A-1. One lexsort by (anchor,
-    time of flight), ties in table order, gives each anchor's PDP order: an
-    (A, P) index into the rows, padded past the last row, so that the
-    columns read as (A, P) and the losses as (F, A, P), the padding
-    undetected. The diffraction model's edge is the FAP's own edge when it
-    is a diffraction path, then that of the earliest kept diffraction
-    component, then the anchor's ``nearest_edges`` entry (pure mismatch
-    case). The MPC3 rows of a path table always have an edge.
+    The table covers the scene's anchors 0..A-1, and each (receiver,
+    anchor) pair is one PDP. One lexsort by (pair, time of flight), ties in
+    table order, gives each pair's PDP order: an (N*A, P) index into the
+    rows, padded past the last row, so that the columns read as (N*A, P)
+    and the losses as (F, N*A, P), the padding undetected. The diffraction
+    model's edge is the FAP's own edge when it is a diffraction path, then
+    that of the earliest kept diffraction component, then the anchor's
+    ``nearest_edges`` entry (pure mismatch case). The MPC3 rows of a path
+    table always have an edge.
     """
     n_anchors = len(table.anchor_ids)
-    counts = np.bincount(table.anchor, minlength=n_anchors)
-    # The lexsort lists anchor 0's PDP, then anchor 1's, and so on; row a of
-    # the index takes the next counts[a] of its positions. There is at
+    n_pairs = len(table.receivers) * n_anchors
+    pair = table.receiver * n_anchors + table.anchor
+    counts = np.bincount(pair, minlength=n_pairs)
+    # The lexsort lists pair 0's PDP, then pair 1's, and so on; row j of
+    # the index takes the next counts[j] of its positions. There is at
     # least one position when the table is empty.
-    index = np.full((n_anchors, max(1, counts.max())), len(table.tof_s))
-    index[np.arange(index.shape[1]) < counts[:, None]] = np.lexsort((table.tof_s, table.anchor))
+    index = np.full((n_pairs, max(1, counts.max())), len(table.tof_s))
+    index[np.arange(index.shape[1]) < counts[:, None]] = np.lexsort((table.tof_s, pair))
 
     def stacked(column, fill):
         pad = np.full((*column.shape[:-1], 1), fill)
@@ -251,19 +254,22 @@ def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
     edge = stacked(table.edge_id, -1)
     sel = fap_rows(stacked(table.tof_s, np.inf), snr, stacked(losses.detected, False),
                    group == MpcGroup.MPC3.value, cfg.top_k, cfg.t_fap_db)
-    freq, anchor = np.arange(snr.shape[0])[:, None], np.arange(n_anchors)
-    fap_group = group[anchor, sel.fap]
-    mpc3_edge = np.where(sel.mpc3 >= 0, edge[anchor, sel.mpc3], -1)
-    model_edge = np.where(fap_group == MpcGroup.MPC3.value, edge[anchor, sel.fap],
+    freq, pair = np.arange(snr.shape[0])[:, None], np.arange(n_pairs)
+    shape = (len(snr), len(table.receivers), n_anchors)
+    fap_group = group[pair, sel.fap].reshape(shape)
+    mpc3_edge = np.where(sel.mpc3 >= 0, edge[pair, sel.mpc3], -1).reshape(shape)
+    model_edge = np.where(fap_group == MpcGroup.MPC3.value, edge[pair, sel.fap].reshape(shape),
                           np.where(mpc3_edge >= 0, mpc3_edge, nearest_edges))
+    # (F, N, A) -> (N, F, A)
     return _ReceiverFaps(
-        detected=~sel.no_detection.any(axis=1),
-        group=fap_group,
-        snr_db=snr[freq, anchor, sel.fap],
-        length_m=stacked(table.length_m, np.nan)[anchor, sel.fap],
-        model_edge=model_edge,
-        mpc3_edge=mpc3_edge,
-        mpc3_snr_db=np.where(sel.mpc3 >= 0, snr[freq, anchor, sel.mpc3], np.nan),
+        detected=~sel.no_detection.reshape(shape).any(axis=2).T,
+        group=fap_group.swapaxes(0, 1),
+        snr_db=snr[freq, pair, sel.fap].reshape(shape).swapaxes(0, 1),
+        length_m=stacked(table.length_m, np.nan)[pair, sel.fap].reshape(shape).swapaxes(0, 1),
+        model_edge=model_edge.swapaxes(0, 1),
+        mpc3_edge=mpc3_edge.swapaxes(0, 1),
+        mpc3_snr_db=np.where(sel.mpc3 >= 0, snr[freq, pair, sel.mpc3], np.nan).reshape(
+            shape).swapaxes(0, 1),
     )
 
 
@@ -304,11 +310,12 @@ class _Queue(NamedTuple):
     bound: list  # (fi, a peb_batch problem) per receiver and frequency
 
 
-def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, ri: int,
-                    rx_true: np.ndarray, beta_sqs: list[float],
-                    tallies: list[_FrequencyTally], queue: _Queue) -> None:
-    """Tally receiver ``ri`` at every frequency and queue its LLS, bound and
-    D-NLS problems.
+def _tally_receivers(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, first: int,
+                     receivers: np.ndarray, beta_sqs: list[float],
+                     tallies: list[_FrequencyTally], queue: _Queue) -> None:
+    """Tally a block of receivers, sweep indices ``first`` on, at every
+    frequency and queue their LLS, bound and D-NLS problems, receiver by
+    receiver.
 
     A frequency at which some anchor detects nothing counts one
     no-detection exclusion. At the others, every trial draws its noise and
@@ -317,40 +324,42 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, 
     scene = cfg.scene
     anchors = np.asarray(scene.anchors, dtype=float)
     n_anchors = len(anchors)
-    groups, snrs, lengths, model_edges, mpc3_edges, mpc3_snrs = (
-        x.tolist() for x in (faps.group, faps.snr_db, faps.length_m, faps.model_edge,
-                             faps.mpc3_edge, faps.mpc3_snr_db))
-    for fi, tally in enumerate(tallies):
-        if not faps.detected[fi]:
-            tally.excl["no_detection"] += 1
-            continue
-        for a in range(n_anchors):
-            tally.groups_by_anchor[a].append(MpcGroup(groups[fi][a]))
-        tally.fap_snrs.extend(snrs[fi])
+    detected, groups, snrs, lengths, model_edges, mpc3_edges, mpc3_snrs = (
+        x.tolist() for x in faps)
+    for n, rx_true in enumerate(receivers):
+        ri = first + n
+        for fi, tally in enumerate(tallies):
+            if not detected[n][fi]:
+                tally.excl["no_detection"] += 1
+                continue
+            for a in range(n_anchors):
+                tally.groups_by_anchor[a].append(MpcGroup(groups[n][fi][a]))
+            tally.fap_snrs.extend(snrs[n][fi])
 
-        edges = tuple(geom.edges[e] for e in model_edges[fi])
-        sigmas = np.array([range_sigma_m(beta_sqs[fi], 10 ** (snr / 10)) for snr in snrs[fi]])
+            edges = tuple(geom.edges[e] for e in model_edges[n][fi])
+            sigmas = np.array([range_sigma_m(beta_sqs[fi], 10 ** (snr / 10))
+                               for snr in snrs[n][fi]])
 
-        # Bound at the true position, using the strongest isolation
-        # assumption: the earliest diffraction path of each anchor.
-        peb_anchor_idx = [a for a in range(n_anchors) if mpc3_edges[fi][a] >= 0]
-        if len(peb_anchor_idx) >= 3:
-            queue.bound.append((fi, (
-                rx_true, anchors[peb_anchor_idx],
-                tuple(geom.edges[mpc3_edges[fi][a]] for a in peb_anchor_idx),
-                np.array([10 ** (mpc3_snrs[fi][a] / 10) for a in peb_anchor_idx]),
-                beta_sqs[fi])))
-        else:
-            tally.excl["peb_singular"] += 1
-
-        true_ranges = np.array(lengths[fi])
-        for trial in range(cfg.trials):
-            if cfg.noiseless:
-                noise = np.zeros(n_anchors)
+            # Bound at the true position, using the strongest isolation
+            # assumption: the earliest diffraction path of each anchor.
+            peb_anchor_idx = [a for a in range(n_anchors) if mpc3_edges[n][fi][a] >= 0]
+            if len(peb_anchor_idx) >= 3:
+                queue.bound.append((fi, (
+                    rx_true, anchors[peb_anchor_idx],
+                    tuple(geom.edges[mpc3_edges[n][fi][a]] for a in peb_anchor_idx),
+                    np.array([10 ** (mpc3_snrs[n][fi][a] / 10) for a in peb_anchor_idx]),
+                    beta_sqs[fi])))
             else:
-                rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
-                noise = sigmas * rng.standard_normal(n_anchors)
-            queue.lls.append((fi, true_ranges + noise, sigmas, edges, rx_true))
+                tally.excl["peb_singular"] += 1
+
+            true_ranges = np.array(lengths[n][fi])
+            for trial in range(cfg.trials):
+                if cfg.noiseless:
+                    noise = np.zeros(n_anchors)
+                else:
+                    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
+                    noise = sigmas * rng.standard_normal(n_anchors)
+                queue.lls.append((fi, true_ranges + noise, sigmas, edges, rx_true))
 
 
 # D-NLS problems per dnls_ladder call in run_sweep; each call also solves the
@@ -358,6 +367,15 @@ def _tally_receiver(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, 
 # depend on the rest of its batch, so the batch size bounds the sweep's
 # memory without changing any output.
 _DNLS_BATCH = 1024
+
+# Candidate path rows times frequencies per block of receivers in run_sweep:
+# a block holds as many receivers as fit, at least one. Every row and every
+# PDP is computed as in a block of one, so the bound sets the front end's
+# memory and call count without changing any output. 3000 is four default
+# scene receivers (728 candidate rows each) at one frequency, the largest
+# block measured to keep the sweep's peak memory at the per-receiver loop's;
+# a 7-frequency ladder runs one receiver at a time.
+_BLOCK_CELLS = 3000
 
 
 def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], anchors: np.ndarray, bounds,
@@ -397,23 +415,26 @@ def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], anchors: np.ndar
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run the full pipeline over the frequency ladder; deterministic.
 
-    Receivers run in the outer loop: each (anchor, receiver) path table is
-    built once and its losses are evaluated at every frequency in one pass.
-    Top-k truncation and the FAP of all of a receiver's anchors and
-    frequencies run in one ``fap_rows`` call on the stacked table columns,
-    so no Mpc object is built. The LLS problems of every frequency, receiver
-    and trial are queued with the bound problems. Each flush of the queue
-    solves its LLS problems in one ``lls_solve`` call, whose estimates start
-    their D-NLS problems, and ``dnls_ladder`` (retry rungs side by side) and
-    ``peb_batch`` solve it in batches of ``_DNLS_BATCH`` D-NLS problems and
-    once more after the receiver loop.
+    Receivers run in the outer loop, in blocks of up to ``_BLOCK_CELLS``
+    candidate path rows times frequencies: each block's path table of all
+    anchors is built once, with one crossing test per (receiver, anchor)
+    pair, and its losses are evaluated at every frequency in one pass.
+    Top-k truncation and the FAP of all of a block's pairs and frequencies
+    run in one ``fap_rows`` call on the stacked table columns, so no Mpc
+    object is built. The block is then tallied receiver by receiver. The
+    LLS problems of every frequency, receiver and trial are queued with the
+    bound problems. Each flush of the queue solves its LLS problems in one
+    ``lls_solve`` call, whose estimates start their D-NLS problems, and
+    ``dnls_ladder`` (retry rungs side by side) and ``peb_batch`` solve it
+    in batches of ``_DNLS_BATCH`` D-NLS problems and once more after the
+    receiver loop.
     Noise is keyed by (seed, frequency index, receiver index, trial) and
     every reported statistic is order-free, so the report does not depend on
-    loop, queue or batch order.
+    block, loop, queue or batch order.
     """
     scene = cfg.scene
     geom = build_scene_geometry(scene)
-    receivers = receiver_grid(scene)
+    receivers = np.array([rx.as_array() for rx in receiver_grid(scene)]).reshape(-1, 3)
     n_anchors = len(scene.anchors)
     freqs = cfg.frequencies_hz
     beta_sqs = [mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs]
@@ -421,11 +442,15 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     queue = _Queue([], [], [])
     anchors = np.asarray(scene.anchors, dtype=float)
     nearest_edges = _nearest_edges(geom, anchors)
+    rows = n_anchors * (1 + len(geom.reflector_slabs) + len(geom.edges))
+    block = max(1, _BLOCK_CELLS // (rows * len(freqs)))
 
-    for ri, rx in enumerate(receivers):
-        table = path_table(scene, range(n_anchors), rx, geom)
+    for first in range(0, len(receivers), block):
+        rx_block = receivers[first:first + block]
+        table = path_table(scene, range(n_anchors), rx_block, geom)
         faps = _receiver_faps(table, table.losses(freqs), cfg, nearest_edges)
-        _tally_receiver(cfg, geom, faps, ri, rx.as_array(), beta_sqs, tallies, queue)
+        del table  # not held while the next block's table is built, nor at the flushes
+        _tally_receivers(cfg, geom, faps, first, rx_block, beta_sqs, tallies, queue)
         while len(queue.lls) + len(queue.dnls) >= _DNLS_BATCH:
             _solve_queue(queue, tallies, anchors, scene.bounds, _DNLS_BATCH)
     _solve_queue(queue, tallies, anchors, scene.bounds, len(queue.lls) + len(queue.dnls))

@@ -120,25 +120,37 @@ def euclidean_distance(a, b) -> float:
     return float(np.linalg.norm(_vec(a) - _vec(b)))
 
 
-def _reflect_rows(t: np.ndarray, r: np.ndarray, normals: np.ndarray,
-                  offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Specular reflection of A transmitters ``t`` (A, 3) and one receiver
-    ``r`` (3,) off K planes at once.
+def _signed_distances(p: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Signed distance n.p - offset (M, K) of M points ``p`` (M, 3) to K
+    planes {x : normals[k].x = offsets[k]} with unit normals. Each point's
+    n.p is its own matrix-vector product, so a point's row does not depend
+    on the others; with an axis-aligned normal it is the coordinate minus
+    the offset, bit for bit."""
+    return np.array([normals @ p_m for p_m in p]).reshape(len(p), -1) - offsets
 
-    Plane k is {x : normals[k].x = offsets[k]} with a unit normal. Returns
-    the image-source length |reflect(t) - r| (A, K), the specular point
-    (A, K, 3) and whether both endpoints lie strictly on the same side of
-    the plane (A, K). Rows on opposite sides or on the plane carry
-    meaningless length and point. With an axis-aligned unit normal, n.t -
-    offset is the coordinate minus the offset, bit for bit. Each
-    transmitter's n.t is its own matrix-vector product, so a transmitter's
-    rows do not depend on the others.
+
+def _mirror_images(dt: np.ndarray, t: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Images (A, K, 3) of A transmitters ``t`` (A, 3) in K planes, from
+    their signed distances ``dt`` (A, K)."""
+    return t[:, None] - (2.0 * dt)[..., None] * normals
+
+
+def _reflect_rows(dt: np.ndarray, image: np.ndarray, r: np.ndarray, normals: np.ndarray,
+                  offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Specular reflection of A transmitters to N receivers ``r`` (N, 3) off
+    K planes at once, from the transmitters' signed distances ``dt`` (A, K)
+    and images ``image`` (A, K, 3) (``_signed_distances`` and
+    ``_mirror_images``).
+
+    Returns the image-source length |reflect(t) - r| (N, A, K), the
+    specular point (N, A, K, 3) and whether both endpoints lie strictly on
+    the same side of the plane (N, A, K). Rows on opposite sides or on the
+    plane carry meaningless length and point. Every entry is computed from
+    its own transmitter, receiver and plane only.
     """
-    dt = np.array([normals @ t_a for t_a in t]) - offsets
-    dr = normals @ r - offsets
+    dr = _signed_distances(r, normals, offsets)[:, None]
     same_side = np.sign(dt) * np.sign(dr) > 0.0
-    image = t[:, None] - (2.0 * dt)[..., None] * normals
-    direction = r - image
+    direction = r[:, None, None] - image
     length = np.sqrt((direction * direction).sum(axis=-1))
     # The segment image->rx crosses the plane at parameter dt/(dt+dr); on a
     # same-side row both signed distances share a sign, so the denominator
@@ -201,11 +213,10 @@ def _solve_edge_lambdas(x: np.ndarray, y2: np.ndarray, z: np.ndarray, x2: np.nda
     return _EdgeRows(lam, lam != free, legs[0] + legs[1], qx, legs, dx, dz)
 
 
-def _on_edge_line(t: np.ndarray, r: np.ndarray, z_e) -> np.ndarray:
-    """Whether edge-local tx and rx, shape (..., 3), both lie on the edge
-    line {y = 0, z = z_e}, where diffraction is undefined."""
-    return ((np.abs(t[..., 1]) < 1e-12) & (np.abs(t[..., 2] - z_e) < 1e-12)
-            & (np.abs(r[..., 1]) < 1e-12) & (np.abs(r[..., 2] - z_e) < 1e-12))
+def _on_edge_line(p: np.ndarray, z_e) -> np.ndarray:
+    """Whether edge-local points, shape (..., 3), lie on the edge line
+    {y = 0, z = z_e}; diffraction is undefined where tx and rx both do."""
+    return (np.abs(p[..., 1]) < 1e-12) & (np.abs(p[..., 2] - z_e) < 1e-12)
 
 
 def _edge_points_world(rotation: np.ndarray, translation: np.ndarray, x1: np.ndarray,

@@ -190,33 +190,45 @@ def free_space_path_loss_db(distance_m, f_hz):
 def reflection_loss_db(
     slab: SlabSpec,
     f_hz: float,
-    incidence_angle_rad: float,
+    incidence_angle_rad,
     polarization: str = "TE",
-) -> float:
+):
     """Reflection loss -20*log10(|Gamma|) off the slab's facing material.
 
     The slab is treated as an equivalent lossy half-space; the incidence
     angle is measured from the surface normal and must lie in [0, pi/2).
     Index-matched materials reflect nothing: the loss is +inf and no
     reflected path should be generated.
+
+    ``incidence_angle_rad`` is one angle, which gives a float, or a list
+    or array of the angles of one reflector's rows, which gives a list: the
+    checks and the permittivity run once per call, and every angle goes
+    through the same scalar body, so an entry equals the one-angle call bit
+    for bit.
     """
-    if not 0.0 <= incidence_angle_rad < math.pi / 2.0:
-        raise ValueError("incidence angle must lie in [0, pi/2)")
+    if isinstance(incidence_angle_rad, np.ndarray):
+        incidence_angle_rad = incidence_angle_rad.ravel().tolist()
+    scalar = not isinstance(incidence_angle_rad, (list, tuple))
+    angles = (incidence_angle_rad,) if scalar else incidence_angle_rad
+    for angle in angles:
+        if not 0.0 <= angle < math.pi / 2.0:
+            raise ValueError("incidence angle must lie in [0, pi/2)")
     if polarization not in ("TE", "TM"):
         raise ValueError(f"unknown polarization {polarization!r}")
 
     eps = complex_permittivity(slab.facing_material, f_hz)
-    cos_i = math.cos(incidence_angle_rad)
-    sin_i = math.sin(incidence_angle_rad)
-    transmitted = cmath.sqrt(eps - sin_i ** 2)
-    if polarization == "TE":
-        gamma = (cos_i - transmitted) / (cos_i + transmitted)
-    else:
-        gamma = (eps * cos_i - transmitted) / (eps * cos_i + transmitted)
-    magnitude = abs(gamma)
-    if magnitude == 0.0:
-        return math.inf
-    return -20.0 * math.log10(magnitude)
+    losses = []
+    for angle in angles:
+        cos_i = math.cos(angle)
+        sin_i = math.sin(angle)
+        transmitted = cmath.sqrt(eps - sin_i ** 2)
+        if polarization == "TE":
+            gamma = (cos_i - transmitted) / (cos_i + transmitted)
+        else:
+            gamma = (eps * cos_i - transmitted) / (eps * cos_i + transmitted)
+        magnitude = abs(gamma)
+        losses.append(math.inf if magnitude == 0.0 else -20.0 * math.log10(magnitude))
+    return losses[0] if scalar else losses
 
 
 def diffraction_loss_db(model: DiffractionLossModel, f_hz: float) -> float:

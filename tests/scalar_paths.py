@@ -155,7 +155,7 @@ def pdp(table, f_hz):
                         int(table.anchor[i]), classify_mpc(interactions),
                         None if edge < 0 else edge))
     mpcs.sort(key=lambda m: m.tof_s)
-    return Pdp(mpcs, table.rx, table.anchor_ids[0])
+    return Pdp(mpcs, Point3.from_array(table.receivers[0]), table.anchor_ids[0])
 
 
 def leg_slab_db(crossed, slab_db):

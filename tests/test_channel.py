@@ -20,6 +20,7 @@ from diffpos.channel import (
     Pdp,
     RadioConfig,
     SceneConfig,
+    SceneGeometry,
     WindowRect,
     build_scene_geometry,
     classify_mpc,
@@ -469,6 +470,62 @@ def test_path_table_tests_legs_from_the_anchor_at_a_boundary_line():
     assert (seen, kept) == (6, 5)
 
 
+@pytest.mark.parametrize("anchor_ids, message", [
+    ((-1,), r"^anchor_ids: -1 is not an anchor index in 0\.\.3$"),
+    ((0, 4), r"^anchor_ids: 4 is not an anchor index in 0\.\.3$"),
+    ((), r"^anchor_ids is empty$"),
+    ((1.0,), r"^anchor_ids: 1\.0 is not an anchor index in 0\.\.3$"),
+    ((True,), r"^anchor_ids: True is not an anchor index in 0\.\.3$"),
+])
+def test_path_table_rejects_bad_anchor_ids(anchor_ids, message):
+    # A negative id must not alias the last anchor (anchor 3's rows labelled
+    # -1); every bad id fails at the boundary, naming the argument.
+    scene = build_default_scene()
+    with pytest.raises(ValueError, match=message):
+        path_table(scene, anchor_ids, Point3(9.0, 5.0, 7.5))
+
+
+@pytest.mark.parametrize("anchor_index", [-1, -4, 4])
+def test_enumerate_mpcs_rejects_a_bad_anchor_index(anchor_index):
+    scene = build_default_scene()
+    with pytest.raises(ValueError, match=rf"^anchor_index: {anchor_index} is not an anchor "
+                                         r"index in 0\.\.3$"):
+        enumerate_mpcs(scene, anchor_index, Point3(9.0, 5.0, 7.5), 28e9)
+    assert enumerate_mpcs(scene, 3, Point3(9.0, 5.0, 7.5), 28e9).anchor_id == 3
+
+
+@pytest.mark.parametrize("rx", [
+    np.zeros(2), np.zeros((2, 4)), np.zeros((0, 3)), np.zeros((1, 1, 3)), [[1.0, 2.0], [3.0]],
+])
+def test_path_table_rejects_a_malformed_receiver(rx):
+    with pytest.raises(ValueError, match=r"^rx must be a Point3, a point of shape \(3,\) or a "
+                                         r"block of shape \(N, 3\) with N >= 1, got "):
+        path_table(build_default_scene(), (0,), rx)
+
+
+def test_path_table_rejects_a_non_finite_receiver():
+    with pytest.raises(ValueError, match="^rx has a non-finite coordinate$"):
+        path_table(build_default_scene(), (0,), [[9.0, 5.0, 7.5], [9.0, math.nan, 7.5]])
+
+
+def test_path_table_takes_a_point_a_row_or_a_block():
+    scene = build_default_scene()
+    geom = build_scene_geometry(scene)
+    rx = Point3(9.0, 5.0, 7.5)
+    tables = [path_table(scene, (1,), arg, geom)
+              for arg in (rx, rx.as_array(), rx.as_array().tolist(), [rx.as_array()])]
+    for table in tables:
+        assert table.receivers.shape == (1, 3) and not table.receiver.any()
+        assert table.length_m.tobytes() == tables[0].length_m.tobytes()
+
+
+def test_a_geometry_without_reflectors_or_edges_gives_empty_rows():
+    geom = SceneGeometry([], [], None)
+    tx, rx = np.array([[0.0, -5.0, 1.0], [1.0, -5.0, 2.0]]), np.array([[1.0, 2.0, 3.0]])
+    for rows in (geom.reflections(tx, rx), geom.diffractions(tx, rx)):
+        assert len(rows.ids) == len(rows.pair) == 0 and rows.point.shape == (0, 3)
+
+
 def test_diffractions_match_diffraction_point():
     # Against the scalar solver, at the bounds of the edge-solver oracle tests.
     scene = build_default_scene()
@@ -492,8 +549,9 @@ def test_diffractions_match_diffraction_point():
     # where diffraction is undefined: those edges are left out.
     tx, rx = np.array([-5.0, 0.0, 0.8]), np.array([3.0, 0.0, 0.8])
     d = geom.diffractions(tx, rx)
-    defined = [e for e, edge in enumerate(geom.edges) if not _on_edge_line(
-        edge.frame.to_local(tx), edge.frame.to_local(rx), edge.z_e)]
+    defined = [e for e, edge in enumerate(geom.edges)
+               if not (_on_edge_line(edge.frame.to_local(tx), edge.z_e)
+                       and _on_edge_line(edge.frame.to_local(rx), edge.z_e))]
     assert d.ids.tolist() == defined and len(defined) == len(geom.edges) - 6
     for k, e in enumerate(defined):
         assert_close(d, k, scalar_edge.diffraction_point(tx, rx, geom.edges[e]))

@@ -521,6 +521,35 @@ def test_dnls_batch_size_does_not_change_the_report(tiny_sweep, monkeypatch):
     assert json.dumps(report_to_dict(chunked)) == json.dumps(report_to_dict(report))
 
 
+@pytest.mark.parametrize("grid_spacing, sweep", [
+    (10.0, {"frequencies_hz": DEFAULT_FREQUENCY_LADDER_HZ}),
+    (10.0, {"frequencies_hz": DEFAULT_FREQUENCY_LADDER_HZ, "noiseless": True}),
+    (6.0, {"frequencies_hz": (28e9,), "trials": 2}),
+], ids=["ladder", "ladder_noiseless", "trials"])
+def test_block_size_does_not_change_the_report(grid_spacing, sweep, monkeypatch):
+    # The receiver loop runs block by block; blocks of one, two and seven
+    # receivers and of the whole sweep give byte-identical reports.
+    import diffpos.experiments as experiments
+
+    scene = build_default_scene(grid_spacing=grid_spacing, receiver_floors=(3,))
+    cfg = SweepConfig(scene=scene, seed=0, **sweep)
+    geom = build_scene_geometry(scene)
+    n_receivers = len(receiver_grid(scene))
+    cells = len(scene.anchors) * (1 + len(geom.reflector_slabs) + len(geom.edges)) \
+        * len(cfg.frequencies_hz)
+    table = experiments.path_table
+    reports = []
+    for size in (1, 2, 7, n_receivers):
+        blocks = []
+        monkeypatch.setattr(experiments, "_BLOCK_CELLS", size * cells + cells - 1)
+        monkeypatch.setattr(experiments, "path_table",
+                            lambda s, a, rx, g: blocks.append(len(rx)) or table(s, a, rx, g))
+        reports.append(json.dumps(report_to_dict(run_sweep(cfg))))
+        assert sum(blocks) == n_receivers and blocks[0] == min(size, n_receivers)
+        assert len(blocks) == -(-n_receivers // size)
+    assert all(report == reports[0] for report in reports[1:])
+
+
 def test_report_json_round_trip_keeps_diagnostics_and_accepts_none(tiny_sweep):
     _, report = tiny_sweep
     doc = json.loads(json.dumps(report_to_dict(report)))

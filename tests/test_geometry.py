@@ -20,7 +20,9 @@ from diffpos.geometry import (
     RigidTransform,
     WindowEdge,
     euclidean_distance,
+    _mirror_images,
     _reflect_rows,
+    _signed_distances,
     _solve_edge_lambdas,
 )
 from diffpos.positioning import MeasurementSet, _model_rows, _pack
@@ -135,10 +137,12 @@ PLANE_Y0 = scalar_paths.Plane(normal=Y_AXIS, offset=0.0)
 
 def reflect_once(tx, rx, normal=Y_AXIS, offset=0.0):
     """_reflect_rows off one plane: (length, specular point, same side)."""
-    length, point, same_side = _reflect_rows(np.asarray(tx, dtype=float)[None],
-                                             np.asarray(rx, dtype=float),
-                                             np.asarray(normal)[None], np.array([offset]))
-    return float(length[0, 0]), point[0, 0], bool(same_side[0, 0])
+    t, normals, offsets = np.asarray(tx, dtype=float)[None], np.asarray(normal)[None], \
+        np.array([offset])
+    dt = _signed_distances(t, normals, offsets)
+    length, point, same_side = _reflect_rows(dt, _mirror_images(dt, t, normals),
+                                             np.asarray(rx, dtype=float)[None], normals, offsets)
+    return float(length[0, 0, 0]), point[0, 0, 0], bool(same_side[0, 0, 0])
 
 
 def test_reflect_axis_aligned_mirror():

@@ -187,6 +187,31 @@ def test_reflection_te_loss_nonincreasing_toward_grazing():
     assert all(v >= 0 for v in losses)
 
 
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("slab", [CONCRETE_WALL, DRYWALL], ids=["concrete", "drywall"])
+def test_reflection_loss_of_many_angles_equals_one_angle_calls(slab, polarization):
+    # One call per (reflector, frequency) over that reflector's rows: every
+    # entry bit for bit the one-angle call, up to an angle just below pi/2.
+    rng = np.random.default_rng(4)
+    angles = np.concatenate([rng.uniform(0.0, math.pi / 2, 40),
+                             [0.0, math.pi / 2 - 1e-12, np.nextafter(math.pi / 2, 0.0)]])
+    for f_hz in (0.7e9, 28e9, 39e9):
+        got = reflection_loss_db(slab, f_hz, angles, polarization)
+        want = [reflection_loss_db(slab, f_hz, float(a), polarization) for a in angles]
+        assert isinstance(got, list) and got == want
+        assert reflection_loss_db(slab, f_hz, angles.tolist(), polarization) == want
+        assert reflection_loss_db(slab, f_hz, angles[:0], polarization) == []
+    matched = slab_of(Material("matched", a=1.0, b=0.0, c=0.0, d=0.0), 0.1)
+    assert reflection_loss_db(matched, 3.5e9, np.zeros(3), polarization) == [math.inf] * 3
+
+
+def test_reflection_rejects_a_bad_angle_among_many():
+    with pytest.raises(ValueError, match="incidence angle must lie in"):
+        reflection_loss_db(CONCRETE_WALL, 1e9, np.array([0.1, math.pi / 2, 0.2]), "TE")
+    with pytest.raises(ValueError, match="unknown polarization"):
+        reflection_loss_db(CONCRETE_WALL, 1e9, np.array([0.1]), "XY")
+
+
 def test_reflection_rejects_bad_angle():
     with pytest.raises(ValueError):
         reflection_loss_db(CONCRETE_WALL, 1e9, math.pi / 2, "TE")

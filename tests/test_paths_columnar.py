@@ -2,11 +2,15 @@
 
 The reflection kernel, the (F, P) loss pass, the group codes and the array
 top-k and FAP bodies are each checked against the one-plane, one-row,
-one-object code they replaced, and a receiver's table of all anchors
-against its one-anchor tables.
+one-object code they replaced; a receiver's table of all anchors against
+its one-anchor tables, a block's table against its one-receiver tables, and
+one-anchor tables against the ones recorded before tables took blocks.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +38,13 @@ from diffpos.experiments import (
     run_sweep,
 )
 from diffpos.fap import fap_rows, select_fap
-from diffpos.geometry import GeometryError, Point3, _reflect_rows
+from diffpos.geometry import (
+    GeometryError,
+    Point3,
+    _mirror_images,
+    _reflect_rows,
+    _signed_distances,
+)
 
 SCENE = build_default_scene()
 GEOM = build_scene_geometry(SCENE)
@@ -64,8 +74,10 @@ def test_reflect_rows_match_scalar_on_random_planes():
         tx, rx = rng.uniform(-10.0, 10.0, (2, 3))
         if trial % 5 == 0:  # tx on the first plane
             tx = tx - (normals[0] @ tx - offsets[0]) * normals[0]
-        length, point, same_side = _reflect_rows(tx[None], rx, normals, offsets)
-        length, point, same_side = length[0], point[0], same_side[0]
+        dt = _signed_distances(tx[None], normals, offsets)
+        length, point, same_side = _reflect_rows(dt, _mirror_images(dt, tx[None], normals),
+                                                 rx[None], normals, offsets)
+        length, point, same_side = length[0, 0], point[0, 0], same_side[0, 0]
         for k in range(len(normals)):
             plane = scalar_paths.Plane(normals[k], offsets[k])
             try:
@@ -196,7 +208,7 @@ def test_leg_slab_sums_equal_the_where_cumsum_oracle(freqs):
     for table in tables:
         slab_db = np.array([table.geometry.prepare_frequency(f_hz) for f_hz in freqs])
         crossed = table.crossings.reshape(-1, slab_db.shape[1])
-        got = channel._leg_slab_db(crossed, table.n_crossings.ravel(), slab_db)
+        got = channel._leg_slab_db(crossed, slab_db)
         assert np.array_equal(got, scalar_paths.leg_slab_db(crossed, slab_db))
         deepest = max(deepest, int(table.n_crossings.max()))
     assert deepest == SCENE.limits.max_transmissions
@@ -209,14 +221,27 @@ def test_leg_slab_sums_equal_the_where_cumsum_oracle(freqs):
         crossed[leg, rng.choice(n_surfaces, 6 if leg % 2 else leg % 5, replace=False)] = True
     for mask in (crossed, np.zeros((5, n_surfaces), dtype=bool),
                  np.zeros((0, n_surfaces), dtype=bool)):
-        got = channel._leg_slab_db(mask, mask.sum(axis=1), slab_db)
+        got = channel._leg_slab_db(mask, slab_db)
         assert got.shape == (len(freqs), len(mask))
         assert np.array_equal(got, scalar_paths.leg_slab_db(mask, slab_db))
-    assert not channel._leg_slab_db(crossed, crossed.sum(axis=1), slab_db)[:, 0].any()
+    assert not channel._leg_slab_db(crossed, slab_db)[:, 0].any()
 
 
-_TABLE_COLUMNS = ("anchor", "length_m", "tof_s", "crossings", "kind", "n_crossings", "group",
-                  "edge_id", "reflector", "incidence_rad")
+def test_leg_slab_sums_of_a_large_scene():
+    # Surface indices past any narrow integer type still name their own
+    # surface's loss.
+    rng = np.random.default_rng(70_000)
+    slab_db = rng.uniform(0.5, 40.0, (2, 70_000))
+    crossed = np.zeros((3, 70_000), dtype=bool)
+    crossed[0, [0, 255, 32_768, 69_999]] = True
+    crossed[2, rng.choice(69_999, 5, replace=False)] = True
+    crossed[2, 69_999] = True
+    got = channel._leg_slab_db(crossed, slab_db)
+    assert np.array_equal(got, scalar_paths.leg_slab_db(crossed, slab_db))
+
+
+_TABLE_COLUMNS = ("receiver", "anchor", "length_m", "tof_s", "crossings", "kind",
+                  "n_crossings", "group", "edge_id", "reflector", "incidence_rad")
 
 
 @pytest.mark.parametrize("grid_spacing, freqs", [
@@ -241,11 +266,83 @@ def test_receiver_table_equals_the_one_anchor_tables_concatenated(grid_spacing, 
             assert got.tobytes() == np.concatenate(want, axis=1).tobytes()
 
 
+def assert_block_equals_concatenation(block, tables, freqs):
+    """Every column and the losses of ``block`` bit for bit equal to the
+    one-receiver ``tables`` concatenated, the receiver column offset by each
+    table's position."""
+    assert np.array_equal(block.receivers, np.concatenate([t.receivers for t in tables]))
+    for name in _TABLE_COLUMNS:
+        got = getattr(block, name)
+        want = np.concatenate([t.receiver + n if name == "receiver" else getattr(t, name)
+                               for n, t in enumerate(tables)])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+    for got, want in zip(block.losses(freqs), zip(*(t.losses(freqs) for t in tables))):
+        assert got.tobytes() == np.concatenate(want, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("grid_spacing, freqs", [
+    (6.0, (28e9,)), (10.0, DEFAULT_FREQUENCY_LADDER_HZ)], ids=["trials_grid", "ladder_grid"])
+def test_block_table_equals_its_one_receiver_tables_concatenated(grid_spacing, freqs):
+    # The oracle of the block table: blocks of one, two and seven receivers
+    # and the whole grid, every column and the losses of every row bit for
+    # bit equal to the receivers' own tables concatenated.
+    scene = build_default_scene(grid_spacing=grid_spacing, receiver_floors=(3,))
+    geom = build_scene_geometry(scene)
+    anchors = range(len(scene.anchors))
+    receivers = np.array([rx.as_array() for rx in receiver_grid(scene)])
+    singles = [path_table(scene, anchors, rx, geom) for rx in receivers]
+    assert all(len(t.receivers) == 1 and not t.receiver.any() for t in singles)
+    for size in (1, 2, 7, len(receivers)):
+        for first in range(0, len(receivers), size):
+            block = path_table(scene, anchors, receivers[first:first + size], geom)
+            assert block.anchor_ids == tuple(anchors)
+            assert_block_equals_concatenation(block, singles[first:first + size], freqs)
+
+
+POINT_TABLES = Path(__file__).resolve().parent / "data" / "point_tables_golden.json"
+
+
+def test_point_tables_equal_the_recorded_tables():
+    # One-receiver, one-anchor tables of 40 seeded point queries, every
+    # column bit for bit as recorded before tables took blocks of receivers
+    # (tests/data/record_point_tables.py).
+    doc = json.loads(POINT_TABLES.read_text(encoding="utf-8"))
+    assert len(doc["tables"]) == 40
+    for want in doc["tables"]:
+        table = path_table(SCENE, (want["anchor"],), Point3(*want["rx"]), GEOM)
+        for name, (dtype, shape, digest) in want["columns"].items():
+            column = np.ascontiguousarray(getattr(table, name))
+            assert (column.dtype.str, list(column.shape)) == (dtype, shape), name
+            assert hashlib.sha256(column.tobytes()).hexdigest() == digest, name
+
+
+def test_anchor_terms_do_not_follow_a_caller_array_changed_in_place():
+    # The kept anchor terms hold their own copy of the anchors: changing the
+    # array of an earlier call must not change the rows of a later call with
+    # the same anchors in another array.
+    tx = np.array(SCENE.anchors, dtype=float)
+    rx = np.array([[9.0, 5.0, 7.5], [21.0, 14.0, 10.5]])
+    fresh = build_scene_geometry(SCENE)
+    want = fresh.reflections(tx, rx), fresh.diffractions(tx, rx)
+    geom = build_scene_geometry(SCENE)
+    moved = tx.copy()
+    geom.reflections(moved, rx)
+    geom.diffractions(moved, rx)
+    moved += 1.0
+    for got, expected in zip((geom.reflections(tx, rx), geom.diffractions(tx, rx)), want):
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_pdp_needs_a_one_anchor_table():
     rx = Point3(9.0, 5.0, 7.5)
     with pytest.raises(ValueError, match="^a PDP has one anchor, the table has 4$"):
         path_table(SCENE, range(4), rx, GEOM).pdp(28e9)
-    assert path_table(SCENE, (2,), rx, GEOM).pdp(28e9).anchor_id == 2
+    with pytest.raises(ValueError, match="^a PDP has one receiver, the table has 2$"):
+        path_table(SCENE, (2,), [rx.as_array(), rx.as_array()], GEOM).pdp(28e9)
+    pdp = path_table(SCENE, (2,), rx, GEOM).pdp(28e9)
+    assert pdp.anchor_id == 2 and pdp.rx == rx
 
 
 def test_swapping_tx_and_rx_keeps_lengths_and_swaps_the_legs():
@@ -382,10 +479,14 @@ def test_receiver_faps_match_object_bodies_on_every_ladder_cell():
     cfg = SweepConfig(scene=scene, frequencies_hz=DEFAULT_FREQUENCY_LADDER_HZ)
     geom = build_scene_geometry(scene)
     nearest = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
+    receivers = receiver_grid(scene)
+    block = path_table(scene, range(len(scene.anchors)), [rx.as_array() for rx in receivers],
+                       geom)
+    faps = _receiver_faps(block, block.losses(cfg.frequencies_hz), cfg, nearest)
+    assert faps.detected.shape == (len(receivers), len(cfg.frequencies_hz))
+    assert faps.group.shape == (len(receivers), len(cfg.frequencies_hz), len(scene.anchors))
     cells = 0
-    for rx in receiver_grid(scene):
-        table = path_table(scene, range(len(scene.anchors)), rx, geom)
-        faps = _receiver_faps(table, table.losses(cfg.frequencies_hz), cfg, nearest)
+    for n, rx in enumerate(receivers):
         for a in range(len(scene.anchors)):
             pair = path_table(scene, (a,), rx, geom)
             power, snr, detected = pair.losses(cfg.frequencies_hz)
@@ -394,18 +495,19 @@ def test_receiver_faps_match_object_bodies_on_every_ladder_cell():
                 assert rows.size
                 pdp = Pdp(pair.build_mpcs(rows, power[fi, rows], snr[fi, rows]), rx, a)
                 fap, mpc3 = object_rows(pdp, cfg.top_k, cfg.t_fap_db)
-                assert (faps.group[fi, a], faps.snr_db[fi, a], faps.length_m[fi, a]) \
+                assert (faps.group[n, fi, a], faps.snr_db[n, fi, a], faps.length_m[n, fi, a]) \
                     == (fap.group.value, fap.snr_db, fap.path_length_m)
                 if mpc3 is None:
-                    assert faps.mpc3_edge[fi, a] == -1 and math.isnan(faps.mpc3_snr_db[fi, a])
+                    assert faps.mpc3_edge[n, fi, a] == -1
+                    assert math.isnan(faps.mpc3_snr_db[n, fi, a])
                 else:
-                    assert (faps.mpc3_edge[fi, a], faps.mpc3_snr_db[fi, a]) \
+                    assert (faps.mpc3_edge[n, fi, a], faps.mpc3_snr_db[n, fi, a]) \
                         == (mpc3.edge_id, mpc3.snr_db)
                 model_edge = fap.edge_id if fap.group is MpcGroup.MPC3 \
                     else mpc3.edge_id if mpc3 is not None else nearest[a]
-                assert faps.model_edge[fi, a] == model_edge
+                assert faps.model_edge[n, fi, a] == model_edge
                 cells += 1
-        assert faps.detected.all()
+    assert faps.detected.all()
     assert cells == 20 * 4 * 7
 
 
