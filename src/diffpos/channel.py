@@ -34,12 +34,12 @@ from .geometry import (
     Point3,
     RigidTransform,
     WindowEdge,
-    _edge_points_world,
     _mirror_images,
     _on_edge_line,
     _reflect_rows,
     _signed_distances,
     _solve_edge_lambdas,
+    edge_table,
     euclidean_distance,
 )
 from .materials import (
@@ -495,7 +495,7 @@ class SceneGeometry:
     Everything the batched kernels need is packed into arrays once, here:
     the crossing surfaces and the reflectors (the reflective surfaces in
     surface order, then the ground when ``ground_slab`` is given), each with
-    its plane, extent and window cutouts, and the edge frames.
+    its plane, extent and window cutouts, and the edges (``edge_table``).
     ``crossings`` tests every segment against every surface at once: a
     parametric plane hit strictly inside the segment, then the surface
     extent, then, per facade, the cutouts. ``reflections`` reflects off every
@@ -518,11 +518,7 @@ class SceneGeometry:
         self.reflector_slabs = tuple(s.slab for s in mirrors)
         self._mirrors = _pack_surfaces(mirrors)
         self._mirror_normal = np.eye(3)[self._mirrors.axis].reshape(-1, 3)
-        self._edge_rotation = np.array([e.frame.rotation for e in edges]).reshape(-1, 3, 3)
-        self._edge_translation = np.array([e.frame.translation for e in edges]).reshape(-1, 3)
-        self._edge_x1 = np.array([e.x1 for e in edges], dtype=float)
-        self._edge_x2 = np.array([e.x2 for e in edges], dtype=float)
-        self._edge_z = np.array([e.z_e for e in edges], dtype=float)
+        self.edge_table = edge_table(edges)
         self._loss_cache: dict[float, np.ndarray] = {}
         self._anchor_cache: dict[bytes, _AnchorTerms] = {}
 
@@ -545,10 +541,9 @@ class SceneGeometry:
                 self._anchor_cache.clear()
             normals = self._mirror_normal
             dt = _signed_distances(tx, normals, self._mirrors.coord)
-            t = np.array([self._edge_rotation @ t_a + self._edge_translation
-                          for t_a in tx]).reshape(len(tx), -1, 3)
+            t = self.edge_table.to_local(tx)
             terms = self._anchor_cache[key] = _AnchorTerms(
-                tx, dt, _mirror_images(dt, tx, normals), t, _on_edge_line(t, self._edge_z))
+                tx, dt, _mirror_images(dt, tx, normals), t, _on_edge_line(t, self.edge_table.z_e))
         return terms
 
     def crossings(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -630,11 +625,6 @@ class SceneGeometry:
         angle = np.minimum(np.arccos(np.minimum(1.0, cos_i)), math.pi / 2 - 1e-12)
         return Reflections(pair, ids, length[pair, ids], point[pair, ids], angle)
 
-    def edge_midpoints(self) -> np.ndarray:
-        """World midpoints (E, 3) of the edges."""
-        return _edge_points_world(self._edge_rotation, self._edge_translation, self._edge_x1,
-                                  self._edge_x2, self._edge_z, np.full(len(self.edges), 0.5))
-
     def diffractions(self, tx, rx) -> EdgeDiffractions:
         """Diffraction of every anchor of ``tx`` (A, 3), or of one (3,)
         point, to every receiver of ``rx`` (N, 3), or to one (3,) point, at
@@ -642,15 +632,12 @@ class SceneGeometry:
         Keller's equal-angle point, clipped to the edge where it lies off it
         (flagged as an endpoint). Rows run receiver by receiver, each anchor
         by anchor in edge order. Edges whose line holds both tx and rx,
-        where diffraction is undefined, are left out. Each point is moved
-        into the edge frames by its own matrix-vector products.
+        where diffraction is undefined, are left out.
         """
-        rotation, translation = self._edge_rotation, self._edge_translation
         terms = self._anchor_terms(tx)
-        r = np.array([rotation @ r_n + translation
-                      for r_n in np.asarray(rx, dtype=float).reshape(-1, 3)])
-        receiver, anchor, ids = (~(terms.on_edge_line & _on_edge_line(r, self._edge_z)[:, None])
-                                 ).nonzero()
+        r = self.edge_table.to_local(rx)
+        receiver, anchor, ids = (~(terms.on_edge_line
+                                   & _on_edge_line(r, self.edge_table.z_e)[:, None])).nonzero()
         pair = receiver * len(terms.tx) + anchor
         # The rows in chunks, which bounds the kernel's temporaries; every
         # row depends on its own ends only.
@@ -666,14 +653,13 @@ class SceneGeometry:
         """lam, endpoint, length and world point of the diffraction rows of
         anchors ``t`` (A, E, 3) and receivers ``r`` (N, E, 3), in the edge
         frames, at the edges ``ids``."""
-        x1, x2, z_e = self._edge_x1[ids], self._edge_x2[ids], self._edge_z[ids]
+        x1, x2, z_e = self.edge_table.x1[ids], self.edge_table.x2[ids], self.edge_table.z_e[ids]
         # The ends stacked (3, 2, D) in C order, for the kernel's fast loops.
         ends = np.empty((3, 2, len(ids)))
         ends[:, 0], ends[:, 1] = t[anchor, ids].T, r[receiver, ids].T
         x, y, z = ends
         sol = _solve_edge_lambdas(x, y ** 2, z, x2, x1 - x2, z_e)
-        return sol.lam, sol.endpoint, sol.length, _edge_points_world(
-            self._edge_rotation[ids], self._edge_translation[ids], x1, x2, z_e, sol.lam)
+        return sol.lam, sol.endpoint, sol.length, self.edge_table.points(ids, sol.lam)
 
 
 def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:

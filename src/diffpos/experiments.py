@@ -36,10 +36,10 @@ from .channel import (
     receiver_grid,
 )
 from .fap import fap_rows, mean_squared_bandwidth, range_sigma_m
+from .geometry import EdgeTable
 from .materials import default_material_library
 from .positioning import (
     LadderResult,
-    MeasurementSet,
     SingularGeometryError,
     dnls_ladder,
     lls_solve,
@@ -275,7 +275,8 @@ def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
 
 def _nearest_edges(geom: SceneGeometry, anchors: np.ndarray) -> list[int]:
     """Per anchor (A, 3), the edge whose midpoint is nearest."""
-    offset = geom.edge_midpoints()[None] - anchors[:, None]
+    midpoints = geom.edge_table.points(slice(None), np.full(len(geom.edges), 0.5))
+    offset = midpoints[None] - anchors[:, None]
     return np.argmin((offset * offset).sum(axis=2), axis=1).tolist()
 
 
@@ -305,12 +306,12 @@ class _FrequencyTally:
 class _Queue(NamedTuple):
     """Problems of a sweep waiting for their batched solve."""
 
-    lls: list  # (fi, ranges, sigmas, edges, rx_true) per trial
-    dnls: list  # (fi, MeasurementSet, start, rx_true) per trial
+    lls: list  # (fi, ranges, edge ids, rx_true) per trial
+    dnls: list  # (fi, ranges, edge ids, rx_true, start) per trial
     bound: list  # (fi, a peb_batch problem) per receiver and frequency
 
 
-def _tally_receivers(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps, first: int,
+def _tally_receivers(cfg: SweepConfig, faps: _ReceiverFaps, first: int,
                      receivers: np.ndarray, beta_sqs: list[float],
                      tallies: list[_FrequencyTally], queue: _Queue) -> None:
     """Tally a block of receivers, sweep indices ``first`` on, at every
@@ -321,9 +322,7 @@ def _tally_receivers(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps,
     no-detection exclusion. At the others, every trial draws its noise and
     queues an LLS problem, whose estimate is the trial's D-NLS start.
     """
-    scene = cfg.scene
-    anchors = np.asarray(scene.anchors, dtype=float)
-    n_anchors = len(anchors)
+    n_anchors = len(cfg.scene.anchors)
     detected, groups, snrs, lengths, model_edges, mpc3_edges, mpc3_snrs = (
         x.tolist() for x in faps)
     for n, rx_true in enumerate(receivers):
@@ -336,7 +335,6 @@ def _tally_receivers(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps,
                 tally.groups_by_anchor[a].append(MpcGroup(groups[n][fi][a]))
             tally.fap_snrs.extend(snrs[n][fi])
 
-            edges = tuple(geom.edges[e] for e in model_edges[n][fi])
             sigmas = np.array([range_sigma_m(beta_sqs[fi], 10 ** (snr / 10))
                                for snr in snrs[n][fi]])
 
@@ -345,8 +343,7 @@ def _tally_receivers(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps,
             peb_anchor_idx = [a for a in range(n_anchors) if mpc3_edges[n][fi][a] >= 0]
             if len(peb_anchor_idx) >= 3:
                 queue.bound.append((fi, (
-                    rx_true, anchors[peb_anchor_idx],
-                    tuple(geom.edges[mpc3_edges[n][fi][a]] for a in peb_anchor_idx),
+                    rx_true, peb_anchor_idx, [mpc3_edges[n][fi][a] for a in peb_anchor_idx],
                     np.array([10 ** (mpc3_snrs[n][fi][a] / 10) for a in peb_anchor_idx]),
                     beta_sqs[fi])))
             else:
@@ -359,7 +356,7 @@ def _tally_receivers(cfg: SweepConfig, geom: SceneGeometry, faps: _ReceiverFaps,
                 else:
                     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
                     noise = sigmas * rng.standard_normal(n_anchors)
-                queue.lls.append((fi, true_ranges + noise, sigmas, edges, rx_true))
+                queue.lls.append((fi, true_ranges + noise, model_edges[n][fi], rx_true))
 
 
 # D-NLS problems per dnls_ladder call in run_sweep; each call also solves the
@@ -378,32 +375,31 @@ _DNLS_BATCH = 1024
 _BLOCK_CELLS = 3000
 
 
-def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], anchors: np.ndarray, bounds,
-                 n: int) -> None:
+def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], table: EdgeTable,
+                 anchors: np.ndarray, bounds, n: int | None = None) -> None:
     """Solve every queued LLS problem in one ``lls_solve`` call and queue
     each one's D-NLS problem, started at its estimate; then solve the first
-    ``n`` queued D-NLS problems and every queued bound problem. Tally them
-    all and take them off the queue."""
+    ``n`` queued D-NLS problems (all by default) and every queued bound
+    problem. Tally them all and take them off the queue."""
     if queue.lls:
         try:
             estimates = lls_solve(anchors, np.array([q[1] for q in queue.lls]))
         except SingularGeometryError:
             estimates = None
-            for fi, _, _, _, _ in queue.lls:
+            for fi, _, _, _ in queue.lls:
                 tallies[fi].excl["lls_failed"] += 1
         else:
-            for (fi, _, _, _, rx_true), estimate in zip(queue.lls, estimates):
+            for (fi, _, _, rx_true), estimate in zip(queue.lls, estimates):
                 tallies[fi].lls_errors.append(float(np.linalg.norm(estimate - rx_true)))
         starts = np.broadcast_to(lls_start(estimates, bounds), (len(queue.lls), 3))
-        for (fi, ranges, sigmas, edges, rx_true), start in zip(queue.lls, starts):
-            queue.dnls.append((fi, MeasurementSet(anchors, ranges, sigmas, edges), start,
-                               rx_true))
+        queue.dnls.extend((*trial, start) for trial, start in zip(queue.lls, starts))
         queue.lls.clear()
     dnls = queue.dnls[:n]
-    results = dnls_ladder([q[1] for q in dnls], [q[2] for q in dnls], bounds)
-    for (fi, _, _, rx_true), result in zip(dnls, results):
+    results = dnls_ladder(table, anchors, np.array([q[2] for q in dnls]),
+                          np.array([q[1] for q in dnls]), np.array([q[4] for q in dnls]), bounds)
+    for (fi, _, _, rx_true, _), result in zip(dnls, results):
         tallies[fi].add_dnls(result, rx_true)
-    for (fi, _), bound in zip(queue.bound, peb_batch([q[1] for q in queue.bound])):
+    for (fi, _), bound in zip(queue.bound, peb_batch(table, anchors, [q[1] for q in queue.bound])):
         if bound.singular:
             tallies[fi].excl["peb_singular"] += 1
         else:
@@ -450,10 +446,10 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         table = path_table(scene, range(n_anchors), rx_block, geom)
         faps = _receiver_faps(table, table.losses(freqs), cfg, nearest_edges)
         del table  # not held while the next block's table is built, nor at the flushes
-        _tally_receivers(cfg, geom, faps, first, rx_block, beta_sqs, tallies, queue)
+        _tally_receivers(cfg, faps, first, rx_block, beta_sqs, tallies, queue)
         while len(queue.lls) + len(queue.dnls) >= _DNLS_BATCH:
-            _solve_queue(queue, tallies, anchors, scene.bounds, _DNLS_BATCH)
-    _solve_queue(queue, tallies, anchors, scene.bounds, len(queue.lls) + len(queue.dnls))
+            _solve_queue(queue, tallies, geom.edge_table, anchors, scene.bounds, _DNLS_BATCH)
+    _solve_queue(queue, tallies, geom.edge_table, anchors, scene.bounds)
 
     report = SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db,
                          trials=cfg.trials, noiseless=cfg.noiseless)

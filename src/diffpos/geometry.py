@@ -25,6 +25,8 @@ __all__ = [
     "Point3",
     "RigidTransform",
     "WindowEdge",
+    "EdgeTable",
+    "edge_table",
     "euclidean_distance",
 ]
 
@@ -113,6 +115,38 @@ class WindowEdge:
             raise GeometryError("edge endpoints coincide (x1 == x2)")
         if not self.w > 0:
             raise GeometryError("window height w must be positive")
+
+
+class EdgeTable(NamedTuple):
+    """Window edges packed into arrays, one entry per edge, in edge order."""
+
+    rotation: np.ndarray  # (E, 3, 3) world -> edge-local rotation of the frame
+    translation: np.ndarray  # (E, 3)
+    x1: np.ndarray  # (E,)
+    x2: np.ndarray  # (E,)
+    z_e: np.ndarray  # (E,)
+    w: np.ndarray  # (E,) window height
+
+    def to_local(self, points) -> np.ndarray:
+        """Points (N, 3), or one (3,) point, in every edge frame (N, E, 3), each
+        by its own products, as ``RigidTransform.to_local`` bit for bit."""
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        return np.array([self.rotation @ p + self.translation for p in points]).reshape(
+            len(points), len(self.x1), 3)
+
+    def points(self, ids, lam) -> np.ndarray:
+        """World points (N, 3) at ``lam`` (N,) on the edges ``ids`` (N,)."""
+        x1, x2 = self.x1[ids], self.x2[ids]
+        q_local = np.stack([x2 + lam * (x1 - x2), np.zeros_like(lam), self.z_e[ids]], axis=1)
+        return np.einsum("eji,ej->ei", self.rotation[ids], q_local - self.translation[ids])
+
+
+def edge_table(edges) -> EdgeTable:
+    """The ``EdgeTable`` of a sequence of ``WindowEdge``s."""
+    columns = np.array([[e.x1, e.x2, e.z_e, e.w] for e in edges], dtype=float).reshape(-1, 4)
+    return EdgeTable(np.array([e.frame.rotation for e in edges], dtype=float).reshape(-1, 3, 3),
+                     np.array([e.frame.translation for e in edges], dtype=float).reshape(-1, 3),
+                     *columns.T.copy())
 
 
 def euclidean_distance(a, b) -> float:
@@ -218,10 +252,3 @@ def _on_edge_line(p: np.ndarray, z_e) -> np.ndarray:
     {y = 0, z = z_e}; diffraction is undefined where tx and rx both do."""
     return (np.abs(p[..., 1]) < 1e-12) & (np.abs(p[..., 2] - z_e) < 1e-12)
 
-
-def _edge_points_world(rotation: np.ndarray, translation: np.ndarray, x1: np.ndarray,
-                       x2: np.ndarray, z_e: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """World points (N, 3) at ``lam`` on N edges, each given by its frame's
-    rotation (N, 3, 3) and translation (N, 3) and its x1, x2, z_e (N,)."""
-    q_local = np.stack([x2 + lam * (x1 - x2), np.zeros_like(lam), z_e], axis=1)
-    return np.einsum("eji,ej->ei", rotation, q_local - translation)

@@ -30,11 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import Point3, WindowEdge, _solve_edge_lambdas, _vec
+from .geometry import EdgeTable, Point3, _solve_edge_lambdas
 
 __all__ = [
     "SingularGeometryError",
-    "MeasurementSet",
     "PositionEstimate",
     "LadderResult",
     "FimResult",
@@ -64,29 +63,6 @@ _CONVERGED, _OUT_OF_ITERATIONS, _SINGULAR, _DIVERGED, _DROPPED = range(5)
 
 class SingularGeometryError(ValueError):
     """Anchor/edge geometry leaves the position unobservable."""
-
-
-@dataclass
-class MeasurementSet:
-    """Per-anchor ranges with noise levels and the diffraction geometry."""
-
-    anchors: np.ndarray  # (M, 3) anchor positions
-    ranges: np.ndarray  # (M,) measured ranges, meters
-    sigmas: np.ndarray  # (M,) range standard deviations, meters
-    edges: tuple[WindowEdge, ...]  # per-anchor associated window edge
-
-    def __post_init__(self) -> None:
-        self.anchors = np.asarray(self.anchors, dtype=float).reshape(-1, 3)
-        self.ranges = np.asarray(self.ranges, dtype=float).reshape(-1)
-        self.sigmas = np.asarray(self.sigmas, dtype=float).reshape(-1)
-        m = len(self.anchors)
-        if not (len(self.ranges) == len(self.sigmas) == len(self.edges) == m):
-            raise ValueError("anchors, ranges, sigmas, and edges must align")
-        if np.any(self.sigmas <= 0):
-            raise ValueError("sigmas must be positive")
-
-    def __len__(self) -> int:
-        return len(self.anchors)
 
 
 @dataclass(frozen=True)
@@ -122,7 +98,7 @@ class FimResult:
 
 
 class _Rows(NamedTuple):
-    """Measurement sets packed into arrays, one row per set, M anchors each.
+    """Problems packed into arrays, one row per problem, M anchors each.
 
     Everything the measurement model needs that does not move with the
     receiver position is computed here once, not on every evaluation. The
@@ -147,31 +123,24 @@ class _Rows(NamedTuple):
         return _Rows(*(column.take(rows, axis=-1) for column in self))
 
 
-def _pack(sets) -> _Rows:
-    """Pack measurement sets with the same anchor count into one _Rows."""
-    counts = {len(meas) for meas in sets}
-    if len(counts) != 1:
-        raise ValueError("measurement sets of one batch must have the same anchor count")
-    shape = (len(sets), counts.pop())
-    edges = [edge for meas in sets for edge in meas.edges]
-    anchors = [anchor for meas in sets for anchor in meas.anchors]
-
-    def column(values, *tail):  # (*tail, M, R)
-        values = np.array(values, dtype=float).reshape(*shape, *tail)
-        return np.ascontiguousarray(np.moveaxis(values, (0, 1), (-1, -2)))
-
-    rotation = column([e.frame.rotation for e in edges], 3, 3)  # [i, k] = R[i, k]
-    t = column([e.frame.to_local(a) for a, e in zip(anchors, edges)], 3)
-    x1, x2 = column([e.x1 for e in edges]), column([e.x2 for e in edges])
+def _pack(table: EdgeTable, local: np.ndarray, anchor_ids, edge_ids, ranges) -> _Rows:
+    """The rows of R problems of M anchors each: anchor ``anchor_ids[r, j]``
+    (broadcast to (R, M)) with the edge ``edge_ids[r, j]`` and the range
+    ``ranges[r, j]``, one gather per column from ``table`` and from
+    ``local`` (A, E, 3), the anchors in every edge frame."""
+    ids = np.ascontiguousarray(np.asarray(edge_ids).T)  # (M, R); gathers keep its layout
+    rotation = table.rotation[ids]  # (M, R, 3, 3)
+    anchor = local[np.broadcast_to(anchor_ids, ids.T.shape).T, ids]  # (M, R, 3)
+    x1, x2 = table.x1[ids], table.x2[ids]
     return _Rows(
-        to_local=np.ascontiguousarray(rotation.transpose(1, 0, 2, 3)),
-        translation=column([e.frame.translation for e in edges], 3),
-        to_world=np.ascontiguousarray(rotation.transpose(0, 2, 1, 3)),
-        anchor=t[:, None],
+        to_local=np.ascontiguousarray(rotation.transpose(3, 2, 0, 1)),
+        translation=np.ascontiguousarray(table.translation[ids].transpose(2, 0, 1)),
+        to_world=np.ascontiguousarray(rotation.transpose(2, 0, 3, 1)),
+        anchor=np.ascontiguousarray(anchor.transpose(2, 0, 1))[:, None],
         x2=x2,
         span=x1 - x2,
-        half_w=0.5 * column([e.w for e in edges]),
-        ranges=column([meas.ranges for meas in sets]),
+        half_w=0.5 * table.w[ids],
+        ranges=np.ascontiguousarray(np.asarray(ranges, dtype=float).T),
     )
 
 
@@ -401,56 +370,70 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     return _GaussNewtonRows(alpha, iterations, status, residual_norm)
 
 
-def _estimate(out: _GaussNewtonRows, row: int) -> PositionEstimate:
-    return PositionEstimate(
-        alpha_hat=Point3.from_array(out.alpha[row]),
-        iterations=int(out.iterations[row]),
-        converged=bool(out.status[row] == _CONVERGED),
-        residual_norm=float(out.residual_norm[row]),
-    )
+def _checked(name: str, values, shape: tuple, count: int | None = None) -> np.ndarray:
+    """``values`` of ``shape``, checked to be finite or, with ``count``, ids in [0, count)."""
+    values = np.asarray(values, dtype=None if count is not None else float)
+    if values.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, not {values.shape}")
+    if count is None and not _all_finite(values):
+        raise ValueError(f"{name} must be finite")
+    if count is not None and values.size and (values.dtype.kind not in "iu"
+                                              or values.min() < 0 or values.max() >= count):
+        raise ValueError(f"{name} must be integers in [0, {count})")
+    return values if count is None else values.astype(int, copy=False)
 
 
-def dnls_ladder(sets, inits, bounds) -> list[LadderResult]:
+def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
+                bounds) -> list[LadderResult]:
     """D-NLS with the deterministic retry ladder, for many problems at once.
 
-    Problem i is measurement set ``sets[i]`` started at ``inits[i]``. Its
-    rungs are plain Gauss-Newton (50 iterations), damping 0.1 from the same
-    start (400), then damping 1.0 from the centroid of ``bounds`` (400). All
-    rungs of all problems run side by side in one Gauss-Newton loop; a
-    problem's result is its first converged rung in ladder order, exactly as
-    if the rungs ran one after another, and later rungs stop once it is
-    known.
+    Problem i ranges from every anchor of ``anchors`` (A, 3): anchor j to
+    the edge ``edge_ids[i, j]`` of ``table`` at ``ranges[i, j]``. Its rungs
+    are plain Gauss-Newton (50 iterations) from ``starts[i]``, damping 0.1
+    from the same start (400), then damping 1.0 from the centroid of
+    ``bounds`` = (lo, hi) (400). All rungs of all problems run side by side
+    in one Gauss-Newton loop; a problem's result is its first converged rung
+    in ladder order, exactly as if the rungs ran one after another, and
+    later rungs stop once it is known.
     """
-    n = len(sets)
+    anchors = _checked("anchors", anchors, (len(anchors), 3))
+    m, n = len(anchors), len(edge_ids)
+    if m < 4:
+        raise ValueError("3D solve requires at least 4 anchors")
+    if not n == len(ranges) == len(starts):
+        raise ValueError(f"edge ids, ranges and starts must have one row per problem, "
+                         f"not {n}, {len(ranges)} and {len(starts)}")
     if n == 0:
         return []
-    if min(len(meas) for meas in sets) < 4:
-        raise ValueError("3D solve requires at least 4 anchors")
-    starts = np.array([_vec(p) for p in inits])
-    if not np.all(np.isfinite(starts)):
-        raise ValueError("initial guesses must be finite")
-    centroid = 0.5 * (np.asarray(bounds[0], dtype=float) + np.asarray(bounds[1], dtype=float))
+    edge_ids = _checked("edge ids", edge_ids, (n, m), len(table.x1))
+    ranges = _checked("ranges", ranges, (n, m))
+    starts = _checked("starts", starts, (n, 3))
+    lo, hi = _checked("bounds", bounds, (2, 3))
+    if np.any(lo > hi):
+        raise ValueError("bounds must have lo <= hi on every axis")
     k = len(_LADDER)
     problem = np.tile(np.arange(n), k)  # rung-major: row = rung * n + problem
     out = _gauss_newton(
-        _pack(sets).take(problem),
-        np.concatenate([np.broadcast_to(centroid, (n, 3)) if from_centroid else starts
+        _pack(table, table.to_local(anchors), np.arange(m), np.tile(edge_ids, (k, 1)),
+              np.tile(ranges, (k, 1))),
+        np.concatenate([np.broadcast_to(0.5 * (lo + hi), (n, 3)) if from_centroid else starts
                         for from_centroid, _, _ in _LADDER]),
         np.repeat([iters for _, _, iters in _LADDER], n),
         np.repeat([damping for _, damping, _ in _LADDER], n),
         _TOL_M, problem)
 
-    status = out.status.reshape(k, n)
-    iterations = out.iterations.reshape(k, n)
+    status, iterations = out.status.reshape(k, n), out.iterations.reshape(k, n)
     results = []
     for i in range(n):
         rungs = np.flatnonzero(status[:, i] == _CONVERGED)
         if rungs.size == 0:
             results.append(LadderResult(None, None, int(iterations[:, i].sum())))
-        else:
-            rung = int(rungs[0])
-            results.append(LadderResult(_estimate(out, rung * n + i), rung,
-                                        int(iterations[:rung + 1, i].sum())))
+            continue
+        rung = int(rungs[0])
+        row = rung * n + i
+        estimate = PositionEstimate(Point3.from_array(out.alpha[row]), int(out.iterations[row]),
+                                    True, float(out.residual_norm[row]))
+        results.append(LadderResult(estimate, rung, int(iterations[:rung + 1, i].sum())))
     return results
 
 
@@ -486,43 +469,48 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return solutions.reshape(*ranges.shape[:-1], 3)
 
 
-def peb_batch(problems) -> list[FimResult]:
+def peb_batch(table: EdgeTable, anchors, problems) -> list[FimResult]:
     """Position error bounds of many problems at once, one ``FimResult`` each.
 
-    Each problem is a tuple (alpha_true, anchors, edges, snr_linear,
-    beta_sq_hz2). A singular FIM is reported as such (peb_m = inf) instead
-    of fabricating a number. Problems with the same anchor count
-    share one evaluation of the model's partials; their Fisher matrices,
-    singular tests and inverses are computed stacked. A problem's result
-    does not depend on the rest of the batch.
+    Each problem is a tuple (position, anchor ids, edge ids, snr_linear,
+    beta_sq_hz2): the anchors ``anchors[anchor ids]`` of ``anchors`` (A, 3)
+    range to the edges ``edge ids`` of ``table``, one linear SNR each. A
+    singular FIM is reported as such (peb_m = inf). Problems with the same
+    anchor count share one evaluation of the model's partials and stacked
+    Fisher matrices; a problem's result does not depend on the batch.
     """
-    alphas, sets, snrs, beta_sqs, by_count = [], [], [], [], {}
-    for i, (alpha_true, anchors, edges, snr_linear, beta_sq_hz2) in enumerate(problems):
+    anchors = _checked("anchors", anchors, (len(anchors), 3))
+    checked, by_count = [], {}
+    for i, (position, a_ids, e_ids, snr_linear, beta_sq_hz2) in enumerate(problems):
+        name = f"bound problem {i}"
         snr = np.asarray(snr_linear, dtype=float).reshape(-1)
-        if np.any(snr <= 0):
-            raise ValueError("linear SNRs must be positive")
-        if not beta_sq_hz2 > 0:
-            raise ValueError("beta^2 must be positive")
-        alphas.append(_vec(alpha_true))
-        sets.append(MeasurementSet(anchors=np.asarray(anchors, dtype=float).reshape(-1, 3),
-                                   ranges=np.zeros(len(snr)), sigmas=np.ones(len(snr)),
-                                   edges=tuple(edges)))
-        snrs.append(snr)
-        beta_sqs.append(beta_sq_hz2)
-        by_count.setdefault(len(snr), []).append(i)
+        m = len(snr)
+        if not np.shape(a_ids) == np.shape(e_ids) == (m,):
+            raise ValueError(f"{name}: {np.size(a_ids)} anchor ids, {np.size(e_ids)} edge ids "
+                             f"and {m} linear SNRs do not align")
+        if not (np.all(snr > 0) and _all_finite(snr)):
+            raise ValueError(f"{name}: linear SNRs must be positive and finite")
+        if not (beta_sq_hz2 > 0 and math.isfinite(beta_sq_hz2)):
+            raise ValueError(f"{name}: beta^2 must be positive and finite")
+        checked.append((_checked(f"{name}: position", position, (3,)),
+                        _checked(f"{name}: anchor ids", a_ids, (m,), len(anchors)),
+                        _checked(f"{name}: edge ids", e_ids, (m,), len(table.x1)),
+                        snr, float(beta_sq_hz2)))
+        by_count.setdefault(m, []).append(i)
 
-    results = [None] * len(sets)
+    local = table.to_local(anchors)
+    results = [None] * len(checked)
     for group in by_count.values():
+        alphas, anchor_ids, edge_ids, snrs, beta_sq = (
+            np.array(column) for column in zip(*(checked[i] for i in group)))
+        rows = _pack(table, local, anchor_ids, edge_ids, np.zeros(edge_ids.shape))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _, jac, singular = _model_rows(np.array([alphas[i] for i in group]),
-                                           _pack([sets[i] for i in group]))
+            _, jac, singular = _model_rows(alphas, rows)
         if singular.any():
             k, j = np.argwhere(singular)[0]
             raise SingularGeometryError(f"bound problem {group[k]}: position coincides "
                                         f"with the diffraction point of anchor {j}")
-        beta_sq = np.array([beta_sqs[i] for i in group], dtype=float)[:, None]
-        inv_var = 8.0 * math.pi ** 2 * beta_sq * np.array([snrs[i] for i in group]) \
-            / SPEED_OF_LIGHT ** 2  # 1/m^2
+        inv_var = 8.0 * math.pi ** 2 * beta_sq[:, None] * snrs / SPEED_OF_LIGHT ** 2  # 1/m^2
         # The product takes a contiguous (G, M, 3) stack of partials and its
         # transpose: operand layouts pick the BLAS path, and so the FIM's bits.
         grad = np.ascontiguousarray(jac.transpose(0, 2, 1))

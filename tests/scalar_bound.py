@@ -2,8 +2,9 @@
 
 This is the body the batched ``positioning.peb_batch`` replaced, kept as the
 test oracle. It takes the model's partials from a one-row call of the
-measurement model ``positioning._model_rows`` and forms, tests and inverts
-one Fisher matrix per call.
+measurement model ``positioning._model_rows``, its row packed from the
+problem's objects by ``scalar_dnls.scalar_pack``, and forms, tests and
+inverts one Fisher matrix per call.
 """
 
 import math
@@ -11,21 +12,19 @@ import math
 import numpy as np
 
 from diffpos.constants import SPEED_OF_LIGHT
-from diffpos.positioning import FimResult, MeasurementSet, _model_rows, _pack
+from conftest import Problem
+from diffpos.positioning import FimResult, _model_rows
+from scalar_dnls import scalar_pack
 
 RANK_RTOL = 1e-12
 
 
 def scalar_peb(alpha_true, anchors, edges, snr_linear, beta_sq_hz2):
-    """The FimResult of one bound problem, given as ``peb_batch`` takes it."""
+    """The FimResult of one bound problem at ``alpha_true``, with the
+    anchors (M, 3), their WindowEdges and linear SNRs."""
     snr = np.asarray(snr_linear, dtype=float).reshape(-1)
-    meas = MeasurementSet(
-        anchors=np.asarray(anchors, dtype=float).reshape(-1, 3),
-        ranges=np.zeros(len(snr)),
-        sigmas=np.ones(len(snr)),
-        edges=tuple(edges),
-    )
-    jac = _model_rows(np.asarray(alpha_true, dtype=float)[None], _pack([meas]))[1][0]
+    meas = Problem(anchors, np.zeros(len(snr)), tuple(edges))
+    jac = _model_rows(np.asarray(alpha_true, dtype=float)[None], scalar_pack([meas]))[1][0]
     inv_var = 8.0 * math.pi ** 2 * beta_sq_hz2 * snr / SPEED_OF_LIGHT ** 2  # 1/m^2
     fim = (jac * inv_var) @ jac.T
     fim = 0.5 * (fim + fim.T)

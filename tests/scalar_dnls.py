@@ -8,13 +8,21 @@ Instead of raising, a solve reports how it ended and at which iteration.
 
 ``reference_model_rows`` is the batched measurement model as it was first
 written, with every term recomputed on each call, kept as the bit-exact
-reference for ``positioning._model_rows``.
+reference for ``positioning._model_rows``. ``scalar_pack`` is the packing of
+problems given as objects that the edge-table gather replaced: it reads
+every edge's frame and moves every anchor into it with its own
+``RigidTransform.to_local`` call, the bit-exact reference for
+``positioning._pack``.
+
+A problem is any object with ``anchors`` (M, 3), ``ranges`` (M,) and
+``edges``, one ``WindowEdge`` per anchor (``conftest.Problem``).
 """
 
 import math
 
 import numpy as np
 
+from diffpos.positioning import _Rows
 from scalar_edge import approx_diffraction_solution
 
 RANK_RTOL = 1e-12
@@ -91,6 +99,35 @@ def reference_model_rows(alpha, sets):
         grad = rot[..., 0, :] * local[0][..., None] + rot[..., 1, :] * local[1][..., None] \
             + rot[..., 2, :] * local[2][..., None]
     return l_tx + l_rx, grad.transpose(0, 2, 1), singular
+
+
+def scalar_pack(sets) -> _Rows:
+    """Pack problems with the same anchor count into one _Rows, walking
+    their objects."""
+    counts = {len(meas) for meas in sets}
+    if len(counts) != 1:
+        raise ValueError("measurement sets of one batch must have the same anchor count")
+    shape = (len(sets), counts.pop())
+    edges = [edge for meas in sets for edge in meas.edges]
+    anchors = [anchor for meas in sets for anchor in meas.anchors]
+
+    def column(values, *tail):  # (*tail, M, R)
+        values = np.array(values, dtype=float).reshape(*shape, *tail)
+        return np.ascontiguousarray(np.moveaxis(values, (0, 1), (-1, -2)))
+
+    rotation = column([e.frame.rotation for e in edges], 3, 3)  # [i, k] = R[i, k]
+    t = column([e.frame.to_local(a) for a, e in zip(anchors, edges)], 3)
+    x1, x2 = column([e.x1 for e in edges]), column([e.x2 for e in edges])
+    return _Rows(
+        to_local=np.ascontiguousarray(rotation.transpose(1, 0, 2, 3)),
+        translation=column([e.frame.translation for e in edges], 3),
+        to_world=np.ascontiguousarray(rotation.transpose(0, 2, 1, 3)),
+        anchor=t[:, None],
+        x2=x2,
+        span=x1 - x2,
+        half_w=0.5 * column([e.w for e in edges]),
+        ranges=column([meas.ranges for meas in sets]),
+    )
 
 
 def scalar_gauss_newton(meas, init, max_iters=50, tol_m=1e-6, damping=0.0):

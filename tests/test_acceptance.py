@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import scalar_edge
-from conftest import random_positioning_instance
+from conftest import Problem, bounds_of, ladder, pack, random_positioning_instance
 from diffpos.channel import (
     MpcGroup,
     SceneGeometry,
@@ -35,14 +35,7 @@ from diffpos.experiments import (
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m, ranging_crlb_std_seconds
 from diffpos.geometry import WindowEdge
 from diffpos.materials import default_material_library, transmission_loss_db
-from diffpos.positioning import (
-    MeasurementSet,
-    _model_rows,
-    _pack,
-    dnls_ladder,
-    lls_solve,
-    peb_batch,
-)
+from diffpos.positioning import _model_rows, lls_solve
 
 BETA_SQ_400MHZ = mean_squared_bandwidth(400e6)
 # Box of the D-NLS retry ladder's last rung; it holds every receiver of
@@ -134,8 +127,8 @@ def test_criterion_2_jacobian_vs_finite_differences():
         h = 1e-5
         for _ in range(1000):
             alpha, anchors, edges = random_positioning_instance(rng)
-            meas = MeasurementSet(anchors, np.zeros(4), np.ones(4), edges)
-            analytic = _model_rows(alpha[None], _pack([meas]))[1][0]
+            meas = Problem(anchors, np.zeros(4), edges)
+            analytic = _model_rows(alpha[None], pack([meas]))[1][0]
             numeric = np.empty_like(analytic)
             for i in range(3):
                 up, dn = alpha.copy(), alpha.copy()
@@ -159,15 +152,15 @@ def test_criterion_3_estimator_consistency():
         truths, sets, starts = [], [], []
         for _ in range(100):
             alpha, anchors, edges = random_positioning_instance(rng)
-            meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
-            meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0]
+            meas = Problem(anchors, np.zeros(4), edges)
+            meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
             offset = rng.uniform(-1.0, 1.0, 3)
             offset *= rng.uniform(0.0, 2.0) / max(np.linalg.norm(offset), 1e-9)
             truths.append(alpha)
             sets.append(meas)
             starts.append(alpha + offset)
         # Plain Gauss-Newton, the retry ladder's first rung, converges on all.
-        for alpha, result in zip(truths, dnls_ladder(sets, starts, LADDER_BOUNDS)):
+        for alpha, result in zip(truths, ladder(sets, starts, LADDER_BOUNDS)):
             assert result.rung == 0
             assert np.linalg.norm(result.estimate.alpha_hat.as_array() - alpha) <= 1e-6
 
@@ -192,12 +185,12 @@ def test_criterion_4_monte_carlo_rmse_vs_peb():
         sigma = range_sigma_m(BETA_SQ_400MHZ, snr_lin)
         assert sigma <= 0.10
 
-        bound = peb_batch([(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ_400MHZ)])[0]
-        meas = MeasurementSet(anchors, np.zeros(4), np.full(4, sigma), edges)
-        truth = _model_rows(alpha[None], _pack([meas]))[0][0]
-        sets = [MeasurementSet(anchors, truth + sigma * rng.standard_normal(4), np.full(4, sigma),
-                               edges) for _ in range(1000)]
-        results = dnls_ladder(sets, [alpha] * len(sets), LADDER_BOUNDS)
+        bound = bounds_of([(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ_400MHZ)])[0]
+        meas = Problem(anchors, np.zeros(4), edges)
+        truth = _model_rows(alpha[None], pack([meas]))[0][0]
+        sets = [Problem(anchors, truth + sigma * rng.standard_normal(4), edges)
+                for _ in range(1000)]
+        results = ladder(sets, [alpha] * len(sets), LADDER_BOUNDS)
         assert all(r.rung == 0 for r in results)
         sq_errors = np.array([np.sum((r.estimate.alpha_hat.as_array() - alpha) ** 2)
                               for r in results])

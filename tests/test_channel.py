@@ -449,7 +449,8 @@ def test_path_table_tests_legs_from_the_anchor_at_a_boundary_line():
     geom = build_scene_geometry(scene)
     anchor = np.array(scene.anchors[0])
     slab = [s.name for s in geom.surfaces].index("slab_z9")
-    top = [i for i, e in enumerate(geom.edge_midpoints().tolist()) if e[1:] == [20.0, 14.8]]
+    midpoints = geom.edge_table.points(slice(None), np.full(len(geom.edges), 0.5))
+    top = [i for i, e in enumerate(midpoints.tolist()) if e[1:] == [20.0, 14.8]]
     assert len(top) == 6
     rx = Point3(13.0, 15.0, 13.5)
     table = path_table(scene, (0,), rx, geom)

@@ -5,7 +5,10 @@ The parity cases replay the D-NLS problems of real sweeps, captured where
 sweep of the 6 m floor-3 grid (seeds 0-3) and the seven-frequency ladder of
 the 10 m floor-3 grid (seed 0). Every problem must end on the same rung
 after the same number of iterations, or fail as the scalar ladder does, and
-its estimate must agree within 1e-9 m.
+its estimate must agree within 1e-9 m. The scalar ladder takes each problem
+as objects: the scene's anchors and the ``WindowEdge``s its edge ids name.
+The rows that ``_pack`` gathers from the edge table must equal, bit for bit,
+the object packing it replaced (``scalar_dnls.scalar_pack``).
 """
 
 import numpy as np
@@ -13,9 +16,10 @@ import pytest
 
 import diffpos.experiments as experiments
 import diffpos.positioning as positioning
-from conftest import random_positioning_instance
+from conftest import Problem, pack, random_positioning_instance
+from diffpos.channel import build_scene_geometry
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, SweepConfig, build_default_scene
-from diffpos.geometry import RigidTransform, WindowEdge
+from diffpos.geometry import RigidTransform, WindowEdge, edge_table
 from diffpos.positioning import (
     _CONVERGED,
     _DIVERGED,
@@ -24,13 +28,13 @@ from diffpos.positioning import (
     _OUT_OF_ITERATIONS,
     _SINGULAR,
     _TOL_M,
-    MeasurementSet,
     _gauss_newton,
     _model_rows,
     _pack,
+    _Rows,
     dnls_ladder,
 )
-from scalar_dnls import reference_model_rows, scalar_gauss_newton, scalar_ladder
+from scalar_dnls import reference_model_rows, scalar_gauss_newton, scalar_ladder, scalar_pack
 
 SWEEPS = {
     "trials": dict(grid_spacing=6.0, frequencies_hz=(28e9,), trials=2),
@@ -39,28 +43,34 @@ SWEEPS = {
 
 
 def captured_sweep(monkeypatch, size: str, seed: int):
-    """(report, sets, inits, bounds) of one sweep's D-NLS queue."""
+    """(report, args, sets) of one sweep's D-NLS queue: the ``dnls_ladder``
+    arguments (table, anchors, edge ids, ranges, starts, bounds) and the same
+    problems as objects, with the scene's WindowEdges."""
     params = SWEEPS[size]
     scene = build_default_scene(grid_spacing=params["grid_spacing"], receiver_floors=(3,))
     cfg = SweepConfig(scene=scene, frequencies_hz=params["frequencies_hz"], t_fap_db=20.0,
                       trials=params["trials"], seed=seed, top_k=25)
     calls = []
 
-    def capture(sets, inits, bounds):
-        calls.append((list(sets), list(inits), bounds))
-        return dnls_ladder(sets, inits, bounds)
+    def capture(*args):
+        calls.append(args)
+        return dnls_ladder(*args)
 
     monkeypatch.setattr(experiments, "dnls_ladder", capture)
     report = experiments.run_sweep(cfg)
     assert len(calls) == 1
-    return (report, *calls[0])
+    _, anchors, edge_ids, ranges, _, _ = calls[0]
+    edges = build_scene_geometry(scene).edges
+    sets = [Problem(anchors, r, tuple(edges[e] for e in ids)) for ids, r in zip(edge_ids, ranges)]
+    return report, calls[0], sets
 
 
 @pytest.mark.parametrize("size, seed", [("trials", 0), ("trials", 1), ("trials", 2),
                                         ("trials", 3), ("ladder", 0)])
 def test_ladder_matches_scalar_ladder_on_sweep_problems(monkeypatch, size, seed):
-    report, sets, inits, bounds = captured_sweep(monkeypatch, size, seed)
-    results = dnls_ladder(sets, inits, bounds)
+    report, args, sets = captured_sweep(monkeypatch, size, seed)
+    inits, bounds = args[4:]
+    results = dnls_ladder(*args)
     rungs = [0, 0, 0]
     total_iterations = 0
     failed = 0
@@ -86,12 +96,15 @@ def test_ladder_matches_scalar_ladder_on_sweep_problems(monkeypatch, size, seed)
 @pytest.mark.parametrize("size, rungs", [("trials", {0, 1, None}), ("ladder", {0, 1})],
                          ids=["trials", "ladder"])
 def test_ladder_result_does_not_depend_on_the_batch(monkeypatch, size, rungs):
-    _, sets, inits, bounds = captured_sweep(monkeypatch, size, 0)
-    batch = dnls_ladder(sets, inits, bounds)
-    reversed_batch = dnls_ladder(sets[::-1], inits[::-1], bounds)[::-1]
+    _, args, _ = captured_sweep(monkeypatch, size, 0)
+    table, anchors, edge_ids, ranges, inits, bounds = args
+    batch = dnls_ladder(*args)
+    reversed_batch = dnls_ladder(table, anchors, edge_ids[::-1], ranges[::-1], inits[::-1],
+                                 bounds)[::-1]
     assert {r.rung for r in batch} == rungs  # the outcomes the queue holds, failures (None) too
-    for i, (meas, init) in enumerate(zip(sets, inits)):
-        alone = dnls_ladder([meas], [init], bounds)[0]
+    for i in range(len(inits)):
+        alone = dnls_ladder(table, anchors, edge_ids[i:i + 1], ranges[i:i + 1], inits[i:i + 1],
+                            bounds)[0]
         assert alone == batch[i] == reversed_batch[i]
 
 
@@ -103,7 +116,7 @@ def in_random_frames(meas, rng):
         q = q * np.sign(np.diag(r))
         q[:, 0] *= np.sign(np.linalg.det(q))
         edges.append(WindowEdge(e.x1, e.x2, e.z_e, e.w, RigidTransform(q, rng.uniform(-5, 5, 3))))
-    return MeasurementSet(meas.anchors, meas.ranges, meas.sigmas, tuple(edges))
+    return Problem(meas.anchors, meas.ranges, tuple(edges))
 
 
 @pytest.mark.parametrize("size", ["trials", "ladder"])
@@ -115,14 +128,15 @@ def test_model_rows_equal_the_reference_model_bit_for_bit(monkeypatch, size):
     # row whose receiver leg is below 1e-12 m. Ranges, partials and
     # singular flags must equal the reference bit for bit, NaN where it has
     # NaN.
-    _, sets, inits, bounds = captured_sweep(monkeypatch, size, 0)
-    results = dnls_ladder(sets, inits, bounds)
+    _, args, sets = captured_sweep(monkeypatch, size, 0)
+    inits, bounds = args[4:]
+    results = dnls_ladder(*args)
     solved = [i for i, r in enumerate(results) if r.estimate is not None]
     rng = np.random.default_rng(11)
     pick = rng.integers(len(sets), size=1000)
     edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
-    on_edge = MeasurementSet(np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0],
-                                       [0.0, 9.0, 4.0]]), np.full(4, 20.0), np.ones(4), (edge,) * 4)
+    on_edge = Problem(np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0],
+                                [0.0, 9.0, 4.0]]), np.full(4, 20.0), (edge,) * 4)
     cases = [
         (sets, np.array(inits)),
         ([sets[i] for i in solved], np.array([results[i].estimate.alpha_hat.as_array()
@@ -135,7 +149,7 @@ def test_model_rows_equal_the_reference_model_bit_for_bit(monkeypatch, size):
     ]
     for case_sets, alpha in cases:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            got = _model_rows(alpha, _pack(case_sets))
+            got = _model_rows(alpha, pack(case_sets))
         expect = reference_model_rows(alpha, case_sets)
         for g, e in zip(got, expect):
             assert g.shape == e.shape and np.array_equal(g, e, equal_nan=True)
@@ -151,10 +165,11 @@ def test_ladder_prefers_an_earlier_rung_that_converges_later(monkeypatch):
     monkeypatch.setattr(positioning, "_LADDER",
                         ((False, 0.0, 50), (True, 0.0, 50), (True, 1.0, 400)))
     alpha, anchors, edges = random_positioning_instance(np.random.default_rng(12))
-    meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
-    meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0]
+    meas = Problem(anchors, np.zeros(4), edges)
+    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
     start = alpha + np.array([0.6, -0.4, 0.3])
-    result = dnls_ladder([meas], [start], (alpha - 1.0, alpha + 1.0))[0]
+    result = dnls_ladder(edge_table(edges), anchors, [[0, 1, 2, 3]], [meas.ranges], [start],
+                         (alpha - 1.0, alpha + 1.0))[0]
     outcome, iterations, estimate = scalar_gauss_newton(meas, start)
     assert outcome == "converged" and iterations > 1
     assert (result.rung, result.iterations) == (0, iterations)
@@ -168,24 +183,24 @@ def degenerate_vertical_problem():
     anchors = np.array([[5.0, y, z] for y, z in ((12.0, 2.0), (15.0, 3.0),
                                                  (18.0, 4.0), (21.0, 5.0))])
     alpha = np.array([5.0, -4.0, 5.0])
-    meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
-    meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0]
+    meas = Problem(anchors, np.zeros(4), edges)
+    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
     return meas, alpha + np.array([0.0, 0.5, 0.5])
 
 
 def diverging_problem(rng):
     """A range of inf makes the first step non-finite."""
     alpha, anchors, edges = random_positioning_instance(rng)
-    meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
-    meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0]
+    meas = Problem(anchors, np.zeros(4), edges)
+    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
     meas.ranges[2] = np.inf
     return meas, alpha
 
 
 def good_problem(rng):
     alpha, anchors, edges = random_positioning_instance(rng)
-    meas = MeasurementSet(anchors, np.zeros(4), np.full(4, 0.05), edges)
-    meas.ranges = _model_rows(alpha[None], _pack([meas]))[0][0] + 0.03 * rng.standard_normal(4)
+    meas = Problem(anchors, np.zeros(4), edges)
+    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0] + 0.03 * rng.standard_normal(4)
     return meas, alpha + 0.5
 
 
@@ -193,7 +208,7 @@ def solve_rows(problems, damping):
     sets = [meas for meas, _ in problems]
     starts = np.array([start for _, start in problems])
     n = len(problems)
-    return _gauss_newton(_pack(sets), starts, np.full(n, 50), np.full(n, damping), 1e-6,
+    return _gauss_newton(pack(sets), starts, np.full(n, 50), np.full(n, damping), 1e-6,
                          np.arange(n))
 
 
@@ -231,10 +246,10 @@ def test_final_evaluation_can_make_a_row_singular():
     # position on the model edge's line it is singular.
     edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
     anchors = np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0], [0.0, 9.0, 4.0]])
-    meas = MeasurementSet(anchors, np.full(4, 20.0), np.ones(4), (edge,) * 4)
+    meas = Problem(anchors, np.full(4, 20.0), (edge,) * 4)
     alpha = np.array([0.0, 0.0, 4.0])
     assert scalar_gauss_newton(meas, alpha, max_iters=0)[:2] == ("singular", 0)
-    out = _gauss_newton(_pack([meas]), alpha[None], np.zeros(1, dtype=int), np.zeros(1), 1e-6,
+    out = _gauss_newton(pack([meas]), alpha[None], np.zeros(1, dtype=int), np.zeros(1), 1e-6,
                         np.zeros(1, dtype=int))
     assert (out.status[0], out.iterations[0]) == (_SINGULAR, 0)
     out = solve_rows([(meas, alpha), good_problem(np.random.default_rng(11))], 0.0)
@@ -246,7 +261,7 @@ def final_singular_problem():
     position at which its model is singular."""
     edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
     anchors = np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0], [0.0, 9.0, 4.0]])
-    return MeasurementSet(anchors, np.full(4, 20.0), np.ones(4), (edge,) * 4), \
+    return Problem(anchors, np.full(4, 20.0), (edge,) * 4), \
         np.array([0.0, 0.0, 4.0])
 
 
@@ -255,7 +270,7 @@ def run_rows(problems):
     list of (meas, start, max_iters, damping) rows, its rungs in order."""
     rows = [(row, i) for i, problem in enumerate(problems) for row in problem]
     return _gauss_newton(
-        _pack([meas for (meas, _, _, _), _ in rows]),
+        pack([meas for (meas, _, _, _), _ in rows]),
         np.array([start for (_, start, _, _), _ in rows]),
         np.array([max_iters for (_, _, max_iters, _), _ in rows]),
         np.array([damping for (_, _, _, damping), _ in rows], dtype=float),
@@ -271,7 +286,8 @@ def test_rows_stop_as_in_their_own_runs(monkeypatch):
     # rung 2 dropped at 82; rung 1 converging at its 400th iteration as rung
     # 2 runs out; every rung out of iterations (damped rows at 400);
     # converged at rung 0 with rungs 1 and 2 dropped.
-    _, sets, inits, bounds = captured_sweep(monkeypatch, "ladder", 5)
+    _, args, sets = captured_sweep(monkeypatch, "ladder", 5)
+    inits, bounds = args[4:]
     centroid = 0.5 * (bounds[0] + bounds[1])
     ladders = [[(sets[i], centroid if from_centroid else inits[i], iters, damping)
                 for from_centroid, damping, iters in _LADDER] for i in (36, 37, 19, 0)]
@@ -325,13 +341,107 @@ def test_ladder_rejects_mixed_anchor_counts_and_bad_starts():
     rng = np.random.default_rng(10)
     meas, start = good_problem(rng)
     alpha, anchors, edges = random_positioning_instance(rng, n_anchors=5)
-    five = MeasurementSet(anchors, np.full(5, 30.0), np.ones(5), edges)
+    table = edge_table(meas.edges + edges)
     bounds = (np.zeros(3), np.full(3, 20.0))
-    with pytest.raises(ValueError, match="same anchor count"):
-        dnls_ladder([meas, five], [start, alpha], bounds)
-    with pytest.raises(ValueError, match="finite"):
-        dnls_ladder([meas], [np.array([np.nan, 0.0, 0.0])], bounds)
-    assert dnls_ladder([], [], bounds) == []
+    with pytest.raises(ValueError, match=r"edge ids must have shape \(2, 4\), not \(2, 5\)"):
+        dnls_ladder(table, meas.anchors, [[0, 1, 2, 3, 0], [4, 5, 6, 7, 8]],
+                    [np.append(meas.ranges, 30.0), np.full(5, 30.0)], [start, alpha], bounds)
+    with pytest.raises(ValueError, match="starts must be finite"):
+        dnls_ladder(table, meas.anchors, [[0, 1, 2, 3]], [meas.ranges],
+                    [np.array([np.nan, 0.0, 0.0])], bounds)
+    assert dnls_ladder(table, meas.anchors, np.zeros((0, 4), dtype=int), np.zeros((0, 4)),
+                       np.zeros((0, 3)), bounds) == []
+
+
+def ladder_args():
+    """Valid ``dnls_ladder`` arguments of two problems; each boundary test
+    below breaks one of them."""
+    rng = np.random.default_rng(10)
+    (first, start), (second, _) = good_problem(rng), good_problem(rng)
+    return dict(table=edge_table(first.edges + second.edges), anchors=first.anchors,
+                edge_ids=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]),
+                ranges=np.array([first.ranges, first.ranges + 0.1]),
+                starts=np.array([start, start + 0.2]), bounds=(np.zeros(3), np.full(3, 20.0)))
+
+
+def test_ladder_args_are_valid():
+    assert len(dnls_ladder(**ladder_args())) == 2
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("edge_ids", np.array([[0, 1, 2, 3]]), "not 1, 2 and 2"),
+    ("ranges", np.full((3, 4), 20.0), "not 2, 3 and 2"),
+    ("starts", np.full((1, 3), 5.0), "not 2, 2 and 1"),
+    ("starts", np.full((3, 3), 5.0), "not 2, 2 and 3"),
+    ("ranges", np.full((2, 5), 20.0), r"ranges must have shape \(2, 4\), not \(2, 5\)"),
+    ("starts", np.full((2, 2), 5.0), r"starts must have shape \(2, 3\), not \(2, 2\)"),
+], ids=["edge_ids", "ranges", "fewer_starts", "more_starts", "wide_ranges", "narrow_starts"])
+def test_ladder_rejects_counts_that_disagree(name, value, message):
+    args = ladder_args()
+    args[name] = value
+    with pytest.raises(ValueError, match=message):
+        dnls_ladder(**args)
+
+
+@pytest.mark.parametrize("bad_id", [-1, 8, 2.0], ids=["minus_one", "past_the_end", "float"])
+def test_ladder_rejects_edge_ids_outside_the_table(bad_id):
+    args = ladder_args()
+    args["edge_ids"] = np.array([[0, 1, 2, 3], [4, 5, 6, bad_id]])
+    with pytest.raises(ValueError, match=r"edge ids must be integers in \[0, 8\)"):
+        dnls_ladder(**args)
+
+
+def test_ladder_rejects_fewer_than_four_anchors():
+    args = ladder_args()
+    args.update(anchors=args["anchors"][:3], edge_ids=args["edge_ids"][:, :3],
+                ranges=args["ranges"][:, :3])
+    with pytest.raises(ValueError, match="at least 4 anchors"):
+        dnls_ladder(**args)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("starts", np.array([[1.0, 2.0, 3.0], [np.inf, 2.0, 3.0]])),
+    ("ranges", np.array([[20.0, 20.0, np.nan, 20.0], [20.0] * 4])),
+    ("bounds", (np.zeros(3), np.array([20.0, np.nan, 20.0]))),
+    ("bounds", (np.full(3, np.nan), np.full(3, np.nan))),
+    ("bounds", (np.array([0.0, -np.inf, 0.0]), np.full(3, 20.0))),
+], ids=["starts", "ranges", "nan_bound", "nan_bounds", "infinite_bound"])
+def test_ladder_rejects_non_finite_values(name, value):
+    args = ladder_args()
+    args[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dnls_ladder(**args)
+
+
+def test_ladder_rejects_bounds_with_lo_above_hi():
+    args = ladder_args()
+    args["bounds"] = (np.array([0.0, 21.0, 0.0]), np.full(3, 20.0))
+    with pytest.raises(ValueError, match="bounds must have lo <= hi"):
+        dnls_ladder(**args)
+
+
+@pytest.mark.parametrize("size, seed", [(size, seed) for size in SWEEPS for seed in range(8)])
+def test_gathered_rows_equal_the_object_packing(monkeypatch, size, seed):
+    # The rows dnls_ladder gathers for a captured queue, from the sweep's
+    # own edge table, against the object packing of the same problems.
+    _, (table, anchors, edge_ids, ranges, _, _), sets = captured_sweep(monkeypatch, size, seed)
+    assert_same_rows(_pack(table, table.to_local(anchors), np.arange(len(anchors)), edge_ids,
+                           ranges), scalar_pack(sets))
+
+
+def test_gathered_rows_equal_the_object_packing_in_random_frames(monkeypatch):
+    # Edges in random rigid frames, whose rotations mix every axis.
+    _, _, sets = captured_sweep(monkeypatch, "trials", 0)
+    rng = np.random.default_rng(23)
+    moved = [in_random_frames(sets[i], rng) for i in rng.integers(len(sets), size=200)]
+    assert_same_rows(pack(moved), scalar_pack(moved))
+
+
+def assert_same_rows(got: _Rows, want: _Rows):
+    for name, g, w in zip(_Rows._fields, got, want):
+        assert (g.shape, g.dtype, g.flags.c_contiguous) \
+            == (w.shape, w.dtype, w.flags.c_contiguous), name
+        assert np.array_equal(g, w), name
 
 
 @pytest.mark.parametrize("size", ["trials", "ladder"])
@@ -339,7 +449,7 @@ def test_rank_screen_decides_as_the_svd_on_sweep_queues(monkeypatch, size):
     # Every stack of undamped normal matrices whose rank the Gauss-Newton
     # loop tests while it solves a captured queue: the determinant screen
     # decides as the SVD test does, and spares the SVD most matrices.
-    _, sets, inits, bounds = captured_sweep(monkeypatch, size, 0)
+    _, args, _ = captured_sweep(monkeypatch, size, 0)
     svd_test, screen = positioning._rank_deficient, positioning._normal_rank_deficient
     tested, sent_to_svd = [], []
 
@@ -355,7 +465,7 @@ def test_rank_screen_decides_as_the_svd_on_sweep_queues(monkeypatch, size):
 
     monkeypatch.setattr(positioning, "_rank_deficient", counted_svd_test)
     monkeypatch.setattr(positioning, "_normal_rank_deficient", checked_screen)
-    dnls_ladder(sets, inits, bounds)
+    dnls_ladder(*args)
     assert sum(tested) > 500
     assert sum(sent_to_svd) < 0.1 * sum(tested)
 

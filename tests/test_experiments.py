@@ -513,7 +513,8 @@ def test_dnls_batch_size_does_not_change_the_report(tiny_sweep, monkeypatch):
     ladder = experiments.dnls_ladder
     monkeypatch.setattr(experiments, "_DNLS_BATCH", 3)
     monkeypatch.setattr(experiments, "dnls_ladder",
-                        lambda sets, *rest: calls.append(len(sets)) or ladder(sets, *rest))
+                        lambda table, anchors, edge_ids, *rest: calls.append(len(edge_ids))
+                        or ladder(table, anchors, edge_ids, *rest))
     chunked = run_sweep(cfg)
     problems = sum(len(fr.dnls_errors_m) + fr.exclusions["dnls_failed"]
                    for fr in report.frequencies)

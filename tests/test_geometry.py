@@ -12,20 +12,22 @@ import pytest
 
 import scalar_edge
 import scalar_paths
-from diffpos.channel import SceneGeometry, build_scene_geometry
+from conftest import Problem, pack
+from diffpos.channel import SceneGeometry, build_scene_geometry, receiver_grid
 from diffpos.experiments import build_default_scene
 from diffpos.geometry import (
     GeometryError,
     Point3,
     RigidTransform,
     WindowEdge,
+    edge_table,
     euclidean_distance,
     _mirror_images,
     _reflect_rows,
     _signed_distances,
     _solve_edge_lambdas,
 )
-from diffpos.positioning import MeasurementSet, _model_rows, _pack
+from diffpos.positioning import _model_rows
 
 RNG = np.random.default_rng(20260808)
 
@@ -508,8 +510,8 @@ def test_approx_equals_exact_when_offset_matches():
         # Choose a receiver whose local height satisfies z_e - z_n = w/2.
         rx = np.array([RNG.uniform(-8, 8), RNG.uniform(-20, -1), edge.z_e - edge.w / 2.0])
         exact = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
-        meas = MeasurementSet([tx], [0.0], [1.0], (edge,))
-        approx = _model_rows(rx[None], _pack([meas]))[0][0, 0]
+        meas = Problem([tx], [0.0], (edge,))
+        approx = _model_rows(rx[None], pack([meas]))[0][0, 0]
         assert approx == pytest.approx(exact, rel=1e-12)
 
 
@@ -519,8 +521,8 @@ def test_approx_w_zero_limit_in_edge_plane():
     edge = WindowEdge(x1=-5.0, x2=5.0, z_e=7.0, w=1e-12)
     tx = np.array([2.0, 10.0, 12.0])
     rx = np.array([-1.0, -6.0, 7.0])  # receiver at edge height
-    meas = MeasurementSet([tx], [0.0], [1.0], (edge,))
-    got = _model_rows(rx[None], _pack([meas]))[0][0, 0]
+    meas = Problem([tx], [0.0], (edge,))
+    got = _model_rows(rx[None], pack([meas]))[0][0, 0]
     expect = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -531,13 +533,47 @@ def test_approx_discrepancy_bounded_by_height_mismatch():
     edge = WindowEdge(x1=-4.0, x2=4.0, z_e=10.0, w=2.0)
     tx = np.array([1.0, 25.0, 16.0])
     geom = SceneGeometry([], [edge], None)
-    meas = MeasurementSet([tx], [0.0], [1.0], (edge,))
+    meas = Problem([tx], [0.0], (edge,))
     for z_n in np.linspace(6.0, 10.0, 21):
         rx = np.array([-2.0, -5.0, z_n])
         exact = geom.diffractions(tx, rx).length[0]
-        approx = _model_rows(rx[None], _pack([meas]))[0][0, 0]
+        approx = _model_rows(rx[None], pack([meas]))[0][0, 0]
         mismatch = abs((edge.z_e - z_n) - edge.w / 2.0)
         assert abs(approx - exact) <= mismatch + 1e-12
+
+
+def test_edge_table_packs_every_edge_in_order():
+    edges = build_scene_geometry(build_default_scene()).edges
+    table = edge_table(edges)
+    for e, edge in enumerate(edges):
+        assert np.array_equal(table.rotation[e], edge.frame.rotation)
+        assert np.array_equal(table.translation[e], edge.frame.translation)
+        assert (table.x1[e], table.x2[e], table.z_e[e], table.w[e]) \
+            == (edge.x1, edge.x2, edge.z_e, edge.w)
+    assert [column.shape for column in edge_table([])] \
+        == [(0, 3, 3), (0, 3), (0,), (0,), (0,), (0,)]
+
+
+def test_edge_table_frame_map_equals_to_local_bit_for_bit():
+    # The default scene's facade edges, and edges in random rigid frames,
+    # whose rotations mix every axis, at the scene's anchors and receivers
+    # and at random points: each point in each frame equals its own
+    # RigidTransform.to_local call bit for bit.
+    scene = build_default_scene()
+    rng = np.random.default_rng(41)
+    moved = [WindowEdge(e.x1, e.x2, e.z_e, e.w,
+                        RigidTransform(random_rotation(rng), rng.uniform(-30, 30, 3)))
+             for e in (random_edge(rng) for _ in range(60))]
+    points = np.concatenate([np.asarray(scene.anchors, dtype=float),
+                             [p.as_array() for p in receiver_grid(scene)],
+                             rng.uniform(-50, 50, (40, 3))])
+    for edges in (build_scene_geometry(scene).edges, moved):
+        local = edge_table(edges).to_local(points)
+        assert local.shape == (len(points), len(edges), 3)
+        for n, p in enumerate(points):
+            expect = np.array([edge.frame.to_local(p) for edge in edges])
+            assert np.array_equal(local[n], expect)
+    assert np.array_equal(edge_table(moved).to_local(points[0]), local[:1])
 
 
 def test_window_edge_invariants():

@@ -12,27 +12,24 @@ import numpy as np
 import pytest
 
 import scalar_edge
-from conftest import random_positioning_instance
+from conftest import Problem, bounds_of, ladder, pack, random_positioning_instance
 from diffpos.constants import SPEED_OF_LIGHT
 from diffpos.channel import SceneGeometry
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m
-from diffpos.geometry import Point3, WindowEdge
+from diffpos.geometry import Point3, WindowEdge, edge_table
 from diffpos.positioning import (
     _CONVERGED,
     _DIVERGED,
     _OUT_OF_ITERATIONS,
     _SINGULAR,
     FimResult,
-    MeasurementSet,
     PositionEstimate,
     SingularGeometryError,
     _gauss_newton,
     _model_rows,
-    _pack,
     dnls_ladder,
     lls_solve,
     lls_start,
-    peb_batch,
 )
 
 RNG = np.random.default_rng(1234)
@@ -47,15 +44,10 @@ def model_ranges(alpha, anchors, edges) -> np.ndarray:
                      for j in range(len(anchors))])
 
 
-def meas_from_instance(alpha, anchors, edges, sigma=0.05, ranges=None) -> MeasurementSet:
+def meas_from_instance(alpha, anchors, edges, ranges=None) -> Problem:
     if ranges is None:
         ranges = model_ranges(alpha, anchors, edges)
-    return MeasurementSet(
-        anchors=anchors,
-        ranges=np.asarray(ranges, dtype=float),
-        sigmas=np.full(len(anchors), sigma),
-        edges=edges,
-    )
+    return Problem(anchors=anchors, ranges=np.asarray(ranges, dtype=float), edges=edges)
 
 
 def fd_jacobian(alpha, meas, h=1e-5) -> np.ndarray:
@@ -80,7 +72,7 @@ def test_jacobian_symmetric_configuration_zero_x_partial():
     anchor = np.array([[0.0, 20.0, 4.0]])
     alpha = np.array([0.0, -6.0, 7.0])
     meas = meas_from_instance(alpha, anchor, (edge,))
-    jac = _model_rows(alpha[None], _pack([meas]))[1][0]
+    jac = _model_rows(alpha[None], pack([meas]))[1][0]
     assert jac[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -89,7 +81,7 @@ def test_jacobian_matches_finite_differences_random():
     for _ in range(1000):
         alpha, anchors, edges = random_positioning_instance(RNG)
         meas = meas_from_instance(alpha, anchors, edges)
-        ranges, analytic, singular = _model_rows(alpha[None], _pack([meas]))
+        ranges, analytic, singular = _model_rows(alpha[None], pack([meas]))
         assert not singular.any()
         # The scalar oracle solves the edge by another algorithm, so the
         # ranges agree to roundoff rather than bit for bit.
@@ -110,7 +102,7 @@ def test_jacobian_small_window_limit_matches_unfolded_chain():
         alpha, anchors, edges = random_positioning_instance(rng, n_anchors=1)
         tiny = tuple(WindowEdge(e.x1, e.x2, e.z_e, 1e-9, e.frame) for e in edges)
         meas = meas_from_instance(alpha, anchors, tiny)
-        jac = _model_rows(alpha[None], _pack([meas]))[1][0, :, 0]
+        jac = _model_rows(alpha[None], pack([meas]))[1][0, :, 0]
 
         edge = tiny[0]
         t = edge.frame.to_local(anchors[0])
@@ -138,7 +130,7 @@ def test_jacobian_endpoint_clamped_consistent_with_fd():
     anchor = np.array([[8.0, 12.0, 2.0]])
     alpha = np.array([9.0, -6.0, 4.0])
     meas = meas_from_instance(alpha, anchor, (edge,))
-    analytic = _model_rows(alpha[None], _pack([meas]))[1][0]
+    analytic = _model_rows(alpha[None], pack([meas]))[1][0]
     numeric = fd_jacobian(alpha, meas)
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
@@ -150,7 +142,7 @@ def test_jacobian_singular_on_edge():
     anchor = np.array([[0.0, 10.0, 2.0]])
     alpha = np.array([0.0, 0.0, 4.0])
     meas = meas_from_instance(alpha, anchor, (edge,), ranges=[1.0])
-    assert _model_rows(alpha[None], _pack([meas]))[2].tolist() == [[True]]
+    assert _model_rows(alpha[None], pack([meas]))[2].tolist() == [[True]]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +159,7 @@ def test_dnls_noiseless_recovery_100_instances():
         truths.append(alpha)
         starts.append(alpha + offset)
     # Plain Gauss-Newton, the ladder's first rung, recovers every instance.
-    for alpha, result in zip(truths, dnls_ladder(sets, starts, BOUNDS)):
+    for alpha, result in zip(truths, ladder(sets, starts, BOUNDS)):
         assert result.rung == 0
         assert np.linalg.norm(result.estimate.alpha_hat.as_array() - alpha) <= 1e-6
 
@@ -175,7 +167,7 @@ def test_dnls_noiseless_recovery_100_instances():
 def test_dnls_fixed_point_zero_step():
     alpha, anchors, edges = random_positioning_instance(RNG)
     meas = meas_from_instance(alpha, anchors, edges)
-    result = dnls_ladder([meas], [alpha], BOUNDS)[0]
+    result = ladder([meas], [alpha], BOUNDS)[0]
     est = result.estimate
     assert result.rung == 0 and est.converged and est.iterations == 1
     assert np.linalg.norm(est.alpha_hat.as_array() - alpha) < 1e-12
@@ -190,11 +182,11 @@ def test_dnls_monte_carlo_rmse_tracks_peb():
     sigma = range_sigma_m(BETA_SQ, snr_lin)
     assert sigma <= 0.10
 
-    bound = peb_batch([(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ)])[0]
+    bound = bounds_of([(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ)])[0]
     truth_ranges = model_ranges(alpha, anchors, edges)
-    sets = [MeasurementSet(anchors, truth_ranges + sigma * rng.standard_normal(4),
-                           np.full(4, sigma), edges) for _ in range(1000)]
-    results = dnls_ladder(sets, [alpha] * len(sets), BOUNDS)
+    sets = [Problem(anchors, truth_ranges + sigma * rng.standard_normal(4), edges)
+            for _ in range(1000)]
+    results = ladder(sets, [alpha] * len(sets), BOUNDS)
     assert all(r.rung == 0 for r in results)
     sq_errors = np.array([np.sum((r.estimate.alpha_hat.as_array() - alpha) ** 2)
                           for r in results])
@@ -213,23 +205,23 @@ def test_dnls_rejects_degenerate_vertical_geometry():
     alpha = np.array([5.0, -4.0, 5.0])
     meas = meas_from_instance(alpha, anchors, edges)
     start = alpha + np.array([0.0, 0.5, 0.5])
-    out = _gauss_newton(_pack([meas]), start[None], np.array([50]), np.zeros(1), 1e-6,
+    out = _gauss_newton(pack([meas]), start[None], np.array([50]), np.zeros(1), 1e-6,
                         np.zeros(1, dtype=int))
     assert out.status[0] == _SINGULAR
 
 
 def test_dnls_requires_four_anchors():
     alpha, anchors, edges = random_positioning_instance(RNG)
-    meas = MeasurementSet(anchors[:3], np.ones(3) * 30, np.ones(3), edges[:3])
     with pytest.raises(ValueError, match="at least 4 anchors"):
-        dnls_ladder([meas], [alpha], BOUNDS)
+        dnls_ladder(edge_table(edges[:3]), anchors[:3], [[0, 1, 2]], [np.ones(3) * 30], [alpha],
+                    BOUNDS)
 
 
 def test_dnls_far_init_is_reported_not_silent():
     alpha, anchors, edges = random_positioning_instance(RNG)
     meas = meas_from_instance(alpha, anchors, edges)
     start = alpha + np.array([4000.0, -3000.0, 2000.0])
-    out = _gauss_newton(_pack([meas]), start[None], np.array([20]), np.zeros(1), 1e-6,
+    out = _gauss_newton(pack([meas]), start[None], np.array([20]), np.zeros(1), 1e-6,
                         np.zeros(1, dtype=int))
     if out.status[0] == _CONVERGED:
         # If it converged it must have converged to the right place.
@@ -301,14 +293,14 @@ def test_lls_solve_equals_per_problem_lstsq_bit_for_bit(m):
 def test_peb_snr_scaling():
     alpha, anchors, edges = random_positioning_instance(RNG)
     snr = np.array([10.0, 20.0, 15.0, 12.0])
-    base, doubled = peb_batch([(alpha, anchors, edges, snr, BETA_SQ),
+    base, doubled = bounds_of([(alpha, anchors, edges, snr, BETA_SQ),
                                (alpha, anchors, edges, 2 * snr, BETA_SQ)])
     assert doubled.peb_m == pytest.approx(base.peb_m / math.sqrt(2), rel=1e-12)
 
 
 def test_peb_single_anchor_singular():
     alpha, anchors, edges = random_positioning_instance(RNG)
-    result = peb_batch([(alpha, anchors[:1], edges[:1], np.array([10.0]), BETA_SQ)])[0]
+    result = bounds_of([(alpha, anchors[:1], edges[:1], np.array([10.0]), BETA_SQ)])[0]
     assert result.singular
     assert result.peb_m == math.inf
     assert result.fim_inv is None
@@ -318,7 +310,7 @@ def test_peb_anchor_relabeling_invariance():
     alpha, anchors, edges = random_positioning_instance(RNG)
     snr = np.array([10.0, 20.0, 15.0, 12.0])
     perm = [2, 0, 3, 1]
-    base, permuted = peb_batch([
+    base, permuted = bounds_of([
         (alpha, anchors, edges, snr, BETA_SQ),
         (alpha, anchors[perm], tuple(edges[i] for i in perm), snr[perm], BETA_SQ)])
     np.testing.assert_allclose(permuted.fim, base.fim, rtol=1e-12)
@@ -330,7 +322,7 @@ def test_peb_rigid_rotation_invariance():
 
     alpha, anchors, edges = random_positioning_instance(RNG)
     snr = np.array([10.0, 20.0, 15.0, 12.0])
-    base = peb_batch([(alpha, anchors, edges, snr, BETA_SQ)])[0]
+    base = bounds_of([(alpha, anchors, edges, snr, BETA_SQ)])[0]
 
     theta = 0.7
     rot = np.array([
@@ -344,7 +336,7 @@ def test_peb_rigid_rotation_invariance():
                    RigidTransform(e.frame.rotation @ rot.T,
                                   e.frame.translation - e.frame.rotation @ rot.T @ shift))
         for e in edges)
-    moved = peb_batch([(rot @ alpha + shift, (anchors @ rot.T) + shift, moved_edges, snr,
+    moved = bounds_of([(rot @ alpha + shift, (anchors @ rot.T) + shift, moved_edges, snr,
                         BETA_SQ)])[0]
     assert moved.peb_m == pytest.approx(base.peb_m, rel=1e-9)
 
@@ -356,11 +348,11 @@ def test_peb_matches_monte_carlo_covariance_trace():
     alpha, anchors, edges = random_positioning_instance(rng)
     snr_lin = np.full(4, 10 ** (1.8))
     sigma = range_sigma_m(BETA_SQ, float(snr_lin[0]))
-    bound = peb_batch([(alpha, anchors, edges, snr_lin, BETA_SQ)])[0]
+    bound = bounds_of([(alpha, anchors, edges, snr_lin, BETA_SQ)])[0]
     truth = model_ranges(alpha, anchors, edges)
-    sets = [MeasurementSet(anchors, truth + sigma * rng.standard_normal(4),
-                           np.full(4, sigma), edges) for _ in range(500)]
-    results = dnls_ladder(sets, [alpha] * len(sets), BOUNDS)
+    sets = [Problem(anchors, truth + sigma * rng.standard_normal(4), edges)
+            for _ in range(500)]
+    results = ladder(sets, [alpha] * len(sets), BOUNDS)
     assert all(r.rung == 0 for r in results)
     errs = [np.sum((r.estimate.alpha_hat.as_array() - alpha) ** 2) for r in results]
     rmse = math.sqrt(float(np.mean(errs)))
@@ -374,11 +366,11 @@ def test_dnls_rmse_nonincreasing_in_snr():
     rmses = []
     for snr_db in (10.0, 16.0, 22.0):
         sigma = range_sigma_m(BETA_SQ, 10 ** (snr_db / 10))
-        sets = [MeasurementSet(anchors, truth + sigma * rng.standard_normal(4),
-                               np.full(4, sigma), edges) for _ in range(300)]
+        sets = [Problem(anchors, truth + sigma * rng.standard_normal(4), edges)
+                for _ in range(300)]
         # Plain Gauss-Newton, converged or not: at 10 dB a third of the sets
         # leave the ladder's first rung, and a few every rung.
-        out = _gauss_newton(_pack(sets), np.tile(alpha, (300, 1)), np.full(300, 50),
+        out = _gauss_newton(pack(sets), np.tile(alpha, (300, 1)), np.full(300, 50),
                             np.zeros(300), 1e-6, np.arange(300))
         assert not np.isin(out.status, (_SINGULAR, _DIVERGED)).any()
         errs = np.sum((out.alpha - alpha) ** 2, axis=1)
@@ -399,13 +391,13 @@ def test_mismatch_direction_between_estimators():
         euclid_ranges = np.linalg.norm(anchors - alpha, axis=1)
         truths.append(alpha)
         for sets, ranges in ((diffraction_sets, diffraction_ranges), (euclid_sets, euclid_ranges)):
-            sets.append(MeasurementSet(anchors, ranges, np.full(4, 0.05), edges))
+            sets.append(Problem(anchors, ranges, edges))
 
     def errors(sets):
         """(D-NLS, LLS) position error per set. D-NLS starts at the clamped
         LLS estimate and takes the retry ladder's estimate, as a sweep does."""
         lls = [lls_solve(meas.anchors, meas.ranges) for meas in sets]
-        dnls = dnls_ladder(sets, lls_start(np.array(lls), bounds), bounds)
+        dnls = ladder(sets, lls_start(np.array(lls), bounds), bounds)
         return [(np.linalg.norm(r.estimate.alpha_hat.as_array() - alpha),
                  np.linalg.norm(est - alpha))
                 for r, est, alpha in zip(dnls, lls, truths)]
