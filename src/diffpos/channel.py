@@ -31,9 +31,8 @@ import numpy as np
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT, linear_to_db
 from .geometry import (
+    EdgeTable,
     Point3,
-    RigidTransform,
-    WindowEdge,
     _mirror_images,
     _on_edge_line,
     _reflect_rows,
@@ -255,26 +254,10 @@ class PathLimits:
             raise ValueError("path limits must be non-negative")
 
 
-# Memo of _facade_frame: every window of a facade shares its frame, and
-# building and validating a RigidTransform per window would dominate
-# scene expansion. A scene has a handful of facades. The frames are shared
-# by every scene, so their arrays are read-only.
-_FACADE_FRAMES: dict[tuple[str, float], RigidTransform] = {}
-
-
-def _facade_frame(axis: str, coord: float) -> RigidTransform:
-    """World -> edge-local frame of the facade with normal ``axis`` at ``coord``:
-    local x runs along the facade, local y across it, local z up."""
-    frame = _FACADE_FRAMES.get((axis, coord))
-    if frame is None:
-        if axis == "y":
-            frame = RigidTransform(np.eye(3), np.array([0.0, -coord, 0.0]))
-        else:
-            rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-            frame = RigidTransform(rot, np.array([0.0, coord, 0.0]))
-        frame.rotation.flags.writeable = frame.translation.flags.writeable = False
-        _FACADE_FRAMES[axis, coord] = frame
-    return frame
+# World -> edge-local rotation of the windows of a facade with normal axis
+# 'y' or 'x'; the facade at c translates by (0, -c, 0) or (0, c, 0).
+_FACADE_ROTATIONS = {"y": np.eye(3),
+                     "x": np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])}
 
 
 @dataclass(frozen=True)
@@ -301,13 +284,6 @@ class WindowRect:
     @property
     def height(self) -> float:
         return self.z_hi - self.z_lo
-
-    def edges(self) -> tuple[WindowEdge, WindowEdge]:
-        """Bottom and top horizontal diffracting edges in world frames."""
-        frame = _facade_frame(self.axis, self.coord)
-        bottom = WindowEdge(self.u_lo, self.u_hi, self.z_lo, self.height, frame)
-        top = WindowEdge(self.u_lo, self.u_hi, self.z_hi, self.height, frame)
-        return bottom, top
 
 
 @dataclass(frozen=True)
@@ -420,7 +396,7 @@ class EdgeDiffractions(NamedTuple):
     edge) row."""
 
     pair: np.ndarray  # (D,) receiver * A + anchor, positions in the rx and tx rows
-    ids: np.ndarray  # (D,) edge indices into SceneGeometry.edges
+    ids: np.ndarray  # (D,) edge indices into SceneGeometry.edge_table
     lam: np.ndarray  # (D,) q = lam*X1 + (1-lam)*X2 in the edge-local frame
     endpoint: np.ndarray  # (D,) clamped to an edge endpoint
     length: np.ndarray  # (D,) two-leg path length
@@ -504,10 +480,10 @@ class SceneGeometry:
     prepare_frequency.
     """
 
-    def __init__(self, surfaces: list[Surface], edges: list[WindowEdge],
+    def __init__(self, surfaces: list[Surface], edges: EdgeTable,
                  ground_slab: SlabSpec | None):
         self.surfaces = surfaces
-        self.edges = edges
+        self.edge_table = edges
         self._walls = _pack_surfaces(surfaces)
         self._cut_surfaces = np.flatnonzero(self._walls.has_cutouts)
         # Reflectors; the ground is the unbounded plane z = 0.
@@ -518,7 +494,6 @@ class SceneGeometry:
         self.reflector_slabs = tuple(s.slab for s in mirrors)
         self._mirrors = _pack_surfaces(mirrors)
         self._mirror_normal = np.eye(3)[self._mirrors.axis].reshape(-1, 3)
-        self.edge_table = edge_table(edges)
         self._loss_cache: dict[float, np.ndarray] = {}
         self._anchor_cache: dict[bytes, _AnchorTerms] = {}
 
@@ -702,9 +677,14 @@ def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
             u_lo=wall.u_lo, u_hi=wall.u_hi, v_lo=wall.z_lo, v_hi=wall.z_hi,
             slab=scene.interior_slab, reflective=False))
 
-    edges: list[WindowEdge] = []
-    for window in scene.windows:
-        edges.extend(window.edges())
+    # Two edges per window, its bottom rim then its top rim, in the frame of
+    # its facade: local x runs along the facade, local y across it, local z up.
+    rims = [(w, z) for w in scene.windows for z in (w.z_lo, w.z_hi)]
+    edges = edge_table(
+        np.array([_FACADE_ROTATIONS[w.axis] for w, _ in rims]).reshape(-1, 3, 3),
+        np.array([(0.0, -w.coord if w.axis == "y" else w.coord, 0.0)
+                  for w, _ in rims]).reshape(-1, 3),
+        *np.array([(w.u_lo, w.u_hi, z, w.height) for w, z in rims]).reshape(-1, 4).T)
 
     ground_slab = scene.exterior_slab if scene.include_ground else None
     return SceneGeometry(surfaces=surfaces, edges=edges, ground_slab=ground_slab)
@@ -811,7 +791,7 @@ class PathTable:
     kind: np.ndarray  # (P,) _DIRECT, _REFLECTION or _DIFFRACTION
     n_crossings: np.ndarray  # (P, 2) surfaces crossed per leg
     group: np.ndarray  # (P,) MpcGroup value
-    edge_id: np.ndarray  # (P,) index into geometry.edges; -1 off diffraction rows
+    edge_id: np.ndarray  # (P,) index into geometry.edge_table; -1 off diffraction rows
     reflector: np.ndarray  # (P,) index into geometry.reflector_slabs; -1 off reflection rows
     incidence_rad: np.ndarray  # (P,) clamped incidence angle; NaN off reflection rows
 
@@ -1107,12 +1087,14 @@ def export_dataset(pdps, path) -> int:
 
 
 def _integer_field(rec: dict, key: str) -> int:
-    """An id field that must be a JSON integer; a boolean or a non-integral
-    number raises ValueError."""
+    """An id field that must be a non-negative JSON integer; a boolean, a
+    non-integral or a negative number raises ValueError."""
     value = rec[key]
     if isinstance(value, bool) or not (
             isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{key} must be non-negative, got {value!r}")
     return int(value)
 
 
@@ -1128,12 +1110,13 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
     """Read a line-delimited MPC dataset and rebuild per-pair PDPs.
 
     Structural problems (bad JSON, wrong schema, missing or malformed
-    fields, an id that is not an integer, an rx_xyz that is not a list of
-    three finite JSON numbers, a length, power or ToF that is not a JSON
-    number) raise DatasetError with the line number. Physically
+    fields, an id that is not a non-negative integer, an rx_xyz that is not
+    a list of three finite JSON numbers, a length, power or ToF that is not
+    a JSON number) raise DatasetError with the line number. Physically
     inconsistent records (negative or non-finite lengths, non-finite powers,
     unknown symbols, an edge_id on a path without a diffraction, stored ToF
-    disagreeing with the length beyond 1e-6 relative) are rejected
+    disagreeing with the length beyond 1e-6 relative, an rx_xyz other than
+    that of the first kept record of its (anchor_id, rx_id)) are rejected
     individually with diagnostics.
     A non-positive bandwidth or noise temperature raises ValueError.
     """
@@ -1215,8 +1198,13 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
                 edge_id=edge_id,
             )
             key = (anchor_id, rx_id)
+            position = Point3(*rx_xyz)
+            first = rx_positions.setdefault(key, position)
+            if position != first:
+                rejected.append((line_no, f"rx_xyz {rx_xyz} of anchor {anchor_id}, rx {rx_id} "
+                                          f"differs from its first {[first.x, first.y, first.z]}"))
+                continue
             buckets.setdefault(key, []).append(mpc)
-            rx_positions.setdefault(key, Point3(*rx_xyz))
 
     pdps = {}
     for key, mpcs in buckets.items():

@@ -170,12 +170,12 @@ class SweepConfig:
         for i, anchor in enumerate(self.scene.anchors):
             if np.all((lo <= anchor) & (anchor <= hi)):
                 raise ValueError(f"anchor {i} at {tuple(anchor)!r} is inside the building")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        for name, least in (("trials", 1), ("seed", 0), ("top_k", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not self.t_fap_db >= 0:
             raise ValueError("t_fap_db must be >= 0 dB")
         self.frequencies_hz = freqs
@@ -275,7 +275,7 @@ def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
 
 def _nearest_edges(geom: SceneGeometry, anchors: np.ndarray) -> list[int]:
     """Per anchor (A, 3), the edge whose midpoint is nearest."""
-    midpoints = geom.edge_table.points(slice(None), np.full(len(geom.edges), 0.5))
+    midpoints = geom.edge_table.points(slice(None), np.full(len(geom.edge_table.x1), 0.5))
     offset = midpoints[None] - anchors[:, None]
     return np.argmin((offset * offset).sum(axis=2), axis=1).tolist()
 
@@ -438,7 +438,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     queue = _Queue([], [], [])
     anchors = np.asarray(scene.anchors, dtype=float)
     nearest_edges = _nearest_edges(geom, anchors)
-    rows = n_anchors * (1 + len(geom.reflector_slabs) + len(geom.edges))
+    rows = n_anchors * (1 + len(geom.reflector_slabs) + len(geom.edge_table.x1))
     block = max(1, _BLOCK_CELLS // (rows * len(freqs)))
 
     for first in range(0, len(receivers), block):

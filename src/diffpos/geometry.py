@@ -8,14 +8,15 @@ edge diffraction (the diffracted ray makes the same angle with the edge as
 the incident ray), then clipped to the edge.
 
 All edge formulas operate in the edge-local frame in which the edge lies on
-the line {y = 0, z = z_e}; a rigid transform adapter generalizes them to
-arbitrarily placed world edges.
+the line {y = 0, z = z_e}; the edge table (``edge_table``) holds each edge's
+world -> edge-local rotation and translation beside its extent, so the
+formulas apply to arbitrarily placed world edges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +24,6 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "Point3",
-    "RigidTransform",
-    "WindowEdge",
     "EdgeTable",
     "edge_table",
     "euclidean_distance",
@@ -66,57 +65,6 @@ class Point3:
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
-@dataclass(frozen=True, eq=False)
-class RigidTransform:
-    """Rigid map from world to local coordinates: local = R @ world + t.
-
-    The rotation must be orthonormal with determinant +1 (within 1e-12).
-    Transforms compare and hash by identity, so edges that share one
-    compare and hash by value.
-    """
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        if not np.allclose(r @ r.T, np.eye(3), atol=1e-12):
-            raise GeometryError("rotation is not orthonormal")
-        if np.linalg.det(r) < 0:
-            raise GeometryError("rotation has negative determinant (reflection)")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def to_local(self, p) -> np.ndarray:
-        return self.rotation @ _vec(p) + self.translation
-
-
-@dataclass(frozen=True)
-class WindowEdge:
-    """A horizontal diffracting edge with the vertical window extent ``w``.
-
-    In the edge-local frame the edge spans the segment from (x1, 0, z_e) to
-    (x2, 0, z_e); ``frame`` maps world coordinates into that frame.
-    """
-
-    x1: float
-    x2: float
-    z_e: float
-    w: float
-    frame: RigidTransform = field(default_factory=RigidTransform.identity)
-
-    def __post_init__(self) -> None:
-        if self.x1 == self.x2:
-            raise GeometryError("edge endpoints coincide (x1 == x2)")
-        if not self.w > 0:
-            raise GeometryError("window height w must be positive")
-
-
 class EdgeTable(NamedTuple):
     """Window edges packed into arrays, one entry per edge, in edge order."""
 
@@ -129,7 +77,7 @@ class EdgeTable(NamedTuple):
 
     def to_local(self, points) -> np.ndarray:
         """Points (N, 3), or one (3,) point, in every edge frame (N, E, 3), each
-        by its own products, as ``RigidTransform.to_local`` bit for bit."""
+        by its own products: bit for bit ``rotation[e] @ p + translation[e]``."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         return np.array([self.rotation @ p + self.translation for p in points]).reshape(
             len(points), len(self.x1), 3)
@@ -141,12 +89,33 @@ class EdgeTable(NamedTuple):
         return np.einsum("eji,ej->ei", self.rotation[ids], q_local - self.translation[ids])
 
 
-def edge_table(edges) -> EdgeTable:
-    """The ``EdgeTable`` of a sequence of ``WindowEdge``s."""
-    columns = np.array([[e.x1, e.x2, e.z_e, e.w] for e in edges], dtype=float).reshape(-1, 4)
-    return EdgeTable(np.array([e.frame.rotation for e in edges], dtype=float).reshape(-1, 3, 3),
-                     np.array([e.frame.translation for e in edges], dtype=float).reshape(-1, 3),
-                     *columns.T.copy())
+def edge_table(rotation, translation, x1, x2, z_e, w) -> EdgeTable:
+    """The ``EdgeTable`` of E edges given as columns: the world -> edge-local
+    rotations (E, 3, 3) and translations (E, 3) of their frames, and x1, x2,
+    z_e and w (E,): in its frame edge e runs from (x1, 0, z_e) to (x2, 0,
+    z_e), on a window of height w. Entries must be finite, rotations
+    orthonormal with determinant +1 (within 1e-12), x1 != x2 and w > 0; the
+    GeometryError names the first edge that is not."""
+    table = EdgeTable(*(np.array(c, dtype=float, order="C")
+                        for c in (rotation, translation, x1, x2, z_e, w)))
+    n, r = table.x1.size, table.rotation
+    if [c.shape for c in table] != [(n, 3, 3), (n, 3)] + [(n,)] * 4:
+        raise GeometryError(f"edge columns must have shapes (E, 3, 3), (E, 3) and (E,), "
+                            f"not {', '.join(str(c.shape) for c in table)}")
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite edge fails first
+        checks = (
+            (~np.isfinite(np.hstack([r.reshape(n, 9), table.translation,
+                                     np.transpose(table[2:])])).all(axis=1),
+             "entries must be finite"),
+            (~np.isclose(r @ r.transpose(0, 2, 1), np.eye(3), atol=1e-12).all(axis=(1, 2)),
+             "rotation is not orthonormal"),
+            (np.linalg.det(r) < 0, "rotation has negative determinant (reflection)"),
+            (table.x1 == table.x2, "edge endpoints coincide (x1 == x2)"),
+            (~(table.w > 0), "window height w must be positive"))
+    for bad, message in checks:
+        if bad.any():
+            raise GeometryError(f"edge {int(np.argmax(bad))}: {message}")
+    return table
 
 
 def euclidean_distance(a, b) -> float:
@@ -199,24 +168,22 @@ def _reflect_rows(dt: np.ndarray, image: np.ndarray, r: np.ndarray, normals: np.
 # ---------------------------------------------------------------------------
 
 class _EdgeRows(NamedTuple):
-    """Per-entry result of ``_solve_edge_lambdas``: ``lam``, ``endpoint``,
-    ``length`` and ``qx`` have the entry shape, and ``legs``, ``dx`` and
-    ``dz`` stack the anchor-side leg ([0]) on the receiver-side leg ([1])."""
+    """Per-entry result of ``_solve_edge_lambdas``: ``lam``, ``endpoint`` and
+    ``length`` have the entry shape, and ``legs``, ``dx`` and ``dz`` stack
+    the anchor-side leg ([0]) on the receiver-side leg ([1])."""
 
     lam: np.ndarray  # minimizing lam in [0, 1]
     endpoint: np.ndarray  # True where the stationary point lies off the edge, lam clipped
     length: np.ndarray  # two-leg length, legs[0] + legs[1]
-    qx: np.ndarray  # edge-local x of the edge point, x2 + lam * span
     legs: np.ndarray  # (2, ...) leg lengths |t - q| and |r - q|
-    dx: np.ndarray  # (2, ...) x - qx of each leg's end point
+    dx: np.ndarray  # (2, ...) x - qx of each leg's end point, qx = x2 + lam * span
     dz: np.ndarray  # (2, ...) z_e - z of each leg's end point
 
 
 def _solve_edge_lambdas(x: np.ndarray, y2: np.ndarray, z: np.ndarray, x2: np.ndarray,
                         span: np.ndarray, z_e: np.ndarray) -> _EdgeRows:
     """Minimizing lam in [0, 1] of the two-leg length, an endpoint flag, the
-    two-leg length, and the edge point's x and the legs it was taken from,
-    per entry.
+    two-leg length, and the legs through the edge point, per entry.
 
     One entry per (tx, rx, edge) triple. The end points' edge-local x, y
     squared and z come stacked, shape (2, ...): tx's at [0], rx's at [1].
@@ -244,7 +211,7 @@ def _solve_edge_lambdas(x: np.ndarray, y2: np.ndarray, z: np.ndarray, x2: np.nda
     qx = x2 + lam * span
     dx = x - qx
     legs = np.sqrt(dx ** 2 + y2 + z2)
-    return _EdgeRows(lam, lam != free, legs[0] + legs[1], qx, legs, dx, dz)
+    return _EdgeRows(lam, lam != free, legs[0] + legs[1], legs, dx, dz)
 
 
 def _on_edge_line(p: np.ndarray, z_e) -> np.ndarray:

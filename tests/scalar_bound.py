@@ -3,8 +3,8 @@
 This is the body the batched ``positioning.peb_batch`` replaced, kept as the
 test oracle. It takes the model's partials from a one-row call of the
 measurement model ``positioning._model_rows``, its row packed from the
-problem's objects by ``scalar_dnls.scalar_pack``, and forms, tests and
-inverts one Fisher matrix per call.
+problem's anchors and edge rows by ``scalar_dnls.scalar_pack``, and forms,
+tests and inverts one Fisher matrix per call.
 """
 
 import math
@@ -19,11 +19,12 @@ from scalar_dnls import scalar_pack
 RANK_RTOL = 1e-12
 
 
-def scalar_peb(alpha_true, anchors, edges, snr_linear, beta_sq_hz2):
+def scalar_peb(alpha_true, anchors, table, edge_ids, snr_linear, beta_sq_hz2):
     """The FimResult of one bound problem at ``alpha_true``, with the
-    anchors (M, 3), their WindowEdges and linear SNRs."""
+    anchors (M, 3), the ids of their edges in ``table`` and their linear
+    SNRs."""
     snr = np.asarray(snr_linear, dtype=float).reshape(-1)
-    meas = Problem(anchors, np.zeros(len(snr)), tuple(edges))
+    meas = Problem(anchors, np.zeros(len(snr)), table, edge_ids)
     jac = _model_rows(np.asarray(alpha_true, dtype=float)[None], scalar_pack([meas]))[1][0]
     inv_var = 8.0 * math.pi ** 2 * beta_sq_hz2 * snr / SPEED_OF_LIGHT ** 2  # 1/m^2
     fim = (jac * inv_var) @ jac.T

@@ -9,13 +9,13 @@ Instead of raising, a solve reports how it ended and at which iteration.
 ``reference_model_rows`` is the batched measurement model as it was first
 written, with every term recomputed on each call, kept as the bit-exact
 reference for ``positioning._model_rows``. ``scalar_pack`` is the packing of
-problems given as objects that the edge-table gather replaced: it reads
-every edge's frame and moves every anchor into it with its own
-``RigidTransform.to_local`` call, the bit-exact reference for
-``positioning._pack``.
+problems that the edge-table gather replaced: it reads every edge's row and
+moves every anchor into its frame with its own ``scalar_edge.to_local``
+call, the bit-exact reference for ``positioning._pack``.
 
-A problem is any object with ``anchors`` (M, 3), ``ranges`` (M,) and
-``edges``, one ``WindowEdge`` per anchor (``conftest.Problem``).
+A problem is any object with ``anchors`` (M, 3), ``ranges`` (M,), a
+``table`` and ``edges``, the id in it of each anchor's edge
+(``conftest.Problem``).
 """
 
 import math
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from diffpos.positioning import _Rows
-from scalar_edge import approx_diffraction_solution
+from scalar_edge import approx_diffraction_solution, to_local
 
 RANK_RTOL = 1e-12
 
@@ -39,18 +39,20 @@ def scalar_model(alpha, meas):
     """Model ranges (M,) and Jacobian (3, M), one scalar edge solve per anchor."""
     p = np.empty(len(meas))
     jac = np.empty((3, len(meas)))
-    for j, (anchor, edge) in enumerate(zip(meas.anchors, meas.edges)):
-        sol = approx_diffraction_solution(anchor, alpha, edge)
-        t = edge.frame.to_local(anchor)
-        r = edge.frame.to_local(alpha)
-        z_e = r[2] + 0.5 * edge.w
-        qx = edge.x2 + sol.lam * (edge.x1 - edge.x2)
+    table = meas.table
+    for j, (anchor, e) in enumerate(zip(meas.anchors, meas.edges)):
+        sol = approx_diffraction_solution(anchor, alpha, table, e)
+        t = to_local(table, e, anchor)
+        r = to_local(table, e, alpha)
+        z_e = r[2] + 0.5 * float(table.w[e])
+        x1, x2 = float(table.x1[e]), float(table.x2[e])
+        qx = x2 + sol.lam * (x1 - x2)
         l_rx = math.sqrt((r[0] - qx) ** 2 + r[1] ** 2 + (z_e - r[2]) ** 2)
         l_tx = math.sqrt((t[0] - qx) ** 2 + t[1] ** 2 + (t[2] - z_e) ** 2)
         if l_rx < 1e-12 or l_tx < 1e-12:
             raise Singular
         p[j] = sol.path_length
-        jac[:, j] = edge.frame.rotation.T @ np.array([
+        jac[:, j] = table.rotation[e].T @ np.array([
             (r[0] - qx) / l_rx,
             r[1] / l_rx,
             (z_e - t[2]) / l_tx,
@@ -68,20 +70,19 @@ def reference_model_rows(alpha, sets):
     for bit.
     """
     shape = (len(sets), len(sets[0]))
-    edges = [edge for meas in sets for edge in meas.edges]
-    anchors = [anchor for meas in sets for anchor in meas.anchors]
+    rows = [(meas.table, e, anchor) for meas in sets for e, anchor in zip(meas.edges, meas.anchors)]
 
-    def column(values, *tail):
-        return np.array(values, dtype=float).reshape(*shape, *tail)
+    def column(name, *tail):
+        return np.array([getattr(table, name)[e] for table, e, _ in rows],
+                        dtype=float).reshape(*shape, *tail)
 
-    rot = column([e.frame.rotation for e in edges], 3, 3)
-    t = column([e.frame.to_local(a) for a, e in zip(anchors, edges)], 3)
-    x1, x2 = column([e.x1 for e in edges]), column([e.x2 for e in edges])
-    w = column([e.w for e in edges])
+    rot = column("rotation", 3, 3)
+    t = np.array([to_local(table, e, a) for table, e, a in rows]).reshape(*shape, 3)
+    x1, x2, w = column("x1"), column("x2"), column("w")
     a = np.asarray(alpha, dtype=float)[:, None, None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = rot[..., 0] * a[..., 0] + rot[..., 1] * a[..., 1] + rot[..., 2] * a[..., 2] \
-            + column([e.frame.translation for e in edges], 3)
+            + column("translation", 3)
         z_e = r[..., 2] + 0.5 * w
         xa, ya, za = t[..., 0], t[..., 1], t[..., 2]
         xn, yn, zn = r[..., 0], r[..., 1], r[..., 2]
@@ -103,29 +104,31 @@ def reference_model_rows(alpha, sets):
 
 def scalar_pack(sets) -> _Rows:
     """Pack problems with the same anchor count into one _Rows, walking
-    their objects."""
+    their anchors and edge rows one at a time."""
     counts = {len(meas) for meas in sets}
     if len(counts) != 1:
         raise ValueError("measurement sets of one batch must have the same anchor count")
     shape = (len(sets), counts.pop())
-    edges = [edge for meas in sets for edge in meas.edges]
-    anchors = [anchor for meas in sets for anchor in meas.anchors]
+    rows = [(meas.table, e, anchor) for meas in sets for e, anchor in zip(meas.edges, meas.anchors)]
 
     def column(values, *tail):  # (*tail, M, R)
         values = np.array(values, dtype=float).reshape(*shape, *tail)
         return np.ascontiguousarray(np.moveaxis(values, (0, 1), (-1, -2)))
 
-    rotation = column([e.frame.rotation for e in edges], 3, 3)  # [i, k] = R[i, k]
-    t = column([e.frame.to_local(a) for a, e in zip(anchors, edges)], 3)
-    x1, x2 = column([e.x1 for e in edges]), column([e.x2 for e in edges])
+    def edge_column(name, *tail):
+        return column([getattr(table, name)[e] for table, e, _ in rows], *tail)
+
+    rotation = edge_column("rotation", 3, 3)  # [i, k] = R[i, k]
+    t = column([to_local(table, e, a) for table, e, a in rows], 3)
+    x1, x2 = edge_column("x1"), edge_column("x2")
     return _Rows(
         to_local=np.ascontiguousarray(rotation.transpose(1, 0, 2, 3)),
-        translation=column([e.frame.translation for e in edges], 3),
+        translation=edge_column("translation", 3),
         to_world=np.ascontiguousarray(rotation.transpose(0, 2, 1, 3)),
         anchor=t[:, None],
         x2=x2,
         span=x1 - x2,
-        half_w=0.5 * column([e.w for e in edges]),
+        half_w=0.5 * edge_column("w"),
         ranges=column([meas.ranges for meas in sets]),
     )
 

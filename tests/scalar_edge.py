@@ -26,10 +26,16 @@ DEGENERATE_QUADRATIC_RTOL = 1e-12
 ROOT_INTERVAL_SLACK = 1e-9
 
 
-def to_world(frame, p) -> np.ndarray:
-    """World coordinates of the point ``p`` of ``frame``'s local coordinates,
-    the inverse of ``frame.to_local``."""
-    return frame.rotation.T @ (np.asarray(p, dtype=float) - frame.translation)
+def to_local(table, e, p) -> np.ndarray:
+    """Edge ``e``'s local coordinates of the world point ``p``: the row's
+    rotation times ``p`` plus its translation."""
+    return table.rotation[e] @ np.asarray(p, dtype=float) + table.translation[e]
+
+
+def to_world(table, e, p) -> np.ndarray:
+    """World coordinates of the point ``p`` of edge ``e``'s local
+    coordinates, the inverse of ``to_local``."""
+    return table.rotation[e].T @ (np.asarray(p, dtype=float) - table.translation[e])
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-13) -> float:
@@ -159,25 +165,27 @@ def solve_edge_lambda(t, r, x1, x2, z_e):
     return min((0.0, 1.0), key=length_at), True
 
 
-def edge_solution(t, r, edge, z_e):
-    """EdgeSolution for edge-local tx/rx, with the edge at height z_e."""
-    lam, endpoint = solve_edge_lambda(t, r, edge.x1, edge.x2, z_e)
-    qx = edge.x2 + lam * (edge.x1 - edge.x2)
+def edge_solution(t, r, table, e, z_e):
+    """EdgeSolution for edge-local tx/rx, with edge ``e`` of ``table`` at
+    height z_e."""
+    x1, x2 = float(table.x1[e]), float(table.x2[e])
+    lam, endpoint = solve_edge_lambda(t, r, x1, x2, z_e)
+    qx = x2 + lam * (x1 - x2)
     length = two_leg_length(t, r, z_e, qx)
-    q_world = to_world(edge.frame, [qx, 0.0, z_e])
+    q_world = to_world(table, e, [qx, 0.0, z_e])
     return EdgeSolution(lam, Point3.from_array(q_world), length, endpoint)
 
 
-def diffraction_point(tx, rx, edge):
-    """Diffraction at the edge's own height (inputs off the edge line)."""
-    t = edge.frame.to_local(tx)
-    r = edge.frame.to_local(rx)
-    return edge_solution(t, r, edge, edge.z_e)
+def diffraction_point(tx, rx, table, e):
+    """Diffraction at edge ``e`` of ``table``, at its own height (inputs off
+    the edge line)."""
+    t, r = to_local(table, e, tx), to_local(table, e, rx)
+    return edge_solution(t, r, table, e, float(table.z_e[e]))
 
 
-def approx_diffraction_solution(tx, rx, edge):
-    """Diffraction under the window-height approximation: the edge at
-    z_n + w/2, with z_n the receiver height in the edge-local frame."""
-    t = edge.frame.to_local(tx)
-    r = edge.frame.to_local(rx)
-    return edge_solution(t, r, edge, r[2] + 0.5 * edge.w)
+def approx_diffraction_solution(tx, rx, table, e):
+    """Diffraction at edge ``e`` of ``table`` under the window-height
+    approximation: the edge at z_n + w/2, with z_n the receiver height in
+    the edge-local frame."""
+    t, r = to_local(table, e, tx), to_local(table, e, rx)
+    return edge_solution(t, r, table, e, r[2] + 0.5 * float(table.w[e]))

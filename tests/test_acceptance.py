@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import scalar_edge
-from conftest import Problem, bounds_of, ladder, pack, random_positioning_instance
+from conftest import Problem, bounds_of, edges_of, ladder, pack, random_positioning_instance
 from diffpos.channel import (
     MpcGroup,
     SceneGeometry,
@@ -33,7 +33,6 @@ from diffpos.experiments import (
     run_sweep,
 )
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m, ranging_crlb_std_seconds
-from diffpos.geometry import WindowEdge
 from diffpos.materials import default_material_library, transmission_loss_db
 from diffpos.positioning import _model_rows, lls_solve
 
@@ -68,13 +67,15 @@ def default_sweep():
 # 1. Diffraction point vs golden-section Fermat oracle
 # ---------------------------------------------------------------------------
 
-def golden_oracle_length(tx, rx, edge: WindowEdge) -> float:
-    t = edge.frame.to_local(tx)
-    r = edge.frame.to_local(rx)
+def golden_oracle_length(tx, rx, table) -> float:
+    """Golden-section minimum of the two-leg length on the table's first edge."""
+    t = scalar_edge.to_local(table, 0, tx)
+    r = scalar_edge.to_local(table, 0, rx)
+    x1, x2, z_e = table.x1[0], table.x2[0], table.z_e[0]
 
     def length(lam):
-        qx = edge.x2 + lam * (edge.x1 - edge.x2)
-        q = np.array([qx, 0.0, edge.z_e])
+        qx = x2 + lam * (x1 - x2)
+        q = np.array([qx, 0.0, z_e])
         return math.dist(t, q) + math.dist(q, r)
 
     phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -99,14 +100,14 @@ def test_criterion_1_diffraction_point_vs_oracle():
         rng = np.random.default_rng(101)
         cases = []
         for _ in range(1000):
-            edge = WindowEdge(rng.uniform(-10, 0), rng.uniform(0.5, 10),
-                              rng.uniform(-5, 15), rng.uniform(0.2, 3.0))
+            edge = edges_of(rng.uniform(-10, 0), rng.uniform(0.5, 10),
+                            rng.uniform(-5, 15), rng.uniform(0.2, 3.0))
             tx = np.array([rng.uniform(-15, 15), rng.uniform(1, 30), rng.uniform(-10, 25)])
             rx = np.array([rng.uniform(-15, 15), rng.uniform(-30, -1), rng.uniform(-10, 25)])
             cases.append((tx, rx, edge))
 
         start = time.perf_counter()
-        lengths = [SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
+        lengths = [SceneGeometry([], edge, None).diffractions(tx, rx).length[0]
                    for tx, rx, edge in cases]
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"solver took {elapsed:.2f} s"
@@ -135,8 +136,8 @@ def test_criterion_2_jacobian_vs_finite_differences():
                 up[i] += h
                 dn[i] -= h
                 for j in range(4):
-                    p_up = scalar_edge.approx_diffraction_solution(anchors[j], up, edges[j])
-                    p_dn = scalar_edge.approx_diffraction_solution(anchors[j], dn, edges[j])
+                    p_up = scalar_edge.approx_diffraction_solution(anchors[j], up, edges, j)
+                    p_dn = scalar_edge.approx_diffraction_solution(anchors[j], dn, edges, j)
                     numeric[i, j] = (p_up.path_length - p_dn.path_length) / (2 * h)
             worst = max(worst, float(np.max(np.abs(analytic - numeric))))
         assert worst <= 1e-6, f"max deviation {worst:.2e}"
@@ -185,7 +186,8 @@ def test_criterion_4_monte_carlo_rmse_vs_peb():
         sigma = range_sigma_m(BETA_SQ_400MHZ, snr_lin)
         assert sigma <= 0.10
 
-        bound = bounds_of([(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ_400MHZ)])[0]
+        bound = bounds_of([(alpha, anchors, edges, range(4), np.full(4, snr_lin),
+                            BETA_SQ_400MHZ)])[0]
         meas = Problem(anchors, np.zeros(4), edges)
         truth = _model_rows(alpha[None], pack([meas]))[0][0]
         sets = [Problem(anchors, truth + sigma * rng.standard_normal(4), edges)

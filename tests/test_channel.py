@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scalar_edge
+from conftest import edges_of
 from diffpos.constants import BOLTZMANN, SPEED_OF_LIGHT
 from diffpos.channel import (
     BandPlan,
@@ -449,7 +450,7 @@ def test_path_table_tests_legs_from_the_anchor_at_a_boundary_line():
     geom = build_scene_geometry(scene)
     anchor = np.array(scene.anchors[0])
     slab = [s.name for s in geom.surfaces].index("slab_z9")
-    midpoints = geom.edge_table.points(slice(None), np.full(len(geom.edges), 0.5))
+    midpoints = geom.edge_table.points(slice(None), np.full(len(geom.edge_table.x1), 0.5))
     top = [i for i, e in enumerate(midpoints.tolist()) if e[1:] == [20.0, 14.8]]
     assert len(top) == 6
     rx = Point3(13.0, 15.0, 13.5)
@@ -521,7 +522,7 @@ def test_path_table_takes_a_point_a_row_or_a_block():
 
 
 def test_a_geometry_without_reflectors_or_edges_gives_empty_rows():
-    geom = SceneGeometry([], [], None)
+    geom = SceneGeometry([], edges_of([], [], [], []), None)
     tx, rx = np.array([[0.0, -5.0, 1.0], [1.0, -5.0, 2.0]]), np.array([[1.0, 2.0, 3.0]])
     for rows in (geom.reflections(tx, rx), geom.diffractions(tx, rx)):
         assert len(rows.ids) == len(rows.pair) == 0 and rows.point.shape == (0, 3)
@@ -531,6 +532,8 @@ def test_diffractions_match_diffraction_point():
     # Against the scalar solver, at the bounds of the edge-solver oracle tests.
     scene = build_default_scene()
     geom = build_scene_geometry(scene)
+    edges = geom.edge_table
+    n_edges = len(edges.x1)
     rng = np.random.default_rng(11)
 
     def assert_close(d, k, sol):
@@ -543,19 +546,19 @@ def test_diffractions_match_diffraction_point():
         tx = np.array([rng.uniform(-5, 35), rng.choice([-20.0, 40.0]), rng.uniform(1, 8)])
         rx = rng.uniform([0.5, 0.5, 6.5], [29.5, 19.5, 11.5])
         d = geom.diffractions(tx, rx)
-        assert d.ids.tolist() == list(range(len(geom.edges)))
-        for e, edge in enumerate(geom.edges):
-            assert_close(d, e, scalar_edge.diffraction_point(tx, rx, edge))
+        assert d.ids.tolist() == list(range(n_edges))
+        for e in range(n_edges):
+            assert_close(d, e, scalar_edge.diffraction_point(tx, rx, edges, e))
     # Both points on the line of the first-floor bottom edges of facade y = 0,
     # where diffraction is undefined: those edges are left out.
     tx, rx = np.array([-5.0, 0.0, 0.8]), np.array([3.0, 0.0, 0.8])
     d = geom.diffractions(tx, rx)
-    defined = [e for e, edge in enumerate(geom.edges)
-               if not (_on_edge_line(edge.frame.to_local(tx), edge.z_e)
-                       and _on_edge_line(edge.frame.to_local(rx), edge.z_e))]
-    assert d.ids.tolist() == defined and len(defined) == len(geom.edges) - 6
+    defined = [e for e in range(n_edges)
+               if not (_on_edge_line(scalar_edge.to_local(edges, e, tx), edges.z_e[e])
+                       and _on_edge_line(scalar_edge.to_local(edges, e, rx), edges.z_e[e]))]
+    assert d.ids.tolist() == defined and len(defined) == n_edges - 6
     for k, e in enumerate(defined):
-        assert_close(d, k, scalar_edge.diffraction_point(tx, rx, geom.edges[e]))
+        assert_close(d, k, scalar_edge.diffraction_point(tx, rx, edges, e))
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +670,22 @@ def test_ingest_bad_field_values(tmp_path, changes, outcome):
     ({"rx_id": True}, "rx_id must be an integer"),
     ({"anchor_id": "1"}, "anchor_id must be an integer"),
     ({"edge_id": 2.9, "interactions": "Tx-D-Rx"}, "edge_id must be an integer"),
-    ({"edge_id": 2}, "rejected"),
+    ({"anchor_id": -1}, "anchor_id must be non-negative, got -1"),
+    ({"rx_id": -2.0}, "rx_id must be non-negative, got -2.0"),
+    ({"edge_id": -3, "interactions": "Tx-D-Rx"}, "edge_id must be non-negative, got -3"),
+    ({"edge_id": 2}, "rejected: edge_id 2 on Tx-Rx, which diffracts nowhere"),
+    ({"rx_xyz": [9.0, 9.0, 9.0]},
+     "rejected: rx_xyz [9.0, 9.0, 9.0] of anchor 0, rx 0 differs from its first [0.0, 0.0, 0.0]"),
     ({"anchor_id": 2.0, "edge_id": 4, "interactions": "Tx-T-D-Rx"}, "accepted"),
-], ids=["anchor_fraction", "rx_bool", "anchor_string", "edge_fraction",
-        "edge_without_diffraction", "integral_float_and_mpc4_edge"])
+], ids=["anchor_fraction", "rx_bool", "anchor_string", "edge_fraction", "anchor_negative",
+        "rx_negative_float", "edge_negative", "edge_without_diffraction", "rx_moved",
+        "integral_float_and_mpc4_edge"])
 def test_ingest_ids(tmp_path, capsys, changes, outcome):
-    # Ids must be integers (a DatasetError with the line number); an edge id
-    # on a path without a diffraction rejects its record. The CLI prints the
-    # error as one line and the rejection in its summary.
+    # Ids must be non-negative integers (a DatasetError with the line
+    # number); an edge id on a path without a diffraction, or a position
+    # other than that of the first record of the same anchor and receiver,
+    # rejects its record. The CLI prints the error as one line and the
+    # rejection in its summary.
     path = tmp_path / "data.jsonl"
     path.write_text('{"schema": "mpc-dataset/1"}\n' + json.dumps(_RECORD) + "\n"
                     + json.dumps({**_RECORD, **changes}) + "\n")
@@ -686,11 +697,10 @@ def test_ingest_ids(tmp_path, capsys, changes, outcome):
         (mpc,) = result.pdps[(2, 0)].mpcs
         assert (mpc.group, mpc.edge_id) == (MpcGroup.MPC4, 4)
         assert rc == 0 and "2 MPCs" in out
-    elif outcome == "rejected":
+    elif outcome.startswith("rejected: "):
         result = ingest_dataset(path, BAND)
         assert result.mpc_count == 1
-        assert [line_no for line_no, _ in result.rejected] == [3]
-        assert "diffracts nowhere" in result.rejected[0][1]
+        assert result.rejected == [(3, outcome.removeprefix("rejected: "))]
         assert rc == 0 and "1 rejected records" in out
     else:
         with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as exc:

@@ -6,9 +6,9 @@ sweep of the 6 m floor-3 grid (seeds 0-3) and the seven-frequency ladder of
 the 10 m floor-3 grid (seed 0). Every problem must end on the same rung
 after the same number of iterations, or fail as the scalar ladder does, and
 its estimate must agree within 1e-9 m. The scalar ladder takes each problem
-as objects: the scene's anchors and the ``WindowEdge``s its edge ids name.
-The rows that ``_pack`` gathers from the edge table must equal, bit for bit,
-the object packing it replaced (``scalar_dnls.scalar_pack``).
+as the scene's anchors and the rows of the scene's edge table that its edge
+ids name. The rows that ``_pack`` gathers from the edge table must equal,
+bit for bit, the per-edge packing it replaced (``scalar_dnls.scalar_pack``).
 """
 
 import numpy as np
@@ -16,10 +16,8 @@ import pytest
 
 import diffpos.experiments as experiments
 import diffpos.positioning as positioning
-from conftest import Problem, pack, random_positioning_instance
-from diffpos.channel import build_scene_geometry
+from conftest import Problem, edges_of, joined, pack, random_positioning_instance
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, SweepConfig, build_default_scene
-from diffpos.geometry import RigidTransform, WindowEdge, edge_table
 from diffpos.positioning import (
     _CONVERGED,
     _DIVERGED,
@@ -45,7 +43,7 @@ SWEEPS = {
 def captured_sweep(monkeypatch, size: str, seed: int):
     """(report, args, sets) of one sweep's D-NLS queue: the ``dnls_ladder``
     arguments (table, anchors, edge ids, ranges, starts, bounds) and the same
-    problems as objects, with the scene's WindowEdges."""
+    problems as ``Problem``s with the scene's edge table."""
     params = SWEEPS[size]
     scene = build_default_scene(grid_spacing=params["grid_spacing"], receiver_floors=(3,))
     cfg = SweepConfig(scene=scene, frequencies_hz=params["frequencies_hz"], t_fap_db=20.0,
@@ -59,9 +57,8 @@ def captured_sweep(monkeypatch, size: str, seed: int):
     monkeypatch.setattr(experiments, "dnls_ladder", capture)
     report = experiments.run_sweep(cfg)
     assert len(calls) == 1
-    _, anchors, edge_ids, ranges, _, _ = calls[0]
-    edges = build_scene_geometry(scene).edges
-    sets = [Problem(anchors, r, tuple(edges[e] for e in ids)) for ids, r in zip(edge_ids, ranges)]
+    table, anchors, edge_ids, ranges, _, _ = calls[0]
+    sets = [Problem(anchors, r, table, ids) for ids, r in zip(edge_ids, ranges)]
     return report, calls[0], sets
 
 
@@ -110,13 +107,16 @@ def test_ladder_result_does_not_depend_on_the_batch(monkeypatch, size, rungs):
 
 def in_random_frames(meas, rng):
     """The measurement set with each edge moved into a random rigid frame."""
-    edges = []
-    for e in meas.edges:
+    frames = []
+    for _ in meas.edges:
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))
         q = q * np.sign(np.diag(r))
         q[:, 0] *= np.sign(np.linalg.det(q))
-        edges.append(WindowEdge(e.x1, e.x2, e.z_e, e.w, RigidTransform(q, rng.uniform(-5, 5, 3))))
-    return Problem(meas.anchors, meas.ranges, tuple(edges))
+        frames.append((q, rng.uniform(-5, 5, 3)))
+    rotation, translation = (np.array(c) for c in zip(*frames))
+    table = edges_of(*(column[meas.edges] for column in meas.table[2:]), rotation=rotation,
+                     translation=translation)
+    return Problem(meas.anchors, meas.ranges, table)
 
 
 @pytest.mark.parametrize("size", ["trials", "ladder"])
@@ -134,9 +134,9 @@ def test_model_rows_equal_the_reference_model_bit_for_bit(monkeypatch, size):
     solved = [i for i, r in enumerate(results) if r.estimate is not None]
     rng = np.random.default_rng(11)
     pick = rng.integers(len(sets), size=1000)
-    edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
+    edge = edges_of(-5.0, 5.0, 5.0, 1e-13)
     on_edge = Problem(np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0],
-                                [0.0, 9.0, 4.0]]), np.full(4, 20.0), (edge,) * 4)
+                                [0.0, 9.0, 4.0]]), np.full(4, 20.0), edge, [0] * 4)
     cases = [
         (sets, np.array(inits)),
         ([sets[i] for i in solved], np.array([results[i].estimate.alpha_hat.as_array()
@@ -168,7 +168,7 @@ def test_ladder_prefers_an_earlier_rung_that_converges_later(monkeypatch):
     meas = Problem(anchors, np.zeros(4), edges)
     meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
     start = alpha + np.array([0.6, -0.4, 0.3])
-    result = dnls_ladder(edge_table(edges), anchors, [[0, 1, 2, 3]], [meas.ranges], [start],
+    result = dnls_ladder(edges, anchors, [[0, 1, 2, 3]], [meas.ranges], [start],
                          (alpha - 1.0, alpha + 1.0))[0]
     outcome, iterations, estimate = scalar_gauss_newton(meas, start)
     assert outcome == "converged" and iterations > 1
@@ -179,7 +179,7 @@ def test_ladder_prefers_an_earlier_rung_that_converges_later(monkeypatch):
 
 def degenerate_vertical_problem():
     """The singular geometry of test_dnls_rejects_degenerate_vertical_geometry."""
-    edges = tuple(WindowEdge(3.0, 7.0, 6.0, 2.0) for _ in range(4))
+    edges = edges_of(np.full(4, 3.0), 7.0, 6.0, 2.0)
     anchors = np.array([[5.0, y, z] for y, z in ((12.0, 2.0), (15.0, 3.0),
                                                  (18.0, 4.0), (21.0, 5.0))])
     alpha = np.array([5.0, -4.0, 5.0])
@@ -244,9 +244,9 @@ def test_singular_and_diverging_rows_fail_only_themselves(damping):
 def test_final_evaluation_can_make_a_row_singular():
     # With max_iters=0 the final model evaluation is the only one; at a
     # position on the model edge's line it is singular.
-    edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
+    edge = edges_of(-5.0, 5.0, 5.0, 1e-13)
     anchors = np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0], [0.0, 9.0, 4.0]])
-    meas = Problem(anchors, np.full(4, 20.0), (edge,) * 4)
+    meas = Problem(anchors, np.full(4, 20.0), edge, [0] * 4)
     alpha = np.array([0.0, 0.0, 4.0])
     assert scalar_gauss_newton(meas, alpha, max_iters=0)[:2] == ("singular", 0)
     out = _gauss_newton(pack([meas]), alpha[None], np.zeros(1, dtype=int), np.zeros(1), 1e-6,
@@ -259,9 +259,9 @@ def test_final_evaluation_can_make_a_row_singular():
 def final_singular_problem():
     """The geometry of test_final_evaluation_can_make_a_row_singular and a
     position at which its model is singular."""
-    edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
+    edge = edges_of(-5.0, 5.0, 5.0, 1e-13)
     anchors = np.array([[0.0, 10.0, 2.0], [0.0, 12.0, 3.0], [0.0, 14.0, 1.0], [0.0, 9.0, 4.0]])
-    return Problem(anchors, np.full(4, 20.0), (edge,) * 4), \
+    return Problem(anchors, np.full(4, 20.0), edge, [0] * 4), \
         np.array([0.0, 0.0, 4.0])
 
 
@@ -341,7 +341,7 @@ def test_ladder_rejects_mixed_anchor_counts_and_bad_starts():
     rng = np.random.default_rng(10)
     meas, start = good_problem(rng)
     alpha, anchors, edges = random_positioning_instance(rng, n_anchors=5)
-    table = edge_table(meas.edges + edges)
+    table = joined([meas.table, edges])[0]
     bounds = (np.zeros(3), np.full(3, 20.0))
     with pytest.raises(ValueError, match=r"edge ids must have shape \(2, 4\), not \(2, 5\)"):
         dnls_ladder(table, meas.anchors, [[0, 1, 2, 3, 0], [4, 5, 6, 7, 8]],
@@ -358,7 +358,7 @@ def ladder_args():
     below breaks one of them."""
     rng = np.random.default_rng(10)
     (first, start), (second, _) = good_problem(rng), good_problem(rng)
-    return dict(table=edge_table(first.edges + second.edges), anchors=first.anchors,
+    return dict(table=joined([first.table, second.table])[0], anchors=first.anchors,
                 edge_ids=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]),
                 ranges=np.array([first.ranges, first.ranges + 0.1]),
                 starts=np.array([start, start + 0.2]), bounds=(np.zeros(3), np.full(3, 20.0)))
@@ -423,7 +423,7 @@ def test_ladder_rejects_bounds_with_lo_above_hi():
 @pytest.mark.parametrize("size, seed", [(size, seed) for size in SWEEPS for seed in range(8)])
 def test_gathered_rows_equal_the_object_packing(monkeypatch, size, seed):
     # The rows dnls_ladder gathers for a captured queue, from the sweep's
-    # own edge table, against the object packing of the same problems.
+    # own edge table, against the per-edge packing of the same problems.
     _, (table, anchors, edge_ids, ranges, _, _), sets = captured_sweep(monkeypatch, size, seed)
     assert_same_rows(_pack(table, table.to_local(anchors), np.arange(len(anchors)), edge_ids,
                            ranges), scalar_pack(sets))

@@ -93,8 +93,10 @@ def test_nearest_edges_match_a_loop_over_edges(kwargs):
     points = np.concatenate([np.asarray(scene.anchors, dtype=float),
                              np.round(rng.uniform(-30, 60, (60, 3))),
                              rng.uniform(-30, 60, (60, 3))])
-    midpoints = [0.5 * (to_world(e.frame, [e.x1, 0.0, e.z_e])
-                        + to_world(e.frame, [e.x2, 0.0, e.z_e])) for e in geom.edges]
+    edges = geom.edge_table
+    midpoints = [0.5 * (to_world(edges, e, [edges.x1[e], 0.0, edges.z_e[e]])
+                        + to_world(edges, e, [edges.x2[e], 0.0, edges.z_e[e]]))
+                 for e in range(len(edges.x1))]
     expect = [int(np.argmin([np.linalg.norm(mid - p) for mid in midpoints])) for p in points]
     assert _nearest_edges(geom, points) == expect
 
@@ -282,6 +284,9 @@ def test_sweep_config_validation():
         SweepConfig(scene=scene, frequencies_hz=(28e9, 3.5e9))
     with pytest.raises(ValueError):
         SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=0)
+    # NumPy integers are integers.
+    SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=np.int64(2), seed=np.uint8(1),
+                top_k=np.int32(5))
 
 
 _ANCHORS = build_default_scene().anchors
@@ -298,9 +303,16 @@ _ANCHORS = build_default_scene().anchors
     ({}, {"seed": -1}, "seed must be >= 0"),
     ({}, {"frequencies_hz": (28e9, 28.0000004e9)},
      "frequencies 28000000000.0 and 28000000400.0 Hz share the CSV label 28GHz"),
+    ({}, {"trials": 2.0}, "trials must be an integer, got 2.0"),
+    ({}, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({}, {"top_k": 3.0}, "top_k must be an integer, got 3.0"),
+    ({}, {"trials": True}, "trials must be an integer, got True"),
+    ({}, {"seed": False}, "seed must be an integer, got False"),
+    ({}, {"top_k": np.bool_(True)}, "top_k must be an integer, got "),
 ], ids=["three_anchors", "duplicate_frequency", "out_of_band_frequency",
         "anchor_inside_building", "anchor_on_building_corner", "top_k_zero",
-        "negative_t_fap", "negative_seed", "colliding_csv_labels"])
+        "negative_t_fap", "negative_seed", "colliding_csv_labels", "float_trials",
+        "fractional_seed", "float_top_k", "bool_trials", "bool_seed", "numpy_bool_top_k"])
 def test_sweep_config_rejects(scene_changes, sweep_changes, message):
     scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
     scene = dataclasses.replace(scene, **scene_changes)
@@ -536,7 +548,7 @@ def test_block_size_does_not_change_the_report(grid_spacing, sweep, monkeypatch)
     cfg = SweepConfig(scene=scene, seed=0, **sweep)
     geom = build_scene_geometry(scene)
     n_receivers = len(receiver_grid(scene))
-    cells = len(scene.anchors) * (1 + len(geom.reflector_slabs) + len(geom.edges)) \
+    cells = len(scene.anchors) * (1 + len(geom.reflector_slabs) + len(geom.edge_table.x1)) \
         * len(cfg.frequencies_hz)
     table = experiments.path_table
     reports = []

@@ -5,21 +5,22 @@ norms, a brute-force Fermat search over reflector planes, and golden-section
 minimization of the two-leg length along diffracting edges.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import scalar_edge
 import scalar_paths
-from conftest import Problem, pack
-from diffpos.channel import SceneGeometry, build_scene_geometry, receiver_grid
+from conftest import Problem, edges_of, pack
+from diffpos.channel import SceneGeometry, WindowRect, build_scene_geometry, receiver_grid
 from diffpos.experiments import build_default_scene
 from diffpos.geometry import (
+    EdgeTable,
     GeometryError,
     Point3,
-    RigidTransform,
-    WindowEdge,
     edge_table,
     euclidean_distance,
     _mirror_images,
@@ -46,20 +47,21 @@ def oracle_two_leg(tx, rx, point) -> float:
     return oracle_norm(tx, point) + oracle_norm(point, rx)
 
 
-def edge_point(edge: WindowEdge, lam: float) -> np.ndarray:
-    """World point of the convex combination lam*X1 + (1-lam)*X2 on the edge."""
-    return scalar_edge.to_world(edge.frame, [edge.x2 + lam * (edge.x1 - edge.x2), 0.0, edge.z_e])
+def edge_point(table: EdgeTable, lam: float, e=0) -> np.ndarray:
+    """World point of the convex combination lam*X1 + (1-lam)*X2 on edge e."""
+    x1, x2 = table.x1[e], table.x2[e]
+    return scalar_edge.to_world(table, e, [x2 + lam * (x1 - x2), 0.0, table.z_e[e]])
 
 
-def oracle_edge_length(tx, rx, edge: WindowEdge, z_e=None, n_golden=200) -> float:
-    """Golden-section minimization of the two-leg length over lam in [0, 1]."""
-    if z_e is None:
-        z_e = edge.z_e
-    t = edge.frame.to_local(np.asarray(tx, dtype=float))
-    r = edge.frame.to_local(np.asarray(rx, dtype=float))
+def oracle_edge_length(tx, rx, table: EdgeTable, n_golden=200) -> float:
+    """Golden-section minimization of the two-leg length over lam in [0, 1]
+    on the table's first edge."""
+    x1, x2, z_e = table.x1[0], table.x2[0], table.z_e[0]
+    t = scalar_edge.to_local(table, 0, tx)
+    r = scalar_edge.to_local(table, 0, rx)
 
     def length(lam):
-        qx = edge.x2 + lam * (edge.x1 - edge.x2)
+        qx = x2 + lam * (x1 - x2)
         q = np.array([qx, 0.0, z_e])
         return math.dist(t, q) + math.dist(q, r)
 
@@ -80,12 +82,13 @@ def oracle_edge_length(tx, rx, edge: WindowEdge, z_e=None, n_golden=200) -> floa
     return min(length(lam), length(0.0), length(1.0))
 
 
-def random_edge(rng) -> WindowEdge:
+def random_edge(rng) -> EdgeTable:
+    """A one-edge table, in the identity frame."""
     x1 = rng.uniform(-10, 0)
     x2 = rng.uniform(0.5, 10)
     z_e = rng.uniform(-5, 15)
     w = rng.uniform(0.2, 3.0)
-    return WindowEdge(x1, x2, z_e, w)
+    return edges_of(x1, x2, z_e, w)
 
 
 def random_side_points(rng) -> tuple[np.ndarray, np.ndarray]:
@@ -227,16 +230,15 @@ def test_reflection_is_fermat_minimum_over_plane_points():
 # ---------------------------------------------------------------------------
 
 def test_diffraction_mirror_symmetric_case():
-    edge = WindowEdge(x1=-5.0, x2=5.0, z_e=10.0, w=1.0)
-    d = SceneGeometry([], [edge], None).diffractions((0, 20, 10), (0, -4, 10))
+    edge = edges_of(x1=-5.0, x2=5.0, z_e=10.0, w=1.0)
+    d = SceneGeometry([], edge, None).diffractions((0, 20, 10), (0, -4, 10))
     assert d.point[0, 0] == pytest.approx(0.0, abs=1e-9)
     assert d.length[0] == pytest.approx(24.0, rel=1e-12)
     assert not d.endpoint[0]
 
 
 def test_diffraction_common_abscissa_is_stationary():
-    edge = WindowEdge(x1=-5.0, x2=5.0, z_e=3.0, w=1.0)
-    geom = SceneGeometry([], [edge], None)
+    geom = SceneGeometry([], edges_of(x1=-5.0, x2=5.0, z_e=3.0, w=1.0), None)
     for qstar in (-3.0, 0.7, 4.2):
         d = geom.diffractions((qstar, 8.0, 3.0), (qstar, -2.0, 3.0))
         assert d.point[0, 0] == pytest.approx(qstar, abs=1e-9)
@@ -244,8 +246,7 @@ def test_diffraction_common_abscissa_is_stationary():
 
 def test_diffraction_rejects_both_points_on_edge_line():
     # Diffraction is undefined there, so the edge is left out.
-    edge = WindowEdge(x1=-5.0, x2=5.0, z_e=2.0, w=1.0)
-    geom = SceneGeometry([], [edge], None)
+    geom = SceneGeometry([], edges_of(x1=-5.0, x2=5.0, z_e=2.0, w=1.0), None)
     assert geom.diffractions((-1.0, 0.0, 2.0), (3.0, 0.0, 2.0)).ids.size == 0
     assert geom.diffractions((-1.0, 0.0, 2.0), (3.0, 0.0, 2.5)).ids.tolist() == [0]
 
@@ -254,7 +255,7 @@ def test_diffraction_random_vs_golden_section_oracle():
     for _ in range(1000):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        length = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
+        length = SceneGeometry([], edge, None).diffractions(tx, rx).length[0]
         expect = oracle_edge_length(tx, rx, edge)
         assert abs(length - expect) <= 1e-9 * expect
 
@@ -266,19 +267,18 @@ def solve_edges(t, r, x1, x2, z_e):
     return _solve_edge_lambdas(x, y ** 2, z, x2, x1 - x2, z_e)
 
 
-def edge_rows(edges, tx, rx):
+def edge_rows(table, tx, rx):
     """Edge-local tx/rx and edge arrays for solve_edges, one row per edge."""
-    t = np.array([e.frame.to_local(tx) for e in edges])
-    r = np.array([e.frame.to_local(rx) for e in edges])
-    x1, x2, z_e = (np.array([getattr(e, k) for e in edges]) for k in ("x1", "x2", "z_e"))
-    return t, r, x1, x2, z_e
+    t = np.array([scalar_edge.to_local(table, e, tx) for e in range(len(table.x1))])
+    r = np.array([scalar_edge.to_local(table, e, rx) for e in range(len(table.x1))])
+    return t, r, table.x1, table.x2, table.z_e
 
 
 def test_solve_edge_lambdas_matches_scalar_on_default_edges():
     # Random anchors outside and receivers inside the default building, over
     # all of its window edges; most rows clamp to an endpoint.
-    edges = build_scene_geometry(build_default_scene()).edges
-    assert len(edges) == 168
+    edges = build_scene_geometry(build_default_scene()).edge_table
+    assert len(edges.x1) == 168
     rng = np.random.default_rng(5)
     endpoints = interior = 0
     for _ in range(12):
@@ -286,8 +286,8 @@ def test_solve_edge_lambdas_matches_scalar_on_default_edges():
                        rng.uniform(0.5, 15)])
         rx = rng.uniform([0.5, 0.5, 0.5], [29.5, 19.5, 20.5])
         lam, endpoint, length = solve_edges(*edge_rows(edges, tx, rx))[:3]
-        for i, edge in enumerate(edges):
-            sol = scalar_edge.diffraction_point(tx, rx, edge)
+        for i in range(len(edges.x1)):
+            sol = scalar_edge.diffraction_point(tx, rx, edges, i)
             assert abs(lam[i] - sol.lam) <= 1e-12
             assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
             assert endpoint[i] == sol.endpoint
@@ -299,20 +299,21 @@ def test_solve_edge_lambdas_matches_scalar_on_default_edges():
 def test_solve_edge_lambdas_degenerate_quadratic_rows_match_scalar():
     # at2 == rt2 makes the oracle's quadratic degenerate, so it takes
     # golden-section search; the closed form needs no special case there.
-    shifted = RigidTransform(np.eye(3), np.array([0.0, 1.0, 0.0]))
-    edges = (WindowEdge(-4.0, 4.0, 1.0, 1.0), WindowEdge(-4.0, 4.0, 1.0, 1.0, shifted))
+    # The second edge's frame is shifted by one along y.
+    edges = edges_of(-4.0, 4.0, 1.0, 1.0, translation=[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     tx, rx = np.array([-1.0, -2.0, 1.0]), np.array([5.0, 2.0, 1.0])
     lam, endpoint, length = solve_edges(*edge_rows(edges, tx, rx))[:3]
-    for i, edge in enumerate(edges):
-        sol = scalar_edge.diffraction_point(tx, rx, edge)
+    for i in range(2):
+        sol = scalar_edge.diffraction_point(tx, rx, edges, i)
         assert abs(lam[i] - sol.lam) <= 1e-12
         assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
         assert endpoint[i] == sol.endpoint
     # A degenerate row whose minimum lies beyond the edge: lam = 0 exactly,
     # flagged as an endpoint.
     tx, rx = np.array([6.0, -2.0, 1.0]), np.array([8.0, 2.0, 1.0])
-    lam, endpoint, length = solve_edges(*edge_rows(edges[:1], tx, rx))[:3]
-    sol = scalar_edge.diffraction_point(tx, rx, edges[0])
+    first = edges_of(-4.0, 4.0, 1.0, 1.0)
+    lam, endpoint, length = solve_edges(*edge_rows(first, tx, rx))[:3]
+    sol = scalar_edge.diffraction_point(tx, rx, first, 0)
     assert lam[0] == sol.lam == 0.0 and endpoint[0] and sol.endpoint
     assert abs(length[0] - sol.path_length) <= 1e-9 * sol.path_length
 
@@ -321,22 +322,24 @@ def test_solve_edge_lambdas_random_edges_and_frames():
     # Every third row puts tx and rx at a common abscissa along the edge,
     # where the stationary point is a double root of the quadratic and only
     # the Newton polish restores full precision.
-    rows = []
+    columns, frames, local = [], [], []
     for k in range(300):
         edge = random_edge(RNG)
-        edge = WindowEdge(edge.x1, edge.x2, edge.z_e, edge.w,
-                          RigidTransform(random_rotation(RNG), RNG.uniform(-5, 5, 3)))
+        frames.append((random_rotation(RNG), RNG.uniform(-5, 5, 3)))
         tx, rx = random_side_points(RNG)
         if k % 3 == 0:
-            rx[0] = tx[0] = RNG.uniform(edge.x1, edge.x2)
-        rows.append((edge, scalar_edge.to_world(edge.frame, tx),
-                     scalar_edge.to_world(edge.frame, rx)))
-    t = np.array([e.frame.to_local(a) for e, a, _ in rows])
-    r = np.array([e.frame.to_local(b) for e, _, b in rows])
-    x1, x2, z_e = (np.array([getattr(e, k) for e, _, _ in rows]) for k in ("x1", "x2", "z_e"))
-    lam, endpoint, length = solve_edges(t, r, x1, x2, z_e)[:3]
-    for i, (edge, a, b) in enumerate(rows):
-        sol = scalar_edge.diffraction_point(a, b, edge)
+            rx[0] = tx[0] = RNG.uniform(edge.x1[0], edge.x2[0])
+        columns.append([c[0] for c in edge[2:]])
+        local.append((tx, rx))
+    rotation, translation = (np.array(c) for c in zip(*frames))
+    edges = edges_of(*np.array(columns).T, rotation=rotation, translation=translation)
+    world = [(scalar_edge.to_world(edges, e, tx), scalar_edge.to_world(edges, e, rx))
+             for e, (tx, rx) in enumerate(local)]
+    t = np.array([scalar_edge.to_local(edges, e, a) for e, (a, _) in enumerate(world)])
+    r = np.array([scalar_edge.to_local(edges, e, b) for e, (_, b) in enumerate(world)])
+    lam, endpoint, length = solve_edges(t, r, edges.x1, edges.x2, edges.z_e)[:3]
+    for i, (a, b) in enumerate(world):
+        sol = scalar_edge.diffraction_point(a, b, edges, i)
         assert abs(lam[i] - sol.lam) <= 1e-12
         assert abs(length[i] - sol.path_length) <= 1e-9 * sol.path_length
         assert endpoint[i] == sol.endpoint
@@ -370,7 +373,7 @@ def test_solve_edge_lambdas_matches_oracle_and_dense_grid():
         lam, endpoint = scalar_edge.solve_edge_lambda(t[i], r[i], x1[i], x2[i], z_e[i])
         q = x2[i] + lam * (x1[i] - x2[i])
         length = scalar_edge.two_leg_length(t[i], r[i], z_e[i], q)
-        assert abs(sol.qx[i] - q) <= 1e-12 * size[i]
+        assert abs(x2[i] + sol.lam[i] * (x1[i] - x2[i]) - q) <= 1e-12 * size[i]
         assert abs(sol.length[i] - length) <= 1e-13 * length
         assert sol.endpoint[i] == endpoint
     assert not sol.endpoint[on_edge].any() and sol.endpoint.any()
@@ -399,7 +402,6 @@ def test_solve_edge_lambdas_returns_the_legs_at_its_lam():
     qx = x2 + sol.lam * (x1 - x2)
     leg_t = np.sqrt((t[:, 0] - qx) ** 2 + t[:, 1] ** 2 + (t[:, 2] - z_e) ** 2)
     leg_r = np.sqrt((r[:, 0] - qx) ** 2 + r[:, 1] ** 2 + (z_e - r[:, 2]) ** 2)
-    assert np.array_equal(sol.qx, qx)
     assert np.array_equal(sol.legs, [leg_t, leg_r])
     assert np.array_equal(sol.dx, [t[:, 0] - qx, r[:, 0] - qx])
     assert np.array_equal(sol.dz, [z_e - t[:, 2], z_e - r[:, 2]])
@@ -414,7 +416,7 @@ def test_diffraction_fermat_stationarity_interior():
     for _ in range(400):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        d = SceneGeometry([], [edge], None).diffractions(tx, rx)
+        d = SceneGeometry([], edge, None).diffractions(tx, rx)
         lam = d.lam[0]
         if d.endpoint[0] or not 1e-4 < lam < 1 - 1e-4:
             continue
@@ -425,7 +427,7 @@ def test_diffraction_fermat_stationarity_interior():
 
         deriv = (length(lam + h) - length(lam - h)) / (2 * h)
         # Normalize by the edge span so the tolerance is scale-free.
-        assert abs(deriv) / abs(edge.x1 - edge.x2) < 1e-8 * max(1.0, d.length[0])
+        assert abs(deriv) / abs(edge.x1[0] - edge.x2[0]) < 1e-8 * max(1.0, d.length[0])
         checked += 1
     assert checked > 100
 
@@ -434,7 +436,7 @@ def test_diffraction_minimality_against_sampled_lambdas():
     for _ in range(300):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        length = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
+        length = SceneGeometry([], edge, None).diffractions(tx, rx).length[0]
         lams = np.linspace(0.0, 1.0, 199)
         sampled = min(oracle_two_leg(tx, rx, edge_point(edge, l)) for l in lams)
         assert length <= sampled + 1e-9
@@ -444,14 +446,14 @@ def test_diffraction_lower_bound_euclidean():
     for _ in range(300):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        p = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
+        p = SceneGeometry([], edge, None).diffractions(tx, rx).length[0]
         assert p >= euclidean_distance(tx, rx) - 1e-12
 
 
 def test_diffraction_tx_equals_rx():
-    edge = WindowEdge(x1=-5.0, x2=5.0, z_e=4.0, w=1.0)
+    edge = edges_of(x1=-5.0, x2=5.0, z_e=4.0, w=1.0)
     p = np.array([1.0, 3.0, 1.0])
-    got = SceneGeometry([], [edge], None).diffractions(p, p).length[0]
+    got = SceneGeometry([], edge, None).diffractions(p, p).length[0]
     # Legs coincide: twice the distance to the nearest edge point.
     nearest = 2.0 * math.sqrt(3.0 ** 2 + 3.0 ** 2)
     assert got == pytest.approx(nearest, rel=1e-12)
@@ -459,8 +461,8 @@ def test_diffraction_tx_equals_rx():
 
 def test_diffraction_endpoint_clamping():
     # Both stationary points beyond x2: clamp and flag.
-    edge = WindowEdge(x1=-1.0, x2=1.0, z_e=0.0, w=1.0)
-    d = SceneGeometry([], [edge], None).diffractions((8.0, 1.0, 0.0), (8.0, -1.0, 0.0))
+    edge = edges_of(x1=-1.0, x2=1.0, z_e=0.0, w=1.0)
+    d = SceneGeometry([], edge, None).diffractions((8.0, 1.0, 0.0), (8.0, -1.0, 0.0))
     assert d.endpoint[0]
     assert d.lam[0] in (0.0, 1.0)
     assert d.point[0, 0] == pytest.approx(1.0)
@@ -471,10 +473,10 @@ def test_diffraction_spurious_root_rejected():
     # Edge segment beyond both endpoints' abscissae: the squared stationarity
     # equation has a root on the edge, but it is not a Fermat point and the
     # constrained minimum sits at an edge endpoint.
-    edge = WindowEdge(x1=2.0, x2=1.2, z_e=0.0, w=1.0)
+    edge = edges_of(x1=2.0, x2=1.2, z_e=0.0, w=1.0)
     tx = np.array([0.0, 3.0, 0.0])
     rx = np.array([1.0, -1.0, 0.0])
-    d = SceneGeometry([], [edge], None).diffractions(tx, rx)
+    d = SceneGeometry([], edge, None).diffractions(tx, rx)
     expect = oracle_edge_length(tx, rx, edge)
     assert d.endpoint[0]
     assert d.length[0] == pytest.approx(expect, rel=1e-12)
@@ -485,16 +487,16 @@ def test_diffraction_frame_invariance():
     for _ in range(100):
         edge = random_edge(RNG)
         tx, rx = random_side_points(RNG)
-        base = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
+        base = SceneGeometry([], edge, None).diffractions(tx, rx).length[0]
 
         rot = random_rotation(RNG)
         shift = RNG.uniform(-30, 30, 3)
         # Transform the world: points move by p -> rot @ p + shift, so the
         # edge frame (world->local) composes with the inverse map.
-        frame = RigidTransform(edge.frame.rotation @ rot.T,
-                               edge.frame.translation - edge.frame.rotation @ rot.T @ shift)
-        moved_edge = WindowEdge(edge.x1, edge.x2, edge.z_e, edge.w, frame)
-        moved = SceneGeometry([], [moved_edge], None).diffractions(
+        frame = edge.rotation[0] @ rot.T
+        moved_edge = edges_of(*edge[2:], rotation=frame,
+                              translation=edge.translation[0] - frame @ shift)
+        moved = SceneGeometry([], moved_edge, None).diffractions(
             rot @ tx + shift, rot @ rx + shift).length[0]
         assert abs(moved - base) <= 1e-9 * base
 
@@ -508,9 +510,9 @@ def test_approx_equals_exact_when_offset_matches():
         edge = random_edge(RNG)
         tx, _ = random_side_points(RNG)
         # Choose a receiver whose local height satisfies z_e - z_n = w/2.
-        rx = np.array([RNG.uniform(-8, 8), RNG.uniform(-20, -1), edge.z_e - edge.w / 2.0])
-        exact = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
-        meas = Problem([tx], [0.0], (edge,))
+        rx = np.array([RNG.uniform(-8, 8), RNG.uniform(-20, -1), edge.z_e[0] - edge.w[0] / 2.0])
+        exact = SceneGeometry([], edge, None).diffractions(tx, rx).length[0]
+        meas = Problem([tx], [0.0], edge)
         approx = _model_rows(rx[None], pack([meas]))[0][0, 0]
         assert approx == pytest.approx(exact, rel=1e-12)
 
@@ -518,39 +520,52 @@ def test_approx_equals_exact_when_offset_matches():
 def test_approx_w_zero_limit_in_edge_plane():
     # A vanishing window height puts the model edge at the receiver height,
     # where the exact edge lies.
-    edge = WindowEdge(x1=-5.0, x2=5.0, z_e=7.0, w=1e-12)
+    edge = edges_of(x1=-5.0, x2=5.0, z_e=7.0, w=1e-12)
     tx = np.array([2.0, 10.0, 12.0])
     rx = np.array([-1.0, -6.0, 7.0])  # receiver at edge height
-    meas = Problem([tx], [0.0], (edge,))
+    meas = Problem([tx], [0.0], edge)
     got = _model_rows(rx[None], pack([meas]))[0][0, 0]
-    expect = SceneGeometry([], [edge], None).diffractions(tx, rx).length[0]
+    expect = SceneGeometry([], edge, None).diffractions(tx, rx).length[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_approx_discrepancy_bounded_by_height_mismatch():
     # Sweep the receiver height: tx above the edge, rx below, so the length's
     # sensitivity to the edge height stays below one.
-    edge = WindowEdge(x1=-4.0, x2=4.0, z_e=10.0, w=2.0)
+    edge = edges_of(x1=-4.0, x2=4.0, z_e=10.0, w=2.0)
     tx = np.array([1.0, 25.0, 16.0])
-    geom = SceneGeometry([], [edge], None)
-    meas = Problem([tx], [0.0], (edge,))
+    geom = SceneGeometry([], edge, None)
+    meas = Problem([tx], [0.0], edge)
     for z_n in np.linspace(6.0, 10.0, 21):
         rx = np.array([-2.0, -5.0, z_n])
         exact = geom.diffractions(tx, rx).length[0]
         approx = _model_rows(rx[None], pack([meas]))[0][0, 0]
-        mismatch = abs((edge.z_e - z_n) - edge.w / 2.0)
+        mismatch = abs((edge.z_e[0] - z_n) - edge.w[0] / 2.0)
         assert abs(approx - exact) <= mismatch + 1e-12
 
 
 def test_edge_table_packs_every_edge_in_order():
-    edges = build_scene_geometry(build_default_scene()).edges
-    table = edge_table(edges)
-    for e, edge in enumerate(edges):
-        assert np.array_equal(table.rotation[e], edge.frame.rotation)
-        assert np.array_equal(table.translation[e], edge.frame.translation)
-        assert (table.x1[e], table.x2[e], table.z_e[e], table.w[e]) \
-            == (edge.x1, edge.x2, edge.z_e, edge.w)
-    assert [column.shape for column in edge_table([])] \
+    # Rows 2i and 2i + 1 are window i's bottom and top rims, in the frame of
+    # its facade, which maps each rim's world ends to (x1 or x2, 0, z_e). The
+    # default scene's windows, and one on each facade x = 0 and x = 30.
+    scene = build_default_scene()
+    scene = dataclasses.replace(scene, windows=scene.windows + (
+        WindowRect("x", 0.0, 4.0, 6.5, 1.0, 2.5), WindowRect("x", 30.0, 12.0, 13.0, 5.5, 7.0)))
+    table = build_scene_geometry(scene).edge_table
+    assert len(table.x1) == 2 * len(scene.windows) == 172
+    rotation = {"y": np.eye(3),
+                "x": np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])}
+    for i, window in enumerate(scene.windows):
+        for e, z in ((2 * i, window.z_lo), (2 * i + 1, window.z_hi)):
+            assert (table.x1[e], table.x2[e], table.z_e[e], table.w[e]) \
+                == (window.u_lo, window.u_hi, z, window.height)
+            assert np.array_equal(table.rotation[e], rotation[window.axis])
+            ends = [[u, window.coord, z] if window.axis == "y" else [window.coord, u, z]
+                    for u in (window.u_lo, window.u_hi)]
+            assert np.array_equal(table.to_local(ends)[:, e],
+                                  [[window.u_lo, 0.0, z], [window.u_hi, 0.0, z]])
+    assert [column.shape for column in edge_table(np.zeros((0, 3, 3)), np.zeros((0, 3)),
+                                                  [], [], [], [])] \
         == [(0, 3, 3), (0, 3), (0,), (0,), (0,), (0,)]
 
 
@@ -558,45 +573,61 @@ def test_edge_table_frame_map_equals_to_local_bit_for_bit():
     # The default scene's facade edges, and edges in random rigid frames,
     # whose rotations mix every axis, at the scene's anchors and receivers
     # and at random points: each point in each frame equals its own
-    # RigidTransform.to_local call bit for bit.
+    # product with the row's rotation plus its translation, bit for bit.
     scene = build_default_scene()
     rng = np.random.default_rng(41)
-    moved = [WindowEdge(e.x1, e.x2, e.z_e, e.w,
-                        RigidTransform(random_rotation(rng), rng.uniform(-30, 30, 3)))
-             for e in (random_edge(rng) for _ in range(60))]
+    columns, rotations, translations = [], [], []
+    for _ in range(60):
+        columns.append([c[0] for c in random_edge(rng)[2:]])
+        rotations.append(random_rotation(rng))
+        translations.append(rng.uniform(-30, 30, 3))
+    moved = edges_of(*np.array(columns).T, rotation=np.array(rotations),
+                     translation=np.array(translations))
     points = np.concatenate([np.asarray(scene.anchors, dtype=float),
                              [p.as_array() for p in receiver_grid(scene)],
                              rng.uniform(-50, 50, (40, 3))])
-    for edges in (build_scene_geometry(scene).edges, moved):
-        local = edge_table(edges).to_local(points)
-        assert local.shape == (len(points), len(edges), 3)
+    for table in (build_scene_geometry(scene).edge_table, moved):
+        local = table.to_local(points)
+        assert local.shape == (len(points), len(table.x1), 3)
         for n, p in enumerate(points):
-            expect = np.array([edge.frame.to_local(p) for edge in edges])
+            expect = np.array([scalar_edge.to_local(table, e, p) for e in range(len(table.x1))])
             assert np.array_equal(local[n], expect)
-    assert np.array_equal(edge_table(moved).to_local(points[0]), local[:1])
+    assert np.array_equal(moved.to_local(points[0]), local[:1])
 
 
-def test_window_edge_invariants():
-    with pytest.raises(GeometryError):
-        WindowEdge(x1=1.0, x2=1.0, z_e=0.0, w=1.0)
-    with pytest.raises(GeometryError):
-        WindowEdge(x1=0.0, x2=1.0, z_e=0.0, w=0.0)
+def three_edges():
+    """Valid ``edge_table`` columns of three edges; each rejection case
+    below spoils one entry."""
+    return dict(rotation=np.tile(np.eye(3), (3, 1, 1)), translation=np.zeros((3, 3)),
+                x1=np.zeros(3), x2=np.ones(3), z_e=np.zeros(3), w=np.ones(3))
 
 
-def test_window_edges_compare_and_hash():
-    # Frames compare by identity; the windows of one facade share theirs, so
-    # a scene's edges compare by value along a facade and can go into a set.
-    frame = RigidTransform.identity()
-    assert WindowEdge(0.0, 1.0, 2.0, 1.0, frame) == WindowEdge(0.0, 1.0, 2.0, 1.0, frame)
-    assert WindowEdge(0.0, 1.0, 2.0, 1.0) != WindowEdge(0.0, 1.0, 2.0, 1.0)
-    assert hash(WindowEdge(0.0, 1.0, 2.0, 1.0, frame)) == hash(WindowEdge(0.0, 1.0, 2.0, 1.0, frame))
-    assert frame == frame and frame != RigidTransform.identity()
-    scene = build_default_scene()
-    edges = build_scene_geometry(scene).edges
-    assert len(set(edges)) == len(edges)
-    assert set(edges) == set(build_scene_geometry(scene).edges)
-    window = scene.windows[0]
-    assert window.edges() == window.edges() and window.edges()[0] in set(edges)
+@pytest.mark.parametrize("name, index, value, message", [
+    ("x2", 1, 0.0, "edge 1: edge endpoints coincide (x1 == x2)"),
+    ("w", 2, 0.0, "edge 2: window height w must be positive"),
+    ("w", 1, -1.0, "edge 1: window height w must be positive"),
+    ("rotation", (2, 0, 0), 1.001, "edge 2: rotation is not orthonormal"),
+    ("rotation", (1, 2, 2), -1.0, "edge 1: rotation has negative determinant (reflection)"),
+    ("rotation", (2, 0, 1), math.nan, "edge 2: entries must be finite"),
+    ("translation", (1, 1), math.inf, "edge 1: entries must be finite"),
+    ("x1", 0, -math.inf, "edge 0: entries must be finite"),
+    ("z_e", 2, math.nan, "edge 2: entries must be finite"),
+    ("w", 1, math.nan, "edge 1: entries must be finite"),
+], ids=["x1_equals_x2", "zero_height", "negative_height", "not_orthonormal", "reflection",
+        "nan_rotation", "infinite_translation", "infinite_x1", "nan_z_e", "nan_height"])
+def test_edge_table_rejects(name, index, value, message):
+    columns = three_edges()
+    columns[name][index] = value
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        edge_table(**columns)
+
+
+def test_edge_table_rejects_columns_of_other_lengths():
+    columns = three_edges()
+    assert len(edge_table(**columns).x1) == 3
+    for name, value in (("w", np.ones(2)), ("rotation", np.eye(3)), ("translation", np.zeros(3))):
+        with pytest.raises(GeometryError, match=r"^edge columns must have shapes"):
+            edge_table(**{**columns, name: value})
 
 
 def test_solve_edge_lambdas_is_elementwise_in_any_shape():

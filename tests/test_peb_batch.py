@@ -5,8 +5,8 @@ The parity cases replay the bound problems of real sweeps, captured where
 ``run_sweep`` hands its queue to ``peb_batch``: the 28 GHz, two-trial sweep
 of the 6 m floor-3 grid and the seven-frequency ladder of the 10 m floor-3
 grid, seeds 0-3. Each bound must equal the scalar one bit for bit; the
-scalar body takes the problem's anchors and the scene's own ``WindowEdge``s
-that its ids name.
+scalar body takes the problem's anchors and the rows of the scene's edge
+table that its ids name.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 import diffpos.experiments as experiments
 from diffpos.channel import build_scene_geometry
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, SweepConfig, build_default_scene
-from diffpos.geometry import WindowEdge, edge_table
+from conftest import edges_of
 from diffpos.positioning import SingularGeometryError, peb_batch
 from scalar_bound import scalar_peb
 
@@ -29,7 +29,7 @@ SWEEPS = {
 
 def captured_bound_problems(monkeypatch, size: str, seed: int):
     """(table, anchors, problems, edges) of one sweep: the bound problems as
-    ``peb_batch`` takes them, and the scene's WindowEdges."""
+    ``peb_batch`` takes them, and the scene's own edge table."""
     params = SWEEPS[size]
     scene = build_default_scene(grid_spacing=params["grid_spacing"], receiver_floors=(3,))
     cfg = SweepConfig(scene=scene, frequencies_hz=params["frequencies_hz"], t_fap_db=20.0,
@@ -45,7 +45,7 @@ def captured_bound_problems(monkeypatch, size: str, seed: int):
     table, anchors = calls[0][:2]
     assert all(t is table and a is anchors for t, a, _ in calls)
     return table, anchors, [p for _, _, batch in calls for p in batch], \
-        build_scene_geometry(scene).edges
+        build_scene_geometry(scene).edge_table
 
 
 def same(got, expect) -> bool:
@@ -64,7 +64,7 @@ def test_peb_batch_matches_scalar_bound_on_sweep_problems(monkeypatch, size):
     for seed in range(4):
         table, anchors, captured, scene_edges = captured_bound_problems(monkeypatch, size, seed)
         problems += captured
-    assert np.array_equal(table.x1, edge_table(scene_edges).x1)
+    assert all(np.array_equal(a, b) for a, b in zip(table, scene_edges))
     assert len(problems) > 40
     # Beside each sweep problem: its first three anchors, its first two
     # (singular) and its first anchor four times over (singular with four
@@ -81,8 +81,7 @@ def test_peb_batch_matches_scalar_bound_on_sweep_problems(monkeypatch, size):
     batch = peb_batch(table, anchors, mixed)
     assert len(batch) == len(mixed)
     for (alpha, anchor_ids, edge_ids, snr, beta_sq), got in zip(mixed, batch):
-        expect = scalar_peb(alpha, anchors[anchor_ids], [scene_edges[e] for e in edge_ids],
-                            snr, beta_sq)
+        expect = scalar_peb(alpha, anchors[anchor_ids], scene_edges, edge_ids, snr, beta_sq)
         assert same(got, expect)
     singular = [(len(p[1]), r.singular) for p, r in zip(mixed, batch)]
     assert singular.count((4, True)) == singular.count((2, True)) == len(problems)
@@ -93,7 +92,7 @@ def test_peb_batch_matches_scalar_bound_on_sweep_problems(monkeypatch, size):
 
 
 # Edge 1 is edge 0 with a vanishing window height.
-BAD_INPUT_TABLE = edge_table([WindowEdge(-5.0, 5.0, 5.0, 1.0), WindowEdge(-5.0, 5.0, 5.0, 1e-13)])
+BAD_INPUT_TABLE = edges_of(-5.0, 5.0, 5.0, [1.0, 1e-13])
 BAD_INPUT_ANCHORS = np.array([[0.0, 10.0, 2.0], [3.0, 12.0, 3.0], [-2.0, 14.0, 1.0]])
 GOOD = (np.array([1.0, -3.0, 2.0]), [0, 1, 2], [0, 0, 0], np.full(3, 10.0), 1e16)
 

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import scalar_edge
-from conftest import Problem, bounds_of, ladder, pack, random_positioning_instance
+from conftest import Problem, bounds_of, edges_of, ladder, pack, random_positioning_instance
 from diffpos.constants import SPEED_OF_LIGHT
 from diffpos.channel import SceneGeometry
 from diffpos.fap import mean_squared_bandwidth, range_sigma_m
-from diffpos.geometry import Point3, WindowEdge, edge_table
+from diffpos.geometry import Point3
 from diffpos.positioning import (
     _CONVERGED,
     _DIVERGED,
@@ -38,16 +38,17 @@ BETA_SQ = mean_squared_bandwidth(400e6)
 BOUNDS = (np.array([0.0, 0.0, 0.0]), np.array([20.0, 20.0, 15.0]))
 
 
-def model_ranges(alpha, anchors, edges) -> np.ndarray:
-    """Diffraction-model ranges, one scalar edge solve per anchor (oracle)."""
-    return np.array([scalar_edge.approx_diffraction_solution(anchors[j], alpha, edges[j]).path_length
-                     for j in range(len(anchors))])
+def model_ranges(alpha, anchors, table) -> np.ndarray:
+    """Diffraction-model ranges, one scalar edge solve per anchor, anchor j
+    with edge j (oracle)."""
+    return np.array([scalar_edge.approx_diffraction_solution(a, alpha, table, j).path_length
+                     for j, a in enumerate(anchors)])
 
 
-def meas_from_instance(alpha, anchors, edges, ranges=None) -> Problem:
+def meas_from_instance(alpha, anchors, table, ranges=None) -> Problem:
     if ranges is None:
-        ranges = model_ranges(alpha, anchors, edges)
-    return Problem(anchors=anchors, ranges=np.asarray(ranges, dtype=float), edges=edges)
+        ranges = model_ranges(alpha, anchors, table)
+    return Problem(anchors=anchors, ranges=np.asarray(ranges, dtype=float), table=table)
 
 
 def fd_jacobian(alpha, meas, h=1e-5) -> np.ndarray:
@@ -58,8 +59,8 @@ def fd_jacobian(alpha, meas, h=1e-5) -> np.ndarray:
         dn = np.array(alpha, dtype=float)
         up[i] += h
         dn[i] -= h
-        out[i] = (model_ranges(up, meas.anchors, meas.edges)
-                  - model_ranges(dn, meas.anchors, meas.edges)) / (2 * h)
+        out[i] = (model_ranges(up, meas.anchors, meas.table)
+                  - model_ranges(dn, meas.anchors, meas.table)) / (2 * h)
     return out
 
 
@@ -68,10 +69,10 @@ def fd_jacobian(alpha, meas, h=1e-5) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_jacobian_symmetric_configuration_zero_x_partial():
-    edge = WindowEdge(-5.0, 5.0, 10.0, 2.0)
+    edge = edges_of(-5.0, 5.0, 10.0, 2.0)
     anchor = np.array([[0.0, 20.0, 4.0]])
     alpha = np.array([0.0, -6.0, 7.0])
-    meas = meas_from_instance(alpha, anchor, (edge,))
+    meas = meas_from_instance(alpha, anchor, edge)
     jac = _model_rows(alpha[None], pack([meas]))[1][0]
     assert jac[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -100,18 +101,17 @@ def test_jacobian_small_window_limit_matches_unfolded_chain():
     rng = np.random.default_rng(5)
     for _ in range(50):
         alpha, anchors, edges = random_positioning_instance(rng, n_anchors=1)
-        tiny = tuple(WindowEdge(e.x1, e.x2, e.z_e, 1e-9, e.frame) for e in edges)
+        tiny = edges_of(edges.x1, edges.x2, edges.z_e, 1e-9, edges.rotation, edges.translation)
         meas = meas_from_instance(alpha, anchors, tiny)
         jac = _model_rows(alpha[None], pack([meas]))[1][0, :, 0]
 
-        edge = tiny[0]
-        t = edge.frame.to_local(anchors[0])
-        r = edge.frame.to_local(alpha)
+        t = scalar_edge.to_local(tiny, 0, anchors[0])
+        r = scalar_edge.to_local(tiny, 0, alpha)
         # Transverse leg distances with the edge at z = z_n.
         a_t = math.hypot(t[1], t[2] - r[2])
         b_t = abs(r[1])
         q = (t[0] * b_t + r[0] * a_t) / (a_t + b_t)
-        assert edge.x1 < q < edge.x2  # generator guarantees interior points
+        assert tiny.x1[0] < q < tiny.x2[0]  # generator guarantees interior points
         l_tx = math.sqrt((t[0] - q) ** 2 + t[1] ** 2 + (t[2] - r[2]) ** 2)
         l_rx = math.sqrt((r[0] - q) ** 2 + r[1] ** 2)
         expect_local = np.array([
@@ -119,17 +119,17 @@ def test_jacobian_small_window_limit_matches_unfolded_chain():
             r[1] / l_rx,
             (r[2] - t[2]) / l_tx,
         ])
-        expect = edge.frame.rotation.T @ expect_local
+        expect = tiny.rotation[0].T @ expect_local
         np.testing.assert_allclose(jac, expect, atol=1e-6)
 
 
 def test_jacobian_endpoint_clamped_consistent_with_fd():
     # Clamped stationary points hold q fixed, so the explicit partials remain
     # exact; verify against finite differences on solidly clamped instances.
-    edge = WindowEdge(-1.0, 1.0, 5.0, 1.5)
+    edge = edges_of(-1.0, 1.0, 5.0, 1.5)
     anchor = np.array([[8.0, 12.0, 2.0]])
     alpha = np.array([9.0, -6.0, 4.0])
-    meas = meas_from_instance(alpha, anchor, (edge,))
+    meas = meas_from_instance(alpha, anchor, edge)
     analytic = _model_rows(alpha[None], pack([meas]))[1][0]
     numeric = fd_jacobian(alpha, meas)
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
@@ -138,10 +138,10 @@ def test_jacobian_endpoint_clamped_consistent_with_fd():
 def test_jacobian_singular_on_edge():
     # With a vanishing window height the model edge passes through the
     # receiver itself, where the receiver-side leg (and the partials) vanish.
-    edge = WindowEdge(-5.0, 5.0, 5.0, 1e-13)
+    edge = edges_of(-5.0, 5.0, 5.0, 1e-13)
     anchor = np.array([[0.0, 10.0, 2.0]])
     alpha = np.array([0.0, 0.0, 4.0])
-    meas = meas_from_instance(alpha, anchor, (edge,), ranges=[1.0])
+    meas = meas_from_instance(alpha, anchor, edge, ranges=[1.0])
     assert _model_rows(alpha[None], pack([meas]))[2].tolist() == [[True]]
 
 
@@ -182,7 +182,7 @@ def test_dnls_monte_carlo_rmse_tracks_peb():
     sigma = range_sigma_m(BETA_SQ, snr_lin)
     assert sigma <= 0.10
 
-    bound = bounds_of([(alpha, anchors, edges, np.full(4, snr_lin), BETA_SQ)])[0]
+    bound = bounds_of([(alpha, anchors, edges, range(4), np.full(4, snr_lin), BETA_SQ)])[0]
     truth_ranges = model_ranges(alpha, anchors, edges)
     sets = [Problem(anchors, truth_ranges + sigma * rng.standard_normal(4), edges)
             for _ in range(1000)]
@@ -200,8 +200,9 @@ def test_dnls_monte_carlo_rmse_tracks_peb():
 def test_dnls_rejects_degenerate_vertical_geometry():
     # Every anchor shares the receiver's abscissa with symmetric edges, so the
     # x-partial row vanishes identically.
-    edges = tuple(WindowEdge(3.0, 7.0, 6.0, 2.0) for _ in range(4))
-    anchors = np.array([[5.0, y, z] for y, z in ((12.0, 2.0), (15.0, 3.0), (18.0, 4.0), (21.0, 5.0))])
+    edges = edges_of(np.full(4, 3.0), 7.0, 6.0, 2.0)
+    anchors = np.array([[5.0, y, z]
+                        for y, z in ((12.0, 2.0), (15.0, 3.0), (18.0, 4.0), (21.0, 5.0))])
     alpha = np.array([5.0, -4.0, 5.0])
     meas = meas_from_instance(alpha, anchors, edges)
     start = alpha + np.array([0.0, 0.5, 0.5])
@@ -213,8 +214,7 @@ def test_dnls_rejects_degenerate_vertical_geometry():
 def test_dnls_requires_four_anchors():
     alpha, anchors, edges = random_positioning_instance(RNG)
     with pytest.raises(ValueError, match="at least 4 anchors"):
-        dnls_ladder(edge_table(edges[:3]), anchors[:3], [[0, 1, 2]], [np.ones(3) * 30], [alpha],
-                    BOUNDS)
+        dnls_ladder(edges, anchors[:3], [[0, 1, 2]], [np.ones(3) * 30], [alpha], BOUNDS)
 
 
 def test_dnls_far_init_is_reported_not_silent():
@@ -293,14 +293,14 @@ def test_lls_solve_equals_per_problem_lstsq_bit_for_bit(m):
 def test_peb_snr_scaling():
     alpha, anchors, edges = random_positioning_instance(RNG)
     snr = np.array([10.0, 20.0, 15.0, 12.0])
-    base, doubled = bounds_of([(alpha, anchors, edges, snr, BETA_SQ),
-                               (alpha, anchors, edges, 2 * snr, BETA_SQ)])
+    base, doubled = bounds_of([(alpha, anchors, edges, range(4), snr, BETA_SQ),
+                               (alpha, anchors, edges, range(4), 2 * snr, BETA_SQ)])
     assert doubled.peb_m == pytest.approx(base.peb_m / math.sqrt(2), rel=1e-12)
 
 
 def test_peb_single_anchor_singular():
     alpha, anchors, edges = random_positioning_instance(RNG)
-    result = bounds_of([(alpha, anchors[:1], edges[:1], np.array([10.0]), BETA_SQ)])[0]
+    result = bounds_of([(alpha, anchors[:1], edges, [0], np.array([10.0]), BETA_SQ)])[0]
     assert result.singular
     assert result.peb_m == math.inf
     assert result.fim_inv is None
@@ -311,18 +311,16 @@ def test_peb_anchor_relabeling_invariance():
     snr = np.array([10.0, 20.0, 15.0, 12.0])
     perm = [2, 0, 3, 1]
     base, permuted = bounds_of([
-        (alpha, anchors, edges, snr, BETA_SQ),
-        (alpha, anchors[perm], tuple(edges[i] for i in perm), snr[perm], BETA_SQ)])
+        (alpha, anchors, edges, range(4), snr, BETA_SQ),
+        (alpha, anchors[perm], edges, perm, snr[perm], BETA_SQ)])
     np.testing.assert_allclose(permuted.fim, base.fim, rtol=1e-12)
     assert permuted.peb_m == pytest.approx(base.peb_m, rel=1e-12)
 
 
 def test_peb_rigid_rotation_invariance():
-    from diffpos.geometry import RigidTransform
-
     alpha, anchors, edges = random_positioning_instance(RNG)
     snr = np.array([10.0, 20.0, 15.0, 12.0])
-    base = bounds_of([(alpha, anchors, edges, snr, BETA_SQ)])[0]
+    base = bounds_of([(alpha, anchors, edges, range(4), snr, BETA_SQ)])[0]
 
     theta = 0.7
     rot = np.array([
@@ -331,13 +329,11 @@ def test_peb_rigid_rotation_invariance():
         [0.0, 0.0, 1.0],
     ])
     shift = np.array([3.0, -8.0, 2.0])
-    moved_edges = tuple(
-        WindowEdge(e.x1, e.x2, e.z_e, e.w,
-                   RigidTransform(e.frame.rotation @ rot.T,
-                                  e.frame.translation - e.frame.rotation @ rot.T @ shift))
-        for e in edges)
-    moved = bounds_of([(rot @ alpha + shift, (anchors @ rot.T) + shift, moved_edges, snr,
-                        BETA_SQ)])[0]
+    frames = edges.rotation @ rot.T
+    moved_edges = edges_of(*edges[2:], rotation=frames,
+                           translation=edges.translation - frames @ shift)
+    moved = bounds_of([(rot @ alpha + shift, (anchors @ rot.T) + shift, moved_edges, range(4),
+                        snr, BETA_SQ)])[0]
     assert moved.peb_m == pytest.approx(base.peb_m, rel=1e-9)
 
 
@@ -348,7 +344,7 @@ def test_peb_matches_monte_carlo_covariance_trace():
     alpha, anchors, edges = random_positioning_instance(rng)
     snr_lin = np.full(4, 10 ** (1.8))
     sigma = range_sigma_m(BETA_SQ, float(snr_lin[0]))
-    bound = bounds_of([(alpha, anchors, edges, snr_lin, BETA_SQ)])[0]
+    bound = bounds_of([(alpha, anchors, edges, range(4), snr_lin, BETA_SQ)])[0]
     truth = model_ranges(alpha, anchors, edges)
     sets = [Problem(anchors, truth + sigma * rng.standard_normal(4), edges)
             for _ in range(500)]
@@ -386,8 +382,9 @@ def test_mismatch_direction_between_estimators():
     truths, diffraction_sets, euclid_sets = [], [], []
     for _ in range(n):
         alpha, anchors, edges = random_positioning_instance(rng)
-        diffraction_ranges = [SceneGeometry([], [edge], None).diffractions(anchor, alpha).length[0]
-                              for anchor, edge in zip(anchors, edges)]
+        geom = SceneGeometry([], edges, None)
+        diffraction_ranges = [geom.diffractions(anchor, alpha).length[j]
+                              for j, anchor in enumerate(anchors)]
         euclid_ranges = np.linalg.norm(anchors - alpha, axis=1)
         truths.append(alpha)
         for sets, ranges in ((diffraction_sets, diffraction_ranges), (euclid_sets, euclid_ranges)):
