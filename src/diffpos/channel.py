@@ -67,14 +67,12 @@ __all__ = [
     "IngestResult",
     "classify_mpc",
     "parse_interaction_string",
-    "format_interaction_string",
     "noise_floor_dbm",
     "truncate_top_k",
     "build_scene_geometry",
     "receiver_grid",
     "path_table",
     "enumerate_mpcs",
-    "export_dataset",
     "ingest_dataset",
 ]
 
@@ -104,10 +102,6 @@ def parse_interaction_string(s: str) -> tuple[str, ...]:
         if symbol not in _SYMBOLS:
             raise ValueError(f"unknown interaction symbol {symbol!r} in {s!r}")
     return inner
-
-
-def format_interaction_string(interactions) -> str:
-    return "-".join(["Tx", *interactions, "Rx"])
 
 
 def classify_mpc(interactions) -> MpcGroup:
@@ -145,9 +139,6 @@ class Mpc:
     anchor_id: int
     group: MpcGroup
     edge_id: int | None = None  # scene window-edge index for diffraction paths
-
-    def interaction_string(self) -> str:
-        return format_interaction_string(self.interactions)
 
 
 @dataclass
@@ -324,6 +315,12 @@ class SceneConfig:
             raise ValueError("receiver spacing must be positive")
         if self.floor_count < 1 or self.floor_height <= 0:
             raise ValueError("invalid floor layout")
+        # Receivers stand inside the footprint and above the slab of their floor.
+        if not self.receiver_margin > 0:
+            raise ValueError(f"receiver_margin must be positive, got {self.receiver_margin:g} m")
+        if not 0 < self.receiver_height < self.floor_height:
+            raise ValueError(f"receiver_height must lie in (0, {self.floor_height:g}) m, "
+                             f"got {self.receiver_height:g} m")
         for i, floor in enumerate(self.receiver_floors):
             if not 1 <= floor <= self.floor_count:
                 raise ValueError(f"receiver floor {floor} outside 1..{self.floor_count}")
@@ -1036,7 +1033,7 @@ def enumerate_mpcs(
 
 
 # ---------------------------------------------------------------------------
-# Dataset export / ingestion
+# Dataset ingestion
 # ---------------------------------------------------------------------------
 
 _DATASET_SCHEMA = "mpc-dataset/1"
@@ -1060,30 +1057,6 @@ class IngestResult:
     @property
     def mpc_count(self) -> int:
         return sum(len(p) for p in self.pdps.values())
-
-
-def export_dataset(pdps, path) -> int:
-    """Write PDPs as line-delimited JSON records; returns the record count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": _DATASET_SCHEMA}) + "\n")
-        for pdp in pdps:
-            rx_xyz = [pdp.rx.x, pdp.rx.y, pdp.rx.z]
-            for m in pdp.mpcs:
-                record = {
-                    "anchor_id": m.anchor_id,
-                    "rx_id": pdp.rx_id,
-                    "rx_xyz": rx_xyz,
-                    "interactions": m.interaction_string(),
-                    "path_length_m": m.path_length_m,
-                    "rx_power_dbm": m.rx_power_dbm,
-                    "tof_s": m.tof_s,
-                }
-                if m.edge_id is not None:
-                    record["edge_id"] = m.edge_id
-                fh.write(json.dumps(record) + "\n")
-                count += 1
-    return count
 
 
 def _integer_field(rec: dict, key: str) -> int:

@@ -38,14 +38,7 @@ from .channel import (
 from .fap import fap_rows, mean_squared_bandwidth, range_sigma_m
 from .geometry import EdgeTable
 from .materials import default_material_library
-from .positioning import (
-    LadderResult,
-    SingularGeometryError,
-    dnls_ladder,
-    lls_solve,
-    lls_start,
-    peb_batch,
-)
+from .positioning import SingularGeometryError, dnls_ladder, lls_solve, lls_start, peb_batch
 
 __all__ = [
     "DEFAULT_FREQUENCY_LADDER_HZ",
@@ -293,15 +286,6 @@ class _FrequencyTally:
         self.dnls_rung = [0, 0, 0]
         self.dnls_iterations = 0
 
-    def add_dnls(self, result: LadderResult, rx_true: np.ndarray) -> None:
-        self.dnls_iterations += result.iterations
-        if result.estimate is None:
-            self.excl["dnls_failed"] += 1
-            return
-        self.dnls_rung[result.rung] += 1
-        self.dnls_errors.append(float(np.linalg.norm(
-            result.estimate.alpha_hat.as_array() - rx_true)))
-
 
 class _Queue(NamedTuple):
     """Problems of a sweep waiting for their batched solve."""
@@ -395,15 +379,24 @@ def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], table: EdgeTable
         queue.dnls.extend((*trial, start) for trial, start in zip(queue.lls, starts))
         queue.lls.clear()
     dnls = queue.dnls[:n]
-    results = dnls_ladder(table, anchors, np.array([q[2] for q in dnls]),
-                          np.array([q[1] for q in dnls]), np.array([q[4] for q in dnls]), bounds)
-    for (fi, _, _, rx_true, _), result in zip(dnls, results):
-        tallies[fi].add_dnls(result, rx_true)
-    for (fi, _), bound in zip(queue.bound, peb_batch(table, anchors, [q[1] for q in queue.bound])):
-        if bound.singular:
+    solved = dnls_ladder(table, anchors, np.array([q[2] for q in dnls]),
+                         np.array([q[1] for q in dnls]), np.array([q[4] for q in dnls]), bounds)
+    for (fi, _, _, rx_true, _), alpha, rung, iterations in zip(
+            dnls, solved.alpha, solved.rung.tolist(), solved.iterations.tolist()):
+        tally = tallies[fi]
+        tally.dnls_iterations += iterations
+        if rung < 0:
+            tally.excl["dnls_failed"] += 1
+        else:
+            tally.dnls_rung[rung] += 1
+            # A 1-D norm per row: the axis=1 form differs in the last bit.
+            tally.dnls_errors.append(float(np.linalg.norm(alpha - rx_true)))
+    bound_m = peb_batch(table, anchors, [q[1] for q in queue.bound]).tolist()
+    for (fi, _), peb_m in zip(queue.bound, bound_m):
+        if math.isinf(peb_m):
             tallies[fi].excl["peb_singular"] += 1
         else:
-            tallies[fi].peb_values.append(bound.peb_m)
+            tallies[fi].peb_values.append(peb_m)
     del queue.dnls[:n]
     queue.bound.clear()
 

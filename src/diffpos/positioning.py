@@ -24,19 +24,16 @@ beta^2 snr_j); PEB = sqrt(trace(FIM^-1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import EdgeTable, Point3, _solve_edge_lambdas
+from .geometry import EdgeTable, _solve_edge_lambdas
 
 __all__ = [
     "SingularGeometryError",
-    "PositionEstimate",
-    "LadderResult",
-    "FimResult",
+    "LadderRows",
     "dnls_ladder",
     "lls_solve",
     "peb_batch",
@@ -65,36 +62,19 @@ class SingularGeometryError(ValueError):
     """Anchor/edge geometry leaves the position unobservable."""
 
 
-@dataclass(frozen=True)
-class PositionEstimate:
-    alpha_hat: Point3
-    iterations: int
-    converged: bool
-    residual_norm: float
+class LadderRows(NamedTuple):
+    """Outcomes of the n problems of ``dnls_ladder``, one row each.
 
-
-class LadderResult(NamedTuple):
-    """Outcome of one problem of ``dnls_ladder``.
-
-    ``estimate`` and ``rung`` come from the first rung, in ladder order, that
-    converged; both are None when every rung failed. ``iterations`` counts
-    the Gauss-Newton iterations of that rung and of every earlier one, which
-    is what running the rungs one after another costs.
+    ``rung`` is the first rung, in ladder order, that converged, and
+    ``alpha`` its estimate; a problem whose every rung failed has rung -1
+    and a NaN estimate. ``iterations`` counts the Gauss-Newton iterations
+    of that rung and of every earlier one (of every rung for a failure),
+    which is what running the rungs one after another costs.
     """
 
-    estimate: PositionEstimate | None
-    rung: int | None
-    iterations: int
-
-
-@dataclass(frozen=True)
-class FimResult:
-    """Fisher information, its inverse, and the scalar position error bound."""
-
-    fim: np.ndarray  # (3, 3), 1/m^2
-    fim_inv: np.ndarray | None
-    peb_m: float  # inf when the FIM is singular
-    singular: bool
+    alpha: np.ndarray  # (n, 3)
+    rung: np.ndarray  # (n,)
+    iterations: np.ndarray  # (n,)
 
 
 class _Rows(NamedTuple):
@@ -218,7 +198,6 @@ class _GaussNewtonRows(NamedTuple):
     alpha: np.ndarray  # (R, 3) final iterates
     iterations: np.ndarray  # (R,)
     status: np.ndarray  # (R,) _CONVERGED, _OUT_OF_ITERATIONS, _SINGULAR, ...
-    residual_norm: np.ndarray  # (R,) |r - p| at the final iterate, nan if none
 
 
 def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
@@ -228,9 +207,10 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     Row i starts at ``alpha0[i]`` and iterates until its step norm drops
     below ``tol`` (converged) or it has run ``max_iters[i]`` iterations (out
     of iterations); the model is then evaluated once more at the final
-    iterate for the residual norm. A leg of the model below 1e-12 m, or,
-    without damping, rank-deficient normal equations, makes the row
-    singular; a non-finite iterate or normal system makes it diverged.
+    iterate, where it can still find the row singular. A leg of the model
+    below 1e-12 m, or, without damping, rank-deficient normal equations,
+    makes the row singular; a non-finite iterate or normal system makes it
+    diverged.
     ``damping[i] > 0`` adds Tikhonov regularization instead of the rank
     check. A row leaves the active set when it finishes, and its result does
     not depend on the other rows.
@@ -243,7 +223,6 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     alpha = np.array(alpha0, dtype=float).reshape(n_rows, 3)
     iterations = np.zeros(n_rows, dtype=int)
     status = np.full(n_rows, _OUT_OF_ITERATIONS)
-    residual_norm = np.full(n_rows, np.nan)
     first_converged = np.full(int(problem.max(initial=-1)) + 1, n_rows)
     eye = np.eye(3)
     damping = np.asarray(damping, dtype=float)
@@ -286,10 +265,6 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
                 if stop is None:
                     stop, counted = final.copy(), np.zeros(len(final), dtype=bool)
                 done = active[final]
-                # A C-ordered (rows, M) copy: numpy sums a contiguous last axis
-                # pairwise from 8 entries on, and each norm keeps that order.
-                last = np.ascontiguousarray(residual[:, final].T)
-                residual_norm[done] = np.sqrt(np.sum(last ** 2, axis=1))
                 for i in done[status[done] == _CONVERGED]:
                     first_converged[problem[i]] = min(first_converged[problem[i]], i)
                 dropped = ~stop & (active > first_converged[problem[active]])
@@ -367,7 +342,7 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
                     final = final[keep]
                     final = final if np.count_nonzero(final) else None
             trip += 1
-    return _GaussNewtonRows(alpha, iterations, status, residual_norm)
+    return _GaussNewtonRows(alpha, iterations, status)
 
 
 def _checked(name: str, values, shape: tuple, count: int | None = None) -> np.ndarray:
@@ -384,7 +359,7 @@ def _checked(name: str, values, shape: tuple, count: int | None = None) -> np.nd
 
 
 def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
-                bounds) -> list[LadderResult]:
+                bounds) -> LadderRows:
     """D-NLS with the deterministic retry ladder, for many problems at once.
 
     Problem i ranges from every anchor of ``anchors`` (A, 3): anchor j to
@@ -394,7 +369,8 @@ def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
     ``bounds`` = (lo, hi) (400). All rungs of all problems run side by side
     in one Gauss-Newton loop; a problem's result is its first converged rung
     in ladder order, exactly as if the rungs ran one after another, and
-    later rungs stop once it is known.
+    later rungs stop once it is known. Returns one ``LadderRows`` row per
+    problem.
     """
     anchors = _checked("anchors", anchors, (len(anchors), 3))
     m, n = len(anchors), len(edge_ids)
@@ -404,7 +380,7 @@ def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
         raise ValueError(f"edge ids, ranges and starts must have one row per problem, "
                          f"not {n}, {len(ranges)} and {len(starts)}")
     if n == 0:
-        return []
+        return LadderRows(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     edge_ids = _checked("edge ids", edge_ids, (n, m), len(table.x1))
     ranges = _checked("ranges", ranges, (n, m))
     starts = _checked("starts", starts, (n, 3))
@@ -422,19 +398,14 @@ def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
         np.repeat([damping for _, damping, _ in _LADDER], n),
         _TOL_M, problem)
 
-    status, iterations = out.status.reshape(k, n), out.iterations.reshape(k, n)
-    results = []
-    for i in range(n):
-        rungs = np.flatnonzero(status[:, i] == _CONVERGED)
-        if rungs.size == 0:
-            results.append(LadderResult(None, None, int(iterations[:, i].sum())))
-            continue
-        rung = int(rungs[0])
-        row = rung * n + i
-        estimate = PositionEstimate(Point3.from_array(out.alpha[row]), int(out.iterations[row]),
-                                    True, float(out.residual_norm[row]))
-        results.append(LadderResult(estimate, rung, int(iterations[:rung + 1, i].sum())))
-    return results
+    converged = out.status.reshape(k, n) == _CONVERGED
+    rung = np.where(converged.any(axis=0), converged.argmax(axis=0), -1)
+    # Iterations up to each rung; rung -1 picks the last row, the sum over all.
+    spent = np.cumsum(out.iterations.reshape(k, n), axis=0)
+    problems = np.arange(n)
+    alpha = out.alpha.reshape(k, n, 3)[rung, problems]
+    alpha[rung < 0] = np.nan
+    return LadderRows(alpha, rung, spent[rung, problems])
 
 
 def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -469,13 +440,13 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return solutions.reshape(*ranges.shape[:-1], 3)
 
 
-def peb_batch(table: EdgeTable, anchors, problems) -> list[FimResult]:
-    """Position error bounds of many problems at once, one ``FimResult`` each.
+def peb_batch(table: EdgeTable, anchors, problems) -> np.ndarray:
+    """Position error bounds (m) of many problems at once, one entry each.
 
     Each problem is a tuple (position, anchor ids, edge ids, snr_linear,
     beta_sq_hz2): the anchors ``anchors[anchor ids]`` of ``anchors`` (A, 3)
     range to the edges ``edge ids`` of ``table``, one linear SNR each. A
-    singular FIM is reported as such (peb_m = inf). Problems with the same
+    problem whose FIM is singular has the bound inf. Problems with the same
     anchor count share one evaluation of the model's partials and stacked
     Fisher matrices; a problem's result does not depend on the batch.
     """
@@ -499,7 +470,7 @@ def peb_batch(table: EdgeTable, anchors, problems) -> list[FimResult]:
         by_count.setdefault(m, []).append(i)
 
     local = table.to_local(anchors)
-    results = [None] * len(checked)
+    peb_m = np.full(len(checked), math.inf)
     for group in by_count.values():
         alphas, anchor_ids, edge_ids, snrs, beta_sq = (
             np.array(column) for column in zip(*(checked[i] for i in group)))
@@ -517,15 +488,10 @@ def peb_batch(table: EdgeTable, anchors, problems) -> list[FimResult]:
         fim = (grad.transpose(0, 2, 1) * inv_var[:, None, :]) @ grad
         fim = 0.5 * (fim + fim.transpose(0, 2, 1))
 
-        singular = _rank_deficient(fim)
-        fim_inv = np.full_like(fim, np.nan)
-        fim_inv[~singular] = np.linalg.inv(fim[~singular])
-        bound = np.sqrt(np.trace(fim_inv, axis1=1, axis2=2))
-        for k, i in enumerate(group):
-            results[i] = FimResult(fim=fim[k], fim_inv=None, peb_m=math.inf, singular=True) \
-                if singular[k] else FimResult(fim=fim[k], fim_inv=fim_inv[k],
-                                              peb_m=float(bound[k]), singular=False)
-    return results
+        full_rank = ~_rank_deficient(fim)
+        fim_inv = np.linalg.inv(fim[full_rank])
+        peb_m[np.array(group)[full_rank]] = np.sqrt(np.trace(fim_inv, axis1=1, axis2=2))
+    return peb_m
 
 
 def lls_start(estimates: np.ndarray | None, bounds: tuple) -> np.ndarray:

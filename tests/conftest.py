@@ -1,13 +1,15 @@
 """Shared test helpers: window edges as tables, random positioning instances
 with sane conditioning, and D-NLS and bound problems given as anchors and
-edge ids into a table, passed to the edge-id API through one joined table."""
+edge ids into a table, passed to the edge-id API through one joined table;
+and PDPs written as the JSON records the dataset ingest reads."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from diffpos.geometry import EdgeTable, edge_table
-from diffpos.positioning import _pack, dnls_ladder, peb_batch
+from diffpos.positioning import LadderRows, _pack, dnls_ladder, peb_batch
 from scalar_edge import approx_diffraction_solution
 
 
@@ -105,20 +107,21 @@ def pack(problems):
 
 
 def ladder(problems, starts, bounds):
-    """``dnls_ladder`` results of D-NLS problems, in order: one call per
+    """``dnls_ladder`` columns of D-NLS problems, in order: one call per
     anchor set, which the results do not depend on."""
     table, edge_ids = joined([p.table for p in problems], [p.edges for p in problems])
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
     groups = {}
     for i, problem in enumerate(problems):
         groups.setdefault(problem.anchors.tobytes(), []).append(i)
-    results = [None] * len(problems)
+    n = len(problems)
+    out = LadderRows(np.empty((n, 3)), np.empty(n, dtype=int), np.empty(n, dtype=int))
     for rows in groups.values():
         batch = dnls_ladder(table, problems[rows[0]].anchors, [edge_ids[i] for i in rows],
                             [problems[i].ranges for i in rows], starts[rows], bounds)
-        for i, result in zip(rows, batch):
-            results[i] = result
-    return results
+        for column, values in zip(out, batch):
+            column[rows] = values
+    return out
 
 
 def bounds_of(problems):
@@ -130,3 +133,22 @@ def bounds_of(problems):
     return peb_batch(table, np.concatenate(anchors),
                      [(p[0], np.arange(first[i], first[i + 1]), ids, *p[4:])
                       for i, (p, ids) in enumerate(zip(problems, edge_ids))])
+
+
+def write_dataset(pdps, path) -> int:
+    """Write PDPs as the line-delimited JSON records ``ingest_dataset``
+    reads (schema ``mpc-dataset/1``); returns the record count."""
+    lines = [json.dumps({"schema": "mpc-dataset/1"})]
+    for pdp in pdps:
+        for m in pdp.mpcs:
+            record = {"anchor_id": m.anchor_id, "rx_id": pdp.rx_id,
+                      "rx_xyz": [pdp.rx.x, pdp.rx.y, pdp.rx.z],
+                      "interactions": "-".join(("Tx", *m.interactions, "Rx")),
+                      "path_length_m": m.path_length_m, "rx_power_dbm": m.rx_power_dbm,
+                      "tof_s": m.tof_s}
+            if m.edge_id is not None:
+                record["edge_id"] = m.edge_id
+            lines.append(json.dumps(record))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return len(lines) - 1

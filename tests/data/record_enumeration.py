@@ -30,7 +30,7 @@ def record() -> dict:
             for f_hz in DEFAULT_FREQUENCY_LADDER_HZ:
                 rows = []
                 for m in enumerate_mpcs(scene, a, rx, f_hz, geometry=geom).mpcs:
-                    key = (m.interaction_string(), m.group.name, m.edge_id, m.path_length_m)
+                    key = ("-".join(("Tx", *m.interactions, "Rx")), m.group.name, m.edge_id, m.path_length_m)
                     if key not in index:
                         index[key] = len(paths)
                         paths.append(list(key))

@@ -13,16 +13,16 @@ import numpy as np
 
 from diffpos.constants import SPEED_OF_LIGHT
 from conftest import Problem
-from diffpos.positioning import FimResult, _model_rows
+from diffpos.positioning import _model_rows
 from scalar_dnls import scalar_pack
 
 RANK_RTOL = 1e-12
 
 
 def scalar_peb(alpha_true, anchors, table, edge_ids, snr_linear, beta_sq_hz2):
-    """The FimResult of one bound problem at ``alpha_true``, with the
-    anchors (M, 3), the ids of their edges in ``table`` and their linear
-    SNRs."""
+    """The position error bound (m) of one bound problem at ``alpha_true``,
+    with the anchors (M, 3), the ids of their edges in ``table`` and their
+    linear SNRs; inf when the FIM is singular."""
     snr = np.asarray(snr_linear, dtype=float).reshape(-1)
     meas = Problem(anchors, np.zeros(len(snr)), table, edge_ids)
     jac = _model_rows(np.asarray(alpha_true, dtype=float)[None], scalar_pack([meas]))[1][0]
@@ -33,7 +33,5 @@ def scalar_peb(alpha_true, anchors, table, edge_ids, snr_linear, beta_sq_hz2):
     s = np.linalg.svd(fim, compute_uv=False)
     singular = s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]
     if singular:
-        return FimResult(fim=fim, fim_inv=None, peb_m=math.inf, singular=True)
-    fim_inv = np.linalg.inv(fim)
-    return FimResult(fim=fim, fim_inv=fim_inv,
-                     peb_m=float(np.sqrt(np.trace(fim_inv))), singular=False)
+        return math.inf
+    return float(np.sqrt(np.trace(np.linalg.inv(fim))))

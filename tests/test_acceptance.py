@@ -15,12 +15,19 @@ import numpy as np
 import pytest
 
 import scalar_edge
-from conftest import Problem, bounds_of, edges_of, ladder, pack, random_positioning_instance
+from conftest import (
+    Problem,
+    bounds_of,
+    edges_of,
+    ladder,
+    pack,
+    random_positioning_instance,
+    write_dataset,
+)
 from diffpos.channel import (
     MpcGroup,
     SceneGeometry,
     enumerate_mpcs,
-    export_dataset,
     ingest_dataset,
     receiver_grid,
     truncate_top_k,
@@ -161,9 +168,10 @@ def test_criterion_3_estimator_consistency():
             sets.append(meas)
             starts.append(alpha + offset)
         # Plain Gauss-Newton, the retry ladder's first rung, converges on all.
-        for alpha, result in zip(truths, ladder(sets, starts, LADDER_BOUNDS)):
-            assert result.rung == 0
-            assert np.linalg.norm(result.estimate.alpha_hat.as_array() - alpha) <= 1e-6
+        result = ladder(sets, starts, LADDER_BOUNDS)
+        assert (result.rung == 0).all()
+        for alpha, estimate in zip(truths, result.alpha):
+            assert np.linalg.norm(estimate - alpha) <= 1e-6
 
         anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0],
                             [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
@@ -192,15 +200,13 @@ def test_criterion_4_monte_carlo_rmse_vs_peb():
         truth = _model_rows(alpha[None], pack([meas]))[0][0]
         sets = [Problem(anchors, truth + sigma * rng.standard_normal(4), edges)
                 for _ in range(1000)]
-        results = ladder(sets, [alpha] * len(sets), LADDER_BOUNDS)
-        assert all(r.rung == 0 for r in results)
-        sq_errors = np.array([np.sum((r.estimate.alpha_hat.as_array() - alpha) ** 2)
-                              for r in results])
+        result = ladder(sets, [alpha] * len(sets), LADDER_BOUNDS)
+        assert (result.rung == 0).all()
+        sq_errors = np.array([np.sum((estimate - alpha) ** 2) for estimate in result.alpha])
         rmse = math.sqrt(float(np.mean(sq_errors)))
-        assert abs(rmse - bound.peb_m) <= 0.15 * bound.peb_m, \
-            f"rmse {rmse:.4f} vs peb {bound.peb_m:.4f}"
+        assert abs(rmse - bound) <= 0.15 * bound, f"rmse {rmse:.4f} vs peb {bound:.4f}"
         se_rmse = float(np.std(sq_errors) / (2 * rmse * math.sqrt(len(sq_errors))))
-        assert rmse >= bound.peb_m - 3 * se_rmse
+        assert rmse >= bound - 3 * se_rmse
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +298,7 @@ def test_criterion_9_sweep_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_dataset_round_trip(tmp_path):
-    with criterion(10, "export -> ingest of 1e4 MPC records is lossless"):
+    with criterion(10, "write -> ingest of 1e4 MPC records is lossless"):
         scene = build_default_scene(grid_spacing=2.0, receiver_floors=(3, 4))
         pdps = []
         total = 0
@@ -307,7 +313,7 @@ def test_criterion_10_dataset_round_trip(tmp_path):
         assert total >= 10_000
 
         path = tmp_path / "mpcs.jsonl"
-        count = export_dataset(pdps, path)
+        count = write_dataset(pdps, path)
         assert count == total
 
         band = scene.radio.band_for(10e9)

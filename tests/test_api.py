@@ -28,13 +28,13 @@ def test_readme_library_example_states_its_results(capsys):
     namespace = {}
     exec(compile(example, str(README), "exec"), namespace)
     lines = capsys.readouterr().out.splitlines()  # four prints, LLS over two lines
-    assert len(lines) == 5 and lines[3].startswith("0 Point3(")
-    d, result, bound, rx = (namespace[k] for k in ("d", "result", "bound", "rx"))
+    assert len(lines) == 5 and lines[3].startswith("0 [")
+    d, solved, peb_m, rx = (namespace[k] for k in ("d", "solved", "peb_m", "rx"))
     # 25.329 m via (5.953, 0, 7.5), off the endpoints.
     assert round(float(d.length[0]), 3) == 25.329
     np.testing.assert_allclose(d.point[0], [5.953, 0.0, 7.5], atol=5e-4)
     assert not d.endpoint[0]
     # rung 0, close to rx; a finite bound.
-    assert result.rung == 0 and result.estimate.converged
-    assert np.linalg.norm(result.estimate.alpha_hat.as_array() - rx) < 0.01
-    assert 0.0 < bound.peb_m < 1.0
+    assert solved.rung.tolist() == [0]
+    assert np.linalg.norm(solved.alpha[0] - rx) < 0.01
+    assert peb_m.shape == (1,) and 0.0 < peb_m[0] < 1.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import scalar_edge
-from conftest import edges_of
+from conftest import edges_of, write_dataset
 from diffpos.constants import BOLTZMANN, SPEED_OF_LIGHT
 from diffpos.channel import (
     BandPlan,
@@ -26,8 +26,6 @@ from diffpos.channel import (
     build_scene_geometry,
     classify_mpc,
     enumerate_mpcs,
-    export_dataset,
-    format_interaction_string,
     ingest_dataset,
     noise_floor_dbm,
     parse_interaction_string,
@@ -111,7 +109,7 @@ def test_classify_total_and_append_t_stable():
 
 def test_interaction_string_round_trip():
     for seq in ((), ("T",), ("D", "T"), ("R", "T", "T"), ("DS",)):
-        assert parse_interaction_string(format_interaction_string(seq)) == seq
+        assert parse_interaction_string("-".join(("Tx", *seq, "Rx"))) == seq
     with pytest.raises(ValueError):
         parse_interaction_string("D-T")
 
@@ -223,7 +221,7 @@ def test_enumerate_two_interior_walls_single_transmission_path():
     pdp = enumerate_mpcs(scene, 0, Point3(5.0, 18.0, 1.5), 3.5e9)
     assert len(pdp) == 1
     only = pdp.mpcs[0]
-    assert only.interaction_string() == "Tx-T-T-Rx"
+    assert only.interactions == ("T", "T")
     assert only.group is MpcGroup.MPC1
     assert only.path_length_m == pytest.approx(16.0, rel=1e-12)
 
@@ -318,8 +316,16 @@ def test_scene_invariants():
     ({"anchors": ((5.0, -math.inf, 1.8),)}, "not three finite coordinates"),
     ({"receiver_margin": 6.0}, "empty receiver grid"),
     ({"receiver_floors": ()}, "empty receiver grid"),
+    ({"receiver_margin": -4.0}, r"receiver_margin must be positive, got -4 m"),
+    ({"receiver_margin": 0.0}, r"receiver_margin must be positive, got 0 m"),
+    ({"receiver_height": 4.5}, r"receiver_height must lie in \(0, 3\) m, got 4.5 m"),
+    ({"receiver_height": 3.0}, r"receiver_height must lie in \(0, 3\) m, got 3 m"),
+    ({"receiver_height": 0.0}, r"receiver_height must lie in \(0, 3\) m, got 0 m"),
+    ({"receiver_height": -1.0}, r"receiver_height must lie in \(0, 3\) m, got -1 m"),
 ], ids=["window_off_facade", "window_past_facade_u", "window_past_facade_z",
-        "nan_anchor", "infinite_anchor", "margin_empties_grid", "no_receiver_floors"])
+        "nan_anchor", "infinite_anchor", "margin_empties_grid", "no_receiver_floors",
+        "negative_margin", "zero_margin", "height_on_next_floor", "height_at_ceiling",
+        "height_on_slab", "height_below_slab"])
 def test_scene_config_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         make_scene(**overrides)
@@ -359,8 +365,8 @@ def test_enumeration_matches_golden():
         for f_hz, rows in zip(doc["frequencies_hz"], pair["pdps"]):
             got = enumerate_mpcs(scene, pair["anchor"], rx, f_hz, geometry=geom).mpcs
             want = [pair["paths"][i] for i, _ in rows]
-            assert [[m.interaction_string(), m.group.name, m.edge_id] for m in got] \
-                == [path[:3] for path in want]
+            assert [["-".join(("Tx", *m.interactions, "Rx")), m.group.name, m.edge_id]
+                    for m in got] == [path[:3] for path in want]
             for m, path, (_, power) in zip(got, want, rows):
                 assert abs(m.path_length_m - path[3]) <= 1e-9 * path[3]
                 assert abs(m.rx_power_dbm - power) <= 1e-9
@@ -726,7 +732,7 @@ def test_dataset_round_trip_bitwise(tmp_path):
         pdp.rx_id = rx_id
         pdps.append(pdp)
     path = tmp_path / "export.jsonl"
-    n = export_dataset(pdps, path)
+    n = write_dataset(pdps, path)
     assert n == sum(len(p) for p in pdps)
 
     band = scene.radio.band_for(10e9)

@@ -718,11 +718,15 @@ def _set(path, value):
     (_set(["windows", 3, "z_lo"], -math.inf),
      "windows[3].z_lo: expected a finite number, got -inf"),
     (_set(["receiver_floors"], [3, 3]), "receiver floor 3 is listed twice"),
+    (_set(["receiver_margin"], -4), "receiver_margin must be positive, got -4 m"),
+    (_set(["receiver_height"], 4.5), "receiver_height must lie in (0, 3) m, got 4.5 m"),
+    (_set(["receiver_height"], 0), "receiver_height must lie in (0, 3) m, got 0 m"),
 ], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
         "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
         "floor_count_float", "include_ground_int", "window_bound_bool", "polarization_xy",
         "negative_noise_temperature", "zero_f0", "l0_nan", "anchor_infinity",
-        "window_bound_minus_infinity", "repeated_receiver_floor"])
+        "window_bound_minus_infinity", "repeated_receiver_floor", "receivers_outside",
+        "receivers_on_next_floor", "receivers_on_slab"])
 def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
     doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
     change(doc)
@@ -820,7 +824,8 @@ def test_cli_bad_number_is_an_error_line(tmp_path, capsys, argv, message):
 
 
 def test_cli_ingest(tmp_path, capsys):
-    from diffpos.channel import enumerate_mpcs, export_dataset
+    from conftest import write_dataset
+    from diffpos.channel import enumerate_mpcs
 
     scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
     pdps = []
@@ -829,7 +834,7 @@ def test_cli_ingest(tmp_path, capsys):
         pdp.rx_id = rx_id
         pdps.append(pdp)
     dataset = tmp_path / "mpcs.jsonl"
-    export_dataset(pdps, dataset)
+    write_dataset(pdps, dataset)
 
     rc = cli_main(["ingest", "--dataset", str(dataset), "--center-frequency", "10e9"])
     assert rc == 0
