@@ -122,21 +122,16 @@ def build_default_scene(
     )
 
 
-def p_fap_stats(groups_by_anchor) -> dict[MpcGroup, float]:
-    """FAP group shares in percent, normalized so the four groups sum to 100.
-
-    ``groups_by_anchor`` maps anchor id -> sequence of FAP groups (one per
-    receiver with a detection).
-    """
-    counts = {g: 0 for g in _GROUP_ORDER}
-    total = 0
-    for groups in groups_by_anchor.values():
-        for g in groups:
-            counts[g] += 1
-            total += 1
+def p_fap_stats(counts) -> dict[MpcGroup, float]:
+    """FAP group shares in percent from the FAP counts of MPC1, MPC2, MPC3
+    and MPC4, in that order; normalized so the four groups sum to 100."""
+    counts = [int(c) for c in counts]
+    if len(counts) != len(_GROUP_ORDER):
+        raise ValueError(f"expected {len(_GROUP_ORDER)} group counts, got {len(counts)}")
+    total = sum(counts)
     if total == 0:
         raise ValueError("no FAP selections to aggregate")
-    return {g: 100.0 * counts[g] / total for g in _GROUP_ORDER}
+    return {g: 100.0 * c / total for g, c in zip(_GROUP_ORDER, counts)}
 
 
 @dataclass
@@ -200,11 +195,13 @@ class SweepReport:
     frequencies: list[FrequencyReport] = field(default_factory=list)
 
 
-class _ReceiverFaps(NamedTuple):
-    """What a sweep keeps of a block of N receivers: (N, F, A) arrays over
-    its receivers, frequencies and anchors, valid where ``detected``."""
+class _Cells(NamedTuple):
+    """Detected (receiver, frequency) cells of a sweep, one row each: (C,)
+    columns, and (C, A) columns over the scene's anchors. A cell is detected
+    when every anchor has a FAP."""
 
-    detected: np.ndarray  # (N, F) every anchor has a FAP
+    receiver: np.ndarray  # (C,) the receiver's index in the sweep
+    freq: np.ndarray  # (C,) frequency index
     group: np.ndarray  # MpcGroup value of the FAP
     snr_db: np.ndarray
     length_m: np.ndarray
@@ -214,9 +211,10 @@ class _ReceiverFaps(NamedTuple):
 
 
 def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
-                   nearest_edges: list[int]) -> _ReceiverFaps:
+                   nearest_edges: list[int], first: int) -> _Cells:
     """Top-k truncation and FAP of a block table at every receiver,
-    frequency and anchor, in one ``fap_rows`` call.
+    frequency and anchor, in one ``fap_rows`` call; the block's receivers
+    are the sweep's from index ``first`` on.
 
     The table covers the scene's anchors 0..A-1, and each (receiver,
     anchor) pair is one PDP. One lexsort by (pair, time of flight), ties in
@@ -226,7 +224,8 @@ def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
     model's edge is the FAP's own edge when it is a diffraction path, then
     that of the earliest kept diffraction component, then the anchor's
     ``nearest_edges`` entry (pure mismatch case). The MPC3 rows of a path
-    table always have an edge.
+    table always have an edge. Returns the detected cells receiver by
+    receiver.
     """
     n_anchors = len(table.anchor_ids)
     n_pairs = len(table.receivers) * n_anchors
@@ -249,20 +248,23 @@ def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
                    group == MpcGroup.MPC3.value, cfg.top_k, cfg.t_fap_db)
     freq, pair = np.arange(snr.shape[0])[:, None], np.arange(n_pairs)
     shape = (len(snr), len(table.receivers), n_anchors)
-    fap_group = group[pair, sel.fap].reshape(shape)
-    mpc3_edge = np.where(sel.mpc3 >= 0, edge[pair, sel.mpc3], -1).reshape(shape)
-    model_edge = np.where(fap_group == MpcGroup.MPC3.value, edge[pair, sel.fap].reshape(shape),
-                          np.where(mpc3_edge >= 0, mpc3_edge, nearest_edges))
-    # (F, N, A) -> (N, F, A)
-    return _ReceiverFaps(
-        detected=~sel.no_detection.reshape(shape).any(axis=2).T,
-        group=fap_group.swapaxes(0, 1),
-        snr_db=snr[freq, pair, sel.fap].reshape(shape).swapaxes(0, 1),
-        length_m=stacked(table.length_m, np.nan)[pair, sel.fap].reshape(shape).swapaxes(0, 1),
-        model_edge=model_edge.swapaxes(0, 1),
-        mpc3_edge=mpc3_edge.swapaxes(0, 1),
-        mpc3_snr_db=np.where(sel.mpc3 >= 0, snr[freq, pair, sel.mpc3], np.nan).reshape(
-            shape).swapaxes(0, 1),
+    receiver, fi = np.nonzero(~sel.no_detection.reshape(shape).any(axis=2).T)
+
+    def cells(column):  # (F, N*A) -> (C, A)
+        return column.reshape(shape)[fi, receiver]
+
+    fap_group = cells(group[pair, sel.fap])
+    mpc3_edge = cells(np.where(sel.mpc3 >= 0, edge[pair, sel.mpc3], -1))
+    return _Cells(
+        receiver=receiver + first,
+        freq=fi,
+        group=fap_group,
+        snr_db=cells(snr[freq, pair, sel.fap]),
+        length_m=cells(stacked(table.length_m, np.nan)[pair, sel.fap]),
+        model_edge=np.where(fap_group == MpcGroup.MPC3.value, cells(edge[pair, sel.fap]),
+                            np.where(mpc3_edge >= 0, mpc3_edge, nearest_edges)),
+        mpc3_edge=mpc3_edge,
+        mpc3_snr_db=cells(np.where(sel.mpc3 >= 0, snr[freq, pair, sel.mpc3], np.nan)),
     )
 
 
@@ -273,78 +275,82 @@ def _nearest_edges(geom: SceneGeometry, anchors: np.ndarray) -> list[int]:
     return np.argmin((offset * offset).sum(axis=2), axis=1).tolist()
 
 
-class _FrequencyTally:
-    """Per-frequency accumulators of a sweep, filled receiver by receiver."""
+class _Results(NamedTuple):
+    """What a sweep keeps of its solved cells, one row per cell: (C,)
+    columns, (C, A) columns over the anchors and (C, T) over the trials."""
 
-    def __init__(self, n_anchors: int):
-        self.groups_by_anchor: dict[int, list[MpcGroup]] = {a: [] for a in range(n_anchors)}
-        self.fap_snrs: list[float] = []
-        self.dnls_errors: list[float] = []
-        self.lls_errors: list[float] = []
-        self.peb_values: list[float] = []
-        self.excl = {"no_detection": 0, "dnls_failed": 0, "lls_failed": 0, "peb_singular": 0}
-        self.dnls_rung = [0, 0, 0]
-        self.dnls_iterations = 0
-
-
-class _Queue(NamedTuple):
-    """Problems of a sweep waiting for their batched solve."""
-
-    lls: list  # (fi, ranges, edge ids, rx_true) per trial
-    dnls: list  # (fi, ranges, edge ids, rx_true, start) per trial
-    bound: list  # (fi, a peb_batch problem) per receiver and frequency
+    freq: np.ndarray  # (C,) frequency index
+    group: np.ndarray  # (C, A) MpcGroup value of the FAP
+    snr_db: np.ndarray  # (C, A) the FAP's SNR
+    lls_error_m: np.ndarray  # (C, T) NaN where LLS failed
+    dnls_error_m: np.ndarray  # (C, T) NaN where every rung failed
+    dnls_rung: np.ndarray  # (C, T) the rung used, -1 where every rung failed
+    dnls_iterations: np.ndarray  # (C, T)
+    peb_m: np.ndarray  # (C,) inf where the FIM is singular or < 3 anchors have MPC3
 
 
-def _tally_receivers(cfg: SweepConfig, faps: _ReceiverFaps, first: int,
-                     receivers: np.ndarray, beta_sqs: list[float],
-                     tallies: list[_FrequencyTally], queue: _Queue) -> None:
-    """Tally a block of receivers, sweep indices ``first`` on, at every
-    frequency and queue their LLS, bound and D-NLS problems, receiver by
-    receiver.
+def _db_to_linear(db: np.ndarray) -> np.ndarray:
+    """10 ** (db / 10), entry by entry as Python float powers: numpy's array
+    power differs from them in the last bit."""
+    return np.array([10 ** (x / 10) for x in db.ravel().tolist()]).reshape(db.shape)
 
-    A frequency at which some anchor detects nothing counts one
-    no-detection exclusion. At the others, every trial draws its noise and
-    queues an LLS problem, whose estimate is the trial's D-NLS start.
+
+def _errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """The 3D error of each row; a 1-D norm per row, because the axis=1 form
+    differs in the last bit."""
+    return np.array([float(np.linalg.norm(d)) for d in estimates - truth])
+
+
+def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.ndarray,
+                 receivers: np.ndarray, beta_sqs: np.ndarray) -> _Results:
+    """LLS, D-NLS and the bound of a batch of cells at every trial.
+
+    Each trial draws its noise from its own (seed, frequency index, receiver
+    index, trial) generator. One ``lls_solve`` call solves every trial, and
+    its estimates start one ``dnls_ladder`` call; one ``peb_batch`` call
+    bounds each cell at its receiver, with the earliest diffraction path of
+    each anchor (the strongest isolation assumption).
     """
-    n_anchors = len(cfg.scene.anchors)
-    detected, groups, snrs, lengths, model_edges, mpc3_edges, mpc3_snrs = (
-        x.tolist() for x in faps)
-    for n, rx_true in enumerate(receivers):
-        ri = first + n
-        for fi, tally in enumerate(tallies):
-            if not detected[n][fi]:
-                tally.excl["no_detection"] += 1
-                continue
-            for a in range(n_anchors):
-                tally.groups_by_anchor[a].append(MpcGroup(groups[n][fi][a]))
-            tally.fap_snrs.extend(snrs[n][fi])
+    n_cells, n_anchors = cells.length_m.shape
+    trials = cfg.trials
+    beta_sq = beta_sqs[cells.freq]
+    if cfg.noiseless:
+        noise = np.zeros((n_cells, trials, n_anchors))
+    else:
+        noise = np.array([
+            np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
+            .standard_normal(n_anchors)
+            for fi, ri in zip(cells.freq.tolist(), cells.receiver.tolist())
+            for trial in range(trials)]).reshape(n_cells, trials, n_anchors)
+    sigma = range_sigma_m(beta_sq[:, None], _db_to_linear(cells.snr_db))
+    ranges = (cells.length_m[:, None] + sigma[:, None] * noise).reshape(-1, n_anchors)
+    truth = receivers[cells.receiver]
+    trial_truth = np.repeat(truth, trials, axis=0)
+    bounds = cfg.scene.bounds
+    try:
+        estimates = lls_solve(anchors, ranges)
+    except SingularGeometryError:
+        estimates, lls_error = None, np.full(len(ranges), np.nan)
+    else:
+        lls_error = _errors(estimates, trial_truth)
+    solved = dnls_ladder(table, anchors, np.repeat(cells.model_edge, trials, axis=0), ranges,
+                         np.broadcast_to(lls_start(estimates, bounds), (len(ranges), 3)), bounds)
+    dnls_error = _errors(solved.alpha, trial_truth)  # NaN where alpha is
+    return _Results(
+        freq=cells.freq,
+        group=cells.group,
+        snr_db=cells.snr_db,
+        lls_error_m=lls_error.reshape(n_cells, trials),
+        dnls_error_m=dnls_error.reshape(n_cells, trials),
+        dnls_rung=solved.rung.reshape(n_cells, trials),
+        dnls_iterations=solved.iterations.reshape(n_cells, trials),
+        peb_m=peb_batch(table, anchors, truth, cells.mpc3_edge,
+                        _db_to_linear(cells.mpc3_snr_db), beta_sq),
+    )
 
-            sigmas = np.array([range_sigma_m(beta_sqs[fi], 10 ** (snr / 10))
-                               for snr in snrs[n][fi]])
 
-            # Bound at the true position, using the strongest isolation
-            # assumption: the earliest diffraction path of each anchor.
-            peb_anchor_idx = [a for a in range(n_anchors) if mpc3_edges[n][fi][a] >= 0]
-            if len(peb_anchor_idx) >= 3:
-                queue.bound.append((fi, (
-                    rx_true, peb_anchor_idx, [mpc3_edges[n][fi][a] for a in peb_anchor_idx],
-                    np.array([10 ** (mpc3_snrs[n][fi][a] / 10) for a in peb_anchor_idx]),
-                    beta_sqs[fi])))
-            else:
-                tally.excl["peb_singular"] += 1
-
-            true_ranges = np.array(lengths[n][fi])
-            for trial in range(cfg.trials):
-                if cfg.noiseless:
-                    noise = np.zeros(n_anchors)
-                else:
-                    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, fi, ri, trial]))
-                    noise = sigmas * rng.standard_normal(n_anchors)
-                queue.lls.append((fi, true_ranges + noise, model_edges[n][fi], rx_true))
-
-
-# D-NLS problems per dnls_ladder call in run_sweep; each call also solves the
-# bound problems queued since the last one. A problem's result does not
+# Cells per batch of run_sweep, times the trials: a batch is solved once at
+# least max(1, _DNLS_BATCH // trials) cells wait. A cell's results do not
 # depend on the rest of its batch, so the batch size bounds the sweep's
 # memory without changing any output.
 _DNLS_BATCH = 1024
@@ -359,48 +365,6 @@ _DNLS_BATCH = 1024
 _BLOCK_CELLS = 3000
 
 
-def _solve_queue(queue: _Queue, tallies: list[_FrequencyTally], table: EdgeTable,
-                 anchors: np.ndarray, bounds, n: int | None = None) -> None:
-    """Solve every queued LLS problem in one ``lls_solve`` call and queue
-    each one's D-NLS problem, started at its estimate; then solve the first
-    ``n`` queued D-NLS problems (all by default) and every queued bound
-    problem. Tally them all and take them off the queue."""
-    if queue.lls:
-        try:
-            estimates = lls_solve(anchors, np.array([q[1] for q in queue.lls]))
-        except SingularGeometryError:
-            estimates = None
-            for fi, _, _, _ in queue.lls:
-                tallies[fi].excl["lls_failed"] += 1
-        else:
-            for (fi, _, _, rx_true), estimate in zip(queue.lls, estimates):
-                tallies[fi].lls_errors.append(float(np.linalg.norm(estimate - rx_true)))
-        starts = np.broadcast_to(lls_start(estimates, bounds), (len(queue.lls), 3))
-        queue.dnls.extend((*trial, start) for trial, start in zip(queue.lls, starts))
-        queue.lls.clear()
-    dnls = queue.dnls[:n]
-    solved = dnls_ladder(table, anchors, np.array([q[2] for q in dnls]),
-                         np.array([q[1] for q in dnls]), np.array([q[4] for q in dnls]), bounds)
-    for (fi, _, _, rx_true, _), alpha, rung, iterations in zip(
-            dnls, solved.alpha, solved.rung.tolist(), solved.iterations.tolist()):
-        tally = tallies[fi]
-        tally.dnls_iterations += iterations
-        if rung < 0:
-            tally.excl["dnls_failed"] += 1
-        else:
-            tally.dnls_rung[rung] += 1
-            # A 1-D norm per row: the axis=1 form differs in the last bit.
-            tally.dnls_errors.append(float(np.linalg.norm(alpha - rx_true)))
-    bound_m = peb_batch(table, anchors, [q[1] for q in queue.bound]).tolist()
-    for (fi, _), peb_m in zip(queue.bound, bound_m):
-        if math.isinf(peb_m):
-            tallies[fi].excl["peb_singular"] += 1
-        else:
-            tallies[fi].peb_values.append(peb_m)
-    del queue.dnls[:n]
-    queue.bound.clear()
-
-
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run the full pipeline over the frequency ladder; deterministic.
 
@@ -410,61 +374,70 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     pair, and its losses are evaluated at every frequency in one pass.
     Top-k truncation and the FAP of all of a block's pairs and frequencies
     run in one ``fap_rows`` call on the stacked table columns, so no Mpc
-    object is built. The block is then tallied receiver by receiver. The
-    LLS problems of every frequency, receiver and trial are queued with the
-    bound problems. Each flush of the queue solves its LLS problems in one
-    ``lls_solve`` call, whose estimates start their D-NLS problems, and
-    ``dnls_ladder`` (retry rungs side by side) and ``peb_batch`` solve it
-    in batches of ``_DNLS_BATCH`` D-NLS problems and once more after the
-    receiver loop.
+    object is built; the block yields its detected (receiver, frequency)
+    cells as one table. Cells wait until a batch of at least
+    ``_DNLS_BATCH // trials`` is there, and after the last block; each batch
+    is solved in one ``lls_solve``, one ``dnls_ladder`` (retry rungs side by
+    side) and one ``peb_batch`` call. Each frequency's report is a group-by
+    over the result columns of every batch.
     Noise is keyed by (seed, frequency index, receiver index, trial) and
     every reported statistic is order-free, so the report does not depend on
-    block, loop, queue or batch order.
+    block, batch or row order.
     """
     scene = cfg.scene
     geom = build_scene_geometry(scene)
     receivers = np.array([rx.as_array() for rx in receiver_grid(scene)]).reshape(-1, 3)
     n_anchors = len(scene.anchors)
     freqs = cfg.frequencies_hz
-    beta_sqs = [mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs]
-    tallies = [_FrequencyTally(n_anchors) for _ in freqs]
-    queue = _Queue([], [], [])
+    beta_sqs = np.array([mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs])
     anchors = np.asarray(scene.anchors, dtype=float)
     nearest_edges = _nearest_edges(geom, anchors)
     rows = n_anchors * (1 + len(geom.reflector_slabs) + len(geom.edge_table.x1))
     block = max(1, _BLOCK_CELLS // (rows * len(freqs)))
+    batch = max(1, _DNLS_BATCH // cfg.trials)
 
+    waiting, n_waiting, solved = [], 0, []
     for first in range(0, len(receivers), block):
-        rx_block = receivers[first:first + block]
-        table = path_table(scene, range(n_anchors), rx_block, geom)
-        faps = _receiver_faps(table, table.losses(freqs), cfg, nearest_edges)
-        del table  # not held while the next block's table is built, nor at the flushes
-        _tally_receivers(cfg, faps, first, rx_block, beta_sqs, tallies, queue)
-        while len(queue.lls) + len(queue.dnls) >= _DNLS_BATCH:
-            _solve_queue(queue, tallies, geom.edge_table, anchors, scene.bounds, _DNLS_BATCH)
-    _solve_queue(queue, tallies, geom.edge_table, anchors, scene.bounds)
+        table = path_table(scene, range(n_anchors), receivers[first:first + block], geom)
+        cells = _receiver_faps(table, table.losses(freqs), cfg, nearest_edges, first)
+        del table  # not held while the next block's table is built, nor at a solve
+        waiting.append(cells)
+        n_waiting += len(cells.freq)
+        if n_waiting >= batch or first + block >= len(receivers):
+            cells = _Cells(*(np.concatenate(column) for column in zip(*waiting)))
+            solved.append(_solve_cells(cells, cfg, geom.edge_table, anchors, receivers, beta_sqs))
+            waiting, n_waiting = [], 0
+    res = _Results(*(np.concatenate(column) for column in zip(*solved)))
 
     report = SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db,
                          trials=cfg.trials, noiseless=cfg.noiseless)
-    for f_hz, tally in zip(freqs, tallies):
+    for fi, f_hz in enumerate(freqs):
+        at = res.freq == fi
+        snrs, lls, dnls, rung, peb = (
+            x[at] for x in (res.snr_db, res.lls_error_m, res.dnls_error_m, res.dnls_rung, res.peb_m))
         # A frequency at which no receiver detects every anchor has no FAP.
         p_fap, quartiles = {g: 0.0 for g in _GROUP_ORDER}, None
-        if tally.fap_snrs:
-            p_fap = p_fap_stats(tally.groups_by_anchor)
-            q = np.percentile(tally.fap_snrs, [25, 50, 75])
+        if snrs.size:
+            counts = np.bincount(res.group[at].ravel(), minlength=len(MpcGroup) + 1)
+            p_fap = p_fap_stats([counts[g.value] for g in _GROUP_ORDER])
+            q = np.percentile(snrs, [25, 50, 75])
             quartiles = (float(q[0]), float(q[1]), float(q[2]))
+        lls_failed = np.isnan(lls)
         report.frequencies.append(FrequencyReport(
             frequency_hz=f_hz,
             p_fap_pct=p_fap,
             fap_snr_quartiles_db=quartiles,
-            dnls_errors_m=np.sort(np.asarray(tally.dnls_errors)),
-            lls_errors_m=np.sort(np.asarray(tally.lls_errors)),
-            peb_m=np.sort(np.asarray(tally.peb_values)),
-            exclusions=tally.excl,
+            dnls_errors_m=np.sort(dnls[rung >= 0]),
+            lls_errors_m=np.sort(lls[~lls_failed]),
+            peb_m=np.sort(peb[np.isfinite(peb)]),
+            exclusions={"no_detection": len(receivers) - len(snrs),
+                        "dnls_failed": int(np.count_nonzero(rung < 0)),
+                        "lls_failed": int(np.count_nonzero(lls_failed)),
+                        "peb_singular": int(np.count_nonzero(np.isinf(peb)))},
             n_receivers=len(receivers),
             n_pairs=len(receivers) * n_anchors,
-            diagnostics={"dnls_rung": list(tally.dnls_rung),
-                         "dnls_iterations": tally.dnls_iterations},
+            diagnostics={"dnls_rung": np.bincount(rung[rung >= 0], minlength=3).tolist(),
+                         "dnls_iterations": int(res.dnls_iterations[at].sum())},
         ))
     return report
 

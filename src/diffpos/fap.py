@@ -149,15 +149,16 @@ def mean_squared_bandwidth(band: Band | float) -> float:
     return bandwidth ** 2 / 12.0
 
 
-def ranging_crlb_std_seconds(beta_sq_hz2: float, snr_linear: float) -> float:
-    """Delay-estimation standard deviation 1/sqrt(8 pi^2 beta^2 snr)."""
-    if not beta_sq_hz2 > 0:
+def ranging_crlb_std_seconds(beta_sq_hz2, snr_linear):
+    """Delay-estimation standard deviation 1/sqrt(8 pi^2 beta^2 snr), of two
+    scalars or entry by entry of arrays that broadcast together."""
+    if not np.all(np.asarray(beta_sq_hz2) > 0):
         raise ValueError("beta^2 must be positive")
-    if not snr_linear > 0:
+    if not np.all(np.asarray(snr_linear) > 0):
         raise ValueError("snr must be positive (linear scale)")
-    return 1.0 / math.sqrt(8.0 * math.pi ** 2 * beta_sq_hz2 * snr_linear)
+    return 1.0 / np.sqrt(8.0 * math.pi ** 2 * beta_sq_hz2 * snr_linear)
 
 
-def range_sigma_m(beta_sq_hz2: float, snr_linear: float) -> float:
+def range_sigma_m(beta_sq_hz2, snr_linear):
     """Range standard deviation: the delay bound scaled by c."""
     return SPEED_OF_LIGHT * ranging_crlb_std_seconds(beta_sq_hz2, snr_linear)

@@ -345,17 +345,30 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     return _GaussNewtonRows(alpha, iterations, status)
 
 
-def _checked(name: str, values, shape: tuple, count: int | None = None) -> np.ndarray:
-    """``values`` of ``shape``, checked to be finite or, with ``count``, ids in [0, count)."""
+def _checked(name: str, values, shape: tuple, count: int | None = None, least: int = 0,
+             positive: bool = False, where=True) -> np.ndarray:
+    """``values`` of ``shape``, checked at the entries where ``where`` holds:
+    to be ids in [least, count) with ``count``, positive and finite with
+    ``positive``, else finite. A bad value raises ValueError naming its
+    first row."""
     values = np.asarray(values, dtype=None if count is not None else float)
     if values.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, not {values.shape}")
-    if count is None and not _all_finite(values):
-        raise ValueError(f"{name} must be finite")
-    if count is not None and values.size and (values.dtype.kind not in "iu"
-                                              or values.min() < 0 or values.max() >= count):
-        raise ValueError(f"{name} must be integers in [0, {count})")
-    return values if count is None else values.astype(int, copy=False)
+    if count is not None:
+        rule = f"integers in [{least}, {count})"
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be {rule}")
+        bad = (values < least) | (values >= count)
+        values = values.astype(int, copy=False)
+    elif positive:
+        rule, bad = "positive and finite", ~((values > 0) & (values < math.inf))
+    else:
+        rule, bad = "finite", ~np.isfinite(values)
+    bad &= where
+    if np.count_nonzero(bad):
+        row = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+        raise ValueError(f"{name} must be {rule}; row {row} is not")
+    return values
 
 
 def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
@@ -440,48 +453,45 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return solutions.reshape(*ranges.shape[:-1], 3)
 
 
-def peb_batch(table: EdgeTable, anchors, problems) -> np.ndarray:
-    """Position error bounds (m) of many problems at once, one entry each.
+def peb_batch(table: EdgeTable, anchors, positions, edge_ids, snr_linear,
+              beta_sq) -> np.ndarray:
+    """Position error bounds (m) of n problems at once, one entry each.
 
-    Each problem is a tuple (position, anchor ids, edge ids, snr_linear,
-    beta_sq_hz2): the anchors ``anchors[anchor ids]`` of ``anchors`` (A, 3)
-    range to the edges ``edge ids`` of ``table``, one linear SNR each. A
-    problem whose FIM is singular has the bound inf. Problems with the same
-    anchor count share one evaluation of the model's partials and stacked
-    Fisher matrices; a problem's result does not depend on the batch.
+    Problem i sits at ``positions[i]`` (n, 3): anchor j of ``anchors`` (A, 3)
+    ranges to the edge ``edge_ids[i, j]`` of ``table`` with the linear SNR
+    ``snr_linear[i, j]`` (both (n, A)), and ``beta_sq[i]`` (n,) is its mean
+    squared bandwidth in Hz^2. An edge id of -1 leaves the anchor out, and its
+    SNR is not read. A problem whose FIM is singular has the bound inf, as
+    has, without an evaluation, one with fewer than three anchors. Problems
+    with the same anchor count share one evaluation of the model's partials
+    and stacked Fisher matrices; a problem's result does not depend on the
+    batch.
     """
     anchors = _checked("anchors", anchors, (len(anchors), 3))
-    checked, by_count = [], {}
-    for i, (position, a_ids, e_ids, snr_linear, beta_sq_hz2) in enumerate(problems):
-        name = f"bound problem {i}"
-        snr = np.asarray(snr_linear, dtype=float).reshape(-1)
-        m = len(snr)
-        if not np.shape(a_ids) == np.shape(e_ids) == (m,):
-            raise ValueError(f"{name}: {np.size(a_ids)} anchor ids, {np.size(e_ids)} edge ids "
-                             f"and {m} linear SNRs do not align")
-        if not (np.all(snr > 0) and _all_finite(snr)):
-            raise ValueError(f"{name}: linear SNRs must be positive and finite")
-        if not (beta_sq_hz2 > 0 and math.isfinite(beta_sq_hz2)):
-            raise ValueError(f"{name}: beta^2 must be positive and finite")
-        checked.append((_checked(f"{name}: position", position, (3,)),
-                        _checked(f"{name}: anchor ids", a_ids, (m,), len(anchors)),
-                        _checked(f"{name}: edge ids", e_ids, (m,), len(table.x1)),
-                        snr, float(beta_sq_hz2)))
-        by_count.setdefault(m, []).append(i)
+    n, m = len(positions), len(anchors)
+    positions = _checked("positions", positions, (n, 3))
+    edge_ids = _checked("edge ids", edge_ids, (n, m), len(table.x1), least=-1)
+    used = edge_ids >= 0
+    snr = _checked("linear SNRs", snr_linear, (n, m), positive=True, where=used)
+    beta_sq = _checked("beta^2", beta_sq, (n,), positive=True)
 
     local = table.to_local(anchors)
-    peb_m = np.full(len(checked), math.inf)
-    for group in by_count.values():
-        alphas, anchor_ids, edge_ids, snrs, beta_sq = (
-            np.array(column) for column in zip(*(checked[i] for i in group)))
-        rows = _pack(table, local, anchor_ids, edge_ids, np.zeros(edge_ids.shape))
+    peb_m = np.full(n, math.inf)
+    counts = np.count_nonzero(used, axis=1)
+    for count in np.unique(counts[counts >= 3]).tolist():
+        group = np.flatnonzero(counts == count)
+        mask = used[group]
+        anchor_ids = np.nonzero(mask)[1].reshape(len(group), count)
+        rows = _pack(table, local, anchor_ids, edge_ids[group][mask].reshape(anchor_ids.shape),
+                     np.zeros(anchor_ids.shape))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _, jac, singular = _model_rows(alphas, rows)
+            _, jac, singular = _model_rows(positions[group], rows)
         if singular.any():
             k, j = np.argwhere(singular)[0]
-            raise SingularGeometryError(f"bound problem {group[k]}: position coincides "
-                                        f"with the diffraction point of anchor {j}")
-        inv_var = 8.0 * math.pi ** 2 * beta_sq[:, None] * snrs / SPEED_OF_LIGHT ** 2  # 1/m^2
+            raise SingularGeometryError(f"positions: row {group[k]} coincides with the "
+                                        f"diffraction point of anchor {anchor_ids[k, j]}")
+        snrs = snr[group][mask].reshape(anchor_ids.shape)
+        inv_var = 8.0 * math.pi ** 2 * beta_sq[group, None] * snrs / SPEED_OF_LIGHT ** 2  # 1/m^2
         # The product takes a contiguous (G, M, 3) stack of partials and its
         # transpose: operand layouts pick the BLAS path, and so the FIM's bits.
         grad = np.ascontiguousarray(jac.transpose(0, 2, 1))
@@ -490,7 +500,7 @@ def peb_batch(table: EdgeTable, anchors, problems) -> np.ndarray:
 
         full_rank = ~_rank_deficient(fim)
         fim_inv = np.linalg.inv(fim[full_rank])
-        peb_m[np.array(group)[full_rank]] = np.sqrt(np.trace(fim_inv, axis1=1, axis2=2))
+        peb_m[group[full_rank]] = np.sqrt(np.trace(fim_inv, axis1=1, axis2=2))
     return peb_m
 
 

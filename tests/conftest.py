@@ -126,13 +126,19 @@ def ladder(problems, starts, bounds):
 
 def bounds_of(problems):
     """``peb_batch`` of bound problems given as (position, anchors, table,
-    edge ids, linear SNRs, beta^2) tuples."""
+    edge ids, linear SNRs, beta^2) tuples: the anchors of every problem in
+    one array, each problem's edge ids and SNRs in its own anchors' columns
+    and -1 and NaN in the others."""
     table, edge_ids = joined([p[2] for p in problems], [p[3] for p in problems])
     anchors = [np.asarray(p[1], dtype=float).reshape(-1, 3) for p in problems]
     first = np.cumsum([0] + [len(a) for a in anchors])
-    return peb_batch(table, np.concatenate(anchors),
-                     [(p[0], np.arange(first[i], first[i + 1]), ids, *p[4:])
-                      for i, (p, ids) in enumerate(zip(problems, edge_ids))])
+    ids = np.full((len(problems), first[-1]), -1)
+    snr = np.full(ids.shape, np.nan)
+    for i, (p, e) in enumerate(zip(problems, edge_ids)):
+        ids[i, first[i]:first[i + 1]] = e
+        snr[i, first[i]:first[i + 1]] = p[4]
+    return peb_batch(table, np.concatenate(anchors), [p[0] for p in problems], ids, snr,
+                     [p[5] for p in problems])
 
 
 def write_dataset(pdps, path) -> int:

@@ -106,34 +106,32 @@ def test_nearest_edges_match_a_loop_over_edges(kwargs):
 # ---------------------------------------------------------------------------
 
 def test_p_fap_counting():
-    stats = p_fap_stats({0: [MpcGroup.MPC1, MpcGroup.MPC1, MpcGroup.MPC3, MpcGroup.MPC3]})
+    stats = p_fap_stats([2, 0, 2, 0])
     assert stats[MpcGroup.MPC1] == 50.0
     assert stats[MpcGroup.MPC3] == 50.0
     assert stats[MpcGroup.MPC2] == 0.0
 
 
 def test_p_fap_all_one_group():
-    stats = p_fap_stats({0: [MpcGroup.MPC3] * 7, 1: [MpcGroup.MPC3] * 7})
+    stats = p_fap_stats([0, 0, 14, 0])
     assert stats[MpcGroup.MPC3] == 100.0
 
 
 def test_p_fap_random_matches_tally():
     groups = list(MpcGroup)
     for _ in range(20):
-        data = {
-            a: [groups[i] for i in RNG.integers(0, 4, int(RNG.integers(1, 40)))]
-            for a in range(int(RNG.integers(1, 5)))
-        }
-        stats = p_fap_stats(data)
-        flat = [g for seq in data.values() for g in seq]
+        flat = [groups[i] for i in RNG.integers(0, 4, int(RNG.integers(1, 160)))]
+        stats = p_fap_stats(np.bincount([g.value for g in flat], minlength=5)[1:])
         for g in groups:
             assert stats[g] == pytest.approx(100.0 * flat.count(g) / len(flat), rel=1e-12)
         assert sum(stats.values()) == pytest.approx(100.0, abs=0.01)
 
 
 def test_p_fap_empty_errors():
-    with pytest.raises(ValueError):
-        p_fap_stats({0: []})
+    with pytest.raises(ValueError, match="no FAP selections"):
+        p_fap_stats([0, 0, 0, 0])
+    with pytest.raises(ValueError, match="expected 4 group counts, got 3"):
+        p_fap_stats([1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -517,21 +515,71 @@ def test_noiseless_sweep_over_floors_merges_the_sweeps_of_each_floor():
         assert counts[0] == {g: counts[1][g] + counts[2][g] for g in counts[0]}
 
 
+def recorded_batches(monkeypatch):
+    """Record, in lists returned, the cells each block of run_sweep yields
+    and the problems of each dnls_ladder call."""
+    import diffpos.experiments as experiments
+
+    cells, calls = [], []
+    faps, ladder = experiments._receiver_faps, experiments.dnls_ladder
+
+    def block_cells(*args):
+        found = faps(*args)
+        cells.append(len(found.freq))
+        return found
+
+    def batch_ladder(table, anchors, edge_ids, *rest):
+        calls.append(len(edge_ids))
+        return ladder(table, anchors, edge_ids, *rest)
+
+    monkeypatch.setattr(experiments, "_receiver_faps", block_cells)
+    monkeypatch.setattr(experiments, "dnls_ladder", batch_ladder)
+    return cells, calls
+
+
 def test_dnls_batch_size_does_not_change_the_report(tiny_sweep, monkeypatch):
     import diffpos.experiments as experiments
 
     cfg, report = tiny_sweep
-    calls = []
-    ladder = experiments.dnls_ladder
     monkeypatch.setattr(experiments, "_DNLS_BATCH", 3)
-    monkeypatch.setattr(experiments, "dnls_ladder",
-                        lambda table, anchors, edge_ids, *rest: calls.append(len(edge_ids))
-                        or ladder(table, anchors, edge_ids, *rest))
+    cells, calls = recorded_batches(monkeypatch)
     chunked = run_sweep(cfg)
     problems = sum(len(fr.dnls_errors_m) + fr.exclusions["dnls_failed"]
                    for fr in report.frequencies)
-    assert sum(calls) == problems and len(calls) > 2 and max(calls) == 3
+    # A batch is solved once at least three cells wait, and after the last
+    # block.
+    batches, waiting = [], 0
+    for i, n in enumerate(cells):
+        waiting += n
+        if waiting >= 3 or i == len(cells) - 1:
+            batches, waiting = batches + [waiting], 0
+    assert calls == batches and sum(calls) == problems and len(calls) > 2
+    assert min(calls[:-1]) >= 3 and max(calls) > 3
     assert json.dumps(report_to_dict(chunked)) == json.dumps(report_to_dict(report))
+
+
+@pytest.mark.parametrize("trials", [2, 3])
+def test_dnls_batch_size_does_not_change_the_report_over_trials(trials, monkeypatch):
+    # With one receiver per block, each block yields at most one cell at one
+    # frequency: a batch is max(1, _DNLS_BATCH // trials) cells, one cell
+    # when _DNLS_BATCH < trials, and every dnls_ladder call covers whole
+    # cells, all trials of each.
+    import diffpos.experiments as experiments
+
+    scene = build_default_scene(grid_spacing=6.0, receiver_floors=(3,))
+    cfg = SweepConfig(scene=scene, frequencies_hz=(28e9,), trials=trials, seed=0)
+    report = json.dumps(report_to_dict(run_sweep(cfg)))
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1)
+    cells, calls = recorded_batches(monkeypatch)
+    for size, batch in ((trials - 1, 1), (trials, 1), (2 * trials + 1, 2), (5 * trials, 5)):
+        cells.clear()
+        calls.clear()
+        monkeypatch.setattr(experiments, "_DNLS_BATCH", size)
+        assert json.dumps(report_to_dict(run_sweep(cfg))) == report
+        assert len(cells) == len(receiver_grid(scene)) and max(cells) == 1
+        assert all(n == batch * trials for n in calls[:-1]) and len(calls) > 2
+        assert 0 <= calls[-1] <= batch * trials and calls[-1] % trials == 0
+        assert sum(calls) == sum(cells) * trials
 
 
 @pytest.mark.parametrize("grid_spacing, sweep", [

@@ -143,3 +143,43 @@ def test_crlb_rejects_nonpositive():
     with pytest.raises(ValueError):
         ranging_crlb_std_seconds(1e16, 0.0)
 
+
+
+def test_range_sigma_of_arrays_equals_scalar_calls_bit_for_bit():
+    # The FAP SNRs of every cell of the 6 m grid's 28 GHz sweep, in linear
+    # scale as the sweep takes them, with the beta^2 of each cell as a
+    # column: the array form equals one scalar call per entry, and the
+    # scalar call is the math-module formula.
+    import math
+
+    from diffpos.channel import build_scene_geometry, path_table, receiver_grid
+    from diffpos.experiments import (SweepConfig, _db_to_linear, _nearest_edges, _receiver_faps,
+                                     build_default_scene)
+
+    scene = build_default_scene(grid_spacing=6.0, receiver_floors=(3,))
+    cfg = SweepConfig(scene=scene, frequencies_hz=(28e9,))
+    geom = build_scene_geometry(scene)
+    anchors = np.asarray(scene.anchors, dtype=float)
+    block = path_table(scene, range(len(anchors)),
+                       [rx.as_array() for rx in receiver_grid(scene)], geom)
+    cells = _receiver_faps(block, block.losses(cfg.frequencies_hz), cfg,
+                           _nearest_edges(geom, anchors), 0)
+    snr = _db_to_linear(cells.snr_db)
+    assert snr.shape == (20, 4)
+    beta_sq = mean_squared_bandwidth(scene.radio.band_for(28e9))
+    sigma = range_sigma_m(np.full((len(snr), 1), beta_sq), snr)
+    scalar = np.array([[range_sigma_m(beta_sq, s) for s in row] for row in snr.tolist()])
+    formula = np.array([[SPEED_OF_LIGHT * (1.0 / math.sqrt(8.0 * math.pi ** 2 * beta_sq * s))
+                         for s in row] for row in snr.tolist()])
+    assert sigma.shape == snr.shape
+    assert sigma.tobytes() == scalar.tobytes() == formula.tobytes()
+    assert range_sigma_m(beta_sq, snr).tobytes() == sigma.tobytes()
+
+    with pytest.raises(ValueError, match="snr must be positive"):
+        range_sigma_m(beta_sq, np.where(np.arange(snr.size).reshape(snr.shape) == 5, 0.0, snr))
+    with pytest.raises(ValueError, match="snr must be positive"):
+        range_sigma_m(beta_sq, np.array([10.0, -1.0, np.nan]))
+    with pytest.raises(ValueError, match=r"beta\^2 must be positive"):
+        range_sigma_m(np.array([[beta_sq], [0.0]]), snr[:2])
+    with pytest.raises(ValueError, match=r"beta\^2 must be positive"):
+        ranging_crlb_std_seconds(np.array([beta_sq, -beta_sq]), 10.0)

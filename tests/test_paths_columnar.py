@@ -482,33 +482,39 @@ def test_receiver_faps_match_object_bodies_on_every_ladder_cell():
     receivers = receiver_grid(scene)
     block = path_table(scene, range(len(scene.anchors)), [rx.as_array() for rx in receivers],
                        geom)
-    faps = _receiver_faps(block, block.losses(cfg.frequencies_hz), cfg, nearest)
-    assert faps.detected.shape == (len(receivers), len(cfg.frequencies_hz))
-    assert faps.group.shape == (len(receivers), len(cfg.frequencies_hz), len(scene.anchors))
-    cells = 0
+    losses = block.losses(cfg.frequencies_hz)
+    cells = _receiver_faps(block, losses, cfg, nearest, 0)
+    # Every cell is detected, and the cells come receiver by receiver.
+    n_freqs = len(cfg.frequencies_hz)
+    assert cells.receiver.tolist() == [n for n in range(len(receivers)) for _ in range(n_freqs)]
+    assert cells.freq.tolist() == list(range(n_freqs)) * len(receivers)
+    assert cells.group.shape == (len(receivers) * n_freqs, len(scene.anchors))
+    assert np.array_equal(_receiver_faps(block, losses, cfg, nearest, 7).receiver,
+                          cells.receiver + 7)
+    checked = 0
     for n, rx in enumerate(receivers):
         for a in range(len(scene.anchors)):
             pair = path_table(scene, (a,), rx, geom)
             power, snr, detected = pair.losses(cfg.frequencies_hz)
-            for fi in range(len(cfg.frequencies_hz)):
+            for fi in range(n_freqs):
                 rows = pair.detected_rows(detected[fi])
                 assert rows.size
                 pdp = Pdp(pair.build_mpcs(rows, power[fi, rows], snr[fi, rows]), rx, a)
                 fap, mpc3 = object_rows(pdp, cfg.top_k, cfg.t_fap_db)
-                assert (faps.group[n, fi, a], faps.snr_db[n, fi, a], faps.length_m[n, fi, a]) \
+                c = n * n_freqs + fi
+                assert (cells.group[c, a], cells.snr_db[c, a], cells.length_m[c, a]) \
                     == (fap.group.value, fap.snr_db, fap.path_length_m)
                 if mpc3 is None:
-                    assert faps.mpc3_edge[n, fi, a] == -1
-                    assert math.isnan(faps.mpc3_snr_db[n, fi, a])
+                    assert cells.mpc3_edge[c, a] == -1
+                    assert math.isnan(cells.mpc3_snr_db[c, a])
                 else:
-                    assert (faps.mpc3_edge[n, fi, a], faps.mpc3_snr_db[n, fi, a]) \
+                    assert (cells.mpc3_edge[c, a], cells.mpc3_snr_db[c, a]) \
                         == (mpc3.edge_id, mpc3.snr_db)
                 model_edge = fap.edge_id if fap.group is MpcGroup.MPC3 \
                     else mpc3.edge_id if mpc3 is not None else nearest[a]
-                assert faps.model_edge[n, fi, a] == model_edge
-                cells += 1
-    assert faps.detected.all()
-    assert cells == 20 * 4 * 7
+                assert cells.model_edge[c, a] == model_edge
+                checked += 1
+    assert checked == 20 * 4 * 7
 
 
 def test_run_sweep_builds_no_mpc(monkeypatch):
