@@ -355,23 +355,23 @@ def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.
 # memory without changing any output.
 _DNLS_BATCH = 1024
 
-# Candidate path rows times frequencies per block of receivers in run_sweep:
-# a block holds as many receivers as fit, at least one. Every row and every
-# PDP is computed as in a block of one, so the bound sets the front end's
-# memory and call count without changing any output. 3000 is four default
-# scene receivers (728 candidate rows each) at one frequency, the largest
-# block measured to keep the sweep's peak memory at the per-receiver loop's;
-# a 7-frequency ladder runs one receiver at a time.
-_BLOCK_CELLS = 3000
+# Candidate path rows per block of receivers in run_sweep: a block holds as
+# many receivers as fit, at least one. Every row and every PDP is computed as
+# in a block of one, so the bound sets the front end's memory and call count
+# without changing any output. 6000 is eight default-scene receivers (728
+# candidate rows each). The front end's peak grows with the block's rows, its
+# loss and FAP arrays also with the frequencies; at this size it stays below
+# a cell flush's peak even on the 7-frequency ladder.
+_BLOCK_ROWS = 6000
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run the full pipeline over the frequency ladder; deterministic.
 
-    Receivers run in the outer loop, in blocks of up to ``_BLOCK_CELLS``
-    candidate path rows times frequencies: each block's path table of all
-    anchors is built once, with one crossing test per (receiver, anchor)
-    pair, and its losses are evaluated at every frequency in one pass.
+    Receivers run in the outer loop, in blocks of up to ``_BLOCK_ROWS``
+    candidate path rows: each block's path table of all anchors is built
+    once, with one crossing test per (receiver, anchor) pair, and its
+    losses are evaluated at every frequency in one pass.
     Top-k truncation and the FAP of all of a block's pairs and frequencies
     run in one ``fap_rows`` call on the stacked table columns, so no Mpc
     object is built; the block yields its detected (receiver, frequency)
@@ -393,7 +393,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     anchors = np.asarray(scene.anchors, dtype=float)
     nearest_edges = _nearest_edges(geom, anchors)
     rows = n_anchors * (1 + len(geom.reflector_slabs) + len(geom.edge_table.x1))
-    block = max(1, _BLOCK_CELLS // (rows * len(freqs)))
+    block = max(1, _BLOCK_ROWS // rows)
     batch = max(1, _DNLS_BATCH // cfg.trials)
 
     waiting, n_waiting, solved = [], 0, []

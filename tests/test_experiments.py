@@ -481,6 +481,48 @@ def test_noiseless_sweep_does_not_depend_on_anchor_order(permutation):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+def mirrored_in_x(scene):
+    """The scene mirrored about its mid-plane x = footprint_x / 2: windows,
+    interior walls and anchors, each keeping its index."""
+    lx = scene.footprint_x
+
+    def mirror(rect):  # a WindowRect or an InteriorWall
+        if rect.axis == "x":
+            return dataclasses.replace(rect, coord=lx - rect.coord)
+        return dataclasses.replace(rect, u_lo=lx - rect.u_hi, u_hi=lx - rect.u_lo)
+
+    return dataclasses.replace(scene, windows=tuple(map(mirror, scene.windows)),
+                               interior_walls=tuple(map(mirror, scene.interior_walls)),
+                               anchors=tuple((lx - x, y, z) for x, y, z in scene.anchors))
+
+
+def test_noiseless_sweep_does_not_depend_on_a_mirror_image_of_the_scene():
+    # Mirroring the building, its walls and its anchors about x = 15 m maps
+    # the receiver grid onto itself (x = 1, 8, ..., 29), so every receiver's
+    # paths are the mirror image of another's: the report is the same up to
+    # the rounding of the solvers. The mirrored walls keep their indices, so
+    # each leg's slab losses add in the same order. No leg of this grid runs
+    # through a surface's boundary line, which the two directions could
+    # count differently.
+    scene = build_default_scene(grid_spacing=7.0, receiver_floors=(3,))
+    mirrored = mirrored_in_x(scene)
+    xs = [p.x for p in receiver_grid(scene)]
+    assert sorted(xs) == sorted(scene.footprint_x - x for x in xs)
+    assert len(set(xs)) == 5 and scene.windows != mirrored.windows
+    reports = [run_sweep(SweepConfig(scene=s, frequencies_hz=DEFAULT_FREQUENCY_LADDER_HZ,
+                                     noiseless=True))
+               for s in (scene, mirrored)]
+    for fr, fm in zip(*(r.frequencies for r in reports)):
+        assert fr.p_fap_pct == fm.p_fap_pct
+        assert fr.exclusions == fm.exclusions
+        assert fr.diagnostics == fm.diagnostics
+        assert fr.fap_snr_quartiles_db == fm.fap_snr_quartiles_db
+        for want, got in ((fr.dnls_errors_m, fm.dnls_errors_m),
+                          (fr.lls_errors_m, fm.lls_errors_m), (fr.peb_m, fm.peb_m)):
+            assert want.shape == got.shape and want.size
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 def fap_counts(fr, n_anchors):
     """FAP count per group of a frequency report, from its shares."""
     total = (fr.n_receivers - fr.exclusions["no_detection"]) * n_anchors
@@ -537,10 +579,29 @@ def recorded_batches(monkeypatch):
     return cells, calls
 
 
+def counted_blocks(monkeypatch):
+    """Record, in the list returned, the receivers of each path table that
+    run_sweep builds."""
+    import diffpos.experiments as experiments
+
+    table, blocks = experiments.path_table, []
+    monkeypatch.setattr(experiments, "path_table",
+                        lambda s, a, rx, g: blocks.append(len(rx)) or table(s, a, rx, g))
+    return blocks
+
+
+def candidate_rows(scene):
+    """Candidate path rows of one receiver of the scene to all its anchors."""
+    geom = build_scene_geometry(scene)
+    return len(scene.anchors) * (1 + len(geom.reflector_slabs) + len(geom.edge_table.x1))
+
+
 def test_dnls_batch_size_does_not_change_the_report(tiny_sweep, monkeypatch):
     import diffpos.experiments as experiments
 
     cfg, report = tiny_sweep
+    # Blocks of two receivers, so that batches gather cells of several blocks.
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", 2 * candidate_rows(cfg.scene))
     monkeypatch.setattr(experiments, "_DNLS_BATCH", 3)
     cells, calls = recorded_batches(monkeypatch)
     chunked = run_sweep(cfg)
@@ -569,7 +630,7 @@ def test_dnls_batch_size_does_not_change_the_report_over_trials(trials, monkeypa
     scene = build_default_scene(grid_spacing=6.0, receiver_floors=(3,))
     cfg = SweepConfig(scene=scene, frequencies_hz=(28e9,), trials=trials, seed=0)
     report = json.dumps(report_to_dict(run_sweep(cfg)))
-    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", 1)
     cells, calls = recorded_batches(monkeypatch)
     for size, batch in ((trials - 1, 1), (trials, 1), (2 * trials + 1, 2), (5 * trials, 5)):
         cells.clear()
@@ -594,21 +655,33 @@ def test_block_size_does_not_change_the_report(grid_spacing, sweep, monkeypatch)
 
     scene = build_default_scene(grid_spacing=grid_spacing, receiver_floors=(3,))
     cfg = SweepConfig(scene=scene, seed=0, **sweep)
-    geom = build_scene_geometry(scene)
     n_receivers = len(receiver_grid(scene))
-    cells = len(scene.anchors) * (1 + len(geom.reflector_slabs) + len(geom.edge_table.x1)) \
-        * len(cfg.frequencies_hz)
-    table = experiments.path_table
+    rows = candidate_rows(scene)
+    blocks = counted_blocks(monkeypatch)
     reports = []
     for size in (1, 2, 7, n_receivers):
-        blocks = []
-        monkeypatch.setattr(experiments, "_BLOCK_CELLS", size * cells + cells - 1)
-        monkeypatch.setattr(experiments, "path_table",
-                            lambda s, a, rx, g: blocks.append(len(rx)) or table(s, a, rx, g))
+        blocks.clear()
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", size * rows + rows - 1)
         reports.append(json.dumps(report_to_dict(run_sweep(cfg))))
         assert sum(blocks) == n_receivers and blocks[0] == min(size, n_receivers)
         assert len(blocks) == -(-n_receivers // size)
     assert all(report == reports[0] for report in reports[1:])
+
+
+@pytest.mark.parametrize("grid_spacing, frequencies_hz, n_receivers", [
+    (10.0, DEFAULT_FREQUENCY_LADDER_HZ, 6),
+    (6.0, (28e9,), 20),
+], ids=["ladder", "28GHz"])
+def test_default_block_bound_groups_receivers(grid_spacing, frequencies_hz, n_receivers,
+                                              monkeypatch):
+    # The default bound counts candidate rows alone, so the 7-frequency
+    # ladder builds fewer path tables than it has receivers, and one
+    # frequency builds no more than blocks of four receivers would.
+    scene = build_default_scene(grid_spacing=grid_spacing, receiver_floors=(3,))
+    assert len(receiver_grid(scene)) == n_receivers
+    blocks = counted_blocks(monkeypatch)
+    run_sweep(SweepConfig(scene=scene, frequencies_hz=frequencies_hz, seed=0))
+    assert sum(blocks) == n_receivers and len(blocks) <= 5
 
 
 def test_report_json_round_trip_keeps_diagnostics_and_accepts_none(tiny_sweep):
