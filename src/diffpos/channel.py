@@ -412,14 +412,17 @@ class Reflections(NamedTuple):
 
 
 class _AnchorTerms(NamedTuple):
-    """What the reflections and diffractions of a set of anchors need of
-    the anchors alone, whatever the receivers."""
+    """What the reflections, diffractions and path tables of a set of
+    anchors need of the anchors alone, whatever the receivers: among it the
+    crossings of the legs to the edge ends, which are the first legs of
+    every diffraction row clamped to an edge end."""
 
     tx: np.ndarray  # (A, 3)
     plane_distance: np.ndarray  # (A, K) signed distance to every reflector plane
     image: np.ndarray  # (A, K, 3) image in every reflector plane
     edge_local: np.ndarray  # (A, E, 3) position in every edge frame
     on_edge_line: np.ndarray  # (A, E) lies on the edge line
+    end_crossings: np.ndarray  # (A, 2E, S) surfaces crossed on the way to every edge end
 
 
 # Edge rows per chunk of SceneGeometry.diffractions. Chunks bound the edge
@@ -428,6 +431,11 @@ class _AnchorTerms(NamedTuple):
 # measured to keep it at 0.68 MB. A point query's rows (about 170) fit in
 # one chunk.
 _EDGE_ROWS = 768
+
+# Legs per crossings call of path_table. On the default scene's 18 surfaces
+# 768 keeps each of the call's temporaries below 128 KiB; the sweep's
+# allocations above that size are what raise its peak RSS.
+_LEG_ROWS = 768
 
 # Anchor sets whose terms a SceneGeometry keeps; a sweep uses one and point
 # queries one per anchor, so the memo is emptied when it reaches this size.
@@ -468,19 +476,23 @@ class SceneGeometry:
     Everything the batched kernels need is packed into arrays once, here:
     the crossing surfaces and the reflectors (the reflective surfaces in
     surface order, then the ground when ``ground_slab`` is given), each with
-    its plane, extent and window cutouts, and the edges (``edge_table``).
-    ``crossings`` tests every segment against every surface at once: a
-    parametric plane hit strictly inside the segment, then the surface
-    extent, then, per facade, the cutouts. ``reflections`` reflects off every
-    reflector at once and ``diffractions`` solves the stationary point on
-    every edge at once. Per-frequency slab losses are cached via
-    prepare_frequency.
+    its plane, extent and window cutouts, the edges (``edge_table``) and
+    their ends (``edge_ends``). ``crossings`` tests every segment against
+    every surface at once: a parametric plane hit strictly inside the
+    segment, then the surface extent, then, per facade, the cutouts.
+    ``reflections`` reflects off every reflector at once and
+    ``diffractions`` solves the stationary point on every edge at once.
+    Per-frequency slab losses are cached via prepare_frequency.
     """
 
     def __init__(self, surfaces: list[Surface], edges: EdgeTable,
                  ground_slab: SlabSpec | None):
         self.surfaces = surfaces
         self.edge_table = edges
+        # Edge e's ends at lam = 0.0 and 1.0, rows 2e and 2e + 1: bit for bit
+        # the points of the diffraction rows clamped to them.
+        n_edges = len(edges.x1)
+        self.edge_ends = edges.points(np.arange(n_edges).repeat(2), np.tile([0.0, 1.0], n_edges))
         self._walls = _pack_surfaces(surfaces)
         self._cut_surfaces = np.flatnonzero(self._walls.has_cutouts)
         # Reflectors; the ground is the unbounded plane z = 0.
@@ -514,8 +526,11 @@ class SceneGeometry:
             normals = self._mirror_normal
             dt = _signed_distances(tx, normals, self._mirrors.coord)
             t = self.edge_table.to_local(tx)
+            ends = self.edge_ends
+            crossed = self.crossings(tx.repeat(len(ends), axis=0), np.tile(ends, (len(tx), 1)))
             terms = self._anchor_cache[key] = _AnchorTerms(
-                tx, dt, _mirror_images(dt, tx, normals), t, _on_edge_line(t, self.edge_table.z_e))
+                tx, dt, _mirror_images(dt, tx, normals), t, _on_edge_line(t, self.edge_table.z_e),
+                crossed.reshape(len(tx), len(ends), len(self.surfaces)))
         return terms
 
     def crossings(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -746,9 +761,10 @@ def _leg_slab_db(crossed: np.ndarray, slab_db: np.ndarray) -> np.ndarray:
     n_surfaces = crossed.shape[1]
     flat = crossed.ravel().nonzero()[0]
     leg = flat // n_surfaces
+    surface = flat - leg * n_surfaces
     total = np.zeros((len(slab_db), len(crossed)))
-    for row, losses in zip(total, slab_db[:, flat - leg * n_surfaces]):
-        np.add.at(row, leg, losses)
+    for row, losses in zip(total, slab_db):
+        np.add.at(row, leg, losses[surface])
     return total
 
 
@@ -921,11 +937,16 @@ def path_table(
     valid specular point, diffractions on an edge line holding both ends,
     paths beyond the transmission limit, and zero-length paths.
 
-    The reflections and edge solves of all pairs are one call each; the
-    crossing test is one call per (receiver, anchor) pair, which was
-    measured faster than batching it. Every row is computed as in a
-    one-receiver, one-anchor table, bit for bit. Bad ``anchor_ids`` and a
-    malformed ``rx`` raise ValueError.
+    The reflections and edge solves of all pairs are one call each, and
+    each distinct leg is tested for crossings once. Most diffraction rows
+    are clamped to an edge end, whose point is then bit for bit the
+    geometry's ``edge_ends`` entry: their legs from the anchor are tested
+    once per anchor set and kept with the anchor terms, and their legs to
+    a receiver once per (receiver, edge end). The other rows' legs are
+    tested with those, in chunks of legs. A leg is tested as it propagates,
+    and a leg's mask does not depend on the other legs of its call, so
+    every row is computed as in a one-receiver, one-anchor table, bit for
+    bit. Bad ``anchor_ids`` and a malformed ``rx`` raise ValueError.
     """
     return _path_table(scene, _anchor_indices(scene, anchor_ids, "anchor_ids"),
                        _receiver_block(rx), geometry)
@@ -939,24 +960,49 @@ def _path_table(scene: SceneConfig, anchor_ids: tuple[int, ...], receivers: np.n
     anchors = np.array([scene.anchors[a] for a in anchor_ids], dtype=float)
     limits = scene.limits
     n_anchors = len(anchors)
-    n_pairs = len(receivers) * n_anchors
 
-    pair, kind, length, pts, edge_id, reflector, incidence = _candidates(
+    pair, kind, length, pts, edge_id, reflector, incidence, end = _candidates(
         geom, anchors, receivers, limits)
+    receiver, anchor = np.divmod(pair, n_anchors)
 
-    crossed = np.empty((len(pair), 2, len(geom.surfaces)), dtype=bool)
-    start = 0
-    ends = np.bincount(pair, minlength=n_pairs).cumsum().tolist()
-    for (r, tx), end in zip(((r, tx) for r in receivers for tx in anchors), ends):
-        p = pts[start:end]
-        n = end - start
-        crossed[start:end] = geom.crossings(
-            np.concatenate([tx[None].repeat(n, axis=0), p]),
-            np.concatenate([p, r[None].repeat(n, axis=0)])).reshape(2, n, -1).transpose(1, 0, 2)
-        start = end
-    n_crossings = crossed.sum(axis=2)
+    # The legs, one column each: the anchor -> edge end legs of the anchor
+    # terms, then those tested here, both legs of each row not clamped to an
+    # edge end and the distinct edge end -> receiver legs of each receiver.
+    ends, n_ends = geom.edge_ends, len(geom.edge_ends)
+    clamped = end >= 0
+    fresh, rows = (~clamped).nonzero()[0], clamped.nonzero()[0]
+    key = (receiver * n_ends + end).take(rows)
+    if n_anchors == 1:
+        # A receiver's rows of one anchor are clamped at distinct edges.
+        shared, slot = key, np.arange(len(key))
+    else:
+        # The distinct (receiver, edge end) keys, found by a scatter, and
+        # the position of each row's key among them.
+        used = np.zeros(len(receivers) * n_ends, dtype=bool)
+        used[key] = True
+        shared, slot = used.nonzero()[0], (used.cumsum() - 1).take(key)
+    base = n_anchors * n_ends
+    # Each row's two legs as columns of legs.
+    leg = np.empty((2, len(pair)), dtype=int)
+    leg[:, fresh] = np.arange(base, base + 2 * len(fresh)).reshape(2, -1)
+    leg[0, rows] = (anchor * n_ends + end).take(rows)
+    leg[1, rows] = slot + (base + 2 * len(fresh))
+    leg = leg.T
+    at = pts.take(fresh, axis=0)
+    p0 = np.concatenate([anchors.take(anchor.take(fresh), axis=0), at,
+                         ends.take(shared % n_ends, axis=0)])
+    p1 = np.concatenate([at, receivers.take(receiver.take(fresh), axis=0),
+                         receivers.take(shared // n_ends, axis=0)])
+    # Released before the crossing tests, which set the peak of a table.
+    del pts, at, end, clamped, fresh, rows, key, shared, slot
+    # Surface-major (S, legs), the layout in which crossings computes them.
+    legs = np.concatenate(
+        [geom._anchor_terms(anchors).end_crossings.reshape(base, len(geom.surfaces)).T]
+        + [geom.crossings(p0[chunk:chunk + _LEG_ROWS], p1[chunk:chunk + _LEG_ROWS]).T
+           for chunk in range(0, len(p0), _LEG_ROWS)], axis=1)
+    n_crossings = legs.sum(axis=0).take(leg)
     keep = np.flatnonzero((length > 0.0) & (n_crossings.sum(axis=1) <= limits.max_transmissions))
-    kind, n_crossings, pair, length = kind[keep], n_crossings[keep], pair[keep], length[keep]
+    kind, n_crossings, length = kind.take(keep), n_crossings.take(keep, axis=0), length.take(keep)
     group = np.where((kind != _DIRECT) & (n_crossings[:, 0] > 0), MpcGroup.MPC4.value,
                      _KIND_GROUP[kind])
     return PathTable(
@@ -964,26 +1010,28 @@ def _path_table(scene: SceneConfig, anchor_ids: tuple[int, ...], receivers: np.n
         geometry=geom,
         anchor_ids=anchor_ids,
         receivers=receivers,
-        receiver=pair // n_anchors,
-        anchor=np.array(anchor_ids)[pair % n_anchors],
+        receiver=receiver.take(keep),
+        anchor=np.array(anchor_ids).take(anchor.take(keep)),
         length_m=length,
         tof_s=length / SPEED_OF_LIGHT,
-        crossings=crossed[keep],
+        crossings=legs.T.take(leg[keep], axis=0),
         kind=kind,
         n_crossings=n_crossings,
         group=group,
-        edge_id=edge_id[keep],
-        reflector=reflector[keep],
-        incidence_rad=incidence[keep],
+        edge_id=edge_id.take(keep),
+        reflector=reflector.take(keep),
+        incidence_rad=incidence.take(keep),
     )
 
 
 def _candidates(geom: SceneGeometry, anchors: np.ndarray, receivers: np.ndarray,
                 limits: PathLimits) -> tuple[np.ndarray, ...]:
-    """Pair index, kind, length, interaction point, edge, reflector and
-    incidence of every candidate row, pair by pair in emission order: the
-    rows come kind by kind, each pair by pair, and a stable sort by pair
-    orders them. A direct segment's interaction point is the receiver.
+    """Pair index, kind, length, interaction point, edge, reflector,
+    incidence and edge end (2 * edge + 1 at lam = 1.0, 2 * edge at 0.0, -1
+    for a row not clamped to an edge end) of every candidate row, pair by
+    pair in emission order: the rows come kind by kind, each pair by pair,
+    and a stable sort by pair orders them. A direct segment's interaction
+    point is the receiver.
     The kernels' outputs are released when this returns, before a block's
     crossing tests run.
     """
@@ -1000,15 +1048,18 @@ def _candidates(geom: SceneGeometry, anchors: np.ndarray, receivers: np.ndarray,
     pair = np.concatenate([np.arange(n_pairs), refl.pair, diff.pair])
     order = pair.argsort(kind="stable")
     return (
-        pair[order],
-        _KINDS.repeat([n_pairs, n_refl, n_diff])[order],
+        pair.take(order),
+        _KINDS.repeat([n_pairs, n_refl, n_diff]).take(order),
         np.concatenate([[euclidean_distance(tx, r) for r in receivers for tx in anchors],
-                        refl.length, diff.length])[order],
-        np.concatenate([receivers.repeat(n_anchors, axis=0), refl.point, diff.point])[order],
-        np.concatenate([np.full(n_pairs + n_refl, -1), diff.ids])[order],
-        np.concatenate([np.full(n_pairs, -1), refl.ids, np.full(n_diff, -1)])[order],
+                        refl.length, diff.length]).take(order),
+        np.concatenate([receivers.repeat(n_anchors, axis=0), refl.point,
+                        diff.point]).take(order, axis=0),
+        np.concatenate([np.full(n_pairs + n_refl, -1), diff.ids]).take(order),
+        np.concatenate([np.full(n_pairs, -1), refl.ids, np.full(n_diff, -1)]).take(order),
         np.concatenate([np.full(n_pairs, math.nan), refl.incidence,
-                        np.full(n_diff, math.nan)])[order],
+                        np.full(n_diff, math.nan)]).take(order),
+        np.concatenate([np.full(n_pairs + n_refl, -1),
+                        np.where(diff.endpoint, 2 * diff.ids + (diff.lam == 1.0), -1)]).take(order),
     )
 
 

@@ -4,7 +4,9 @@ The reflection kernel, the (F, P) loss pass, the group codes and the array
 top-k and FAP bodies are each checked against the one-plane, one-row,
 one-object code they replaced; a receiver's table of all anchors against
 its one-anchor tables, a block's table against its one-receiver tables, and
-one-anchor tables against the ones recorded before tables took blocks.
+one-anchor tables against the ones recorded before tables took blocks, and
+every row's legs against its own crossing tests, although the table shares
+the legs of rows clamped to an edge end.
 """
 
 import hashlib
@@ -333,6 +335,106 @@ def test_anchor_terms_do_not_follow_a_caller_array_changed_in_place():
     for got, expected in zip((geom.reflections(tx, rx), geom.diffractions(tx, rx)), want):
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
+    # The anchor -> edge end crossings kept with the terms, too.
+    assert (geom._anchor_terms(tx).end_crossings.tobytes()
+            == fresh._anchor_terms(tx).end_crossings.tobytes())
+
+
+def test_a_table_after_the_anchor_memo_is_emptied_equals_a_fresh_one():
+    # The memo is emptied when it holds _ANCHOR_SETS anchor sets; a table
+    # built before that, and one built after it from recomputed terms, both
+    # equal a table built on a fresh geometry, column by column.
+    rx = np.array([[9.0, 5.0, 7.5], [21.0, 14.0, 10.5]])
+    want = path_table(SCENE, range(4), rx, build_scene_geometry(SCENE))
+    geom = build_scene_geometry(SCENE)
+    before = path_table(SCENE, range(4), rx, geom)
+    rng = np.random.default_rng(3)
+    for _ in range(channel._ANCHOR_SETS):
+        geom.diffractions(rng.uniform(-5.0, 35.0, (2, 3)), rx)
+    assert len(geom._anchor_cache) == 1
+    assert np.array(SCENE.anchors, dtype=float).tobytes() not in geom._anchor_cache
+    for table in (before, path_table(SCENE, range(4), rx, geom)):
+        for name in _TABLE_COLUMNS:
+            assert getattr(table, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def row_points(geom, tx, rx) -> dict:
+    """The interaction point of every candidate row of one (anchor,
+    receiver) pair, by (kind, reflector, edge): the receiver for the direct
+    segment, the specular point of each reflector, the diffraction point of
+    each edge."""
+    points = {(0, -1, -1): rx}
+    refl = geom.reflections(tx, rx)
+    points.update(((1, k, -1), p) for k, p in zip(refl.ids.tolist(), refl.point))
+    diff = geom.diffractions(tx, rx)
+    points.update(((2, -1, e), p) for e, p in zip(diff.ids.tolist(), diff.point))
+    return points
+
+
+def assert_legs_are_each_rows_own(table, geom) -> None:
+    """Both legs of every row of ``table`` equal ``geom.crossings`` on that
+    row's own legs, tested as they propagate: anchor to interaction point,
+    interaction point to receiver."""
+    for n, rx in enumerate(table.receivers):
+        for a in table.anchor_ids:
+            tx = np.array(table.scene.anchors[a], dtype=float)
+            rows = np.flatnonzero((table.receiver == n) & (table.anchor == a))
+            points = row_points(geom, tx, rx)
+            p = np.array([points[key] for key in zip(table.kind[rows].tolist(),
+                                                     table.reflector[rows].tolist(),
+                                                     table.edge_id[rows].tolist())])
+            assert np.array_equal(table.crossings[rows, 0],
+                                  geom.crossings(np.tile(tx, (len(p), 1)), p))
+            assert np.array_equal(table.crossings[rows, 1],
+                                  geom.crossings(p, np.tile(rx, (len(p), 1))))
+
+
+def test_block_legs_equal_each_rows_own_crossing_tests():
+    # Eight receivers spread over the default grid with all anchors: most
+    # rows are diffractions clamped to an edge end, whose legs the table
+    # shares between receivers and between anchors.
+    geom = build_scene_geometry(SCENE)
+    grid = receiver_grid(SCENE)
+    receivers = np.array([rx.as_array() for rx in grid[::len(grid) // 8][:8]])
+    legs = []
+    crossings = geom.crossings
+    geom.crossings = lambda p0, p1: legs.append(len(p0)) or crossings(p0, p1)
+    table = path_table(SCENE, range(len(SCENE.anchors)), receivers, geom)
+    del geom.crossings
+    # The anchor set's legs to the edge ends, then far fewer legs than the
+    # two of each candidate row.
+    anchors = np.array(SCENE.anchors, dtype=float)
+    candidates = (len(receivers) * len(anchors) + len(geom.reflections(anchors, receivers).ids)
+                  + len(geom.diffractions(anchors, receivers).ids))
+    assert legs[0] == len(anchors) * len(geom.edge_ends)
+    assert sum(legs[1:]) < 0.3 * 2 * candidates
+    assert_legs_are_each_rows_own(table, geom)
+
+
+def test_point_table_legs_equal_each_rows_own_crossing_tests():
+    rng = np.random.default_rng(23)
+    for anchor, rx in random_pairs(rng, 40):
+        assert_legs_are_each_rows_own(path_table(SCENE, (anchor,), rx, GEOM), GEOM)
+
+
+@pytest.mark.parametrize("full_scale, n_receivers", [(False, None), (True, 400)],
+                         ids=["default", "full_scale_sample"])
+def test_clamped_diffraction_points_are_the_edge_ends(full_scale, n_receivers):
+    # A row clamped to an edge end shares that end's legs, which are tested
+    # from the edge end table: its diffraction point must be the table's
+    # entry bit for bit.
+    scene = build_default_scene(full_scale=full_scale)
+    geom = build_scene_geometry(scene)
+    receivers = np.array([rx.as_array() for rx in receiver_grid(scene)])
+    if n_receivers is not None:
+        receivers = receivers[np.random.default_rng(29).choice(len(receivers), n_receivers,
+                                                               replace=False)]
+    d = geom.diffractions(np.array(scene.anchors, dtype=float), receivers)
+    rows = d.endpoint.nonzero()[0]
+    assert len(rows) > 0.5 * len(d.ids)
+    assert np.all((d.lam[rows] == 0.0) | (d.lam[rows] == 1.0))
+    end = 2 * d.ids[rows] + (d.lam[rows] == 1.0)
+    assert d.point[rows].tobytes() == geom.edge_ends[end].tobytes()
 
 
 def test_pdp_needs_a_one_anchor_table():
