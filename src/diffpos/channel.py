@@ -706,17 +706,14 @@ def _grid_axis(extent: float, margin: float, spacing: float) -> np.ndarray:
     return np.arange(margin, extent - margin + 1e-9, spacing)
 
 
-def receiver_grid(scene: SceneConfig) -> list[Point3]:
-    """Deterministic receiver lattice on the configured floors."""
+def receiver_grid(scene: SceneConfig) -> np.ndarray:
+    """Deterministic receiver lattice (N, 3) on the configured floors, floor
+    by floor, each row by row in y, each point by point in x."""
     xs = _grid_axis(scene.footprint_x, scene.receiver_margin, scene.receiver_spacing)
     ys = _grid_axis(scene.footprint_y, scene.receiver_margin, scene.receiver_spacing)
-    out = []
-    for floor in scene.receiver_floors:
-        z = scene.floor_base(floor) + scene.receiver_height
-        for y in ys:
-            for x in xs:
-                out.append(Point3(float(x), float(y), float(z)))
-    return out
+    zs = [scene.floor_base(floor) + scene.receiver_height for floor in scene.receiver_floors]
+    z, y, x = np.meshgrid(zs, ys, xs, indexing="ij")
+    return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1047,7 @@ def _candidates(geom: SceneGeometry, anchors: np.ndarray, receivers: np.ndarray,
     return (
         pair.take(order),
         _KINDS.repeat([n_pairs, n_refl, n_diff]).take(order),
-        np.concatenate([[euclidean_distance(tx, r) for r in receivers for tx in anchors],
+        np.concatenate([euclidean_distance(anchors, receivers[:, None]).ravel(),
                         refl.length, diff.length]).take(order),
         np.concatenate([receivers.repeat(n_anchors, axis=0), refl.point,
                         diff.point]).take(order, axis=0),

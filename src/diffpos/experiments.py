@@ -36,7 +36,7 @@ from .channel import (
     receiver_grid,
 )
 from .fap import fap_rows, mean_squared_bandwidth, range_sigma_m
-from .geometry import EdgeTable
+from .geometry import EdgeTable, euclidean_distance
 from .materials import default_material_library
 from .positioning import SingularGeometryError, dnls_ladder, lls_solve, lls_start, peb_batch
 
@@ -289,18 +289,6 @@ class _Results(NamedTuple):
     peb_m: np.ndarray  # (C,) inf where the FIM is singular or < 3 anchors have MPC3
 
 
-def _db_to_linear(db: np.ndarray) -> np.ndarray:
-    """10 ** (db / 10), entry by entry as Python float powers: numpy's array
-    power differs from them in the last bit."""
-    return np.array([10 ** (x / 10) for x in db.ravel().tolist()]).reshape(db.shape)
-
-
-def _errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """The 3D error of each row; a 1-D norm per row, because the axis=1 form
-    differs in the last bit."""
-    return np.array([float(np.linalg.norm(d)) for d in estimates - truth])
-
-
 def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.ndarray,
                  receivers: np.ndarray, beta_sqs: np.ndarray) -> _Results:
     """LLS, D-NLS and the bound of a batch of cells at every trial.
@@ -322,7 +310,7 @@ def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.
             .standard_normal(n_anchors)
             for fi, ri in zip(cells.freq.tolist(), cells.receiver.tolist())
             for trial in range(trials)]).reshape(n_cells, trials, n_anchors)
-    sigma = range_sigma_m(beta_sq[:, None], _db_to_linear(cells.snr_db))
+    sigma = range_sigma_m(beta_sq[:, None], 10 ** (cells.snr_db / 10))
     ranges = (cells.length_m[:, None] + sigma[:, None] * noise).reshape(-1, n_anchors)
     truth = receivers[cells.receiver]
     trial_truth = np.repeat(truth, trials, axis=0)
@@ -332,10 +320,10 @@ def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.
     except SingularGeometryError:
         estimates, lls_error = None, np.full(len(ranges), np.nan)
     else:
-        lls_error = _errors(estimates, trial_truth)
+        lls_error = euclidean_distance(estimates, trial_truth)
     solved = dnls_ladder(table, anchors, np.repeat(cells.model_edge, trials, axis=0), ranges,
                          np.broadcast_to(lls_start(estimates, bounds), (len(ranges), 3)), bounds)
-    dnls_error = _errors(solved.alpha, trial_truth)  # NaN where alpha is
+    dnls_error = euclidean_distance(solved.alpha, trial_truth)  # NaN where alpha is
     return _Results(
         freq=cells.freq,
         group=cells.group,
@@ -345,7 +333,7 @@ def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.
         dnls_rung=solved.rung.reshape(n_cells, trials),
         dnls_iterations=solved.iterations.reshape(n_cells, trials),
         peb_m=peb_batch(table, anchors, truth, cells.mpc3_edge,
-                        _db_to_linear(cells.mpc3_snr_db), beta_sq),
+                        10 ** (cells.mpc3_snr_db / 10), beta_sq),
     )
 
 
@@ -386,7 +374,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     """
     scene = cfg.scene
     geom = build_scene_geometry(scene)
-    receivers = np.array([rx.as_array() for rx in receiver_grid(scene)]).reshape(-1, 3)
+    receivers = receiver_grid(scene)
     n_anchors = len(scene.anchors)
     freqs = cfg.frequencies_hz
     beta_sqs = np.array([mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs])

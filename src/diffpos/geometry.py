@@ -34,16 +34,6 @@ class GeometryError(ValueError):
     """Raised for geometric configurations that admit no valid solution."""
 
 
-def _vec(p) -> np.ndarray:
-    """Coerce a Point3, sequence, or array to a float (3,) array."""
-    if isinstance(p, Point3):
-        return p.as_array()
-    v = np.asarray(p, dtype=float)
-    if v.shape != (3,):
-        raise GeometryError(f"expected a 3-vector, got shape {v.shape}")
-    return v
-
-
 @dataclass(frozen=True)
 class Point3:
     """A 3D position in meters. All coordinates must be finite."""
@@ -76,11 +66,10 @@ class EdgeTable(NamedTuple):
     w: np.ndarray  # (E,) window height
 
     def to_local(self, points) -> np.ndarray:
-        """Points (N, 3), or one (3,) point, in every edge frame (N, E, 3), each
-        by its own products: bit for bit ``rotation[e] @ p + translation[e]``."""
+        """Points (N, 3), or one (3,) point, in every edge frame (N, E, 3):
+        bit for bit ``rotation[e] @ p + translation[e]`` (``_matvec``)."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        return np.array([self.rotation @ p + self.translation for p in points]).reshape(
-            len(points), len(self.x1), 3)
+        return _matvec(self.rotation, points[:, None]) + self.translation
 
     def points(self, ids, lam) -> np.ndarray:
         """World points (N, 3) at ``lam`` (N,) on the edges ``ids`` (N,)."""
@@ -118,18 +107,28 @@ def edge_table(rotation, translation, x1, x2, z_e, w) -> EdgeTable:
     return table
 
 
-def euclidean_distance(a, b) -> float:
-    """Straight-line distance |a - b| in meters."""
-    return float(np.linalg.norm(_vec(a) - _vec(b)))
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``matrices @ vectors[..., None]`` (..., K) of (..., K, n) matrices and
+    (..., n) vectors, broadcast, as one stacked product: each row is bit for
+    bit its own ``matrix @ vector`` (a dot product for K = 1), whatever the
+    rest of its batch."""
+    return (matrices @ vectors[..., None])[..., 0]
+
+
+def euclidean_distance(a, b) -> np.ndarray:
+    """Straight-line distance |a - b| in meters of points (..., 3), row by
+    row: each bit for bit ``np.linalg.norm(a - b)`` of its own row."""
+    d = np.subtract(a, b, dtype=float)
+    return np.sqrt(_matvec(d[..., None, :], d)[..., 0])
 
 
 def _signed_distances(p: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Signed distance n.p - offset (M, K) of M points ``p`` (M, 3) to K
     planes {x : normals[k].x = offsets[k]} with unit normals. Each point's
-    n.p is its own matrix-vector product, so a point's row does not depend
-    on the others; with an axis-aligned normal it is the coordinate minus
-    the offset, bit for bit."""
-    return np.array([normals @ p_m for p_m in p]).reshape(len(p), -1) - offsets
+    n.p is its own matrix-vector product (``_matvec``), so a point's row does
+    not depend on the others; with an axis-aligned normal it is the
+    coordinate minus the offset, bit for bit."""
+    return _matvec(normals, p) - offsets
 
 
 def _mirror_images(dt: np.ndarray, t: np.ndarray, normals: np.ndarray) -> np.ndarray:

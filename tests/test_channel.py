@@ -292,9 +292,14 @@ def test_enumerate_diffraction_beats_transmission_at_high_frequency():
 def test_receiver_grid_counts():
     scene = make_scene(receiver_floors=(1, 2), receiver_spacing=2.0, receiver_margin=1.0)
     grid = receiver_grid(scene)
-    per_floor = len(np.arange(1.0, 9.0 + 1e-9, 2.0)) * len(np.arange(1.0, 19.0 + 1e-9, 2.0))
+    xs, ys = np.arange(1.0, 9.0 + 1e-9, 2.0), np.arange(1.0, 19.0 + 1e-9, 2.0)
+    per_floor = len(xs) * len(ys)
     assert len(grid) == 2 * per_floor
-    assert len({(p.x, p.y, p.z) for p in grid}) == len(grid)
+    assert len({tuple(p) for p in grid.tolist()}) == len(grid)
+    assert grid.dtype == np.float64 and grid.shape == (2 * per_floor, 3)
+    # Floor by floor, each row by row in y, each point by point in x.
+    zs = [scene.floor_base(floor) + scene.receiver_height for floor in (1, 2)]
+    assert grid.tolist() == [[x, y, z] for z in zs for y in ys.tolist() for x in xs.tolist()]
 
 
 def test_scene_invariants():

@@ -506,7 +506,7 @@ def test_noiseless_sweep_does_not_depend_on_a_mirror_image_of_the_scene():
     # count differently.
     scene = build_default_scene(grid_spacing=7.0, receiver_floors=(3,))
     mirrored = mirrored_in_x(scene)
-    xs = [p.x for p in receiver_grid(scene)]
+    xs = receiver_grid(scene)[:, 0].tolist()
     assert sorted(xs) == sorted(scene.footprint_x - x for x in xs)
     assert len(set(xs)) == 5 and scene.windows != mirrored.windows
     reports = [run_sweep(SweepConfig(scene=s, frequencies_hz=DEFAULT_FREQUENCY_LADDER_HZ,

@@ -153,18 +153,17 @@ def test_range_sigma_of_arrays_equals_scalar_calls_bit_for_bit():
     import math
 
     from diffpos.channel import build_scene_geometry, path_table, receiver_grid
-    from diffpos.experiments import (SweepConfig, _db_to_linear, _nearest_edges, _receiver_faps,
+    from diffpos.experiments import (SweepConfig, _nearest_edges, _receiver_faps,
                                      build_default_scene)
 
     scene = build_default_scene(grid_spacing=6.0, receiver_floors=(3,))
     cfg = SweepConfig(scene=scene, frequencies_hz=(28e9,))
     geom = build_scene_geometry(scene)
     anchors = np.asarray(scene.anchors, dtype=float)
-    block = path_table(scene, range(len(anchors)),
-                       [rx.as_array() for rx in receiver_grid(scene)], geom)
+    block = path_table(scene, range(len(anchors)), receiver_grid(scene), geom)
     cells = _receiver_faps(block, block.losses(cfg.frequencies_hz), cfg,
                            _nearest_edges(geom, anchors), 0)
-    snr = _db_to_linear(cells.snr_db)
+    snr = 10 ** (cells.snr_db / 10)
     assert snr.shape == (20, 4)
     beta_sq = mean_squared_bandwidth(scene.radio.band_for(28e9))
     sigma = range_sigma_m(np.full((len(snr), 1), beta_sq), snr)

@@ -23,6 +23,7 @@ from diffpos.geometry import (
     Point3,
     edge_table,
     euclidean_distance,
+    _matvec,
     _mirror_images,
     _reflect_rows,
     _signed_distances,
@@ -130,6 +131,36 @@ def test_euclidean_random_vs_high_precision():
 def test_point3_rejects_non_finite():
     with pytest.raises(GeometryError):
         Point3(0.0, math.nan, 0.0)
+
+
+def test_stacked_products_equal_each_rows_own_product_bit_for_bit():
+    # Frame maps, plane distances and distances from the origin of ordinary
+    # rows, zero rows, NaN rows (a failed D-NLS estimate) and rows of
+    # magnitude 1e150 and 1e-150, in random frames: each row equals its own
+    # 1-D product, and every slice of the batch gives the same rows.
+    rng = np.random.default_rng(24)
+    p = np.concatenate([rng.uniform(-50, 50, (40, 3)), np.zeros((3, 3)), np.full((2, 3), np.nan),
+                        rng.uniform(-1, 1, (5, 3)) * 1e150, rng.uniform(-1, 1, (5, 3)) * 1e-150])
+    p[41, 2] = p[-1, 0] = math.nan
+    p = p[rng.permutation(len(p))]
+    rotation = np.array([random_rotation(rng) for _ in range(9)])
+    normals = np.concatenate([np.eye(3), rng.standard_normal((5, 3))])
+    local, distance = _matvec(rotation, p[:, None]), _matvec(normals, p)
+    norm = euclidean_distance(p, 0.0)
+    assert local.shape == (len(p), 9, 3) and distance.shape == (len(p), 8)
+    for n, v in enumerate(p):
+        assert np.array_equal(local[n], rotation @ v, equal_nan=True)
+        assert np.array_equal(distance[n], normals @ v, equal_nan=True)
+        assert np.array_equal(norm[n], np.linalg.norm(v), equal_nan=True)
+    assert np.isnan(norm).sum() == 4 and (norm == 0.0).sum() == 2
+    pairs = euclidean_distance(p[:6], p[6:10, None])  # broadcast, as path_table's direct rows
+    assert pairs.shape == (4, 6) and all(
+        np.array_equal(pairs[i, j], np.linalg.norm(p[j] - p[6 + i]), equal_nan=True)
+        for i in range(4) for j in range(6))
+    for rows in (slice(0, 1), slice(7, 30), slice(len(p) - 5, None), slice(3, None, 4)):
+        assert np.array_equal(_matvec(rotation, p[rows][:, None]), local[rows], equal_nan=True)
+        assert np.array_equal(_matvec(normals, p[rows]), distance[rows], equal_nan=True)
+        assert np.array_equal(euclidean_distance(p[rows], 0.0), norm[rows], equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +614,7 @@ def test_edge_table_frame_map_equals_to_local_bit_for_bit():
         translations.append(rng.uniform(-30, 30, 3))
     moved = edges_of(*np.array(columns).T, rotation=np.array(rotations),
                      translation=np.array(translations))
-    points = np.concatenate([np.asarray(scene.anchors, dtype=float),
-                             [p.as_array() for p in receiver_grid(scene)],
+    points = np.concatenate([np.asarray(scene.anchors, dtype=float), receiver_grid(scene),
                              rng.uniform(-50, 50, (40, 3))])
     for table in (build_scene_geometry(scene).edge_table, moved):
         local = table.to_local(points)

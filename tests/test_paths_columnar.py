@@ -292,7 +292,7 @@ def test_block_table_equals_its_one_receiver_tables_concatenated(grid_spacing, f
     scene = build_default_scene(grid_spacing=grid_spacing, receiver_floors=(3,))
     geom = build_scene_geometry(scene)
     anchors = range(len(scene.anchors))
-    receivers = np.array([rx.as_array() for rx in receiver_grid(scene)])
+    receivers = receiver_grid(scene)
     singles = [path_table(scene, anchors, rx, geom) for rx in receivers]
     assert all(len(t.receivers) == 1 and not t.receiver.any() for t in singles)
     for size in (1, 2, 7, len(receivers)):
@@ -395,7 +395,7 @@ def test_block_legs_equal_each_rows_own_crossing_tests():
     # shares between receivers and between anchors.
     geom = build_scene_geometry(SCENE)
     grid = receiver_grid(SCENE)
-    receivers = np.array([rx.as_array() for rx in grid[::len(grid) // 8][:8]])
+    receivers = grid[::len(grid) // 8][:8]
     legs = []
     crossings = geom.crossings
     geom.crossings = lambda p0, p1: legs.append(len(p0)) or crossings(p0, p1)
@@ -425,7 +425,7 @@ def test_clamped_diffraction_points_are_the_edge_ends(full_scale, n_receivers):
     # entry bit for bit.
     scene = build_default_scene(full_scale=full_scale)
     geom = build_scene_geometry(scene)
-    receivers = np.array([rx.as_array() for rx in receiver_grid(scene)])
+    receivers = receiver_grid(scene)
     if n_receivers is not None:
         receivers = receivers[np.random.default_rng(29).choice(len(receivers), n_receivers,
                                                                replace=False)]
@@ -582,8 +582,7 @@ def test_receiver_faps_match_object_bodies_on_every_ladder_cell():
     geom = build_scene_geometry(scene)
     nearest = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
     receivers = receiver_grid(scene)
-    block = path_table(scene, range(len(scene.anchors)), [rx.as_array() for rx in receivers],
-                       geom)
+    block = path_table(scene, range(len(scene.anchors)), receivers, geom)
     losses = block.losses(cfg.frequencies_hz)
     cells = _receiver_faps(block, losses, cfg, nearest, 0)
     # Every cell is detected, and the cells come receiver by receiver.

@@ -256,6 +256,23 @@ def test_lls_rejects_duplicate_anchors():
         lls_solve(anchors, np.full(4, 12.0))
 
 
+def test_lls_rejects_non_finite_anchor():
+    anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
+    anchors[2, 1] = math.nan
+    with pytest.raises(ValueError, match=r"^anchors must be finite; row 2 is not$"):
+        lls_solve(anchors, np.full((3, 4), 8.0))
+
+
+def test_lls_rejects_non_finite_range_naming_its_row():
+    anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
+    ranges = np.full((2, 3, 4), 8.0)
+    ranges[1, 0, 3] = math.inf  # the fourth problem
+    with pytest.raises(ValueError, match=r"^ranges must be finite; row 3 is not$"):
+        lls_solve(anchors, ranges)
+    with pytest.raises(ValueError, match=r"^ranges must be finite; row 0 is not$"):
+        lls_solve(anchors, [8.0, math.nan, 8.0, 8.0])
+
+
 def per_problem_lls(anchors, ranges):
     """The one-problem LLS body: squared ranges differenced against the
     first anchor, then one lstsq call."""
