@@ -20,11 +20,9 @@ MPC records can also be ingested from a line-delimited JSON dataset (schema
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +43,7 @@ from .materials import (
     Band,
     DiffractionLossModel,
     SlabSpec,
+    complex_permittivity,
     diffraction_loss_db,
     free_space_path_loss_db,
     reflection_loss_db,
@@ -482,7 +481,8 @@ class SceneGeometry:
     segment, then the surface extent, then, per facade, the cutouts.
     ``reflections`` reflects off every reflector at once and
     ``diffractions`` solves the stationary point on every edge at once.
-    Per-frequency slab losses are cached via prepare_frequency.
+    ``prepare_frequency`` keeps the slab losses and the reflector
+    permittivities of each frequency.
     """
 
     def __init__(self, surfaces: list[Surface], edges: EdgeTable,
@@ -495,24 +495,30 @@ class SceneGeometry:
         self.edge_ends = edges.points(np.arange(n_edges).repeat(2), np.tile([0.0, 1.0], n_edges))
         self._walls = _pack_surfaces(surfaces)
         self._cut_surfaces = np.flatnonzero(self._walls.has_cutouts)
-        # Reflectors; the ground is the unbounded plane z = 0.
+        # Reflectors; the ground is the plane z = 0 with the reflective
+        # surfaces in it cut out, so that they, rims included, reflect there.
         mirrors = [s for s in surfaces if s.reflective]
         if ground_slab is not None:
-            mirrors.append(Surface("ground", "z", 0.0, -math.inf, math.inf,
-                                   -math.inf, math.inf, ground_slab))
+            slabs_at_0 = tuple((s.u_lo, s.u_hi, s.v_lo, s.v_hi) for s in mirrors
+                               if s.axis == "z" and s.coord == 0.0)
+            mirrors.append(Surface("ground", "z", 0.0, -math.inf, math.inf, -math.inf, math.inf,
+                                   ground_slab, slabs_at_0))
         self.reflector_slabs = tuple(s.slab for s in mirrors)
         self._mirrors = _pack_surfaces(mirrors)
         self._mirror_normal = np.eye(3)[self._mirrors.axis].reshape(-1, 3)
-        self._loss_cache: dict[float, np.ndarray] = {}
+        self._loss_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._anchor_cache: dict[bytes, _AnchorTerms] = {}
 
-    def prepare_frequency(self, f_hz: float) -> np.ndarray:
-        losses = self._loss_cache.get(f_hz)
-        if losses is None:
-            losses = np.array([
-                transmission_loss_db(s.slab, f_hz) for s in self.surfaces])
-            self._loss_cache[f_hz] = losses
-        return losses
+    def prepare_frequency(self, f_hz: float) -> tuple[np.ndarray, np.ndarray]:
+        """The surfaces' slab losses (S,) and the reflectors' complex
+        permittivities (R,) at ``f_hz``, kept per frequency."""
+        terms = self._loss_cache.get(f_hz)
+        if terms is None:
+            terms = self._loss_cache[f_hz] = (
+                np.array([transmission_loss_db(s.slab, f_hz) for s in self.surfaces]),
+                np.array([complex_permittivity(slab.facing_material, f_hz)
+                          for slab in self.reflector_slabs]))
+        return terms
 
     def _anchor_terms(self, tx) -> _AnchorTerms:
         """The terms of the anchors ``tx`` (A, 3), or of one (3,) point,
@@ -814,10 +820,10 @@ class PathTable:
         minus the slab losses of the surfaces each leg crosses. The losses
         accumulate as along the path: each leg's slab losses are summed in
         surface order, the first leg's then the second's, which fixes the
-        floating-point rounding. Reflection losses take one call per
-        (reflector, frequency). Paths that reflect nothing (infinite
-        reflection loss) and paths below the detectability floor are not
-        detected.
+        floating-point rounding. The reflection losses of all reflection
+        rows at all frequencies are one call. Paths that reflect nothing
+        (infinite reflection loss) and paths below the detectability floor
+        are not detected.
         """
         radio = self.scene.radio
         freqs = [float(f_hz) for f_hz in np.ravel(freqs_hz)]
@@ -826,21 +832,13 @@ class PathTable:
         floor = np.array([[noise_floor_dbm(b.bandwidth_hz, radio.noise_temperature_k)]
                           for b in bands])
 
+        slab_db, eps = map(np.array, zip(*map(self.geometry.prepare_frequency, freqs)))
         base = np.zeros((len(freqs), len(self.length_m)))
         base[:, self.kind == _DIFFRACTION] = [
             [diffraction_loss_db(radio.diffraction_loss, f_hz)] for f_hz in freqs]
-        # The reflection rows reflector by reflector, each in table order.
         rows = np.flatnonzero(self.kind == _REFLECTION)
-        rows = rows[self.reflector[rows].argsort(kind="stable")]
-        reflection_db = [[] for _ in freqs]
-        for k, run in itertools.groupby(zip(self.reflector[rows].tolist(),
-                                            self.incidence_rad[rows].tolist()), itemgetter(0)):
-            angles = [angle for _, angle in run]
-            for f_hz, row in zip(freqs, reflection_db):
-                row += reflection_loss_db(self.geometry.reflector_slabs[k], f_hz, angles,
-                                          radio.polarization)
-        base[:, rows] = reflection_db
-        slab_db = np.array([self.geometry.prepare_frequency(f_hz) for f_hz in freqs])
+        base[:, rows] = reflection_loss_db(eps[:, self.reflector[rows]], self.incidence_rad[rows],
+                                           radio.polarization)
         legs_db = _leg_slab_db(self.crossings.reshape(-1, slab_db.shape[1]),
                                slab_db).reshape(len(freqs), -1, 2)
         extra = base + legs_db[..., 0] + legs_db[..., 1]
@@ -1127,8 +1125,10 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> IngestResult:
-    """Read a line-delimited MPC dataset and rebuild per-pair PDPs.
+def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0) -> IngestResult:
+    """Read a line-delimited MPC dataset and rebuild per-pair PDPs, each
+    MPC's SNR its power over the thermal noise floor of ``bandwidth_hz`` at
+    ``noise_temperature_k``.
 
     Structural problems (bad JSON, wrong schema, missing or malformed
     fields, an id that is not a non-negative integer, an rx_xyz that is not
@@ -1141,7 +1141,7 @@ def ingest_dataset(path, band: Band, noise_temperature_k: float = 290.0) -> Inge
     individually with diagnostics.
     A non-positive bandwidth or noise temperature raises ValueError.
     """
-    floor = noise_floor_dbm(band.bandwidth_hz, noise_temperature_k)
+    floor = noise_floor_dbm(bandwidth_hz, noise_temperature_k)
     buckets: dict[tuple[int, int], list[Mpc]] = {}
     rx_positions: dict[tuple[int, int], Point3] = {}
     rejected: list[tuple[int, str]] = []

@@ -26,7 +26,7 @@ from .experiments import (
     run_sweep,
     save_scene,
 )
-from .materials import Band, load_material_library
+from .materials import load_material_library
 
 
 def _cmd_scene(args) -> int:
@@ -78,13 +78,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ingest(args) -> int:
     try:
-        band = Band(
-            label="ingest",
-            center_frequency_hz=args.center_frequency,
-            bandwidth_hz=args.bandwidth,
-            tx_power_dbm=0.0,
-        )
-        result = ingest_dataset(args.dataset, band, args.noise_temperature)
+        result = ingest_dataset(args.dataset, args.bandwidth, args.noise_temperature)
     except (ValueError, OSError) as exc:  # DatasetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -152,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate an MPC dataset file")
     p.add_argument("--dataset", required=True, help="line-delimited JSON dataset")
     p.add_argument("--bandwidth", type=float, default=400e6, help="Hz")
-    p.add_argument("--center-frequency", type=float, default=3.5e9, help="Hz")
     p.add_argument("--noise-temperature", type=float, default=290.0, help="K")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero when any record is rejected")

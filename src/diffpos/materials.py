@@ -18,7 +18,6 @@ two-leg path.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -187,48 +186,28 @@ def free_space_path_loss_db(distance_m, f_hz):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def reflection_loss_db(
-    slab: SlabSpec,
-    f_hz: float,
-    incidence_angle_rad,
-    polarization: str = "TE",
-):
-    """Reflection loss -20*log10(|Gamma|) off the slab's facing material.
+def reflection_loss_db(eps, incidence_angle_rad, polarization: str = "TE") -> np.ndarray:
+    """Reflection loss -20*log10(|Gamma|) off equivalent lossy half-spaces.
 
-    The slab is treated as an equivalent lossy half-space; the incidence
-    angle is measured from the surface normal and must lie in [0, pi/2).
-    Index-matched materials reflect nothing: the loss is +inf and no
-    reflected path should be generated.
-
-    ``incidence_angle_rad`` is one angle, which gives a float, or a list
-    or array of the angles of one reflector's rows, which gives a list: the
-    checks and the permittivity run once per call, and every angle goes
-    through the same scalar body, so an entry equals the one-angle call bit
-    for bit.
+    ``eps`` holds relative complex permittivities (``complex_permittivity``
+    of a slab's facing material) and ``incidence_angle_rad`` angles from the
+    surface normal in [0, pi/2); the two broadcast together, so the (F, R)
+    permittivities of R rows' reflectors at F frequencies and the rows' (R,)
+    angles give the (F, R) losses. Each entry depends on its own
+    permittivity and angle only. Index-matched materials reflect nothing:
+    the loss is +inf and no reflected path should be generated.
     """
-    if isinstance(incidence_angle_rad, np.ndarray):
-        incidence_angle_rad = incidence_angle_rad.ravel().tolist()
-    scalar = not isinstance(incidence_angle_rad, (list, tuple))
-    angles = (incidence_angle_rad,) if scalar else incidence_angle_rad
-    for angle in angles:
-        if not 0.0 <= angle < math.pi / 2.0:
-            raise ValueError("incidence angle must lie in [0, pi/2)")
+    angle = np.asarray(incidence_angle_rad, dtype=float)
+    if not ((0.0 <= angle) & (angle < math.pi / 2.0)).all():
+        raise ValueError("incidence angle must lie in [0, pi/2)")
     if polarization not in ("TE", "TM"):
         raise ValueError(f"unknown polarization {polarization!r}")
-
-    eps = complex_permittivity(slab.facing_material, f_hz)
-    losses = []
-    for angle in angles:
-        cos_i = math.cos(angle)
-        sin_i = math.sin(angle)
-        transmitted = cmath.sqrt(eps - sin_i ** 2)
-        if polarization == "TE":
-            gamma = (cos_i - transmitted) / (cos_i + transmitted)
-        else:
-            gamma = (eps * cos_i - transmitted) / (eps * cos_i + transmitted)
-        magnitude = abs(gamma)
-        losses.append(math.inf if magnitude == 0.0 else -20.0 * math.log10(magnitude))
-    return losses[0] if scalar else losses
+    cos_i = np.cos(angle)
+    transmitted = np.sqrt(eps - np.sin(angle) ** 2)
+    near = cos_i if polarization == "TE" else eps * cos_i
+    magnitude = np.abs((near - transmitted) / (near + transmitted))
+    with np.errstate(divide="ignore"):
+        return -20.0 * np.log10(magnitude)
 
 
 def diffraction_loss_db(model: DiffractionLossModel, f_hz: float) -> float:

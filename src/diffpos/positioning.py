@@ -450,10 +450,8 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     a_mat = 2.0 * (anchors[1:] - x0)
     if _rank_deficient(a_mat):
         raise SingularGeometryError("LLS design matrix: rank-deficient system")
-    # The first range is squared by the scalar power of each problem: numpy's
-    # array square can differ from it in the last bit.
-    r0_sq = np.array([r0 ** 2 for r0 in flat[:, 0].tolist()])
-    b = r0_sq[:, None] - flat[:, 1:] ** 2 + np.sum(anchors[1:] ** 2, axis=1) - float(x0 @ x0)
+    sq = flat ** 2
+    b = sq[:, :1] - sq[:, 1:] + np.sum(anchors[1:] ** 2, axis=1) - float(x0 @ x0)
     solutions = np.array([np.linalg.lstsq(a_mat, rhs, rcond=None)[0] for rhs in b])
     return solutions.reshape(*ranges.shape[:-1], 3)
 

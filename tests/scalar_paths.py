@@ -2,22 +2,24 @@
 
 These are the bodies the columnar ``channel`` and ``fap`` code replaced,
 kept as the test oracle: the image-source reflection off one plane, the
-per-reflector specular test that ``path_table`` ran, the per-row PDP with
-scalar free-space loss and one ``Mpc`` per row, the where/cumsum slab sum of
+per-reflector specular test that ``path_table`` ran, the one-angle
+``cmath`` Fresnel reflection loss, the per-row PDP with scalar free-space
+loss and one ``Mpc`` per row, the where/cumsum slab sum of
 ``PathTable.losses``, and the object bodies of ``truncate_top_k`` and
 ``select_fap``.
 """
 
+import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from diffpos.channel import Mpc, Pdp, classify_mpc, noise_floor_dbm
+from diffpos.channel import Mpc, Pdp, Surface, classify_mpc, noise_floor_dbm
 from diffpos.constants import SPEED_OF_LIGHT
 from diffpos.fap import FapSelection, NoDetectionError
 from diffpos.geometry import GeometryError, Point3
-from diffpos.materials import diffraction_loss_db, reflection_loss_db
+from diffpos.materials import complex_permittivity, diffraction_loss_db
 
 _PLANE_UV = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
 
@@ -72,8 +74,10 @@ def contains_uv(surf, u, v):
 
 
 def reflectors(scene, geom):
-    """(plane, slab, surface or None) per reflector, in reflector order: the
-    reflective surfaces, then the ground."""
+    """(plane, slab, surface) per reflector, in reflector order: the
+    reflective surfaces, then the ground, which reflects outside the
+    building's footprint (the level-0 slab reflects inside it, rim
+    included)."""
     out = []
     for surf in geom.surfaces:
         if surf.reflective:
@@ -81,7 +85,10 @@ def reflectors(scene, geom):
             normal["xyz".index(surf.axis)] = 1.0
             out.append((Plane(normal, surf.coord), surf.slab, surf))
     if scene.include_ground:
-        out.append((Plane(np.array([0.0, 0.0, 1.0]), 0.0), scene.exterior_slab, None))
+        ground = Surface("ground", "z", 0.0, -math.inf, math.inf, -math.inf, math.inf,
+                         scene.exterior_slab,
+                         cutouts=((0.0, scene.footprint_x, 0.0, scene.footprint_y),))
+        out.append((Plane(np.array([0.0, 0.0, 1.0]), 0.0), scene.exterior_slab, ground))
     return out
 
 
@@ -96,10 +103,9 @@ def reflections(scene, geom, tx, rx):
         except GeometryError:
             continue
         spec = sol.specular_point.as_array()
-        if surf is not None:
-            ui, vi = _PLANE_UV[surf.axis]
-            if not contains_uv(surf, spec[ui], spec[vi]):
-                continue
+        ui, vi = _PLANE_UV[surf.axis]
+        if not contains_uv(surf, spec[ui], spec[vi]):
+            continue
         incident = spec - tx
         norm = np.linalg.norm(incident)
         if norm == 0.0:
@@ -108,6 +114,26 @@ def reflections(scene, geom, tx, rx):
         angle = math.acos(min(1.0, cos_i))
         out.append((k, sol.length, spec, min(angle, math.pi / 2 - 1e-12)))
     return out
+
+
+def reflection_loss_db(slab, f_hz, angle, polarization):
+    """Fresnel reflection loss -20*log10(|Gamma|) of one angle off the
+    slab's facing material as a lossy half-space; +inf where it reflects
+    nothing."""
+    if not 0.0 <= angle < math.pi / 2.0:
+        raise ValueError("incidence angle must lie in [0, pi/2)")
+    if polarization not in ("TE", "TM"):
+        raise ValueError(f"unknown polarization {polarization!r}")
+    eps = complex_permittivity(slab.facing_material, f_hz)
+    cos_i = math.cos(angle)
+    sin_i = math.sin(angle)
+    transmitted = cmath.sqrt(eps - sin_i ** 2)
+    if polarization == "TE":
+        gamma = (cos_i - transmitted) / (cos_i + transmitted)
+    else:
+        gamma = (eps * cos_i - transmitted) / (eps * cos_i + transmitted)
+    magnitude = abs(gamma)
+    return math.inf if magnitude == 0.0 else -20.0 * math.log10(magnitude)
 
 
 def row_interactions(table, i):
@@ -128,7 +154,7 @@ def pdp(table, f_hz):
     band = radio.band_for(f_hz)
     floor = noise_floor_dbm(band.bandwidth_hz, radio.noise_temperature_k)
     gain = band.tx_power_dbm + band.rx_processing_gain_db
-    slab_db = table.geometry.prepare_frequency(f_hz)
+    slab_db, _ = table.geometry.prepare_frequency(f_hz)
     mpcs = []
     for i, length in enumerate(table.length_m.tolist()):
         if table.edge_id[i] >= 0:

@@ -36,11 +36,11 @@ from diffpos.channel import (
 from diffpos.cli import main as cli_main
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, build_default_scene
 from diffpos.geometry import Point3, euclidean_distance, _on_edge_line
-from diffpos.materials import Band, DiffractionLossModel, default_material_library
+from diffpos.materials import DiffractionLossModel, default_material_library
 
 RNG = np.random.default_rng(42)
 LIB = default_material_library()
-BAND = Band("FR1", center_frequency_hz=3.5e9, bandwidth_hz=400e6, tx_power_dbm=20.0)
+BANDWIDTH_HZ = 400e6
 
 
 def make_scene(**overrides) -> SceneConfig:
@@ -587,7 +587,7 @@ def test_ingest_well_formed(tmp_path):
         '{"anchor_id": 1, "rx_id": 1, "rx_xyz": [1.0, 2.0, 3.0], "interactions": "Tx-DS-Rx", '
         '"path_length_m": 12.0, "rx_power_dbm": -70.0}\n'
     )
-    result = ingest_dataset(path, BAND)
+    result = ingest_dataset(path, BANDWIDTH_HZ)
     assert result.mpc_count == 3
     assert not result.rejected
     pdp = result.pdps[(0, 1)]
@@ -603,7 +603,7 @@ def test_ingest_rejects_negative_length(tmp_path):
         '{"anchor_id": 0, "rx_id": 0, "rx_xyz": [0, 0, 0], "interactions": "Tx-Rx", '
         '"path_length_m": -5.0, "rx_power_dbm": -50.0}\n'
     )
-    result = ingest_dataset(path, BAND)
+    result = ingest_dataset(path, BANDWIDTH_HZ)
     assert result.mpc_count == 0
     assert len(result.rejected) == 1
     assert result.rejected[0][0] == 2
@@ -616,7 +616,7 @@ def test_ingest_rejects_inconsistent_tof(tmp_path):
         '{"anchor_id": 0, "rx_id": 0, "rx_xyz": [0, 0, 0], "interactions": "Tx-Rx", '
         '"path_length_m": 10.0, "rx_power_dbm": -50.0, "tof_s": 1.0e-7}\n'
     )
-    result = ingest_dataset(path, BAND)
+    result = ingest_dataset(path, BANDWIDTH_HZ)
     assert result.mpc_count == 0
     assert "tof" in result.rejected[0][1]
 
@@ -630,7 +630,7 @@ def test_ingest_malformed_line_reports_number(tmp_path):
         'this is not json\n'
     )
     with pytest.raises(DatasetError) as err:
-        ingest_dataset(path, BAND)
+        ingest_dataset(path, BANDWIDTH_HZ)
     assert err.value.line_no == 3
 
 
@@ -667,12 +667,12 @@ def test_ingest_bad_field_values(tmp_path, changes, outcome):
     path.write_text('{"schema": "mpc-dataset/1"}\n' + json.dumps(_RECORD) + "\n"
                     + json.dumps({**_RECORD, **changes}) + "\n")
     if outcome == "rejected":
-        result = ingest_dataset(path, BAND)
+        result = ingest_dataset(path, BANDWIDTH_HZ)
         assert result.mpc_count == 1
         assert [line_no for line_no, _ in result.rejected] == [3]
     else:
         with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as err:
-            ingest_dataset(path, BAND)
+            ingest_dataset(path, BANDWIDTH_HZ)
         assert err.value.line_no == 3
 
 
@@ -703,19 +703,19 @@ def test_ingest_ids(tmp_path, capsys, changes, outcome):
     rc = cli_main(["ingest", "--dataset", str(path)])
     out, err = capsys.readouterr()
     if outcome == "accepted":
-        result = ingest_dataset(path, BAND)
+        result = ingest_dataset(path, BANDWIDTH_HZ)
         assert not result.rejected
         (mpc,) = result.pdps[(2, 0)].mpcs
         assert (mpc.group, mpc.edge_id) == (MpcGroup.MPC4, 4)
         assert rc == 0 and "2 MPCs" in out
     elif outcome.startswith("rejected: "):
-        result = ingest_dataset(path, BAND)
+        result = ingest_dataset(path, BANDWIDTH_HZ)
         assert result.mpc_count == 1
         assert result.rejected == [(3, outcome.removeprefix("rejected: "))]
         assert rc == 0 and "1 rejected records" in out
     else:
         with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as exc:
-            ingest_dataset(path, BAND)
+            ingest_dataset(path, BANDWIDTH_HZ)
         assert exc.value.line_no == 3
         assert rc == 1 and err == f"error: {exc.value}\n"
 
@@ -726,7 +726,7 @@ def test_ingest_bad_schema(tmp_path):
                             ("[]", "header: expected an object, got list")):
         path.write_text(header + "\n")
         with pytest.raises(DatasetError, match=f"^line 1: {re.escape(message)}$"):
-            ingest_dataset(path, BAND)
+            ingest_dataset(path, BANDWIDTH_HZ)
 
 
 def test_dataset_round_trip_bitwise(tmp_path):
@@ -741,7 +741,7 @@ def test_dataset_round_trip_bitwise(tmp_path):
     assert n == sum(len(p) for p in pdps)
 
     band = scene.radio.band_for(10e9)
-    result = ingest_dataset(path, band, scene.radio.noise_temperature_k)
+    result = ingest_dataset(path, band.bandwidth_hz, scene.radio.noise_temperature_k)
     assert not result.rejected
     assert result.mpc_count == n
     for pdp in pdps:

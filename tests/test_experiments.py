@@ -957,7 +957,7 @@ def test_cli_ingest(tmp_path, capsys):
     dataset = tmp_path / "mpcs.jsonl"
     write_dataset(pdps, dataset)
 
-    rc = cli_main(["ingest", "--dataset", str(dataset), "--center-frequency", "10e9"])
+    rc = cli_main(["ingest", "--dataset", str(dataset)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "MPCs across 3" in out

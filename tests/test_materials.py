@@ -6,11 +6,14 @@ high-precision evaluations of the defining formulas (see comments).
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import scalar_paths
 from diffpos.constants import VACUUM_PERMITTIVITY
+from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ
 from diffpos.materials import (
     Band,
     DiffractionLossModel,
@@ -37,6 +40,10 @@ DRYWALL = LIB.slab("interior_drywall")
 
 def slab_of(material: Material, thickness: float) -> SlabSpec:
     return SlabSpec(name=material.name, layers=(SlabLayer(material, thickness),))
+
+
+def eps_of(slab: SlabSpec, f_hz: float) -> complex:
+    return complex_permittivity(slab.facing_material, f_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +127,8 @@ def test_outputs_finite_over_band():
     for f in np.geomspace(0.4e9, 60e9, 24):
         assert math.isfinite(transmission_loss_db(CONCRETE_WALL, f))
         assert math.isfinite(transmission_loss_db(DRYWALL, f))
-        assert math.isfinite(reflection_loss_db(CONCRETE_WALL, f, 0.5, "TE"))
-        assert math.isfinite(reflection_loss_db(DRYWALL, f, 0.5, "TM"))
+        assert math.isfinite(reflection_loss_db(eps_of(CONCRETE_WALL, f), 0.5, "TE"))
+        assert math.isfinite(reflection_loss_db(eps_of(DRYWALL, f), 0.5, "TM"))
         assert math.isfinite(free_space_path_loss_db(25.0, f))
 
 
@@ -162,13 +169,19 @@ def test_fspl_rejects_nonpositive():
 
 def test_reflection_grazing_limit():
     angle = math.pi / 2 - 1e-6
-    loss = reflection_loss_db(CONCRETE_WALL, 3.5e9, angle, "TE")
+    loss = reflection_loss_db(eps_of(CONCRETE_WALL, 3.5e9), angle, "TE")
     assert loss == pytest.approx(0.0, abs=1e-4)
 
 
 def test_reflection_index_matched_sentinel():
-    m = Material("matched", a=1.0, b=0.0, c=0.0, d=0.0)
-    assert reflection_loss_db(slab_of(m, 0.1), 3.5e9, 0.0, "TE") == math.inf
+    # Exactly +inf, without a RuntimeWarning from the log of zero.
+    eps = eps_of(slab_of(Material("matched", a=1.0, b=0.0, c=0.0, d=0.0), 0.1), 3.5e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for polarization in ("TE", "TM"):
+            assert reflection_loss_db(eps, 0.0, polarization) == math.inf
+            assert reflection_loss_db(np.full((2, 3), eps), np.zeros(3),
+                                      polarization).tolist() == [[math.inf] * 3] * 2
 
 
 def test_reflection_normal_incidence_vs_complex_oracle():
@@ -176,47 +189,72 @@ def test_reflection_normal_incidence_vs_complex_oracle():
     eps = 5.31 - 1j * conductivity(CONCRETE, f) / (2 * math.pi * f * VACUUM_PERMITTIVITY)
     expect = abs((1 - np.sqrt(eps)) / (1 + np.sqrt(eps)))
     for pol in ("TE", "TM"):
-        loss = reflection_loss_db(CONCRETE_WALL, f, 0.0, pol)
+        loss = reflection_loss_db(eps_of(CONCRETE_WALL, f), 0.0, pol)
         assert 10 ** (-loss / 20) == pytest.approx(expect, rel=1e-9)
 
 
 def test_reflection_te_loss_nonincreasing_toward_grazing():
     angles = np.linspace(0.0, math.pi / 2 - 1e-4, 50)
-    losses = [reflection_loss_db(CONCRETE_WALL, 10e9, a, "TE") for a in angles]
-    assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-    assert all(v >= 0 for v in losses)
+    losses = reflection_loss_db(eps_of(CONCRETE_WALL, 10e9), angles, "TE")
+    assert (losses[1:] <= losses[:-1] + 1e-12).all()
+    assert (losses >= 0).all()
+
+
+def oracle_angles(seed):
+    """Random angles in [0, pi/2), then 0 and the clamp just below pi/2."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(0.0, math.pi / 2, 40), [0.0, math.pi / 2 - 1e-12]])
+
+
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("slab", [CONCRETE_WALL, DRYWALL], ids=["concrete", "drywall"])
+def test_reflection_loss_matches_the_scalar_oracle(slab, polarization):
+    # The (F, R) losses of the ladder's permittivities against R angles, each
+    # within 1e-12 dB of the one-angle cmath body.
+    angles = oracle_angles(4)
+    eps = np.array([[eps_of(slab, f_hz)] for f_hz in DEFAULT_FREQUENCY_LADDER_HZ])
+    got = reflection_loss_db(eps, angles, polarization)
+    assert got.shape == (len(DEFAULT_FREQUENCY_LADDER_HZ), len(angles))
+    for row, f_hz in zip(got, DEFAULT_FREQUENCY_LADDER_HZ):
+        want = [scalar_paths.reflection_loss_db(slab, f_hz, a, polarization)
+                for a in angles.tolist()]
+        assert np.abs(row - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("polarization", ["TE", "TM"])
 @pytest.mark.parametrize("slab", [CONCRETE_WALL, DRYWALL], ids=["concrete", "drywall"])
 def test_reflection_loss_of_many_angles_equals_one_angle_calls(slab, polarization):
-    # One call per (reflector, frequency) over that reflector's rows: every
-    # entry bit for bit the one-angle call, up to an angle just below pi/2.
-    rng = np.random.default_rng(4)
-    angles = np.concatenate([rng.uniform(0.0, math.pi / 2, 40),
-                             [0.0, math.pi / 2 - 1e-12, np.nextafter(math.pi / 2, 0.0)]])
-    for f_hz in (0.7e9, 28e9, 39e9):
-        got = reflection_loss_db(slab, f_hz, angles, polarization)
-        want = [reflection_loss_db(slab, f_hz, float(a), polarization) for a in angles]
-        assert isinstance(got, list) and got == want
-        assert reflection_loss_db(slab, f_hz, angles.tolist(), polarization) == want
-        assert reflection_loss_db(slab, f_hz, angles[:0], polarization) == []
-    matched = slab_of(Material("matched", a=1.0, b=0.0, c=0.0, d=0.0), 0.1)
-    assert reflection_loss_db(matched, 3.5e9, np.zeros(3), polarization) == [math.inf] * 3
+    # Every entry of a many-angle, many-permittivity call is bit for bit its
+    # own one-angle call, up to the angle just below pi/2: a row's loss does
+    # not depend on the other rows of its call.
+    angles = np.append(oracle_angles(5), np.nextafter(math.pi / 2, 0.0))
+    eps = np.array([[eps_of(s, f_hz) for s in (slab, CONCRETE_WALL, DRYWALL)]
+                    for f_hz in DEFAULT_FREQUENCY_LADDER_HZ])[:, np.arange(len(angles)) % 3]
+    got = reflection_loss_db(eps, angles, polarization)
+    want = [[reflection_loss_db(e, a, polarization) for e, a in zip(row, angles)]
+            for row in eps]
+    assert np.array_equal(got, want)
+    assert np.array_equal(reflection_loss_db(eps[2:5, 3:9], angles[3:9], polarization),
+                          got[2:5, 3:9])
+    assert reflection_loss_db(eps[:, :0], angles[:0], polarization).shape == (7, 0)
 
 
 def test_reflection_rejects_a_bad_angle_among_many():
-    with pytest.raises(ValueError, match="incidence angle must lie in"):
-        reflection_loss_db(CONCRETE_WALL, 1e9, np.array([0.1, math.pi / 2, 0.2]), "TE")
-    with pytest.raises(ValueError, match="unknown polarization"):
-        reflection_loss_db(CONCRETE_WALL, 1e9, np.array([0.1]), "XY")
+    eps = eps_of(CONCRETE_WALL, 1e9)
+    with pytest.raises(ValueError, match=r"^incidence angle must lie in \[0, pi/2\)$"):
+        reflection_loss_db(eps, np.array([0.1, math.pi / 2, 0.2]), "TE")
+    with pytest.raises(ValueError, match=r"^incidence angle must lie in"):
+        reflection_loss_db(eps, np.array([0.1, math.nan]), "TE")
+    with pytest.raises(ValueError, match=r"^unknown polarization 'XY'$"):
+        reflection_loss_db(eps, np.array([0.1]), "XY")
 
 
 def test_reflection_rejects_bad_angle():
-    with pytest.raises(ValueError):
-        reflection_loss_db(CONCRETE_WALL, 1e9, math.pi / 2, "TE")
-    with pytest.raises(ValueError):
-        reflection_loss_db(CONCRETE_WALL, 1e9, -0.1, "TE")
+    eps = eps_of(CONCRETE_WALL, 1e9)
+    with pytest.raises(ValueError, match="incidence angle must lie in"):
+        reflection_loss_db(eps, math.pi / 2, "TE")
+    with pytest.raises(ValueError, match="incidence angle must lie in"):
+        reflection_loss_db(eps, -0.1, "TE")
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,31 @@ def test_reflections_drop_window_cutouts():
     assert facade in wall.ids.tolist()
 
 
+def test_ground_reflects_only_outside_the_footprint():
+    # The level-0 slab and the ground share the plane z = 0. Inside the
+    # footprint the slab's row is the one reflection there; the slab's
+    # inclusive extent owns the footprint's rim; outside it the ground
+    # reflects.
+    names = [s.name for s in GEOM.surfaces if s.reflective] + ["ground"]
+    scene = replace(SCENE, anchors=((15.0, -1.0, 1.0),))
+    rx = np.array([15.0, 19.0, 7.5])
+    table = path_table(scene, (0,), rx, GEOM)
+    rows = np.flatnonzero(table.reflector >= 0)
+    assert [names[k] for k in table.reflector[rows]] == ["facade_y20", "slab_z0", "slab_z9"]
+    on_slab = rows[1]
+    assert table.length_m[on_slab] == 21.73131381210073
+    assert table.n_crossings[on_slab].tolist() == [1, 4]
+    oracle = [names[k] for k, *_ in scalar_paths.reflections(scene, GEOM, scene.anchors[0], rx)]
+    assert "slab_z0" in oracle and "ground" not in oracle
+    for tx, rx, where in [((-2.0, 5.0, 1.0), (2.0, 5.0, 1.0), "slab_z0"),  # on the rim x = 0
+                          ((5.0, -2.0, 1.0), (5.0, 2.0, 1.0), "slab_z0"),  # on the rim y = 0
+                          ((-5.0, 5.0, 1.0), (-3.0, 5.0, 1.0), "ground")]:
+        tx, rx = np.array(tx), np.array(rx)
+        got = [names[k] for k in GEOM.reflections(tx, rx).ids.tolist()]
+        assert where in got and ("ground" in got) == (where == "ground")
+        assert [names[k] for k, *_ in scalar_paths.reflections(SCENE, GEOM, tx, rx)] == got
+
+
 # ---------------------------------------------------------------------------
 # Path table columns and the (F, P) loss pass
 # ---------------------------------------------------------------------------
@@ -208,7 +233,7 @@ def test_leg_slab_sums_equal_the_where_cumsum_oracle(freqs):
                for a, rx in random_pairs(np.random.default_rng(8), 40)]
     deepest = 0
     for table in tables:
-        slab_db = np.array([table.geometry.prepare_frequency(f_hz) for f_hz in freqs])
+        slab_db = np.array([table.geometry.prepare_frequency(f_hz)[0] for f_hz in freqs])
         crossed = table.crossings.reshape(-1, slab_db.shape[1])
         got = channel._leg_slab_db(crossed, slab_db)
         assert np.array_equal(got, scalar_paths.leg_slab_db(crossed, slab_db))

@@ -276,8 +276,8 @@ def test_lls_rejects_non_finite_range_naming_its_row():
 def per_problem_lls(anchors, ranges):
     """The one-problem LLS body: squared ranges differenced against the
     first anchor, then one lstsq call."""
-    x0, r0 = anchors[0], ranges[0]
-    b = r0 ** 2 - ranges[1:] ** 2 + np.sum(anchors[1:] ** 2, axis=1) - float(x0 @ x0)
+    x0, sq = anchors[0], ranges ** 2
+    b = sq[0] - sq[1:] + np.sum(anchors[1:] ** 2, axis=1) - float(x0 @ x0)
     return np.linalg.lstsq(2.0 * (anchors[1:] - x0), b, rcond=None)[0]
 
 
