@@ -182,8 +182,8 @@ def _top_k_rows(tof: np.ndarray, snr: np.ndarray, k: int) -> np.ndarray:
 
 def truncate_top_k(pdp: Pdp, k: int = 25) -> Pdp:
     """Keep the k highest-SNR MPCs, re-sorted by time of flight."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if len(pdp.mpcs) <= k:
         return pdp
     rows = _top_k_rows(np.array([m.tof_s for m in pdp.mpcs]),
@@ -827,6 +827,8 @@ class PathTable:
         """
         radio = self.scene.radio
         freqs = [float(f_hz) for f_hz in np.ravel(freqs_hz)]
+        if not freqs:
+            raise ValueError("freqs_hz is empty")
         bands = [radio.band_for(f_hz) for f_hz in freqs]
         gain = np.array([[b.tx_power_dbm + b.rx_processing_gain_db] for b in bands])
         floor = np.array([[noise_floor_dbm(b.bandwidth_hz, radio.noise_temperature_k)]

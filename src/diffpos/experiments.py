@@ -358,8 +358,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     Receivers run in the outer loop, in blocks of up to ``_BLOCK_ROWS``
     candidate path rows: each block's path table of all anchors is built
-    once, with one crossing test per (receiver, anchor) pair, and its
-    losses are evaluated at every frequency in one pass.
+    once, each distinct leg tested for crossings once, and its losses are
+    evaluated at every frequency in one pass.
     Top-k truncation and the FAP of all of a block's pairs and frequencies
     run in one ``fap_rows`` call on the stacked table columns, so no Mpc
     object is built; the block yields its detected (receiver, frequency)

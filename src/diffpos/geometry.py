@@ -49,11 +49,6 @@ class Point3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @classmethod
-    def from_array(cls, a) -> "Point3":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
 
 class EdgeTable(NamedTuple):
     """Window edges packed into arrays, one entry per edge, in edge order."""

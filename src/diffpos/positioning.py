@@ -87,11 +87,10 @@ class _Rows(NamedTuple):
     """
 
     # The world -> edge-local rotation R and translation: local[i] =
-    # sum_k to_local[k, i] * world[k] + translation[i], and a local
-    # gradient maps back to world axes as sum_k to_world[k, :, i] * local[k].
+    # sum_k to_local[k, i] * world[k] + translation[i]. Its transposed view
+    # maps a local gradient back to world axes (``_model_rows``).
     to_local: np.ndarray  # (3, 3, M, R) [k, i] = R[i, k]
     translation: np.ndarray  # (3, M, R)
-    to_world: np.ndarray  # (3, M, 3, R) [k, :, i] = R[k, i]
     anchor: np.ndarray  # (3, 1, M, R) anchor x, y, z in the edge-local frame
     x2: np.ndarray  # (M, R) edge endpoint x2 along the local x axis
     span: np.ndarray  # (M, R) x1 - x2
@@ -109,13 +108,11 @@ def _pack(table: EdgeTable, local: np.ndarray, anchor_ids, edge_ids, ranges) -> 
     ``ranges[r, j]``, one gather per column from ``table`` and from
     ``local`` (A, E, 3), the anchors in every edge frame."""
     ids = np.ascontiguousarray(np.asarray(edge_ids).T)  # (M, R); gathers keep its layout
-    rotation = table.rotation[ids]  # (M, R, 3, 3)
     anchor = local[np.broadcast_to(anchor_ids, ids.T.shape).T, ids]  # (M, R, 3)
     x1, x2 = table.x1[ids], table.x2[ids]
     return _Rows(
-        to_local=np.ascontiguousarray(rotation.transpose(3, 2, 0, 1)),
-        translation=np.ascontiguousarray(table.translation[ids].transpose(2, 0, 1)),
-        to_world=np.ascontiguousarray(rotation.transpose(2, 0, 3, 1)),
+        to_local=np.take(table.rotation.transpose(2, 1, 0), ids, axis=2),
+        translation=np.take(table.translation.T, ids, axis=1),
         anchor=np.ascontiguousarray(anchor.transpose(2, 0, 1))[:, None],
         x2=x2,
         span=x1 - x2,
@@ -143,11 +140,11 @@ def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray,
     where l_rx, l_tx are the receiver- and anchor-side legs; a leg below
     1e-12 m flags the entry singular. The anchor and the receiver are the two
     ends of one stacked (2, M, R) edge solve, and the three local partials
-    are one stacked division; one product with the frame rotation, summed
-    over the local axis in axis order, maps them back to world axes. Every
-    entry depends on its own row only. The outputs are views of row-last
-    arrays, (M, R) and (M, 3, R). The caller sets the floating-point error
-    state: a singular entry divides by zero.
+    are one stacked division; one product with the transposed view of
+    ``to_local``, summed over the local axis in axis order, maps them back to
+    world axes. Every entry depends on its own row only. The outputs are
+    views of row-last arrays, (M, R) and (M, 3, R). The caller sets the
+    floating-point error state: a singular entry divides by zero.
     """
     r = np.add.reduce(rows.to_local * alpha.T[:, None, None, :], axis=0) + rows.translation
     ends = np.concatenate((rows.anchor, r[:, None]), axis=1)  # (3, 2, M, R): anchor, receiver
@@ -159,7 +156,8 @@ def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray,
     singular = np.fmin(legs[1], legs[0]) < 1e-12
     # (x_n - q, y_n, z_e - z_a) over (l_rx, l_rx, l_tx).
     local = np.concatenate((sol.dx[1:], y[1:], sol.dz[:1])) / legs.take(_PARTIAL_LEGS, axis=0)
-    grad = np.add.reduce(rows.to_world * local[:, :, None], axis=0)
+    # to_local.transpose(1, 2, 0, 3) holds R[k, i] at [k, :, i].
+    grad = np.add.reduce(rows.to_local.transpose(1, 2, 0, 3) * local[:, :, None], axis=0)
     return sol.length.T, grad.T, singular.T
 
 

@@ -124,7 +124,6 @@ def scalar_pack(sets) -> _Rows:
     return _Rows(
         to_local=np.ascontiguousarray(rotation.transpose(1, 0, 2, 3)),
         translation=edge_column("translation", 3),
-        to_world=np.ascontiguousarray(rotation.transpose(0, 2, 1, 3)),
         anchor=t[:, None],
         x2=x2,
         span=x1 - x2,

@@ -173,7 +173,7 @@ def edge_solution(t, r, table, e, z_e):
     qx = x2 + lam * (x1 - x2)
     length = two_leg_length(t, r, z_e, qx)
     q_world = to_world(table, e, [qx, 0.0, z_e])
-    return EdgeSolution(lam, Point3.from_array(q_world), length, endpoint)
+    return EdgeSolution(lam, Point3(*q_world.tolist()), length, endpoint)
 
 
 def diffraction_point(tx, rx, table, e):

@@ -45,7 +45,7 @@ def signed_distance(plane, p):
 def reflect_point(p, plane):
     """Mirror image of p across the plane (the virtual-source construction)."""
     v = np.asarray(p, dtype=float)
-    return Point3.from_array(v - 2.0 * signed_distance(plane, v) * plane.normal)
+    return Point3(*(v - 2.0 * signed_distance(plane, v) * plane.normal).tolist())
 
 
 def reflection_path_length(tx, rx, plane):
@@ -61,7 +61,7 @@ def reflection_path_length(tx, rx, plane):
     direction = r - image
     length = float(np.linalg.norm(direction))
     s = dt / (dt + dr)
-    return ReflectionSolution(length, Point3.from_array(image + s * direction))
+    return ReflectionSolution(length, Point3(*(image + s * direction).tolist()))
 
 
 def contains_uv(surf, u, v):
@@ -181,7 +181,7 @@ def pdp(table, f_hz):
                         int(table.anchor[i]), classify_mpc(interactions),
                         None if edge < 0 else edge))
     mpcs.sort(key=lambda m: m.tof_s)
-    return Pdp(mpcs, Point3.from_array(table.receivers[0]), table.anchor_ids[0])
+    return Pdp(mpcs, Point3(*table.receivers[0].tolist()), table.anchor_ids[0])
 
 
 def leg_slab_db(crossed, slab_db):

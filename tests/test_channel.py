@@ -201,8 +201,17 @@ def test_truncate_matches_bruteforce():
 
 
 def test_truncate_rejects_bad_k():
-    with pytest.raises(ValueError):
-        truncate_top_k(mk_pdp([mk_mpc(10, 1.0)]), 0)
+    # Refused at the boundary, as SweepConfig refuses such a top_k.
+    pdp = mk_pdp([mk_mpc(10.0 + i, snr=float(i)) for i in range(5)])
+    for k in (0, -1, 2.5, 2.0, True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1, got "):
+            truncate_top_k(pdp, k)
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_truncate_takes_numpy_integer_k(k):
+    pdp = mk_pdp([mk_mpc(10.0 + i, snr=float(i)) for i in range(5)])
+    assert [m.snr_db for m in truncate_top_k(pdp, k).mpcs] == [3.0, 4.0]
 
 
 # ---------------------------------------------------------------------------

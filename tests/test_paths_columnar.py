@@ -195,6 +195,13 @@ def test_group_codes_match_classify():
     assert groups == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("freqs", [[], (), np.zeros(0)])
+def test_losses_reject_no_frequencies(freqs):
+    table = path_table(SCENE, (0,), receiver_grid(SCENE)[0], GEOM)
+    with pytest.raises(ValueError, match="^freqs_hz is empty$"):
+        table.losses(freqs)
+
+
 def test_losses_match_per_row_pdp_at_every_ladder_frequency():
     checked = 0
     for a, rx in random_pairs(np.random.default_rng(13), 12):
