@@ -40,7 +40,6 @@ from .geometry import (
     euclidean_distance,
 )
 from .materials import (
-    Band,
     DiffractionLossModel,
     SlabSpec,
     complex_permittivity,
@@ -205,6 +204,14 @@ class BandPlan:
     tx_power_dbm: float
     rx_processing_gain_db: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0 < self.f_lo_hz < math.inf:
+            raise ValueError(f"band {self.label!r}: f_lo_hz must be positive and finite, "
+                             f"got {self.f_lo_hz:g} Hz")
+        if not self.f_lo_hz <= self.f_hi_hz < math.inf:
+            raise ValueError(f"band {self.label!r}: f_hi_hz must be finite and >= f_lo_hz, "
+                             f"got {self.f_hi_hz:g} Hz")
+
 
 @dataclass(frozen=True)
 class RadioConfig:
@@ -219,16 +226,11 @@ class RadioConfig:
         if self.polarization not in ("TE", "TM"):
             raise ValueError(f"polarization must be 'TE' or 'TM', got {self.polarization!r}")
 
-    def band_for(self, f_hz: float) -> Band:
+    def band_for(self, f_hz: float) -> BandPlan:
+        """The first configured band whose range holds ``f_hz``."""
         for plan in self.bands:
             if plan.f_lo_hz <= f_hz <= plan.f_hi_hz:
-                return Band(
-                    label=plan.label,
-                    center_frequency_hz=f_hz,
-                    bandwidth_hz=self.bandwidth_hz,
-                    tx_power_dbm=plan.tx_power_dbm,
-                    rx_processing_gain_db=plan.rx_processing_gain_db,
-                )
+                return plan
         raise ValueError(f"frequency {f_hz:g} Hz is outside every configured band")
 
 
@@ -815,9 +817,11 @@ class PathTable:
         """Received power and SNR of every row at each of F frequencies
         (``freqs_hz`` is one frequency or a sequence of them).
 
-        A row's received power is the band gain minus the free-space loss of
-        its length, minus its reflection loss or excess diffraction loss,
-        minus the slab losses of the surfaces each leg crosses. The losses
+        A row's received power is the transmit power plus processing gain of
+        the frequency's band, minus the free-space loss of its length, minus
+        its reflection loss or excess diffraction loss, minus the slab losses
+        of the surfaces each leg crosses; its SNR is that power over the one
+        noise floor of the radio's bandwidth and noise temperature. The losses
         accumulate as along the path: each leg's slab losses are summed in
         surface order, the first leg's then the second's, which fixes the
         floating-point rounding. The reflection losses of all reflection
@@ -829,10 +833,8 @@ class PathTable:
         freqs = [float(f_hz) for f_hz in np.ravel(freqs_hz)]
         if not freqs:
             raise ValueError("freqs_hz is empty")
-        bands = [radio.band_for(f_hz) for f_hz in freqs]
-        gain = np.array([[b.tx_power_dbm + b.rx_processing_gain_db] for b in bands])
-        floor = np.array([[noise_floor_dbm(b.bandwidth_hz, radio.noise_temperature_k)]
-                          for b in bands])
+        gain = np.array([[plan.tx_power_dbm + plan.rx_processing_gain_db]
+                         for plan in map(radio.band_for, freqs)])
 
         slab_db, eps = map(np.array, zip(*map(self.geometry.prepare_frequency, freqs)))
         base = np.zeros((len(freqs), len(self.length_m)))
@@ -845,7 +847,7 @@ class PathTable:
                                slab_db).reshape(len(freqs), -1, 2)
         extra = base + legs_db[..., 0] + legs_db[..., 1]
         power = gain - free_space_path_loss_db(self.length_m, np.array(freqs)[:, None]) - extra
-        snr = power - floor
+        snr = power - noise_floor_dbm(radio.bandwidth_hz, radio.noise_temperature_k)
         detected = ~np.isinf(base) & (snr >= self.scene.limits.min_snr_db)
         return PathLosses(power, snr, detected)
 
@@ -968,16 +970,12 @@ def _path_table(scene: SceneConfig, anchor_ids: tuple[int, ...], receivers: np.n
     ends, n_ends = geom.edge_ends, len(geom.edge_ends)
     clamped = end >= 0
     fresh, rows = (~clamped).nonzero()[0], clamped.nonzero()[0]
+    # The distinct (receiver, edge end) keys, found by a scatter, and the
+    # position of each row's key among them.
     key = (receiver * n_ends + end).take(rows)
-    if n_anchors == 1:
-        # A receiver's rows of one anchor are clamped at distinct edges.
-        shared, slot = key, np.arange(len(key))
-    else:
-        # The distinct (receiver, edge end) keys, found by a scatter, and
-        # the position of each row's key among them.
-        used = np.zeros(len(receivers) * n_ends, dtype=bool)
-        used[key] = True
-        shared, slot = used.nonzero()[0], (used.cumsum() - 1).take(key)
+    used = np.zeros(len(receivers) * n_ends, dtype=bool)
+    used[key] = True
+    shared, slot = used.nonzero()[0], (used.cumsum() - 1).take(key)
     base = n_anchors * n_ends
     # Each row's two legs as columns of legs.
     leg = np.empty((2, len(pair)), dtype=int)

@@ -290,18 +290,18 @@ class _Results(NamedTuple):
 
 
 def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.ndarray,
-                 receivers: np.ndarray, beta_sqs: np.ndarray) -> _Results:
+                 receivers: np.ndarray, beta_sq: float) -> _Results:
     """LLS, D-NLS and the bound of a batch of cells at every trial.
 
     Each trial draws its noise from its own (seed, frequency index, receiver
     index, trial) generator. One ``lls_solve`` call solves every trial, and
     its estimates start one ``dnls_ladder`` call; one ``peb_batch`` call
     bounds each cell at its receiver, with the earliest diffraction path of
-    each anchor (the strongest isolation assumption).
+    each anchor (the strongest isolation assumption). ``beta_sq`` is the
+    radio's mean squared bandwidth, the same at every frequency.
     """
     n_cells, n_anchors = cells.length_m.shape
     trials = cfg.trials
-    beta_sq = beta_sqs[cells.freq]
     if cfg.noiseless:
         noise = np.zeros((n_cells, trials, n_anchors))
     else:
@@ -310,7 +310,7 @@ def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.
             .standard_normal(n_anchors)
             for fi, ri in zip(cells.freq.tolist(), cells.receiver.tolist())
             for trial in range(trials)]).reshape(n_cells, trials, n_anchors)
-    sigma = range_sigma_m(beta_sq[:, None], 10 ** (cells.snr_db / 10))
+    sigma = range_sigma_m(beta_sq, 10 ** (cells.snr_db / 10))
     ranges = (cells.length_m[:, None] + sigma[:, None] * noise).reshape(-1, n_anchors)
     truth = receivers[cells.receiver]
     trial_truth = np.repeat(truth, trials, axis=0)
@@ -333,7 +333,7 @@ def _solve_cells(cells: _Cells, cfg: SweepConfig, table: EdgeTable, anchors: np.
         dnls_rung=solved.rung.reshape(n_cells, trials),
         dnls_iterations=solved.iterations.reshape(n_cells, trials),
         peb_m=peb_batch(table, anchors, truth, cells.mpc3_edge,
-                        10 ** (cells.mpc3_snr_db / 10), beta_sq),
+                        10 ** (cells.mpc3_snr_db / 10), np.full(n_cells, beta_sq)),
     )
 
 
@@ -377,7 +377,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     receivers = receiver_grid(scene)
     n_anchors = len(scene.anchors)
     freqs = cfg.frequencies_hz
-    beta_sqs = np.array([mean_squared_bandwidth(scene.radio.band_for(f_hz)) for f_hz in freqs])
+    beta_sq = mean_squared_bandwidth(scene.radio.bandwidth_hz)
     anchors = np.asarray(scene.anchors, dtype=float)
     nearest_edges = _nearest_edges(geom, anchors)
     rows = n_anchors * (1 + len(geom.reflector_slabs) + len(geom.edge_table.x1))
@@ -393,7 +393,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         n_waiting += len(cells.freq)
         if n_waiting >= batch or first + block >= len(receivers):
             cells = _Cells(*(np.concatenate(column) for column in zip(*waiting)))
-            solved.append(_solve_cells(cells, cfg, geom.edge_table, anchors, receivers, beta_sqs))
+            solved.append(_solve_cells(cells, cfg, geom.edge_table, anchors, receivers, beta_sq))
             waiting, n_waiting = [], 0
     res = _Results(*(np.concatenate(column) for column in zip(*solved)))
 

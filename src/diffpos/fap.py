@@ -21,7 +21,6 @@ import numpy as np
 
 from .channel import Mpc, Pdp
 from .constants import SPEED_OF_LIGHT
-from .materials import Band
 
 __all__ = [
     "NoDetectionError",
@@ -49,6 +48,12 @@ class FapSelection:
     t_fap_db: float
 
 
+def _check_t_fap(t_fap_db: float) -> None:
+    """Raise ValueError unless the FAP threshold ``t_fap_db`` is >= 0 dB."""
+    if not t_fap_db >= 0:
+        raise ValueError(f"t_fap_db must be >= 0 dB, got {t_fap_db!r}")
+
+
 def _fap_row(tof: np.ndarray, snr: np.ndarray, t_fap_db: float) -> tuple[int, float, float]:
     """The FAP's position among non-empty PDP rows, the strongest SNR and
     the threshold.
@@ -67,8 +72,10 @@ def _fap_row(tof: np.ndarray, snr: np.ndarray, t_fap_db: float) -> tuple[int, fl
 def select_fap(pdp: Pdp, t_fap_db: float) -> FapSelection:
     """Earliest MPC within t_fap dB of the strongest one.
 
-    Ties in time of flight go to the higher-SNR path.
+    Ties in time of flight go to the higher-SNR path. A ``t_fap_db`` below
+    0 dB or NaN raises ValueError.
     """
+    _check_t_fap(t_fap_db)
     if len(pdp) == 0:
         raise NoDetectionError(
             f"empty PDP for anchor {pdp.anchor_id} at {pdp.rx}")
@@ -114,8 +121,10 @@ def fap_rows(tof: np.ndarray, snr: np.ndarray, detected: np.ndarray, mpc3: np.nd
     the higher SNR, then to the earlier position. The MPC3 row is the first
     kept MPC3 row in the order of the truncated PDP: by position when no
     more than k rows are detected, else by time of flight with ties in
-    descending SNR, then by position.
+    descending SNR, then by position. A ``t_fap_db`` below 0 dB or NaN
+    raises ValueError.
     """
+    _check_t_fap(t_fap_db)
     kept = np.asarray(detected, dtype=bool)
     n_detected = np.count_nonzero(kept, axis=-1)
     truncated = n_detected > k
@@ -137,13 +146,13 @@ def fap_rows(tof: np.ndarray, snr: np.ndarray, detected: np.ndarray, mpc3: np.nd
                    np.where(kept_mpc3.any(axis=-1), first_mpc3, -1), no_detection)
 
 
-def mean_squared_bandwidth(band: Band | float) -> float:
+def mean_squared_bandwidth(bandwidth_hz: float) -> float:
     """Mean squared bandwidth beta^2 of a flat baseband spectrum, in Hz^2.
 
-    Accepts a Band or a raw bandwidth; a flat spectrum over [-B/2, B/2]
+    A flat spectrum over [-B/2, B/2] of bandwidth B = ``bandwidth_hz``
     yields B^2 / 12.
     """
-    bandwidth = band.bandwidth_hz if isinstance(band, Band) else float(band)
+    bandwidth = float(bandwidth_hz)
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     return bandwidth ** 2 / 12.0

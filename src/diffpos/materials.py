@@ -35,7 +35,6 @@ __all__ = [
     "Material",
     "SlabLayer",
     "SlabSpec",
-    "Band",
     "DiffractionLossModel",
     "MaterialLibrary",
     "permittivity",
@@ -91,23 +90,6 @@ class SlabSpec:
     @property
     def facing_material(self) -> Material:
         return self.layers[0].material
-
-
-@dataclass(frozen=True)
-class Band:
-    """Radio parameters of one operating band."""
-
-    label: str
-    center_frequency_hz: float
-    bandwidth_hz: float
-    tx_power_dbm: float
-    rx_processing_gain_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.center_frequency_hz > 0:
-            raise ValueError("center frequency must be positive")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth must be positive")
 
 
 @dataclass(frozen=True)

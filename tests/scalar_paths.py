@@ -152,7 +152,7 @@ def pdp(table, f_hz):
     scene = table.scene
     radio = scene.radio
     band = radio.band_for(f_hz)
-    floor = noise_floor_dbm(band.bandwidth_hz, radio.noise_temperature_k)
+    floor = noise_floor_dbm(radio.bandwidth_hz, radio.noise_temperature_k)
     gain = band.tx_power_dbm + band.rx_processing_gain_db
     slab_db, _ = table.geometry.prepare_frequency(f_hz)
     mpcs = []

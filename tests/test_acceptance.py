@@ -316,8 +316,7 @@ def test_criterion_10_dataset_round_trip(tmp_path):
         count = write_dataset(pdps, path)
         assert count == total
 
-        band = scene.radio.band_for(10e9)
-        result = ingest_dataset(path, band.bandwidth_hz, scene.radio.noise_temperature_k)
+        result = ingest_dataset(path, scene.radio.bandwidth_hz, scene.radio.noise_temperature_k)
         assert not result.rejected
         assert result.mpc_count == total
         for pdp in pdps:

@@ -138,7 +138,7 @@ def test_snr_zero_at_noise_floor():
     # so an MPC received at the floor has 0 dB.
     scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
     radio = scene.radio
-    floor = noise_floor_dbm(radio.band_for(3.5e9).bandwidth_hz, radio.noise_temperature_k)
+    floor = noise_floor_dbm(radio.bandwidth_hz, radio.noise_temperature_k)
     pdp = enumerate_mpcs(scene, 0, receiver_grid(scene)[0], 3.5e9)
     assert len(pdp) > 0
     for m in pdp.mpcs:
@@ -346,16 +346,33 @@ def test_scene_config_rejects(overrides, message):
 
 
 def test_radio_band_lookup():
-    radio = RadioConfig(bands=(
-        BandPlan("FR1", 0.41e9, 7.125e9, 20.0, 0.0),
-        BandPlan("FR2", 24.25e9, 71e9, 30.0, 20.0),
-    ))
-    band = radio.band_for(3.5e9)
-    assert band.label == "FR1" and band.tx_power_dbm == 20.0
-    band = radio.band_for(28e9)
-    assert band.rx_processing_gain_db == 20.0
-    with pytest.raises(ValueError):
-        radio.band_for(10e9)
+    fr1 = BandPlan("FR1", 0.41e9, 7.125e9, 20.0, 0.0)
+    one = BandPlan("X", 20e9, 20e9, 25.0)  # a band may hold one frequency
+    fr2 = BandPlan("FR2", 24.25e9, 71e9, 30.0, 20.0)
+    radio = RadioConfig(bands=(fr1, one, fr2))
+    assert radio.band_for(3.5e9) is fr1
+    assert radio.band_for(20e9) is one
+    assert radio.band_for(28e9) is fr2
+    assert radio.band_for(71e9) is fr2
+    for f_hz in (10e9, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="outside every configured band"):
+            radio.band_for(f_hz)
+
+
+@pytest.mark.parametrize("f_lo_hz, f_hi_hz, field", [
+    (-1.0, 1e9, "f_lo_hz"),
+    (0.0, 1e9, "f_lo_hz"),
+    (math.nan, 1e9, "f_lo_hz"),
+    (math.inf, math.inf, "f_lo_hz"),
+    (5e9, 1e9, "f_hi_hz"),
+    (1e9, math.inf, "f_hi_hz"),
+    (1e9, math.nan, "f_hi_hz"),
+])
+def test_band_plan_rejects_bad_range(f_lo_hz, f_hi_hz, field):
+    # A band must span 0 < f_lo_hz <= f_hi_hz < inf, so no frequency it
+    # holds is zero, negative or infinite.
+    with pytest.raises(ValueError, match=f"band 'X': {field} must be"):
+        BandPlan("X", f_lo_hz, f_hi_hz, 20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +766,7 @@ def test_dataset_round_trip_bitwise(tmp_path):
     n = write_dataset(pdps, path)
     assert n == sum(len(p) for p in pdps)
 
-    band = scene.radio.band_for(10e9)
-    result = ingest_dataset(path, band.bandwidth_hz, scene.radio.noise_temperature_k)
+    result = ingest_dataset(path, scene.radio.bandwidth_hz, scene.radio.noise_temperature_k)
     assert not result.rejected
     assert result.mpc_count == n
     for pdp in pdps:

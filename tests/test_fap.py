@@ -1,5 +1,7 @@
 """FAP selection and ranging-bound tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,16 @@ from diffpos.constants import SPEED_OF_LIGHT
 from diffpos.channel import Mpc, Pdp, classify_mpc
 from diffpos.fap import (
     NoDetectionError,
+    fap_rows,
     mean_squared_bandwidth,
     range_sigma_m,
     ranging_crlb_std_seconds,
     select_fap,
 )
 from diffpos.geometry import Point3
-from diffpos.materials import Band
 
 RNG = np.random.default_rng(7)
-BAND = Band("FR1", 3.5e9, 400e6, 20.0)
+BANDWIDTH_HZ = 400e6
 
 
 def mk_mpc(length: float, snr: float, interactions=("T",)) -> Mpc:
@@ -72,6 +74,24 @@ def test_select_fap_empty_pdp_raises():
         select_fap(Pdp([], Point3(0, 0, 0), anchor_id=0), 20.0)
 
 
+@pytest.mark.parametrize("t_fap_db", [-1.0, -1e-12, math.nan, -math.inf])
+def test_select_fap_rejects_a_bad_threshold(t_fap_db):
+    # Checked before anything is selected, so an empty PDP raises it too.
+    for pdp in (mk_pdp([(10.0, 25.0), (12.0, 30.0)]), Pdp([], Point3(0, 0, 0), anchor_id=0)):
+        with pytest.raises(ValueError, match="^t_fap_db must be >= 0 dB"):
+            select_fap(pdp, t_fap_db)
+
+
+@pytest.mark.parametrize("t_fap_db", [-1.0, -1e-12, math.nan, -math.inf])
+def test_fap_rows_rejects_a_bad_threshold(t_fap_db):
+    # With t_fap_db = -1 no row clears the threshold, so without the check
+    # position 0 would come back as the FAP.
+    tof = np.array([1e-8, 2e-8])
+    snr = np.array([[25.0, 30.0]])
+    with pytest.raises(ValueError, match="^t_fap_db must be >= 0 dB"):
+        fap_rows(tof, snr, np.ones((1, 2), dtype=bool), np.zeros(2, dtype=bool), 25, t_fap_db)
+
+
 def test_select_fap_monotone_in_threshold():
     # Raising t_fap never selects a later-arriving FAP.
     for _ in range(200):
@@ -103,8 +123,7 @@ def test_select_fap_permutation_invariant():
 
 def test_msb_flat_400mhz():
     # Oracle: closed-form second moment of a flat spectrum, B^2/12.
-    assert mean_squared_bandwidth(BAND) == pytest.approx(1.3333333333333334e16, rel=1e-12)
-    assert mean_squared_bandwidth(400e6) == mean_squared_bandwidth(BAND)
+    assert mean_squared_bandwidth(BANDWIDTH_HZ) == pytest.approx(1.3333333333333334e16, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +132,7 @@ def test_msb_flat_400mhz():
 
 def test_crlb_std_at_10db():
     # Oracle: 1/sqrt(8 pi^2 * (400e6)^2/12 * 10) = 3.082e-10 s, i.e. 9.24 cm.
-    beta_sq = mean_squared_bandwidth(BAND)
+    beta_sq = mean_squared_bandwidth(BANDWIDTH_HZ)
     std = ranging_crlb_std_seconds(beta_sq, 10.0)
     assert std == pytest.approx(3.082022220307499e-10, rel=1e-12)
     assert range_sigma_m(beta_sq, 10.0) == pytest.approx(0.09239670170366027, rel=1e-12)
@@ -150,8 +169,6 @@ def test_range_sigma_of_arrays_equals_scalar_calls_bit_for_bit():
     # scale as the sweep takes them, with the beta^2 of each cell as a
     # column: the array form equals one scalar call per entry, and the
     # scalar call is the math-module formula.
-    import math
-
     from diffpos.channel import build_scene_geometry, path_table, receiver_grid
     from diffpos.experiments import (SweepConfig, _nearest_edges, _receiver_faps,
                                      build_default_scene)
@@ -165,7 +182,7 @@ def test_range_sigma_of_arrays_equals_scalar_calls_bit_for_bit():
                            _nearest_edges(geom, anchors), 0)
     snr = 10 ** (cells.snr_db / 10)
     assert snr.shape == (20, 4)
-    beta_sq = mean_squared_bandwidth(scene.radio.band_for(28e9))
+    beta_sq = mean_squared_bandwidth(scene.radio.bandwidth_hz)
     sigma = range_sigma_m(np.full((len(snr), 1), beta_sq), snr)
     scalar = np.array([[range_sigma_m(beta_sq, s) for s in row] for row in snr.tolist()])
     formula = np.array([[SPEED_OF_LIGHT * (1.0 / math.sqrt(8.0 * math.pi ** 2 * beta_sq * s))

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import scalar_paths
+from diffpos.channel import BandPlan, RadioConfig
 from diffpos.constants import VACUUM_PERMITTIVITY
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ
 from diffpos.materials import (
-    Band,
     DiffractionLossModel,
     Material,
     SlabLayer,
@@ -307,5 +307,5 @@ def test_material_invariants():
         Material("bad", a=1.0, b=0.0, c=-0.1, d=0.0)
     with pytest.raises(ValueError):
         SlabLayer(CONCRETE, 0.0)
-    with pytest.raises(ValueError):
-        Band("FR1", center_frequency_hz=3.5e9, bandwidth_hz=0.0, tx_power_dbm=20.0)
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        RadioConfig(bands=(BandPlan("FR1", 0.41e9, 7.125e9, 20.0),), bandwidth_hz=0.0)

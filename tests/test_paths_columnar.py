@@ -202,6 +202,17 @@ def test_losses_reject_no_frequencies(freqs):
         table.losses(freqs)
 
 
+def test_snr_is_power_over_one_radio_noise_floor_at_every_frequency():
+    # The noise floor is radio-wide: at each of the seven ladder frequencies,
+    # every row's SNR is its power minus that one floor, bit for bit.
+    radio = SCENE.radio
+    table = path_table(SCENE, range(len(SCENE.anchors)), receiver_grid(SCENE)[:2], GEOM)
+    losses = table.losses(DEFAULT_FREQUENCY_LADDER_HZ)
+    floor = channel.noise_floor_dbm(radio.bandwidth_hz, radio.noise_temperature_k)
+    assert losses.snr_db.shape == (7, len(table.length_m))
+    assert losses.snr_db.tobytes() == (losses.power_dbm - floor).tobytes()
+
+
 def test_losses_match_per_row_pdp_at_every_ladder_frequency():
     checked = 0
     for a, rx in random_pairs(np.random.default_rng(13), 12):
