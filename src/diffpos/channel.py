@@ -47,6 +47,7 @@ from .materials import (
     free_space_path_loss_db,
     reflection_loss_db,
     transmission_loss_db,
+    _check_finite,
 )
 
 __all__ = [
@@ -211,6 +212,7 @@ class BandPlan:
         if not self.f_lo_hz <= self.f_hi_hz < math.inf:
             raise ValueError(f"band {self.label!r}: f_hi_hz must be finite and >= f_lo_hz, "
                              f"got {self.f_hi_hz:g} Hz")
+        _check_finite(self, "tx_power_dbm", "rx_processing_gain_db")
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,7 @@ class RadioConfig:
 
     def __post_init__(self) -> None:
         noise_floor_dbm(self.bandwidth_hz, self.noise_temperature_k)  # both must be positive
+        _check_finite(self, "bandwidth_hz", "noise_temperature_k")
         if self.polarization not in ("TE", "TM"):
             raise ValueError(f"polarization must be 'TE' or 'TM', got {self.polarization!r}")
 
@@ -244,6 +247,7 @@ class PathLimits:
     def __post_init__(self) -> None:
         if min(self.max_transmissions, self.max_reflections, self.max_diffractions) < 0:
             raise ValueError("path limits must be non-negative")
+        _check_finite(self, "min_snr_db")
 
 
 # World -> edge-local rotation of the windows of a facade with normal axis

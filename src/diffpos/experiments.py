@@ -17,9 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import NamedTuple, get_args, get_type_hints
+from types import UnionType
+from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -164,6 +166,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
+            setattr(self, name, int(value))  # a NumPy integer is no JSON value
         if not self.t_fap_db >= 0:
             raise ValueError("t_fap_db must be >= 0 dB")
         self.frequencies_hz = freqs
@@ -177,7 +180,7 @@ class FrequencyReport:
     dnls_errors_m: np.ndarray  # sorted 3D errors
     lls_errors_m: np.ndarray
     peb_m: np.ndarray
-    exclusions: dict[str, int]
+    exclusions: dict[Literal["no_detection", "dnls_failed", "lls_failed", "peb_singular"], int]
     n_receivers: int
     n_pairs: int
     # D-NLS counters: "dnls_rung" counts the problems solved on retry rung
@@ -192,7 +195,7 @@ class SweepReport:
     t_fap_db: float
     trials: int
     noiseless: bool
-    frequencies: list[FrequencyReport] = field(default_factory=list)
+    frequencies: list[FrequencyReport]
 
 
 class _Cells(NamedTuple):
@@ -397,8 +400,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             waiting, n_waiting = [], 0
     res = _Results(*(np.concatenate(column) for column in zip(*solved)))
 
-    report = SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db,
-                         trials=cfg.trials, noiseless=cfg.noiseless)
+    frequencies = []
     for fi, f_hz in enumerate(freqs):
         at = res.freq == fi
         snrs, lls, dnls, rung, peb = (
@@ -411,7 +413,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             q = np.percentile(snrs, [25, 50, 75])
             quartiles = (float(q[0]), float(q[1]), float(q[2]))
         lls_failed = np.isnan(lls)
-        report.frequencies.append(FrequencyReport(
+        frequencies.append(FrequencyReport(
             frequency_hz=f_hz,
             p_fap_pct=p_fap,
             fap_snr_quartiles_db=quartiles,
@@ -427,7 +429,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             diagnostics={"dnls_rung": np.bincount(rung[rung >= 0], minlength=3).tolist(),
                          "dnls_iterations": int(res.dnls_iterations[at].sum())},
         ))
-    return report
+    return SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db, trials=cfg.trials,
+                       noiseless=cfg.noiseless, frequencies=frequencies)
 
 
 # ---------------------------------------------------------------------------
@@ -516,36 +519,46 @@ def export_report(report: SweepReport, out_dir) -> list[Path]:
 # Scene / report (de)serialization
 # ---------------------------------------------------------------------------
 
-# A scene/1 file is the SceneConfig record tree with each record's fields in
-# declaration order, so the config dataclasses are its only schema. These are
-# the JSON types a leaf of each annotated type accepts (a JSON boolean is a
-# Python int, so numeric leaves reject it separately).
+# A scene/1 or sweep-report/1 file is the SceneConfig or SweepReport record
+# tree with each record's fields in declaration order, so the dataclasses are
+# its only schema. These are the JSON types a leaf of each annotated type
+# accepts (a JSON boolean is a Python int, so numeric leaves reject it
+# separately); a bare dict is taken as it is.
 _LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
-               str: (str, "a string"), bool: (bool, "a boolean")}
+               str: (str, "a string"), bool: (bool, "a boolean"), dict: (dict, "an object")}
 
-# {field name: (type hint, required)} per record class, filled on first use;
-# not functools.cache, whose __wrapped__ reads as a leftover tracer wrapper.
-_RECORDS: dict[type, dict] = {}
+# {key: (type hint, required)} per record class or closed-key dict type,
+# filled on first use; not functools.cache, whose __wrapped__ reads as a
+# leftover tracer wrapper.
+_RECORDS: dict = {}
 
 
-def _record(cls) -> dict:
-    rec = _RECORDS.get(cls)
+def _record(hint) -> dict:
+    """{key: (type hint, required)} of a record class, or of a dict type
+    whose keys are the member names of an enum or the strings of a Literal,
+    every one required."""
+    rec = _RECORDS.get(hint)
     if rec is None:
-        hints = get_type_hints(cls)
-        rec = _RECORDS[cls] = {
-            f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-            for f in fields(cls)}
+        if is_dataclass(hint):
+            hints = get_type_hints(hint)
+            rec = {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+                   for f in fields(hint)}
+        else:
+            keys, value = get_args(hint)
+            names = [k.name for k in keys] if isinstance(keys, EnumMeta) else get_args(keys)
+            rec = {name: (value, True) for name in names}
+        _RECORDS[hint] = rec
     return rec
 
 
-def _checked(cls, doc, where: str) -> dict:
-    """The JSON object ``doc`` of a ``cls`` record, after checking its keys.
+def _checked(hint, doc, where: str) -> dict:
+    """The JSON object ``doc`` of a ``hint`` record, after checking its keys.
 
     An unknown or missing key raises ValueError naming the record and the key.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {type(doc).__name__}")
-    rec = _record(cls)
+    rec = _record(hint)
     for key in doc:
         if key not in rec:
             raise ValueError(f"{where}: unexpected key {key!r}")
@@ -556,20 +569,30 @@ def _checked(cls, doc, where: str) -> dict:
 
 
 def _encode(value):
-    """The JSON value of a leaf, a tuple or a record."""
-    if isinstance(value, (int, float, str)):
+    """The JSON value of a leaf, None, a tuple or list, an array, a dict (an
+    enum key by its name) or a record, which leaves out an optional field
+    whose value is None."""
+    if value is None or isinstance(value, (int, float, str)):
         return value
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]
-    return {name: _encode(getattr(value, name)) for name in _record(type(value))}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k.name if isinstance(k, Enum) else k: _encode(v) for k, v in value.items()}
+    return {name: _encode(v) for name, (_, required) in _record(type(value)).items()
+            if (v := getattr(value, name)) is not None or required}
 
 
-def _decode(hint, doc, where: str):
+def _decode(hint, doc, where: str, prefix: str | None = None):
     """The value of type ``hint`` that the JSON value ``doc`` at path
-    ``where`` holds: a checked record, a tuple from a list (of the tuple's
-    length when it is fixed) or a leaf of the right JSON type, unchanged.
-    Anything else, and a non-finite number, raises ValueError naming the
-    path."""
+    ``where`` holds: a checked record, whose fields are at ``prefix`` +
+    name (``where`` + "." unless given); a leaf of the right JSON type,
+    unchanged; None or the value of ``X`` for ``X | None``; a dict with
+    every key of its enum or Literal key type, matched by name; an array of
+    floats from a list of numbers; a list; or a tuple from a list (of the
+    tuple's length when it is fixed). Anything else, and a non-finite
+    number, raises ValueError naming the path."""
     if type(doc) is hint:  # a leaf of its own type, the common case
         if hint is float and not math.isfinite(doc):
             raise ValueError(f"{where}: expected a finite number, got {doc}")
@@ -580,19 +603,39 @@ def _decode(hint, doc, where: str):
             raise ValueError(f"{where}: expected {expected}, got {type(doc).__name__}")
         return doc
     if is_dataclass(hint):
-        doc = _checked(hint, doc, where or "scene")
-        prefix = f"{where}." if where else ""
+        doc = _checked(hint, doc, where)
+        prefix = f"{where}." if prefix is None else prefix
         return hint(**{name: _decode(h, doc[name], prefix + name)
                        for name, (h, _) in _record(hint).items() if name in doc})
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        return None if doc is None else _decode(args[0], doc, where)
+    if origin is dict:
+        doc = _checked(hint, doc, where)
+        key = args[0].__getitem__ if isinstance(args[0], EnumMeta) else str
+        return {key(k): _decode(args[1], doc[k], f"{where}.{k}") for k in _record(hint)}
+    if hint is np.ndarray:
+        return np.array(_decode(list[float], doc, where), dtype=float)
     if not isinstance(doc, list):
         raise ValueError(f"{where}: expected a list, got {type(doc).__name__}")
-    item_hints = get_args(hint)
-    if item_hints[-1] is Ellipsis:
-        item_hints = item_hints[:1] * len(doc)
-    elif len(doc) != len(item_hints):
-        raise ValueError(f"{where}: expected {len(item_hints)} items, got {len(doc)}")
-    return tuple(_decode(h, v, f"{where}[{i}]")
-                 for i, (h, v) in enumerate(zip(item_hints, doc)))
+    if origin is list:
+        return [_decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(doc)]
+    if args[-1] is Ellipsis:
+        args = args[:1] * len(doc)
+    elif len(doc) != len(args):
+        raise ValueError(f"{where}: expected {len(args)} items, got {len(doc)}")
+    return tuple(_decode(h, v, f"{where}[{i}]") for i, (h, v) in enumerate(zip(args, doc)))
+
+
+def _from_dict(cls, doc, schema: str, name: str):
+    """The ``cls`` record that the JSON object ``doc`` of schema ``schema``
+    holds; a malformed one raises ValueError naming the path of the
+    offending value, or ``name`` for the top record."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name}: expected an object, got {type(doc).__name__}")
+    if doc.get("schema") != schema:
+        raise ValueError(f"unsupported {name} schema {doc.get('schema')!r}")
+    return _decode(cls, {k: v for k, v in doc.items() if k != "schema"}, name, "")
 
 
 def scene_to_dict(scene: SceneConfig) -> dict:
@@ -602,11 +645,7 @@ def scene_to_dict(scene: SceneConfig) -> dict:
 def scene_from_dict(doc) -> SceneConfig:
     """Inverse of ``scene_to_dict``; a malformed scene raises ValueError
     naming the path of the offending value."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"scene: expected an object, got {type(doc).__name__}")
-    if doc.get("schema") != "scene/1":
-        raise ValueError(f"unsupported scene schema {doc.get('schema')!r}")
-    return _decode(SceneConfig, {k: v for k, v in doc.items() if k != "schema"}, "")
+    return _from_dict(SceneConfig, doc, "scene/1", "scene")
 
 
 def save_scene(scene: SceneConfig, path) -> None:
@@ -621,59 +660,13 @@ def load_scene(path) -> SceneConfig:
 
 
 def report_to_dict(report: SweepReport) -> dict:
-    return {
-        "schema": "sweep-report/1",
-        "seed": report.seed,
-        "t_fap_db": report.t_fap_db,
-        "trials": report.trials,
-        "noiseless": report.noiseless,
-        "frequencies": [
-            {
-                "frequency_hz": fr.frequency_hz,
-                "p_fap_pct": {g.name: fr.p_fap_pct[g] for g in _GROUP_ORDER},
-                "fap_snr_quartiles_db": (
-                    list(fr.fap_snr_quartiles_db)
-                    if fr.fap_snr_quartiles_db is not None else None),
-                "dnls_errors_m": [float(x) for x in fr.dnls_errors_m],
-                "lls_errors_m": [float(x) for x in fr.lls_errors_m],
-                "peb_m": [float(x) for x in fr.peb_m],
-                "exclusions": dict(fr.exclusions),
-                "n_receivers": fr.n_receivers,
-                "n_pairs": fr.n_pairs,
-                **({} if fr.diagnostics is None else {"diagnostics": dict(fr.diagnostics)}),
-            }
-            for fr in report.frequencies
-        ],
-    }
+    return {"schema": "sweep-report/1", **_encode(report)}
 
 
-def report_from_dict(doc: dict) -> SweepReport:
-    """Inverse of ``report_to_dict``.
-
-    A missing key raises KeyError; a wrong schema or a value of the wrong
-    JSON type raises ValueError.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"a report is a JSON object, got {type(doc).__name__}")
-    if doc.get("schema") != "sweep-report/1":
-        raise ValueError(f"unsupported report schema {doc.get('schema')!r}")
-    report = SweepReport(seed=doc["seed"], t_fap_db=doc["t_fap_db"],
-                         trials=doc["trials"], noiseless=doc["noiseless"])
-    try:
-        for fr in doc["frequencies"]:
-            quartiles = fr["fap_snr_quartiles_db"]
-            report.frequencies.append(FrequencyReport(
-                frequency_hz=fr["frequency_hz"],
-                p_fap_pct={g: fr["p_fap_pct"][g.name] for g in _GROUP_ORDER},
-                fap_snr_quartiles_db=tuple(quartiles) if quartiles is not None else None,
-                dnls_errors_m=np.asarray(fr["dnls_errors_m"]),
-                lls_errors_m=np.asarray(fr["lls_errors_m"]),
-                peb_m=np.asarray(fr["peb_m"]),
-                exclusions=dict(fr["exclusions"]),
-                n_receivers=fr["n_receivers"],
-                n_pairs=fr["n_pairs"],
-                diagnostics=fr.get("diagnostics"),
-            ))
-    except TypeError as exc:
-        raise ValueError(f"malformed report: {exc}") from exc
-    return report
+def report_from_dict(doc) -> SweepReport:
+    """Inverse of ``report_to_dict``, read by the scene's record codec: an
+    unknown or missing key, a value of the wrong JSON type, a non-finite
+    number, a missing ``p_fap_pct`` group or ``exclusions`` count and a
+    wrong schema raise ValueError naming the path of the offending value,
+    such as ``frequencies[0].dnls_errors_m[3]``."""
+    return _from_dict(SweepReport, doc, "sweep-report/1", "report")

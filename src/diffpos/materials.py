@@ -92,6 +92,15 @@ class SlabSpec:
         return self.layers[0].material
 
 
+def _check_finite(record, *names: str) -> None:
+    """Raise ValueError naming the record's class and the first of its fields
+    ``names`` whose value is not a finite number."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(record).__name__}.{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DiffractionLossModel:
     """Scalar excess loss for edge diffraction: l0 + 10*gamma*log10(f/f0)."""
@@ -103,6 +112,7 @@ class DiffractionLossModel:
     def __post_init__(self) -> None:
         if not self.f0_hz > 0:
             raise ValueError(f"diffraction loss f0_hz must be positive, got {self.f0_hz:g} Hz")
+        _check_finite(self, "l0_db", "gamma", "f0_hz")
 
 
 def permittivity(material: Material, f_hz: float) -> float:

@@ -282,9 +282,12 @@ def test_sweep_config_validation():
         SweepConfig(scene=scene, frequencies_hz=(28e9, 3.5e9))
     with pytest.raises(ValueError):
         SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=0)
-    # NumPy integers are integers.
-    SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=np.int64(2), seed=np.uint8(1),
-                top_k=np.int32(5))
+    # NumPy integers are integers, kept as Python ints so that a report's
+    # seed and trials encode as JSON.
+    cfg = SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=np.int64(2),
+                      seed=np.uint8(1), top_k=np.int32(5))
+    assert [(type(v), v) for v in (cfg.trials, cfg.seed, cfg.top_k)] \
+        == [(int, 2), (int, 1), (int, 5)]
 
 
 _ANCHORS = build_default_scene().anchors
@@ -325,8 +328,8 @@ def test_sweep_config_rejects(scene_changes, sweep_changes, message):
 def test_export_empty_report_headers_only(tmp_path):
     from diffpos.experiments import SweepReport
 
-    files = export_report(SweepReport(seed=0, t_fap_db=20.0, trials=1, noiseless=False),
-                          tmp_path)
+    files = export_report(SweepReport(seed=0, t_fap_db=20.0, trials=1, noiseless=False,
+                                      frequencies=[]), tmp_path)
     for path in files:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1  # header only
@@ -908,15 +911,47 @@ def test_cli_directory_as_input_file_is_an_error_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _bad_report(**first) -> str:
+    """The JSON text of a valid two-frequency report whose first frequency
+    then takes the values ``first``."""
+    freq = {"frequency_hz": 28e9, "p_fap_pct": {"MPC1": 0.0, "MPC2": 0.0, "MPC3": 100.0,
+                                                "MPC4": 0.0},
+            "fap_snr_quartiles_db": [1.0, 2.0, 3.0], "dnls_errors_m": [0.5, 1.5],
+            "lls_errors_m": [0.7, 2.0], "peb_m": [0.1, 0.2],
+            "exclusions": {"no_detection": 0, "dnls_failed": 0, "lls_failed": 0,
+                           "peb_singular": 0},
+            "n_receivers": 2, "n_pairs": 8}
+    return json.dumps({"schema": "sweep-report/1", "seed": 0, "t_fap_db": 20.0, "trials": 1,
+                       "noiseless": False,
+                       "frequencies": [{**freq, "frequency_hz": 3.5e9, **first}, freq]})
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"schema": "sweep-report/0"}', "error: unsupported report schema 'sweep-report/0'"),
     ("not json", "error: Expecting value: line 1 column 1 (char 0)"),
-    ('{"schema": "sweep-report/1", "seed": 0}', "error: report is missing the key 't_fap_db'"),
-    ("[]", "error: a report is a JSON object, got list"),
+    ('{"schema": "sweep-report/1", "seed": 0}', "error: report: missing key 't_fap_db'"),
+    ("[]", "error: report: expected an object, got list"),
     ('{"schema": "sweep-report/1", "seed": 0, "t_fap_db": 6.0, "trials": 1,'
      ' "noiseless": false, "frequencies": [1]}',
-     "error: malformed report: 'int' object is not subscriptable"),
-], ids=["wrong_schema", "not_json", "missing_key", "not_an_object", "frequency_not_an_object"])
+     "error: frequencies[0]: expected an object, got int"),
+    (_bad_report(dnls_errors_m="0.5"),
+     "error: frequencies[0].dnls_errors_m: expected a list, got str"),
+    (_bad_report(peb_m=[0.1, None]),
+     "error: frequencies[0].peb_m[1]: expected a number, got NoneType"),
+    (_bad_report(frequency_hz="3.5e9"),
+     "error: frequencies[0].frequency_hz: expected a number, got str"),
+    (_bad_report(p_fap_pct={"MPC1": 0.0, "MPC2": 0.0, "MPC3": 100.0}),
+     "error: frequencies[0].p_fap_pct: missing key 'MPC4'"),
+    (_bad_report(p_fap_pct={"MPC1": 0.0, "MPC2": 0.0, "MPC3": 100.0, "MPC4": 0.0, "MPC5": 0.0}),
+     "error: frequencies[0].p_fap_pct: unexpected key 'MPC5'"),
+    (_bad_report(exclusions={"no_detection": 0, "dnls_failed": 0, "lls_failed": 0}),
+     "error: frequencies[0].exclusions: missing key 'peb_singular'"),
+    ('{"schema": "sweep-report/1", "seed": 0, "t_fap_db": 6.0, "trials": 1,'
+     ' "noiseless": false}', "error: report: missing key 'frequencies'"),
+    (_bad_report(colour="grey"), "error: frequencies[0]: unexpected key 'colour'"),
+], ids=["wrong_schema", "not_json", "missing_key", "not_an_object", "frequency_not_an_object",
+        "string_samples", "null_sample", "string_frequency", "missing_group", "unknown_group",
+        "missing_exclusion", "no_frequencies", "unexpected_key"])
 def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "report.json"
     path.write_text(text, encoding="utf-8")

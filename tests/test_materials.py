@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import scalar_paths
-from diffpos.channel import BandPlan, RadioConfig
+from diffpos.channel import BandPlan, PathLimits, RadioConfig
 from diffpos.constants import VACUUM_PERMITTIVITY
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ
 from diffpos.materials import (
@@ -309,3 +309,26 @@ def test_material_invariants():
         SlabLayer(CONCRETE, 0.0)
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         RadioConfig(bands=(BandPlan("FR1", 0.41e9, 7.125e9, 20.0),), bandwidth_hz=0.0)
+
+
+FR1 = (BandPlan("FR1", 0.41e9, 7.125e9, 20.0),)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BandPlan("FR1", 0.41e9, 7.125e9, tx_power_dbm=math.nan),
+     "BandPlan.tx_power_dbm must be finite, got nan"),
+    (lambda: BandPlan("FR1", 0.41e9, 7.125e9, 20.0, rx_processing_gain_db=math.inf),
+     "BandPlan.rx_processing_gain_db must be finite, got inf"),
+    (lambda: RadioConfig(bands=FR1, bandwidth_hz=math.inf),
+     "RadioConfig.bandwidth_hz must be finite, got inf"),
+    (lambda: RadioConfig(bands=FR1, noise_temperature_k=math.inf),
+     "RadioConfig.noise_temperature_k must be finite, got inf"),
+    (lambda: DiffractionLossModel(l0_db=math.nan), "DiffractionLossModel.l0_db must be finite"),
+    (lambda: DiffractionLossModel(gamma=math.inf), "DiffractionLossModel.gamma must be finite"),
+    (lambda: DiffractionLossModel(f0_hz=math.inf), "DiffractionLossModel.f0_hz must be finite"),
+    (lambda: PathLimits(min_snr_db=math.nan), "PathLimits.min_snr_db must be finite, got nan"),
+], ids=["tx_power", "processing_gain", "bandwidth", "noise_temperature", "l0", "gamma", "f0",
+        "min_snr"])
+def test_radio_loss_and_limit_numbers_must_be_finite(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
