@@ -1087,6 +1087,8 @@ def enumerate_mpcs(
 # ---------------------------------------------------------------------------
 
 _DATASET_SCHEMA = "mpc-dataset/1"
+_DATASET_KEYS = frozenset(("anchor_id", "rx_id", "rx_xyz", "interactions", "path_length_m",
+                           "rx_power_dbm", "tof_s", "edge_id"))
 
 
 class DatasetError(ValueError):
@@ -1134,10 +1136,11 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
     MPC's SNR its power over the thermal noise floor of ``bandwidth_hz`` at
     ``noise_temperature_k``.
 
-    Structural problems (bad JSON, wrong schema, missing or malformed
-    fields, an id that is not a non-negative integer, an rx_xyz that is not
-    a list of three finite JSON numbers, a length, power or ToF that is not
-    a JSON number) raise DatasetError with the line number. Physically
+    Structural problems (bad JSON, wrong schema, an unknown key in the
+    header or a record, missing or malformed fields, an id that is not a
+    non-negative integer, an rx_xyz that is not a list of three finite JSON
+    numbers, a length, power or ToF that is not a JSON number) raise
+    DatasetError with the line number. Physically
     inconsistent records (negative or non-finite lengths, non-finite powers,
     unknown symbols, an edge_id on a path without a diffraction, stored ToF
     disagreeing with the length beyond 1e-6 relative, an rx_xyz other than
@@ -1162,6 +1165,9 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
             raise DatasetError(1, f"header: expected an object, got {type(header).__name__}")
         if header.get("schema") != _DATASET_SCHEMA:
             raise DatasetError(1, f"unsupported schema {header.get('schema')!r}")
+        for key in header:
+            if key != "schema":
+                raise DatasetError(1, f"header: unexpected key {key!r}")
 
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -1170,6 +1176,9 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(line_no, f"invalid JSON: {exc}") from None
+            for key in rec if isinstance(rec, dict) else ():
+                if key not in _DATASET_KEYS:
+                    raise DatasetError(line_no, f"unexpected key {key!r}")
             try:
                 anchor_id = _integer_field(rec, "anchor_id")
                 rx_id = _integer_field(rec, "rx_id")

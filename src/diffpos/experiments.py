@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
-from enum import Enum, EnumMeta
+from dataclasses import dataclass
 from pathlib import Path
-from types import UnionType
-from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -41,6 +38,7 @@ from .fap import fap_rows, mean_squared_bandwidth, range_sigma_m
 from .geometry import EdgeTable, euclidean_distance
 from .materials import default_material_library
 from .positioning import SingularGeometryError, dnls_ladder, lls_solve, lls_start, peb_batch
+from .records import _encode, _from_dict
 
 __all__ = [
     "DEFAULT_FREQUENCY_LADDER_HZ",
@@ -187,6 +185,12 @@ class FrequencyReport:
     # 0, 1 and 2, "dnls_iterations" the Gauss-Newton iterations of the rungs
     # used. None for a report saved without them.
     diagnostics: dict | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("dnls_errors_m", "lls_errors_m", "peb_m"):
+            samples = np.asarray(getattr(self, name))
+            if not (np.all(samples[:-1] <= samples[1:]) and np.all(samples[:1] >= 0)):
+                raise ValueError(f"FrequencyReport.{name} must be sorted ascending and >= 0")
 
 
 @dataclass
@@ -519,125 +523,6 @@ def export_report(report: SweepReport, out_dir) -> list[Path]:
 # Scene / report (de)serialization
 # ---------------------------------------------------------------------------
 
-# A scene/1 or sweep-report/1 file is the SceneConfig or SweepReport record
-# tree with each record's fields in declaration order, so the dataclasses are
-# its only schema. These are the JSON types a leaf of each annotated type
-# accepts (a JSON boolean is a Python int, so numeric leaves reject it
-# separately); a bare dict is taken as it is.
-_LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
-               str: (str, "a string"), bool: (bool, "a boolean"), dict: (dict, "an object")}
-
-# {key: (type hint, required)} per record class or closed-key dict type,
-# filled on first use; not functools.cache, whose __wrapped__ reads as a
-# leftover tracer wrapper.
-_RECORDS: dict = {}
-
-
-def _record(hint) -> dict:
-    """{key: (type hint, required)} of a record class, or of a dict type
-    whose keys are the member names of an enum or the strings of a Literal,
-    every one required."""
-    rec = _RECORDS.get(hint)
-    if rec is None:
-        if is_dataclass(hint):
-            hints = get_type_hints(hint)
-            rec = {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-                   for f in fields(hint)}
-        else:
-            keys, value = get_args(hint)
-            names = [k.name for k in keys] if isinstance(keys, EnumMeta) else get_args(keys)
-            rec = {name: (value, True) for name in names}
-        _RECORDS[hint] = rec
-    return rec
-
-
-def _checked(hint, doc, where: str) -> dict:
-    """The JSON object ``doc`` of a ``hint`` record, after checking its keys.
-
-    An unknown or missing key raises ValueError naming the record and the key.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected an object, got {type(doc).__name__}")
-    rec = _record(hint)
-    for key in doc:
-        if key not in rec:
-            raise ValueError(f"{where}: unexpected key {key!r}")
-    for name, (_, required) in rec.items():
-        if required and name not in doc:
-            raise ValueError(f"{where}: missing key {name!r}")
-    return doc
-
-
-def _encode(value):
-    """The JSON value of a leaf, None, a tuple or list, an array, a dict (an
-    enum key by its name) or a record, which leaves out an optional field
-    whose value is None."""
-    if value is None or isinstance(value, (int, float, str)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_encode(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k.name if isinstance(k, Enum) else k: _encode(v) for k, v in value.items()}
-    return {name: _encode(v) for name, (_, required) in _record(type(value)).items()
-            if (v := getattr(value, name)) is not None or required}
-
-
-def _decode(hint, doc, where: str, prefix: str | None = None):
-    """The value of type ``hint`` that the JSON value ``doc`` at path
-    ``where`` holds: a checked record, whose fields are at ``prefix`` +
-    name (``where`` + "." unless given); a leaf of the right JSON type,
-    unchanged; None or the value of ``X`` for ``X | None``; a dict with
-    every key of its enum or Literal key type, matched by name; an array of
-    floats from a list of numbers; a list; or a tuple from a list (of the
-    tuple's length when it is fixed). Anything else, and a non-finite
-    number, raises ValueError naming the path."""
-    if type(doc) is hint:  # a leaf of its own type, the common case
-        if hint is float and not math.isfinite(doc):
-            raise ValueError(f"{where}: expected a finite number, got {doc}")
-        return doc
-    if hint in _LEAF_TYPES:
-        types, expected = _LEAF_TYPES[hint]
-        if not isinstance(doc, types) or (isinstance(doc, bool) and hint is not bool):
-            raise ValueError(f"{where}: expected {expected}, got {type(doc).__name__}")
-        return doc
-    if is_dataclass(hint):
-        doc = _checked(hint, doc, where)
-        prefix = f"{where}." if prefix is None else prefix
-        return hint(**{name: _decode(h, doc[name], prefix + name)
-                       for name, (h, _) in _record(hint).items() if name in doc})
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:  # X | None
-        return None if doc is None else _decode(args[0], doc, where)
-    if origin is dict:
-        doc = _checked(hint, doc, where)
-        key = args[0].__getitem__ if isinstance(args[0], EnumMeta) else str
-        return {key(k): _decode(args[1], doc[k], f"{where}.{k}") for k in _record(hint)}
-    if hint is np.ndarray:
-        return np.array(_decode(list[float], doc, where), dtype=float)
-    if not isinstance(doc, list):
-        raise ValueError(f"{where}: expected a list, got {type(doc).__name__}")
-    if origin is list:
-        return [_decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(doc)]
-    if args[-1] is Ellipsis:
-        args = args[:1] * len(doc)
-    elif len(doc) != len(args):
-        raise ValueError(f"{where}: expected {len(args)} items, got {len(doc)}")
-    return tuple(_decode(h, v, f"{where}[{i}]") for i, (h, v) in enumerate(zip(args, doc)))
-
-
-def _from_dict(cls, doc, schema: str, name: str):
-    """The ``cls`` record that the JSON object ``doc`` of schema ``schema``
-    holds; a malformed one raises ValueError naming the path of the
-    offending value, or ``name`` for the top record."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{name}: expected an object, got {type(doc).__name__}")
-    if doc.get("schema") != schema:
-        raise ValueError(f"unsupported {name} schema {doc.get('schema')!r}")
-    return _decode(cls, {k: v for k, v in doc.items() if k != "schema"}, name, "")
-
-
 def scene_to_dict(scene: SceneConfig) -> dict:
     return {"schema": "scene/1", **_encode(scene)}
 
@@ -664,9 +549,11 @@ def report_to_dict(report: SweepReport) -> dict:
 
 
 def report_from_dict(doc) -> SweepReport:
-    """Inverse of ``report_to_dict``, read by the scene's record codec: an
+    """Inverse of ``report_to_dict``, read by the ``records`` codec: an
     unknown or missing key, a value of the wrong JSON type, a non-finite
     number, a missing ``p_fap_pct`` group or ``exclusions`` count and a
     wrong schema raise ValueError naming the path of the offending value,
-    such as ``frequencies[0].dnls_errors_m[3]``."""
+    such as ``frequencies[0].dnls_errors_m[3]``. Each sample list is read
+    in one pass, and one that is not sorted ascending and >= 0 raises the
+    ``FrequencyReport`` ValueError naming the field."""
     return _from_dict(SweepReport, doc, "sweep-report/1", "report")

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
+from typing import Literal
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .constants import (
     VACUUM_PERMEABILITY,
     VACUUM_PERMITTIVITY,
 )
+from .records import _from_dict
 
 __all__ = [
     "Material",
@@ -234,47 +236,23 @@ class MaterialLibrary:
         return self.slabs[name]
 
 
-def _expect(value, types, expected: str, where: str):
-    """``value`` when it has one of the JSON ``types``, else ValueError naming
-    ``where``. No value of a materials file is a boolean, and a JSON boolean
-    is no number; a number must be finite."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{where}: expected a finite number, got {value}")
-    return value
+@dataclass(frozen=True)
+class _LibraryDoc:
+    """A materials/1 document: the a, b, c, d coefficients of each material
+    and each slab's [material name, thickness] layers."""
+
+    materials: dict[str, dict[Literal["a", "b", "c", "d"], float]]
+    slabs: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
 
 
 def _library_from_dict(doc) -> MaterialLibrary:
-    """The library of a materials/1 document. A wrong JSON shape or leaf type,
-    a missing coefficient or an unknown material raises ValueError naming the
-    material or slab."""
-    _expect(doc, dict, "an object", "materials file")
-    if doc.get("schema") != "materials/1":
-        raise ValueError(f"unsupported materials schema: {doc.get('schema')!r}")
-    for key in doc:
-        if key not in ("schema", "materials", "slabs"):
-            raise ValueError(f"materials file: unexpected key {key!r}")
-    if "materials" not in doc:
-        raise ValueError("materials file: missing key 'materials'")
-    library = MaterialLibrary({}, {})
-    for name, entry in _expect(doc["materials"], dict, "an object", "materials").items():
-        _expect(entry, dict, "an object", f"material {name!r}")
-        for key in entry:
-            if key not in ("a", "b", "c", "d"):
-                raise ValueError(f"material {name!r}: unexpected key {key!r}")
-        for key in "abcd":
-            if key not in entry:
-                raise ValueError(f"material {name!r} is missing the coefficient {key!r}")
-            _expect(entry[key], (int, float), "a number", f"material {name!r}: coefficient {key!r}")
-        library.materials[name] = Material(name, **{key: entry[key] for key in "abcd"})
-    for name, layers in _expect(doc.get("slabs", {}), dict, "an object", "slabs").items():
-        _expect(layers, list, "a list of [material, thickness] pairs", f"slab {name!r}")
-        for i, layer in enumerate(layers):
-            if not (isinstance(layer, list) and len(layer) == 2):
-                raise ValueError(f"slab {name!r}: layer {i} is not a [material, thickness] pair")
-            _expect(layer[0], str, "a string", f"slab {name!r}: layer {i} material")
-            _expect(layer[1], (int, float), "a number", f"slab {name!r}: layer {i} thickness")
+    """The library of a materials/1 document, read by the ``records`` codec,
+    whose ValueError names the JSON path of a bad value (``materials.concrete.a``);
+    a slab layer naming an unknown material raises one naming the slab."""
+    lib = _from_dict(_LibraryDoc, doc, "materials/1", "materials file")
+    library = MaterialLibrary(
+        {name: Material(name, **coeffs) for name, coeffs in lib.materials.items()}, {})
+    for name, layers in lib.slabs.items():
         try:
             library.slabs[name] = SlabSpec(name=name, layers=tuple(
                 SlabLayer(material=library.material(mat_name), thickness_m=float(thickness))
@@ -285,7 +263,8 @@ def _library_from_dict(doc) -> MaterialLibrary:
 
 
 def load_material_library(path) -> MaterialLibrary:
-    """Load a material/slab table from a JSON file (schema "materials/1")."""
+    """Load a material/slab table from a JSON file (schema "materials/1");
+    a malformed one raises ValueError as ``_library_from_dict`` does."""
     with open(path, "r", encoding="utf-8") as fh:
         return _library_from_dict(json.load(fh))
 

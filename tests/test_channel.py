@@ -682,10 +682,12 @@ _RECORD = {"anchor_id": 0, "rx_id": 0, "rx_xyz": [0.0, 0.0, 0.0], "interactions"
     # Through float() this record read as (1, 2, 3), a 10 m path and 1 dBm.
     ({"rx_xyz": "123", "path_length_m": "10.0", "rx_power_dbm": True},
      "malformed field: rx_xyz must be a list of three numbers"),
+    # Misspelt optional keys would leave the MPC without its edge id.
+    ({"interactions": "Tx-D-Rx", "edgeid": 4, "tof": 1.0}, "unexpected key 'edgeid'$"),
 ], ids=["edge_id_not_int", "tof_not_a_number", "tof_null", "rx_xyz_nan", "length_nan",
         "power_inf", "tof_nan", "interactions_not_a_string", "rx_xyz_string", "rx_xyz_of_two",
         "rx_xyz_string_component", "length_string", "power_bool", "tof_bool",
-        "string_position_length_and_bool_power"])
+        "string_position_length_and_bool_power", "misspelt_keys"])
 def test_ingest_bad_field_values(tmp_path, changes, outcome):
     # A malformed field raises DatasetError with its line number; a
     # non-finite length, power or ToF rejects only its own record.
@@ -700,6 +702,13 @@ def test_ingest_bad_field_values(tmp_path, changes, outcome):
         with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as err:
             ingest_dataset(path, BANDWIDTH_HZ)
         assert err.value.line_no == 3
+
+
+def test_ingest_unknown_header_key_is_an_error(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"schema": "mpc-dataset/1", "units": "m"}\n' + json.dumps(_RECORD) + "\n")
+    with pytest.raises(DatasetError, match="^line 1: header: unexpected key 'units'$"):
+        ingest_dataset(path, BANDWIDTH_HZ)
 
 
 @pytest.mark.parametrize("changes, outcome", [

@@ -452,6 +452,21 @@ def test_report_json_round_trip(tiny_sweep):
     assert report_to_dict(back) == report_to_dict(report)
 
 
+def test_report_with_numpy_scalars_round_trips(tiny_sweep):
+    # A NumPy scalar leaf is written as its Python value.
+    _, report = tiny_sweep
+    report = dataclasses.replace(report, seed=np.int64(report.seed), frequencies=[
+        dataclasses.replace(fr, n_receivers=np.int64(fr.n_receivers),
+                            frequency_hz=np.float32(fr.frequency_hz))
+        for fr in report.frequencies])
+    doc = json.loads(json.dumps(report_to_dict(report)))
+    back = report_from_dict(doc)
+    assert type(back.seed) is int and back.seed == report.seed
+    assert [(type(fr.n_receivers), fr.n_receivers) for fr in back.frequencies] \
+        == [(int, int(fr.n_receivers)) for fr in report.frequencies]
+    assert report_to_dict(back) == doc
+
+
 def test_report_diagnostics_count_every_dnls_problem(tiny_sweep):
     cfg, report = tiny_sweep
     again = run_sweep(SweepConfig(scene=cfg.scene, frequencies_hz=cfg.frequencies_hz,
@@ -866,7 +881,7 @@ def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, me
 
 @pytest.mark.parametrize("change, message", [
     (lambda doc: doc["materials"]["concrete"].pop("d"),
-     "material 'concrete' is missing the coefficient 'd'"),
+     "materials.concrete: missing key 'd'"),
     (lambda doc: doc["slabs"]["interior_drywall"][1].__setitem__(0, "nope"),
      "slab 'interior_drywall': unknown material 'nope'; have ['air', 'brick', 'concrete',"
      " 'glass', 'metal', 'plasterboard', 'wood']"),
@@ -874,16 +889,16 @@ def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, me
      "unknown slab 'exterior_concrete'; have ['interior_drywall']"),
     (lambda doc: doc.__setitem__("materials", []), "materials: expected an object, got list"),
     (lambda doc: doc["materials"]["concrete"].__setitem__("a", "5"),
-     "material 'concrete': coefficient 'a': expected a number, got str"),
+     "materials.concrete.a: expected a number, got str"),
     (lambda doc: doc["slabs"]["interior_drywall"][1].append(1.0),
-     "slab 'interior_drywall': layer 1 is not a [material, thickness] pair"),
+     "slabs.interior_drywall[1]: expected 2 items, got 3"),
     (lambda doc: doc["materials"]["concrete"].__setitem__("colour", "grey"),
-     "material 'concrete': unexpected key 'colour'"),
+     "materials.concrete: unexpected key 'colour'"),
     (lambda doc: doc.__setitem__("slabz", {}), "materials file: unexpected key 'slabz'"),
     (lambda doc: doc["materials"]["concrete"].__setitem__("b", math.nan),
-     "material 'concrete': coefficient 'b': expected a finite number, got nan"),
+     "materials.concrete.b: expected a finite number, got nan"),
     (lambda doc: doc["slabs"]["interior_drywall"][1].__setitem__(1, math.inf),
-     "slab 'interior_drywall': layer 1 thickness: expected a finite number, got inf"),
+     "slabs.interior_drywall[1][1]: expected a finite number, got inf"),
 ], ids=["missing_coefficient", "unknown_material", "no_exterior_slab", "materials_not_an_object",
         "string_coefficient", "layer_not_a_pair", "material_extra_key", "file_extra_key",
         "nan_coefficient", "infinite_thickness"])
@@ -949,9 +964,16 @@ def _bad_report(**first) -> str:
     ('{"schema": "sweep-report/1", "seed": 0, "t_fap_db": 6.0, "trials": 1,'
      ' "noiseless": false}', "error: report: missing key 'frequencies'"),
     (_bad_report(colour="grey"), "error: frequencies[0]: unexpected key 'colour'"),
+    (_bad_report(lls_errors_m=[0.7, math.inf, 2.0]),
+     "error: frequencies[0].lls_errors_m[1]: expected a finite number, got inf"),
+    (_bad_report(dnls_errors_m=[3.0, -1.0, 2.0]),
+     "error: FrequencyReport.dnls_errors_m must be sorted ascending and >= 0"),
+    (_bad_report(peb_m=[-0.1, 0.2]),
+     "error: FrequencyReport.peb_m must be sorted ascending and >= 0"),
 ], ids=["wrong_schema", "not_json", "missing_key", "not_an_object", "frequency_not_an_object",
         "string_samples", "null_sample", "string_frequency", "missing_group", "unknown_group",
-        "missing_exclusion", "no_frequencies", "unexpected_key"])
+        "missing_exclusion", "no_frequencies", "unexpected_key", "infinite_sample",
+        "unsorted_samples", "negative_sample"])
 def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "report.json"
     path.write_text(text, encoding="utf-8")
