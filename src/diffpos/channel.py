@@ -496,7 +496,8 @@ class SceneGeometry:
         self.surfaces = surfaces
         self.edge_table = edges
         # Edge e's ends at lam = 0.0 and 1.0, rows 2e and 2e + 1: bit for bit
-        # the points of the diffraction rows clamped to them.
+        # the points of the diffraction rows clamped to them, which
+        # diffractions reads from here.
         n_edges = len(edges.x1)
         self.edge_ends = edges.points(np.arange(n_edges).repeat(2), np.tile([0.0, 1.0], n_edges))
         self._walls = _pack_surfaces(surfaces)
@@ -631,7 +632,8 @@ class SceneGeometry:
         Keller's equal-angle point, clipped to the edge where it lies off it
         (flagged as an endpoint). Rows run receiver by receiver, each anchor
         by anchor in edge order. Edges whose line holds both tx and rx,
-        where diffraction is undefined, are left out.
+        where diffraction is undefined, are left out. A clamped row's point
+        is read from ``edge_ends``; only the others are computed.
         """
         terms = self._anchor_terms(tx)
         r = self.edge_table.to_local(rx)
@@ -653,12 +655,17 @@ class SceneGeometry:
         anchors ``t`` (A, E, 3) and receivers ``r`` (N, E, 3), in the edge
         frames, at the edges ``ids``."""
         x1, x2, z_e = self.edge_table.x1[ids], self.edge_table.x2[ids], self.edge_table.z_e[ids]
-        # The ends stacked (3, 2, D) in C order, for the kernel's fast loops.
+        # The ends stacked (3, 2, D) in C order, for the kernel's fast loops,
+        # gathered from the (3, A*E) and (3, N*E) views of the frames.
         ends = np.empty((3, 2, len(ids)))
-        ends[:, 0], ends[:, 1] = t[anchor, ids].T, r[receiver, ids].T
+        ends[:, 0] = t.reshape(-1, 3).T.take(anchor * t.shape[1] + ids, axis=1)
+        ends[:, 1] = r.reshape(-1, 3).T.take(receiver * r.shape[1] + ids, axis=1)
         x, y, z = ends
         sol = _solve_edge_lambdas(x, y ** 2, z, x2, x1 - x2, z_e)
-        return sol.lam, sol.endpoint, sol.length, self.edge_table.points(ids, sol.lam)
+        point = self.edge_ends.take(2 * ids + (sol.lam == 1.0), axis=0)
+        inner = np.flatnonzero(~sol.endpoint)
+        point[inner] = self.edge_table.points(ids.take(inner), sol.lam.take(inner))
+        return sol.lam, sol.endpoint, sol.length, point
 
 
 def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
@@ -1000,7 +1007,8 @@ def _path_table(scene: SceneConfig, anchor_ids: tuple[int, ...], receivers: np.n
         + [geom.crossings(p0[chunk:chunk + _LEG_ROWS], p1[chunk:chunk + _LEG_ROWS]).T
            for chunk in range(0, len(p0), _LEG_ROWS)], axis=1)
     n_crossings = legs.sum(axis=0).take(leg)
-    keep = np.flatnonzero((length > 0.0) & (n_crossings.sum(axis=1) <= limits.max_transmissions))
+    keep = np.flatnonzero((length > 0.0)
+                          & (n_crossings[:, 0] + n_crossings[:, 1] <= limits.max_transmissions))
     kind, n_crossings, length = kind.take(keep), n_crossings.take(keep, axis=0), length.take(keep)
     group = np.where((kind != _DIRECT) & (n_crossings[:, 0] > 0), MpcGroup.MPC4.value,
                      _KIND_GROUP[kind])
@@ -1125,10 +1133,13 @@ def _integer_field(rec: dict, key: str) -> int:
 
 def _number(value, name: str) -> float:
     """A JSON number as a float; a boolean, a string or any other JSON type
-    raises ValueError."""
+    raises ValueError, as does an integer too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0) -> IngestResult:
@@ -1136,11 +1147,12 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
     MPC's SNR its power over the thermal noise floor of ``bandwidth_hz`` at
     ``noise_temperature_k``.
 
-    Structural problems (bad JSON, wrong schema, an unknown key in the
-    header or a record, missing or malformed fields, an id that is not a
-    non-negative integer, an rx_xyz that is not a list of three finite JSON
-    numbers, a length, power or ToF that is not a JSON number) raise
-    DatasetError with the line number. Physically
+    Structural problems (bad JSON, wrong schema, a header or record that is
+    not an object, an unknown key in either, missing or malformed fields, an
+    id that is not a non-negative integer, an rx_xyz that is not a list of
+    three finite JSON numbers, a length, power or ToF that is not a JSON
+    number or is an integer too large for a float) raise DatasetError with
+    the line number. Physically
     inconsistent records (negative or non-finite lengths, non-finite powers,
     unknown symbols, an edge_id on a path without a diffraction, stored ToF
     disagreeing with the length beyond 1e-6 relative, an rx_xyz other than
@@ -1176,7 +1188,9 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(line_no, f"invalid JSON: {exc}") from None
-            for key in rec if isinstance(rec, dict) else ():
+            if not isinstance(rec, dict):
+                raise DatasetError(line_no, f"expected an object, got {type(rec).__name__}")
+            for key in rec:
                 if key not in _DATASET_KEYS:
                     raise DatasetError(line_no, f"unexpected key {key!r}")
             try:

@@ -224,25 +224,31 @@ def _receiver_faps(table: PathTable, losses: PathLosses, cfg: SweepConfig,
     are the sweep's from index ``first`` on.
 
     The table covers the scene's anchors 0..A-1, and each (receiver,
-    anchor) pair is one PDP. One lexsort by (pair, time of flight), ties in
-    table order, gives each pair's PDP order: an (N*A, P) index into the
-    rows, padded past the last row, so that the columns read as (N*A, P)
-    and the losses as (F, N*A, P), the padding undetected. The diffraction
-    model's edge is the FAP's own edge when it is a diffraction path, then
-    that of the earliest kept diffraction component, then the anchor's
-    ``nearest_edges`` entry (pure mismatch case). The MPC3 rows of a path
-    table always have an edge. Returns the detected cells receiver by
-    receiver.
+    anchor) pair is one PDP. The table's rows come pair by pair, so one
+    row-wise stable argsort of the times of flight laid out (N*A, P), padded
+    with inf, gives each pair's PDP order, ties in table order: an (N*A, P)
+    index into the rows, padded past the last row, so that the columns read
+    as (N*A, P) and the losses as (F, N*A, P), the padding undetected. The
+    diffraction model's edge is the FAP's own edge when it is a diffraction
+    path, then that of the earliest kept diffraction component, then the
+    anchor's ``nearest_edges`` entry (pure mismatch case). The MPC3 rows of
+    a path table always have an edge. Returns the detected cells receiver
+    by receiver.
     """
     n_anchors = len(table.anchor_ids)
     n_pairs = len(table.receivers) * n_anchors
     pair = table.receiver * n_anchors + table.anchor
     counts = np.bincount(pair, minlength=n_pairs)
-    # The lexsort lists pair 0's PDP, then pair 1's, and so on; row j of
-    # the index takes the next counts[j] of its positions. There is at
-    # least one position when the table is empty.
-    index = np.full((n_pairs, max(1, counts.max())), len(table.tof_s))
-    index[np.arange(index.shape[1]) < counts[:, None]] = np.lexsort((table.tof_s, pair))
+    # Row j sorts pair j's counts[j] rows, which follow one another in the
+    # table from the pair's first row on; the sort's positions plus that
+    # row index them. There is at least one position when the table is
+    # empty.
+    filled = np.arange(max(1, counts.max())) < counts[:, None]
+    tof = np.full(filled.shape, np.inf)
+    tof[filled] = table.tof_s
+    index = tof.argsort(axis=1, kind="stable")
+    index += (counts.cumsum() - counts)[:, None]
+    index[~filled] = len(table.tof_s)
 
     def stacked(column, fill):
         pad = np.full((*column.shape[:-1], 1), fill)

@@ -42,6 +42,10 @@ __all__ = [
 
 _RANK_RTOL = 1e-12
 
+# Right-hand sides per lstsq call of lls_solve; a call of 256 costs about
+# what 2.5 one-problem calls do.
+_LLS_BLOCK = 256
+
 # D-NLS retry ladder, in order: (start at the bounds centroid, damping,
 # max_iters). Plain Gauss-Newton from the LLS start, then a damped run from
 # the same start, then a strongly damped run from the bounds centroid
@@ -427,14 +431,14 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     differenced against the first anchor, which cancels |alpha|^2 and leaves
     a linear system; coplanar (or duplicated) anchors make it rank-deficient.
     The design matrix, its rank test and the anchor terms are built once,
-    and the right-hand sides of all problems together; then each problem is
-    its own ``lstsq`` call, so that its bits do not depend on its batch: a
-    multi-right-hand-side ``lstsq`` matches it at 4 to 8 anchors but not at
-    12 or 16, where it depends on the batch size, and a pseudo-inverse
-    factored once moves sweep counts (``dnls_iterations`` of the desk scene
-    at seed 3, 5.8 GHz: 16193 -> 16194). A non-finite anchor or range raises
-    ValueError naming ``anchors``, or ``ranges`` and the problem's row in
-    the flattened (K, M) ranges.
+    and the right-hand sides of all problems together; they are solved in
+    fixed-width blocks, one ``lstsq`` call each, so that a problem's bits
+    do not depend on its batch. At 4 to 8 anchors they are its one-problem
+    ``lstsq``'s; at 12 and 16 they differ from those in the last bits. A
+    pseudo-inverse factored once moves sweep counts (``dnls_iterations`` of
+    the desk scene at seed 3, 5.8 GHz: 16193 -> 16194). A non-finite anchor
+    or range raises ValueError naming ``anchors``, or ``ranges`` and the
+    problem's row in the flattened (K, M) ranges.
     """
     anchors = _checked("anchors", anchors, (len(anchors), 3))
     ranges = np.asarray(ranges, dtype=float)
@@ -450,7 +454,14 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
         raise SingularGeometryError("LLS design matrix: rank-deficient system")
     sq = flat ** 2
     b = sq[:, :1] - sq[:, 1:] + np.sum(anchors[1:] ** 2, axis=1) - float(x0 @ x0)
-    solutions = np.array([np.linalg.lstsq(a_mat, rhs, rcond=None)[0] for rhs in b])
+    # Each block ends in a column of ones: LAPACK applies its reflectors up
+    # to the last non-zero column only, and that width picks the BLAS
+    # kernel. At least one block, so that no problems give (0, 3).
+    per_block = _LLS_BLOCK - 1
+    rhs = np.ones((max(1, -(-len(b) // per_block)), _LLS_BLOCK, m - 1))
+    rhs[np.divmod(np.arange(len(b)), per_block)] = b
+    solutions = np.concatenate([np.linalg.lstsq(a_mat, block.T, rcond=None)[0].T[:-1]
+                                for block in rhs])[:len(b)]
     return solutions.reshape(*ranges.shape[:-1], 3)
 
 

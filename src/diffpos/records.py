@@ -9,6 +9,7 @@ offending value, such as ``windows[3].z_lo`` or ``materials.concrete.a``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum, EnumMeta
 from types import UnionType
@@ -104,6 +105,9 @@ def _decode(hint, doc, where: str, prefix: str | None = None):
         types, expected = _LEAF_TYPES[hint]
         if not isinstance(doc, types) or (isinstance(doc, bool) and hint is not bool):
             raise ValueError(f"{where}: expected {expected}, got {type(doc).__name__}")
+        if hint is float and abs(doc) > sys.float_info.max:  # an int, compared exactly
+            raise ValueError(f"{where}: expected a finite number, got an integer too large "
+                             "for a float")
         return doc
     if is_dataclass(hint):
         doc = _checked(hint, doc, where)
@@ -120,8 +124,9 @@ def _decode(hint, doc, where: str, prefix: str | None = None):
         key = args[0].__getitem__ if isinstance(args[0], EnumMeta) else str
         return {key(k): _decode(args[1], doc[k], f"{where}.{k}") for k in _record(hint)}
     if hint is np.ndarray:
-        # One pass; item by item only to name the first bad item.
-        if type(doc) is list and set(map(type, doc)) <= {float, int}:
+        # One pass; item by item only to name the first bad item, and for
+        # integers, which may be too large for a float.
+        if type(doc) is list and set(map(type, doc)) <= {float}:
             array = np.array(doc, dtype=float)
             if np.isfinite(array).all():
                 return array

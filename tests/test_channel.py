@@ -684,16 +684,23 @@ _RECORD = {"anchor_id": 0, "rx_id": 0, "rx_xyz": [0.0, 0.0, 0.0], "interactions"
      "malformed field: rx_xyz must be a list of three numbers"),
     # Misspelt optional keys would leave the MPC without its edge id.
     ({"interactions": "Tx-D-Rx", "edgeid": 4, "tof": 1.0}, "unexpected key 'edgeid'$"),
+    ({"path_length_m": 10 ** 400},
+     "malformed field: path_length_m is an integer too large for a float$"),
+    # A record that is valid JSON but no object is replaced whole.
+    ([1, 2], "expected an object, got list$"),
+    (None, "expected an object, got NoneType$"),
 ], ids=["edge_id_not_int", "tof_not_a_number", "tof_null", "rx_xyz_nan", "length_nan",
         "power_inf", "tof_nan", "interactions_not_a_string", "rx_xyz_string", "rx_xyz_of_two",
         "rx_xyz_string_component", "length_string", "power_bool", "tof_bool",
-        "string_position_length_and_bool_power", "misspelt_keys"])
+        "string_position_length_and_bool_power", "misspelt_keys", "length_huge_integer",
+        "record_a_list", "record_null"])
 def test_ingest_bad_field_values(tmp_path, changes, outcome):
     # A malformed field raises DatasetError with its line number; a
     # non-finite length, power or ToF rejects only its own record.
     path = tmp_path / "data.jsonl"
+    record = {**_RECORD, **changes} if isinstance(changes, dict) else changes
     path.write_text('{"schema": "mpc-dataset/1"}\n' + json.dumps(_RECORD) + "\n"
-                    + json.dumps({**_RECORD, **changes}) + "\n")
+                    + json.dumps(record) + "\n")
     if outcome == "rejected":
         result = ingest_dataset(path, BANDWIDTH_HZ)
         assert result.mpc_count == 1

@@ -970,10 +970,16 @@ def _bad_report(**first) -> str:
      "error: FrequencyReport.dnls_errors_m must be sorted ascending and >= 0"),
     (_bad_report(peb_m=[-0.1, 0.2]),
      "error: FrequencyReport.peb_m must be sorted ascending and >= 0"),
+    (_bad_report(frequency_hz=10 ** 400),
+     "error: frequencies[0].frequency_hz: expected a finite number, got an integer too large "
+     "for a float"),
+    (_bad_report(lls_errors_m=[0.7, 10 ** 400]),
+     "error: frequencies[0].lls_errors_m[1]: expected a finite number, got an integer too "
+     "large for a float"),
 ], ids=["wrong_schema", "not_json", "missing_key", "not_an_object", "frequency_not_an_object",
         "string_samples", "null_sample", "string_frequency", "missing_group", "unknown_group",
         "missing_exclusion", "no_frequencies", "unexpected_key", "infinite_sample",
-        "unsorted_samples", "negative_sample"])
+        "unsorted_samples", "negative_sample", "huge_integer_frequency", "huge_integer_sample"])
 def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "report.json"
     path.write_text(text, encoding="utf-8")

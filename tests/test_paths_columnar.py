@@ -465,7 +465,8 @@ def test_point_table_legs_equal_each_rows_own_crossing_tests():
 def test_clamped_diffraction_points_are_the_edge_ends(full_scale, n_receivers):
     # A row clamped to an edge end shares that end's legs, which are tested
     # from the edge end table: its diffraction point must be the table's
-    # entry bit for bit.
+    # entry bit for bit. Every row's point, clamped or not, is the edge
+    # point at its lam, bit for bit.
     scene = build_default_scene(full_scale=full_scale)
     geom = build_scene_geometry(scene)
     receivers = receiver_grid(scene)
@@ -478,6 +479,7 @@ def test_clamped_diffraction_points_are_the_edge_ends(full_scale, n_receivers):
     assert np.all((d.lam[rows] == 0.0) | (d.lam[rows] == 1.0))
     end = 2 * d.ids[rows] + (d.lam[rows] == 1.0)
     assert d.point[rows].tobytes() == geom.edge_ends[end].tobytes()
+    assert d.point.tobytes() == geom.edge_table.points(d.ids, d.lam).tobytes()
 
 
 def test_pdp_needs_a_one_anchor_table():
@@ -644,21 +646,51 @@ def test_receiver_faps_match_object_bodies_on_every_ladder_cell():
                 rows = pair.detected_rows(detected[fi])
                 assert rows.size
                 pdp = Pdp(pair.build_mpcs(rows, power[fi, rows], snr[fi, rows]), rx, a)
-                fap, mpc3 = object_rows(pdp, cfg.top_k, cfg.t_fap_db)
-                c = n * n_freqs + fi
-                assert (cells.group[c, a], cells.snr_db[c, a], cells.length_m[c, a]) \
-                    == (fap.group.value, fap.snr_db, fap.path_length_m)
-                if mpc3 is None:
-                    assert cells.mpc3_edge[c, a] == -1
-                    assert math.isnan(cells.mpc3_snr_db[c, a])
-                else:
-                    assert (cells.mpc3_edge[c, a], cells.mpc3_snr_db[c, a]) \
-                        == (mpc3.edge_id, mpc3.snr_db)
-                model_edge = fap.edge_id if fap.group is MpcGroup.MPC3 \
-                    else mpc3.edge_id if mpc3 is not None else nearest[a]
-                assert cells.model_edge[c, a] == model_edge
+                assert_cell_is_object_rows(cells, n * n_freqs + fi, a, pdp, cfg, nearest)
                 checked += 1
     assert checked == 20 * 4 * 7
+
+
+def assert_cell_is_object_rows(cells, c, a, pdp, cfg, nearest):
+    """Cell ``c``'s anchor ``a`` entries are those of the object bodies on
+    ``pdp``."""
+    fap, mpc3 = object_rows(pdp, cfg.top_k, cfg.t_fap_db)
+    assert (cells.group[c, a], cells.snr_db[c, a], cells.length_m[c, a]) \
+        == (fap.group.value, fap.snr_db, fap.path_length_m)
+    if mpc3 is None:
+        assert cells.mpc3_edge[c, a] == -1
+        assert math.isnan(cells.mpc3_snr_db[c, a])
+    else:
+        assert (cells.mpc3_edge[c, a], cells.mpc3_snr_db[c, a]) == (mpc3.edge_id, mpc3.snr_db)
+    model_edge = fap.edge_id if fap.group is MpcGroup.MPC3 \
+        else mpc3.edge_id if mpc3 is not None else nearest[a]
+    assert cells.model_edge[c, a] == model_edge
+
+
+def test_receiver_faps_keep_table_order_among_tied_times_of_flight():
+    # Times of flight rounded to 1 ns tie rows within a PDP. Each pair's
+    # PDP order is then its rows stably sorted by time of flight, ties in
+    # table order, and the cells are the object bodies' on that PDP.
+    scene = build_default_scene(grid_spacing=6.0, receiver_floors=(3,))
+    cfg = SweepConfig(scene=scene, frequencies_hz=DEFAULT_FREQUENCY_LADDER_HZ)
+    geom = build_scene_geometry(scene)
+    nearest = _nearest_edges(geom, np.asarray(scene.anchors, dtype=float))
+    block = path_table(scene, range(len(scene.anchors)), receiver_grid(scene), geom)
+    tied = replace(block, tof_s=np.round(block.tof_s, 9))
+    losses = tied.losses(cfg.frequencies_hz)
+    cells = _receiver_faps(tied, losses, cfg, nearest, 0)
+    n_freqs, ties = len(cfg.frequencies_hz), 0
+    for n, rx in enumerate(tied.receivers):
+        for a in range(len(scene.anchors)):
+            pair_rows = np.flatnonzero((tied.receiver == n) & (tied.anchor == a))
+            ties += len(pair_rows) - len(np.unique(tied.tof_s[pair_rows]))
+            for fi in range(n_freqs):
+                rows = pair_rows[losses.detected[fi, pair_rows]]
+                rows = rows[np.argsort(tied.tof_s[rows], kind="stable")]
+                pdp = Pdp(tied.build_mpcs(rows, losses.power_dbm[fi, rows],
+                                          losses.snr_db[fi, rows]), rx, a)
+                assert_cell_is_object_rows(cells, n * n_freqs + fi, a, pdp, cfg, nearest)
+    assert ties > 0.3 * len(tied.tof_s)
 
 
 def test_run_sweep_builds_no_mpc(monkeypatch):

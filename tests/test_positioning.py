@@ -281,7 +281,7 @@ def per_problem_lls(anchors, ranges):
     return np.linalg.lstsq(2.0 * (anchors[1:] - x0), b, rcond=None)[0]
 
 
-@pytest.mark.parametrize("m", [4, 5, 8, 12])
+@pytest.mark.parametrize("m", [4, 5, 8])
 def test_lls_solve_equals_per_problem_lstsq_bit_for_bit(m):
     # Anchors around a building, receivers inside it, ranges with metre-level
     # errors: K problems in one call give each problem's own solution.
@@ -296,6 +296,31 @@ def test_lls_solve_equals_per_problem_lstsq_bit_for_bit(m):
     assert lls_solve(anchors, ranges.reshape(20, 10, m)).shape == (20, 10, 3)
     with pytest.raises(ValueError, match="do not match"):
         lls_solve(anchors, ranges[:, 1:])
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_lls_solve_rows_do_not_depend_on_their_batch(m):
+    # At 12 and 16 anchors a block of right-hand sides differs from the
+    # one-problem lstsq in the last bits, so each row is held to the row
+    # solved alone and to its row in a permuted batch, bit for bit. The
+    # anchors lie on a sphere about the origin with integer coordinates, so
+    # that the receiver at its centre, with equal ranges, has an all-zero
+    # right-hand side; it ends every batch.
+    rng = np.random.default_rng(m)
+    sphere = np.array([p for p in np.ndindex(27, 27, 27)], dtype=float) - 13.0
+    sphere = sphere[(sphere ** 2).sum(axis=1) == 169.0]
+    anchors = sphere[rng.choice(len(sphere), m, replace=False)]
+    truths = rng.uniform(-5.0, 5.0, (999, 3))
+    ranges = np.linalg.norm(anchors - truths[:, None], axis=2) + rng.normal(0.0, 1.0, (999, m))
+    ranges = np.vstack([ranges, np.full(m, 13.0)])
+    alone = np.array([lls_solve(anchors, r) for r in ranges])
+    assert np.array_equal(alone[-1], np.zeros(3))
+    assert np.abs(alone - [per_problem_lls(anchors, r) for r in ranges]).max() < 1e-12
+    for n in [1, 255, 256, 257, 1000]:
+        assert np.array_equal(lls_solve(anchors, ranges[-n:]), alone[-n:])
+        order = rng.permutation(n)
+        assert np.array_equal(lls_solve(anchors, ranges[-n:][order]), alone[-n:][order])
+    assert lls_solve(anchors, ranges[:0]).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
