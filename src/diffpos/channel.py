@@ -47,6 +47,7 @@ from .materials import (
     free_space_path_loss_db,
     reflection_loss_db,
     transmission_loss_db,
+    _MAX_ABS_DB,
     _check_finite,
 )
 
@@ -212,7 +213,7 @@ class BandPlan:
         if not self.f_lo_hz <= self.f_hi_hz < math.inf:
             raise ValueError(f"band {self.label!r}: f_hi_hz must be finite and >= f_lo_hz, "
                              f"got {self.f_hi_hz:g} Hz")
-        _check_finite(self, "tx_power_dbm", "rx_processing_gain_db")
+        _check_finite(self, "tx_power_dbm", "rx_processing_gain_db", bound=_MAX_ABS_DB)
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,12 @@ class RadioConfig:
     diffraction_loss: DiffractionLossModel = field(default_factory=DiffractionLossModel)
 
     def __post_init__(self) -> None:
-        noise_floor_dbm(self.bandwidth_hz, self.noise_temperature_k)  # both must be positive
+        floor = noise_floor_dbm(self.bandwidth_hz, self.noise_temperature_k)  # both positive
         _check_finite(self, "bandwidth_hz", "noise_temperature_k")
+        if not abs(floor) <= _MAX_ABS_DB:
+            raise ValueError(f"RadioConfig.bandwidth_hz {self.bandwidth_hz:g} and "
+                             f"noise_temperature_k {self.noise_temperature_k:g} give a noise "
+                             f"floor of {floor:g} dBm, not within ±{_MAX_ABS_DB:g}")
         if self.polarization not in ("TE", "TM"):
             raise ValueError(f"polarization must be 'TE' or 'TM', got {self.polarization!r}")
 
@@ -294,6 +299,12 @@ class InteriorWall:
     z_hi: float
 
 
+# Every anchor coordinate lies within this many metres of the origin: 1,000
+# km is far past detection at any band, and keeps the sweep's squared
+# distances (the LLS design terms among them) far from overflow.
+_ANCHOR_REACH_M = 1e6
+
+
 @dataclass
 class SceneConfig:
     """Building, anchors, receiver grid, radio, and enumeration limits."""
@@ -340,6 +351,9 @@ class SceneConfig:
         for i, anchor in enumerate(self.anchors):
             if len(anchor) != 3 or not all(math.isfinite(v) for v in anchor):
                 raise ValueError(f"anchor {i} {tuple(anchor)!r} is not three finite coordinates")
+            if max(map(abs, anchor)) > _ANCHOR_REACH_M:
+                raise ValueError(f"anchors[{i}]: coordinates must lie within "
+                                 f"±{_ANCHOR_REACH_M:g} m, got {tuple(anchor)!r}")
         # Window cutouts and edges belong to the facade planes.
         facade_coords = {"x": (0.0, self.footprint_x), "y": (0.0, self.footprint_y)}
         facade_width = {"x": self.footprint_y, "y": self.footprint_x}

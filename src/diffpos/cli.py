@@ -30,17 +30,13 @@ from .materials import load_material_library
 
 
 def _cmd_scene(args) -> int:
-    try:
-        materials = load_material_library(args.materials) if args.materials else None
-        scene = build_default_scene(
-            grid_spacing=args.grid_spacing,
-            receiver_floors=tuple(args.floors),
-            full_scale=args.full_scale,
-            materials=materials,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    materials = load_material_library(args.materials) if args.materials else None
+    scene = build_default_scene(
+        grid_spacing=args.grid_spacing,
+        receiver_floors=tuple(args.floors),
+        full_scale=args.full_scale,
+        materials=materials,
+    )
     save_scene(scene, args.out)
     print(f"wrote scene config to {args.out}")
     return 0
@@ -49,20 +45,16 @@ def _cmd_scene(args) -> int:
 def _cmd_sweep(args) -> int:
     frequencies = tuple(sorted(args.frequencies)) if args.frequencies \
         else DEFAULT_FREQUENCY_LADDER_HZ
-    try:
-        scene = load_scene(args.scene) if args.scene else build_default_scene()
-        cfg = SweepConfig(
-            scene=scene,
-            frequencies_hz=frequencies,
-            t_fap_db=args.t_fap,
-            trials=args.trials,
-            seed=args.seed,
-            noiseless=args.noiseless,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report = run_sweep(cfg)
+    scene = load_scene(args.scene) if args.scene else build_default_scene()
+    cfg = SweepConfig(
+        scene=scene,
+        frequencies_hz=frequencies,
+        t_fap_db=args.t_fap,
+        trials=args.trials,
+        seed=args.seed,
+        noiseless=args.noiseless,
+    )
+    report = run_sweep(cfg)  # before mkdir: a refused sweep leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -77,11 +69,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    try:
-        result = ingest_dataset(args.dataset, args.bandwidth, args.noise_temperature)
-    except (ValueError, OSError) as exc:  # DatasetError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = ingest_dataset(args.dataset, args.bandwidth, args.noise_temperature)
     counts = {g: 0 for g in MpcGroup}
     for pdp in result.pdps.values():
         for m in pdp.mpcs:
@@ -97,13 +85,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = report_from_dict(json.load(fh))
-        files = export_report(report, args.out)
-    except ValueError as exc:  # includes json.JSONDecodeError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.report, "r", encoding="utf-8") as fh:
+        report = report_from_dict(json.load(fh))
+    files = export_report(report, args.out)
     print(f"wrote {len(files)} CSV files to {args.out}")
     return 0
 
@@ -160,7 +144,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # e.g. a missing file, or a directory given as a file
+    except (OSError, ValueError) as exc:  # DatasetError, JSONDecodeError, LinAlgError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

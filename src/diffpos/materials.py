@@ -94,13 +94,23 @@ class SlabSpec:
         return self.layers[0].material
 
 
-def _check_finite(record, *names: str) -> None:
+# The radio's dB numbers (transmit power, processing gain, diffraction
+# reference loss, noise floor in dBm) lie within this many dB of 0, so that
+# an SNR stays far below the ~3,083 dB at which its linear value overflows.
+_MAX_ABS_DB = 300.0
+
+
+def _check_finite(record, *names: str, bound: float = math.inf) -> None:
     """Raise ValueError naming the record's class and the first of its fields
-    ``names`` whose value is not a finite number."""
+    ``names`` whose value is not a finite number, or exceeds ``bound`` in
+    magnitude."""
     for name in names:
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ValueError(f"{type(record).__name__}.{name} must be finite, got {value!r}")
+        if abs(value) > bound:
+            raise ValueError(f"{type(record).__name__}.{name} must lie within ±{bound:g}, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +124,8 @@ class DiffractionLossModel:
     def __post_init__(self) -> None:
         if not self.f0_hz > 0:
             raise ValueError(f"diffraction loss f0_hz must be positive, got {self.f0_hz:g} Hz")
-        _check_finite(self, "l0_db", "gamma", "f0_hz")
+        _check_finite(self, "l0_db", bound=_MAX_ABS_DB)
+        _check_finite(self, "gamma", "f0_hz")
 
 
 def permittivity(material: Material, f_hz: float) -> float:

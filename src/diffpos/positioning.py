@@ -438,7 +438,8 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     pseudo-inverse factored once moves sweep counts (``dnls_iterations`` of
     the desk scene at seed 3, 5.8 GHz: 16193 -> 16194). A non-finite anchor
     or range raises ValueError naming ``anchors``, or ``ranges`` and the
-    problem's row in the flattened (K, M) ranges.
+    problem's row in the flattened (K, M) ranges; so do anchors so far out
+    that a design term, 2 (a_i - a_0) or |a_i|^2, overflows.
     """
     anchors = _checked("anchors", anchors, (len(anchors), 3))
     ranges = np.asarray(ranges, dtype=float)
@@ -448,12 +449,19 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     if ranges.shape[-1:] != (m,):
         raise ValueError(f"ranges of shape {ranges.shape} do not match {m} anchors")
     flat = _checked("ranges", ranges.reshape(-1, m), (ranges.size // m, m))
+    # lstsq can hang on a design with inf entries, so anchors whose design
+    # terms overflow are refused before any LAPACK call, the rank test's
+    # too. Finite squared norms |a_i|^2 keep 2 (a_i - a_0) finite as well.
+    with np.errstate(over="ignore"):
+        norms = np.sum(anchors ** 2, axis=1)
+    if not _all_finite(norms):
+        raise ValueError("anchors must have finite design terms 2 (a_i - a_0) and |a_i|^2")
     x0 = anchors[0]
     a_mat = 2.0 * (anchors[1:] - x0)
     if _rank_deficient(a_mat):
         raise SingularGeometryError("LLS design matrix: rank-deficient system")
     sq = flat ** 2
-    b = sq[:, :1] - sq[:, 1:] + np.sum(anchors[1:] ** 2, axis=1) - float(x0 @ x0)
+    b = sq[:, :1] - sq[:, 1:] + norms[1:] - float(x0 @ x0)
     # Each block ends in a column of ones: LAPACK applies its reflectors up
     # to the last non-zero column only, and that width picks the BLAS
     # kernel. At least one block, so that no problems give (0, 3).

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -784,6 +785,19 @@ def test_cli_scene_repeated_floor_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_error_deep_in_the_sweep_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise ValueError("linear SNRs must be positive and finite; row 0 is not")
+
+    monkeypatch.setattr("diffpos.cli.run_sweep", fail)
+    out_dir = tmp_path / "out"
+    rc = cli_main(["sweep", "--out", str(out_dir), "--frequencies", "28e9"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: linear SNRs must be positive and finite;"
+                                       " row 0 is not\n")
+    assert not out_dir.exists()
+
+
 def test_cli_sweep_negative_seed_is_an_error_line(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = cli_main(["sweep", "--out", str(out_dir), "--seed", "-3"])
@@ -826,6 +840,19 @@ def test_cli_sweep_bad_scene_record_is_an_error_line(tmp_path, capsys, record, k
     assert not out_dir.exists()
 
 
+def _within(seconds: float, func, *args):
+    """``func(*args)``, run on a daemon thread, so that a call that hangs in C
+    code (as lstsq did on an overflowed design) fails the test after
+    ``seconds`` instead of stalling the suite."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(func(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive():
+        pytest.fail(f"still running after {seconds} s")
+    return out[0]
+
+
 def _set(path, value):
     """A change to a scene document: set the value at ``path``, a list of
     keys and indices."""
@@ -860,20 +887,38 @@ def _set(path, value):
     (_set(["receiver_margin"], -4), "receiver_margin must be positive, got -4 m"),
     (_set(["receiver_height"], 4.5), "receiver_height must lie in (0, 3) m, got 4.5 m"),
     (_set(["receiver_height"], 0), "receiver_height must lie in (0, 3) m, got 0 m"),
+    # Finite numbers that overflowed deep in the sweep: an LLS design term,
+    # on which lstsq hung, or a linear SNR.
+    (_set(["anchors", 0, 0], -1e308),
+     "anchors[0]: coordinates must lie within ±1e+06 m, got (-1e+308, -20.0, 3.2)"),
+    (_set(["radio", "bands", 2, "tx_power_dbm"], 1e308),
+     "BandPlan.tx_power_dbm must lie within ±300, got 1e+308"),
+    (_set(["radio", "bands", 2, "rx_processing_gain_db"], 1e308),
+     "BandPlan.rx_processing_gain_db must lie within ±300, got 1e+308"),
+    (_set(["radio", "diffraction_loss", "l0_db"], -1e308),
+     "DiffractionLossModel.l0_db must lie within ±300, got -1e+308"),
+    (_set(["radio", "bandwidth_hz"], 1e308),
+     "RadioConfig.bandwidth_hz 1e+308 and noise_temperature_k 290 give a noise floor of "
+     "2906.02 dBm, not within ±300"),
+    (_set(["radio", "noise_temperature_k"], 1e-300),
+     "RadioConfig.bandwidth_hz 4e+08 and noise_temperature_k 1e-300 give a noise floor of "
+     "-3112.27 dBm, not within ±300"),
 ], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
         "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
         "floor_count_float", "include_ground_int", "window_bound_bool", "polarization_xy",
         "negative_noise_temperature", "zero_f0", "l0_nan", "anchor_infinity",
         "window_bound_minus_infinity", "repeated_receiver_floor", "receivers_outside",
-        "receivers_on_next_floor", "receivers_on_slab"])
+        "receivers_on_next_floor", "receivers_on_slab", "anchor_far_out", "tx_power_huge",
+        "processing_gain_huge", "l0_huge_negative", "bandwidth_huge",
+        "noise_temperature_tiny"])
 def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
     doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
     change(doc)
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(doc), encoding="utf-8")
     out_dir = tmp_path / "out"
-    rc = cli_main(["sweep", "--scene", str(scene_path), "--out", str(out_dir),
-                   "--frequencies", "28e9"])
+    rc = _within(60, cli_main, ["sweep", "--scene", str(scene_path), "--out", str(out_dir),
+                                "--frequencies", "28e9"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()

@@ -7,10 +7,15 @@ bound, and LLS against exact noiseless recovery.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffpos
 import scalar_edge
 from conftest import Problem, bounds_of, edges_of, ladder, pack, random_positioning_instance
 from diffpos.constants import SPEED_OF_LIGHT
@@ -271,6 +276,40 @@ def test_lls_rejects_non_finite_range_naming_its_row():
         lls_solve(anchors, ranges)
     with pytest.raises(ValueError, match=r"^ranges must be finite; row 0 is not$"):
         lls_solve(anchors, [8.0, math.nan, 8.0, 8.0])
+
+
+# Anchor sets whose LLS design terms overflow: one coordinate at -1e308,
+# whose square and whose difference with the other anchors overflow, and
+# coordinates of 1e154, whose squares stay finite but whose squared norm
+# does not. The script prints the error, or the estimates if there is none.
+_LLS_OVERFLOW = """
+import sys
+import numpy as np
+from diffpos.positioning import lls_solve
+anchors = np.array([[7.5, -20.0, 3.2], [22.5, -20.0, 4.2], [7.5, 40.0, 4.9], [22.5, 40.0, 5.8]])
+if sys.argv[1] == "huge":
+    anchors[0, 0] = -1e308
+else:
+    anchors[1] = 1e154
+try:
+    print(lls_solve(anchors, np.full((3, 4), 30.0)))
+except ValueError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("case", ["huge", "norm"])
+def test_lls_rejects_anchors_whose_design_terms_overflow(case):
+    # In a child process with a timeout: lstsq on a design with inf entries
+    # can hang, and a regression must fail the test, not stall the suite.
+    src = str(Path(diffpos.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _LLS_OVERFLOW, case],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("ValueError: anchors must have finite design terms 2 (a_i - a_0)"
+                           " and |a_i|^2\n")
 
 
 def per_problem_lls(anchors, ranges):
