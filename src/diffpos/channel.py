@@ -47,6 +47,7 @@ from .materials import (
     free_space_path_loss_db,
     reflection_loss_db,
     transmission_loss_db,
+    _FREQ_REACH_HZ,
     _MAX_ABS_DB,
     _check_finite,
 )
@@ -213,6 +214,11 @@ class BandPlan:
         if not self.f_lo_hz <= self.f_hi_hz < math.inf:
             raise ValueError(f"band {self.label!r}: f_hi_hz must be finite and >= f_lo_hz, "
                              f"got {self.f_hi_hz:g} Hz")
+        lo, hi = _FREQ_REACH_HZ
+        for name in ("f_lo_hz", "f_hi_hz"):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"band {self.label!r}: {name} must be within [{lo:g}, {hi:g}] "
+                                 f"Hz, got {getattr(self, name):g} Hz")
         _check_finite(self, "tx_power_dbm", "rx_processing_gain_db", bound=_MAX_ABS_DB)
 
 
@@ -262,12 +268,9 @@ _FACADE_ROTATIONS = {"y": np.eye(3),
 
 
 @dataclass(frozen=True)
-class WindowRect:
-    """Rectangular opening in a facade; its horizontal rims diffract.
-
-    ``axis`` is the facade's normal axis ('x' or 'y'), ``coord`` the facade
-    plane coordinate; ``u`` runs along the facade horizontally.
-    """
+class _Rect:
+    """A u x z rectangle in the plane ``axis`` = ``coord`` (``axis`` 'x' or
+    'y'); ``u`` runs along the plane horizontally."""
 
     axis: str
     coord: float
@@ -278,31 +281,33 @@ class WindowRect:
 
     def __post_init__(self) -> None:
         if self.axis not in ("x", "y"):
-            raise ValueError("window axis must be 'x' or 'y'")
+            raise ValueError(f"{type(self).__name__}.axis must be 'x' or 'y', got {self.axis!r}")
         if not (self.u_hi > self.u_lo and self.z_hi > self.z_lo):
-            raise ValueError("window rectangle is empty")
+            raise ValueError(f"{self} is empty: it needs u_lo < u_hi and z_lo < z_hi")
 
     @property
     def height(self) -> float:
         return self.z_hi - self.z_lo
 
 
-@dataclass(frozen=True)
-class InteriorWall:
-    """Axis-aligned interior partition covering a u x z rectangle."""
-
-    axis: str  # normal axis: 'x' or 'y'
-    coord: float
-    u_lo: float
-    u_hi: float
-    z_lo: float
-    z_hi: float
+class WindowRect(_Rect):
+    """Rectangular opening in a facade; its horizontal rims diffract."""
 
 
-# Every anchor coordinate lies within this many metres of the origin: 1,000
-# km is far past detection at any band, and keeps the sweep's squared
-# distances (the LLS design terms among them) far from overflow.
-_ANCHOR_REACH_M = 1e6
+class InteriorWall(_Rect):
+    """Interior partition covering its rectangle; it attenuates."""
+
+
+# Every scene length (an anchor coordinate, a footprint side, the building's
+# height) lies within this many metres of the origin: 1,000 km is far past
+# detection at any band, and keeps the sweep's squared distances (the LLS
+# design terms among them) far from overflow.
+_REACH_M = 1e6
+# The most floors and receivers a scene may hold, refused before any array is
+# built: each floor adds a slab that every leg is tested against, and the
+# full-scale grid holds 12,000 receivers.
+_MAX_FLOORS = 1_000
+_MAX_RECEIVERS = 1_000_000
 
 
 @dataclass
@@ -331,6 +336,14 @@ class SceneConfig:
             raise ValueError("receiver spacing must be positive")
         if self.floor_count < 1 or self.floor_height <= 0:
             raise ValueError("invalid floor layout")
+        for name in ("footprint_x", "footprint_y"):
+            if not 0 < getattr(self, name) <= _REACH_M:
+                raise ValueError(f"{name} must lie in (0, {_REACH_M:g}] m, "
+                                 f"got {getattr(self, name):g} m")
+        if self.floor_count > min(_MAX_FLOORS, _REACH_M / self.floor_height):
+            raise ValueError(f"floor_count must be at most {_MAX_FLOORS:,} and floor_count × "
+                             f"floor_height at most {_REACH_M:g} m, got {self.floor_count} "
+                             f"floors of {self.floor_height:g} m")
         # Receivers stand inside the footprint and above the slab of their floor.
         if not self.receiver_margin > 0:
             raise ValueError(f"receiver_margin must be positive, got {self.receiver_margin:g} m")
@@ -342,27 +355,36 @@ class SceneConfig:
                 raise ValueError(f"receiver floor {floor} outside 1..{self.floor_count}")
             if floor in self.receiver_floors[:i]:
                 raise ValueError(f"receiver floor {floor} is listed twice")
-        if not (self.receiver_floors
-                and _grid_axis(self.footprint_x, self.receiver_margin, self.receiver_spacing).size
-                and _grid_axis(self.footprint_y, self.receiver_margin, self.receiver_spacing).size):
+        nx, ny = (_grid_size(extent, self.receiver_margin, self.receiver_spacing)
+                  for extent in (self.footprint_x, self.footprint_y))
+        if not (self.receiver_floors and nx and ny):
             raise ValueError(
                 f"receiver margin {self.receiver_margin:g} m and spacing "
                 f"{self.receiver_spacing:g} m leave an empty receiver grid")
+        if nx * ny * len(self.receiver_floors) > _MAX_RECEIVERS:
+            raise ValueError(f"receiver_spacing {self.receiver_spacing:g} m gives {nx:g} x {ny:g} "
+                             f"receivers on each of {len(self.receiver_floors)} floors, more "
+                             f"than the {_MAX_RECEIVERS:,} allowed")
         for i, anchor in enumerate(self.anchors):
             if len(anchor) != 3 or not all(math.isfinite(v) for v in anchor):
                 raise ValueError(f"anchor {i} {tuple(anchor)!r} is not three finite coordinates")
-            if max(map(abs, anchor)) > _ANCHOR_REACH_M:
+            if max(map(abs, anchor)) > _REACH_M:
                 raise ValueError(f"anchors[{i}]: coordinates must lie within "
-                                 f"±{_ANCHOR_REACH_M:g} m, got {tuple(anchor)!r}")
-        # Window cutouts and edges belong to the facade planes.
-        facade_coords = {"x": (0.0, self.footprint_x), "y": (0.0, self.footprint_y)}
-        facade_width = {"x": self.footprint_y, "y": self.footprint_x}
+                                 f"±{_REACH_M:g} m, got {tuple(anchor)!r}")
+        # Windows lie in a facade plane, interior walls in or between two;
+        # either spans at most its facade's width and the building's height.
+        extent = {"x": self.footprint_x, "y": self.footprint_y}
+        width = {"x": self.footprint_y, "y": self.footprint_x}
         top = self.floor_count * self.floor_height
-        for i, w in enumerate(self.windows):
-            if w.coord not in facade_coords[w.axis]:
-                raise ValueError(f"window {i} at {w.axis} = {w.coord:g} is on no facade")
-            if w.u_lo < 0.0 or w.u_hi > facade_width[w.axis] or w.z_lo < 0.0 or w.z_hi > top:
-                raise ValueError(f"window {i} extends past its facade")
+        for where, rects in (("windows", self.windows), ("interior_walls", self.interior_walls)):
+            for i, r in enumerate(rects):
+                if where == "windows" and r.coord not in (0.0, extent[r.axis]):
+                    raise ValueError(f"windows[{i}] at {r.axis} = {r.coord:g} is on no facade")
+                if not (0.0 <= r.coord <= extent[r.axis] and 0.0 <= r.u_lo
+                        and r.u_hi <= width[r.axis] and 0.0 <= r.z_lo and r.z_hi <= top):
+                    raise ValueError(f"{where}[{i}] extends past its facade: {r.axis} must lie in "
+                                     f"[0, {extent[r.axis]:g}] m, u in [0, {width[r.axis]:g}] m "
+                                     f"and z in [0, {top:g}] m")
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -688,25 +710,16 @@ def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
     top = scene.floor_count * scene.floor_height
     surfaces: list[Surface] = []
 
-    def window_cutouts(axis: str, coord: float):
-        return tuple(
-            (w.u_lo, w.u_hi, w.z_lo, w.z_hi)
-            for w in scene.windows if w.axis == axis and w.coord == coord
-        )
-
-    # Exterior shell.
-    for coord in (0.0, ly):
-        surfaces.append(Surface(
-            name=f"facade_y{coord:g}", axis="y", coord=coord,
-            u_lo=0.0, u_hi=lx, v_lo=0.0, v_hi=top,
-            slab=scene.exterior_slab, cutouts=window_cutouts("y", coord),
-            reflective=True))
-    for coord in (0.0, lx):
-        surfaces.append(Surface(
-            name=f"facade_x{coord:g}", axis="x", coord=coord,
-            u_lo=0.0, u_hi=ly, v_lo=0.0, v_hi=top,
-            slab=scene.exterior_slab, cutouts=window_cutouts("x", coord),
-            reflective=True))
+    # Exterior shell: the facades y = 0, y = ly, x = 0 and x = lx, each cut
+    # by its windows.
+    for axis, extent, width in (("y", ly, lx), ("x", lx, ly)):
+        for coord in (0.0, extent):
+            surfaces.append(Surface(
+                name=f"facade_{axis}{coord:g}", axis=axis, coord=coord,
+                u_lo=0.0, u_hi=width, v_lo=0.0, v_hi=top, slab=scene.exterior_slab,
+                cutouts=tuple((w.u_lo, w.u_hi, w.z_lo, w.z_hi) for w in scene.windows
+                              if w.axis == axis and w.coord == coord),
+                reflective=True))
     # Floor and ceiling slabs (level 0 is the ground slab, level N the roof).
     for level in range(scene.floor_count + 1):
         z = level * scene.floor_height
@@ -737,6 +750,16 @@ def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:
 
 def _grid_axis(extent: float, margin: float, spacing: float) -> np.ndarray:
     return np.arange(margin, extent - margin + 1e-9, spacing)
+
+
+def _grid_size(extent: float, margin: float, spacing: float) -> float:
+    """``len(_grid_axis(extent, margin, spacing))`` by np.arange's own
+    arithmetic, without building the axis; inf for one too long to count."""
+    start, stop = margin, extent - margin + 1e-9
+    n = (stop - start) / spacing
+    if not n > 0:  # np.arange gives one point when the quotient underflows
+        return float(n == 0.0 and stop > start)
+    return float(math.ceil(n)) if n < math.inf else n
 
 
 def receiver_grid(scene: SceneConfig) -> np.ndarray:

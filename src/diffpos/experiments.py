@@ -43,6 +43,7 @@ from .records import _encode, _from_dict
 __all__ = [
     "DEFAULT_FREQUENCY_LADDER_HZ",
     "SweepConfig",
+    "Diagnostics",
     "FrequencyReport",
     "SweepReport",
     "build_default_scene",
@@ -170,6 +171,19 @@ class SweepConfig:
         self.frequencies_hz = freqs
 
 
+@dataclass(frozen=True)
+class Diagnostics:
+    """D-NLS counters of one frequency: the problems solved on retry rung 0,
+    1 and 2, and the Gauss-Newton iterations of the rungs used."""
+
+    dnls_rung: tuple[int, int, int]
+    dnls_iterations: int
+
+    def __post_init__(self) -> None:
+        if min(self.dnls_rung) < 0 or self.dnls_iterations < 0:
+            raise ValueError(f"Diagnostics counts must be >= 0, got {self}")
+
+
 @dataclass
 class FrequencyReport:
     frequency_hz: float
@@ -181,10 +195,7 @@ class FrequencyReport:
     exclusions: dict[Literal["no_detection", "dnls_failed", "lls_failed", "peb_singular"], int]
     n_receivers: int
     n_pairs: int
-    # D-NLS counters: "dnls_rung" counts the problems solved on retry rung
-    # 0, 1 and 2, "dnls_iterations" the Gauss-Newton iterations of the rungs
-    # used. None for a report saved without them.
-    diagnostics: dict | None = None
+    diagnostics: Diagnostics | None = None  # None for a report saved without them
 
     def __post_init__(self) -> None:
         for name in ("dnls_errors_m", "lls_errors_m", "peb_m"):
@@ -436,8 +447,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                         "peb_singular": int(np.count_nonzero(np.isinf(peb)))},
             n_receivers=len(receivers),
             n_pairs=len(receivers) * n_anchors,
-            diagnostics={"dnls_rung": np.bincount(rung[rung >= 0], minlength=3).tolist(),
-                         "dnls_iterations": int(res.dnls_iterations[at].sum())},
+            diagnostics=Diagnostics(tuple(np.bincount(rung[rung >= 0], minlength=3).tolist()),
+                                    int(res.dnls_iterations[at].sum())),
         ))
     return SweepReport(seed=cfg.seed, t_fap_db=cfg.t_fap_db, trials=cfg.trials,
                        noiseless=cfg.noiseless, frequencies=frequencies)

@@ -51,6 +51,14 @@ __all__ = [
 ]
 
 
+# Every frequency a band may hold lies in _FREQ_REACH_HZ (1 MHz to 1 THz),
+# and each power-law coefficient in its range below. Together they keep
+# eps_r' within 1e-36..1e36, sigma below 1e42 S/m and the loss tangent below
+# 1e83, so no function of this module overflows or divides by zero.
+_FREQ_REACH_HZ = (1e6, 1e12)
+_COEFFICIENT_RANGES = {"a": (1e-6, 1e6), "b": (-10.0, 10.0), "c": (0.0, 1e12), "d": (-10.0, 10.0)}
+
+
 @dataclass(frozen=True)
 class Material:
     """ITU power-law fit parameters for one building material."""
@@ -62,10 +70,10 @@ class Material:
     d: float  # conductivity frequency exponent
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError(f"material {self.name!r}: permittivity coefficient a must be > 0")
-        if self.c < 0:
-            raise ValueError(f"material {self.name!r}: conductivity coefficient c must be >= 0")
+        for name, (lo, hi) in _COEFFICIENT_RANGES.items():
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"material {self.name!r}: {name} must lie in [{lo:g}, {hi:g}], "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 # The JSON types a leaf of each annotated type accepts (a JSON boolean is a
-# Python int, so numeric leaves reject it separately); a bare dict is taken
-# as it is.
+# Python int, so numeric leaves reject it separately).
 _LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
-               str: (str, "a string"), bool: (bool, "a boolean"), dict: (dict, "an object")}
+               str: (str, "a string"), bool: (bool, "a boolean")}
 
 # {key: (type hint, required)} per record class or closed-key dict type,
 # filled on first use; not functools.cache, whose __wrapped__ reads as a

@@ -32,6 +32,8 @@ from diffpos.channel import (
     path_table,
     receiver_grid,
     truncate_top_k,
+    _grid_axis,
+    _grid_size,
 )
 from diffpos.cli import main as cli_main
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, build_default_scene
@@ -320,6 +322,11 @@ def test_scene_invariants():
         PathLimits(max_transmissions=-1)
     with pytest.raises(ValueError):
         WindowRect(axis="y", coord=0.0, u_lo=2.0, u_hi=1.0, z_lo=0.0, z_hi=1.0)
+    # An interior wall keeps the rectangle rules of a window.
+    with pytest.raises(ValueError, match="^InteriorWall.axis must be 'x' or 'y', got 'z'$"):
+        InteriorWall(axis="z", coord=8.0, u_lo=0.0, u_hi=10.0, z_lo=0.0, z_hi=6.0)
+    with pytest.raises(ValueError, match=r"^InteriorWall\(.*\) is empty"):
+        InteriorWall(axis="y", coord=8.0, u_lo=0.0, u_hi=10.0, z_lo=6.0, z_hi=6.0)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -336,10 +343,23 @@ def test_scene_invariants():
     ({"receiver_height": 3.0}, r"receiver_height must lie in \(0, 3\) m, got 3 m"),
     ({"receiver_height": 0.0}, r"receiver_height must lie in \(0, 3\) m, got 0 m"),
     ({"receiver_height": -1.0}, r"receiver_height must lie in \(0, 3\) m, got -1 m"),
+    ({"interior_walls": (InteriorWall("y", 25.0, 0.0, 10.0, 0.0, 6.0),)},
+     r"^interior_walls\[0\] extends past its facade: y must lie in \[0, 20\] m"),
+    ({"interior_walls": (InteriorWall("x", 5.0, 0.0, 25.0, 0.0, 6.0),)},
+     r"^interior_walls\[0\] extends past its facade: x must lie in \[0, 10\] m, u in \[0, 20\]"),
+    ({"interior_walls": (InteriorWall("y", 8.0, 0.0, 10.0, 0.0, 6.5),)},
+     r"z in \[0, 6\] m$"),
+    ({"footprint_x": 0.0}, r"^footprint_x must lie in \(0, 1e\+06\] m, got 0 m$"),
+    ({"footprint_y": math.nan}, r"^footprint_y must lie in \(0, 1e\+06\] m, got nan m$"),
+    ({"floor_count": 1001}, "^floor_count must be at most 1,000"),
+    ({"floor_height": 1e300}, "got 2 floors of 1e[+]300 m$"),
+    ({"receiver_spacing": 1e-320}, "gives inf x inf receivers on each of 1 floors"),
 ], ids=["window_off_facade", "window_past_facade_u", "window_past_facade_z",
         "nan_anchor", "infinite_anchor", "margin_empties_grid", "no_receiver_floors",
         "negative_margin", "zero_margin", "height_on_next_floor", "height_at_ceiling",
-        "height_on_slab", "height_below_slab"])
+        "height_on_slab", "height_below_slab", "wall_off_footprint", "wall_past_width",
+        "wall_past_roof", "zero_footprint", "nan_footprint", "too_many_floors",
+        "building_too_high", "grid_too_fine"])
 def test_scene_config_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         make_scene(**overrides)
@@ -367,12 +387,32 @@ def test_radio_band_lookup():
     (5e9, 1e9, "f_hi_hz"),
     (1e9, math.inf, "f_hi_hz"),
     (1e9, math.nan, "f_hi_hz"),
+    (0.99e6, 1e9, "f_lo_hz"),
+    (1e9, 1.01e12, "f_hi_hz"),
 ])
 def test_band_plan_rejects_bad_range(f_lo_hz, f_hi_hz, field):
-    # A band must span 0 < f_lo_hz <= f_hi_hz < inf, so no frequency it
-    # holds is zero, negative or infinite.
+    # A band must span 1 MHz <= f_lo_hz <= f_hi_hz <= 1 THz, the frequencies
+    # over which no material function overflows.
     with pytest.raises(ValueError, match=f"band 'X': {field} must be"):
         BandPlan("X", f_lo_hz, f_hi_hz, 20.0)
+
+
+def test_band_plan_takes_the_ends_of_its_reach():
+    band = BandPlan("X", 1e6, 1e12, 20.0)
+    assert (band.f_lo_hz, band.f_hi_hz) == (1e6, 1e12)
+
+
+def test_grid_size_is_the_grid_axis_length_without_the_axis():
+    rng = np.random.default_rng(11)
+    cases = [(10.0, 1.0, 2.0), (10.0, 5.0, 1.0), (10.0, 5.0 + 1e-9, 1.0), (10.0, 6.0, 1.0),
+             (30.0, 1.0, 0.5), (20.0, 1.0, 3.0), (10.0, 1.0, math.inf), (10.0, 1.0, 1e300)]
+    cases += [(rng.uniform(0.0, 40.0), rng.uniform(0.01, 20.0), rng.uniform(0.05, 5.0))
+              for _ in range(300)]
+    for extent, margin, spacing in cases:
+        assert _grid_size(extent, margin, spacing) == len(_grid_axis(extent, margin, spacing))
+    # An axis too long to build is counted, not built.
+    assert _grid_size(1e6, 1.0, 1e-320) == math.inf
+    assert _grid_size(1e6, 1.0, 1e-3) == 999_998_001
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,9 @@ def test_ladder_matches_scalar_ladder_on_sweep_problems(monkeypatch, size, seed)
         rungs[rung] += 1
         np.testing.assert_allclose(got_alpha, alpha, rtol=0, atol=1e-9)
     # The report's counters are the same sums over its frequencies.
-    assert [sum(fr.diagnostics["dnls_rung"][k] for fr in report.frequencies)
+    assert [sum(fr.diagnostics.dnls_rung[k] for fr in report.frequencies)
             for k in range(3)] == rungs
-    assert sum(fr.diagnostics["dnls_iterations"] for fr in report.frequencies) \
+    assert sum(fr.diagnostics.dnls_iterations for fr in report.frequencies) \
         == total_iterations
     assert sum(fr.exclusions["dnls_failed"] for fr in report.frequencies) == failed
 

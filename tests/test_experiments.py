@@ -22,6 +22,7 @@ from diffpos.channel import (
 from diffpos.cli import main as cli_main
 from diffpos.experiments import (
     DEFAULT_FREQUENCY_LADDER_HZ,
+    Diagnostics,
     SweepConfig,
     build_default_scene,
     export_report,
@@ -230,7 +231,7 @@ def test_sweep_reports_a_frequency_without_detections(tmp_path, limits):
         assert fr.p_fap_pct == {g: 0.0 for g in MpcGroup}
         assert fr.fap_snr_quartiles_db is None
         assert [len(s) for s in (fr.dnls_errors_m, fr.lls_errors_m, fr.peb_m)] == [0, 0, 0]
-        assert fr.diagnostics == {"dnls_rung": [0, 0, 0], "dnls_iterations": 0}
+        assert fr.diagnostics == Diagnostics(dnls_rung=(0, 0, 0), dnls_iterations=0)
 
     files = export_report(report, tmp_path)
     text = {path.name: path.read_text() for path in files}
@@ -473,10 +474,10 @@ def test_report_diagnostics_count_every_dnls_problem(tiny_sweep):
     again = run_sweep(SweepConfig(scene=cfg.scene, frequencies_hz=cfg.frequencies_hz,
                                   seed=cfg.seed))
     for fr, fr_again in zip(report.frequencies, again.frequencies):
-        rungs = fr.diagnostics["dnls_rung"]
+        rungs = fr.diagnostics.dnls_rung
         assert len(rungs) == 3 and sum(rungs) == len(fr.dnls_errors_m)
         problems = len(fr.dnls_errors_m) + fr.exclusions["dnls_failed"]
-        assert fr.diagnostics["dnls_iterations"] >= problems
+        assert fr.diagnostics.dnls_iterations >= problems
         assert fr_again.diagnostics == fr.diagnostics
 
 
@@ -568,10 +569,10 @@ def test_noiseless_sweep_over_floors_merges_the_sweeps_of_each_floor():
             assert both.exclusions[key] == sum(fr.exclusions[key] for fr in single)
         assert both.n_receivers == sum(fr.n_receivers for fr in single)
         assert both.n_pairs == sum(fr.n_pairs for fr in single)
-        assert both.diagnostics["dnls_rung"] == [
-            sum(fr.diagnostics["dnls_rung"][k] for fr in single) for k in range(3)]
-        assert both.diagnostics["dnls_iterations"] == sum(
-            fr.diagnostics["dnls_iterations"] for fr in single)
+        assert both.diagnostics.dnls_rung == tuple(
+            sum(fr.diagnostics.dnls_rung[k] for fr in single) for k in range(3))
+        assert both.diagnostics.dnls_iterations == sum(
+            fr.diagnostics.dnls_iterations for fr in single)
         counts = [fap_counts(fr, n_anchors) for fr in (both, *single)]
         assert counts[0] == {g: counts[1][g] + counts[2][g] for g in counts[0]}
 
@@ -707,7 +708,8 @@ def test_report_json_round_trip_keeps_diagnostics_and_accepts_none(tiny_sweep):
     _, report = tiny_sweep
     doc = json.loads(json.dumps(report_to_dict(report)))
     assert [fr["diagnostics"] for fr in doc["frequencies"]] \
-        == [fr.diagnostics for fr in report.frequencies]
+        == [{"dnls_rung": list(fr.diagnostics.dnls_rung),
+             "dnls_iterations": fr.diagnostics.dnls_iterations} for fr in report.frequencies]
     assert [fr.diagnostics for fr in report_from_dict(doc).frequencies] \
         == [fr.diagnostics for fr in report.frequencies]
 
@@ -903,6 +905,35 @@ def _set(path, value):
     (_set(["radio", "noise_temperature_k"], 1e-300),
      "RadioConfig.bandwidth_hz 4e+08 and noise_temperature_k 1e-300 give a noise floor of "
      "-3112.27 dBm, not within ±300"),
+    # Interior walls follow the rectangle rules of windows, and lie within
+    # the building.
+    (_set(["interior_walls", 0, "axis"], "q"), "InteriorWall.axis must be 'x' or 'y', got 'q'"),
+    (_set(["interior_walls", 0, "u_lo"], 40.0),
+     "InteriorWall(axis='y', coord=7.5, u_lo=40.0, u_hi=30.0, z_lo=0.0, z_hi=21.0) is empty: "
+     "it needs u_lo < u_hi and z_lo < z_hi"),
+    (_set(["interior_walls", 0, "coord"], 1e308),
+     "interior_walls[0] extends past its facade: y must lie in [0, 20] m, u in [0, 30] m and "
+     "z in [0, 21] m"),
+    (_set(["interior_walls", 5, "coord"], -0.5),
+     "interior_walls[5] extends past its facade: x must lie in [0, 30] m, u in [0, 20] m and "
+     "z in [0, 21] m"),
+    # A scene too large for its arrays is refused before any is built.
+    (_set(["footprint_x"], 1e12), "footprint_x must lie in (0, 1e+06] m, got 1e+12 m"),
+    (_set(["floor_count"], 10 ** 6),
+     "floor_count must be at most 1,000 and floor_count × floor_height at most 1e+06 m, "
+     "got 1000000 floors of 3 m"),
+    (_set(["receiver_spacing"], 1e-3),
+     "receiver_spacing 0.001 m gives 28001 x 18001 receivers on each of 1 floors, more than "
+     "the 1,000,000 allowed"),
+    # Material coefficients whose powers overflowed or divided by zero.
+    (_set(["exterior_slab", "layers", 0, "material", "b"], 1e12),
+     "material 'concrete': b must lie in [-10, 10], got 1000000000000.0"),
+    (_set(["exterior_slab", "layers", 0, "material", "d"], 1e308),
+     "material 'concrete': d must lie in [-10, 10], got 1e+308"),
+    (_set(["exterior_slab", "layers", 0, "material", "a"], 1e-300),
+     "material 'concrete': a must lie in [1e-06, 1e+06], got 1e-300"),
+    (_set(["exterior_slab", "layers", 0, "material", "b"], -1e308),
+     "material 'concrete': b must lie in [-10, 10], got -1e+308"),
 ], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
         "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
         "floor_count_float", "include_ground_int", "window_bound_bool", "polarization_xy",
@@ -910,7 +941,9 @@ def _set(path, value):
         "window_bound_minus_infinity", "repeated_receiver_floor", "receivers_outside",
         "receivers_on_next_floor", "receivers_on_slab", "anchor_far_out", "tx_power_huge",
         "processing_gain_huge", "l0_huge_negative", "bandwidth_huge",
-        "noise_temperature_tiny"])
+        "noise_temperature_tiny", "wall_axis_q", "wall_u_inverted", "wall_coord_huge",
+        "wall_outside_footprint", "footprint_huge", "floor_count_huge", "receiver_grid_huge",
+        "slab_b_huge", "slab_d_huge", "slab_a_tiny", "slab_b_huge_negative"])
 def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
     doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
     change(doc)
@@ -944,9 +977,18 @@ def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, me
      "materials.concrete.b: expected a finite number, got nan"),
     (lambda doc: doc["slabs"]["interior_drywall"][1].__setitem__(1, math.inf),
      "slabs.interior_drywall[1][1]: expected a finite number, got inf"),
+    (lambda doc: doc["materials"]["concrete"].__setitem__("b", 1e12),
+     "material 'concrete': b must lie in [-10, 10], got 1000000000000.0"),
+    (lambda doc: doc["materials"]["concrete"].__setitem__("d", 1e308),
+     "material 'concrete': d must lie in [-10, 10], got 1e+308"),
+    (lambda doc: doc["materials"]["concrete"].__setitem__("a", 1e-300),
+     "material 'concrete': a must lie in [1e-06, 1e+06], got 1e-300"),
+    (lambda doc: doc["materials"]["concrete"].__setitem__("b", -1e308),
+     "material 'concrete': b must lie in [-10, 10], got -1e+308"),
 ], ids=["missing_coefficient", "unknown_material", "no_exterior_slab", "materials_not_an_object",
         "string_coefficient", "layer_not_a_pair", "material_extra_key", "file_extra_key",
-        "nan_coefficient", "infinite_thickness"])
+        "nan_coefficient", "infinite_thickness", "b_huge", "d_huge", "a_tiny",
+        "b_huge_negative"])
 def test_cli_scene_bad_material_file_is_an_error_line(tmp_path, capsys, change, message):
     doc = json.loads(resources.files("diffpos").joinpath("data/materials.json")
                      .read_text(encoding="utf-8"))
@@ -1021,10 +1063,20 @@ def _bad_report(**first) -> str:
     (_bad_report(lls_errors_m=[0.7, 10 ** 400]),
      "error: frequencies[0].lls_errors_m[1]: expected a finite number, got an integer too "
      "large for a float"),
+    (_bad_report(diagnostics={"dnls_rung": [{}, 0, 0], "dnls_iterations": 0}),
+     "error: frequencies[0].diagnostics.dnls_rung[0]: expected an integer, got dict"),
+    (_bad_report(diagnostics={"dnls_rung": [-1, 0, 0], "dnls_iterations": 0}),
+     "error: Diagnostics counts must be >= 0, got Diagnostics(dnls_rung=(-1, 0, 0), "
+     "dnls_iterations=0)"),
+    (_bad_report(diagnostics={"dnls_rung": [1, 0], "dnls_iterations": 0}),
+     "error: frequencies[0].diagnostics.dnls_rung: expected 3 items, got 2"),
+    (_bad_report(diagnostics={"dnls_rung": [1, 0, 0], "dnls_iterations": ""}),
+     "error: frequencies[0].diagnostics.dnls_iterations: expected an integer, got str"),
 ], ids=["wrong_schema", "not_json", "missing_key", "not_an_object", "frequency_not_an_object",
         "string_samples", "null_sample", "string_frequency", "missing_group", "unknown_group",
         "missing_exclusion", "no_frequencies", "unexpected_key", "infinite_sample",
-        "unsorted_samples", "negative_sample", "huge_integer_frequency", "huge_integer_sample"])
+        "unsorted_samples", "negative_sample", "huge_integer_frequency", "huge_integer_sample",
+        "rung_not_an_integer", "rung_negative", "two_rungs", "iterations_string"])
 def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "report.json"
     path.write_text(text, encoding="utf-8")

@@ -4,6 +4,7 @@ Expected values marked as oracle results were computed with independent
 high-precision evaluations of the defining formulas (see comments).
 """
 
+import itertools
 import json
 import math
 import warnings
@@ -29,6 +30,8 @@ from diffpos.materials import (
     permittivity,
     reflection_loss_db,
     transmission_loss_db,
+    _COEFFICIENT_RANGES,
+    _FREQ_REACH_HZ,
 )
 
 LIB = default_material_library()
@@ -309,6 +312,36 @@ def test_material_invariants():
         SlabLayer(CONCRETE, 0.0)
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         RadioConfig(bands=(BandPlan("FR1", 0.41e9, 7.125e9, 20.0),), bandwidth_hz=0.0)
+
+
+def test_material_coefficients_at_their_bounds_keep_every_function_finite():
+    # Every corner of the coefficient ranges at both ends of the band reach:
+    # eps_r' stays positive, and no function overflows, divides by zero or
+    # warns.
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for coefficients in itertools.product(*_COEFFICIENT_RANGES.values()):
+            m = Material("corner", *coefficients)
+            for f_hz in _FREQ_REACH_HZ:
+                eps = complex_permittivity(m, f_hz)
+                slab = SlabSpec("corner", (SlabLayer(m, 1.0),))
+                values = (permittivity(m, f_hz), conductivity(m, f_hz), eps.real, eps.imag,
+                          transmission_loss_db(slab, f_hz))
+                assert values[0] > 0 and all(map(math.isfinite, values)), (coefficients, f_hz)
+                for polarization in ("TE", "TM"):
+                    loss = reflection_loss_db(eps, np.array([0.0, 0.7, 1.5]), polarization)
+                    assert not np.isnan(loss).any()
+
+
+@pytest.mark.parametrize("name", "abcd")
+def test_material_refuses_a_coefficient_past_its_range(name):
+    lo, hi = _COEFFICIENT_RANGES[name]
+    itu = {"a": 5.31, "b": 0.0, "c": 0.0326, "d": 0.8095}
+    for value in (lo, hi):
+        assert getattr(Material("edge", **{**itu, name: value}), name) == value
+    for value in (np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)):
+        with pytest.raises(ValueError, match=f"^material 'edge': {name} must lie in "):
+            Material("edge", **{**itu, name: float(value)})
 
 
 FR1 = (BandPlan("FR1", 0.41e9, 7.125e9, 20.0),)
