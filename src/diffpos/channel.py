@@ -14,7 +14,8 @@ losses of any number of frequencies to all rows at once, and PathTable.pdp
 builds the PDP of a one-receiver, one-anchor table.
 
 MPC records can also be ingested from a line-delimited JSON dataset (schema
-"mpc-dataset/1"), e.g. exports from an external ray tracer.
+"mpc-dataset/1", each line read by the ``records`` codec), e.g. exports
+from an external ray tracer.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .materials import (
     transmission_loss_db,
     _FREQ_REACH_HZ,
     _MAX_ABS_DB,
+    _REACH_M,
     _check_finite,
 )
+from .records import _decode, _from_dict
 
 __all__ = [
     "MpcGroup",
@@ -298,11 +301,6 @@ class InteriorWall(_Rect):
     """Interior partition covering its rectangle; it attenuates."""
 
 
-# Every scene length (an anchor coordinate, a footprint side, the building's
-# height) lies within this many metres of the origin: 1,000 km is far past
-# detection at any band, and keeps the sweep's squared distances (the LLS
-# design terms among them) far from overflow.
-_REACH_M = 1e6
 # The most floors and receivers a scene may hold, refused before any array is
 # built: each floor adds a slab that every leg is tested against, and the
 # full-scale grid holds 12,000 receivers.
@@ -1132,8 +1130,6 @@ def enumerate_mpcs(
 # ---------------------------------------------------------------------------
 
 _DATASET_SCHEMA = "mpc-dataset/1"
-_DATASET_KEYS = frozenset(("anchor_id", "rx_id", "rx_xyz", "interactions", "path_length_m",
-                           "rx_power_dbm", "tof_s", "edge_id"))
 
 
 class DatasetError(ValueError):
@@ -1156,27 +1152,40 @@ class IngestResult:
         return sum(len(p) for p in self.pdps.values())
 
 
-def _integer_field(rec: dict, key: str) -> int:
-    """An id field that must be a non-negative JSON integer; a boolean, a
-    non-integral or a negative number raises ValueError."""
-    value = rec[key]
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{key} must be non-negative, got {value!r}")
-    return int(value)
+@dataclass(frozen=True)
+class _DatasetHeader:
+    """Line 1 of an mpc-dataset/1 file, which holds its schema alone."""
 
 
-def _number(value, name: str) -> float:
-    """A JSON number as a float; a boolean, a string or any other JSON type
-    raises ValueError, as does an integer too large for a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+@dataclass(frozen=True)
+class _MpcRecord:
+    """Every later line of an mpc-dataset/1 file: one MPC."""
+
+    anchor_id: int
+    rx_id: int
+    rx_xyz: tuple[float, float, float]
+    interactions: str
+    path_length_m: float
+    rx_power_dbm: float
+    tof_s: float | None = None
+    edge_id: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("anchor_id", "rx_id", "edge_id"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
+def _read_line(line_no: int, line: str, read):
+    """``read`` of the JSON value on dataset line ``line_no``; bad JSON, or
+    a ValueError of ``read``, raises DatasetError with the line number."""
     try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is an integer too large for a float") from None
+        return read(json.loads(line))
+    except json.JSONDecodeError as exc:
+        raise DatasetError(line_no, f"invalid JSON: {exc}") from None
+    except ValueError as exc:
+        raise DatasetError(line_no, str(exc)) from None
 
 
 def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0) -> IngestResult:
@@ -1184,17 +1193,15 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
     MPC's SNR its power over the thermal noise floor of ``bandwidth_hz`` at
     ``noise_temperature_k``.
 
-    Structural problems (bad JSON, wrong schema, a header or record that is
-    not an object, an unknown key in either, missing or malformed fields, an
-    id that is not a non-negative integer, an rx_xyz that is not a list of
-    three finite JSON numbers, a length, power or ToF that is not a JSON
-    number or is an integer too large for a float) raise DatasetError with
-    the line number. Physically
-    inconsistent records (negative or non-finite lengths, non-finite powers,
-    unknown symbols, an edge_id on a path without a diffraction, stored ToF
-    disagreeing with the length beyond 1e-6 relative, an rx_xyz other than
-    that of the first kept record of its (anchor_id, rx_id)) are rejected
-    individually with diagnostics.
+    The ``records`` codec reads the header as a ``_DatasetHeader`` and each
+    later line as an ``_MpcRecord``; any problem it finds (bad JSON, wrong
+    schema, a line that is not an object, an unknown or missing key, a value
+    of the wrong JSON type, a non-finite number, a negative id) raises
+    DatasetError with the line number and the field's name. Physically
+    inconsistent records (negative lengths, unknown symbols, an edge_id on
+    a path without a diffraction, stored ToF disagreeing with the length
+    beyond 1e-6 relative, an rx_xyz other than that of the first kept record
+    of its (anchor_id, rx_id)) are rejected individually with diagnostics.
     A non-positive bandwidth or noise temperature raises ValueError.
     """
     floor = noise_floor_dbm(bandwidth_hz, noise_temperature_k)
@@ -1206,70 +1213,33 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
         header_line = fh.readline()
         if not header_line:
             raise DatasetError(1, "empty file")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(1, f"invalid JSON header: {exc}") from None
-        if not isinstance(header, dict):
-            raise DatasetError(1, f"header: expected an object, got {type(header).__name__}")
-        if header.get("schema") != _DATASET_SCHEMA:
-            raise DatasetError(1, f"unsupported schema {header.get('schema')!r}")
-        for key in header:
-            if key != "schema":
-                raise DatasetError(1, f"header: unexpected key {key!r}")
+        _read_line(1, header_line,
+                   lambda doc: _from_dict(_DatasetHeader, doc, _DATASET_SCHEMA, "header"))
 
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            rec = _read_line(line_no, line, lambda doc: _decode(_MpcRecord, doc, "record", ""))
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(line_no, f"invalid JSON: {exc}") from None
-            if not isinstance(rec, dict):
-                raise DatasetError(line_no, f"expected an object, got {type(rec).__name__}")
-            for key in rec:
-                if key not in _DATASET_KEYS:
-                    raise DatasetError(line_no, f"unexpected key {key!r}")
-            try:
-                anchor_id = _integer_field(rec, "anchor_id")
-                rx_id = _integer_field(rec, "rx_id")
-                xyz = rec["rx_xyz"]
-                if not (isinstance(xyz, list) and len(xyz) == 3):
-                    raise ValueError(f"rx_xyz must be a list of three numbers, got {xyz!r}")
-                rx_xyz = [_number(v, "rx_xyz") for v in xyz]
-                interactions_s = rec["interactions"]
-                if not isinstance(interactions_s, str):
-                    raise TypeError(f"interactions must be a string, got {interactions_s!r}")
-                length = _number(rec["path_length_m"], "path_length_m")
-                power = _number(rec["rx_power_dbm"], "rx_power_dbm")
-                stored = _number(rec["tof_s"], "tof_s") if "tof_s" in rec else None
-                edge_id = _integer_field(rec, "edge_id") if "edge_id" in rec else None
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(line_no, f"missing or malformed field: {exc}") from None
-
-            if not all(math.isfinite(v) for v in rx_xyz):
-                raise DatasetError(line_no, f"non-finite rx_xyz {rx_xyz}")
-            try:
-                interactions = parse_interaction_string(interactions_s)
+                interactions = parse_interaction_string(rec.interactions)
                 group = classify_mpc(interactions)
             except ValueError as exc:
                 rejected.append((line_no, str(exc)))
                 continue
             # Diffraction paths after a transmission (MPC4) keep their edge.
-            if edge_id is not None and "D" not in interactions:
-                rejected.append((line_no, f"edge_id {edge_id} on {interactions_s}, "
+            if rec.edge_id is not None and "D" not in interactions:
+                rejected.append((line_no, f"edge_id {rec.edge_id} on {rec.interactions}, "
                                           "which diffracts nowhere"))
                 continue
-            if not (math.isfinite(length) and math.isfinite(power)):
-                rejected.append((line_no, f"non-finite path length {length} or power {power}"))
-                continue
+            # The codec leaves a JSON integer an int; the MPC holds floats.
+            length, power = float(rec.path_length_m), float(rec.rx_power_dbm)
             if length < 0:
                 rejected.append((line_no, f"negative path length {length}"))
                 continue
             tof = length / SPEED_OF_LIGHT
-            # "not <=" also rejects a NaN stored ToF.
-            if stored is not None and tof > 0 and not abs(stored - tof) <= 1e-6 * tof:
-                rejected.append((line_no, f"tof {stored} inconsistent with length {length}"))
+            if rec.tof_s is not None and tof > 0 and abs(rec.tof_s - tof) > 1e-6 * tof:
+                rejected.append((line_no, f"tof {float(rec.tof_s)} inconsistent with length "
+                                          f"{length}"))
                 continue
 
             mpc = Mpc(
@@ -1278,16 +1248,18 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
                 tof_s=tof,
                 rx_power_dbm=power,
                 snr_db=power - floor,
-                anchor_id=anchor_id,
+                anchor_id=rec.anchor_id,
                 group=group,
-                edge_id=edge_id,
+                edge_id=rec.edge_id,
             )
-            key = (anchor_id, rx_id)
+            key = (rec.anchor_id, rec.rx_id)
+            rx_xyz = [float(v) for v in rec.rx_xyz]
             position = Point3(*rx_xyz)
             first = rx_positions.setdefault(key, position)
             if position != first:
-                rejected.append((line_no, f"rx_xyz {rx_xyz} of anchor {anchor_id}, rx {rx_id} "
-                                          f"differs from its first {[first.x, first.y, first.z]}"))
+                rejected.append((line_no, f"rx_xyz {rx_xyz} of anchor {rec.anchor_id}, "
+                                          f"rx {rec.rx_id} differs from its first "
+                                          f"{[first.x, first.y, first.z]}"))
                 continue
             buckets.setdefault(key, []).append(mpc)
 

@@ -166,8 +166,8 @@ class SweepConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
             setattr(self, name, int(value))  # a NumPy integer is no JSON value
-        if not self.t_fap_db >= 0:
-            raise ValueError("t_fap_db must be >= 0 dB")
+        if not 0 <= self.t_fap_db < np.inf:  # a report holds finite numbers only
+            raise ValueError(f"t_fap_db must be >= 0 dB and finite, got {self.t_fap_db!r}")
         self.frequencies_hz = freqs
 
 

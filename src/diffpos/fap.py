@@ -54,35 +54,23 @@ def _check_t_fap(t_fap_db: float) -> None:
         raise ValueError(f"t_fap_db must be >= 0 dB, got {t_fap_db!r}")
 
 
-def _fap_row(tof: np.ndarray, snr: np.ndarray, t_fap_db: float) -> tuple[int, float, float]:
-    """The FAP's position among non-empty PDP rows, the strongest SNR and
-    the threshold.
-
-    The rows come sorted by time of flight. The FAP is the earliest row at
-    or above the threshold; ties in time of flight go to the higher SNR,
-    then to the earlier row.
-    """
-    s_max = float(snr.max())
-    threshold = s_max - t_fap_db
-    eligible = snr >= threshold
-    tied = np.flatnonzero(eligible & (tof == tof[np.argmax(eligible)]))
-    return int(tied[np.argmax(snr[tied])]), s_max, threshold
-
-
 def select_fap(pdp: Pdp, t_fap_db: float) -> FapSelection:
     """Earliest MPC within t_fap dB of the strongest one.
 
-    Ties in time of flight go to the higher-SNR path. A ``t_fap_db`` below
-    0 dB or NaN raises ValueError.
+    Ties in time of flight go to the higher-SNR path, then to the earlier
+    one, as in ``fap_rows``. A ``t_fap_db`` below 0 dB or NaN raises
+    ValueError.
     """
     _check_t_fap(t_fap_db)
     if len(pdp) == 0:
         raise NoDetectionError(
             f"empty PDP for anchor {pdp.anchor_id} at {pdp.rx}")
-    row, s_max, threshold = _fap_row(np.array([m.tof_s for m in pdp.mpcs]),
-                                     np.array([m.snr_db for m in pdp.mpcs]), t_fap_db)
-    return FapSelection(chosen=pdp.mpcs[row], s_max_db=s_max,
-                        threshold_db=threshold, t_fap_db=t_fap_db)
+    tof = np.array([m.tof_s for m in pdp.mpcs])
+    snr = np.array([m.snr_db for m in pdp.mpcs])
+    s_max = float(snr.max())
+    threshold = s_max - t_fap_db
+    return FapSelection(chosen=pdp.mpcs[_first_of_highest(snr >= threshold, tof, snr)],
+                        s_max_db=s_max, threshold_db=threshold, t_fap_db=t_fap_db)
 
 
 class FapRows(NamedTuple):

@@ -57,6 +57,12 @@ __all__ = [
 # 1e83, so no function of this module overflows or divides by zero.
 _FREQ_REACH_HZ = (1e6, 1e12)
 _COEFFICIENT_RANGES = {"a": (1e-6, 1e6), "b": (-10.0, 10.0), "c": (0.0, 1e12), "d": (-10.0, 10.0)}
+# No scene length (an anchor coordinate's distance from the origin, a
+# footprint side, the building's height, a slab layer's thickness) exceeds
+# this many metres: 1,000 km is far past detection at any band, and keeps
+# the sweep's squared distances (the LLS design terms among them) far from
+# overflow.
+_REACH_M = 1e6
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,9 @@ class SlabLayer:
     thickness_m: float
 
     def __post_init__(self) -> None:
-        if not self.thickness_m > 0:
-            raise ValueError("layer thickness must be positive")
+        if not 0 < self.thickness_m <= _REACH_M:
+            raise ValueError(f"SlabLayer.thickness_m must lie in (0, {_REACH_M:g}] m, "
+                             f"got {self.thickness_m:g} m")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The record codec of the package's JSON files.
 
-A scene/1, sweep-report/1 or materials/1 file is a dataclass record tree
-with each record's fields in declaration order, so the dataclasses are its
-only schema. A malformed file raises ValueError naming the JSON path of the
-offending value, such as ``windows[3].z_lo`` or ``materials.concrete.a``.
+A scene/1, sweep-report/1 or materials/1 file, and each line of an
+mpc-dataset/1 file, is a dataclass record tree with each record's fields
+in declaration order, so the dataclasses are its only schema. A malformed
+file raises ValueError naming the JSON path of the offending value, such
+as ``windows[3].z_lo`` or ``materials.concrete.a``.
 """
 
 from __future__ import annotations

@@ -705,27 +705,27 @@ _RECORD = {"anchor_id": 0, "rx_id": 0, "rx_xyz": [0.0, 0.0, 0.0], "interactions"
 
 
 @pytest.mark.parametrize("changes, outcome", [
-    ({"edge_id": "x"}, "malformed field"),
-    ({"tof_s": "x"}, "malformed field"),
-    ({"tof_s": None}, "malformed field"),
-    ({"rx_xyz": [0.0, float("nan"), 0.0]}, "non-finite rx_xyz"),
-    ({"path_length_m": float("nan")}, "rejected"),
-    ({"rx_power_dbm": float("inf")}, "rejected"),
-    ({"tof_s": float("nan")}, "rejected"),
-    ({"interactions": 5}, "malformed field: interactions must be a string"),
-    ({"rx_xyz": "123"}, "malformed field: rx_xyz must be a list of three numbers"),
-    ({"rx_xyz": [0.0, 0.0]}, "malformed field: rx_xyz must be a list of three numbers"),
-    ({"rx_xyz": [0.0, "1", 0.0]}, "malformed field: rx_xyz must be a number"),
-    ({"path_length_m": "10.0"}, "malformed field: path_length_m must be a number"),
-    ({"rx_power_dbm": True}, "malformed field: rx_power_dbm must be a number"),
-    ({"tof_s": False}, "malformed field: tof_s must be a number"),
+    ({"edge_id": "x"}, "edge_id: expected an integer, got str$"),
+    ({"tof_s": "x"}, "tof_s: expected a number, got str$"),
+    ({"tof_s": None}, "accepted"),
+    ({"rx_xyz": [0.0, float("nan"), 0.0]}, r"rx_xyz\[1\]: expected a finite number, got nan$"),
+    ({"path_length_m": float("nan")}, "path_length_m: expected a finite number, got nan$"),
+    ({"rx_power_dbm": float("inf")}, "rx_power_dbm: expected a finite number, got inf$"),
+    ({"tof_s": float("nan")}, "tof_s: expected a finite number, got nan$"),
+    ({"interactions": 5}, "interactions: expected a string, got int$"),
+    ({"rx_xyz": "123"}, "rx_xyz: expected a list, got str$"),
+    ({"rx_xyz": [0.0, 0.0]}, "rx_xyz: expected 3 items, got 2$"),
+    ({"rx_xyz": [0.0, "1", 0.0]}, r"rx_xyz\[1\]: expected a number, got str$"),
+    ({"path_length_m": "10.0"}, "path_length_m: expected a number, got str$"),
+    ({"rx_power_dbm": True}, "rx_power_dbm: expected a number, got bool$"),
+    ({"tof_s": False}, "tof_s: expected a number, got bool$"),
     # Through float() this record read as (1, 2, 3), a 10 m path and 1 dBm.
     ({"rx_xyz": "123", "path_length_m": "10.0", "rx_power_dbm": True},
-     "malformed field: rx_xyz must be a list of three numbers"),
+     "rx_xyz: expected a list, got str$"),
     # Misspelt optional keys would leave the MPC without its edge id.
     ({"interactions": "Tx-D-Rx", "edgeid": 4, "tof": 1.0}, "unexpected key 'edgeid'$"),
     ({"path_length_m": 10 ** 400},
-     "malformed field: path_length_m is an integer too large for a float$"),
+     "path_length_m: expected a finite number, got an integer too large for a float$"),
     # A record that is valid JSON but no object is replaced whole.
     ([1, 2], "expected an object, got list$"),
     (None, "expected an object, got NoneType$"),
@@ -735,16 +735,17 @@ _RECORD = {"anchor_id": 0, "rx_id": 0, "rx_xyz": [0.0, 0.0, 0.0], "interactions"
         "string_position_length_and_bool_power", "misspelt_keys", "length_huge_integer",
         "record_a_list", "record_null"])
 def test_ingest_bad_field_values(tmp_path, changes, outcome):
-    # A malformed field raises DatasetError with its line number; a
-    # non-finite length, power or ToF rejects only its own record.
+    # A malformed field, a non-finite number among them, raises DatasetError
+    # with its line number and its path in the record; null for an optional
+    # key reads as absent.
     path = tmp_path / "data.jsonl"
     record = {**_RECORD, **changes} if isinstance(changes, dict) else changes
     path.write_text('{"schema": "mpc-dataset/1"}\n' + json.dumps(_RECORD) + "\n"
                     + json.dumps(record) + "\n")
-    if outcome == "rejected":
+    if outcome == "accepted":
         result = ingest_dataset(path, BANDWIDTH_HZ)
-        assert result.mpc_count == 1
-        assert [line_no for line_no, _ in result.rejected] == [3]
+        assert result.mpc_count == 2
+        assert not result.rejected
     else:
         with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as err:
             ingest_dataset(path, BANDWIDTH_HZ)
@@ -759,23 +760,26 @@ def test_ingest_unknown_header_key_is_an_error(tmp_path):
 
 
 @pytest.mark.parametrize("changes, outcome", [
-    ({"anchor_id": 0.7}, "anchor_id must be an integer"),
-    ({"rx_id": True}, "rx_id must be an integer"),
-    ({"anchor_id": "1"}, "anchor_id must be an integer"),
-    ({"edge_id": 2.9, "interactions": "Tx-D-Rx"}, "edge_id must be an integer"),
+    ({"anchor_id": 0.7}, "anchor_id: expected an integer, got float$"),
+    ({"rx_id": True}, "rx_id: expected an integer, got bool$"),
+    ({"anchor_id": "1"}, "anchor_id: expected an integer, got str$"),
+    ({"edge_id": 2.9, "interactions": "Tx-D-Rx"}, "edge_id: expected an integer, got float$"),
     ({"anchor_id": -1}, "anchor_id must be non-negative, got -1"),
-    ({"rx_id": -2.0}, "rx_id must be non-negative, got -2.0"),
+    ({"rx_id": -2.0}, "rx_id: expected an integer, got float$"),
     ({"edge_id": -3, "interactions": "Tx-D-Rx"}, "edge_id must be non-negative, got -3"),
     ({"edge_id": 2}, "rejected: edge_id 2 on Tx-Rx, which diffracts nowhere"),
     ({"rx_xyz": [9.0, 9.0, 9.0]},
      "rejected: rx_xyz [9.0, 9.0, 9.0] of anchor 0, rx 0 differs from its first [0.0, 0.0, 0.0]"),
-    ({"anchor_id": 2.0, "edge_id": 4, "interactions": "Tx-T-D-Rx"}, "accepted"),
+    ({"anchor_id": 2.0, "edge_id": 4, "interactions": "Tx-T-D-Rx"},
+     "anchor_id: expected an integer, got float$"),
+    ({"anchor_id": 2, "edge_id": 4, "interactions": "Tx-T-D-Rx"}, "accepted"),
 ], ids=["anchor_fraction", "rx_bool", "anchor_string", "edge_fraction", "anchor_negative",
         "rx_negative_float", "edge_negative", "edge_without_diffraction", "rx_moved",
-        "integral_float_and_mpc4_edge"])
+        "integral_float_and_mpc4_edge", "mpc4_edge"])
 def test_ingest_ids(tmp_path, capsys, changes, outcome):
-    # Ids must be non-negative integers (a DatasetError with the line
-    # number); an edge id on a path without a diffraction, or a position
+    # Ids must be non-negative JSON integers, so 2.0 is refused as scene/1
+    # refuses 3.0 for floor_count (a DatasetError with the line number); an
+    # edge id on a path without a diffraction, or a position
     # other than that of the first record of the same anchor and receiver,
     # rejects its record. The CLI prints the error as one line and the
     # rejection in its summary.
@@ -804,11 +808,51 @@ def test_ingest_ids(tmp_path, capsys, changes, outcome):
 
 def test_ingest_bad_schema(tmp_path):
     path = tmp_path / "data.jsonl"
-    for header, message in (('{"schema": "other/9"}', "unsupported schema 'other/9'"),
+    for header, message in (('{"schema": "other/9"}', "unsupported header schema 'other/9'"),
                             ("[]", "header: expected an object, got list")):
         path.write_text(header + "\n")
         with pytest.raises(DatasetError, match=f"^line 1: {re.escape(message)}$"):
             ingest_dataset(path, BANDWIDTH_HZ)
+
+
+
+# The values a mutation gives one field of a dataset record; _DELETE
+# deletes the key instead.
+_DELETE = object()
+_MUTATIONS = (None, True, -1, 1.5, 1e308, 10 ** 400, math.nan, "", [], {}, _DELETE)
+
+
+def test_ingest_mutated_dataset_exits_0_or_prints_one_error_line(tmp_path, capsys):
+    # Each field of a valid record, on a seeded choice among three lines,
+    # takes each mutation in turn. `diffpos ingest` exits 0 (the record
+    # read, or rejected in the summary), or exits 1 with one error line
+    # naming that line; it never ends in a traceback.
+    records = [{"anchor_id": a, "rx_id": 0, "rx_xyz": [1.0, 2.0, 3.0],
+                "interactions": "Tx-D-T-Rx", "path_length_m": length, "rx_power_dbm": -60.0,
+                "tof_s": length / SPEED_OF_LIGHT, "edge_id": a}
+               for a, length in enumerate((10.0, 12.0, 15.0))]
+    rng = np.random.default_rng(0)
+    path = tmp_path / "data.jsonl"
+    exits = set()
+    for key in records[0]:
+        for value in _MUTATIONS:
+            i = int(rng.integers(len(records)))
+            record = dict(records[i])
+            if value is _DELETE:
+                del record[key]
+            else:
+                record[key] = value
+            docs = [{"schema": "mpc-dataset/1"}, *records[:i], record, *records[i + 1:]]
+            path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+            rc = cli_main(["ingest", "--dataset", str(path)])
+            err = capsys.readouterr().err
+            exits.add(rc)
+            if rc == 0:
+                assert err == "", (key, value)
+            else:
+                assert rc == 1 and err.startswith(f"error: line {i + 2}: ") \
+                    and err.count("\n") == 1, (key, value, err)
+    assert exits == {0, 1}
 
 
 def test_dataset_round_trip_bitwise(tmp_path):

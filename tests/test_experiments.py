@@ -312,10 +312,13 @@ _ANCHORS = build_default_scene().anchors
     ({}, {"trials": True}, "trials must be an integer, got True"),
     ({}, {"seed": False}, "seed must be an integer, got False"),
     ({}, {"top_k": np.bool_(True)}, "top_k must be an integer, got "),
+    # A report holds finite numbers only.
+    ({}, {"t_fap_db": math.inf}, "t_fap_db must be >= 0 dB and finite, got inf"),
 ], ids=["three_anchors", "duplicate_frequency", "out_of_band_frequency",
         "anchor_inside_building", "anchor_on_building_corner", "top_k_zero",
         "negative_t_fap", "negative_seed", "colliding_csv_labels", "float_trials",
-        "fractional_seed", "float_top_k", "bool_trials", "bool_seed", "numpy_bool_top_k"])
+        "fractional_seed", "float_top_k", "bool_trials", "bool_seed", "numpy_bool_top_k",
+        "infinite_t_fap"])
 def test_sweep_config_rejects(scene_changes, sweep_changes, message):
     scene = build_default_scene(grid_spacing=8.0, receiver_floors=(3,))
     scene = dataclasses.replace(scene, **scene_changes)
@@ -808,6 +811,15 @@ def test_cli_sweep_negative_seed_is_an_error_line(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_cli_sweep_infinite_t_fap_is_an_error_line(tmp_path, capsys):
+    # report.json holds finite numbers only: `diffpos report` refuses "t_fap_db": Infinity.
+    out_dir = tmp_path / "out"
+    rc = cli_main(["sweep", "--out", str(out_dir), "--t-fap", "inf"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: t_fap_db must be >= 0 dB and finite, got inf\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("record, key, message", [
     ("windows", "colour", "windows[0]: unexpected key 'colour'"),
     ("interior_walls", "colour", "interior_walls[0]: unexpected key 'colour'"),
@@ -934,6 +946,9 @@ def _set(path, value):
      "material 'concrete': a must lie in [1e-06, 1e+06], got 1e-300"),
     (_set(["exterior_slab", "layers", 0, "material", "b"], -1e308),
      "material 'concrete': b must lie in [-10, 10], got -1e+308"),
+    # A layer thick enough to hide every path through its wall.
+    (_set(["exterior_slab", "layers", 0, "thickness_m"], 1e308),
+     "SlabLayer.thickness_m must lie in (0, 1e+06] m, got 1e+308 m"),
 ], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
         "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
         "floor_count_float", "include_ground_int", "window_bound_bool", "polarization_xy",
@@ -943,7 +958,8 @@ def _set(path, value):
         "processing_gain_huge", "l0_huge_negative", "bandwidth_huge",
         "noise_temperature_tiny", "wall_axis_q", "wall_u_inverted", "wall_coord_huge",
         "wall_outside_footprint", "footprint_huge", "floor_count_huge", "receiver_grid_huge",
-        "slab_b_huge", "slab_d_huge", "slab_a_tiny", "slab_b_huge_negative"])
+        "slab_b_huge", "slab_d_huge", "slab_a_tiny", "slab_b_huge_negative",
+        "slab_thickness_huge"])
 def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
     doc = scene_to_dict(build_default_scene(grid_spacing=8.0, receiver_floors=(3,)))
     change(doc)
@@ -985,10 +1001,12 @@ def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, me
      "material 'concrete': a must lie in [1e-06, 1e+06], got 1e-300"),
     (lambda doc: doc["materials"]["concrete"].__setitem__("b", -1e308),
      "material 'concrete': b must lie in [-10, 10], got -1e+308"),
+    (lambda doc: doc["slabs"]["exterior_concrete"][0].__setitem__(1, 1e308),
+     "slab 'exterior_concrete': SlabLayer.thickness_m must lie in (0, 1e+06] m, got 1e+308 m"),
 ], ids=["missing_coefficient", "unknown_material", "no_exterior_slab", "materials_not_an_object",
         "string_coefficient", "layer_not_a_pair", "material_extra_key", "file_extra_key",
         "nan_coefficient", "infinite_thickness", "b_huge", "d_huge", "a_tiny",
-        "b_huge_negative"])
+        "b_huge_negative", "thickness_huge"])
 def test_cli_scene_bad_material_file_is_an_error_line(tmp_path, capsys, change, message):
     doc = json.loads(resources.files("diffpos").joinpath("data/materials.json")
                      .read_text(encoding="utf-8"))
