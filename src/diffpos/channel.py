@@ -10,8 +10,8 @@ four propagation groups falls out of the event sequence. Path geometry does
 not depend on frequency: path_table computes it once for a block of
 receivers and any set of anchors, into one columnar PathTable (rows
 receiver by receiver, each anchor by anchor); PathTable.losses applies the
-losses of any number of frequencies to all rows at once, and PathTable.pdp
-builds the PDP of a one-receiver, one-anchor table.
+losses of any number of frequencies to all rows at once, and enumerate_mpcs
+builds the PDP of one (anchor, receiver) pair at one frequency.
 
 MPC records can also be ingested from a line-delimited JSON dataset (schema
 "mpc-dataset/1", each line read by the ``records`` codec), e.g. exports
@@ -53,7 +53,7 @@ from .materials import (
     _REACH_M,
     _check_finite,
 )
-from .records import _decode, _from_dict
+from .records import _decode, _from_dict, _unique_keys
 
 __all__ = [
     "MpcGroup",
@@ -69,6 +69,7 @@ __all__ = [
     "PathTable",
     "DatasetError",
     "IngestResult",
+    "MpcRecord",
     "classify_mpc",
     "parse_interaction_string",
     "noise_floor_dbm",
@@ -152,7 +153,6 @@ class Pdp:
     mpcs: list[Mpc]
     rx: Point3
     anchor_id: int
-    rx_id: int = 0
 
     def __post_init__(self) -> None:
         tofs = [m.tof_s for m in self.mpcs]
@@ -172,28 +172,20 @@ def noise_floor_dbm(bandwidth_hz: float, noise_temperature_k: float = 290.0) -> 
     return linear_to_db(BOLTZMANN * noise_temperature_k * bandwidth_hz / 1e-3)
 
 
-def _top_k_rows(tof: np.ndarray, snr: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k highest-SNR rows of a PDP, in PDP order.
-
-    The rows come sorted by time of flight. SNR ties go to the earlier row;
-    the kept rows are re-sorted by time of flight, with ties in descending
-    SNR and then in PDP order.
-    """
-    if len(snr) <= k:
-        return np.arange(len(snr))
-    top = np.argsort(-snr, kind="stable")[:k]
-    return top[np.argsort(tof[top], kind="stable")]
-
-
 def truncate_top_k(pdp: Pdp, k: int = 25) -> Pdp:
-    """Keep the k highest-SNR MPCs, re-sorted by time of flight."""
+    """Keep the k highest-SNR MPCs, re-sorted by time of flight.
+
+    SNR ties go to the earlier MPC; the kept MPCs are re-sorted by time of
+    flight, with ties in descending SNR and then in PDP order.
+    """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if len(pdp.mpcs) <= k:
         return pdp
-    rows = _top_k_rows(np.array([m.tof_s for m in pdp.mpcs]),
-                       np.array([m.snr_db for m in pdp.mpcs]), k)
-    return Pdp([pdp.mpcs[i] for i in rows.tolist()], pdp.rx, pdp.anchor_id, pdp.rx_id)
+    tof = np.array([m.tof_s for m in pdp.mpcs])
+    top = np.argsort(-np.array([m.snr_db for m in pdp.mpcs]), kind="stable")[:k]
+    rows = top[np.argsort(tof[top], kind="stable")]
+    return Pdp([pdp.mpcs[i] for i in rows.tolist()], pdp.rx, pdp.anchor_id)
 
 
 # ---------------------------------------------------------------------------
@@ -897,38 +889,6 @@ class PathTable:
         detected = ~np.isinf(base) & (snr >= self.scene.limits.min_snr_db)
         return PathLosses(power, snr, detected)
 
-    def detected_rows(self, detected: np.ndarray) -> np.ndarray:
-        """The rows of one frequency's ``detected`` mask in PDP order: by
-        time of flight, ties in table order."""
-        rows = np.flatnonzero(detected)
-        return rows[np.argsort(self.tof_s[rows], kind="stable")]
-
-    def build_mpcs(self, rows: np.ndarray, power_dbm: np.ndarray, snr_db: np.ndarray) -> list[Mpc]:
-        """Mpc objects of the given rows, with their received power and SNR."""
-        n1, n2 = self.n_crossings[rows].T.tolist()
-        return [
-            Mpc(_interactions(kind, a, b), length, tof, power, snr, anchor,
-                _GROUP_OF_CODE[group], None if edge < 0 else edge)
-            for kind, a, b, length, tof, power, snr, anchor, group, edge in zip(
-                self.kind[rows].tolist(), n1, n2, self.length_m[rows].tolist(),
-                self.tof_s[rows].tolist(), power_dbm.tolist(), snr_db.tolist(),
-                self.anchor[rows].tolist(), self.group[rows].tolist(),
-                self.edge_id[rows].tolist())
-        ]
-
-    def pdp(self, f_hz: float) -> Pdp:
-        """The PDP of a one-receiver, one-anchor table at one frequency,
-        sorted by time of flight; Mpc objects are built for the detected
-        rows only."""
-        if len(self.anchor_ids) != 1:
-            raise ValueError(f"a PDP has one anchor, the table has {len(self.anchor_ids)}")
-        if len(self.receivers) != 1:
-            raise ValueError(f"a PDP has one receiver, the table has {len(self.receivers)}")
-        power, snr, detected = self.losses(f_hz)
-        rows = self.detected_rows(detected[0])
-        return Pdp(self.build_mpcs(rows, power[0, rows], snr[0, rows]),
-                   Point3(*self.receivers[0].tolist()), self.anchor_ids[0])
-
 
 def _anchor_indices(scene: SceneConfig, anchor_ids, name: str) -> tuple[int, ...]:
     """The scene anchor indices ``anchor_ids`` as a non-empty tuple of ints;
@@ -1112,17 +1072,35 @@ def enumerate_mpcs(
     f_hz: float,
     geometry: SceneGeometry | None = None,
 ) -> Pdp:
-    """Synthesize the PDP of one (anchor, receiver) pair at one frequency.
+    """Synthesize the PDP of one (anchor, receiver) pair at one frequency:
+    an Mpc for each detected row of the pair's one-anchor path_table, by
+    time of flight, ties in table order.
 
     Paths beyond the transmission limit or below the detectability floor
     are dropped; an empty PDP is a legitimate deep-indoor outcome. To
     evaluate one pair at several frequencies, build its one-anchor
-    path_table once and call its pdp per frequency. An ``anchor_index``
-    that is not a scene anchor index, negative ones included, raises
+    path_table once and call its losses with all of them. An
+    ``anchor_index`` that is not a scene anchor index, negative ones
+    included, or an ``rx`` block of more than one receiver raises
     ValueError.
     """
-    return _path_table(scene, _anchor_indices(scene, (anchor_index,), "anchor_index"),
-                       _receiver_block(rx), geometry).pdp(f_hz)
+    anchor_ids = _anchor_indices(scene, (anchor_index,), "anchor_index")
+    receivers = _receiver_block(rx)
+    if len(receivers) != 1:
+        raise ValueError(f"a PDP has one receiver, rx has {len(receivers)}")
+    table = _path_table(scene, anchor_ids, receivers, geometry)
+    power, snr, detected = table.losses(f_hz)
+    rows = np.flatnonzero(detected[0])
+    rows = rows[np.argsort(table.tof_s[rows], kind="stable")]
+    n1, n2 = table.n_crossings[rows].T.tolist()
+    return Pdp([
+        Mpc(_interactions(kind, a, b), length, tof, p, s, anchor_ids[0], _GROUP_OF_CODE[group],
+            None if edge < 0 else edge)
+        for kind, a, b, length, tof, p, s, group, edge in zip(
+            table.kind[rows].tolist(), n1, n2, table.length_m[rows].tolist(),
+            table.tof_s[rows].tolist(), power[0, rows].tolist(), snr[0, rows].tolist(),
+            table.group[rows].tolist(), table.edge_id[rows].tolist())
+    ], Point3(*receivers[0].tolist()), anchor_ids[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1140,25 +1118,13 @@ class DatasetError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class IngestResult:
-    """Parsed PDPs keyed by (anchor_id, rx_id), plus per-record rejects."""
-
-    pdps: dict[tuple[int, int], Pdp]
-    rejected: list[tuple[int, str]]
-
-    @property
-    def mpc_count(self) -> int:
-        return sum(len(p) for p in self.pdps.values())
-
-
 @dataclass(frozen=True)
 class _DatasetHeader:
     """Line 1 of an mpc-dataset/1 file, which holds its schema alone."""
 
 
 @dataclass(frozen=True)
-class _MpcRecord:
+class MpcRecord:
     """Every later line of an mpc-dataset/1 file: one MPC."""
 
     anchor_id: int
@@ -1177,39 +1143,48 @@ class _MpcRecord:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
-def _read_line(line_no: int, line: str, read):
-    """``read`` of the JSON value on dataset line ``line_no``; bad JSON, or
-    a ValueError of ``read``, raises DatasetError with the line number."""
+@dataclass
+class IngestResult:
+    """The kept records of a dataset in file order, the group of each, and
+    the (line number, reason) of each rejected record."""
+
+    records: list[MpcRecord]
+    groups: list[MpcGroup]
+    rejected: list[tuple[int, str]]
+
+
+def _read_line(line_no: int, line: bytes, read):
+    """``read`` of the JSON value on dataset line ``line_no``; a line that
+    is not UTF-8, bad JSON, a repeated key or a ValueError of ``read``
+    raises DatasetError with the line number."""
     try:
-        return read(json.loads(line))
+        return read(json.loads(line.decode("utf-8"), object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as exc:
         raise DatasetError(line_no, f"invalid JSON: {exc}") from None
     except ValueError as exc:
         raise DatasetError(line_no, str(exc)) from None
 
 
-def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0) -> IngestResult:
-    """Read a line-delimited MPC dataset and rebuild per-pair PDPs, each
-    MPC's SNR its power over the thermal noise floor of ``bandwidth_hz`` at
-    ``noise_temperature_k``.
+def ingest_dataset(path) -> IngestResult:
+    """Read a line-delimited MPC dataset into its records.
 
     The ``records`` codec reads the header as a ``_DatasetHeader`` and each
-    later line as an ``_MpcRecord``; any problem it finds (bad JSON, wrong
-    schema, a line that is not an object, an unknown or missing key, a value
-    of the wrong JSON type, a non-finite number, a negative id) raises
-    DatasetError with the line number and the field's name. Physically
-    inconsistent records (negative lengths, unknown symbols, an edge_id on
-    a path without a diffraction, stored ToF disagreeing with the length
-    beyond 1e-6 relative, an rx_xyz other than that of the first kept record
-    of its (anchor_id, rx_id)) are rejected individually with diagnostics.
-    A non-positive bandwidth or noise temperature raises ValueError.
+    later line as an ``MpcRecord``; any problem it finds (a line that is not
+    UTF-8, bad JSON, a repeated key, wrong schema, a line that is not an
+    object, an unknown or missing key, a value of the wrong JSON type, a
+    non-finite number, a negative id) raises DatasetError with the line
+    number and the field's name. Physically inconsistent records (negative
+    lengths, unknown symbols, an edge_id on a path without a diffraction,
+    stored ToF disagreeing with the length beyond 1e-6 relative, an rx_xyz
+    other than that of the first kept record of its (anchor_id, rx_id)) are
+    rejected individually with diagnostics.
     """
-    floor = noise_floor_dbm(bandwidth_hz, noise_temperature_k)
-    buckets: dict[tuple[int, int], list[Mpc]] = {}
-    rx_positions: dict[tuple[int, int], Point3] = {}
+    records: list[MpcRecord] = []
+    groups: list[MpcGroup] = []
     rejected: list[tuple[int, str]] = []
+    first_rx: dict[tuple[int, int], tuple[float, float, float]] = {}
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
             raise DatasetError(1, "empty file")
@@ -1219,7 +1194,7 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            rec = _read_line(line_no, line, lambda doc: _decode(_MpcRecord, doc, "record", ""))
+            rec = _read_line(line_no, line, lambda doc: _decode(MpcRecord, doc, "record", ""))
             try:
                 interactions = parse_interaction_string(rec.interactions)
                 group = classify_mpc(interactions)
@@ -1231,8 +1206,8 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
                 rejected.append((line_no, f"edge_id {rec.edge_id} on {rec.interactions}, "
                                           "which diffracts nowhere"))
                 continue
-            # The codec leaves a JSON integer an int; the MPC holds floats.
-            length, power = float(rec.path_length_m), float(rec.rx_power_dbm)
+            # The codec leaves a JSON integer an int; the messages print floats.
+            length = float(rec.path_length_m)
             if length < 0:
                 rejected.append((line_no, f"negative path length {length}"))
                 continue
@@ -1241,30 +1216,12 @@ def ingest_dataset(path, bandwidth_hz: float, noise_temperature_k: float = 290.0
                 rejected.append((line_no, f"tof {float(rec.tof_s)} inconsistent with length "
                                           f"{length}"))
                 continue
-
-            mpc = Mpc(
-                interactions=interactions,
-                path_length_m=length,
-                tof_s=tof,
-                rx_power_dbm=power,
-                snr_db=power - floor,
-                anchor_id=rec.anchor_id,
-                group=group,
-                edge_id=rec.edge_id,
-            )
-            key = (rec.anchor_id, rec.rx_id)
-            rx_xyz = [float(v) for v in rec.rx_xyz]
-            position = Point3(*rx_xyz)
-            first = rx_positions.setdefault(key, position)
-            if position != first:
-                rejected.append((line_no, f"rx_xyz {rx_xyz} of anchor {rec.anchor_id}, "
-                                          f"rx {rec.rx_id} differs from its first "
-                                          f"{[first.x, first.y, first.z]}"))
+            first = first_rx.setdefault((rec.anchor_id, rec.rx_id), rec.rx_xyz)
+            if rec.rx_xyz != first:
+                rejected.append((line_no, f"rx_xyz {[float(v) for v in rec.rx_xyz]} of anchor "
+                                          f"{rec.anchor_id}, rx {rec.rx_id} differs from its "
+                                          f"first {[float(v) for v in first]}"))
                 continue
-            buckets.setdefault(key, []).append(mpc)
-
-    pdps = {}
-    for key, mpcs in buckets.items():
-        mpcs.sort(key=lambda m: m.tof_s)
-        pdps[key] = Pdp(mpcs, rx_positions[key], anchor_id=key[0], rx_id=key[1])
-    return IngestResult(pdps=pdps, rejected=rejected)
+            records.append(rec)
+            groups.append(group)
+    return IngestResult(records, groups, rejected)

@@ -27,6 +27,7 @@ from .experiments import (
     save_scene,
 )
 from .materials import load_material_library
+from .records import _unique_keys
 
 
 def _cmd_scene(args) -> int:
@@ -69,14 +70,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    result = ingest_dataset(args.dataset, args.bandwidth, args.noise_temperature)
-    counts = {g: 0 for g in MpcGroup}
-    for pdp in result.pdps.values():
-        for m in pdp.mpcs:
-            counts[m.group] += 1
-    print(f"{result.mpc_count} MPCs across {len(result.pdps)} (anchor, receiver) pairs")
+    result = ingest_dataset(args.dataset)
+    pairs = {(r.anchor_id, r.rx_id) for r in result.records}
+    print(f"{len(result.records)} MPCs across {len(pairs)} (anchor, receiver) pairs")
     for g in MpcGroup:
-        print(f"  {g.name}: {counts[g]}")
+        print(f"  {g.name}: {result.groups.count(g)}")
     if result.rejected:
         print(f"{len(result.rejected)} rejected records:")
         for line_no, reason in result.rejected:
@@ -86,7 +84,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        report = report_from_dict(json.load(fh))
+        report = report_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
     files = export_report(report, args.out)
     print(f"wrote {len(files)} CSV files to {args.out}")
     return 0
@@ -126,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate an MPC dataset file")
     p.add_argument("--dataset", required=True, help="line-delimited JSON dataset")
-    p.add_argument("--bandwidth", type=float, default=400e6, help="Hz")
-    p.add_argument("--noise-temperature", type=float, default=290.0, help="K")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero when any record is rejected")
     p.set_defaults(func=_cmd_ingest)

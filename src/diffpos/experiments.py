@@ -38,7 +38,7 @@ from .fap import fap_rows, mean_squared_bandwidth, range_sigma_m
 from .geometry import EdgeTable, euclidean_distance
 from .materials import default_material_library
 from .positioning import SingularGeometryError, dnls_ladder, lls_solve, lls_start, peb_batch
-from .records import _encode, _from_dict
+from .records import _encode, _from_dict, _unique_keys
 
 __all__ = [
     "DEFAULT_FREQUENCY_LADDER_HZ",
@@ -491,48 +491,34 @@ def export_report(report: SweepReport, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def open_csv(name, header):
+    def write_csv(name, header, rows):
         path = out / name
         written.append(path)
-        fh = open(path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        return fh, writer
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
-    fh, writer = open_csv("p_fap.csv",
-                          ["frequency_hz", "mpc1_pct", "mpc2_pct", "mpc3_pct", "mpc4_pct"])
-    with fh:
-        for fr in report.frequencies:
-            writer.writerow([_fmt(fr.frequency_hz)]
-                            + [_fmt(fr.p_fap_pct[g]) for g in _GROUP_ORDER])
-
-    fh, writer = open_csv("fap_snr_quartiles.csv",
-                          ["frequency_hz", "q25_db", "q50_db", "q75_db"])
-    with fh:
-        for fr in report.frequencies:
-            if fr.fap_snr_quartiles_db is not None:
-                writer.writerow([_fmt(fr.frequency_hz)]
-                                + [_fmt(q) for q in fr.fap_snr_quartiles_db])
-
-    fh, writer = open_csv("exclusions.csv",
-                          ["frequency_hz", "n_receivers", "n_pairs", "no_detection",
-                           "dnls_failed", "lls_failed", "peb_singular"])
-    with fh:
-        for fr in report.frequencies:
-            writer.writerow([_fmt(fr.frequency_hz), fr.n_receivers, fr.n_pairs,
-                             fr.exclusions["no_detection"], fr.exclusions["dnls_failed"],
-                             fr.exclusions["lls_failed"], fr.exclusions["peb_singular"]])
-
-    for fr in report.frequencies:
+    freqs = report.frequencies
+    write_csv("p_fap.csv", ["frequency_hz", "mpc1_pct", "mpc2_pct", "mpc3_pct", "mpc4_pct"],
+              ([_fmt(fr.frequency_hz)] + [_fmt(fr.p_fap_pct[g]) for g in _GROUP_ORDER]
+               for fr in freqs))
+    write_csv("fap_snr_quartiles.csv", ["frequency_hz", "q25_db", "q50_db", "q75_db"],
+              ([_fmt(fr.frequency_hz)] + [_fmt(q) for q in fr.fap_snr_quartiles_db]
+               for fr in freqs if fr.fap_snr_quartiles_db is not None))
+    write_csv("exclusions.csv", ["frequency_hz", "n_receivers", "n_pairs", "no_detection",
+                                 "dnls_failed", "lls_failed", "peb_singular"],
+              ([_fmt(fr.frequency_hz), fr.n_receivers, fr.n_pairs,
+                fr.exclusions["no_detection"], fr.exclusions["dnls_failed"],
+                fr.exclusions["lls_failed"], fr.exclusions["peb_singular"]] for fr in freqs))
+    for fr in freqs:
         label = _freq_label(fr.frequency_hz)
         for name, samples in (("dnls", fr.dnls_errors_m),
                               ("lls", fr.lls_errors_m),
                               ("peb", fr.peb_m)):
-            fh, writer = open_csv(f"cdf_{name}_{label}.csv", ["error_m", "probability"])
-            with fh:
-                n = len(samples)
-                for k, err in enumerate(samples, start=1):
-                    writer.writerow([_fmt(err), _fmt(k / n)])
+            n = len(samples)
+            write_csv(f"cdf_{name}_{label}.csv", ["error_m", "probability"],
+                      ([_fmt(err), _fmt(k / n)] for k, err in enumerate(samples, start=1)))
     return written
 
 
@@ -558,7 +544,7 @@ def save_scene(scene: SceneConfig, path) -> None:
 
 def load_scene(path) -> SceneConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+        return scene_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def report_to_dict(report: SweepReport) -> dict:

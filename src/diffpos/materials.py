@@ -31,7 +31,7 @@ from .constants import (
     VACUUM_PERMEABILITY,
     VACUUM_PERMITTIVITY,
 )
-from .records import _from_dict
+from .records import _from_dict, _unique_keys
 
 __all__ = [
     "Material",
@@ -292,12 +292,12 @@ def load_material_library(path) -> MaterialLibrary:
     """Load a material/slab table from a JSON file (schema "materials/1");
     a malformed one raises ValueError as ``_library_from_dict`` does."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _library_from_dict(json.load(fh))
+        return _library_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def default_material_library() -> MaterialLibrary:
     """The packaged default table (ITU-seeded values; user-overridable)."""
     doc = json.loads(
-        resources.files("diffpos").joinpath("data/materials.json").read_text(encoding="utf-8")
-    )
+        resources.files("diffpos").joinpath("data/materials.json").read_text(encoding="utf-8"),
+        object_pairs_hook=_unique_keys)
     return _library_from_dict(doc)

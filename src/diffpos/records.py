@@ -4,7 +4,9 @@ A scene/1, sweep-report/1 or materials/1 file, and each line of an
 mpc-dataset/1 file, is a dataclass record tree with each record's fields
 in declaration order, so the dataclasses are its only schema. A malformed
 file raises ValueError naming the JSON path of the offending value, such
-as ``windows[3].z_lo`` or ``materials.concrete.a``.
+as ``windows[3].z_lo`` or ``materials.concrete.a``. Each file is parsed with
+``_unique_keys`` as its ``object_pairs_hook``, so a repeated key is refused
+too.
 """
 
 from __future__ import annotations
@@ -45,6 +47,17 @@ def _record(hint) -> dict:
             rec = {name: (value, True) for name in names}
         _RECORDS[hint] = rec
     return rec
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of the (key, value) ``pairs`` that ``json.load``
+    parsed, as its ``object_pairs_hook``; a key given twice raises
+    ValueError naming it, where ``json`` would keep the last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
 
 
 def _object(doc, where: str) -> dict:

@@ -142,12 +142,13 @@ def bounds_of(problems):
 
 
 def write_dataset(pdps, path) -> int:
-    """Write PDPs as the line-delimited JSON records ``ingest_dataset``
-    reads (schema ``mpc-dataset/1``); returns the record count."""
+    """Write (rx_id, PDP) pairs as the line-delimited JSON records
+    ``ingest_dataset`` reads (schema ``mpc-dataset/1``); returns the record
+    count."""
     lines = [json.dumps({"schema": "mpc-dataset/1"})]
-    for pdp in pdps:
+    for rx_id, pdp in pdps:
         for m in pdp.mpcs:
-            record = {"anchor_id": m.anchor_id, "rx_id": pdp.rx_id,
+            record = {"anchor_id": m.anchor_id, "rx_id": rx_id,
                       "rx_xyz": [pdp.rx.x, pdp.rx.y, pdp.rx.z],
                       "interactions": "-".join(("Tx", *m.interactions, "Rx")),
                       "path_length_m": m.path_length_m, "rx_power_dbm": m.rx_power_dbm,

@@ -4,7 +4,7 @@ These are the bodies the columnar ``channel`` and ``fap`` code replaced,
 kept as the test oracle: the image-source reflection off one plane, the
 per-reflector specular test that ``path_table`` ran, the one-angle
 ``cmath`` Fresnel reflection loss, the per-row PDP with scalar free-space
-loss and one ``Mpc`` per row, the where/cumsum slab sum of
+loss and one ``Mpc`` per row (``row_mpc``), the where/cumsum slab sum of
 ``PathTable.losses``, and the object bodies of ``truncate_top_k`` and
 ``select_fap``.
 """
@@ -175,13 +175,18 @@ def pdp(table, f_hz):
         snr = power - floor
         if math.isinf(base) or snr < scene.limits.min_snr_db:
             continue
-        interactions = row_interactions(table, i)
-        edge = int(table.edge_id[i])
-        mpcs.append(Mpc(interactions, length, length / SPEED_OF_LIGHT, power, snr,
-                        int(table.anchor[i]), classify_mpc(interactions),
-                        None if edge < 0 else edge))
+        mpcs.append(row_mpc(table, i, power, snr))
     mpcs.sort(key=lambda m: m.tof_s)
     return Pdp(mpcs, Point3(*table.receivers[0].tolist()), table.anchor_ids[0])
+
+
+def row_mpc(table, i, power_dbm, snr_db):
+    """The Mpc of table row ``i`` with the given received power and SNR."""
+    interactions = row_interactions(table, i)
+    edge = int(table.edge_id[i])
+    return Mpc(interactions, float(table.length_m[i]), float(table.tof_s[i]), float(power_dbm),
+               float(snr_db), int(table.anchor[i]), classify_mpc(interactions),
+               None if edge < 0 else edge)
 
 
 def leg_slab_db(crossed, slab_db):
@@ -199,7 +204,7 @@ def truncate_top_k(pdp, k=25):
         return pdp
     keep = sorted(pdp.mpcs, key=lambda m: m.snr_db, reverse=True)[:k]
     keep.sort(key=lambda m: m.tof_s)
-    return Pdp(keep, pdp.rx, pdp.anchor_id, pdp.rx_id)
+    return Pdp(keep, pdp.rx, pdp.anchor_id)
 
 
 def select_fap(pdp, t_fap_db):

@@ -305,8 +305,7 @@ def test_criterion_10_dataset_round_trip(tmp_path):
         for rx_id, rx in enumerate(receiver_grid(scene)):
             for a in range(4):
                 pdp = enumerate_mpcs(scene, a, rx, 10e9)
-                pdp.rx_id = rx_id
-                pdps.append(pdp)
+                pdps.append((rx_id, pdp))
                 total += len(pdp)
             if total >= 10_000:
                 break
@@ -316,14 +315,13 @@ def test_criterion_10_dataset_round_trip(tmp_path):
         count = write_dataset(pdps, path)
         assert count == total
 
-        result = ingest_dataset(path, scene.radio.bandwidth_hz, scene.radio.noise_temperature_k)
+        result = ingest_dataset(path)
         assert not result.rejected
-        assert result.mpc_count == total
-        for pdp in pdps:
-            back = result.pdps[(pdp.anchor_id, pdp.rx_id)]
-            assert back.rx == pdp.rx
-            for a, b in zip(pdp.mpcs, back.mpcs):
-                assert (a.interactions, a.path_length_m, a.tof_s, a.rx_power_dbm,
-                        a.snr_db, a.group, a.edge_id, a.anchor_id) == \
-                       (b.interactions, b.path_length_m, b.tof_s, b.rx_power_dbm,
-                        b.snr_db, b.group, b.edge_id, b.anchor_id)
+        assert len(result.records) == len(result.groups) == total
+        # Every written field and the group, bit for bit, in file order.
+        written = [(rx_id, pdp.rx, m) for rx_id, pdp in pdps for m in pdp.mpcs]
+        for (rx_id, rx, m), rec, group in zip(written, result.records, result.groups):
+            assert (rec.anchor_id, rec.rx_id, rec.rx_xyz, rec.interactions, rec.path_length_m,
+                    rec.rx_power_dbm, rec.tof_s, rec.edge_id, group) == \
+                   (m.anchor_id, rx_id, (rx.x, rx.y, rx.z), "-".join(("Tx", *m.interactions, "Rx")),
+                    m.path_length_m, m.rx_power_dbm, m.tof_s, m.edge_id, m.group)

@@ -17,6 +17,7 @@ from diffpos.channel import (
     InteriorWall,
     Mpc,
     MpcGroup,
+    MpcRecord,
     PathLimits,
     Pdp,
     RadioConfig,
@@ -42,7 +43,6 @@ from diffpos.materials import DiffractionLossModel, default_material_library
 
 RNG = np.random.default_rng(42)
 LIB = default_material_library()
-BANDWIDTH_HZ = 400e6
 
 
 def make_scene(**overrides) -> SceneConfig:
@@ -653,13 +653,12 @@ def test_ingest_well_formed(tmp_path):
         '{"anchor_id": 1, "rx_id": 1, "rx_xyz": [1.0, 2.0, 3.0], "interactions": "Tx-DS-Rx", '
         '"path_length_m": 12.0, "rx_power_dbm": -70.0}\n'
     )
-    result = ingest_dataset(path, BANDWIDTH_HZ)
-    assert result.mpc_count == 3
+    result = ingest_dataset(path)
     assert not result.rejected
-    pdp = result.pdps[(0, 1)]
-    assert [m.group for m in pdp.mpcs] == [MpcGroup.MPC1, MpcGroup.MPC3]
-    assert result.pdps[(1, 1)].mpcs[0].group is MpcGroup.MPC4
-    assert pdp.mpcs[0].tof_s == pytest.approx(10.0 / SPEED_OF_LIGHT, rel=1e-15)
+    assert result.groups == [MpcGroup.MPC1, MpcGroup.MPC3, MpcGroup.MPC4]
+    assert result.records == [MpcRecord(0, 1, (1.0, 2.0, 3.0), "Tx-Rx", 10.0, -50.0),
+                              MpcRecord(0, 1, (1.0, 2.0, 3.0), "Tx-D-T-Rx", 14.0, -62.0),
+                              MpcRecord(1, 1, (1.0, 2.0, 3.0), "Tx-DS-Rx", 12.0, -70.0)]
 
 
 def test_ingest_rejects_negative_length(tmp_path):
@@ -669,8 +668,8 @@ def test_ingest_rejects_negative_length(tmp_path):
         '{"anchor_id": 0, "rx_id": 0, "rx_xyz": [0, 0, 0], "interactions": "Tx-Rx", '
         '"path_length_m": -5.0, "rx_power_dbm": -50.0}\n'
     )
-    result = ingest_dataset(path, BANDWIDTH_HZ)
-    assert result.mpc_count == 0
+    result = ingest_dataset(path)
+    assert result.records == result.groups == []
     assert len(result.rejected) == 1
     assert result.rejected[0][0] == 2
 
@@ -682,8 +681,8 @@ def test_ingest_rejects_inconsistent_tof(tmp_path):
         '{"anchor_id": 0, "rx_id": 0, "rx_xyz": [0, 0, 0], "interactions": "Tx-Rx", '
         '"path_length_m": 10.0, "rx_power_dbm": -50.0, "tof_s": 1.0e-7}\n'
     )
-    result = ingest_dataset(path, BANDWIDTH_HZ)
-    assert result.mpc_count == 0
+    result = ingest_dataset(path)
+    assert result.records == result.groups == []
     assert "tof" in result.rejected[0][1]
 
 
@@ -696,7 +695,7 @@ def test_ingest_malformed_line_reports_number(tmp_path):
         'this is not json\n'
     )
     with pytest.raises(DatasetError) as err:
-        ingest_dataset(path, BANDWIDTH_HZ)
+        ingest_dataset(path)
     assert err.value.line_no == 3
 
 
@@ -743,12 +742,12 @@ def test_ingest_bad_field_values(tmp_path, changes, outcome):
     path.write_text('{"schema": "mpc-dataset/1"}\n' + json.dumps(_RECORD) + "\n"
                     + json.dumps(record) + "\n")
     if outcome == "accepted":
-        result = ingest_dataset(path, BANDWIDTH_HZ)
-        assert result.mpc_count == 2
+        result = ingest_dataset(path)
+        assert len(result.records) == len(result.groups) == 2
         assert not result.rejected
     else:
         with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as err:
-            ingest_dataset(path, BANDWIDTH_HZ)
+            ingest_dataset(path)
         assert err.value.line_no == 3
 
 
@@ -756,7 +755,7 @@ def test_ingest_unknown_header_key_is_an_error(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"schema": "mpc-dataset/1", "units": "m"}\n' + json.dumps(_RECORD) + "\n")
     with pytest.raises(DatasetError, match="^line 1: header: unexpected key 'units'$"):
-        ingest_dataset(path, BANDWIDTH_HZ)
+        ingest_dataset(path)
 
 
 @pytest.mark.parametrize("changes, outcome", [
@@ -789,21 +788,32 @@ def test_ingest_ids(tmp_path, capsys, changes, outcome):
     rc = cli_main(["ingest", "--dataset", str(path)])
     out, err = capsys.readouterr()
     if outcome == "accepted":
-        result = ingest_dataset(path, BANDWIDTH_HZ)
+        result = ingest_dataset(path)
         assert not result.rejected
-        (mpc,) = result.pdps[(2, 0)].mpcs
-        assert (mpc.group, mpc.edge_id) == (MpcGroup.MPC4, 4)
+        assert [(r.anchor_id, r.edge_id) for r in result.records] == [(0, None), (2, 4)]
+        assert result.groups == [MpcGroup.MPC1, MpcGroup.MPC4]
         assert rc == 0 and "2 MPCs" in out
     elif outcome.startswith("rejected: "):
-        result = ingest_dataset(path, BANDWIDTH_HZ)
-        assert result.mpc_count == 1
+        result = ingest_dataset(path)
+        assert len(result.records) == 1
         assert result.rejected == [(3, outcome.removeprefix("rejected: "))]
         assert rc == 0 and "1 rejected records" in out
     else:
         with pytest.raises(DatasetError, match=f"^line 3: .*{outcome}") as exc:
-            ingest_dataset(path, BANDWIDTH_HZ)
+            ingest_dataset(path)
         assert exc.value.line_no == 3
         assert rc == 1 and err == f"error: {exc.value}\n"
+
+
+def test_ingest_line_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "data.jsonl"
+    bad = json.dumps({**_RECORD, "interactions": "Tx-?-Rx"}).encode().replace(b"?", b"\xff")
+    path.write_bytes(b'{"schema": "mpc-dataset/1"}\n' + json.dumps(_RECORD).encode() + b"\n"
+                     + bad + b"\n")
+    with pytest.raises(DatasetError, match="^line 3: 'utf-8' codec can't decode byte 0xff in "
+                       f"position {bad.index(0xff)}: invalid start byte$") as err:
+        ingest_dataset(path)
+    assert err.value.line_no == 3
 
 
 def test_ingest_bad_schema(tmp_path):
@@ -812,7 +822,7 @@ def test_ingest_bad_schema(tmp_path):
                             ("[]", "header: expected an object, got list")):
         path.write_text(header + "\n")
         with pytest.raises(DatasetError, match=f"^line 1: {re.escape(message)}$"):
-            ingest_dataset(path, BANDWIDTH_HZ)
+            ingest_dataset(path)
 
 
 
@@ -857,27 +867,22 @@ def test_ingest_mutated_dataset_exits_0_or_prints_one_error_line(tmp_path, capsy
 
 def test_dataset_round_trip_bitwise(tmp_path):
     scene = make_scene()
-    pdps = []
-    for rx_id, rx in enumerate(receiver_grid(scene)[:6]):
-        pdp = enumerate_mpcs(scene, 0, rx, 10e9)
-        pdp.rx_id = rx_id
-        pdps.append(pdp)
+    pdps = [(rx_id, enumerate_mpcs(scene, 0, rx, 10e9))
+            for rx_id, rx in enumerate(receiver_grid(scene)[:6])]
     path = tmp_path / "export.jsonl"
     n = write_dataset(pdps, path)
-    assert n == sum(len(p) for p in pdps)
+    assert n == sum(len(p) for _, p in pdps)
 
-    result = ingest_dataset(path, scene.radio.bandwidth_hz, scene.radio.noise_temperature_k)
+    result = ingest_dataset(path)
     assert not result.rejected
-    assert result.mpc_count == n
-    for pdp in pdps:
-        back = result.pdps[(pdp.anchor_id, pdp.rx_id)]
-        assert len(back) == len(pdp)
-        assert back.rx == pdp.rx
-        for a, b in zip(pdp.mpcs, back.mpcs):
-            assert a.interactions == b.interactions
-            assert a.path_length_m == b.path_length_m  # bitwise
-            assert a.rx_power_dbm == b.rx_power_dbm
-            assert a.tof_s == b.tof_s
-            assert a.snr_db == b.snr_db
-            assert a.group is b.group
-            assert a.edge_id == b.edge_id
+    assert len(result.records) == len(result.groups) == n
+    written = [(rx_id, pdp.rx, m) for rx_id, pdp in pdps for m in pdp.mpcs]
+    for (rx_id, rx, m), rec, group in zip(written, result.records, result.groups):
+        assert (rec.anchor_id, rec.rx_id) == (m.anchor_id, rx_id)
+        assert rec.rx_xyz == (rx.x, rx.y, rx.z)
+        assert parse_interaction_string(rec.interactions) == m.interactions
+        assert rec.path_length_m == m.path_length_m  # bitwise
+        assert rec.rx_power_dbm == m.rx_power_dbm
+        assert rec.tof_s == m.tof_s
+        assert group is m.group
+        assert rec.edge_id == m.edge_id

@@ -26,6 +26,7 @@ from diffpos.channel import (
     Pdp,
     build_scene_geometry,
     classify_mpc,
+    enumerate_mpcs,
     path_table,
     receiver_grid,
     truncate_top_k,
@@ -188,10 +189,13 @@ def test_group_codes_match_classify():
             interactions = scalar_paths.row_interactions(table, i)
             assert MpcGroup(int(table.group[i])) is classify_mpc(interactions)
             groups.add(int(table.group[i]))
-        rows = np.arange(len(table.length_m))
-        mpcs = table.build_mpcs(rows, np.zeros(len(rows)), np.zeros(len(rows)))
-        assert [m.interactions for m in mpcs] == [
-            scalar_paths.row_interactions(table, i) for i in rows]
+        # The Mpcs that enumerate_mpcs builds from the columns, against
+        # the row by row interactions and their groups.
+        for f_hz in DEFAULT_FREQUENCY_LADDER_HZ:
+            got = enumerate_mpcs(SCENE, a, rx, f_hz, GEOM).mpcs
+            want = scalar_paths.pdp(table, f_hz).mpcs
+            assert [(m.interactions, m.group) for m in got] == [
+                (m.interactions, m.group) for m in want]
     assert groups == {1, 2, 3, 4}
 
 
@@ -221,10 +225,11 @@ def test_losses_match_per_row_pdp_at_every_ladder_frequency():
         assert losses.snr_db.shape == (len(DEFAULT_FREQUENCY_LADDER_HZ), len(table.length_m))
         for fi, f_hz in enumerate(DEFAULT_FREQUENCY_LADDER_HZ):
             want = scalar_paths.pdp(table, f_hz).mpcs
-            rows = table.detected_rows(losses.detected[fi])
+            rows = np.flatnonzero(losses.detected[fi])
+            rows = rows[np.argsort(table.tof_s[rows], kind="stable")]
             assert table.length_m[rows].tolist() == [m.path_length_m for m in want]
             assert np.all(np.abs(losses.snr_db[fi, rows] - [m.snr_db for m in want]) <= 1e-9)
-            got = table.pdp(f_hz).mpcs
+            got = enumerate_mpcs(SCENE, a, rx, f_hz, GEOM).mpcs
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert (g.interactions, g.path_length_m, g.tof_s, g.anchor_id, g.group,
@@ -482,13 +487,11 @@ def test_clamped_diffraction_points_are_the_edge_ends(full_scale, n_receivers):
     assert d.point.tobytes() == geom.edge_table.points(d.ids, d.lam).tobytes()
 
 
-def test_pdp_needs_a_one_anchor_table():
+def test_enumerate_mpcs_needs_one_receiver():
     rx = Point3(9.0, 5.0, 7.5)
-    with pytest.raises(ValueError, match="^a PDP has one anchor, the table has 4$"):
-        path_table(SCENE, range(4), rx, GEOM).pdp(28e9)
-    with pytest.raises(ValueError, match="^a PDP has one receiver, the table has 2$"):
-        path_table(SCENE, (2,), [rx.as_array(), rx.as_array()], GEOM).pdp(28e9)
-    pdp = path_table(SCENE, (2,), rx, GEOM).pdp(28e9)
+    with pytest.raises(ValueError, match="^a PDP has one receiver, rx has 2$"):
+        enumerate_mpcs(SCENE, 2, [rx.as_array(), rx.as_array()], 28e9, GEOM)
+    pdp = enumerate_mpcs(SCENE, 2, rx.as_array()[None], 28e9, GEOM)
     assert pdp.anchor_id == 2 and pdp.rx == rx
 
 
@@ -640,12 +643,9 @@ def test_receiver_faps_match_object_bodies_on_every_ladder_cell():
     checked = 0
     for n, rx in enumerate(receivers):
         for a in range(len(scene.anchors)):
-            pair = path_table(scene, (a,), rx, geom)
-            power, snr, detected = pair.losses(cfg.frequencies_hz)
-            for fi in range(n_freqs):
-                rows = pair.detected_rows(detected[fi])
-                assert rows.size
-                pdp = Pdp(pair.build_mpcs(rows, power[fi, rows], snr[fi, rows]), rx, a)
+            for fi, f_hz in enumerate(cfg.frequencies_hz):
+                pdp = enumerate_mpcs(scene, a, rx, f_hz, geom)
+                assert pdp.mpcs
                 assert_cell_is_object_rows(cells, n * n_freqs + fi, a, pdp, cfg, nearest)
                 checked += 1
     assert checked == 20 * 4 * 7
@@ -687,8 +687,8 @@ def test_receiver_faps_keep_table_order_among_tied_times_of_flight():
             for fi in range(n_freqs):
                 rows = pair_rows[losses.detected[fi, pair_rows]]
                 rows = rows[np.argsort(tied.tof_s[rows], kind="stable")]
-                pdp = Pdp(tied.build_mpcs(rows, losses.power_dbm[fi, rows],
-                                          losses.snr_db[fi, rows]), rx, a)
+                pdp = Pdp([scalar_paths.row_mpc(tied, i, losses.power_dbm[fi, i],
+                                                losses.snr_db[fi, i]) for i in rows], rx, a)
                 assert_cell_is_object_rows(cells, n * n_freqs + fi, a, pdp, cfg, nearest)
     assert ties > 0.3 * len(tied.tof_s)
 
