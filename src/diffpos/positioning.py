@@ -173,7 +173,8 @@ def _rank_deficient(matrices: np.ndarray) -> np.ndarray:
 
 # An undamped normal matrix N with |det N| > _FULL_RANK_DET * ||N||_F^3 is
 # full rank for _rank_deficient, because s_min / s_max >= |det N| / ||N||_F^3
-# for a 3 x 3 matrix. The margin over _RANK_RTOL covers the rounding of det.
+# for a 3 x 3 matrix. The margin over _RANK_RTOL covers the rounding of the
+# LU determinant, within about 1e-14 * ||N||_F^3 of the true one.
 _FULL_RANK_DET = 1e-9
 
 
@@ -181,19 +182,12 @@ def _normal_rank_deficient(n: np.ndarray) -> np.ndarray:
     """``_rank_deficient`` of each matrix of a row-last (3, 3, C) stack ``n``
     of finite normal matrices, with an SVD only for the matrices that the
     determinant bound does not prove full rank."""
-    det = n[0, 0] * (n[1, 1] * n[2, 2] - n[1, 2] * n[2, 1]) \
-        + n[0, 1] * (n[1, 2] * n[2, 0] - n[1, 0] * n[2, 2]) \
-        + n[0, 2] * (n[1, 0] * n[2, 1] - n[1, 1] * n[2, 0])
+    det = np.abs(np.linalg.det(n.transpose(2, 0, 1)))
     fro_sq = np.add.reduce((n * n).reshape(9, -1), axis=0)
-    deficient = ~(np.abs(det) > _FULL_RANK_DET * fro_sq * np.sqrt(fro_sq))
+    deficient = ~(det > _FULL_RANK_DET * fro_sq * np.sqrt(fro_sq))
     if np.count_nonzero(deficient):
         deficient[deficient] = _rank_deficient(n[..., deficient].transpose(2, 0, 1))
     return deficient
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is finite."""
-    return np.count_nonzero(np.isfinite(x)) == x.size
 
 
 class _GaussNewtonRows(NamedTuple):
@@ -212,10 +206,11 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     iterate, where it can still find the row singular. A leg of the model
     below 1e-12 m, or, without damping, rank-deficient normal equations,
     makes the row singular; a non-finite iterate or normal system makes it
-    diverged.
+    diverged. A failed step keeps the row's iterate, and the next model
+    evaluation is its final one.
     ``damping[i] > 0`` adds Tikhonov regularization instead of the rank
-    check. A row leaves the active set when it finishes, and its result does
-    not depend on the other rows.
+    check. Rows leave the active set only at the top of a trip, and a row's
+    result does not depend on the other rows.
 
     ``problem`` groups rows into retry ladders: rows with the same problem
     number are its rungs, earlier rungs at lower row indices. Once a row
@@ -231,15 +226,14 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
 
     # State of the active rows: their row numbers, measurements, iterates,
     # iteration limits, whether they are damped and their damping term.
-    # Every active row that goes on steps once per trip, so a row that stops
-    # on trip k has run k iterations, or k + 1 when the trip counts for it:
-    # it went singular while not final, or failed in its step. ``final``
-    # marks the rows whose last step is taken (the model evaluation at the
-    # top of the loop is then their final one); it is None while no row is,
-    # and ``stop`` is None on trips where no row stops, which is most of
-    # them: the stop, drop and limit bookkeeping runs only on the trips
-    # where some row is final, singular or failed, or runs out of
-    # iterations.
+    # Rows leave after the model evaluation at the top of a trip and every
+    # row that stays steps, so a row that leaves on trip k has run k
+    # iterations, or k + 1 if it went singular while not final. ``final``
+    # marks the rows whose last step is taken: converged, out of iterations
+    # or failed. A failed row keeps the iterate that this trip found not
+    # singular, and the model depends on the row alone, so its final
+    # evaluation cannot make it singular. ``final`` is None while no row is
+    # final, as ``stop`` is on the trips where no row leaves (most of them).
     active = np.arange(n_rows)
     cur = rows
     a = alpha.copy()
@@ -257,92 +251,75 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
             p, jac, singular = (x.T for x in _model_rows(a, cur))
             residual = cur.ranges - p
 
-            stop = counted = None
+            stop = counted = None  # the rows that leave; those that count this trip
             if np.count_nonzero(singular):
-                singular = singular.any(axis=0)
-                status[active[singular]] = _SINGULAR
-                stop, counted = (singular.copy(), singular) if final is None \
-                    else (singular | final, singular & ~final)
+                stop = counted = singular.any(axis=0)
+                status[active[stop]] = _SINGULAR
             if final is not None:
-                if stop is None:
-                    stop, counted = final.copy(), np.zeros(len(final), dtype=bool)
                 done = active[final]
                 for i in done[status[done] == _CONVERGED]:
                     first_converged[problem[i]] = min(first_converged[problem[i]], i)
+                stop, counted = (final, None) if stop is None else (stop | final, counted & ~final)
                 dropped = ~stop & (active > first_converged[problem[active]])
                 status[active[dropped]] = _DROPPED
-                stop |= dropped
-
-            # One step of the rows that go on: every active row unless some stop.
-            n_stop = 0 if stop is None else np.count_nonzero(stop)
-            final = None
-            if n_stop < len(active):
-                if n_stop:
-                    go = (~stop).nonzero()[0]
-                    j, res, d_eye = (x.take(go, axis=-1) for x in (jac, residual, damp_eye))
-                    start, d = a[go], damped[go]
-                    n_d = np.count_nonzero(d)
-                else:
-                    go, j, res, d_eye, start, d, n_d = \
-                        slice(None), jac, residual, damp_eye, a, damped, n_damped
-                # The normal equations (3, 3, G) and (3, G), summed over the
-                # leading anchor axis, so in anchor order.
-                normal = np.add.reduce(j[:, :, None] * j[:, None], axis=0)
-                rhs = np.add.reduce(j * res[:, None], axis=0)
-                if n_d:
-                    np.add(normal, d_eye, out=normal, where=d)
-                # Rows with a non-finite or, undamped, a rank-deficient system
-                # take a zero step and fail, as do rows whose iterate is not
-                # finite. ``ok`` marks the rows that do not; it stays None
-                # while no row can fail, which is the common case.
-                ok = None
-                if not (_all_finite(normal) and _all_finite(rhs)):
-                    ok = np.isfinite(normal).all(axis=(0, 1)) & np.isfinite(rhs).all(axis=0)
-                deficient = None
-                if n_d < len(d):
-                    check = ~d if ok is None else ok & ~d
-                    if np.count_nonzero(check):
-                        deficient = np.zeros(len(d), dtype=bool)
-                        deficient[check] = _normal_rank_deficient(normal[..., check])
-                        ok = ~deficient if ok is None else ok & ~deficient
-                if ok is not None:
-                    normal[..., ~ok], rhs[:, ~ok] = eye[:, :, None], 0.0
-                step = np.linalg.solve(normal.transpose(2, 0, 1), rhs.T[..., None])[..., 0]
-                moved = start + step
-                if not _all_finite(moved):
-                    finite = np.isfinite(moved).all(axis=1)
-                    ok = finite if ok is None else ok & finite
-                converged = np.sqrt(np.add.reduce(step ** 2, axis=1)) < tol
-                if ok is not None and np.count_nonzero(ok) < len(ok):
-                    converged &= ok
-                    failed = ~ok
-                    status[active[go][failed]] = _DIVERGED if deficient is None \
-                        else np.where(deficient[failed], _SINGULAR, _DIVERGED)
-                    moved[failed] = start[failed]
-                    if stop is None:
-                        stop, counted = np.zeros((2, len(active)), dtype=bool)
-                    stop[go] = counted[go] = failed
-                    n_stop = np.count_nonzero(stop)
-                a[go] = moved
-                n_converged = np.count_nonzero(converged)
-                if n_converged:
-                    status[active[go][converged]] = _CONVERGED
-                if n_converged or trip in limit_trips:
-                    final = np.zeros(len(active), dtype=bool)
-                    final[go] = converged | (trip + 1 >= limit[go])
-
-            if n_stop:
+                stop = stop | dropped
+            if stop is not None:
                 left = active[stop]
                 alpha[left] = a[stop]
-                iterations[left] = trip + counted[stop]
+                iterations[left] = trip if counted is None else trip + counted[stop]
                 keep = (~stop).nonzero()[0]
+                if not keep.size:
+                    break
                 active, cur, a = active[keep], cur.take(keep), a[keep]
                 limit, damped = limit[keep], damped[keep]
                 n_damped = np.count_nonzero(damped)
-                damp_eye = damp_eye.take(keep, axis=-1)
-                if final is not None:
-                    final = final[keep]
-                    final = final if np.count_nonzero(final) else None
+                jac, residual, damp_eye = (x.take(keep, axis=-1) for x in (jac, residual, damp_eye))
+
+            # One step of every active row. The normal equations (3, 3, R)
+            # and (3, R), summed over the leading anchor axis, so in anchor
+            # order.
+            normal = np.add.reduce(jac[:, :, None] * jac[:, None], axis=0)
+            rhs = np.add.reduce(jac * residual[:, None], axis=0)
+            if n_damped:
+                np.add(normal, damp_eye, out=normal, where=damped)
+            # Rows with a non-finite or, undamped, a rank-deficient system
+            # take a zero step and fail, as do rows whose iterate is not
+            # finite. ``ok`` marks the rows that do not; it stays None
+            # while no row can fail, which is the common case.
+            ok = None
+            if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
+                ok = np.isfinite(normal).all(axis=(0, 1)) & np.isfinite(rhs).all(axis=0)
+            deficient = None
+            if n_damped < len(active):
+                check = ~damped if ok is None else ok & ~damped
+                if np.count_nonzero(check):
+                    deficient = np.zeros(len(active), dtype=bool)
+                    deficient[check] = _normal_rank_deficient(normal[..., check])
+                    ok = ~deficient if ok is None else ok & ~deficient
+            if ok is not None:
+                normal[..., ~ok], rhs[:, ~ok] = eye[:, :, None], 0.0
+            step = np.linalg.solve(normal.transpose(2, 0, 1), rhs.T[..., None])[..., 0]
+            moved = a + step
+            if not np.isfinite(moved).all():
+                finite = np.isfinite(moved).all(axis=1)
+                ok = finite if ok is None else ok & finite
+            converged = np.sqrt(np.add.reduce(step ** 2, axis=1)) < tol
+            failed = None
+            if ok is not None and np.count_nonzero(ok) < len(ok):
+                failed = ~ok
+                converged &= ok
+                status[active[failed]] = _DIVERGED if deficient is None \
+                    else np.where(deficient[failed], _SINGULAR, _DIVERGED)
+                moved[failed] = a[failed]
+            a = moved
+            n_converged = np.count_nonzero(converged)
+            if n_converged:
+                status[active[converged]] = _CONVERGED
+            final = failed
+            if n_converged or trip in limit_trips:
+                ended = converged | (trip + 1 >= limit)
+                final = ended if failed is None else ended | failed
+                final = final if np.count_nonzero(final) else None
             trip += 1
     return _GaussNewtonRows(alpha, iterations, status)
 
@@ -454,7 +431,7 @@ def lls_solve(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     # too. Finite squared norms |a_i|^2 keep 2 (a_i - a_0) finite as well.
     with np.errstate(over="ignore"):
         norms = np.sum(anchors ** 2, axis=1)
-    if not _all_finite(norms):
+    if not np.isfinite(norms).all():
         raise ValueError("anchors must have finite design terms 2 (a_i - a_0) and |a_i|^2")
     x0 = anchors[0]
     a_mat = 2.0 * (anchors[1:] - x0)

@@ -6,7 +6,7 @@ in declaration order, so the dataclasses are its only schema. A malformed
 file raises ValueError naming the JSON path of the offending value, such
 as ``windows[3].z_lo`` or ``materials.concrete.a``. Each file is parsed with
 ``_unique_keys`` as its ``object_pairs_hook``, so a repeated key is refused
-too.
+too, naming the path of its object (``materials.air: repeated key 'a'``).
 """
 
 from __future__ import annotations
@@ -49,21 +49,32 @@ def _record(hint) -> dict:
     return rec
 
 
+class _Repeated(dict):
+    """A JSON object that names ``key`` more than once; ``_object`` refuses
+    it, naming its path."""
+
+    key: str
+
+
 def _unique_keys(pairs: list) -> dict:
     """The JSON object of the (key, value) ``pairs`` that ``json.load``
-    parsed, as its ``object_pairs_hook``; a key given twice raises
-    ValueError naming it, where ``json`` would keep the last value."""
+    parsed, as its ``object_pairs_hook``; a key given twice, which ``json``
+    would keep the last value of, gives a ``_Repeated`` holding it."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
         keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        doc = _Repeated(doc)
+        doc.key = next(k for k in keys if keys.count(k) > 1)
     return doc
 
 
 def _object(doc, where: str) -> dict:
-    """``doc`` when it is a JSON object, else ValueError naming ``where``."""
+    """``doc`` when it is a JSON object that names each key once, else
+    ValueError naming ``where``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {type(doc).__name__}")
+    if type(doc) is _Repeated:
+        raise ValueError(f"{where}: repeated key {doc.key!r}")
     return doc
 
 
@@ -114,6 +125,8 @@ def _decode(hint, doc, where: str, prefix: str | None = None):
         if hint is float and not math.isfinite(doc):
             raise ValueError(f"{where}: expected a finite number, got {doc}")
         return doc
+    if type(doc) is _Repeated:  # refused where a leaf or a list belongs too
+        _object(doc, where)
     if hint in _LEAF_TYPES:
         types, expected = _LEAF_TYPES[hint]
         if not isinstance(doc, types) or (isinstance(doc, bool) and hint is not bool):

@@ -312,6 +312,11 @@ def test_rows_stop_as_in_their_own_runs(monkeypatch):
     rng = np.random.default_rng(17)
     singular_meas, singular_at = final_singular_problem()
     mid, last = good_problem(rng), good_problem(rng)
+    # The last ladder's rung 0 converges in its step on trip ``converge``;
+    # problem 1 of the sweep, which converges later, fails its step on that
+    # trip mid-loop.
+    converge = run_rows([[(sets[0], inits[0], 50, 0.0)]]).iterations[0] - 1
+    assert converge > 0
     singles = [
         [(*diverging_problem(rng), 50, 0.0)],  # non-finite normal system
         [(*diverging_problem(rng), 400, 0.1)],
@@ -320,16 +325,22 @@ def test_rows_stop_as_in_their_own_runs(monkeypatch):
         [(singular_meas, singular_at, 50, 0.0)],  # singular while not final
         [(*mid, 50, 0.0)],
         [(*last, 50, 0.0)],
+        [(sets[1], inits[1], 50, 0.0)],
     ]
     # The model goes singular at ``mid``'s third iterate, mid-loop, and at
-    # ``last``'s final iterate, which it reaches converged.
+    # ``last``'s final iterate, which it reaches converged. Its Jacobian is
+    # zero at problem 1's iterate of trip ``converge``, which makes that
+    # step rank-deficient.
     third = run_rows([[(*mid, 3, 0.0)]]).alpha[0]
-    final = run_rows([singles[-1]])
+    final = run_rows([singles[-2]])
     assert final.status[0] == _CONVERGED and final.iterations[0] > 3
+    late = run_rows([[(sets[1], inits[1], converge, 0.0)]])
+    assert late.status[0] == _OUT_OF_ITERATIONS
     real_model = positioning._model_rows
 
     def model(alpha, rows):
         p, jac, singular = real_model(alpha, rows)
+        jac[(alpha == late.alpha[0]).all(axis=1)] = 0.0
         hit = (alpha == third).all(axis=1) | (alpha == final.alpha[0]).all(axis=1)
         return p, jac, singular | hit[:, None]
 
@@ -345,14 +356,15 @@ def test_rows_stop_as_in_their_own_runs(monkeypatch):
         start = end
 
     status, iterations = out.status.tolist(), out.iterations.tolist()
-    assert list(zip(status[:7], iterations[:7])) == [
+    assert list(zip(status[:8], iterations[:8])) == [
         (_DIVERGED, 1), (_DIVERGED, 1), (_SINGULAR, 1), (_SINGULAR, 0), (_SINGULAR, 1),
-        (_SINGULAR, 4), (_SINGULAR, final.iterations[0])]
-    assert list(zip(status[7:], iterations[7:])) == [
+        (_SINGULAR, 4), (_SINGULAR, final.iterations[0]), (_SINGULAR, converge + 1)]
+    assert np.array_equal(out.alpha[7], late.alpha[0])
+    assert list(zip(status[8:], iterations[8:])) == [
         (_SINGULAR, 4), (_CONVERGED, 82), (_DROPPED, 82),
         (_OUT_OF_ITERATIONS, 50), (_CONVERGED, 400), (_OUT_OF_ITERATIONS, 400),
         (_OUT_OF_ITERATIONS, 50), (_OUT_OF_ITERATIONS, 400), (_OUT_OF_ITERATIONS, 400),
-        (_CONVERGED, iterations[16]), (_DROPPED, iterations[16]), (_DROPPED, iterations[16])]
+        (_CONVERGED, converge + 1), (_DROPPED, converge + 1), (_DROPPED, converge + 1)]
 
 
 def test_ladder_rejects_mixed_anchor_counts_and_bad_starts():

@@ -1159,14 +1159,15 @@ def _repeat_key(text: str, key: str) -> str:
 
 
 @pytest.mark.parametrize("kind, key, where", [
-    ("scene", "footprint_x", ""),
-    ("report", "n_pairs", ""),
-    ("materials", "a", ""),
-    ("dataset", "path_length_m", "line 2: "),
+    ("scene", "footprint_x", "scene: "),
+    ("report", "n_pairs", "frequencies[0]: "),
+    ("materials", "a", "materials.air: "),
+    ("dataset", "path_length_m", "line 2: record: "),
 ], ids=["scene", "report", "materials", "dataset"])
 def test_cli_repeated_json_key_is_an_error_line(tmp_path, capsys, kind, key, where):
     # json keeps the last of two values of a key; every file the CLI reads
-    # refuses the object instead, naming the key (and a dataset's line).
+    # refuses the object instead, naming the key and the JSON path of its
+    # object (and a dataset's line).
     text = {
         "scene": lambda: json.dumps(scene_to_dict(build_default_scene(grid_spacing=10.0,
                                                                       receiver_floors=(3,)))),
@@ -1186,6 +1187,19 @@ def test_cli_repeated_json_key_is_an_error_line(tmp_path, capsys, kind, key, whe
     rc = cli_main(argv)
     assert rc == 1
     assert capsys.readouterr().err == f"error: {where}repeated key {key!r}\n"
+    assert not out.exists()
+
+
+def test_cli_repeated_key_where_a_number_belongs_names_its_path(tmp_path, capsys):
+    # An object that names a key twice is refused for that key, at its path,
+    # even where the scene wants a number.
+    text = json.dumps(scene_to_dict(build_default_scene(grid_spacing=10.0, receiver_floors=(3,))))
+    at = text.index('"footprint_x": ') + len('"footprint_x": ')
+    path, out = tmp_path / "scene.json", tmp_path / "out"
+    path.write_text(f'{text[:at]}{{"a": 1, "a": 2}}{text[text.index(",", at):]}', encoding="utf-8")
+    rc = cli_main(["sweep", "--scene", str(path), "--frequencies", "28e9", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: footprint_x: repeated key 'a'\n"
     assert not out.exists()
 
 
