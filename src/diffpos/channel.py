@@ -24,7 +24,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -48,12 +48,14 @@ from .materials import (
     free_space_path_loss_db,
     reflection_loss_db,
     transmission_loss_db,
-    _FREQ_REACH_HZ,
+    BandFrequency,
+    Decibels,
+    Length,
     _MAX_ABS_DB,
     _REACH_M,
-    _check_finite,
 )
-from .records import _decode, _from_dict, _unique_keys
+from .records import (Count, Finite, Positive, Range, _check_ranges, _decode, _from_dict,
+                      _unique_keys)
 
 __all__ = [
     "MpcGroup",
@@ -118,11 +120,12 @@ def classify_mpc(interactions) -> MpcGroup:
     after a transmission falls into the mismatch group.
     """
     if isinstance(interactions, str):
-        interactions = parse_interaction_string(interactions)
-    interactions = tuple(interactions)
-    for symbol in interactions:
-        if symbol not in _SYMBOLS:
-            raise ValueError(f"unknown interaction symbol {symbol!r}")
+        interactions = parse_interaction_string(interactions)  # checks each symbol
+    else:
+        interactions = tuple(interactions)
+        for symbol in interactions:
+            if symbol not in _SYMBOLS:
+                raise ValueError(f"unknown interaction symbol {symbol!r}")
     if all(s == "T" for s in interactions):
         return MpcGroup.MPC1
     if interactions[0] == "R" and all(s == "T" for s in interactions[1:]):
@@ -197,37 +200,29 @@ class BandPlan:
     """Frequency range of one band with its transmit-side parameters."""
 
     label: str
-    f_lo_hz: float
-    f_hi_hz: float
-    tx_power_dbm: float
-    rx_processing_gain_db: float = 0.0
+    f_lo_hz: BandFrequency
+    f_hi_hz: BandFrequency
+    tx_power_dbm: Decibels
+    rx_processing_gain_db: Decibels = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.f_lo_hz < math.inf:
-            raise ValueError(f"band {self.label!r}: f_lo_hz must be positive and finite, "
-                             f"got {self.f_lo_hz:g} Hz")
-        if not self.f_lo_hz <= self.f_hi_hz < math.inf:
-            raise ValueError(f"band {self.label!r}: f_hi_hz must be finite and >= f_lo_hz, "
-                             f"got {self.f_hi_hz:g} Hz")
-        lo, hi = _FREQ_REACH_HZ
-        for name in ("f_lo_hz", "f_hi_hz"):
-            if not lo <= getattr(self, name) <= hi:
-                raise ValueError(f"band {self.label!r}: {name} must be within [{lo:g}, {hi:g}] "
-                                 f"Hz, got {getattr(self, name):g} Hz")
-        _check_finite(self, "tx_power_dbm", "rx_processing_gain_db", bound=_MAX_ABS_DB)
+        _check_ranges(self)
+        if not self.f_lo_hz <= self.f_hi_hz:
+            raise ValueError(f"band {self.label!r}: f_hi_hz must be >= f_lo_hz "
+                             f"{self.f_lo_hz:g} Hz, got {self.f_hi_hz:g} Hz")
 
 
 @dataclass(frozen=True)
 class RadioConfig:
     bands: tuple[BandPlan, ...]
-    bandwidth_hz: float = 400e6
-    noise_temperature_k: float = 290.0
+    bandwidth_hz: Positive = 400e6
+    noise_temperature_k: Positive = 290.0
     polarization: str = "TE"
     diffraction_loss: DiffractionLossModel = field(default_factory=DiffractionLossModel)
 
     def __post_init__(self) -> None:
-        floor = noise_floor_dbm(self.bandwidth_hz, self.noise_temperature_k)  # both positive
-        _check_finite(self, "bandwidth_hz", "noise_temperature_k")
+        _check_ranges(self)
+        floor = noise_floor_dbm(self.bandwidth_hz, self.noise_temperature_k)
         if not abs(floor) <= _MAX_ABS_DB:
             raise ValueError(f"RadioConfig.bandwidth_hz {self.bandwidth_hz:g} and "
                              f"noise_temperature_k {self.noise_temperature_k:g} give a noise "
@@ -245,15 +240,12 @@ class RadioConfig:
 
 @dataclass(frozen=True)
 class PathLimits:
-    max_transmissions: int = 6
-    max_reflections: int = 6
-    max_diffractions: int = 1
-    min_snr_db: float = -10.0  # detectability floor; weaker MPCs are dropped
+    max_transmissions: Count = 6
+    max_reflections: Count = 6
+    max_diffractions: Count = 1
+    min_snr_db: Finite = -10.0  # detectability floor; weaker MPCs are dropped
 
-    def __post_init__(self) -> None:
-        if min(self.max_transmissions, self.max_reflections, self.max_diffractions) < 0:
-            raise ValueError("path limits must be non-negative")
-        _check_finite(self, "min_snr_db")
+    __post_init__ = _check_ranges
 
 
 # World -> edge-local rotation of the windows of a facade with normal axis
@@ -268,13 +260,14 @@ class _Rect:
     'y'); ``u`` runs along the plane horizontally."""
 
     axis: str
-    coord: float
-    u_lo: float
-    u_hi: float
-    z_lo: float
-    z_hi: float
+    coord: Finite
+    u_lo: Finite
+    u_hi: Finite
+    z_lo: Finite
+    z_hi: Finite
 
     def __post_init__(self) -> None:
+        _check_ranges(self)
         if self.axis not in ("x", "y"):
             raise ValueError(f"{type(self).__name__}.axis must be 'x' or 'y', got {self.axis!r}")
         if not (self.u_hi > self.u_lo and self.z_hi > self.z_lo):
@@ -298,50 +291,43 @@ class InteriorWall(_Rect):
 # full-scale grid holds 12,000 receivers.
 _MAX_FLOORS = 1_000
 _MAX_RECEIVERS = 1_000_000
+Floor = Annotated[int, Range(1, _MAX_FLOORS)]
+Coordinate = Annotated[float, Range(-_REACH_M, _REACH_M)]
 
 
 @dataclass
 class SceneConfig:
     """Building, anchors, receiver grid, radio, and enumeration limits."""
 
-    footprint_x: float
-    footprint_y: float
-    floor_count: int
-    floor_height: float
+    footprint_x: Length
+    footprint_y: Length
+    floor_count: Floor
+    floor_height: Length
     exterior_slab: SlabSpec
     interior_slab: SlabSpec
     windows: tuple[WindowRect, ...]
     interior_walls: tuple[InteriorWall, ...]
-    anchors: tuple[tuple[float, float, float], ...]
-    receiver_floors: tuple[int, ...]
-    receiver_spacing: float
-    receiver_margin: float = 1.0
-    receiver_height: float = 1.5
+    anchors: tuple[tuple[Coordinate, Coordinate, Coordinate], ...]
+    receiver_floors: tuple[Floor, ...]
+    receiver_spacing: Positive
+    receiver_margin: Positive = 1.0
+    receiver_height: Positive = 1.5
     radio: RadioConfig = field(default_factory=lambda: RadioConfig(bands=_DEFAULT_BANDS))
     limits: PathLimits = field(default_factory=PathLimits)
     include_ground: bool = True
 
     def __post_init__(self) -> None:
-        if not self.receiver_spacing > 0:
-            raise ValueError("receiver spacing must be positive")
-        if self.floor_count < 1 or self.floor_height <= 0:
-            raise ValueError("invalid floor layout")
-        for name in ("footprint_x", "footprint_y"):
-            if not 0 < getattr(self, name) <= _REACH_M:
-                raise ValueError(f"{name} must lie in (0, {_REACH_M:g}] m, "
-                                 f"got {getattr(self, name):g} m")
-        if self.floor_count > min(_MAX_FLOORS, _REACH_M / self.floor_height):
-            raise ValueError(f"floor_count must be at most {_MAX_FLOORS:,} and floor_count × "
-                             f"floor_height at most {_REACH_M:g} m, got {self.floor_count} "
-                             f"floors of {self.floor_height:g} m")
-        # Receivers stand inside the footprint and above the slab of their floor.
-        if not self.receiver_margin > 0:
-            raise ValueError(f"receiver_margin must be positive, got {self.receiver_margin:g} m")
-        if not 0 < self.receiver_height < self.floor_height:
+        _check_ranges(self)
+        if self.floor_count > _REACH_M / self.floor_height:
+            raise ValueError(f"floor_count × floor_height must be at most {_REACH_M:g} m, got "
+                             f"{self.floor_count} floors of {self.floor_height:g} m")
+        # Receivers stand inside the footprint (receiver_margin > 0) and
+        # above the slab of their floor, below the next.
+        if not self.receiver_height < self.floor_height:
             raise ValueError(f"receiver_height must lie in (0, {self.floor_height:g}) m, "
                              f"got {self.receiver_height:g} m")
         for i, floor in enumerate(self.receiver_floors):
-            if not 1 <= floor <= self.floor_count:
+            if floor > self.floor_count:
                 raise ValueError(f"receiver floor {floor} outside 1..{self.floor_count}")
             if floor in self.receiver_floors[:i]:
                 raise ValueError(f"receiver floor {floor} is listed twice")
@@ -356,11 +342,8 @@ class SceneConfig:
                              f"receivers on each of {len(self.receiver_floors)} floors, more "
                              f"than the {_MAX_RECEIVERS:,} allowed")
         for i, anchor in enumerate(self.anchors):
-            if len(anchor) != 3 or not all(math.isfinite(v) for v in anchor):
-                raise ValueError(f"anchor {i} {tuple(anchor)!r} is not three finite coordinates")
-            if max(map(abs, anchor)) > _REACH_M:
-                raise ValueError(f"anchors[{i}]: coordinates must lie within "
-                                 f"±{_REACH_M:g} m, got {tuple(anchor)!r}")
+            if len(anchor) != 3:
+                raise ValueError(f"anchor {i} {tuple(anchor)!r} is not three coordinates")
         # Windows lie in a facade plane, interior walls in or between two;
         # either spans at most its facade's width and the building's height.
         extent = {"x": self.footprint_x, "y": self.footprint_y}
@@ -1127,20 +1110,16 @@ class _DatasetHeader:
 class MpcRecord:
     """Every later line of an mpc-dataset/1 file: one MPC."""
 
-    anchor_id: int
-    rx_id: int
-    rx_xyz: tuple[float, float, float]
+    anchor_id: Count
+    rx_id: Count
+    rx_xyz: tuple[Finite, Finite, Finite]
     interactions: str
-    path_length_m: float
-    rx_power_dbm: float
-    tof_s: float | None = None
-    edge_id: int | None = None
+    path_length_m: Finite
+    rx_power_dbm: Finite
+    tof_s: Finite | None = None
+    edge_id: Count | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("anchor_id", "rx_id", "edge_id"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+    __post_init__ = _check_ranges
 
 
 @dataclass

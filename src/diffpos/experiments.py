@@ -18,7 +18,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, NamedTuple
+from typing import Annotated, Literal, NamedTuple
 
 import numpy as np
 
@@ -36,9 +36,10 @@ from .channel import (
 )
 from .fap import fap_rows, mean_squared_bandwidth, range_sigma_m
 from .geometry import EdgeTable, euclidean_distance
-from .materials import default_material_library
+from .materials import BandFrequency, default_material_library
 from .positioning import SingularGeometryError, dnls_ladder, lls_solve, lls_start, peb_batch
-from .records import _encode, _from_dict, _unique_keys
+from .records import (AtLeastOne, Count, Finite, NonNegative, Range, _check_ranges, _encode,
+                      _from_dict, _unique_keys)
 
 __all__ = [
     "DEFAULT_FREQUENCY_LADDER_HZ",
@@ -138,14 +139,15 @@ def p_fap_stats(counts) -> dict[MpcGroup, float]:
 @dataclass
 class SweepConfig:
     scene: SceneConfig
-    frequencies_hz: tuple[float, ...] = DEFAULT_FREQUENCY_LADDER_HZ
-    t_fap_db: float = 20.0
-    trials: int = 1
-    seed: int = 0
-    top_k: int = 25
+    frequencies_hz: tuple[BandFrequency, ...] = DEFAULT_FREQUENCY_LADDER_HZ
+    t_fap_db: NonNegative = 20.0  # finite: a report holds finite numbers only
+    trials: AtLeastOne = 1
+    seed: Count = 0
+    top_k: AtLeastOne = 25
     noiseless: bool = False
 
     def __post_init__(self) -> None:
+        _check_ranges(self)
         freqs = tuple(float(f) for f in self.frequencies_hz)
         if not freqs or any(lo >= hi for lo, hi in zip(freqs, freqs[1:])):
             raise ValueError("frequency ladder must be non-empty and strictly increasing")
@@ -159,15 +161,11 @@ class SweepConfig:
         for i, anchor in enumerate(self.scene.anchors):
             if np.all((lo <= anchor) & (anchor <= hi)):
                 raise ValueError(f"anchor {i} at {tuple(anchor)!r} is inside the building")
-        for name, least in (("trials", 1), ("seed", 0), ("top_k", 1)):
+        for name in ("trials", "seed", "top_k"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
             setattr(self, name, int(value))  # a NumPy integer is no JSON value
-        if not 0 <= self.t_fap_db < np.inf:  # a report holds finite numbers only
-            raise ValueError(f"t_fap_db must be >= 0 dB and finite, got {self.t_fap_db!r}")
         self.frequencies_hz = freqs
 
 
@@ -176,28 +174,27 @@ class Diagnostics:
     """D-NLS counters of one frequency: the problems solved on retry rung 0,
     1 and 2, and the Gauss-Newton iterations of the rungs used."""
 
-    dnls_rung: tuple[int, int, int]
-    dnls_iterations: int
+    dnls_rung: tuple[Count, Count, Count]
+    dnls_iterations: Count
 
-    def __post_init__(self) -> None:
-        if min(self.dnls_rung) < 0 or self.dnls_iterations < 0:
-            raise ValueError(f"Diagnostics counts must be >= 0, got {self}")
+    __post_init__ = _check_ranges
 
 
 @dataclass
 class FrequencyReport:
-    frequency_hz: float
-    p_fap_pct: dict[MpcGroup, float]
-    fap_snr_quartiles_db: tuple[float, float, float] | None
+    frequency_hz: Finite
+    p_fap_pct: dict[MpcGroup, Annotated[float, Range(0, 100)]]
+    fap_snr_quartiles_db: tuple[Finite, Finite, Finite] | None
     dnls_errors_m: np.ndarray  # sorted 3D errors
     lls_errors_m: np.ndarray
     peb_m: np.ndarray
-    exclusions: dict[Literal["no_detection", "dnls_failed", "lls_failed", "peb_singular"], int]
-    n_receivers: int
-    n_pairs: int
+    exclusions: dict[Literal["no_detection", "dnls_failed", "lls_failed", "peb_singular"], Count]
+    n_receivers: Count
+    n_pairs: Count
     diagnostics: Diagnostics | None = None  # None for a report saved without them
 
     def __post_init__(self) -> None:
+        _check_ranges(self)
         for name in ("dnls_errors_m", "lls_errors_m", "peb_m"):
             samples = np.asarray(getattr(self, name))
             if not (np.all(samples[:-1] <= samples[1:]) and np.all(samples[:1] >= 0)):
@@ -206,11 +203,13 @@ class FrequencyReport:
 
 @dataclass
 class SweepReport:
-    seed: int
-    t_fap_db: float
-    trials: int
+    seed: Count
+    t_fap_db: NonNegative
+    trials: AtLeastOne
     noiseless: bool
     frequencies: list[FrequencyReport]
+
+    __post_init__ = _check_ranges
 
 
 class _Cells(NamedTuple):
@@ -557,6 +556,7 @@ def report_from_dict(doc) -> SweepReport:
     number, a missing ``p_fap_pct`` group or ``exclusions`` count and a
     wrong schema raise ValueError naming the path of the offending value,
     such as ``frequencies[0].dnls_errors_m[3]``. Each sample list is read
-    in one pass, and one that is not sorted ascending and >= 0 raises the
-    ``FrequencyReport`` ValueError naming the field."""
+    in one pass, and one that is not sorted ascending and >= 0, or a
+    number outside its declared range, raises the record's ValueError
+    after its path (``frequencies[0]: FrequencyReport.n_receivers ...``)."""
     return _from_dict(SweepReport, doc, "sweep-report/1", "report")

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .constants import (
     VACUUM_PERMEABILITY,
     VACUUM_PERMITTIVITY,
 )
-from .records import _from_dict, _unique_keys
+from .records import Finite, Positive, Range, _check_ranges, _from_dict, _named, _unique_keys
 
 __all__ = [
     "Material",
@@ -51,18 +51,24 @@ __all__ = [
 ]
 
 
-# Every frequency a band may hold lies in _FREQ_REACH_HZ (1 MHz to 1 THz),
-# and each power-law coefficient in its range below. Together they keep
-# eps_r' within 1e-36..1e36, sigma below 1e42 S/m and the loss tangent below
-# 1e83, so no function of this module overflows or divides by zero.
-_FREQ_REACH_HZ = (1e6, 1e12)
-_COEFFICIENT_RANGES = {"a": (1e-6, 1e6), "b": (-10.0, 10.0), "c": (0.0, 1e12), "d": (-10.0, 10.0)}
 # No scene length (an anchor coordinate's distance from the origin, a
 # footprint side, the building's height, a slab layer's thickness) exceeds
 # this many metres: 1,000 km is far past detection at any band, and keeps
 # the sweep's squared distances (the LLS design terms among them) far from
 # overflow.
 _REACH_M = 1e6
+Length = Annotated[float, Range(0, _REACH_M, open_lo=True)]
+# The radio's dB numbers (transmit power, processing gain, diffraction
+# reference loss, noise floor in dBm) lie within this many dB of 0, so that
+# an SNR stays far below the ~3,083 dB at which its linear value overflows.
+_MAX_ABS_DB = 300.0
+Decibels = Annotated[float, Range(-_MAX_ABS_DB, _MAX_ABS_DB)]
+# Every frequency a band may hold lies in 1 MHz to 1 THz, and each
+# power-law coefficient in the range of its Material field. Together they
+# keep eps_r' within 1e-36..1e36, sigma below 1e42 S/m and the loss tangent
+# below 1e83, so no function of this module overflows or divides by zero.
+BandFrequency = Annotated[float, Range(1e6, 1e12)]
+Exponent = Annotated[float, Range(-10.0, 10.0)]
 
 
 @dataclass(frozen=True)
@@ -70,27 +76,20 @@ class Material:
     """ITU power-law fit parameters for one building material."""
 
     name: str
-    a: float  # permittivity coefficient
-    b: float  # permittivity frequency exponent
-    c: float  # conductivity coefficient (S/m at 1 GHz)
-    d: float  # conductivity frequency exponent
+    a: Annotated[float, Range(1e-6, 1e6)]  # permittivity coefficient
+    b: Exponent  # permittivity frequency exponent
+    c: Annotated[float, Range(0.0, 1e12)]  # conductivity coefficient (S/m at 1 GHz)
+    d: Exponent  # conductivity frequency exponent
 
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in _COEFFICIENT_RANGES.items():
-            if not lo <= getattr(self, name) <= hi:
-                raise ValueError(f"material {self.name!r}: {name} must lie in [{lo:g}, {hi:g}], "
-                                 f"got {getattr(self, name)!r}")
+    __post_init__ = _check_ranges
 
 
 @dataclass(frozen=True)
 class SlabLayer:
     material: Material
-    thickness_m: float
+    thickness_m: Length
 
-    def __post_init__(self) -> None:
-        if not 0 < self.thickness_m <= _REACH_M:
-            raise ValueError(f"SlabLayer.thickness_m must lie in (0, {_REACH_M:g}] m, "
-                             f"got {self.thickness_m:g} m")
+    __post_init__ = _check_ranges
 
 
 @dataclass(frozen=True)
@@ -109,38 +108,15 @@ class SlabSpec:
         return self.layers[0].material
 
 
-# The radio's dB numbers (transmit power, processing gain, diffraction
-# reference loss, noise floor in dBm) lie within this many dB of 0, so that
-# an SNR stays far below the ~3,083 dB at which its linear value overflows.
-_MAX_ABS_DB = 300.0
-
-
-def _check_finite(record, *names: str, bound: float = math.inf) -> None:
-    """Raise ValueError naming the record's class and the first of its fields
-    ``names`` whose value is not a finite number, or exceeds ``bound`` in
-    magnitude."""
-    for name in names:
-        value = getattr(record, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{type(record).__name__}.{name} must be finite, got {value!r}")
-        if abs(value) > bound:
-            raise ValueError(f"{type(record).__name__}.{name} must lie within ±{bound:g}, "
-                             f"got {value!r}")
-
-
 @dataclass(frozen=True)
 class DiffractionLossModel:
     """Scalar excess loss for edge diffraction: l0 + 10*gamma*log10(f/f0)."""
 
-    l0_db: float = 15.0
-    gamma: float = 0.0
-    f0_hz: float = 1e9
+    l0_db: Decibels = 15.0
+    gamma: Finite = 0.0
+    f0_hz: Positive = 1e9
 
-    def __post_init__(self) -> None:
-        if not self.f0_hz > 0:
-            raise ValueError(f"diffraction loss f0_hz must be positive, got {self.f0_hz:g} Hz")
-        _check_finite(self, "l0_db", bound=_MAX_ABS_DB)
-        _check_finite(self, "gamma", "f0_hz")
+    __post_init__ = _check_ranges
 
 
 def permittivity(material: Material, f_hz: float) -> float:
@@ -181,8 +157,6 @@ def transmission_loss_db(slab: SlabSpec, f_hz: float) -> float:
 
     Lossless layers (sigma = 0, e.g. air gaps) contribute exactly zero.
     """
-    if not f_hz > 0:
-        raise ValueError("frequency must be positive")
     return sum(
         _layer_transmission_loss_db(layer.material, layer.thickness_m, f_hz)
         for layer in slab.layers
@@ -273,18 +247,16 @@ class _LibraryDoc:
 
 def _library_from_dict(doc) -> MaterialLibrary:
     """The library of a materials/1 document, read by the ``records`` codec,
-    whose ValueError names the JSON path of a bad value (``materials.concrete.a``);
-    a slab layer naming an unknown material raises one naming the slab."""
+    whose ValueError names the JSON path of a bad value (``materials.concrete.a``),
+    as a Material out of range names its material (``materials.concrete: ...``);
+    a bad slab layer raises one naming the slab."""
     lib = _from_dict(_LibraryDoc, doc, "materials/1", "materials file")
-    library = MaterialLibrary(
-        {name: Material(name, **coeffs) for name, coeffs in lib.materials.items()}, {})
+    library = MaterialLibrary({name: _named(f"materials.{name}", Material, name, **coeffs)
+                               for name, coeffs in lib.materials.items()}, {})
     for name, layers in lib.slabs.items():
-        try:
-            library.slabs[name] = SlabSpec(name=name, layers=tuple(
-                SlabLayer(material=library.material(mat_name), thickness_m=float(thickness))
-                for mat_name, thickness in layers))
-        except ValueError as exc:
-            raise ValueError(f"slab {name!r}: {exc}") from None
+        library.slabs[name] = _named(f"slab {name!r}", lambda: SlabSpec(name=name, layers=tuple(
+            SlabLayer(material=library.material(mat_name), thickness_m=float(thickness))
+            for mat_name, thickness in layers)))
     return library
 
 

@@ -7,16 +7,21 @@ file raises ValueError naming the JSON path of the offending value, such
 as ``windows[3].z_lo`` or ``materials.concrete.a``. Each file is parsed with
 ``_unique_keys`` as its ``object_pairs_hook``, so a repeated key is refused
 too, naming the path of its object (``materials.air: repeated key 'a'``).
+
+Each numeric field declares its ``Range`` in its annotation, and
+``_check_ranges``, run first by each record's ``__post_init__``, refuses a
+value outside it; ``_decode`` puts the JSON path of a nested record in
+front of a ValueError of its constructor.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum, EnumMeta
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,6 +34,39 @@ _LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
 # filled on first use; not functools.cache, whose __wrapped__ reads as a
 # leftover tracer wrapper.
 _RECORDS: dict = {}
+# {field: (Range, item depth)} per record class, filled the same way.
+_RANGES: dict = {}
+
+
+@dataclass(frozen=True)
+class Range:
+    """The values [lo, hi] that a numeric field may take, an end left out
+    when open. An infinite end is open and NaN lies in no range, so
+    ``Range()`` holds exactly the finite numbers."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "open_lo", self.open_lo or self.lo == -math.inf)
+        object.__setattr__(self, "open_hi", self.open_hi or self.hi == math.inf)
+
+    def __contains__(self, value) -> bool:
+        return ((self.lo < value if self.open_lo else self.lo <= value)
+                and (value < self.hi if self.open_hi else value <= self.hi))
+
+    def __str__(self) -> str:
+        return f"{'(['[not self.open_lo]}{self.lo:g}, {self.hi:g}{')]'[not self.open_hi]}"
+
+
+# Ranges that fields of several records share.
+Finite = Annotated[float, Range()]
+Positive = Annotated[float, Range(0, open_lo=True)]
+NonNegative = Annotated[float, Range(0)]
+Count = Annotated[int, Range(0)]
+AtLeastOne = Annotated[int, Range(1)]
 
 
 def _record(hint) -> dict:
@@ -47,6 +85,56 @@ def _record(hint) -> dict:
             rec = {name: (value, True) for name in names}
         _RECORDS[hint] = rec
     return rec
+
+
+def declared_ranges(cls) -> dict:
+    """{field: (Range, depth)} of each field of the record class ``cls``
+    that declares a range: on its own type (depth 0), or on the items
+    ``depth`` tuple or dict levels down. ``X | None`` declares that of X."""
+    ranges = _RANGES.get(cls)
+    if ranges is None:
+        ranges, hints = {}, get_type_hints(cls, include_extras=True)
+        for f in fields(cls):
+            hint, depth = hints[f.name], 0
+            while (origin := get_origin(hint)) in (Union, UnionType, tuple, dict):
+                depth += origin in (tuple, dict)
+                hint = get_args(hint)[1 if origin is dict else 0]
+            if origin is Annotated:
+                ranges[f.name] = (hint.__metadata__[0], depth)
+        _RANGES[cls] = ranges
+    return ranges
+
+
+def _items(value) -> list:
+    """The (path, item) of each item of a tuple or dict, an enum key by name."""
+    if isinstance(value, dict):
+        return [(f".{getattr(k, 'name', k)}", v) for k, v in value.items()]
+    return [(f"[{i}]", v) for i, v in enumerate(value)]
+
+
+def _check_ranges(record) -> None:
+    """Raise ValueError naming the record's class, the field and the item
+    of the first value outside its declared range; None passes."""
+    for name, (rng, depth) in declared_ranges(type(record)).items():
+        value = getattr(record, name)
+        if not depth and (value is None or value in rng):  # the common case, fast
+            continue
+        values = [("", value)]
+        for _ in range(depth):
+            values = [(path + key, item) for path, value in values if value is not None
+                      for key, item in _items(value)]
+        for path, value in values:
+            if value is not None and value not in rng:
+                raise ValueError(f"{type(record).__name__}.{name}{path} must lie in {rng}, "
+                                 f"got {value!r}")
+
+
+def _named(where: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose ValueError gets ``where`` in front."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 class _Repeated(dict):
@@ -114,8 +202,9 @@ def _encode(value):
 def _decode(hint, doc, where: str, prefix: str | None = None):
     """The value of type ``hint`` that the JSON value ``doc`` at path
     ``where`` holds: a checked record, whose fields are at ``prefix`` +
-    name (``where`` + "." unless given); a leaf of the right JSON type,
-    unchanged; None or the value of ``X`` for ``X | None``; a dict of any
+    name (``where`` + "." unless given, and then a ValueError of the
+    record's constructor gets ``where`` in front); a leaf of the right JSON
+    type, unchanged; None or the value of ``X`` for ``X | None``; a dict of any
     string keys for ``dict[str, V]``, or with every key of its enum or
     Literal key type, matched by name; an array of floats from a list of
     numbers; a list; or a tuple from a list (of the tuple's length when it
@@ -137,11 +226,12 @@ def _decode(hint, doc, where: str, prefix: str | None = None):
         return doc
     if is_dataclass(hint):
         doc = _checked(hint, doc, where)
-        prefix = f"{where}." if prefix is None else prefix
-        return hint(**{name: _decode(h, doc[name], prefix + name)
-                       for name, (h, _) in _record(hint).items() if name in doc})
+        at = f"{where}." if prefix is None else prefix
+        values = {name: _decode(h, doc[name], at + name)
+                  for name, (h, _) in _record(hint).items() if name in doc}
+        return hint(**values) if prefix is not None else _named(where, hint, **values)
     origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:  # X | None
+    if origin is UnionType or origin is Union:  # X | None
         return None if doc is None else _decode(args[0], doc, where)
     if origin is dict and args[0] is str:
         return {k: _decode(args[1], v, f"{where}.{k}") for k, v in _object(doc, where).items()}

@@ -333,33 +333,39 @@ def test_scene_invariants():
     ({"windows": (WindowRect("y", 5.0, 4.0, 6.0, 1.0, 2.5),)}, "on no facade"),
     ({"windows": (WindowRect("y", 0.0, 9.0, 11.0, 1.0, 2.5),)}, "extends past its facade"),
     ({"windows": (WindowRect("x", 10.0, 4.0, 6.0, 5.0, 6.5),)}, "extends past its facade"),
-    ({"anchors": ((math.nan, -15.0, 1.8),)}, "not three finite coordinates"),
-    ({"anchors": ((5.0, -math.inf, 1.8),)}, "not three finite coordinates"),
+    ({"anchors": ((math.nan, -15.0, 1.8),)},
+     r"^SceneConfig.anchors\[0\]\[0\] must lie in \[-1e\+06, 1e\+06\], got nan$"),
+    ({"anchors": ((5.0, -math.inf, 1.8),)},
+     r"^SceneConfig.anchors\[0\]\[1\] must lie in \[-1e\+06, 1e\+06\], got -inf$"),
     ({"receiver_margin": 6.0}, "empty receiver grid"),
     ({"receiver_floors": ()}, "empty receiver grid"),
-    ({"receiver_margin": -4.0}, r"receiver_margin must be positive, got -4 m"),
-    ({"receiver_margin": 0.0}, r"receiver_margin must be positive, got 0 m"),
+    ({"receiver_margin": -4.0}, r"^SceneConfig.receiver_margin must lie in \(0, inf\), got -4.0$"),
+    ({"receiver_margin": 0.0}, r"^SceneConfig.receiver_margin must lie in \(0, inf\), got 0.0$"),
     ({"receiver_height": 4.5}, r"receiver_height must lie in \(0, 3\) m, got 4.5 m"),
     ({"receiver_height": 3.0}, r"receiver_height must lie in \(0, 3\) m, got 3 m"),
-    ({"receiver_height": 0.0}, r"receiver_height must lie in \(0, 3\) m, got 0 m"),
-    ({"receiver_height": -1.0}, r"receiver_height must lie in \(0, 3\) m, got -1 m"),
+    ({"receiver_height": 0.0}, r"^SceneConfig.receiver_height must lie in \(0, inf\), got 0.0$"),
+    ({"receiver_height": -1.0},
+     r"^SceneConfig.receiver_height must lie in \(0, inf\), got -1.0$"),
     ({"interior_walls": (InteriorWall("y", 25.0, 0.0, 10.0, 0.0, 6.0),)},
      r"^interior_walls\[0\] extends past its facade: y must lie in \[0, 20\] m"),
     ({"interior_walls": (InteriorWall("x", 5.0, 0.0, 25.0, 0.0, 6.0),)},
      r"^interior_walls\[0\] extends past its facade: x must lie in \[0, 10\] m, u in \[0, 20\]"),
     ({"interior_walls": (InteriorWall("y", 8.0, 0.0, 10.0, 0.0, 6.5),)},
      r"z in \[0, 6\] m$"),
-    ({"footprint_x": 0.0}, r"^footprint_x must lie in \(0, 1e\+06\] m, got 0 m$"),
-    ({"footprint_y": math.nan}, r"^footprint_y must lie in \(0, 1e\+06\] m, got nan m$"),
-    ({"floor_count": 1001}, "^floor_count must be at most 1,000"),
-    ({"floor_height": 1e300}, "got 2 floors of 1e[+]300 m$"),
+    ({"footprint_x": 0.0}, r"^SceneConfig.footprint_x must lie in \(0, 1e\+06\], got 0.0$"),
+    ({"footprint_y": math.nan}, r"^SceneConfig.footprint_y must lie in \(0, 1e\+06\], got nan$"),
+    ({"floor_count": 1001}, r"^SceneConfig.floor_count must lie in \[1, 1000\], got 1001$"),
+    ({"floor_height": 1e300},
+     r"^SceneConfig.floor_height must lie in \(0, 1e\+06\], got 1e\+300$"),
+    ({"floor_height": 6e5},
+     "^floor_count × floor_height must be at most 1e[+]06 m, got 2 floors of 600000 m$"),
     ({"receiver_spacing": 1e-320}, "gives inf x inf receivers on each of 1 floors"),
 ], ids=["window_off_facade", "window_past_facade_u", "window_past_facade_z",
         "nan_anchor", "infinite_anchor", "margin_empties_grid", "no_receiver_floors",
         "negative_margin", "zero_margin", "height_on_next_floor", "height_at_ceiling",
         "height_on_slab", "height_below_slab", "wall_off_footprint", "wall_past_width",
         "wall_past_roof", "zero_footprint", "nan_footprint", "too_many_floors",
-        "building_too_high", "grid_too_fine"])
+        "building_too_high", "building_too_tall", "grid_too_fine"])
 def test_scene_config_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         make_scene(**overrides)
@@ -393,7 +399,9 @@ def test_radio_band_lookup():
 def test_band_plan_rejects_bad_range(f_lo_hz, f_hi_hz, field):
     # A band must span 1 MHz <= f_lo_hz <= f_hi_hz <= 1 THz, the frequencies
     # over which no material function overflows.
-    with pytest.raises(ValueError, match=f"band 'X': {field} must be"):
+    message = (f"band 'X': {field} must be >= f_lo_hz" if (f_lo_hz, f_hi_hz) == (5e9, 1e9)
+               else rf"^BandPlan.{field} must lie in \[1e\+06, 1e\+12\], got ")
+    with pytest.raises(ValueError, match=message):
         BandPlan("X", f_lo_hz, f_hi_hz, 20.0)
 
 
@@ -763,9 +771,10 @@ def test_ingest_unknown_header_key_is_an_error(tmp_path):
     ({"rx_id": True}, "rx_id: expected an integer, got bool$"),
     ({"anchor_id": "1"}, "anchor_id: expected an integer, got str$"),
     ({"edge_id": 2.9, "interactions": "Tx-D-Rx"}, "edge_id: expected an integer, got float$"),
-    ({"anchor_id": -1}, "anchor_id must be non-negative, got -1"),
+    ({"anchor_id": -1}, r"MpcRecord.anchor_id must lie in \[0, inf\), got -1$"),
     ({"rx_id": -2.0}, "rx_id: expected an integer, got float$"),
-    ({"edge_id": -3, "interactions": "Tx-D-Rx"}, "edge_id must be non-negative, got -3"),
+    ({"edge_id": -3, "interactions": "Tx-D-Rx"},
+     r"MpcRecord.edge_id must lie in \[0, inf\), got -3$"),
     ({"edge_id": 2}, "rejected: edge_id 2 on Tx-Rx, which diffracts nowhere"),
     ({"rx_xyz": [9.0, 9.0, 9.0]},
      "rejected: rx_xyz [9.0, 9.0, 9.0] of anchor 0, rx 0 differs from its first [0.0, 0.0, 0.0]"),

@@ -301,9 +301,9 @@ _ANCHORS = build_default_scene().anchors
     ({}, {"frequencies_hz": (3.5e9, 80e9)}, "outside every configured band"),
     ({"anchors": ((15.0, 10.0, 4.0),) + _ANCHORS[1:]}, {}, "inside the building"),
     ({"anchors": _ANCHORS[:3] + ((30.0, 20.0, 21.0),)}, {}, "inside the building"),
-    ({}, {"top_k": 0}, "top_k must be >= 1"),
-    ({}, {"t_fap_db": -1.0}, "t_fap_db must be >= 0"),
-    ({}, {"seed": -1}, "seed must be >= 0"),
+    ({}, {"top_k": 0}, r"^SweepConfig.top_k must lie in \[1, inf\), got 0$"),
+    ({}, {"t_fap_db": -1.0}, r"^SweepConfig.t_fap_db must lie in \[0, inf\), got -1.0$"),
+    ({}, {"seed": -1}, r"^SweepConfig.seed must lie in \[0, inf\), got -1$"),
     ({}, {"frequencies_hz": (28e9, 28.0000004e9)},
      "frequencies 28000000000.0 and 28000000400.0 Hz share the CSV label 28GHz"),
     ({}, {"trials": 2.0}, "trials must be an integer, got 2.0"),
@@ -313,7 +313,7 @@ _ANCHORS = build_default_scene().anchors
     ({}, {"seed": False}, "seed must be an integer, got False"),
     ({}, {"top_k": np.bool_(True)}, "top_k must be an integer, got "),
     # A report holds finite numbers only.
-    ({}, {"t_fap_db": math.inf}, "t_fap_db must be >= 0 dB and finite, got inf"),
+    ({}, {"t_fap_db": math.inf}, r"^SweepConfig.t_fap_db must lie in \[0, inf\), got inf$"),
 ], ids=["three_anchors", "duplicate_frequency", "out_of_band_frequency",
         "anchor_inside_building", "anchor_on_building_corner", "top_k_zero",
         "negative_t_fap", "negative_seed", "colliding_csv_labels", "float_trials",
@@ -807,7 +807,7 @@ def test_cli_sweep_negative_seed_is_an_error_line(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = cli_main(["sweep", "--out", str(out_dir), "--seed", "-3"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert capsys.readouterr().err == "error: SweepConfig.seed must lie in [0, inf), got -3\n"
     assert not out_dir.exists()
 
 
@@ -816,7 +816,7 @@ def test_cli_sweep_infinite_t_fap_is_an_error_line(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = cli_main(["sweep", "--out", str(out_dir), "--t-fap", "inf"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: t_fap_db must be >= 0 dB and finite, got inf\n"
+    assert capsys.readouterr().err == "error: SweepConfig.t_fap_db must lie in [0, inf), got inf\n"
     assert not out_dir.exists()
 
 
@@ -888,40 +888,43 @@ def _set(path, value):
     (_set(["floor_count"], 7.0), "floor_count: expected an integer, got float"),
     (_set(["include_ground"], 1), "include_ground: expected a boolean, got int"),
     (_set(["windows", 3, "u_lo"], True), "windows[3].u_lo: expected a number, got bool"),
-    (_set(["radio", "polarization"], "XY"), "polarization must be 'TE' or 'TM', got 'XY'"),
-    (_set(["radio", "noise_temperature_k"], -5), "noise temperature must be positive, got -5 K"),
+    (_set(["radio", "polarization"], "XY"), "radio: polarization must be 'TE' or 'TM', got 'XY'"),
+    (_set(["radio", "noise_temperature_k"], -5),
+     "radio: RadioConfig.noise_temperature_k must lie in (0, inf), got -5"),
     (_set(["radio", "diffraction_loss", "f0_hz"], 0),
-     "diffraction loss f0_hz must be positive, got 0 Hz"),
+     "radio.diffraction_loss: DiffractionLossModel.f0_hz must lie in (0, inf), got 0"),
     (_set(["radio", "diffraction_loss", "l0_db"], math.nan),
      "radio.diffraction_loss.l0_db: expected a finite number, got nan"),
     (_set(["anchors", 2, 1], math.inf), "anchors[2][1]: expected a finite number, got inf"),
     (_set(["windows", 3, "z_lo"], -math.inf),
      "windows[3].z_lo: expected a finite number, got -inf"),
     (_set(["receiver_floors"], [3, 3]), "receiver floor 3 is listed twice"),
-    (_set(["receiver_margin"], -4), "receiver_margin must be positive, got -4 m"),
+    (_set(["receiver_margin"], -4), "SceneConfig.receiver_margin must lie in (0, inf), got -4"),
     (_set(["receiver_height"], 4.5), "receiver_height must lie in (0, 3) m, got 4.5 m"),
-    (_set(["receiver_height"], 0), "receiver_height must lie in (0, 3) m, got 0 m"),
+    (_set(["receiver_height"], 0), "SceneConfig.receiver_height must lie in (0, inf), got 0"),
     # Finite numbers that overflowed deep in the sweep: an LLS design term,
     # on which lstsq hung, or a linear SNR.
     (_set(["anchors", 0, 0], -1e308),
-     "anchors[0]: coordinates must lie within ±1e+06 m, got (-1e+308, -20.0, 3.2)"),
+     "SceneConfig.anchors[0][0] must lie in [-1e+06, 1e+06], got -1e+308"),
     (_set(["radio", "bands", 2, "tx_power_dbm"], 1e308),
-     "BandPlan.tx_power_dbm must lie within ±300, got 1e+308"),
+     "radio.bands[2]: BandPlan.tx_power_dbm must lie in [-300, 300], got 1e+308"),
     (_set(["radio", "bands", 2, "rx_processing_gain_db"], 1e308),
-     "BandPlan.rx_processing_gain_db must lie within ±300, got 1e+308"),
+     "radio.bands[2]: BandPlan.rx_processing_gain_db must lie in [-300, 300], got 1e+308"),
     (_set(["radio", "diffraction_loss", "l0_db"], -1e308),
-     "DiffractionLossModel.l0_db must lie within ±300, got -1e+308"),
+     "radio.diffraction_loss: DiffractionLossModel.l0_db must lie in [-300, 300], got -1e+308"),
     (_set(["radio", "bandwidth_hz"], 1e308),
-     "RadioConfig.bandwidth_hz 1e+308 and noise_temperature_k 290 give a noise floor of "
+     "radio: RadioConfig.bandwidth_hz 1e+308 and noise_temperature_k 290 give a noise floor of "
      "2906.02 dBm, not within ±300"),
     (_set(["radio", "noise_temperature_k"], 1e-300),
-     "RadioConfig.bandwidth_hz 4e+08 and noise_temperature_k 1e-300 give a noise floor of "
-     "-3112.27 dBm, not within ±300"),
+     "radio: RadioConfig.bandwidth_hz 4e+08 and noise_temperature_k 1e-300 give a noise floor "
+     "of -3112.27 dBm, not within ±300"),
     # Interior walls follow the rectangle rules of windows, and lie within
     # the building.
-    (_set(["interior_walls", 0, "axis"], "q"), "InteriorWall.axis must be 'x' or 'y', got 'q'"),
+    (_set(["interior_walls", 0, "axis"], "q"),
+     "interior_walls[0]: InteriorWall.axis must be 'x' or 'y', got 'q'"),
     (_set(["interior_walls", 0, "u_lo"], 40.0),
-     "InteriorWall(axis='y', coord=7.5, u_lo=40.0, u_hi=30.0, z_lo=0.0, z_hi=21.0) is empty: "
+     "interior_walls[0]: InteriorWall(axis='y', coord=7.5, u_lo=40.0, u_hi=30.0, z_lo=0.0, "
+     "z_hi=21.0) is empty: "
      "it needs u_lo < u_hi and z_lo < z_hi"),
     (_set(["interior_walls", 0, "coord"], 1e308),
      "interior_walls[0] extends past its facade: y must lie in [0, 20] m, u in [0, 30] m and "
@@ -930,25 +933,26 @@ def _set(path, value):
      "interior_walls[5] extends past its facade: x must lie in [0, 30] m, u in [0, 20] m and "
      "z in [0, 21] m"),
     # A scene too large for its arrays is refused before any is built.
-    (_set(["footprint_x"], 1e12), "footprint_x must lie in (0, 1e+06] m, got 1e+12 m"),
-    (_set(["floor_count"], 10 ** 6),
-     "floor_count must be at most 1,000 and floor_count × floor_height at most 1e+06 m, "
-     "got 1000000 floors of 3 m"),
+    (_set(["footprint_x"], 1e12),
+     "SceneConfig.footprint_x must lie in (0, 1e+06], got 1000000000000.0"),
+    (_set(["floor_count"], 10 ** 6), "SceneConfig.floor_count must lie in [1, 1000], got 1000000"),
+    (_set(["floor_height"], 2e5),
+     "floor_count × floor_height must be at most 1e+06 m, got 7 floors of 200000 m"),
     (_set(["receiver_spacing"], 1e-3),
      "receiver_spacing 0.001 m gives 28001 x 18001 receivers on each of 1 floors, more than "
      "the 1,000,000 allowed"),
     # Material coefficients whose powers overflowed or divided by zero.
     (_set(["exterior_slab", "layers", 0, "material", "b"], 1e12),
-     "material 'concrete': b must lie in [-10, 10], got 1000000000000.0"),
+     "exterior_slab.layers[0].material: Material.b must lie in [-10, 10], got 1000000000000.0"),
     (_set(["exterior_slab", "layers", 0, "material", "d"], 1e308),
-     "material 'concrete': d must lie in [-10, 10], got 1e+308"),
+     "exterior_slab.layers[0].material: Material.d must lie in [-10, 10], got 1e+308"),
     (_set(["exterior_slab", "layers", 0, "material", "a"], 1e-300),
-     "material 'concrete': a must lie in [1e-06, 1e+06], got 1e-300"),
+     "exterior_slab.layers[0].material: Material.a must lie in [1e-06, 1e+06], got 1e-300"),
     (_set(["exterior_slab", "layers", 0, "material", "b"], -1e308),
-     "material 'concrete': b must lie in [-10, 10], got -1e+308"),
+     "exterior_slab.layers[0].material: Material.b must lie in [-10, 10], got -1e+308"),
     # A layer thick enough to hide every path through its wall.
     (_set(["exterior_slab", "layers", 0, "thickness_m"], 1e308),
-     "SlabLayer.thickness_m must lie in (0, 1e+06] m, got 1e+308 m"),
+     "exterior_slab.layers[0]: SlabLayer.thickness_m must lie in (0, 1e+06], got 1e+308"),
 ], ids=["windows_not_a_list", "radio_not_an_object", "anchor_not_a_list",
         "anchor_of_two", "scene_extra_key", "radio_extra_key", "footprint_string",
         "floor_count_float", "include_ground_int", "window_bound_bool", "polarization_xy",
@@ -957,7 +961,8 @@ def _set(path, value):
         "receivers_on_next_floor", "receivers_on_slab", "anchor_far_out", "tx_power_huge",
         "processing_gain_huge", "l0_huge_negative", "bandwidth_huge",
         "noise_temperature_tiny", "wall_axis_q", "wall_u_inverted", "wall_coord_huge",
-        "wall_outside_footprint", "footprint_huge", "floor_count_huge", "receiver_grid_huge",
+        "wall_outside_footprint", "footprint_huge", "floor_count_huge", "building_too_tall",
+        "receiver_grid_huge",
         "slab_b_huge", "slab_d_huge", "slab_a_tiny", "slab_b_huge_negative",
         "slab_thickness_huge"])
 def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, message):
@@ -994,15 +999,15 @@ def test_cli_sweep_bad_scene_shape_is_an_error_line(tmp_path, capsys, change, me
     (lambda doc: doc["slabs"]["interior_drywall"][1].__setitem__(1, math.inf),
      "slabs.interior_drywall[1][1]: expected a finite number, got inf"),
     (lambda doc: doc["materials"]["concrete"].__setitem__("b", 1e12),
-     "material 'concrete': b must lie in [-10, 10], got 1000000000000.0"),
+     "materials.concrete: Material.b must lie in [-10, 10], got 1000000000000.0"),
     (lambda doc: doc["materials"]["concrete"].__setitem__("d", 1e308),
-     "material 'concrete': d must lie in [-10, 10], got 1e+308"),
+     "materials.concrete: Material.d must lie in [-10, 10], got 1e+308"),
     (lambda doc: doc["materials"]["concrete"].__setitem__("a", 1e-300),
-     "material 'concrete': a must lie in [1e-06, 1e+06], got 1e-300"),
+     "materials.concrete: Material.a must lie in [1e-06, 1e+06], got 1e-300"),
     (lambda doc: doc["materials"]["concrete"].__setitem__("b", -1e308),
-     "material 'concrete': b must lie in [-10, 10], got -1e+308"),
+     "materials.concrete: Material.b must lie in [-10, 10], got -1e+308"),
     (lambda doc: doc["slabs"]["exterior_concrete"][0].__setitem__(1, 1e308),
-     "slab 'exterior_concrete': SlabLayer.thickness_m must lie in (0, 1e+06] m, got 1e+308 m"),
+     "slab 'exterior_concrete': SlabLayer.thickness_m must lie in (0, 1e+06], got 1e+308"),
 ], ids=["missing_coefficient", "unknown_material", "no_exterior_slab", "materials_not_an_object",
         "string_coefficient", "layer_not_a_pair", "material_extra_key", "file_extra_key",
         "nan_coefficient", "infinite_thickness", "b_huge", "d_huge", "a_tiny",
@@ -1031,9 +1036,9 @@ def test_cli_directory_as_input_file_is_an_error_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def _bad_report(**first) -> str:
+def _bad_report(top=None, **first) -> str:
     """The JSON text of a valid two-frequency report whose first frequency
-    then takes the values ``first``."""
+    then takes the values ``first``, and the report the values ``top``."""
     freq = {"frequency_hz": 28e9, "p_fap_pct": {"MPC1": 0.0, "MPC2": 0.0, "MPC3": 100.0,
                                                 "MPC4": 0.0},
             "fap_snr_quartiles_db": [1.0, 2.0, 3.0], "dnls_errors_m": [0.5, 1.5],
@@ -1043,7 +1048,8 @@ def _bad_report(**first) -> str:
             "n_receivers": 2, "n_pairs": 8}
     return json.dumps({"schema": "sweep-report/1", "seed": 0, "t_fap_db": 20.0, "trials": 1,
                        "noiseless": False,
-                       "frequencies": [{**freq, "frequency_hz": 3.5e9, **first}, freq]})
+                       "frequencies": [{**freq, "frequency_hz": 3.5e9, **first}, freq],
+                       **(top or {})})
 
 
 @pytest.mark.parametrize("text, message", [
@@ -1072,9 +1078,9 @@ def _bad_report(**first) -> str:
     (_bad_report(lls_errors_m=[0.7, math.inf, 2.0]),
      "error: frequencies[0].lls_errors_m[1]: expected a finite number, got inf"),
     (_bad_report(dnls_errors_m=[3.0, -1.0, 2.0]),
-     "error: FrequencyReport.dnls_errors_m must be sorted ascending and >= 0"),
+     "error: frequencies[0]: FrequencyReport.dnls_errors_m must be sorted ascending and >= 0"),
     (_bad_report(peb_m=[-0.1, 0.2]),
-     "error: FrequencyReport.peb_m must be sorted ascending and >= 0"),
+     "error: frequencies[0]: FrequencyReport.peb_m must be sorted ascending and >= 0"),
     (_bad_report(frequency_hz=10 ** 400),
      "error: frequencies[0].frequency_hz: expected a finite number, got an integer too large "
      "for a float"),
@@ -1084,17 +1090,31 @@ def _bad_report(**first) -> str:
     (_bad_report(diagnostics={"dnls_rung": [{}, 0, 0], "dnls_iterations": 0}),
      "error: frequencies[0].diagnostics.dnls_rung[0]: expected an integer, got dict"),
     (_bad_report(diagnostics={"dnls_rung": [-1, 0, 0], "dnls_iterations": 0}),
-     "error: Diagnostics counts must be >= 0, got Diagnostics(dnls_rung=(-1, 0, 0), "
-     "dnls_iterations=0)"),
+     "error: frequencies[0].diagnostics: Diagnostics.dnls_rung[0] must lie in [0, inf), "
+     "got -1"),
     (_bad_report(diagnostics={"dnls_rung": [1, 0], "dnls_iterations": 0}),
      "error: frequencies[0].diagnostics.dnls_rung: expected 3 items, got 2"),
     (_bad_report(diagnostics={"dnls_rung": [1, 0, 0], "dnls_iterations": ""}),
      "error: frequencies[0].diagnostics.dnls_iterations: expected an integer, got str"),
+    # Counts, shares and the sweep's own settings out of their declared ranges.
+    (_bad_report(n_receivers=-1),
+     "error: frequencies[0]: FrequencyReport.n_receivers must lie in [0, inf), got -1"),
+    (_bad_report(exclusions={"no_detection": 0, "dnls_failed": -1, "lls_failed": 0,
+                             "peb_singular": 0}),
+     "error: frequencies[0]: FrequencyReport.exclusions.dnls_failed must lie in [0, inf), "
+     "got -1"),
+    (_bad_report(p_fap_pct={"MPC1": -1.0, "MPC2": 1.0, "MPC3": 100.0, "MPC4": 0.0}),
+     "error: frequencies[0]: FrequencyReport.p_fap_pct.MPC1 must lie in [0, 100], got -1.0"),
+    (_bad_report(top={"t_fap_db": -1.0}),
+     "error: SweepReport.t_fap_db must lie in [0, inf), got -1.0"),
+    (_bad_report(top={"trials": 0}), "error: SweepReport.trials must lie in [1, inf), got 0"),
 ], ids=["wrong_schema", "not_json", "missing_key", "not_an_object", "frequency_not_an_object",
         "string_samples", "null_sample", "string_frequency", "missing_group", "unknown_group",
         "missing_exclusion", "no_frequencies", "unexpected_key", "infinite_sample",
         "unsorted_samples", "negative_sample", "huge_integer_frequency", "huge_integer_sample",
-        "rung_not_an_integer", "rung_negative", "two_rungs", "iterations_string"])
+        "rung_not_an_integer", "rung_negative", "two_rungs", "iterations_string",
+        "negative_receivers", "negative_exclusion", "negative_share", "negative_t_fap",
+        "zero_trials"])
 def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "report.json"
     path.write_text(text, encoding="utf-8")
@@ -1106,7 +1126,8 @@ def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["scene", "--grid-spacing", "0"], "error: receiver spacing must be positive\n"),
+    (["scene", "--grid-spacing", "0"],
+     "error: SceneConfig.receiver_spacing must lie in (0, inf), got 0.0\n"),
 ], ids=["scene_zero_spacing"])
 def test_cli_bad_number_is_an_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "scene.json"

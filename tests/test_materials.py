@@ -30,9 +30,15 @@ from diffpos.materials import (
     permittivity,
     reflection_loss_db,
     transmission_loss_db,
-    _COEFFICIENT_RANGES,
-    _FREQ_REACH_HZ,
 )
+from diffpos.records import declared_ranges
+
+# The declared coefficient ranges of a Material and the frequency reach of
+# a band.
+_COEFFICIENT_RANGES = {name: (rng.lo, rng.hi)
+                       for name, (rng, _) in declared_ranges(Material).items()}
+_BAND_REACH = declared_ranges(BandPlan)["f_lo_hz"][0]
+_FREQ_REACH_HZ = (_BAND_REACH.lo, _BAND_REACH.hi)
 
 LIB = default_material_library()
 CONCRETE = LIB.material("concrete")
@@ -310,7 +316,8 @@ def test_material_invariants():
         Material("bad", a=1.0, b=0.0, c=-0.1, d=0.0)
     with pytest.raises(ValueError):
         SlabLayer(CONCRETE, 0.0)
-    with pytest.raises(ValueError, match="bandwidth must be positive"):
+    with pytest.raises(ValueError,
+                       match=r"^RadioConfig.bandwidth_hz must lie in \(0, inf\), got 0.0$"):
         RadioConfig(bands=(BandPlan("FR1", 0.41e9, 7.125e9, 20.0),), bandwidth_hz=0.0)
 
 
@@ -340,7 +347,7 @@ def test_material_refuses_a_coefficient_past_its_range(name):
     for value in (lo, hi):
         assert getattr(Material("edge", **{**itu, name: value}), name) == value
     for value in (np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)):
-        with pytest.raises(ValueError, match=f"^material 'edge': {name} must lie in "):
+        with pytest.raises(ValueError, match=f"^Material.{name} must lie in "):
             Material("edge", **{**itu, name: float(value)})
 
 
@@ -349,17 +356,21 @@ FR1 = (BandPlan("FR1", 0.41e9, 7.125e9, 20.0),)
 
 @pytest.mark.parametrize("make, message", [
     (lambda: BandPlan("FR1", 0.41e9, 7.125e9, tx_power_dbm=math.nan),
-     "BandPlan.tx_power_dbm must be finite, got nan"),
+     r"^BandPlan.tx_power_dbm must lie in \[-300, 300\], got nan$"),
     (lambda: BandPlan("FR1", 0.41e9, 7.125e9, 20.0, rx_processing_gain_db=math.inf),
-     "BandPlan.rx_processing_gain_db must be finite, got inf"),
+     r"^BandPlan.rx_processing_gain_db must lie in \[-300, 300\], got inf$"),
     (lambda: RadioConfig(bands=FR1, bandwidth_hz=math.inf),
-     "RadioConfig.bandwidth_hz must be finite, got inf"),
+     r"^RadioConfig.bandwidth_hz must lie in \(0, inf\), got inf$"),
     (lambda: RadioConfig(bands=FR1, noise_temperature_k=math.inf),
-     "RadioConfig.noise_temperature_k must be finite, got inf"),
-    (lambda: DiffractionLossModel(l0_db=math.nan), "DiffractionLossModel.l0_db must be finite"),
-    (lambda: DiffractionLossModel(gamma=math.inf), "DiffractionLossModel.gamma must be finite"),
-    (lambda: DiffractionLossModel(f0_hz=math.inf), "DiffractionLossModel.f0_hz must be finite"),
-    (lambda: PathLimits(min_snr_db=math.nan), "PathLimits.min_snr_db must be finite, got nan"),
+     r"^RadioConfig.noise_temperature_k must lie in \(0, inf\), got inf$"),
+    (lambda: DiffractionLossModel(l0_db=math.nan),
+     r"^DiffractionLossModel.l0_db must lie in \[-300, 300\], got nan$"),
+    (lambda: DiffractionLossModel(gamma=math.inf),
+     r"^DiffractionLossModel.gamma must lie in \(-inf, inf\), got inf$"),
+    (lambda: DiffractionLossModel(f0_hz=math.inf),
+     r"^DiffractionLossModel.f0_hz must lie in \(0, inf\), got inf$"),
+    (lambda: PathLimits(min_snr_db=math.nan),
+     r"^PathLimits.min_snr_db must lie in \(-inf, inf\), got nan$"),
 ], ids=["tx_power", "processing_gain", "bandwidth", "noise_temperature", "l0", "gamma", "f0",
         "min_snr"])
 def test_radio_loss_and_limit_numbers_must_be_finite(make, message):
