@@ -54,8 +54,8 @@ from .materials import (
     _MAX_ABS_DB,
     _REACH_M,
 )
-from .records import (Count, Finite, Positive, Range, _check_ranges, _decode, _from_dict,
-                      _unique_keys)
+from .records import (AT_LEAST_ONE, POSITIVE, Count, Finite, Positive, Range, _check_range,
+                      _check_ranges, _decode, _from_dict, _unique_keys)
 
 __all__ = [
     "MpcGroup",
@@ -168,10 +168,8 @@ class Pdp:
 
 def noise_floor_dbm(bandwidth_hz: float, noise_temperature_k: float = 290.0) -> float:
     """Thermal noise floor 10*log10(k*T*B / 1 mW) in dBm."""
-    if not bandwidth_hz > 0:
-        raise ValueError("bandwidth must be positive")
-    if not noise_temperature_k > 0:
-        raise ValueError(f"noise temperature must be positive, got {noise_temperature_k:g} K")
+    _check_range("bandwidth_hz", bandwidth_hz, POSITIVE)
+    _check_range("noise_temperature_k", noise_temperature_k, POSITIVE)
     return linear_to_db(BOLTZMANN * noise_temperature_k * bandwidth_hz / 1e-3)
 
 
@@ -181,8 +179,7 @@ def truncate_top_k(pdp: Pdp, k: int = 25) -> Pdp:
     SNR ties go to the earlier MPC; the kept MPCs are re-sorted by time of
     flight, with ties in descending SNR and then in PDP order.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    _check_range("k", k, AT_LEAST_ONE, integer=True)
     if len(pdp.mpcs) <= k:
         return pdp
     tof = np.array([m.tof_s for m in pdp.mpcs])

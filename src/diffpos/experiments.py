@@ -161,11 +161,9 @@ class SweepConfig:
         for i, anchor in enumerate(self.scene.anchors):
             if np.all((lo <= anchor) & (anchor <= hi)):
                 raise ValueError(f"anchor {i} at {tuple(anchor)!r} is inside the building")
+        # Python ints: a narrow NumPy integer wraps or overflows (_DNLS_BATCH // trials).
         for name in ("trials", "seed", "top_k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))  # a NumPy integer is no JSON value
+            setattr(self, name, int(getattr(self, name)))
         self.frequencies_hz = freqs
 
 
@@ -182,7 +180,7 @@ class Diagnostics:
 
 @dataclass
 class FrequencyReport:
-    frequency_hz: Finite
+    frequency_hz: BandFrequency
     p_fap_pct: dict[MpcGroup, Annotated[float, Range(0, 100)]]
     fap_snr_quartiles_db: tuple[Finite, Finite, Finite] | None
     dnls_errors_m: np.ndarray  # sorted 3D errors

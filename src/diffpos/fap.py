@@ -21,6 +21,7 @@ import numpy as np
 
 from .channel import Mpc, Pdp
 from .constants import SPEED_OF_LIGHT
+from .records import NON_NEGATIVE, POSITIVE, _check_range
 
 __all__ = [
     "NoDetectionError",
@@ -48,12 +49,6 @@ class FapSelection:
     t_fap_db: float
 
 
-def _check_t_fap(t_fap_db: float) -> None:
-    """Raise ValueError unless the FAP threshold ``t_fap_db`` is >= 0 dB."""
-    if not t_fap_db >= 0:
-        raise ValueError(f"t_fap_db must be >= 0 dB, got {t_fap_db!r}")
-
-
 def select_fap(pdp: Pdp, t_fap_db: float) -> FapSelection:
     """Earliest MPC within t_fap dB of the strongest one.
 
@@ -61,7 +56,7 @@ def select_fap(pdp: Pdp, t_fap_db: float) -> FapSelection:
     one, as in ``fap_rows``. A ``t_fap_db`` below 0 dB or NaN raises
     ValueError.
     """
-    _check_t_fap(t_fap_db)
+    _check_range("t_fap_db", t_fap_db, NON_NEGATIVE)
     if len(pdp) == 0:
         raise NoDetectionError(
             f"empty PDP for anchor {pdp.anchor_id} at {pdp.rx}")
@@ -112,7 +107,7 @@ def fap_rows(tof: np.ndarray, snr: np.ndarray, detected: np.ndarray, mpc3: np.nd
     descending SNR, then by position. A ``t_fap_db`` below 0 dB or NaN
     raises ValueError.
     """
-    _check_t_fap(t_fap_db)
+    _check_range("t_fap_db", t_fap_db, NON_NEGATIVE)
     kept = np.asarray(detected, dtype=bool)
     n_detected = np.count_nonzero(kept, axis=-1)
     truncated = n_detected > k
@@ -140,19 +135,14 @@ def mean_squared_bandwidth(bandwidth_hz: float) -> float:
     A flat spectrum over [-B/2, B/2] of bandwidth B = ``bandwidth_hz``
     yields B^2 / 12.
     """
-    bandwidth = float(bandwidth_hz)
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
-    return bandwidth ** 2 / 12.0
+    return _check_range("bandwidth_hz", float(bandwidth_hz), POSITIVE) ** 2 / 12.0
 
 
 def ranging_crlb_std_seconds(beta_sq_hz2, snr_linear):
     """Delay-estimation standard deviation 1/sqrt(8 pi^2 beta^2 snr), of two
     scalars or entry by entry of arrays that broadcast together."""
-    if not np.all(np.asarray(beta_sq_hz2) > 0):
-        raise ValueError("beta^2 must be positive")
-    if not np.all(np.asarray(snr_linear) > 0):
-        raise ValueError("snr must be positive (linear scale)")
+    _check_range("beta_sq_hz2", np.asarray(beta_sq_hz2), POSITIVE, where=True)
+    _check_range("snr_linear", np.asarray(snr_linear), POSITIVE, where=True)
     return 1.0 / np.sqrt(8.0 * math.pi ** 2 * beta_sq_hz2 * snr_linear)
 
 

@@ -31,7 +31,8 @@ from .constants import (
     VACUUM_PERMEABILITY,
     VACUUM_PERMITTIVITY,
 )
-from .records import Finite, Positive, Range, _check_ranges, _from_dict, _named, _unique_keys
+from .records import (POSITIVE, Finite, Positive, Range, _check_range, _check_ranges, _from_dict,
+                      _named, _unique_keys)
 
 __all__ = [
     "Material",
@@ -69,6 +70,8 @@ Decibels = Annotated[float, Range(-_MAX_ABS_DB, _MAX_ABS_DB)]
 # below 1e83, so no function of this module overflows or divides by zero.
 BandFrequency = Annotated[float, Range(1e6, 1e12)]
 Exponent = Annotated[float, Range(-10.0, 10.0)]
+# Angles of incidence from a surface normal, short of grazing.
+_INCIDENCE = Range(0.0, math.pi / 2.0, open_hi=True)
 
 
 @dataclass(frozen=True)
@@ -121,15 +124,13 @@ class DiffractionLossModel:
 
 def permittivity(material: Material, f_hz: float) -> float:
     """Real relative permittivity eps_r' = a * f_GHz^b."""
-    if not f_hz > 0:
-        raise ValueError("frequency must be positive")
+    _check_range("f_hz", f_hz, POSITIVE)
     return material.a * (f_hz / 1e9) ** material.b
 
 
 def conductivity(material: Material, f_hz: float) -> float:
     """Electrical conductivity sigma = c * f_GHz^d in S/m."""
-    if not f_hz > 0:
-        raise ValueError("frequency must be positive")
+    _check_range("f_hz", f_hz, POSITIVE)
     return material.c * (f_hz / 1e9) ** material.d
 
 
@@ -170,12 +171,8 @@ def free_space_path_loss_db(distance_m, f_hz):
     distance and an (F, 1) frequency give the (F, P) losses of P paths at F
     frequencies.
     """
-    d = np.asarray(distance_m, dtype=float)
-    f = np.asarray(f_hz, dtype=float)
-    if not (d > 0).all():
-        raise ValueError("distance must be positive")
-    if not (f > 0).all():
-        raise ValueError("frequency must be positive")
+    d = _check_range("distance_m", np.asarray(distance_m, dtype=float), POSITIVE, where=True)
+    f = _check_range("f_hz", np.asarray(f_hz, dtype=float), POSITIVE, where=True)
     loss = 20.0 * np.log10(4.0 * math.pi * d * f / SPEED_OF_LIGHT)
     return float(loss) if loss.ndim == 0 else loss
 
@@ -191,9 +188,8 @@ def reflection_loss_db(eps, incidence_angle_rad, polarization: str = "TE") -> np
     permittivity and angle only. Index-matched materials reflect nothing:
     the loss is +inf and no reflected path should be generated.
     """
-    angle = np.asarray(incidence_angle_rad, dtype=float)
-    if not ((0.0 <= angle) & (angle < math.pi / 2.0)).all():
-        raise ValueError("incidence angle must lie in [0, pi/2)")
+    angle = _check_range("incidence_angle_rad", np.asarray(incidence_angle_rad, dtype=float),
+                         _INCIDENCE, where=True)
     if polarization not in ("TE", "TM"):
         raise ValueError(f"unknown polarization {polarization!r}")
     cos_i = np.cos(angle)
@@ -206,8 +202,7 @@ def reflection_loss_db(eps, incidence_angle_rad, polarization: str = "TE") -> np
 
 def diffraction_loss_db(model: DiffractionLossModel, f_hz: float) -> float:
     """Excess diffraction loss in dB (applied on top of two-leg Friis loss)."""
-    if not f_hz > 0:
-        raise ValueError("frequency must be positive")
+    _check_range("f_hz", f_hz, POSITIVE)
     return model.l0_db + 10.0 * model.gamma * math.log10(f_hz / model.f0_hz)
 
 

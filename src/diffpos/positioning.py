@@ -30,6 +30,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .geometry import EdgeTable, _solve_edge_lambdas
+from .records import FINITE, POSITIVE, Range, _check_range
 
 __all__ = [
     "SingularGeometryError",
@@ -324,30 +325,18 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     return _GaussNewtonRows(alpha, iterations, status)
 
 
-def _checked(name: str, values, shape: tuple, count: int | None = None, least: int = 0,
-             positive: bool = False, where=True) -> np.ndarray:
-    """``values`` of ``shape``, checked at the entries where ``where`` holds:
-    to be ids in [least, count) with ``count``, positive and finite with
-    ``positive``, else finite. A bad value raises ValueError naming its
-    first row."""
-    values = np.asarray(values, dtype=None if count is not None else float)
+def _checked(name: str, values, shape: tuple, rng: Range = FINITE, where=True,
+             ids: bool = False) -> np.ndarray:
+    """``values`` of ``shape``, an array of floats or, with ``ids``, of
+    integers, checked to lie in ``rng`` at the entries where ``where``
+    holds. A bad value raises ValueError naming its first row."""
+    values = np.asarray(values, dtype=None if ids else float)
     if values.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, not {values.shape}")
-    if count is not None:
-        rule = f"integers in [{least}, {count})"
-        if values.size and values.dtype.kind not in "iu":
-            raise ValueError(f"{name} must be {rule}")
-        bad = (values < least) | (values >= count)
-        values = values.astype(int, copy=False)
-    elif positive:
-        rule, bad = "positive and finite", ~((values > 0) & (values < math.inf))
-    else:
-        rule, bad = "finite", ~np.isfinite(values)
-    bad &= where
-    if np.count_nonzero(bad):
-        row = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
-        raise ValueError(f"{name} must be {rule}; row {row} is not")
-    return values
+    if ids and values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    _check_range(name, values, rng, where)
+    return values.astype(int, copy=False) if ids else values
 
 
 def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
@@ -369,11 +358,12 @@ def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
     if m < 4:
         raise ValueError("3D solve requires at least 4 anchors")
     if not n == len(ranges) == len(starts):
-        raise ValueError(f"edge ids, ranges and starts must have one row per problem, "
+        raise ValueError(f"edge_ids, ranges and starts must have one row per problem, "
                          f"not {n}, {len(ranges)} and {len(starts)}")
     if n == 0:
         return LadderRows(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-    edge_ids = _checked("edge ids", edge_ids, (n, m), len(table.x1))
+    edge_ids = _checked("edge_ids", edge_ids, (n, m), Range(0, len(table.x1), open_hi=True),
+                        ids=True)
     ranges = _checked("ranges", ranges, (n, m))
     starts = _checked("starts", starts, (n, 3))
     lo, hi = _checked("bounds", bounds, (2, 3))
@@ -467,10 +457,11 @@ def peb_batch(table: EdgeTable, anchors, positions, edge_ids, snr_linear,
     anchors = _checked("anchors", anchors, (len(anchors), 3))
     n, m = len(positions), len(anchors)
     positions = _checked("positions", positions, (n, 3))
-    edge_ids = _checked("edge ids", edge_ids, (n, m), len(table.x1), least=-1)
+    edge_ids = _checked("edge_ids", edge_ids, (n, m), Range(-1, len(table.x1), open_hi=True),
+                        ids=True)
     used = edge_ids >= 0
-    snr = _checked("linear SNRs", snr_linear, (n, m), positive=True, where=used)
-    beta_sq = _checked("beta^2", beta_sq, (n,), positive=True)
+    snr = _checked("snr_linear", snr_linear, (n, m), POSITIVE, where=used)
+    beta_sq = _checked("beta_sq", beta_sq, (n,), POSITIVE)
 
     local = table.to_local(anchors)
     peb_m = np.full(n, math.inf)

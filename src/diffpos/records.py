@@ -10,8 +10,10 @@ too, naming the path of its object (``materials.air: repeated key 'a'``).
 
 Each numeric field declares its ``Range`` in its annotation, and
 ``_check_ranges``, run first by each record's ``__post_init__``, refuses a
-value outside it; ``_decode`` puts the JSON path of a nested record in
-front of a ValueError of its constructor.
+value outside it, or a non-integer in an ``int`` field; ``_decode`` puts
+the JSON path of a nested record in front of a ValueError of its
+constructor. ``_check_range`` is that one check, for function arguments
+too.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ import numpy as np
 _LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
                str: (str, "a string"), bool: (bool, "a boolean")}
 
-# {key: (type hint, required)} per record class or closed-key dict type,
-# filled on first use; not functools.cache, whose __wrapped__ reads as a
-# leftover tracer wrapper.
+# ({key: (type hint, required)}, {field: (Range, item depth, integer)}) per
+# record class or closed-key dict type, read in one walk of its hints on
+# first use; not functools.cache, whose __wrapped__ reads as a leftover
+# tracer wrapper.
 _RECORDS: dict = {}
-# {field: (Range, item depth)} per record class, filled the same way.
-_RANGES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -53,56 +54,64 @@ class Range:
         object.__setattr__(self, "open_lo", self.open_lo or self.lo == -math.inf)
         object.__setattr__(self, "open_hi", self.open_hi or self.hi == math.inf)
 
-    def __contains__(self, value) -> bool:
+    def holds(self, value):
+        """Whether ``value`` lies in the range, entry by entry for an array."""
         return ((self.lo < value if self.open_lo else self.lo <= value)
-                and (value < self.hi if self.open_hi else value <= self.hi))
+                & (value < self.hi if self.open_hi else value <= self.hi))
+
+    __contains__ = holds
 
     def __str__(self) -> str:
         return f"{'(['[not self.open_lo]}{self.lo:g}, {self.hi:g}{')]'[not self.open_hi]}"
 
 
-# Ranges that fields of several records share.
-Finite = Annotated[float, Range()]
-Positive = Annotated[float, Range(0, open_lo=True)]
-NonNegative = Annotated[float, Range(0)]
-Count = Annotated[int, Range(0)]
-AtLeastOne = Annotated[int, Range(1)]
+# Ranges that fields of several records and function arguments share.
+FINITE, POSITIVE, NON_NEGATIVE, AT_LEAST_ONE = Range(), Range(0, open_lo=True), Range(0), Range(1)
+Finite = Annotated[float, FINITE]
+Positive = Annotated[float, POSITIVE]
+NonNegative = Annotated[float, NON_NEGATIVE]
+Count = Annotated[int, NON_NEGATIVE]
+AtLeastOne = Annotated[int, AT_LEAST_ONE]
 
 
-def _record(hint) -> dict:
-    """{key: (type hint, required)} of a record class, or of a dict type
-    whose keys are the member names of an enum or the strings of a Literal,
-    every one required."""
-    rec = _RECORDS.get(hint)
-    if rec is None:
+def _plain(hint):
+    """``hint`` without the ``Annotated`` ranges in it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType, tuple, dict, list):
+        return (Union if origin is UnionType else origin)[tuple(map(_plain, args))]
+    return args[0] if origin is Annotated else hint
+
+
+def _record(hint, ranges: bool = False) -> dict:
+    """{key: (type hint, required)} of a record class, or of a dict type whose
+    keys, every one required, name an enum's members or a Literal's strings.
+    With ``ranges``: {field: (Range, depth, integer)} of each field whose type
+    (``X | None``: X), or whose items ``depth`` tuple or dict levels down,
+    declare a range, ``integer`` when that type is ``int``."""
+    memo = _RECORDS.get(hint)
+    if memo is None:
+        rec, declared = {}, {}
         if is_dataclass(hint):
-            hints = get_type_hints(hint)
-            rec = {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-                   for f in fields(hint)}
+            hints = get_type_hints(hint, include_extras=True)
+            for f in fields(hint):
+                leaf, depth = hints[f.name], 0
+                rec[f.name] = (_plain(leaf), f.default is MISSING and f.default_factory is MISSING)
+                while (origin := get_origin(leaf)) in (Union, UnionType, tuple, dict):
+                    depth += origin in (tuple, dict)
+                    leaf = get_args(leaf)[1 if origin is dict else 0]
+                if origin is Annotated:
+                    declared[f.name] = (leaf.__metadata__[0], depth, leaf.__origin__ is int)
         else:
             keys, value = get_args(hint)
             names = [k.name for k in keys] if isinstance(keys, EnumMeta) else get_args(keys)
             rec = {name: (value, True) for name in names}
-        _RECORDS[hint] = rec
-    return rec
+        memo = _RECORDS[hint] = rec, declared
+    return memo[ranges]
 
 
 def declared_ranges(cls) -> dict:
-    """{field: (Range, depth)} of each field of the record class ``cls``
-    that declares a range: on its own type (depth 0), or on the items
-    ``depth`` tuple or dict levels down. ``X | None`` declares that of X."""
-    ranges = _RANGES.get(cls)
-    if ranges is None:
-        ranges, hints = {}, get_type_hints(cls, include_extras=True)
-        for f in fields(cls):
-            hint, depth = hints[f.name], 0
-            while (origin := get_origin(hint)) in (Union, UnionType, tuple, dict):
-                depth += origin in (tuple, dict)
-                hint = get_args(hint)[1 if origin is dict else 0]
-            if origin is Annotated:
-                ranges[f.name] = (hint.__metadata__[0], depth)
-        _RANGES[cls] = ranges
-    return ranges
+    """{field: (Range, depth, integer)} of the record class ``cls`` (see ``_record``)."""
+    return _record(cls, ranges=True)
 
 
 def _items(value) -> list:
@@ -112,21 +121,42 @@ def _items(value) -> list:
     return [(f"[{i}]", v) for i, v in enumerate(value)]
 
 
+def _check_range(name: str, value, rng: Range, where=None, integer: bool = False):
+    """``value`` when it lies in ``rng``, else ValueError ``{name} must lie
+    in {rng}, got {value!r}``; with ``integer`` it must be a Python or NumPy
+    integer (a bool is not) too. Given ``where``, ``value`` is an array,
+    checked where ``where`` holds, that fails (with a dimension) as
+    ``{name} must lie in {rng}; row {i} is not``, naming its first bad row."""
+    if where is not None:
+        bad = ~rng.holds(value) & where
+        if not np.count_nonzero(bad):
+            return value
+        if value.ndim:
+            row = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+            raise ValueError(f"{name} must lie in {rng}; row {row} is not")
+        value = value.item()  # a number, as np.asarray gives it
+    elif integer and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif value in rng:
+        return value
+    raise ValueError(f"{name} must lie in {rng}, got {value!r}")
+
+
 def _check_ranges(record) -> None:
     """Raise ValueError naming the record's class, the field and the item
-    of the first value outside its declared range; None passes."""
-    for name, (rng, depth) in declared_ranges(type(record)).items():
+    of the first value outside its declared range, or not an integer in an
+    ``int`` field; None passes."""
+    for name, (rng, depth, integer) in _record(type(record), ranges=True).items():
         value = getattr(record, name)
-        if not depth and (value is None or value in rng):  # the common case, fast
-            continue
-        values = [("", value)]
+        if not depth and (value is None or (not integer or type(value) is int) and value in rng):
+            continue  # the common case, fast
+        values = [(f"{type(record).__name__}.{name}", value)]
         for _ in range(depth):
             values = [(path + key, item) for path, value in values if value is not None
                       for key, item in _items(value)]
         for path, value in values:
-            if value is not None and value not in rng:
-                raise ValueError(f"{type(record).__name__}.{name}{path} must lie in {rng}, "
-                                 f"got {value!r}")
+            if value is not None:
+                _check_range(path, value, rng, integer=integer)
 
 
 def _named(where: str, make, /, *args, **kwargs):

@@ -122,7 +122,7 @@ def test_interaction_string_round_trip():
 
 @pytest.mark.parametrize("temperature", [0.0, -5.0, float("nan")])
 def test_noise_floor_rejects_non_positive_temperature(temperature):
-    with pytest.raises(ValueError, match="noise temperature must be positive"):
+    with pytest.raises(ValueError, match=r"^noise_temperature_k must lie in \(0, inf\), got "):
         noise_floor_dbm(400e6, temperature)
 
 
@@ -205,8 +205,11 @@ def test_truncate_matches_bruteforce():
 def test_truncate_rejects_bad_k():
     # Refused at the boundary, as SweepConfig refuses such a top_k.
     pdp = mk_pdp([mk_mpc(10.0 + i, snr=float(i)) for i in range(5)])
-    for k in (0, -1, 2.5, 2.0, True, np.bool_(True), "2", None):
-        with pytest.raises(ValueError, match="^k must be an integer >= 1, got "):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=r"^k must lie in \[1, inf\), got "):
+            truncate_top_k(pdp, k)
+    for k in (2.5, 2.0, True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
             truncate_top_k(pdp, k)
 
 

@@ -373,10 +373,10 @@ def test_ladder_rejects_mixed_anchor_counts_and_bad_starts():
     alpha, anchors, edges = random_positioning_instance(rng, n_anchors=5)
     table = joined([meas.table, edges])[0]
     bounds = (np.zeros(3), np.full(3, 20.0))
-    with pytest.raises(ValueError, match=r"edge ids must have shape \(2, 4\), not \(2, 5\)"):
+    with pytest.raises(ValueError, match=r"edge_ids must have shape \(2, 4\), not \(2, 5\)"):
         dnls_ladder(table, meas.anchors, [[0, 1, 2, 3, 0], [4, 5, 6, 7, 8]],
                     [np.append(meas.ranges, 30.0), np.full(5, 30.0)], [start, alpha], bounds)
-    with pytest.raises(ValueError, match="starts must be finite"):
+    with pytest.raises(ValueError, match=r"^starts must lie in \(-inf, inf\); row 0 is not$"):
         dnls_ladder(table, meas.anchors, [[0, 1, 2, 3]], [meas.ranges],
                     [np.array([np.nan, 0.0, 0.0])], bounds)
     empty = dnls_ladder(table, meas.anchors, np.zeros((0, 4), dtype=int), np.zeros((0, 4)),
@@ -414,11 +414,15 @@ def test_ladder_rejects_counts_that_disagree(name, value, message):
         dnls_ladder(**args)
 
 
-@pytest.mark.parametrize("bad_id", [-1, 8, 2.0], ids=["minus_one", "past_the_end", "float"])
-def test_ladder_rejects_edge_ids_outside_the_table(bad_id):
+@pytest.mark.parametrize("bad_id, message", [
+    (-1, r"^edge_ids must lie in \[0, 8\); row 1 is not$"),
+    (8, r"^edge_ids must lie in \[0, 8\); row 1 is not$"),
+    (2.0, "^edge_ids must be integers, got dtype float64$"),
+], ids=["minus_one", "past_the_end", "float"])
+def test_ladder_rejects_edge_ids_outside_the_table(bad_id, message):
     args = ladder_args()
     args["edge_ids"] = np.array([[0, 1, 2, 3], [4, 5, 6, bad_id]])
-    with pytest.raises(ValueError, match=r"edge ids must be integers in \[0, 8\)"):
+    with pytest.raises(ValueError, match=message):
         dnls_ladder(**args)
 
 
@@ -440,7 +444,7 @@ def test_ladder_rejects_fewer_than_four_anchors():
 def test_ladder_rejects_non_finite_values(name, value):
     args = ladder_args()
     args[name] = value
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \(-inf, inf\); row \d is not$"):
         dnls_ladder(**args)
 
 

@@ -284,8 +284,8 @@ def test_sweep_config_validation():
         SweepConfig(scene=scene, frequencies_hz=(28e9, 3.5e9))
     with pytest.raises(ValueError):
         SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=0)
-    # NumPy integers are integers, kept as Python ints so that a report's
-    # seed and trials encode as JSON.
+    # NumPy integers are integers, kept as Python ints, whose arithmetic
+    # neither wraps nor overflows as a narrow NumPy integer's does.
     cfg = SweepConfig(scene=scene, frequencies_hz=(3.5e9,), trials=np.int64(2),
                       seed=np.uint8(1), top_k=np.int32(5))
     assert [(type(v), v) for v in (cfg.trials, cfg.seed, cfg.top_k)] \
@@ -792,14 +792,13 @@ def test_cli_scene_repeated_floor_is_an_error_line(tmp_path, capsys):
 
 def test_cli_error_deep_in_the_sweep_is_an_error_line(tmp_path, capsys, monkeypatch):
     def fail(cfg):
-        raise ValueError("linear SNRs must be positive and finite; row 0 is not")
+        raise ValueError("snr_linear must lie in (0, inf); row 0 is not")
 
     monkeypatch.setattr("diffpos.cli.run_sweep", fail)
     out_dir = tmp_path / "out"
     rc = cli_main(["sweep", "--out", str(out_dir), "--frequencies", "28e9"])
     assert rc == 1
-    assert capsys.readouterr().err == ("error: linear SNRs must be positive and finite;"
-                                       " row 0 is not\n")
+    assert capsys.readouterr().err == "error: snr_linear must lie in (0, inf); row 0 is not\n"
     assert not out_dir.exists()
 
 

@@ -36,7 +36,7 @@ from diffpos.records import declared_ranges
 # The declared coefficient ranges of a Material and the frequency reach of
 # a band.
 _COEFFICIENT_RANGES = {name: (rng.lo, rng.hi)
-                       for name, (rng, _) in declared_ranges(Material).items()}
+                       for name, (rng, _, _) in declared_ranges(Material).items()}
 _BAND_REACH = declared_ranges(BandPlan)["f_lo_hz"][0]
 _FREQ_REACH_HZ = (_BAND_REACH.lo, _BAND_REACH.hi)
 
@@ -250,9 +250,10 @@ def test_reflection_loss_of_many_angles_equals_one_angle_calls(slab, polarizatio
 
 def test_reflection_rejects_a_bad_angle_among_many():
     eps = eps_of(CONCRETE_WALL, 1e9)
-    with pytest.raises(ValueError, match=r"^incidence angle must lie in \[0, pi/2\)$"):
+    message = r"^incidence_angle_rad must lie in \[0, 1.5708\); row 1 is not$"
+    with pytest.raises(ValueError, match=message):
         reflection_loss_db(eps, np.array([0.1, math.pi / 2, 0.2]), "TE")
-    with pytest.raises(ValueError, match=r"^incidence angle must lie in"):
+    with pytest.raises(ValueError, match=message):
         reflection_loss_db(eps, np.array([0.1, math.nan]), "TE")
     with pytest.raises(ValueError, match=r"^unknown polarization 'XY'$"):
         reflection_loss_db(eps, np.array([0.1]), "XY")
@@ -260,9 +261,10 @@ def test_reflection_rejects_a_bad_angle_among_many():
 
 def test_reflection_rejects_bad_angle():
     eps = eps_of(CONCRETE_WALL, 1e9)
-    with pytest.raises(ValueError, match="incidence angle must lie in"):
+    message = r"^incidence_angle_rad must lie in \[0, 1.5708\), got "
+    with pytest.raises(ValueError, match=message + "1.5707963267948966$"):
         reflection_loss_db(eps, math.pi / 2, "TE")
-    with pytest.raises(ValueError, match="incidence angle must lie in"):
+    with pytest.raises(ValueError, match=message + "-0.1$"):
         reflection_loss_db(eps, -0.1, "TE")
 
 

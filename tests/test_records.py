@@ -1,6 +1,7 @@
 """The declared ranges of the record fields: each closed end is accepted,
 each open end and each value just past an end is refused with the one
-message form, and README's table lists every range."""
+message form, an ``int`` field holds integers only, and README's table
+lists every range."""
 
 import copy
 import dataclasses
@@ -10,9 +11,10 @@ import re
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 
-from diffpos.channel import MpcRecord
+from diffpos.channel import MpcRecord, PathLimits
 from diffpos.experiments import (SweepConfig, SweepReport, build_default_scene,
                                  report_from_dict)
 from diffpos.materials import _LibraryDoc
@@ -72,8 +74,9 @@ for root in _ROOTS:
 # mpc-dataset/1 file, and SweepConfig.
 CLASSES = _classes(SweepConfig, set()) | _classes(SweepReport, set()) \
     | _classes(MpcRecord, set()) | _classes(_LibraryDoc, set())
-RANGES = [(cls, name, rng, depth) for cls in sorted(CLASSES, key=lambda c: c.__name__)
-          for name, (rng, depth) in declared_ranges(cls).items()]
+RANGES = [(cls, name, rng, depth, integer)
+          for cls in sorted(CLASSES, key=lambda c: c.__name__)
+          for name, (rng, depth, integer) in declared_ranges(cls).items()]
 
 
 def _with_first(value, depth: int, item):
@@ -92,12 +95,12 @@ def _with_first(value, depth: int, item):
 def test_every_class_with_ranges_has_a_sample():
     assert {cls for cls in CLASSES if declared_ranges(cls)} <= set(INSTANCES)
     assert {"SceneConfig", "Material", "SweepConfig", "FrequencyReport", "MpcRecord"} \
-        <= {cls.__name__ for cls, _, _, _ in RANGES}
+        <= {cls.__name__ for cls, _, _, _, _ in RANGES}
 
 
-@pytest.mark.parametrize("cls, name, rng, depth", RANGES,
-                         ids=[f"{cls.__name__}.{name}" for cls, name, _, _ in RANGES])
-def test_declared_range_ends(cls, name, rng, depth):
+@pytest.mark.parametrize("cls, name, rng, depth, integer", RANGES,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _, _, _ in RANGES])
+def test_declared_range_ends(cls, name, rng, depth, integer):
     record = INSTANCES[cls]
     value = getattr(record, name)
     # A closed end passes the range check.
@@ -106,21 +109,23 @@ def test_declared_range_ends(cls, name, rng, depth):
             at_end = copy.copy(record)
             object.__setattr__(at_end, name, _with_first(value, depth, end)[0])
             _check_ranges(at_end)
-    # An open end, the value just past each finite end and NaN are refused
-    # by the record itself, with one message form.
+    # An open end, the value just past each finite end (the next integer in
+    # an int field) and NaN are refused by the record itself, with one
+    # message form; a float in an int field is no integer.
     refused = [rng.lo] if rng.open_lo else []
     refused += [rng.hi] if rng.open_hi else []
-    refused += [math.nextafter(end, direction) for end, direction
-                in ((rng.lo, -math.inf), (rng.hi, math.inf)) if math.isfinite(end)]
+    refused += [end + step if integer else math.nextafter(end, step * math.inf)
+                for end, step in ((rng.lo, -1), (rng.hi, 1)) if math.isfinite(end)]
     for bad in refused + [math.nan]:
         changed, path = _with_first(value, depth, bad)
         with pytest.raises(ValueError) as err:
             dataclasses.replace(record, **{name: changed})
-        assert str(err.value) == f"{cls.__name__}.{name}{path} must lie in {rng}, got {bad!r}"
+        rule = "be an integer" if integer and isinstance(bad, float) else f"lie in {rng}"
+        assert str(err.value) == f"{cls.__name__}.{name}{path} must {rule}, got {bad!r}"
 
 
 def test_range_text():
-    ranges = {f"{cls.__name__}.{name}": str(rng) for cls, name, rng, _ in RANGES}
+    ranges = {f"{cls.__name__}.{name}": str(rng) for cls, name, rng, _, _ in RANGES}
     assert ranges["SceneConfig.footprint_x"] == "(0, 1e+06]"
     assert ranges["Material.a"] == "[1e-06, 1e+06]"
     assert ranges["SweepReport.trials"] == "[1, inf)"
@@ -135,4 +140,33 @@ def test_readme_range_table_lists_every_declared_range():
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|$", table, re.M)
     assert len(rows) == len(table.splitlines()) - 2  # every row below the header
     assert sorted(rows) == sorted((cls.__name__, name, str(rng))
-                                  for cls, name, rng, _ in RANGES)
+                                  for cls, name, rng, _, _ in RANGES)
+
+
+@pytest.mark.parametrize("record, changes, message", [
+    # A float floor puts the receivers on the slab (z = 9.0 m at 3.5); a
+    # float floor count fails deep in the geometry build.
+    (build_default_scene(grid_spacing=10.0), {"receiver_floors": (3.5,)},
+     "SceneConfig.receiver_floors[0] must be an integer, got 3.5"),
+    (build_default_scene(grid_spacing=10.0), {"floor_count": 7.0},
+     "SceneConfig.floor_count must be an integer, got 7.0"),
+    (PathLimits(), {"max_transmissions": 6.5},
+     "PathLimits.max_transmissions must be an integer, got 6.5"),
+    (PathLimits(), {"max_reflections": True}, "PathLimits.max_reflections must be an integer, "
+     "got True"),
+    (PathLimits(), {"max_diffractions": np.bool_(False)},
+     "PathLimits.max_diffractions must be an integer, got np.False_"),
+], ids=["float_receiver_floor", "float_floor_count", "float_max_transmissions",
+        "bool_max_reflections", "numpy_bool_max_diffractions"])
+def test_int_fields_refuse_non_integers(record, changes, message):
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(record, **changes)
+    assert str(err.value) == message
+
+
+def test_int_fields_take_numpy_integers():
+    limits = PathLimits(max_transmissions=np.int64(6), max_reflections=np.uint8(2))
+    assert (limits.max_transmissions, limits.max_reflections) == (6, 2)
+    scene = dataclasses.replace(build_default_scene(grid_spacing=10.0),
+                                receiver_floors=(np.int32(3),))
+    assert scene.receiver_floors == (3,)
