@@ -668,10 +668,11 @@ class SceneGeometry:
         ends[:, 1] = r.reshape(-1, 3).T.take(receiver * r.shape[1] + ids, axis=1)
         x, y, z = ends
         sol = _solve_edge_lambdas(x, y ** 2, z, x2, x1 - x2, z_e)
+        endpoint = sol.lam != sol.free
         point = self.edge_ends.take(2 * ids + (sol.lam == 1.0), axis=0)
-        inner = np.flatnonzero(~sol.endpoint)
+        inner = np.flatnonzero(~endpoint)
         point[inner] = self.edge_table.points(ids.take(inner), sol.lam.take(inner))
-        return sol.lam, sol.endpoint, sol.length, point
+        return sol.lam, endpoint, sol.length, point
 
 
 def build_scene_geometry(scene: SceneConfig) -> SceneGeometry:

@@ -31,13 +31,16 @@ from .records import _unique_keys
 
 
 def _cmd_scene(args) -> int:
+    grid = {}  # the grid options given; build_default_scene has the defaults
+    if args.grid_spacing is not None:
+        grid["grid_spacing"] = args.grid_spacing
+    if args.floors is not None:
+        grid["receiver_floors"] = tuple(args.floors)
+    if args.full_scale and grid:
+        raise ValueError("--full-scale sets a 0.5 m grid over floors 3-7; "
+                         "it takes no --grid-spacing or --floors")
     materials = load_material_library(args.materials) if args.materials else None
-    scene = build_default_scene(
-        grid_spacing=args.grid_spacing,
-        receiver_floors=tuple(args.floors),
-        full_scale=args.full_scale,
-        materials=materials,
-    )
+    scene = build_default_scene(full_scale=args.full_scale, materials=materials, **grid)
     save_scene(scene, args.out)
     print(f"wrote scene config to {args.out}")
     return 0
@@ -99,10 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scene", help="emit a scene config JSON")
     p.add_argument("--out", default="scene.json", help="output path")
-    p.add_argument("--grid-spacing", type=float, default=2.0,
-                   help="receiver grid spacing in meters")
-    p.add_argument("--floors", type=int, nargs="+", default=[3, 4],
-                   help="receiver floors")
+    p.add_argument("--grid-spacing", type=float, default=None,
+                   help="receiver grid spacing in meters (default: 2)")
+    p.add_argument("--floors", type=int, nargs="+", default=None,
+                   help="receiver floors (default: 3 4)")
     p.add_argument("--full-scale", action="store_true",
                    help="0.5 m grid over floors 3-7")
     p.add_argument("--materials", default=None,

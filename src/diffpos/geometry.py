@@ -162,12 +162,12 @@ def _reflect_rows(dt: np.ndarray, image: np.ndarray, r: np.ndarray, normals: np.
 # ---------------------------------------------------------------------------
 
 class _EdgeRows(NamedTuple):
-    """Per-entry result of ``_solve_edge_lambdas``: ``lam``, ``endpoint`` and
+    """Per-entry result of ``_solve_edge_lambdas``: ``lam``, ``free`` and
     ``length`` have the entry shape, and ``legs``, ``dx`` and ``dz`` stack
     the anchor-side leg ([0]) on the receiver-side leg ([1])."""
 
     lam: np.ndarray  # minimizing lam in [0, 1]
-    endpoint: np.ndarray  # True where the stationary point lies off the edge, lam clipped
+    free: np.ndarray  # the stationary point's lam before the clip; lam != free off the edge
     length: np.ndarray  # two-leg length, legs[0] + legs[1]
     legs: np.ndarray  # (2, ...) leg lengths |t - q| and |r - q|
     dx: np.ndarray  # (2, ...) x - qx of each leg's end point, qx = x2 + lam * span
@@ -176,8 +176,9 @@ class _EdgeRows(NamedTuple):
 
 def _solve_edge_lambdas(x: np.ndarray, y2: np.ndarray, z: np.ndarray, x2: np.ndarray,
                         span: np.ndarray, z_e: np.ndarray) -> _EdgeRows:
-    """Minimizing lam in [0, 1] of the two-leg length, an endpoint flag, the
-    two-leg length, and the legs through the edge point, per entry.
+    """Minimizing lam in [0, 1] of the two-leg length, the stationary lam it
+    was clipped from, the two-leg length, and the legs through the edge
+    point, per entry.
 
     One entry per (tx, rx, edge) triple. The end points' edge-local x, y
     squared and z come stacked, shape (2, ...): tx's at [0], rx's at [1].
@@ -188,11 +189,11 @@ def _solve_edge_lambdas(x: np.ndarray, y2: np.ndarray, z: np.ndarray, x2: np.nda
     shortest path straight, so the stationary point divides [x_t, x_r] in
     the ratio of the two transverse distances rho_t, rho_r. The two-leg
     length is convex along the edge, so clipping that point to the edge
-    gives the constrained minimum; ``endpoint`` flags the entries the clip
-    moved. Besides the span, which is never zero, the only division is by
-    rho_t + rho_r, which vanishes only when tx and rx both lie on the edge
-    line. Both legs are evaluated as one stacked array; each entry's result
-    depends on that entry only.
+    gives the constrained minimum; the clip moved the entries where lam !=
+    free (a NaN lam included). Besides the span, which is never zero, the
+    only division is by rho_t + rho_r, which vanishes only when tx and rx
+    both lie on the edge line. Both legs are evaluated as one stacked
+    array; each entry's result depends on that entry only.
     """
     # A leg through the edge point (qx, 0, z_e) is sqrt((x - qx)^2 + y^2 +
     # (z - z_e)^2), summed in that order; only its first term moves with qx.
@@ -205,7 +206,7 @@ def _solve_edge_lambdas(x: np.ndarray, y2: np.ndarray, z: np.ndarray, x2: np.nda
     qx = x2 + lam * span
     dx = x - qx
     legs = np.sqrt(dx ** 2 + y2 + z2)
-    return _EdgeRows(lam, lam != free, legs[0] + legs[1], legs, dx, dz)
+    return _EdgeRows(lam, free, legs[0] + legs[1], legs, dx, dz)
 
 
 def _on_edge_line(p: np.ndarray, z_e) -> np.ndarray:

@@ -96,7 +96,9 @@ class _Rows(NamedTuple):
     # maps a local gradient back to world axes (``_model_rows``).
     to_local: np.ndarray  # (3, 3, M, R) [k, i] = R[i, k]
     translation: np.ndarray  # (3, M, R)
-    anchor: np.ndarray  # (3, 1, M, R) anchor x, y, z in the edge-local frame
+    # x, y, z of the anchor ([:, 0]) and of the receiver ([:, 1]) in the
+    # edge-local frame; each ``_model_rows`` call writes the receiver's.
+    ends: np.ndarray  # (3, 2, M, R)
     x2: np.ndarray  # (M, R) edge endpoint x2 along the local x axis
     span: np.ndarray  # (M, R) x1 - x2
     half_w: np.ndarray  # (M, R) half the window height
@@ -115,10 +117,12 @@ def _pack(table: EdgeTable, local: np.ndarray, anchor_ids, edge_ids, ranges) -> 
     ids = np.ascontiguousarray(np.asarray(edge_ids).T)  # (M, R); gathers keep its layout
     anchor = local[np.broadcast_to(anchor_ids, ids.T.shape).T, ids]  # (M, R, 3)
     x1, x2 = table.x1[ids], table.x2[ids]
+    ends = np.zeros((3, 2, *ids.shape))
+    ends[:, 0] = anchor.transpose(2, 0, 1)
     return _Rows(
         to_local=np.take(table.rotation.transpose(2, 1, 0), ids, axis=2),
         translation=np.take(table.translation.T, ids, axis=1),
-        anchor=np.ascontiguousarray(anchor.transpose(2, 0, 1))[:, None],
+        ends=ends,
         x2=x2,
         span=x1 - x2,
         half_w=0.5 * table.w[ids],
@@ -131,8 +135,8 @@ _PARTIAL_LEGS = np.array([1, 1, 0])
 
 
 def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Model ranges p (R, M), their partials J (R, 3, M) and a singular flag
-    (R, M) for receiver positions ``alpha`` (R, 3).
+    """Model ranges p (M, R), their partials J (M, 3, R) and the legs (2,
+    M, R), anchor-side leg first, for receiver positions ``alpha`` (R, 3).
 
     Each (row, anchor) edge is solved once, all rows in one call. In the
     edge-local frame, with the stationary point q held fixed (envelope
@@ -143,27 +147,48 @@ def _model_rows(alpha: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray,
         dp/dz_n = (z_n + w/2 - z_a) / l_tx
 
     where l_rx, l_tx are the receiver- and anchor-side legs; a leg below
-    1e-12 m flags the entry singular. The anchor and the receiver are the two
-    ends of one stacked (2, M, R) edge solve, and the three local partials
-    are one stacked division; one product with the transposed view of
+    1e-12 m makes the entry singular (``_singular``). The receiver is written
+    into ``rows.ends``, so that the anchor and the receiver are the two ends
+    of one stacked (2, M, R) edge solve, and the three local partials are
+    one stacked division; one product with the transposed view of
     ``to_local``, summed over the local axis in axis order, maps them back to
-    world axes. Every entry depends on its own row only. The outputs are
-    views of row-last arrays, (M, R) and (M, 3, R). The caller sets the
+    world axes. Every entry depends on its own row only. The caller sets the
     floating-point error state: a singular entry divides by zero.
     """
-    r = np.add.reduce(rows.to_local * alpha.T[:, None, None, :], axis=0) + rows.translation
-    ends = np.concatenate((rows.anchor, r[:, None]), axis=1)  # (3, 2, M, R): anchor, receiver
+    ends = rows.ends
+    np.add(np.add.reduce(rows.to_local * alpha.T[:, None, None, :], axis=0), rows.translation,
+           out=ends[:, 1])
     y = ends[1]
     z_e = ends[2, 1] + rows.half_w
     sol = _solve_edge_lambdas(ends[0], y ** 2, ends[2], rows.x2, rows.span, z_e)
     legs = sol.legs
-    # Equal to (l_rx < 1e-12) | (l_tx < 1e-12): fmin passes over a NaN leg.
-    singular = np.fmin(legs[1], legs[0]) < 1e-12
     # (x_n - q, y_n, z_e - z_a) over (l_rx, l_rx, l_tx).
     local = np.concatenate((sol.dx[1:], y[1:], sol.dz[:1])) / legs.take(_PARTIAL_LEGS, axis=0)
-    # to_local.transpose(1, 2, 0, 3) holds R[k, i] at [k, :, i].
+    # to_local.transpose(1, 2, 0, 3) holds R[k, i] at [k, :, i]; the sum is (M, 3, R).
     grad = np.add.reduce(rows.to_local.transpose(1, 2, 0, 3) * local[:, :, None], axis=0)
-    return sol.length.T, grad.T, singular.T
+    return sol.length, grad, legs
+
+
+def _singular(legs: np.ndarray) -> np.ndarray | None:
+    """The (M, R) entries of the model's ``legs`` (2, M, R) with a leg below
+    1e-12 m, or None when no entry has one. ``fmin`` passes over a NaN leg,
+    so one reduction over every leg finds whether any entry is singular,
+    and the per-entry mask is built only then."""
+    if not np.fmin.reduce(legs, axis=None) < 1e-12:
+        return None
+    return np.fmin(legs[1], legs[0]) < 1e-12
+
+
+def _squared_tol(tol: float) -> float:
+    """The smallest double s whose square root is at least ``tol`` > 0. The
+    square root is correctly rounded, so monotone: x < s exactly when
+    sqrt(x) < tol, NaN and inf included."""
+    s = tol * tol
+    while math.sqrt(s) < tol:
+        s = math.nextafter(s, math.inf)
+    while math.sqrt(below := math.nextafter(s, 0.0)) >= tol:
+        s = below
+    return s
 
 
 def _rank_deficient(matrices: np.ndarray) -> np.ndarray:
@@ -240,6 +265,7 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     a = alpha.copy()
     limit = np.asarray(max_iters)
     limit_trips = set((limit - 1).tolist())  # trips after which some row is out of iterations
+    tol_sq = _squared_tol(tol)
     damped = damping > 0.0
     n_damped = np.count_nonzero(damped)
     damp_eye = damping * eye[:, :, None]  # (3, 3, R)
@@ -248,12 +274,13 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     trip = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while active.size:
-            # The model's arrays in their row-last layout: (M, R), (M, 3, R).
-            p, jac, singular = (x.T for x in _model_rows(a, cur))
-            residual = cur.ranges - p
+            p, jac, legs = _model_rows(a, cur)
+            # The augmented [J | r] (M, 4, R), residual last.
+            aug = np.concatenate((jac, (cur.ranges - p)[:, None]), axis=1)
 
             stop = counted = None  # the rows that leave; those that count this trip
-            if np.count_nonzero(singular):
+            singular = _singular(legs)
+            if singular is not None:
                 stop = counted = singular.any(axis=0)
                 status[active[stop]] = _SINGULAR
             if final is not None:
@@ -274,37 +301,42 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
                 active, cur, a = active[keep], cur.take(keep), a[keep]
                 limit, damped = limit[keep], damped[keep]
                 n_damped = np.count_nonzero(damped)
-                jac, residual, damp_eye = (x.take(keep, axis=-1) for x in (jac, residual, damp_eye))
+                aug, damp_eye = aug.take(keep, axis=-1), damp_eye.take(keep, axis=-1)
 
-            # One step of every active row. The normal equations (3, 3, R)
-            # and (3, R), summed over the leading anchor axis, so in anchor
-            # order.
-            normal = np.add.reduce(jac[:, :, None] * jac[:, None], axis=0)
-            rhs = np.add.reduce(jac * residual[:, None], axis=0)
+            # One step of every active row. One product of [J | r] with J,
+            # summed over the leading anchor axis, so in anchor order, gives
+            # the normal matrix N = system[:3] (3, 3, R) and the right-hand
+            # side J^T r = system[3] (3, R): r J is J r, bit for bit.
+            system = np.add.reduce(aug[:, :, None] * aug[:, None, :3], axis=0)
+            normal, rhs = system[:3], system[3]
             if n_damped:
                 np.add(normal, damp_eye, out=normal, where=damped)
             # Rows with a non-finite or, undamped, a rank-deficient system
             # take a zero step and fail, as do rows whose iterate is not
             # finite. ``ok`` marks the rows that do not; it stays None
-            # while no row can fail, which is the common case.
+            # while no row can fail, which is the common case. A finite sum
+            # proves every entry finite; a sum that overflows from finite
+            # entries only sends the rows through the per-row test.
             ok = None
-            if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
-                ok = np.isfinite(normal).all(axis=(0, 1)) & np.isfinite(rhs).all(axis=0)
+            if not math.isfinite(np.add.reduce(system, axis=None)):
+                ok = np.isfinite(system).all(axis=(0, 1))
             deficient = None
             if n_damped < len(active):
                 check = ~damped if ok is None else ok & ~damped
-                if np.count_nonzero(check):
-                    deficient = np.zeros(len(active), dtype=bool)
-                    deficient[check] = _normal_rank_deficient(normal[..., check])
-                    ok = ~deficient if ok is None else ok & ~deficient
+                if ok is None or np.count_nonzero(check):
+                    found = _normal_rank_deficient(normal[..., check])
+                    if np.count_nonzero(found):
+                        deficient = np.zeros(len(active), dtype=bool)
+                        deficient[check] = found
+                        ok = ~deficient if ok is None else ok & ~deficient
             if ok is not None:
                 normal[..., ~ok], rhs[:, ~ok] = eye[:, :, None], 0.0
             step = np.linalg.solve(normal.transpose(2, 0, 1), rhs.T[..., None])[..., 0]
             moved = a + step
-            if not np.isfinite(moved).all():
+            if not math.isfinite(np.add.reduce(moved, axis=None)):
                 finite = np.isfinite(moved).all(axis=1)
                 ok = finite if ok is None else ok & finite
-            converged = np.sqrt(np.add.reduce(step ** 2, axis=1)) < tol
+            converged = np.add.reduce(step ** 2, axis=1) < tol_sq
             failed = None
             if ok is not None and np.count_nonzero(ok) < len(ok):
                 failed = ~ok
@@ -473,16 +505,17 @@ def peb_batch(table: EdgeTable, anchors, positions, edge_ids, snr_linear,
         rows = _pack(table, local, anchor_ids, edge_ids[group][mask].reshape(anchor_ids.shape),
                      np.zeros(anchor_ids.shape))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _, jac, singular = _model_rows(positions[group], rows)
-        if singular.any():
-            k, j = np.argwhere(singular)[0]
+            _, jac, legs = _model_rows(positions[group], rows)
+        singular = _singular(legs)
+        if singular is not None:
+            k, j = np.argwhere(singular.T)[0]
             raise SingularGeometryError(f"positions: row {group[k]} coincides with the "
                                         f"diffraction point of anchor {anchor_ids[k, j]}")
         snrs = snr[group][mask].reshape(anchor_ids.shape)
         inv_var = 8.0 * math.pi ** 2 * beta_sq[group, None] * snrs / SPEED_OF_LIGHT ** 2  # 1/m^2
         # The product takes a contiguous (G, M, 3) stack of partials and its
         # transpose: operand layouts pick the BLAS path, and so the FIM's bits.
-        grad = np.ascontiguousarray(jac.transpose(0, 2, 1))
+        grad = np.ascontiguousarray(jac.transpose(2, 0, 1))
         fim = (grad.transpose(0, 2, 1) * inv_var[:, None, :]) @ grad
         fim = 0.5 * (fim + fim.transpose(0, 2, 1))
 

@@ -32,10 +32,10 @@ import numpy as np
 _LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
                str: (str, "a string"), bool: (bool, "a boolean")}
 
-# ({key: (type hint, required)}, {field: (Range, item depth, integer)}) per
-# record class or closed-key dict type, read in one walk of its hints on
-# first use; not functools.cache, whose __wrapped__ reads as a leftover
-# tracer wrapper.
+# ({key: (type hint, required)}, {field: (Range, item depth, integer,
+# levels that may be None)}) per record class or closed-key dict type,
+# read in one walk of its hints on first use; not functools.cache, whose
+# __wrapped__ reads as a leftover tracer wrapper.
 _RECORDS: dict = {}
 
 
@@ -85,22 +85,28 @@ def _plain(hint):
 def _record(hint, ranges: bool = False) -> dict:
     """{key: (type hint, required)} of a record class, or of a dict type whose
     keys, every one required, name an enum's members or a Literal's strings.
-    With ``ranges``: {field: (Range, depth, integer)} of each field whose type
-    (``X | None``: X), or whose items ``depth`` tuple or dict levels down,
-    declare a range, ``integer`` when that type is ``int``."""
+    With ``ranges``: {field: (Range, depth, integer, nullable)} of each field
+    whose type (``X | None``: X), or whose items ``depth`` tuple or dict
+    levels down, declare a range, ``integer`` when that type is ``int``;
+    ``nullable`` holds the levels (0 for the field) whose type is
+    ``X | None``."""
     memo = _RECORDS.get(hint)
     if memo is None:
         rec, declared = {}, {}
         if is_dataclass(hint):
             hints = get_type_hints(hint, include_extras=True)
             for f in fields(hint):
-                leaf, depth = hints[f.name], 0
+                leaf, depth, nullable = hints[f.name], 0, set()
                 rec[f.name] = (_plain(leaf), f.default is MISSING and f.default_factory is MISSING)
                 while (origin := get_origin(leaf)) in (Union, UnionType, tuple, dict):
-                    depth += origin in (tuple, dict)
+                    if origin in (tuple, dict):
+                        depth += 1
+                    else:
+                        nullable.add(depth)
                     leaf = get_args(leaf)[1 if origin is dict else 0]
                 if origin is Annotated:
-                    declared[f.name] = (leaf.__metadata__[0], depth, leaf.__origin__ is int)
+                    declared[f.name] = (leaf.__metadata__[0], depth, leaf.__origin__ is int,
+                                        frozenset(nullable))
         else:
             keys, value = get_args(hint)
             names = [k.name for k in keys] if isinstance(keys, EnumMeta) else get_args(keys)
@@ -110,7 +116,8 @@ def _record(hint, ranges: bool = False) -> dict:
 
 
 def declared_ranges(cls) -> dict:
-    """{field: (Range, depth, integer)} of the record class ``cls`` (see ``_record``)."""
+    """{field: (Range, depth, integer, nullable)} of the record class ``cls``
+    (see ``_record``)."""
     return _record(cls, ranges=True)
 
 
@@ -123,10 +130,11 @@ def _items(value) -> list:
 
 def _check_range(name: str, value, rng: Range, where=None, integer: bool = False):
     """``value`` when it lies in ``rng``, else ValueError ``{name} must lie
-    in {rng}, got {value!r}``; with ``integer`` it must be a Python or NumPy
-    integer (a bool is not) too. Given ``where``, ``value`` is an array,
-    checked where ``where`` holds, that fails (with a dimension) as
-    ``{name} must lie in {rng}; row {i} is not``, naming its first bad row."""
+    in {rng}, got {value!r}`` (None lies in no range); with ``integer`` it
+    must be a Python or NumPy integer (a bool is not) too. Given ``where``,
+    ``value`` is an array, checked where ``where`` holds, that fails (with
+    a dimension) as ``{name} must lie in {rng}; row {i} is not``, naming
+    its first bad row."""
     if where is not None:
         bad = ~rng.holds(value) & where
         if not np.count_nonzero(bad):
@@ -137,7 +145,7 @@ def _check_range(name: str, value, rng: Range, where=None, integer: bool = False
         value = value.item()  # a number, as np.asarray gives it
     elif integer and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    elif value in rng:
+    elif value is not None and value in rng:
         return value
     raise ValueError(f"{name} must lie in {rng}, got {value!r}")
 
@@ -145,18 +153,22 @@ def _check_range(name: str, value, rng: Range, where=None, integer: bool = False
 def _check_ranges(record) -> None:
     """Raise ValueError naming the record's class, the field and the item
     of the first value outside its declared range, or not an integer in an
-    ``int`` field; None passes."""
-    for name, (rng, depth, integer) in _record(type(record), ranges=True).items():
+    ``int`` field; None passes only where the type is ``X | None``."""
+    for name, (rng, depth, integer, nullable) in _record(type(record), ranges=True).items():
         value = getattr(record, name)
-        if not depth and (value is None or (not integer or type(value) is int) and value in rng):
+        if not depth and (0 in nullable if value is None
+                          else (not integer or type(value) is int) and value in rng):
             continue  # the common case, fast
         values = [(f"{type(record).__name__}.{name}", value)]
-        for _ in range(depth):
-            values = [(path + key, item) for path, value in values if value is not None
-                      for key, item in _items(value)]
-        for path, value in values:
-            if value is not None:
-                _check_range(path, value, rng, integer=integer)
+        for level in range(depth + 1):
+            values = [(path, value) for path, value in values
+                      if value is not None or level not in nullable]
+            for path, value in values:
+                if value is None or level == depth:
+                    _check_range(path, value, rng, integer=integer)
+            if level < depth:
+                values = [(path + key, item) for path, value in values
+                          for key, item in _items(value)]
 
 
 def _named(where: str, make, /, *args, **kwargs):

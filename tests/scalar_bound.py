@@ -25,7 +25,7 @@ def scalar_peb(alpha_true, anchors, table, edge_ids, snr_linear, beta_sq_hz2):
     linear SNRs; inf when the FIM is singular."""
     snr = np.asarray(snr_linear, dtype=float).reshape(-1)
     meas = Problem(anchors, np.zeros(len(snr)), table, edge_ids)
-    jac = _model_rows(np.asarray(alpha_true, dtype=float)[None], scalar_pack([meas]))[1][0]
+    jac = _model_rows(np.asarray(alpha_true, dtype=float)[None], scalar_pack([meas]))[1][..., 0].T
     inv_var = 8.0 * math.pi ** 2 * beta_sq_hz2 * snr / SPEED_OF_LIGHT ** 2  # 1/m^2
     fim = (jac * inv_var) @ jac.T
     fim = 0.5 * (fim + fim.T)

@@ -61,8 +61,9 @@ def scalar_model(alpha, meas):
 
 
 def reference_model_rows(alpha, sets):
-    """Model ranges (R, M), partials (R, 3, M) and singular flags (R, M) of
-    the measurement sets ``sets`` at receiver positions ``alpha`` (R, 3).
+    """Model ranges (M, R), partials (M, 3, R) and legs (2, M, R), anchor
+    side first, of the measurement sets ``sets`` at receiver positions
+    ``alpha`` (R, 3).
 
     Every floating-point expression, and its operand order, is that of
     ``positioning._model_rows``, Keller's edge point of
@@ -95,11 +96,10 @@ def reference_model_rows(alpha, sets):
         qx = x2 + lam * span
         l_tx = np.sqrt((xa - qx) ** 2 + ty2 + tz2)
         l_rx = np.sqrt((xn - qx) ** 2 + ry2 + rz2)
-        singular = (l_rx < 1e-12) | (l_tx < 1e-12)
         local = ((r[..., 0] - qx) / l_rx, r[..., 1] / l_rx, (z_e - t[..., 2]) / l_tx)
         grad = rot[..., 0, :] * local[0][..., None] + rot[..., 1, :] * local[1][..., None] \
             + rot[..., 2, :] * local[2][..., None]
-    return l_tx + l_rx, grad.transpose(0, 2, 1), singular
+    return (l_tx + l_rx).T, grad.transpose(1, 2, 0), np.stack((l_tx, l_rx)).transpose(0, 2, 1)
 
 
 def scalar_pack(sets) -> _Rows:
@@ -121,10 +121,12 @@ def scalar_pack(sets) -> _Rows:
     rotation = edge_column("rotation", 3, 3)  # [i, k] = R[i, k]
     t = column([to_local(table, e, a) for table, e, a in rows], 3)
     x1, x2 = edge_column("x1"), edge_column("x2")
+    ends = np.zeros((3, 2, *t.shape[1:]))  # the receiver half is written by the model
+    ends[:, 0] = t
     return _Rows(
         to_local=np.ascontiguousarray(rotation.transpose(1, 0, 2, 3)),
         translation=edge_column("translation", 3),
-        anchor=t[:, None],
+        ends=ends,
         x2=x2,
         span=x1 - x2,
         half_w=0.5 * edge_column("w"),

@@ -136,7 +136,7 @@ def test_criterion_2_jacobian_vs_finite_differences():
         for _ in range(1000):
             alpha, anchors, edges = random_positioning_instance(rng)
             meas = Problem(anchors, np.zeros(4), edges)
-            analytic = _model_rows(alpha[None], pack([meas]))[1][0]
+            analytic = _model_rows(alpha[None], pack([meas]))[1][..., 0].T
             numeric = np.empty_like(analytic)
             for i in range(3):
                 up, dn = alpha.copy(), alpha.copy()
@@ -161,7 +161,7 @@ def test_criterion_3_estimator_consistency():
         for _ in range(100):
             alpha, anchors, edges = random_positioning_instance(rng)
             meas = Problem(anchors, np.zeros(4), edges)
-            meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
+            meas.ranges = _model_rows(alpha[None], pack([meas]))[0][:, 0]
             offset = rng.uniform(-1.0, 1.0, 3)
             offset *= rng.uniform(0.0, 2.0) / max(np.linalg.norm(offset), 1e-9)
             truths.append(alpha)
@@ -197,7 +197,7 @@ def test_criterion_4_monte_carlo_rmse_vs_peb():
         bound = bounds_of([(alpha, anchors, edges, range(4), np.full(4, snr_lin),
                             BETA_SQ_400MHZ)])[0]
         meas = Problem(anchors, np.zeros(4), edges)
-        truth = _model_rows(alpha[None], pack([meas]))[0][0]
+        truth = _model_rows(alpha[None], pack([meas]))[0][:, 0]
         sets = [Problem(anchors, truth + sigma * rng.standard_normal(4), edges)
                 for _ in range(1000)]
         result = ladder(sets, [alpha] * len(sets), LADDER_BOUNDS)

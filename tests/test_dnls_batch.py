@@ -11,6 +11,8 @@ ids name. The rows that ``_pack`` gathers from the edge table must equal,
 bit for bit, the per-edge packing it replaced (``scalar_dnls.scalar_pack``).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ from diffpos.positioning import (
     _model_rows,
     _pack,
     _Rows,
+    _singular,
+    _squared_tol,
     dnls_ladder,
 )
 from scalar_dnls import reference_model_rows, scalar_gauss_newton, scalar_ladder, scalar_pack
@@ -146,9 +150,9 @@ def test_model_rows_equal_the_reference_model_bit_for_bit(monkeypatch, size):
     # at 1,000 random positions inside the bounds; the queue's sets with
     # their edges in random frames, whose rotations, unlike a facade's, mix
     # every axis; then one batch that also holds a row with NaN legs and a
-    # row whose receiver leg is below 1e-12 m. Ranges, partials and
-    # singular flags must equal the reference bit for bit, NaN where it has
-    # NaN.
+    # row whose receiver leg is below 1e-12 m. Ranges, partials and legs
+    # must equal the reference bit for bit, NaN where it has NaN, and the
+    # legs below 1e-12 m make their rows singular beside the NaN legs.
     _, args, sets = captured_sweep(monkeypatch, size, 0)
     inits, bounds = args[4:]
     results = dnls_ladder(*args)
@@ -173,9 +177,10 @@ def test_model_rows_equal_the_reference_model_bit_for_bit(monkeypatch, size):
         expect = reference_model_rows(alpha, case_sets)
         for g, e in zip(got, expect):
             assert g.shape == e.shape and np.array_equal(g, e, equal_nan=True)
-    singular = got[2]
-    assert singular[1].tolist() == [True] * 4 and not singular[2].any()  # a NaN leg does not flag
-    assert np.isnan(got[0][2]).all() and not singular[[0, 3]].any()
+    singular = _singular(got[2])
+    assert singular[:, 1].tolist() == [True] * 4 and not singular[:, 2].any()  # nor a NaN leg
+    assert np.isnan(got[2][:, :, 2]).all() and np.isnan(got[0][:, 2]).all()
+    assert not singular[:, [0, 3]].any()
 
 
 def test_ladder_prefers_an_earlier_rung_that_converges_later(monkeypatch):
@@ -186,7 +191,7 @@ def test_ladder_prefers_an_earlier_rung_that_converges_later(monkeypatch):
                         ((False, 0.0, 50), (True, 0.0, 50), (True, 1.0, 400)))
     alpha, anchors, edges = random_positioning_instance(np.random.default_rng(12))
     meas = Problem(anchors, np.zeros(4), edges)
-    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
+    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][:, 0]
     start = alpha + np.array([0.6, -0.4, 0.3])
     result = dnls_ladder(edges, anchors, [[0, 1, 2, 3]], [meas.ranges], [start],
                          (alpha - 1.0, alpha + 1.0))
@@ -203,7 +208,7 @@ def degenerate_vertical_problem():
                                                  (18.0, 4.0), (21.0, 5.0))])
     alpha = np.array([5.0, -4.0, 5.0])
     meas = Problem(anchors, np.zeros(4), edges)
-    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
+    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][:, 0]
     return meas, alpha + np.array([0.0, 0.5, 0.5])
 
 
@@ -211,7 +216,7 @@ def diverging_problem(rng):
     """A range of inf makes the first step non-finite."""
     alpha, anchors, edges = random_positioning_instance(rng)
     meas = Problem(anchors, np.zeros(4), edges)
-    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0]
+    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][:, 0]
     meas.ranges[2] = np.inf
     return meas, alpha
 
@@ -219,7 +224,7 @@ def diverging_problem(rng):
 def good_problem(rng):
     alpha, anchors, edges = random_positioning_instance(rng)
     meas = Problem(anchors, np.zeros(4), edges)
-    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][0] + 0.03 * rng.standard_normal(4)
+    meas.ranges = _model_rows(alpha[None], pack([meas]))[0][:, 0] + 0.03 * rng.standard_normal(4)
     return meas, alpha + 0.5
 
 
@@ -231,8 +236,11 @@ def solve_rows(problems, damping):
                          np.arange(n))
 
 
-@pytest.mark.parametrize("damping", [0.0, 0.1])
+@pytest.mark.parametrize("damping", [0.0, 0.1, 1e308])
 def test_singular_and_diverging_rows_fail_only_themselves(damping):
+    # Damping 1e308 gives finite normal entries whose sum overflows: the
+    # loop's finite gate fails, and its per-row test must clear every
+    # finite row, which then converges as the scalar solver does.
     rng = np.random.default_rng(8)
     good = [good_problem(rng) for _ in range(2)]
     problems = [good[0], degenerate_vertical_problem(), diverging_problem(rng), good[1]]
@@ -339,10 +347,13 @@ def test_rows_stop_as_in_their_own_runs(monkeypatch):
     real_model = positioning._model_rows
 
     def model(alpha, rows):
-        p, jac, singular = real_model(alpha, rows)
-        jac[(alpha == late.alpha[0]).all(axis=1)] = 0.0
+        p, jac, legs = real_model(alpha, rows)
+        jac[..., (alpha == late.alpha[0]).all(axis=1)] = 0.0
         hit = (alpha == third).all(axis=1) | (alpha == final.alpha[0]).all(axis=1)
-        return p, jac, singular | hit[:, None]
+        # NaN legs at anchor 0 beside a receiver leg of zero at anchor 1:
+        # fmin passes over the NaN, so the row is singular.
+        legs[:, 0, hit], legs[1, 1, hit] = np.nan, 0.0
+        return p, jac, legs
 
     monkeypatch.setattr(positioning, "_model_rows", model)
     problems = singles + ladders
@@ -503,6 +514,19 @@ def test_rank_screen_decides_as_the_svd_on_sweep_queues(monkeypatch, size):
     dnls_ladder(*args)
     assert sum(tested) > 500
     assert sum(sent_to_svd) < 0.1 * sum(tested)
+
+
+@pytest.mark.parametrize("tol", [_TOL_M, 1e-9, 0.1, 1.0, 3.0, 1e-160, 5e-324, 1e300])
+def test_squared_tolerance_decides_as_the_square_root(tol):
+    # Gauss-Newton converges when sum(step^2) < _squared_tol(tol): a sum
+    # equal to it does not converge, the double below it does, and on sums
+    # around it, 0, inf and NaN the test decides as sqrt(sum) < tol.
+    s = _squared_tol(tol)
+    below, above = math.nextafter(s, 0.0), math.nextafter(s, math.inf)
+    assert not math.sqrt(s) < tol and math.sqrt(below) < tol
+    sums = np.concatenate([s * np.random.default_rng(31).uniform(0.999, 1.001, 10_000),
+                           [s, below, above, 0.0, math.inf, math.nan]])
+    assert np.array_equal(sums < s, np.sqrt(sums) < tol)
 
 
 def test_rank_screen_decides_as_the_svd_near_the_threshold():

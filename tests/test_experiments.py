@@ -1127,7 +1127,13 @@ def test_cli_report_bad_report_is_an_error_line(tmp_path, capsys, text, message)
 @pytest.mark.parametrize("argv, message", [
     (["scene", "--grid-spacing", "0"],
      "error: SceneConfig.receiver_spacing must lie in (0, inf), got 0.0\n"),
-], ids=["scene_zero_spacing"])
+    # --full-scale sets its own grid, which once dropped these without a word.
+    *[(["scene", "--full-scale", *grid], "error: --full-scale sets a 0.5 m grid over floors "
+       "3-7; it takes no --grid-spacing or --floors\n")
+      for grid in (["--grid-spacing", "3", "--floors", "3"], ["--grid-spacing", "0.5"],
+                   ["--floors", "3", "4", "5", "6", "7"])],
+], ids=["scene_zero_spacing", "full_scale_spacing_and_floors", "full_scale_spacing",
+        "full_scale_floors"])
 def test_cli_bad_number_is_an_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "scene.json"
     rc = cli_main([argv[0], "--out", str(out), *argv[1:]])

@@ -316,7 +316,8 @@ def test_solve_edge_lambdas_matches_scalar_on_default_edges():
         tx = np.array([rng.uniform(-10, 40), rng.choice([-25.0, 45.0]) + rng.uniform(-5, 5),
                        rng.uniform(0.5, 15)])
         rx = rng.uniform([0.5, 0.5, 0.5], [29.5, 19.5, 20.5])
-        lam, endpoint, length = solve_edges(*edge_rows(edges, tx, rx))[:3]
+        lam, free, length = solve_edges(*edge_rows(edges, tx, rx))[:3]
+        endpoint = lam != free
         for i in range(len(edges.x1)):
             sol = scalar_edge.diffraction_point(tx, rx, edges, i)
             assert abs(lam[i] - sol.lam) <= 1e-12
@@ -333,7 +334,8 @@ def test_solve_edge_lambdas_degenerate_quadratic_rows_match_scalar():
     # The second edge's frame is shifted by one along y.
     edges = edges_of(-4.0, 4.0, 1.0, 1.0, translation=[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     tx, rx = np.array([-1.0, -2.0, 1.0]), np.array([5.0, 2.0, 1.0])
-    lam, endpoint, length = solve_edges(*edge_rows(edges, tx, rx))[:3]
+    lam, free, length = solve_edges(*edge_rows(edges, tx, rx))[:3]
+    endpoint = lam != free
     for i in range(2):
         sol = scalar_edge.diffraction_point(tx, rx, edges, i)
         assert abs(lam[i] - sol.lam) <= 1e-12
@@ -343,7 +345,8 @@ def test_solve_edge_lambdas_degenerate_quadratic_rows_match_scalar():
     # flagged as an endpoint.
     tx, rx = np.array([6.0, -2.0, 1.0]), np.array([8.0, 2.0, 1.0])
     first = edges_of(-4.0, 4.0, 1.0, 1.0)
-    lam, endpoint, length = solve_edges(*edge_rows(first, tx, rx))[:3]
+    lam, free, length = solve_edges(*edge_rows(first, tx, rx))[:3]
+    endpoint = lam != free
     sol = scalar_edge.diffraction_point(tx, rx, first, 0)
     assert lam[0] == sol.lam == 0.0 and endpoint[0] and sol.endpoint
     assert abs(length[0] - sol.path_length) <= 1e-9 * sol.path_length
@@ -368,7 +371,8 @@ def test_solve_edge_lambdas_random_edges_and_frames():
              for e, (tx, rx) in enumerate(local)]
     t = np.array([scalar_edge.to_local(edges, e, a) for e, (a, _) in enumerate(world)])
     r = np.array([scalar_edge.to_local(edges, e, b) for e, (_, b) in enumerate(world)])
-    lam, endpoint, length = solve_edges(t, r, edges.x1, edges.x2, edges.z_e)[:3]
+    lam, free, length = solve_edges(t, r, edges.x1, edges.x2, edges.z_e)[:3]
+    endpoint = lam != free
     for i, (a, b) in enumerate(world):
         sol = scalar_edge.diffraction_point(a, b, edges, i)
         assert abs(lam[i] - sol.lam) <= 1e-12
@@ -406,8 +410,9 @@ def test_solve_edge_lambdas_matches_oracle_and_dense_grid():
         length = scalar_edge.two_leg_length(t[i], r[i], z_e[i], q)
         assert abs(x2[i] + sol.lam[i] * (x1[i] - x2[i]) - q) <= 1e-12 * size[i]
         assert abs(sol.length[i] - length) <= 1e-13 * length
-        assert sol.endpoint[i] == endpoint
-    assert not sol.endpoint[on_edge].any() and sol.endpoint.any()
+        assert (sol.lam[i] != sol.free[i]) == endpoint
+    clipped = sol.lam != sol.free
+    assert not clipped[on_edge].any() and clipped.any()
 
     grid = np.linspace(0.0, 1.0, 2001)
     qx = x2[:, None] + grid * (x1 - x2)[:, None]
@@ -437,7 +442,8 @@ def test_solve_edge_lambdas_returns_the_legs_at_its_lam():
     assert np.array_equal(sol.dx, [t[:, 0] - qx, r[:, 0] - qx])
     assert np.array_equal(sol.dz, [z_e - t[:, 2], z_e - r[:, 2]])
     assert np.array_equal(sol.length, leg_t + leg_r)
-    assert sol.endpoint.any() and not sol.endpoint.all()
+    clipped = sol.lam != sol.free
+    assert clipped.any() and not clipped.all()
 
 
 def test_diffraction_fermat_stationarity_interior():

@@ -36,7 +36,7 @@ from diffpos.records import declared_ranges
 # The declared coefficient ranges of a Material and the frequency reach of
 # a band.
 _COEFFICIENT_RANGES = {name: (rng.lo, rng.hi)
-                       for name, (rng, _, _) in declared_ranges(Material).items()}
+                       for name, (rng, *_) in declared_ranges(Material).items()}
 _BAND_REACH = declared_ranges(BandPlan)["f_lo_hz"][0]
 _FREQ_REACH_HZ = (_BAND_REACH.lo, _BAND_REACH.hi)
 

@@ -29,6 +29,7 @@ from diffpos.positioning import (
     SingularGeometryError,
     _gauss_newton,
     _model_rows,
+    _singular,
     dnls_ladder,
     lls_solve,
     lls_start,
@@ -75,7 +76,7 @@ def test_jacobian_symmetric_configuration_zero_x_partial():
     anchor = np.array([[0.0, 20.0, 4.0]])
     alpha = np.array([0.0, -6.0, 7.0])
     meas = meas_from_instance(alpha, anchor, edge)
-    jac = _model_rows(alpha[None], pack([meas]))[1][0]
+    jac = _model_rows(alpha[None], pack([meas]))[1][..., 0].T
     assert jac[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -84,14 +85,14 @@ def test_jacobian_matches_finite_differences_random():
     for _ in range(1000):
         alpha, anchors, edges = random_positioning_instance(RNG)
         meas = meas_from_instance(alpha, anchors, edges)
-        ranges, analytic, singular = _model_rows(alpha[None], pack([meas]))
-        assert not singular.any()
+        ranges, analytic, legs = _model_rows(alpha[None], pack([meas]))
+        assert _singular(legs) is None
         # The scalar oracle solves the edge by another algorithm, so the
         # ranges agree to roundoff rather than bit for bit.
         expect = model_ranges(alpha, anchors, edges)
-        assert np.all(np.abs(ranges[0] - expect) <= 1e-15 * expect)
+        assert np.all(np.abs(ranges[:, 0] - expect) <= 1e-15 * expect)
         numeric = fd_jacobian(alpha, meas)
-        worst = max(worst, float(np.max(np.abs(analytic[0] - numeric))))
+        worst = max(worst, float(np.max(np.abs(analytic[..., 0].T - numeric))))
     assert worst <= 1e-6
 
 
@@ -132,7 +133,7 @@ def test_jacobian_endpoint_clamped_consistent_with_fd():
     anchor = np.array([[8.0, 12.0, 2.0]])
     alpha = np.array([9.0, -6.0, 4.0])
     meas = meas_from_instance(alpha, anchor, edge)
-    analytic = _model_rows(alpha[None], pack([meas]))[1][0]
+    analytic = _model_rows(alpha[None], pack([meas]))[1][..., 0].T
     numeric = fd_jacobian(alpha, meas)
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
@@ -144,7 +145,7 @@ def test_jacobian_singular_on_edge():
     anchor = np.array([[0.0, 10.0, 2.0]])
     alpha = np.array([0.0, 0.0, 4.0])
     meas = meas_from_instance(alpha, anchor, edge, ranges=[1.0])
-    assert _model_rows(alpha[None], pack([meas]))[2].tolist() == [[True]]
+    assert _singular(_model_rows(alpha[None], pack([meas]))[2]).tolist() == [[True]]
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ CLASSES = _classes(SweepConfig, set()) | _classes(SweepReport, set()) \
     | _classes(MpcRecord, set()) | _classes(_LibraryDoc, set())
 RANGES = [(cls, name, rng, depth, integer)
           for cls in sorted(CLASSES, key=lambda c: c.__name__)
-          for name, (rng, depth, integer) in declared_ranges(cls).items()]
+          for name, (rng, depth, integer, _) in declared_ranges(cls).items()]
 
 
 def _with_first(value, depth: int, item):
@@ -122,6 +122,29 @@ def test_declared_range_ends(cls, name, rng, depth, integer):
             dataclasses.replace(record, **{name: changed})
         rule = "be an integer" if integer and isinstance(bad, float) else f"lie in {rng}"
         assert str(err.value) == f"{cls.__name__}.{name}{path} must {rule}, got {bad!r}"
+    # None, as the field or as one of its items, passes only where that
+    # level's type is X | None, and is refused in the same forms elsewhere.
+    nullable = declared_ranges(cls)[name][3]
+    rule = "be an integer" if integer else f"lie in {rng}"
+    for level in range(depth + 1):
+        changed, path = _with_first(value, level, None)
+        if level in nullable:
+            assert getattr(dataclasses.replace(record, **{name: changed}), name) == changed
+            continue
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(record, **{name: changed})
+        assert str(err.value) == f"{cls.__name__}.{name}{path} must {rule}, got None"
+
+
+def test_none_passes_only_the_optional_fields():
+    # The fields whose type is X | None. Elsewhere None is refused at the
+    # record (test_declared_range_ends), where PathLimits.min_snr_db and
+    # DiffractionLossModel.l0_db once took it and failed deep in the sweep.
+    assert {f"{cls.__name__}.{name}" for cls, name, *_ in RANGES
+            if declared_ranges(cls)[name][3]} \
+        == {"MpcRecord.tof_s", "MpcRecord.edge_id", "FrequencyReport.fap_snr_quartiles_db"}
+    assert {"PathLimits.min_snr_db", "DiffractionLossModel.l0_db"} \
+        <= {f"{cls.__name__}.{name}" for cls, name, *_ in RANGES}
 
 
 def test_range_text():
