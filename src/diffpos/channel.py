@@ -292,7 +292,7 @@ Floor = Annotated[int, Range(1, _MAX_FLOORS)]
 Coordinate = Annotated[float, Range(-_REACH_M, _REACH_M)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
     """Building, anchors, receiver grid, radio, and enumeration limits."""
 
@@ -464,6 +464,13 @@ class _SurfacePack(NamedTuple):
     cutouts: np.ndarray  # (4, N, C) likewise, padded with boxes that hold no point
 
 
+def _distinct(objects) -> tuple[list, np.ndarray]:
+    """The distinct ``objects`` by identity, first seen first, and each one's index among them."""
+    first: dict[int, tuple[int, object]] = {}
+    index = [first.setdefault(id(o), (len(first), o))[0] for o in objects]
+    return [o for _, o in first.values()], np.array(index, dtype=int)
+
+
 def _pack_surfaces(surfaces: list[Surface]) -> _SurfacePack:
     width = max((len(s.cutouts) for s in surfaces), default=0)
     cutouts = np.tile(np.array([math.inf, -math.inf, math.inf, -math.inf])[:, None, None],
@@ -517,6 +524,10 @@ class SceneGeometry:
             mirrors.append(Surface("ground", "z", 0.0, -math.inf, math.inf, -math.inf, math.inf,
                                    ground_slab, slabs_at_0))
         self.reflector_slabs = tuple(s.slab for s in mirrors)
+        # Each distinct slab and facing material (scenes share them between
+        # surfaces) is evaluated once per frequency, then gathered.
+        self._slabs, self._slab_of = _distinct(s.slab for s in surfaces)
+        self._materials, self._material_of = _distinct(s.slab.facing_material for s in mirrors)
         self._mirrors = _pack_surfaces(mirrors)
         self._mirror_normal = np.eye(3)[self._mirrors.axis].reshape(-1, 3)
         self._loss_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -527,10 +538,9 @@ class SceneGeometry:
         permittivities (R,) at ``f_hz``, kept per frequency."""
         terms = self._loss_cache.get(f_hz)
         if terms is None:
-            terms = self._loss_cache[f_hz] = (
-                np.array([transmission_loss_db(s.slab, f_hz) for s in self.surfaces]),
-                np.array([complex_permittivity(slab.facing_material, f_hz)
-                          for slab in self.reflector_slabs]))
+            slab_db = np.array([transmission_loss_db(slab, f_hz) for slab in self._slabs])
+            eps = np.array([complex_permittivity(m, f_hz) for m in self._materials])
+            terms = self._loss_cache[f_hz] = (slab_db[self._slab_of], eps[self._material_of])
         return terms
 
     def _anchor_terms(self, tx) -> _AnchorTerms:

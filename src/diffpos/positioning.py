@@ -179,18 +179,6 @@ def _singular(legs: np.ndarray) -> np.ndarray | None:
     return np.fmin(legs[1], legs[0]) < 1e-12
 
 
-def _squared_tol(tol: float) -> float:
-    """The smallest double s whose square root is at least ``tol`` > 0. The
-    square root is correctly rounded, so monotone: x < s exactly when
-    sqrt(x) < tol, NaN and inf included."""
-    s = tol * tol
-    while math.sqrt(s) < tol:
-        s = math.nextafter(s, math.inf)
-    while math.sqrt(below := math.nextafter(s, 0.0)) >= tol:
-        s = below
-    return s
-
-
 def _rank_deficient(matrices: np.ndarray) -> np.ndarray:
     """Rank deficiency of a matrix, or of each matrix of a stack."""
     s = np.linalg.svd(matrices, compute_uv=False)
@@ -223,11 +211,11 @@ class _GaussNewtonRows(NamedTuple):
 
 
 def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
-                  damping: np.ndarray, tol: float, problem: np.ndarray) -> _GaussNewtonRows:
+                  damping: np.ndarray, problem: np.ndarray) -> _GaussNewtonRows:
     """Gauss-Newton on the diffraction path model, all rows in one loop.
 
     Row i starts at ``alpha0[i]`` and iterates until its step norm drops
-    below ``tol`` (converged) or it has run ``max_iters[i]`` iterations (out
+    below ``_TOL_M`` (converged) or it has run ``max_iters[i]`` iterations (out
     of iterations); the model is then evaluated once more at the final
     iterate, where it can still find the row singular. A leg of the model
     below 1e-12 m, or, without damping, rank-deficient normal equations,
@@ -265,7 +253,6 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
     a = alpha.copy()
     limit = np.asarray(max_iters)
     limit_trips = set((limit - 1).tolist())  # trips after which some row is out of iterations
-    tol_sq = _squared_tol(tol)
     damped = damping > 0.0
     n_damped = np.count_nonzero(damped)
     damp_eye = damping * eye[:, :, None]  # (3, 3, R)
@@ -336,7 +323,7 @@ def _gauss_newton(rows: _Rows, alpha0: np.ndarray, max_iters: np.ndarray,
             if not math.isfinite(np.add.reduce(moved, axis=None)):
                 finite = np.isfinite(moved).all(axis=1)
                 ok = finite if ok is None else ok & finite
-            converged = np.add.reduce(step ** 2, axis=1) < tol_sq
+            converged = np.sqrt(np.add.reduce(step ** 2, axis=1)) < _TOL_M
             failed = None
             if ok is not None and np.count_nonzero(ok) < len(ok):
                 failed = ~ok
@@ -409,8 +396,7 @@ def dnls_ladder(table: EdgeTable, anchors, edge_ids, ranges, starts,
         np.concatenate([np.broadcast_to(0.5 * (lo + hi), (n, 3)) if from_centroid else starts
                         for from_centroid, _, _ in _LADDER]),
         np.repeat([iters for _, _, iters in _LADDER], n),
-        np.repeat([damping for _, damping, _ in _LADDER], n),
-        _TOL_M, problem)
+        np.repeat([damping for _, damping, _ in _LADDER], n), problem)
 
     converged = out.status.reshape(k, n) == _CONVERGED
     rung = np.where(converged.any(axis=0), converged.argmax(axis=0), -1)

@@ -1,5 +1,6 @@
 """Multipath synthesis, classification, and dataset round-trip tests."""
 
+import dataclasses
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 
 import scalar_edge
 from conftest import edges_of, write_dataset
+import diffpos.channel as channel
 from diffpos.constants import BOLTZMANN, SPEED_OF_LIGHT
 from diffpos.channel import (
     BandPlan,
@@ -39,7 +41,8 @@ from diffpos.channel import (
 from diffpos.cli import main as cli_main
 from diffpos.experiments import DEFAULT_FREQUENCY_LADDER_HZ, build_default_scene
 from diffpos.geometry import Point3, euclidean_distance, _on_edge_line
-from diffpos.materials import DiffractionLossModel, default_material_library
+from diffpos.materials import (DiffractionLossModel, complex_permittivity, default_material_library,
+                               transmission_loss_db)
 
 RNG = np.random.default_rng(42)
 LIB = default_material_library()
@@ -374,6 +377,13 @@ def test_scene_config_rejects(overrides, message):
         make_scene(**overrides)
 
 
+def test_scene_config_is_frozen():
+    # A scene cannot change under the geometry and path tables built from it.
+    scene = make_scene()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scene.receiver_spacing = 1.0
+
+
 def test_radio_band_lookup():
     fr1 = BandPlan("FR1", 0.41e9, 7.125e9, 20.0, 0.0)
     one = BandPlan("X", 20e9, 20e9, 25.0)  # a band may hold one frequency
@@ -607,6 +617,32 @@ def test_path_table_takes_a_point_a_row_or_a_block():
     for table in tables:
         assert table.receivers.shape == (1, 3) and not table.receiver.any()
         assert table.length_m.tobytes() == tables[0].length_m.tobytes()
+
+
+def test_frequency_terms_are_evaluated_once_per_distinct_slab(monkeypatch):
+    # The default scene's 18 surfaces share 2 slabs and its 13 reflectors
+    # one facing material: each is evaluated once per frequency, and the
+    # gathered terms equal the per-surface and per-reflector calls bit for bit.
+    geom = build_scene_geometry(build_default_scene())
+    assert (len(geom.surfaces), len(geom.reflector_slabs)) == (18, 13)
+    slabs = {id(s.slab) for s in geom.surfaces}
+    assert len(slabs) == 2 and len(geom._materials) == 1
+    calls = []
+
+    def counted(slab, f_hz):
+        calls.append((id(slab), f_hz))
+        return transmission_loss_db(slab, f_hz)
+
+    monkeypatch.setattr(channel, "transmission_loss_db", counted)
+    for f_hz in DEFAULT_FREQUENCY_LADDER_HZ:
+        slab_db, eps = geom.prepare_frequency(f_hz)
+        assert slab_db.tobytes() == np.array(
+            [transmission_loss_db(s.slab, f_hz) for s in geom.surfaces]).tobytes()
+        assert eps.tobytes() == np.array(
+            [complex_permittivity(slab.facing_material, f_hz)
+             for slab in geom.reflector_slabs]).tobytes()
+        assert sorted(calls) == sorted((slab, f_hz) for slab in slabs)
+        calls.clear()
 
 
 def test_a_geometry_without_reflectors_or_edges_gives_empty_rows():

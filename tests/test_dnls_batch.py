@@ -11,8 +11,6 @@ ids name. The rows that ``_pack`` gathers from the edge table must equal,
 bit for bit, the per-edge packing it replaced (``scalar_dnls.scalar_pack``).
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -27,13 +25,11 @@ from diffpos.positioning import (
     _LADDER,
     _OUT_OF_ITERATIONS,
     _SINGULAR,
-    _TOL_M,
     _gauss_newton,
     _model_rows,
     _pack,
     _Rows,
     _singular,
-    _squared_tol,
     dnls_ladder,
 )
 from scalar_dnls import reference_model_rows, scalar_gauss_newton, scalar_ladder, scalar_pack
@@ -232,8 +228,7 @@ def solve_rows(problems, damping):
     sets = [meas for meas, _ in problems]
     starts = np.array([start for _, start in problems])
     n = len(problems)
-    return _gauss_newton(pack(sets), starts, np.full(n, 50), np.full(n, damping), 1e-6,
-                         np.arange(n))
+    return _gauss_newton(pack(sets), starts, np.full(n, 50), np.full(n, damping), np.arange(n))
 
 
 @pytest.mark.parametrize("damping", [0.0, 0.1, 1e308])
@@ -275,7 +270,7 @@ def test_final_evaluation_can_make_a_row_singular():
     meas = Problem(anchors, np.full(4, 20.0), edge, [0] * 4)
     alpha = np.array([0.0, 0.0, 4.0])
     assert scalar_gauss_newton(meas, alpha, max_iters=0)[:2] == ("singular", 0)
-    out = _gauss_newton(pack([meas]), alpha[None], np.zeros(1, dtype=int), np.zeros(1), 1e-6,
+    out = _gauss_newton(pack([meas]), alpha[None], np.zeros(1, dtype=int), np.zeros(1),
                         np.zeros(1, dtype=int))
     assert (out.status[0], out.iterations[0]) == (_SINGULAR, 0)
     out = solve_rows([(meas, alpha), good_problem(np.random.default_rng(11))], 0.0)
@@ -300,7 +295,7 @@ def run_rows(problems):
         np.array([start for (_, start, _, _), _ in rows]),
         np.array([max_iters for (_, _, max_iters, _), _ in rows]),
         np.array([damping for (_, _, _, damping), _ in rows], dtype=float),
-        _TOL_M, np.array([i for _, i in rows]))
+        np.array([i for _, i in rows]))
 
 
 def test_rows_stop_as_in_their_own_runs(monkeypatch):
@@ -514,19 +509,6 @@ def test_rank_screen_decides_as_the_svd_on_sweep_queues(monkeypatch, size):
     dnls_ladder(*args)
     assert sum(tested) > 500
     assert sum(sent_to_svd) < 0.1 * sum(tested)
-
-
-@pytest.mark.parametrize("tol", [_TOL_M, 1e-9, 0.1, 1.0, 3.0, 1e-160, 5e-324, 1e300])
-def test_squared_tolerance_decides_as_the_square_root(tol):
-    # Gauss-Newton converges when sum(step^2) < _squared_tol(tol): a sum
-    # equal to it does not converge, the double below it does, and on sums
-    # around it, 0, inf and NaN the test decides as sqrt(sum) < tol.
-    s = _squared_tol(tol)
-    below, above = math.nextafter(s, 0.0), math.nextafter(s, math.inf)
-    assert not math.sqrt(s) < tol and math.sqrt(below) < tol
-    sums = np.concatenate([s * np.random.default_rng(31).uniform(0.999, 1.001, 10_000),
-                           [s, below, above, 0.0, math.inf, math.nan]])
-    assert np.array_equal(sums < s, np.sqrt(sums) < tol)
 
 
 def test_rank_screen_decides_as_the_svd_near_the_threshold():

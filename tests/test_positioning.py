@@ -207,7 +207,7 @@ def test_dnls_rejects_degenerate_vertical_geometry():
     alpha = np.array([5.0, -4.0, 5.0])
     meas = meas_from_instance(alpha, anchors, edges)
     start = alpha + np.array([0.0, 0.5, 0.5])
-    out = _gauss_newton(pack([meas]), start[None], np.array([50]), np.zeros(1), 1e-6,
+    out = _gauss_newton(pack([meas]), start[None], np.array([50]), np.zeros(1),
                         np.zeros(1, dtype=int))
     assert out.status[0] == _SINGULAR
 
@@ -222,7 +222,7 @@ def test_dnls_far_init_is_reported_not_silent():
     alpha, anchors, edges = random_positioning_instance(RNG)
     meas = meas_from_instance(alpha, anchors, edges)
     start = alpha + np.array([4000.0, -3000.0, 2000.0])
-    out = _gauss_newton(pack([meas]), start[None], np.array([20]), np.zeros(1), 1e-6,
+    out = _gauss_newton(pack([meas]), start[None], np.array([20]), np.zeros(1),
                         np.zeros(1, dtype=int))
     if out.status[0] == _CONVERGED:
         # If it converged it must have converged to the right place.
@@ -441,7 +441,7 @@ def test_dnls_rmse_nonincreasing_in_snr():
         # Plain Gauss-Newton, converged or not: at 10 dB a third of the sets
         # leave the ladder's first rung, and a few every rung.
         out = _gauss_newton(pack(sets), np.tile(alpha, (300, 1)), np.full(300, 50),
-                            np.zeros(300), 1e-6, np.arange(300))
+                            np.zeros(300), np.arange(300))
         assert not np.isin(out.status, (_SINGULAR, _DIVERGED)).any()
         errs = np.sum((out.alpha - alpha) ** 2, axis=1)
         rmses.append(math.sqrt(float(np.mean(errs))))
